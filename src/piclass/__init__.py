@@ -10,7 +10,15 @@ of concrete groups.
 __version__ = "0.1.0"
 
 from .catalog import CensusRanges, GroupSpec, build, census, parse_group_file, parse_name, serialize_group_file
-from .classes import ClassTable, conjugacy_classes, is_pi_element, k_pi, pi_part_of_element
+from .classes import (
+    ClassAlgebra,
+    ClassTable,
+    class_algebra,
+    conjugacy_classes,
+    is_pi_element,
+    k_pi,
+    pi_part_of_element,
+)
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
     CapExceededError,
@@ -54,6 +62,7 @@ from .subgroups import (
     normalizer,
     o_pi_prime,
     quotient,
+    quotient_k_pi,
     socle,
     subgroup,
     sylow_subgroup,

@@ -88,6 +88,132 @@ def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Clas
     return table
 
 
+def _bits(mask: int):
+    """Indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ClassAlgebra:
+    """Unions of conjugacy classes as bitsets over a class table.
+
+    A normal subgroup is a union of classes (Hulpke, "Computing normal
+    subgroups", ISSAC 1998), so it is kept as a bitset: bit i stands for
+    class i.  Everything is read from the supports of class products: the
+    bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
+    of classes, so its support is the set of classes met by x * C_i for one
+    x in C_j; each support is built on first use from the smaller class.
+    """
+
+    def __init__(self, table: ClassTable):
+        self.table = table
+        self.full = (1 << table.k) - 1
+        members: list[list[tuple[int, ...]]] = [[] for _ in table.classes]
+        for images, idx in table._index_of.items():
+            members[idx].append(images)
+        self.members = members
+        # symmetric matrix of supports, None until built
+        self._supports: list[list[int | None]] = [[None] * table.k for _ in table.classes]
+        self._cosets: dict[int, list[int]] = {}
+
+    def mask_of(self, elements) -> int:
+        mask = 0
+        for x in elements:
+            mask |= 1 << self.table.class_of(x)
+        return mask
+
+    def _support(self, i: int, j: int) -> int:
+        """Bitset of the classes met by C_i * C_j."""
+        met = self._supports[i][j]
+        if met is None:
+            small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
+            index_of = self.table._index_of
+            get = self.table.classes[big].rep.images.__getitem__
+            met = sum(1 << c for c in {index_of[tuple(map(get, yim))]
+                                       for yim in self.members[small]})
+            self._supports[i][j] = self._supports[j][i] = met
+        return met
+
+    def closure(self, mask: int) -> int:
+        """Smallest union of classes containing ``mask`` and closed under
+        products: the normal subgroup the classes generate."""
+        todo = list(_bits(mask))
+        done: list[int] = []
+        while todo:
+            i = todo.pop()
+            done.append(i)
+            row = self._supports[i]
+            for j in done:
+                met = row[j]
+                if met is None:
+                    met = self._support(i, j)
+                new = met & ~mask
+                if new:
+                    mask |= new
+                    todo.extend(_bits(new))
+        return mask
+
+    def coset_classes(self, normal: int) -> list[int]:
+        """For the normal subgroup N with class set ``normal``: entry i is the
+        bitset of classes met by x * N, x in class i; that is the support of
+        C_i * N."""
+        cosets = self._cosets.get(normal)
+        if cosets is None:
+            in_normal = list(_bits(normal))
+            cosets = []
+            for i, row in enumerate(self._supports):
+                met = 0
+                for j in in_normal:
+                    support = row[j]
+                    met |= self._support(i, j) if support is None else support
+                cosets.append(met)
+            self._cosets[normal] = cosets
+        return cosets
+
+    def join(self, normal: int, other: int) -> int:
+        """Class set of N * M: the union of the supports of C_i * N, i in M."""
+        cosets = self.coset_classes(normal)
+        mask = normal
+        for i in _bits(other & ~normal):
+            mask |= cosets[i]
+        return mask
+
+    def fusion(self, normal: int) -> list[int]:
+        """The classes of G/N as bitsets of G-classes, in order of their
+        first G-class: the class of x * N, x in class i, lifts to the
+        classes meeting x * N."""
+        blocks = []
+        covered = 0
+        for i, met in enumerate(self.coset_classes(normal)):
+            if not covered >> i & 1:
+                blocks.append(met)
+                covered |= met
+        n = self.order(normal)
+        sizes = [self.order(b) for b in blocks]
+        if covered != self.full or sum(sizes) != self.table.group.order or any(s % n for s in sizes):
+            raise AssertionError("class fusion does not partition the group into cosets")
+        return blocks
+
+    def order(self, mask: int) -> int:
+        classes = self.table.classes
+        return sum(classes[i].size for i in _bits(mask))
+
+    def elements(self, mask: int) -> list[tuple[int, ...]]:
+        """Image tuples of the members of the classes in ``mask``."""
+        return [im for i in _bits(mask) for im in self.members[i]]
+
+
+def class_algebra(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> ClassAlgebra:
+    """The class algebra over the group's class table, cached on the group."""
+    algebra = group.cache.get("class_algebra")
+    if algebra is None:
+        algebra = ClassAlgebra(conjugacy_classes(group, cap))
+        group.cache["class_algebra"] = algebra
+    return algebra
+
+
 def is_pi_element(x: Permutation, pi) -> bool:
     """True iff every prime factor of the element order lies in pi."""
     return is_pi_number(x.order(), validate_pi(pi))

@@ -1,4 +1,4 @@
-"""Small exact number-theory helpers: primes, factorizations, pi-parts."""
+"""Small exact number-theory helpers: primes, prime divisors, pi-parts."""
 
 import math
 
@@ -38,19 +38,6 @@ def prime_factors(n: int) -> list[int]:
         p += 2
     if n > 1:
         out.append(n)
-    return out
-
-
-def factorization(n: int) -> list[tuple[int, int]]:
-    """Prime factorization as (prime, exponent) pairs, ascending."""
-    out = []
-    for p in prime_factors(n):
-        e = 0
-        m = n
-        while m % p == 0:
-            e += 1
-            m //= p
-        out.append((p, e))
     return out
 
 

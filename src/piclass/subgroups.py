@@ -9,9 +9,11 @@ that can fail distinguish three outcomes explicitly; in particular
 """
 
 import random
+from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import conjugacy_classes, k_pi, pi_part_of_element
+from .classes import class_algebra, conjugacy_classes, k_pi, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
@@ -28,9 +30,13 @@ class SubgroupHandle:
     def __init__(self, parent: PermGroup, group: PermGroup):
         self.parent = parent
         self.group = group
+        self._order: int | None = None
         self._element_set: frozenset[tuple[int, ...]] | None = None
         self._is_abelian: bool | None = None
         self._is_normal: bool | None = None
+        # bitset over the parent's class table (see ClassAlgebra), set by
+        # normal_subgroups, or by quotient_k_pi on first use
+        self.class_mask: int | None = None
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -38,7 +44,9 @@ class SubgroupHandle:
 
     @property
     def order(self) -> int:
-        return self.group.order
+        if self._order is None:
+            self._order = self.group.order
+        return self._order
 
     def contains(self, p: Permutation) -> bool:
         return self.group.contains(p)
@@ -177,10 +185,6 @@ def _centralizer_of_element_brute(group: PermGroup, x: Permutation,
     return subgroup(group, _reduced_generators(group.degree, hits), verify=False)
 
 
-def _subgroup_key(handle: SubgroupHandle, cap: int = DEFAULT_MAX_ELEMENTS):
-    return handle.element_set(cap)
-
-
 def normalizer(group: PermGroup, handle: SubgroupHandle,
                cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """N_G(H): stabilizer of the element set of H under conjugation."""
@@ -264,57 +268,80 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
 
     Seeds are the normal closures of the conjugacy class representatives;
     every normal subgroup is the join of the seeds it contains, so closing
-    the seed set under pairwise joins is exhaustive.  Cached on the group.
+    the seed set under pairwise joins is exhaustive.  The closing runs in
+    the class algebra, on class bitsets: a join is the class set of N * M.
+    A handle is made only for a bitset seen for the first time, as the
+    normal closure of its class representative or the join of the two
+    handles' generators.  Orders and element sets come from the bitsets.
+    Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
-    table = conjugacy_classes(group, cap)
-    whole_key = None  # element-set key for G itself is never materialized
-    found: dict[frozenset | None, SubgroupHandle] = {}
-
-    def key_of(handle: SubgroupHandle):
-        if handle.order == group.order:
-            return whole_key
-        return handle.element_set(cap)
-
-    def register(handle: SubgroupHandle) -> bool:
-        k = key_of(handle)
-        if k in found:
-            return False
-        found[k] = handle
-        return True
-
-    register(trivial_subgroup(group))
+    algebra = class_algebra(group, cap)
+    full = algebra.full
+    trivial = algebra.mask_of([Permutation.identity(group.degree)])
+    found: dict[int, SubgroupHandle] = {trivial: trivial_subgroup(group)}
     seeds = []
-    for cls in table.classes:
-        closure = normal_closure(group, [cls.rep], cap)
-        if register(closure):
-            seeds.append(closure)
-    queue = list(seeds)
+    for i, cls in enumerate(algebra.table.classes):
+        mask = algebra.closure(1 << i)
+        if mask not in found:
+            found[mask] = normal_closure(group, [cls.rep], cap)
+            seeds.append(mask)
+    queue = deque(seeds)
     while queue:
-        current = queue.pop(0)
-        for other in list(found.values()):
-            if current.order == group.order:
-                break
-            if other.order == group.order:
+        current = queue.popleft()
+        if current == full:
+            continue
+        for other in list(found):
+            # the whole group and nested pairs join to a subgroup already found
+            if other == full or other & current in (other, current):
                 continue
-            # nested pairs join to the bigger one, already registered
-            if (other.order % current.order == 0
-                    and all(other.contains(g) for g in current.generators)):
-                continue
-            if (current.order % other.order == 0
-                    and all(current.contains(g) for g in other.generators)):
-                continue
-            joined = join_subgroups(group, current, other)
-            if register(joined):
+            joined = algebra.join(current, other)
+            if joined not in found:
+                found[joined] = join_subgroups(group, found[current], found[other])
                 queue.append(joined)
+    for mask, handle in found.items():
+        handle._order = algebra.order(mask)
+        handle._is_normal = True
+        handle.class_mask = mask
+        if mask != full:
+            handle._element_set = frozenset(algebra.elements(mask))
     result = sorted(
         found.values(),
-        key=lambda h: (h.order, tuple(sorted(h.element_set(cap))) if h.order < group.order else ()),
+        key=lambda h: (h.order, tuple(sorted(h._element_set)) if h.class_mask != full else ()),
     )
     group.cache["normal_subgroups"] = result
     return result
+
+
+def _normal_class_mask(group: PermGroup, kernel: SubgroupHandle, cap: int) -> int:
+    if kernel.class_mask is None:
+        if not kernel.is_normal():
+            raise ValueError("kernel is not normal in the group")
+        algebra = class_algebra(group, cap)
+        kernel.class_mask = algebra.closure(algebra.mask_of(kernel.generators))
+    return kernel.class_mask
+
+
+def quotient_k_pi(group: PermGroup, kernel: SubgroupHandle, pi,
+                  cap: int = DEFAULT_MAX_ELEMENTS) -> int:
+    """k_pi(G/N) by class fusion, read from the class table of G.
+
+    A class of G/N is the set of G-classes meeting x * N (ClassAlgebra.fusion).
+    x * N is a pi-element of G/N exactly when the pi'-part of x, generated by
+    x ** |x|_pi, lies in N.
+    """
+    pi = validate_pi(pi)
+    mask = _normal_class_mask(group, kernel, cap)
+    algebra = class_algebra(group, cap)
+    table = algebra.table
+    count = 0
+    for block in algebra.fusion(mask):
+        cls = table.classes[(block & -block).bit_length() - 1]
+        if mask >> table.class_of(cls.rep ** pi_part(cls.order, pi)) & 1:
+            count += 1
+    return count
 
 
 @dataclass
@@ -325,19 +352,12 @@ class QuotientGroup:
     parent: PermGroup
     kernel: SubgroupHandle
     coset_reps: tuple[Permutation, ...]
+    label: Callable[[Permutation], tuple[int, ...]]  # coset of h -> its least element
+    index_of: dict[tuple[int, ...], int]  # coset label -> point of the action
 
     def project(self, g: Permutation) -> Permutation:
         """Image of g in the coset action; a homomorphism by construction."""
-        images = [self._coset_index(g * r) for r in self.coset_reps]
-        return Permutation(images)
-
-    def _coset_index(self, h: Permutation) -> int:
-        kernel_elems = self.kernel.elements()
-        label = min((h * n).images for n in kernel_elems)
-        return self._index[label]
-
-    def __post_init__(self):
-        self._index = {r.images: i for i, r in enumerate(self.coset_reps)}
+        return Permutation([self.index_of[self.label(g * r)] for r in self.coset_reps])
 
 
 def quotient(group: PermGroup, kernel: SubgroupHandle,
@@ -376,7 +396,8 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
     qgroup = PermGroup(qgens or [Permutation.identity(index)], degree=index)
     if qgroup.order != index:
         raise AssertionError("coset action order does not match the index")
-    return QuotientGroup(group=qgroup, parent=group, kernel=kernel, coset_reps=tuple(reps))
+    return QuotientGroup(group=qgroup, parent=group, kernel=kernel, coset_reps=tuple(reps),
+                         label=label, index_of=index_of)
 
 
 # -- Sylow and Hall subgroups ------------------------------------------------

@@ -3,7 +3,10 @@
 Nothing here touches the BSGS machinery: closures are multiplication BFS
 over raw image tuples, class partitions conjugate by every element, and the
 commuting probability counts pairs.  numpy only vectorizes the O(|G|^2)
-loops; all arithmetic stays integral.
+loops; all arithmetic stays integral.  The one exception is
+``normal_subgroups_by_joins``, the pairwise-join lattice the library used
+before its class-algebra lattice; it fixes the order and the generators the
+library must keep reproducing.
 """
 
 import numpy as np
@@ -118,3 +121,59 @@ def all_subgroups_naive(group, cap=100_000):
                 found.add(closure)
                 queue.append((closure, new_gens))
     return found
+
+
+def normal_subgroups_by_joins(group, cap=100_000):
+    """Normal subgroups by Schreier-Sims joins, keyed by element sets.
+
+    Seeds are the normal closures of the class representatives, closed under
+    pairwise joins (FIFO over the subgroups found, in insertion order); the
+    first handle built for an element set is kept.  Uncached.
+    """
+    from piclass.classes import conjugacy_classes
+    from piclass.subgroups import join_subgroups, normal_closure, trivial_subgroup
+
+    table = conjugacy_classes(group, cap)
+    whole_key = None  # element-set key for G itself is never materialized
+    found = {}
+
+    def key_of(handle):
+        if handle.order == group.order:
+            return whole_key
+        return handle.element_set(cap)
+
+    def register(handle):
+        k = key_of(handle)
+        if k in found:
+            return False
+        found[k] = handle
+        return True
+
+    register(trivial_subgroup(group))
+    seeds = []
+    for cls in table.classes:
+        closure = normal_closure(group, [cls.rep], cap)
+        if register(closure):
+            seeds.append(closure)
+    queue = list(seeds)
+    while queue:
+        current = queue.pop(0)
+        for other in list(found.values()):
+            if current.order == group.order:
+                break
+            if other.order == group.order:
+                continue
+            # nested pairs join to the bigger one, already registered
+            if (other.order % current.order == 0
+                    and all(other.contains(g) for g in current.generators)):
+                continue
+            if (current.order % other.order == 0
+                    and all(current.contains(g) for g in other.generators)):
+                continue
+            joined = join_subgroups(group, current, other)
+            if register(joined):
+                queue.append(joined)
+    return sorted(
+        found.values(),
+        key=lambda h: (h.order, tuple(sorted(h.element_set(cap))) if h.order < group.order else ()),
+    )

@@ -1,10 +1,17 @@
 import pytest
 
-from oracles import all_subgroups_naive, naive_closure, normal_subgroups_by_class_unions
+from oracles import (
+    all_subgroups_naive,
+    naive_closure,
+    normal_subgroups_by_class_unions,
+    normal_subgroups_by_joins,
+)
 from piclass.catalog import build, parse_name
-from piclass.classes import conjugacy_classes
+from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError
+from piclass.invariants import group_primes
 from piclass.perm import Permutation, conjugate, parse_cycle_text
+from piclass.suite import _nonempty_subsets
 from piclass.subgroups import (
     are_conjugate_subgroups,
     almost_simple_socle,
@@ -22,6 +29,7 @@ from piclass.subgroups import (
     normalizer,
     o_pi_prime,
     quotient,
+    quotient_k_pi,
     socle,
     subgroup,
     subgroup_intersection,
@@ -134,6 +142,46 @@ def test_normal_subgroups_class_union_oracle(name, named):
 def test_normal_subgroups_all_normal(named):
     for h in normal_subgroups(named("S4 x C2")):
         assert h.is_normal()
+
+
+# census groups with a deep lattice (D8 x D8, Q8 x D8), large quotients
+# (S4 x S4, S5 x S3), a simple factor (A5 x C3) and many abelian normals
+LATTICE_SLICE = ["C1", "S3", "C12", "D8", "Q8", "A4", "S4", "A5", "C6 x C6", "D8 x D8",
+                 "Q8 x D8", "S4 x S4", "A5 x C3", "S5 x C2", "S5 x S3"]
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_normal_subgroups_match_pairwise_joins(name, named):
+    g = named(name)
+    ours = normal_subgroups(g)
+    oracle = normal_subgroups_by_joins(g)
+    assert [h.generators for h in ours] == [h.generators for h in oracle]
+    # orders and element sets read from class bitsets match the chains
+    assert [h.order for h in ours] == [h.group.order for h in oracle]
+    assert [h.element_set() for h in ours] == [h.element_set() for h in oracle]
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_quotient_k_pi_fusion_matches_coset_action(name, named):
+    g = named(name)
+    subsets = _nonempty_subsets(group_primes(g))
+    for n in normal_subgroups(g):
+        if g.order // n.order > 2048:
+            continue
+        q = quotient(g, n).group
+        for pi in subsets:
+            assert quotient_k_pi(g, n, pi) == k_pi(q, pi), (name, n.order, sorted(pi))
+
+
+def test_quotient_k_pi_outside_the_lattice(named):
+    s4 = named("S4")
+    v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+    assert quotient_k_pi(s4, v4, [2]) == 2  # S3 has two 2-classes
+    assert quotient_k_pi(s4, v4, [2, 3]) == 3
+    assert quotient_k_pi(s4, whole_group(s4), [3]) == 1
+    assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
+    with pytest.raises(ValueError):
+        quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
 
 
 def test_quotient_examples(named):
