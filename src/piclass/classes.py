@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, validate_pi
-from .perm import Permutation
+from .perm import Permutation, conjugation_orbit, conjugation_pairs
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,6 @@ class ClassTable:
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]
 
-    def representatives(self) -> list[Permutation]:
-        return [c.rep for c in self.classes]
-
 
 def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> ClassTable:
     """Class table via a conjugation-orbit sweep over the full element list.
@@ -54,28 +51,17 @@ def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Clas
         return cached
 
     elements = group.element_list(cap)
-    gen_pairs = [(g.images, g.inverse().images) for g in group.generators]
+    pairs = conjugation_pairs(group.generators)
     index_of: dict[tuple[int, ...], int] = {}
     classes: list[ConjClass] = []
     for start in elements:
         if start.images in index_of:
             continue
         idx = len(classes)
-        orbit = [start.images]
-        index_of[start.images] = idx
-        best = start.images
-        qi = 0
-        while qi < len(orbit):
-            xim = orbit[qi]
-            qi += 1
-            for gim, ginvim in gen_pairs:
-                yim = tuple(gim[xim[q]] for q in ginvim)
-                if yim not in index_of:
-                    index_of[yim] = idx
-                    orbit.append(yim)
-                    if yim < best:
-                        best = yim
-        rep = Permutation._make(best)
+        orbit = conjugation_orbit(start.images, pairs)
+        for xim in orbit:
+            index_of[xim] = idx
+        rep = Permutation._make(min(orbit))
         classes.append(ConjClass(rep=rep, size=len(orbit), order=rep.order()))
     classes_sorted = sorted(range(len(classes)), key=lambda i: classes[i].rep.images)
     renumber = {old: new for new, old in enumerate(classes_sorted)}

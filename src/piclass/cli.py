@@ -297,17 +297,13 @@ def census_cmd(**params):
 
 @main.command(name="cache")
 @click.argument("action", type=click.Choice(["stats", "clear", "verify"]))
-@click.option("--verify-cache", is_flag=True, hidden=True,
-              help="Alias for the verify action.")
 @_with_common
-def cache_cmd(action, verify_cache, **params):
+def cache_cmd(action, **params):
     """Inspect, clear, or verify the on-disk invariant cache."""
     config = _config_from(params)
     if not config.cache_dir:
         raise click.ClickException("no cache directory configured (--cache-dir)")
     store = InvariantCache(config.cache_dir)
-    if verify_cache:
-        action = "verify"
     if action == "stats":
         click.echo(f"entries: {len(store.keys())}")
     elif action == "clear":

@@ -155,9 +155,48 @@ def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -
     """g * x * g^-1 in one pass; pass ginv to reuse a precomputed inverse."""
     if ginv is None:
         ginv = g.inverse()
-    gim = g.images
-    xim = x.images
-    return Permutation._make(tuple(gim[xim[q]] for q in ginv.images))
+    return Permutation._make(conjugate_images((g.images, ginv.images), x.images))
+
+
+# -- conjugation on image tuples ---------------------------------------------
+#
+# A conjugation pair (g.images, g^-1.images) is all that x -> g x g^-1 needs:
+# (g x g^-1)(q) = g(x(g^-1(q))), read off in one pass over q.
+
+
+def conjugation_pairs(generators) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The conjugation pair of each generator, in list order."""
+    return [(g.images, g.inverse().images) for g in generators]
+
+
+def conjugate_images(pair, xim: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of g x g^-1, for pair = (g.images, g^-1.images) and x given by xim."""
+    gim, ginvim = pair
+    return tuple(gim[xim[q]] for q in ginvim)
+
+
+def conjugate_set(pair, key: frozenset) -> frozenset:
+    """g K g^-1 for a set K of image tuples (a subgroup's element set)."""
+    gim, ginvim = pair
+    return frozenset(tuple(gim[t[q]] for q in ginvim) for t in key)
+
+
+def conjugation_orbit(xim: tuple[int, ...], pairs) -> list[tuple[int, ...]]:
+    """The conjugates of xim under the group the pairs come from.
+
+    Breadth-first, pairs in list order, so the order of the list is fixed by
+    the input.  The conjugation is written inline: this loop runs over every
+    element of every class table.
+    """
+    orbit = [xim]
+    seen = {xim}
+    for cur in orbit:
+        for gim, ginvim in pairs:
+            yim = tuple(gim[cur[q]] for q in ginvim)
+            if yim not in seen:
+                seen.add(yim)
+                orbit.append(yim)
+    return orbit
 
 
 def parse_cycle_text(text: str, degree: int) -> Permutation:

@@ -1,11 +1,12 @@
 """Subgroup construction and structural computations.
 
 Stabilizer-style computations (element centralizers, normalizers, subgroup
-conjugacy) run on orbits of the relevant conjugation action with Schreier
-generators, so they never enumerate the ambient group.  Set-level filters
-(subgroup centralizers, centers) enumerate under the element cap.  Searches
-that can fail distinguish three outcomes explicitly; in particular
-``hall_search`` only ever reports nonexistence from its exhaustive tier.
+conjugacy) walk one conjugation orbit with ``orbit_transversal`` and read
+the stabilizer off its Schreier generators, so they never enumerate the
+ambient group.  Set-level filters (subgroup centralizers, centers) enumerate
+under the element cap.  Searches that can fail distinguish three outcomes
+explicitly; in particular ``hall_search`` only ever reports nonexistence from
+its exhaustive tier.
 """
 
 import random
@@ -17,7 +18,14 @@ from .classes import class_algebra, conjugacy_classes, k_pi, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
-from .perm import Permutation, conjugate
+from .perm import (
+    Permutation,
+    conjugate,
+    conjugate_images,
+    conjugate_set,
+    conjugation_orbit,
+    conjugation_pairs,
+)
 
 DEFAULT_SUBGROUP_CAP = 2000
 DEFAULT_MAX_QUOTIENT_DEGREE = 2048
@@ -114,37 +122,46 @@ def _reduced_generators(degree: int, elements) -> list[Permutation]:
 # -- orbit / stabilizer machinery ------------------------------------------
 
 
-def _schreier_stabilizer(parent: PermGroup, start_key, act, target_index=None):
-    """Orbit of ``start_key`` under conjugation-like actions, with stabilizer.
+def orbit_transversal(group: PermGroup, start, act) -> dict:
+    """Orbit of ``start`` under conjugation by ``group``, with a transversal.
 
-    ``act(g, ginv, key) -> key`` must define a left action of the parent on
-    hashable keys.  Returns (orbit dict key -> transversal element, stabilizer
-    SubgroupHandle).  Schreier generators are consumed lazily and reduced; the
-    scan stops early once the stabilizer reaches its known order
-    |parent| / |orbit|.
+    ``act(pair, key) -> key`` is the action of one generator, given by its
+    conjugation pair (see ``perm.conjugation_pairs``): ``conjugate_images``
+    on elements, ``conjugate_set`` on subgroups.  The walk is breadth-first
+    with the generators in list order.  Returns an insertion-ordered dict
+    key -> transversal element u, where u maps ``start`` to ``key``; u is
+    set when the key is first reached, so it is the first such word found
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1).
     """
-    gen_pairs = [(g, g.inverse()) for g in parent.generators]
-    ident = Permutation.identity(parent.degree)
-    transversal = {start_key: ident}
-    orbit = [start_key]
-    i = 0
-    while i < len(orbit):
-        key = orbit[i]
-        i += 1
+    steps = list(zip(group.generators, conjugation_pairs(group.generators)))
+    transversal = {start: Permutation.identity(group.degree)}
+    orbit = [start]
+    for key in orbit:
         u = transversal[key]
-        for g, ginv in gen_pairs:
-            nkey = act(g, ginv, key)
+        for g, pair in steps:
+            nkey = act(pair, key)
             if nkey not in transversal:
                 transversal[nkey] = g * u
                 orbit.append(nkey)
-    target = parent.order // len(orbit)
+    return transversal
+
+
+def _schreier_stabilizer(parent: PermGroup, start, act) -> SubgroupHandle:
+    """Stabilizer of ``start`` under ``act`` (as in ``orbit_transversal``).
+
+    Schreier generators u_{g.key}^-1 * g * u_key are consumed lazily and
+    reduced; the scan stops once the stabilizer reaches its known order
+    |parent| / |orbit|.
+    """
+    transversal = orbit_transversal(parent, start, act)
+    target = parent.order // len(transversal)
+    steps = list(zip(parent.generators, conjugation_pairs(parent.generators)))
     stab_gens: list[Permutation] = []
     stab: PermGroup | None = None
     if target > 1:
-        for key in orbit:
-            u = transversal[key]
-            for g, ginv in gen_pairs:
-                s = transversal[act(g, ginv, key)].inverse() * (g * u)
+        for key, u in transversal.items():
+            for g, pair in steps:
+                s = transversal[act(pair, key)].inverse() * (g * u)
                 if s.is_identity():
                     continue
                 if stab is None or not stab.contains(s):
@@ -160,7 +177,7 @@ def _schreier_stabilizer(parent: PermGroup, start_key, act, target_index=None):
         handle = SubgroupHandle(parent, stab)
     if handle.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
-    return transversal, handle
+    return handle
 
 
 def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
@@ -169,13 +186,7 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
         raise NotInGroupError(f"element not in group: {x!r}")
     if group.is_abelian():
         return whole_group(group)
-
-    def act(g, ginv, key):
-        gim, ginvim = g.images, ginv.images
-        return tuple(gim[key[q]] for q in ginvim)
-
-    _, handle = _schreier_stabilizer(group, x.images, act)
-    return handle
+    return _schreier_stabilizer(group, x.images, conjugate_images)
 
 
 def _centralizer_of_element_brute(group: PermGroup, x: Permutation,
@@ -188,14 +199,7 @@ def _centralizer_of_element_brute(group: PermGroup, x: Permutation,
 def normalizer(group: PermGroup, handle: SubgroupHandle,
                cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """N_G(H): stabilizer of the element set of H under conjugation."""
-    hset = handle.element_set(cap)
-
-    def act(g, ginv, key):
-        gim, ginvim = g.images, ginv.images
-        return frozenset(tuple(gim[t[q]] for q in ginvim) for t in key)
-
-    _, stab = _schreier_stabilizer(group, hset, act)
-    return stab
+    return _schreier_stabilizer(group, handle.element_set(cap), conjugate_set)
 
 
 def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,
@@ -524,11 +528,10 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
 
 def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
                             cap: int = DEFAULT_MAX_ELEMENTS):
-    """(conjugate?, witness g with a^g = b).
+    """(conjugate?, witness g with g a g^-1 = b).
 
-    Walks the conjugates of ``a`` breadth-first; the transversal elements are
-    coset representatives of N_G(a), so the walk is exactly conjugation by
-    such representatives.
+    The witness is the transversal element of b in the conjugation orbit of
+    a (``orbit_transversal``), a coset representative of N_G(a).
     """
     if a.order != b.order:
         return False, None
@@ -536,24 +539,8 @@ def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHand
     bkey = b.element_set(cap)
     if akey == bkey:
         return True, Permutation.identity(group.degree)
-    gen_pairs = [(g, g.inverse()) for g in group.generators]
-    transversal = {akey: Permutation.identity(group.degree)}
-    queue = [akey]
-    i = 0
-    while i < len(queue):
-        key = queue[i]
-        i += 1
-        u = transversal[key]
-        for g, ginv in gen_pairs:
-            gim, ginvim = g.images, ginv.images
-            nkey = frozenset(tuple(gim[t[q]] for q in ginvim) for t in key)
-            if nkey not in transversal:
-                witness = g * u
-                if nkey == bkey:
-                    return True, witness
-                transversal[nkey] = witness
-                queue.append(nkey)
-    return False, None
+    witness = orbit_transversal(group, akey, conjugate_set).get(bkey)
+    return witness is not None, witness
 
 
 # -- characteristic-style subgroups ------------------------------------------
@@ -660,56 +647,25 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         candidates = [x for x in elements if is_pi_number(x.order(), pi)]
     else:
         candidates = elements
-    gen_pairs = [(g.images, g.inverse().images) for g in group.generators]
-
-    def conjugate_orbit_of_set(key: frozenset):
-        orbit = {key}
-        queue = [key]
-        while queue:
-            cur = queue.pop()
-            for gim, ginvim in gen_pairs:
-                nkey = frozenset(tuple(gim[t[q]] for q in ginvim) for t in cur)
-                if nkey not in orbit:
-                    orbit.add(nkey)
-                    queue.append(nkey)
-        return orbit
-
     found: list[SubgroupHandle] = []
-    seen: dict[frozenset, int] = {}
+    seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
-    def register(handle: SubgroupHandle) -> bool:
+    def register(handle: SubgroupHandle) -> None:
         key = handle.element_set(element_cap)
-        if key in seen:
-            return False
-        idx = len(found)
-        found.append(handle)
-        for k in conjugate_orbit_of_set(key):
-            seen[k] = idx
-        return True
+        if key not in seen:
+            found.append(handle)
+            seen.update(orbit_transversal(group, key, conjugate_set))
 
     register(trivial_subgroup(group))
-    i = 0
-    while i < len(found):
-        base = found[i]
-        i += 1
+    for base in found:
         base_set = base.element_set(element_cap)
-        base_gen_pairs = [(g.images, g.inverse().images) for g in base.generators]
+        base_pairs = conjugation_pairs(base.generators)
         covered: set[tuple[int, ...]] = set()
         for x in candidates:
             xim = x.images
             if xim in base_set or xim in covered:
                 continue
-            orbit = [xim]
-            covered.add(xim)
-            qi = 0
-            while qi < len(orbit):
-                cur = orbit[qi]
-                qi += 1
-                for gim, ginvim in base_gen_pairs:
-                    nim = tuple(gim[cur[q]] for q in ginvim)
-                    if nim not in covered:
-                        covered.add(nim)
-                        orbit.append(nim)
+            covered.update(conjugation_orbit(xim, base_pairs))
             extended = subgroup(group, list(base.generators) + [x], verify=False)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue

@@ -6,7 +6,6 @@ trusting caller flags, returns exactly one status from the taxonomy
 witness payload sufficient to replay a failure.
 """
 
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -21,6 +20,7 @@ from .invariants import (
     has_normal_pi_complement,
 )
 from .numtheory import is_pi_number, pi_part, validate_pi
+from .perm import conjugate_set
 from .subgroups import (
     DEFAULT_HALL_BUDGET,
     DEFAULT_MAX_QUOTIENT_DEGREE,
@@ -36,6 +36,7 @@ from .subgroups import (
     normal_subgroups,
     normalizer,
     o_pi_prime,
+    orbit_transversal,
     quotient_k_pi,
     subgroup,
     subgroup_intersection,
@@ -71,10 +72,8 @@ class VerdictReport:
     pi: tuple[int, ...] | None
     status: str
     witness: dict = field(default_factory=dict)
-    seconds: float = 0.0
 
     def as_dict(self) -> dict:
-        # seconds intentionally omitted: serialized reports are byte-deterministic
         return {
             "result_id": self.result_id,
             "group": self.group,
@@ -92,17 +91,6 @@ def _gens(handle: SubgroupHandle) -> list[str]:
     return [g.cycle_string() for g in handle.generators]
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs):
-        t0 = time.perf_counter()
-        verdict = fn(*args, **kwargs)
-        verdict.seconds = time.perf_counter() - t0
-        return verdict
-
-    return wrapper
-
-
-@_timed
 def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
                          limits: Limits | None = None) -> VerdictReport:
     """Above the 5/8 threshold: an abelian Hall pi-subgroup exists, all Hall
@@ -171,7 +159,8 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
             return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     witness["conjugacy"] = "ok"
 
-    hall_conjugates = _conjugate_sets(group, hall, limits.max_elements)
+    hall_conjugates = orbit_transversal(group, hall.element_set(limits.max_elements),
+                                        conjugate_set)
     for sub in classes:
         subset = sub.element_set(limits.max_elements)
         if not any(subset <= conj for conj in hall_conjugates):
@@ -201,23 +190,6 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     return VerdictReport(rid, name, tuple(sorted(pi)), status, witness)
 
 
-def _conjugate_sets(group: PermGroup, handle: SubgroupHandle, cap: int):
-    """All conjugates of a subgroup as element sets."""
-    gen_pairs = [(g.images, g.inverse().images) for g in group.generators]
-    start = handle.element_set(cap)
-    seen = {start}
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        for gim, ginvim in gen_pairs:
-            nxt = frozenset(tuple(gim[t[q]] for q in ginvim) for t in cur)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
-@_timed
 def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
                               limits: Limits | None = None) -> VerdictReport:
     """The ratio equals 1 exactly when a normal pi-complement and an abelian
@@ -264,7 +236,6 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
     return VerdictReport(rid, name, tuple(sorted(pi)), PASS, witness)
 
 
-@_timed
 def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
                          limits: Limits | None = None) -> VerdictReport:
     """Below 1 the ratio is at most 2/3; at most 5/8 when 3 is not in pi or
@@ -285,7 +256,6 @@ def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
     return VerdictReport(rid, name, tuple(sorted(pi)), PASS, witness)
 
 
-@_timed
 def check_quotient_bound(group: PermGroup, name: str = "",
                          limits: Limits | None = None) -> VerdictReport:
     """d_pi(G) <= d_pi(N) * d_pi(G/N) for every normal N and every nonempty
@@ -332,7 +302,6 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     return VerdictReport(rid, name, None, PARTIAL if partial else PASS, witness)
 
 
-@_timed
 def check_sylow3_structure(group: PermGroup, name: str = "",
                            limits: Limits | None = None) -> VerdictReport:
     """Structure forced by d_3 = 2/3 with trivial largest normal 3'-subgroup:
@@ -416,7 +385,6 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     return VerdictReport(rid, name, (3,), PASS, witness)
 
 
-@_timed
 def check_commuting_threshold(group: PermGroup, name: str = "",
                               limits: Limits | None = None) -> VerdictReport:
     """Commuting degree above 5/8 forces the group to be abelian; below it,
@@ -434,7 +402,6 @@ def check_commuting_threshold(group: PermGroup, name: str = "",
     return VerdictReport(rid, name, None, status, witness)
 
 
-@_timed
 def check_selftest(group: PermGroup, name: str = "",
                    limits: Limits | None = None) -> VerdictReport:
     """Deliberately wrong pin (asserts the dihedral-of-order-8 ratio at p=2

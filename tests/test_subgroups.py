@@ -10,7 +10,14 @@ from piclass.catalog import build, parse_name
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError
 from piclass.invariants import group_primes
-from piclass.perm import Permutation, conjugate, parse_cycle_text
+from piclass.perm import (
+    Permutation,
+    conjugate,
+    conjugate_set,
+    conjugation_orbit,
+    conjugation_pairs,
+    parse_cycle_text,
+)
 from piclass.suite import _nonempty_subsets
 from piclass.subgroups import (
     are_conjugate_subgroups,
@@ -28,6 +35,7 @@ from piclass.subgroups import (
     normal_subgroups,
     normalizer,
     o_pi_prime,
+    orbit_transversal,
     quotient,
     quotient_k_pi,
     socle,
@@ -296,6 +304,25 @@ def test_are_conjugate_examples(named):
     same, w = are_conjugate_subgroups(s4, h1, h3)
     assert same
     assert {conjugate(w, x).images for x in h1.elements()} == set(h3.element_set())
+
+
+@pytest.mark.parametrize("name", ["S4", "D8 x D8", "A5 x C3"])
+def test_conjugation_orbits_match_brute_force(name, named):
+    g = named(name)
+    elements = g.element_list()
+    for h in (subgroup(g, g.generators[:1]), sylow_subgroup(g, 2)):
+        start = h.element_set()
+        transversal = orbit_transversal(g, start, conjugate_set)
+        brute = {frozenset((x * y * x.inverse()).images for y in h.elements())
+                 for x in elements}
+        assert set(transversal) == brute
+        for key, u in transversal.items():
+            assert frozenset((u * y * u.inverse()).images for y in h.elements()) == key
+    pairs = conjugation_pairs(g.generators)
+    for cls in conjugacy_classes(g).classes:
+        orbit = conjugation_orbit(cls.rep.images, pairs)
+        assert len(orbit) == len(set(orbit)) == cls.size
+        assert set(orbit) == {(x * cls.rep * x.inverse()).images for x in elements}
 
 
 def test_o_pi_prime_examples(named):

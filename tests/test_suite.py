@@ -181,5 +181,4 @@ def test_bundle_replay_every_suite(tmp_path, named):
 
 def test_verdict_serialization_excludes_timing(named):
     v = check_commuting_threshold(named("S3"), name="S3")
-    assert v.seconds >= 0
     assert "seconds" not in v.as_dict()
