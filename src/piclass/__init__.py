@@ -24,6 +24,7 @@ from .errors import (
     CapExceededError,
     DegreeMismatchError,
     GroupFileError,
+    InvalidInputError,
     NotInGroupError,
     PiclassError,
     PreconditionError,

@@ -1,7 +1,9 @@
 """Command-line surface: analyze, verify, hall, census, cache."""
 
+import functools
 import os
 import sys
+from collections import Counter
 
 import click
 
@@ -10,7 +12,7 @@ from .cache import InvariantCache, entry_key
 from .catalog import build, census, parse_group_file, parse_name, serialize_group_file
 from .classes import conjugacy_classes
 from .config import Config
-from .errors import PiclassError
+from .errors import InvalidInputError, PiclassError
 from .group import PermGroup
 from .invariants import d_pi, group_primes
 from .numtheory import pi_part, validate_pi
@@ -51,19 +53,12 @@ def _load_group(source: str, config: Config) -> tuple[str, PermGroup]:
 def _parse_pi(values) -> list[frozenset[int]]:
     sets = []
     for value in values:
-        primes = [int(tok) for tok in str(value).replace(",", " ").split()]
+        try:
+            primes = [int(tok) for tok in str(value).replace(",", " ").split()]
+        except ValueError:
+            raise InvalidInputError(f"not a prime set: {value!r}") from None
         sets.append(validate_pi(primes))
     return sets
-
-
-def _limits(config: Config) -> Limits:
-    return Limits(
-        max_elements=config.max_elements,
-        subgroup_cap=config.subgroup_cap,
-        max_quotient_degree=config.max_quotient_degree,
-        hall_budget=config.hall_budget,
-        seed=config.seed,
-    )
 
 
 def _config_from(ctx_params) -> Config:
@@ -91,9 +86,18 @@ _common = [
 
 
 def _with_common(fn):
+    """Add the common options, and turn library errors (bad input, caps) into
+    a one-line ``Error:`` message with exit status 1."""
+    @functools.wraps(fn)
+    def command(**params):
+        try:
+            return fn(**params)
+        except PiclassError as exc:
+            raise click.ClickException(str(exc)) from None
+
     for option in reversed(_common):
-        fn = option(fn)
-    return fn
+        command = option(command)
+    return command
 
 
 @click.group()
@@ -111,12 +115,9 @@ def main():
 def analyze(group_source, pi_values, **params):
     """Class table summary and exact profiles for GROUP_SOURCE."""
     config = _config_from(params)
-    try:
-        name, group = _load_group(group_source, config)
-        pi_sets = _parse_pi(pi_values) if pi_values else None
-        body = _analysis_body(name, group, pi_sets, config)
-    except PiclassError as exc:
-        raise click.ClickException(str(exc))
+    name, group = _load_group(group_source, config)
+    pi_sets = _parse_pi(pi_values) if pi_values else None
+    body = _analysis_body(name, group, pi_sets, config)
     if config.output_format == "json":
         click.echo(render_json(document("analysis", config, body)), nl=False)
     elif config.output_format == "csv":
@@ -186,28 +187,21 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
 def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **params):
     """Run theorem checkers; exit 0 iff no check fails."""
     config = _config_from(params)
-    limits = _limits(config)
+    limits = Limits.from_config(config.to_dict())
     by_name: dict[str, PermGroup] = {}
-    try:
-        suites = resolve_suites(list(suites))
-        if replay:
-            reports = [replay_counterexample(replay, limits)]
-            summary = {reports[0].status: 1}
-        elif use_census or not group_source:
-            entries = list(census(config.census_ranges(), config.max_degree))
-            by_name = dict(entries)
-            result = run_census_campaign(entries, suites, limits, workers=config.workers)
-            reports, summary = result.reports, result.summary
-        else:
-            name, group = _load_group(group_source, config)
-            by_name = {name: group}
-            pi_sets = _parse_pi(pi_values) if pi_values else None
-            reports = run_group_suite(group, name, suites, limits, pi_sets)
-            summary = {}
-            for r in reports:
-                summary[r.status] = summary.get(r.status, 0) + 1
-    except PiclassError as exc:
-        raise click.ClickException(str(exc))
+    suites = resolve_suites(list(suites))
+    if replay:
+        reports = [replay_counterexample(replay)]
+    elif use_census or not group_source:
+        entries = list(census(config.census_ranges(), config.max_degree))
+        by_name = dict(entries)
+        reports = run_census_campaign(entries, suites, limits, workers=config.workers).reports
+    else:
+        name, group = _load_group(group_source, config)
+        by_name = {name: group}
+        pi_sets = _parse_pi(pi_values) if pi_values else None
+        reports = run_group_suite(group, name, suites, limits, pi_sets)
+    summary = dict(Counter(r.status for r in reports))
 
     failures = [r for r in reports if r.status == FAIL]
     for i, failure in enumerate(failures):
@@ -232,35 +226,33 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
 @click.argument("group_source")
 @click.option("--pi", "pi_values", multiple=True, required=True,
               help="Prime set, e.g. --pi 3,5.")
-@click.option("--budget", type=int, default=None, help="Randomized-tier attempts.")
+@click.option("--budget", type=click.IntRange(min=0), default=None,
+              help="Randomized-tier attempts.")
 @_with_common
 def hall(group_source, pi_values, budget, **params):
     """Search for a Hall subgroup for the given prime set."""
     from .subgroups import hall_search
 
     config = _config_from(params)
-    try:
-        name, group = _load_group(group_source, config)
-        outcomes = []
-        for pi in _parse_pi(pi_values):
-            out = hall_search(
-                group, pi,
-                budget=budget if budget is not None else config.hall_budget,
-                subgroup_cap=config.subgroup_cap,
-                cap=config.max_elements, seed=config.seed)
-            entry = {
-                "pi": sorted(pi),
-                "status": out.status,
-                "method": out.method,
-                "route": out.route,
-            }
-            if out.found:
-                entry["order"] = out.subgroup.order
-                entry["abelian"] = out.abelian
-                entry["generators"] = [g.cycle_string() for g in out.subgroup.generators]
-            outcomes.append(entry)
-    except PiclassError as exc:
-        raise click.ClickException(str(exc))
+    name, group = _load_group(group_source, config)
+    outcomes = []
+    for pi in _parse_pi(pi_values):
+        out = hall_search(
+            group, pi,
+            budget=budget if budget is not None else config.hall_budget,
+            subgroup_cap=config.subgroup_cap,
+            cap=config.max_elements, seed=config.seed)
+        entry = {
+            "pi": sorted(pi),
+            "status": out.status,
+            "method": out.method,
+            "route": out.route,
+        }
+        if out.found:
+            entry["order"] = out.subgroup.order
+            entry["abelian"] = out.abelian
+            entry["generators"] = [g.cycle_string() for g in out.subgroup.generators]
+        outcomes.append(entry)
     body = {"group": name, "outcomes": outcomes}
     if config.output_format == "json":
         click.echo(render_json(document("hall", config, body)), nl=False)

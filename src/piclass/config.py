@@ -4,6 +4,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 
 from .catalog import CensusRanges
+from .errors import InvalidInputError
 from .group import DEFAULT_MAX_ELEMENTS
 from .subgroups import (
     DEFAULT_HALL_BUDGET,
@@ -34,11 +35,11 @@ class Config:
         for name in ("max_elements", "max_degree", "max_quotient_degree",
                      "subgroup_cap", "workers", "max_order"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidInputError(f"{name} must be positive")
         if self.hall_budget < 0:
-            raise ValueError("hall_budget must be >= 0")
+            raise InvalidInputError("hall_budget must be >= 0")
         if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format: {self.output_format!r}")
+            raise InvalidInputError(f"unknown output format: {self.output_format!r}")
 
     def census_ranges(self) -> CensusRanges:
         return CensusRanges(
@@ -58,13 +59,17 @@ class Config:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise InvalidInputError(f"config file {path}: {exc}") from None
+        return cls.from_dict(data)
 
 
 DEFAULT_CONFIG = Config()

@@ -33,3 +33,7 @@ class NotInGroupError(PiclassError, ValueError):
 
 class PreconditionError(PiclassError, ValueError):
     """An operation's mathematical precondition is not established."""
+
+
+class InvalidInputError(PiclassError, ValueError):
+    """A prime set, suite name or config value given by the caller is invalid."""

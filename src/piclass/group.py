@@ -260,9 +260,6 @@ class PermGroup:
             moved.update(g.moved_points())
         return sorted(moved)
 
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def is_abelian(self) -> bool:
         gens = self.generators
         for i, a in enumerate(gens):

@@ -21,12 +21,11 @@ from .subgroups import (
     DEFAULT_SUBGROUP_CAP,
     HallSearchOutcome,
     SubgroupHandle,
-    _reduced_generators,
     centralizer_of_element,
     centralizer_of_subgroup,
     hall_search,
     normalizer,
-    subgroup,
+    o_pi_prime,
     sylow_subgroup,
 )
 
@@ -119,18 +118,13 @@ def has_normal_pi_complement(group: PermGroup, pi,
                              ) -> tuple[bool, SubgroupHandle | None]:
     """Normal subgroup of pi'-order and index |G|_pi, if one exists.
 
-    The pi'-elements of G form the complement exactly when they are closed
-    under multiplication, i.e. when they generate a subgroup of their own
-    cardinality; no other subgroup can qualify.
+    A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
+    can only be O_pi'(G), the largest one.
     """
     pi = validate_pi(pi)
-    complement_primes = group_primes(group) - pi
-    prime_elements = [x for x in group.element_list(cap)
-                      if is_pi_number(x.order(), complement_primes)]
-    gens = _reduced_generators(group.degree, prime_elements)
-    candidate = subgroup(group, gens, verify=False)
-    if candidate.order == len(prime_elements):
-        return True, candidate
+    core = o_pi_prime(group, pi, cap)
+    if core.order * pi_part(group.order, pi) == group.order:
+        return True, core
     return False, None
 
 

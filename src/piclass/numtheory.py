@@ -2,6 +2,8 @@
 
 import math
 
+from .errors import InvalidInputError
+
 
 def is_prime(n: int) -> bool:
     """Trial-division primality test, adequate for desk-scale orders."""
@@ -62,8 +64,8 @@ def validate_pi(pi, *, allow_empty: bool = False) -> frozenset[int]:
     """Normalize a prime-set argument, rejecting non-primes and duplicates by construction."""
     out = frozenset(pi)
     if not out and not allow_empty:
-        raise ValueError("pi must be a non-empty set of primes")
+        raise InvalidInputError("pi must be a non-empty set of primes")
     for p in out:
         if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"not a prime: {p!r}")
+            raise InvalidInputError(f"not a prime: {p!r}")
     return out

@@ -8,17 +8,12 @@ and no timestamps or timings enter machine-readable documents.
 import csv
 import io
 import json
-from fractions import Fraction
 
 from . import __version__
 from .config import Config
 from .suite import VerdictReport
 
 SCHEMA_VERSION = 1
-
-
-def fraction_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def document(kind: str, config: Config, body: dict) -> dict:
@@ -33,10 +28,6 @@ def document(kind: str, config: Config, body: dict) -> dict:
 
 def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def verdict_rows(reports: list[VerdictReport]) -> list[dict]:
-    return [r.as_dict() for r in reports]
 
 
 def render_verdicts_csv(reports: list[VerdictReport]) -> str:

@@ -3,10 +3,12 @@
 Stabilizer-style computations (element centralizers, normalizers, subgroup
 conjugacy) walk one conjugation orbit with ``orbit_transversal`` and read
 the stabilizer off its Schreier generators, so they never enumerate the
-ambient group.  Set-level filters (subgroup centralizers, centers) enumerate
-under the element cap.  Searches that can fail distinguish three outcomes
-explicitly; in particular ``hall_search`` only ever reports nonexistence from
-its exhaustive tier.
+ambient group.  Normal-subgroup queries (the lattice, O_pi', the Fitting
+subgroup, the socle, quotient class counts) read class bitsets over the
+class table (``classes.ClassAlgebra``) instead of element sets.  Set-level
+filters (subgroup centralizers, centers) enumerate under the element cap.
+Searches that can fail distinguish three outcomes explicitly; in particular
+``hall_search`` only ever reports nonexistence from its exhaustive tier.
 """
 
 import random
@@ -14,7 +16,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import class_algebra, conjugacy_classes, k_pi, pi_part_of_element
+from .classes import class_algebra, k_pi, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
@@ -187,13 +189,6 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
     if group.is_abelian():
         return whole_group(group)
     return _schreier_stabilizer(group, x.images, conjugate_images)
-
-
-def _centralizer_of_element_brute(group: PermGroup, x: Permutation,
-                                  cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    # Independent filter path, cross-checked against the Schreier path in tests.
-    hits = [g for g in group.elements(cap) if g * x == x * g]
-    return subgroup(group, _reduced_generators(group.degree, hits), verify=False)
 
 
 def normalizer(group: PermGroup, handle: SubgroupHandle,
@@ -549,21 +544,24 @@ def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHand
 def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """Largest normal subgroup whose order has only primes satisfying pred.
 
-    The closure of the class representatives whose normal closure qualifies;
-    any product of qualifying normal subgroups qualifies again, so this is
-    maximal.
+    A group is a pred-group exactly when all its elements are pred-elements,
+    so the core is the normal closure of the classes whose closure bitset
+    stays inside the classes of pred-elements (one representative each,
+    skipping classes inside a closure already picked).
     """
-    table = conjugacy_classes(group, cap)
+    algebra = class_algebra(group, cap)
+    classes = algebra.table.classes
+    allowed = sum(1 << i for i, cls in enumerate(classes)
+                  if all(prime_pred(q) for q in prime_factors(cls.order)))
     picked: list[Permutation] = []
-    for cls in table.classes:
-        if cls.order == 1:
-            continue
-        if not all(prime_pred(q) for q in prime_factors(cls.order)):
-            continue
-        closed = normal_closure(group, [cls.rep], cap)
-        if all(prime_pred(q) for q in prime_factors(closed.order)):
-            picked.extend(closed.generators)
-    handle = subgroup(group, _reduced_generators(group.degree, picked), verify=False)
+    covered = 0
+    for i, cls in enumerate(classes):
+        if (allowed & ~covered) >> i & 1:
+            mask = algebra.closure(1 << i)
+            if mask & ~allowed == 0:
+                picked.append(cls.rep)
+                covered |= mask
+    handle = normal_closure(group, picked, cap)
     if not all(prime_pred(q) for q in prime_factors(handle.order)):
         raise AssertionError("normal core has a disallowed prime")
     return handle
@@ -577,27 +575,23 @@ def o_pi_prime(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgrou
 
 def fitting_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
-    gens: list[Permutation] = []
-    for p in prime_factors(group.order):
-        core = _normal_core(group, lambda q, p=p: q == p, cap)
-        gens.extend(core.generators)
+    gens = [g for p in prime_factors(group.order)
+            for g in _normal_core(group, lambda q, p=p: q == p, cap).generators]
     return subgroup(group, _reduced_generators(group.degree, gens), verify=False)
 
 
 def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    """Join of the minimal normal subgroups."""
-    normals = [n for n in normal_subgroups(group, cap) if n.order > 1]
-    minimal = []
-    for n in normals:
-        nset = n.element_set(cap)
-        if not any(
-            m.order < n.order and m.element_set(cap) <= nset for m in normals if m is not n
-        ):
-            minimal.append(n)
-    gens: list[Permutation] = []
-    for m in minimal:
-        gens.extend(m.generators)
-    return subgroup(group, _reduced_generators(group.degree, gens), verify=False)
+    """Join of the minimal normal subgroups: the lattice handle whose class
+    bitset is the closure of the minimal bitsets, those with no other
+    nontrivial bitset of the lattice inside them."""
+    normals = normal_subgroups(group, cap)
+    masks = [n.class_mask for n in normals[1:]]
+    joined = normals[0].class_mask
+    for m in masks:
+        if not any(o != m and o & m == o for o in masks):
+            joined |= m
+    joined = class_algebra(group, cap).closure(joined)
+    return next(n for n in normals if n.class_mask == joined)
 
 
 def is_simple(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:

@@ -6,12 +6,12 @@ trusting caller flags, returns exactly one status from the taxonomy
 witness payload sufficient to replay a failure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .catalog import serialize_group_file
-from .classes import conjugacy_classes, k_pi
-from .errors import CapExceededError
+from .classes import class_algebra, conjugacy_classes, k_pi
+from .errors import CapExceededError, InvalidInputError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .invariants import (
     commuting_degree,
@@ -63,6 +63,11 @@ class Limits:
     max_quotient_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE
     hall_budget: int = DEFAULT_HALL_BUDGET
     seed: int = 0
+
+    @classmethod
+    def from_config(cls, config: dict) -> "Limits":
+        """The caps of a ``Config.to_dict()``; defaults for missing keys."""
+        return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
 
 
 @dataclass
@@ -354,13 +359,14 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     case2 = False
     case2_witness = None
     normals = normal_subgroups(group, limits.max_elements)
+    algebra = class_algebra(group, limits.max_elements)
     for a in normals:
         if case2:
             break
         for b in normals:
             if a.order * b.order != group.order:
                 continue
-            if subgroup_intersection(group, a, b, limits.max_elements).order != 1:
+            if algebra.order(a.class_mask & b.class_mask) != 1:
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue
@@ -448,7 +454,7 @@ def resolve_suites(selection) -> list[str]:
         elif name in SUITES:
             out.append(name)
         else:
-            raise ValueError(f"unknown suite: {name!r} (known: {sorted(SUITES)} and 'all')")
+            raise InvalidInputError(f"unknown suite: {name!r} (known: {sorted(SUITES)} and 'all')")
     seen = set()
     return [s for s in out if not (s in seen or seen.add(s))]
 
@@ -531,8 +537,10 @@ def write_counterexample_bundle(directory, group: PermGroup, verdict: VerdictRep
     return directory
 
 
-def replay_counterexample(directory, limits: Limits | None = None) -> VerdictReport:
-    """Re-run the single check recorded in a bundle; must reproduce the verdict."""
+def replay_counterexample(directory) -> VerdictReport:
+    """Re-run the single check recorded in a bundle under the caps the bundle
+    recorded (``Limits`` fields of its config; defaults for missing keys);
+    must reproduce the verdict."""
     import json
     import os
 
@@ -542,6 +550,7 @@ def replay_counterexample(directory, limits: Limits | None = None) -> VerdictRep
         meta = json.load(fh)
     with open(os.path.join(directory, "group.grp")) as fh:
         group = parse_group_file(fh.read())
+    limits = Limits.from_config(meta["config"])
     by_rid = {
         "hall-dichotomy": "main",
         "unit-iff-complement": "complement",

@@ -1,12 +1,15 @@
 """Independent brute-force oracles the library is checked against.
 
-Nothing here touches the BSGS machinery: closures are multiplication BFS
-over raw image tuples, class partitions conjugate by every element, and the
-commuting probability counts pairs.  numpy only vectorizes the O(|G|^2)
-loops; all arithmetic stays integral.  The one exception is
-``normal_subgroups_by_joins``, the pairwise-join lattice the library used
-before its class-algebra lattice; it fixes the order and the generators the
-library must keep reproducing.
+Nothing here touches the BSGS machinery beyond listing a group's elements:
+closures are multiplication BFS over raw image tuples, class partitions
+conjugate by every element, and the commuting probability counts pairs.
+numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
+The one exception is ``normal_subgroups_by_joins``, the pairwise-join
+lattice the library used before its class-algebra lattice; it fixes the
+order and the generators the library must keep reproducing.  The routines
+after it redo, on element sets, the normal-subgroup queries the library
+reads from class bitsets: normal cores, the Fitting subgroup, the socle
+(from the library's lattice) and normal pi-complements.
 """
 
 import numpy as np
@@ -177,3 +180,75 @@ def normal_subgroups_by_joins(group, cap=100_000):
         found.values(),
         key=lambda h: (h.order, tuple(sorted(h.element_set(cap))) if h.order < group.order else ()),
     )
+
+
+
+def _generated(degree, elements):
+    """Element set of the subgroup generated by ``elements``; an element
+    becomes a generator only when it lies outside the closure so far."""
+    gens = []
+    closed = {tuple(range(degree))}
+    for x in elements:
+        if x.images not in closed:
+            gens.append(x)
+            closed = naive_closure(gens)
+    return frozenset(closed)
+
+
+def _classes(group, cap):
+    elements = group.element_list(cap)
+    return [[elements[i] for i in sorted(cls)] for cls in brute_conjugacy_partition(elements)]
+
+
+def normal_core_by_closures(group, prime_pred, cap=100_000):
+    """Element set of the largest normal subgroup whose order has only primes
+    satisfying pred: generated by every conjugacy class whose normal closure
+    (the subgroup the class generates) qualifies."""
+    from piclass.numtheory import prime_factors
+
+    def qualifies(n):
+        return all(prime_pred(q) for q in prime_factors(n))
+
+    picked = []
+    for members in _classes(group, cap):
+        if qualifies(members[0].order()) and qualifies(len(_generated(group.degree, members))):
+            picked.extend(members)
+    return _generated(group.degree, picked)
+
+
+def fitting_subgroup_by_closures(group, cap=100_000):
+    """Element set of F(G): generated by the largest normal p-subgroups."""
+    from piclass.numtheory import prime_factors
+
+    members = []
+    for p in prime_factors(group.order):
+        core = normal_core_by_closures(group, lambda q, p=p: q == p, cap)
+        members.extend(Permutation(im) for im in core)
+    return _generated(group.degree, members)
+
+
+def socle_by_element_sets(group, cap=100_000):
+    """Element set of the join of the normal subgroups that contain no
+    smaller nontrivial one, by subset tests on element sets."""
+    from piclass.subgroups import normal_subgroups
+
+    normals = [n.element_set(cap) for n in normal_subgroups(group, cap) if n.order > 1]
+    members = []
+    for n in normals:
+        if not any(len(m) < len(n) and m <= n for m in normals):
+            members.extend(Permutation(im) for im in n)
+    return _generated(group.degree, members)
+
+
+def normal_pi_complement_by_element_scan(group, pi, cap=100_000):
+    """(exists, element set): the pi'-elements form a normal pi-complement
+    exactly when they generate a subgroup of their own number."""
+    from piclass.numtheory import is_pi_number, prime_factors
+
+    complement_primes = frozenset(prime_factors(group.order)) - frozenset(pi)
+    elements = [x for x in group.element_list(cap)
+                if is_pi_number(x.order(), complement_primes)]
+    closed = _generated(group.degree, elements)
+    if len(closed) == len(elements):
+        return True, closed
+    return False, None

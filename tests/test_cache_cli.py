@@ -220,3 +220,23 @@ def test_unknown_group_message(runner):
     result = runner.invoke(main, ["analyze", "E8"])
     assert result.exit_code != 0
     assert "neither a readable file nor a known group name" in result.output
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "C3", "--max-order", "0"],
+    ["verify", "C3", "--pi", "4"],
+    ["analyze", "C3", "--pi", "x"],
+    ["verify", "C3", "--suite", "nope"],
+    ["verify", "C3", "--config", "unknown-key.json"],
+    ["verify", "C3", "--config", "not-json.json"],
+    ["hall", "C3", "--pi", "2", "--budget", "-1"],
+])
+def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "unknown-key.json").write_text('{"max_ordr": 10}')
+    (tmp_path / "not-json.json").write_text("max_order = 10")
+    result = runner.invoke(main, args)
+    assert result.exit_code != 0
+    assert "Error:" in result.output
+    assert "Traceback" not in result.output
+    assert isinstance(result.exception, SystemExit)

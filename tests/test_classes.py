@@ -11,7 +11,7 @@ from piclass.classes import (
 )
 from piclass.errors import CapExceededError, NotInGroupError
 from piclass.perm import Permutation, conjugate, parse_cycle_text
-from piclass.subgroups import centralizer_of_element, _centralizer_of_element_brute
+from piclass.subgroups import centralizer_of_element
 
 
 def test_s3_classes(named):
@@ -85,8 +85,6 @@ def test_centralizer_schreier_vs_brute(name, named):
     elements = g.element_list()
     for x in elements[:: max(1, len(elements) // 12)]:
         fast = centralizer_of_element(g, x)
-        brute = _centralizer_of_element_brute(g, x)
-        assert fast.element_set() == brute.element_set()
         assert {c.images for c in brute_centralizer(elements, x)} == fast.element_set()
 
 

@@ -7,7 +7,10 @@ structure verdict whose witness carries the generators of normal subgroups
 coset-action quotients.  The ``main``+``complement``+``cap`` slice prints
 ``hall_generators``, which depend on the order of the conjugation-orbit walks
 behind ``normalizer`` and Sylow growth; its digest was recorded with one
-hand-written orbit loop per caller.
+hand-written orbit loop per caller.  The ``complement``+``structure`` slice
+is the whole default census: normal pi-complements, O_3' and the ``case2``
+direct decompositions; its digest was recorded when those were computed from
+element sets and Schreier-Sims closures.
 """
 
 import hashlib
@@ -34,6 +37,13 @@ SLICES = {
         ["S4", "D8 x C3"],
         '"hall_generators"',
         "4b28fa1f49bf432aeced6b48af438818fa3597ee5fc654b52538c6d173d9ab48",
+    ),
+    "complement-structure": (
+        Config(),
+        ["complement", "structure"],
+        ["S5 x C9", "A5 x C3"],
+        '"o_3_prime_order"',
+        "ada2484aff74687fc2f778a86dc6081a2be37aa237f642f16201d44a2b5bfc16",
     ),
 }
 

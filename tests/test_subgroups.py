@@ -2,14 +2,18 @@ import pytest
 
 from oracles import (
     all_subgroups_naive,
+    fitting_subgroup_by_closures,
     naive_closure,
+    normal_core_by_closures,
+    normal_pi_complement_by_element_scan,
     normal_subgroups_by_class_unions,
     normal_subgroups_by_joins,
+    socle_by_element_sets,
 )
 from piclass.catalog import build, parse_name
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError
-from piclass.invariants import group_primes
+from piclass.invariants import group_primes, has_normal_pi_complement
 from piclass.perm import (
     Permutation,
     conjugate,
@@ -179,6 +183,20 @@ def test_quotient_k_pi_fusion_matches_coset_action(name, named):
         q = quotient(g, n).group
         for pi in subsets:
             assert quotient_k_pi(g, n, pi) == k_pi(q, pi), (name, n.order, sorted(pi))
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_normal_subgroup_queries_match_element_oracles(name, named):
+    g = named(name)
+    for pi in _nonempty_subsets(group_primes(g) | {2}):
+        core = o_pi_prime(g, pi)
+        assert core.element_set() == normal_core_by_closures(g, lambda q: q not in pi)
+        exists, complement = has_normal_pi_complement(g, pi)
+        expected_exists, expected = normal_pi_complement_by_element_scan(g, pi)
+        assert exists == expected_exists, sorted(pi)
+        assert (complement.element_set() if exists else None) == expected
+    assert fitting_subgroup(g).element_set() == fitting_subgroup_by_closures(g)
+    assert socle(g).element_set() == socle_by_element_sets(g)
 
 
 def test_quotient_k_pi_outside_the_lattice(named):

@@ -1,6 +1,7 @@
 import pytest
 
 from piclass.catalog import census, CensusRanges
+from piclass.config import Config
 from piclass.suite import (
     FAIL,
     PASS,
@@ -177,6 +178,17 @@ def test_bundle_replay_every_suite(tmp_path, named):
         replayed = replay_counterexample(path)
         assert replayed.status == verdict.status
         assert replayed.witness == verdict.witness
+
+
+def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
+    s4 = named("S4")
+    verdict = check_quotient_bound(s4, name="S4", limits=Limits(max_quotient_degree=2))
+    assert verdict.status == PARTIAL
+    config = Config(max_quotient_degree=2).to_dict()
+    path = write_counterexample_bundle(tmp_path / "capped", s4, verdict, config)
+    replayed = replay_counterexample(path)
+    assert replayed.status == PARTIAL
+    assert replayed.witness == verdict.witness
 
 
 def test_verdict_serialization_excludes_timing(named):
