@@ -70,7 +70,6 @@ from .subgroups import (
 )
 from .suite import (
     CampaignResult,
-    Limits,
     VerdictReport,
     run_census_campaign,
     run_group_suite,

@@ -26,7 +26,6 @@ from .reporting import (
 )
 from .suite import (
     FAIL,
-    Limits,
     replay_counterexample,
     resolve_suites,
     run_census_campaign,
@@ -61,14 +60,15 @@ def _parse_pi(values) -> list[frozenset[int]]:
     return sets
 
 
+# command-line option -> the Config field it overrides
+_OVERRIDES = {"seed": "seed", "workers": "workers", "max_order": "max_order",
+              "cache_dir": "cache_dir", "fmt": "output_format", "budget": "hall_budget"}
+
+
 def _config_from(ctx_params) -> Config:
     base = Config.from_file(ctx_params["config"]) if ctx_params.get("config") else Config()
-    overrides = {}
-    for key in ("seed", "workers", "max_order", "cache_dir"):
-        if ctx_params.get(key) is not None:
-            overrides[key] = ctx_params[key]
-    if ctx_params.get("fmt") is not None:
-        overrides["output_format"] = ctx_params["fmt"]
+    overrides = {key: ctx_params[opt] for opt, key in _OVERRIDES.items()
+                 if ctx_params.get(opt) is not None}
     if overrides:
         base = Config.from_dict({**base.to_dict(), **overrides})
     return base
@@ -187,7 +187,6 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
 def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **params):
     """Run theorem checkers; exit 0 iff no check fails."""
     config = _config_from(params)
-    limits = Limits.from_config(config.to_dict())
     by_name: dict[str, PermGroup] = {}
     suites = resolve_suites(list(suites))
     if replay:
@@ -195,12 +194,12 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
     elif use_census or not group_source:
         entries = list(census(config.census_ranges(), config.max_degree))
         by_name = dict(entries)
-        reports = run_census_campaign(entries, suites, limits, workers=config.workers).reports
+        reports = run_census_campaign(entries, suites, config, workers=config.workers).reports
     else:
         name, group = _load_group(group_source, config)
         by_name = {name: group}
         pi_sets = _parse_pi(pi_values) if pi_values else None
-        reports = run_group_suite(group, name, suites, limits, pi_sets)
+        reports = run_group_suite(group, name, suites, config, pi_sets)
     summary = dict(Counter(r.status for r in reports))
 
     failures = [r for r in reports if r.status == FAIL]
@@ -229,7 +228,7 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
 @click.option("--budget", type=click.IntRange(min=0), default=None,
               help="Randomized-tier attempts.")
 @_with_common
-def hall(group_source, pi_values, budget, **params):
+def hall(group_source, pi_values, **params):
     """Search for a Hall subgroup for the given prime set."""
     from .subgroups import hall_search
 
@@ -237,11 +236,9 @@ def hall(group_source, pi_values, budget, **params):
     name, group = _load_group(group_source, config)
     outcomes = []
     for pi in _parse_pi(pi_values):
-        out = hall_search(
-            group, pi,
-            budget=budget if budget is not None else config.hall_budget,
-            subgroup_cap=config.subgroup_cap,
-            cap=config.max_elements, seed=config.seed)
+        out = hall_search(group, pi, budget=config.hall_budget,
+                          subgroup_cap=config.subgroup_cap,
+                          cap=config.max_elements, seed=config.seed)
         entry = {
             "pi": sorted(pi),
             "status": out.status,

@@ -32,6 +32,15 @@ class Config:
     output_format: str = "json"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                ok = isinstance(value, int) and not isinstance(value, bool)
+            else:
+                ok = isinstance(value, f.type)
+            if not ok:
+                expected = f.type.__name__ if isinstance(f.type, type) else f.type
+                raise InvalidInputError(f"{f.name} must be {expected}, not {value!r}")
         for name in ("max_elements", "max_degree", "max_quotient_degree",
                      "subgroup_cap", "workers", "max_order"):
             if getattr(self, name) < 1:
@@ -56,6 +65,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise InvalidInputError(f"a config must be a JSON object, not {data!r}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
@@ -64,11 +75,11 @@ class Config:
 
     @classmethod
     def from_file(cls, path: str) -> "Config":
-        with open(path) as fh:
-            try:
+        try:
+            with open(path) as fh:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise InvalidInputError(f"config file {path}: {exc}") from None
+        except (OSError, ValueError) as exc:  # unreadable, not text, or not JSON
+            raise InvalidInputError(f"config file {path}: {exc}") from None
         return cls.from_dict(data)
 
 

@@ -31,6 +31,21 @@ class _Level:
         self.orbit: list[int] = []
 
 
+def _sift(levels: list[_Level], h: Permutation, start: int) -> tuple[Permutation, int]:
+    """Sift h through ``levels[start:]``: the residue, and the index of the
+    level whose orbit misses it (``len(levels)`` when it passes them all)."""
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        x = h.images[lvl.point]
+        if x == lvl.point:
+            continue
+        u = lvl.transversal.get(x)
+        if u is None:
+            return h, i
+        h = u.inverse() * h
+    return h, len(levels)
+
+
 class PermGroup:
     """A finite permutation group on {0..degree-1} given by generators.
 
@@ -121,19 +136,6 @@ class PermGroup:
         for lvl in levels:
             rebuild_orbit(lvl)
 
-        def sift_from(p: Permutation, start: int):
-            h = p
-            for i in range(start, len(levels)):
-                lvl = levels[i]
-                x = h.images[lvl.point]
-                if x == lvl.point:
-                    continue
-                u = lvl.transversal.get(x)
-                if u is None:
-                    return h, i
-                h = u.inverse() * h
-            return h, len(levels)
-
         # Verify Schreier generators level by level, deepest first; a
         # non-identity residue becomes a new strong generator and sends
         # verification back to its level.
@@ -148,7 +150,7 @@ class PermGroup:
                     sg = uy.inverse() * (g * ux)
                     if sg.is_identity():
                         continue
-                    h, j = sift_from(sg, i + 1)
+                    h, j = _sift(levels, sg, i + 1)
                     if h.is_identity():
                         continue
                     if j == len(levels):
@@ -184,16 +186,7 @@ class PermGroup:
             raise DegreeMismatchError(
                 f"element degree {p.degree} != group degree {self.degree}"
             )
-        h = p
-        for lvl in self._ensure_chain():
-            x = h.images[lvl.point]
-            if x == lvl.point:
-                continue
-            u = lvl.transversal.get(x)
-            if u is None:
-                return h
-            h = u.inverse() * h
-        return h
+        return _sift(self._ensure_chain(), p, 0)[0]
 
     def contains(self, p: Permutation) -> bool:
         return self.sift(p).is_identity()

@@ -6,13 +6,16 @@ trusting caller flags, returns exactly one status from the taxonomy
 witness payload sufficient to replay a failure.
 """
 
-from dataclasses import dataclass, field, fields
+import json
+import os
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .catalog import serialize_group_file
+from .catalog import parse_group_file, serialize_group_file
 from .classes import class_algebra, conjugacy_classes, k_pi
+from .config import DEFAULT_CONFIG, Config
 from .errors import CapExceededError, InvalidInputError
-from .group import DEFAULT_MAX_ELEMENTS, PermGroup
+from .group import PermGroup
 from .invariants import (
     commuting_degree,
     d_pi,
@@ -22,9 +25,6 @@ from .invariants import (
 from .numtheory import is_pi_number, pi_part, validate_pi
 from .perm import conjugate_set
 from .subgroups import (
-    DEFAULT_HALL_BUDGET,
-    DEFAULT_MAX_QUOTIENT_DEGREE,
-    DEFAULT_SUBGROUP_CAP,
     SubgroupHandle,
     almost_simple_socle,
     are_conjugate_subgroups,
@@ -54,20 +54,7 @@ THRESHOLD = Fraction(5, 8)
 TWO_THIRDS = Fraction(2, 3)
 
 
-@dataclass
-class Limits:
-    """Resource caps threaded through every verifier."""
-
-    max_elements: int = DEFAULT_MAX_ELEMENTS
-    subgroup_cap: int = DEFAULT_SUBGROUP_CAP
-    max_quotient_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE
-    hall_budget: int = DEFAULT_HALL_BUDGET
-    seed: int = 0
-
-    @classmethod
-    def from_config(cls, config: dict) -> "Limits":
-        """The caps of a ``Config.to_dict()``; defaults for missing keys."""
-        return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config})
+Limits = Config  # perfbench/workloads.py:85 calls suite.Limits(); the caps live in Config
 
 
 @dataclass
@@ -97,7 +84,7 @@ def _gens(handle: SubgroupHandle) -> list[str]:
 
 
 def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
-                         limits: Limits | None = None) -> VerdictReport:
+                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """Above the 5/8 threshold: an abelian Hall pi-subgroup exists, all Hall
     pi-subgroups are conjugate, every pi-subgroup lies in a conjugate of it,
     and the ratio is exactly 2/3 or 1.
@@ -105,17 +92,16 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     Past the subgroup-enumeration cap the containment and conjugacy checks
     degrade to cyclic pi-subgroups and the verdict is labelled partial.
     """
-    limits = limits or Limits()
     pi = validate_pi(pi)
-    profile = d_pi(group, pi, limits.max_elements, name)
+    profile = d_pi(group, pi, config.max_elements, name)
     witness: dict = {"d_pi": _frac(profile.d_pi)}
     rid = "hall-dichotomy"
     if profile.d_pi <= THRESHOLD:
         return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
 
-    outcome = hall_search(group, pi, budget=limits.hall_budget,
-                          subgroup_cap=limits.subgroup_cap,
-                          cap=limits.max_elements, seed=limits.seed)
+    outcome = hall_search(group, pi, budget=config.hall_budget,
+                          subgroup_cap=config.subgroup_cap,
+                          cap=config.max_elements, seed=config.seed)
     if outcome.status == "unresolved":
         witness["hall"] = "unresolved"
         return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
@@ -136,17 +122,17 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     partial = False
     try:
         classes = enumerate_subgroups_up_to_conjugacy(
-            group, pi=pi, cap=limits.subgroup_cap, element_cap=limits.max_elements)
+            group, pi=pi, cap=config.subgroup_cap, element_cap=config.max_elements)
     except CapExceededError:
         partial = True
-        table = conjugacy_classes(group, limits.max_elements)
+        table = conjugacy_classes(group, config.max_elements)
         classes = []
         seen = set()
         for cls in table.classes:
             if not is_pi_number(cls.order, pi):
                 continue
             cyc = subgroup(group, [cls.rep], verify=False)
-            key = cyc.element_set(limits.max_elements)
+            key = cyc.element_set(config.max_elements)
             if key not in seen:
                 seen.add(key)
                 classes.append(cyc)
@@ -158,16 +144,16 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
         witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     for other in halls:
-        same, _ = are_conjugate_subgroups(group, hall, other, limits.max_elements)
+        same, _ = are_conjugate_subgroups(group, hall, other, config.max_elements)
         if not same:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
             return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     witness["conjugacy"] = "ok"
 
-    hall_conjugates = orbit_transversal(group, hall.element_set(limits.max_elements),
+    hall_conjugates = orbit_transversal(group, hall.element_set(config.max_elements),
                                         conjugate_set)
     for sub in classes:
-        subset = sub.element_set(limits.max_elements)
+        subset = sub.element_set(config.max_elements)
         if not any(subset <= conj for conj in hall_conjugates):
             witness["containment"] = f"pi-subgroup of order {sub.order} in no Hall conjugate"
             witness["offender_generators"] = _gens(sub)
@@ -181,8 +167,8 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     if profile.d_pi == TWO_THIRDS:
         # consistency cross-check on every 2/3 pass
         mu = pi - {3}
-        d3 = d_pi(group, [3], limits.max_elements).d_pi if 3 in pi else None
-        dmu = d_pi(group, mu, limits.max_elements).d_pi if mu else Fraction(1)
+        d3 = d_pi(group, [3], config.max_elements).d_pi if 3 in pi else None
+        dmu = d_pi(group, mu, config.max_elements).d_pi if mu else Fraction(1)
         witness["two_thirds_consistency"] = {
             "three_in_pi": 3 in pi,
             "two_in_pi": 2 in pi,
@@ -196,26 +182,25 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
 
 
 def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
-                              limits: Limits | None = None) -> VerdictReport:
+                              config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """The ratio equals 1 exactly when a normal pi-complement and an abelian
     Hall pi-subgroup both exist; both sides evaluated independently.
 
     Also: if d_p = 1 for every p in pi, a normal pi-complement must exist.
     """
-    limits = limits or Limits()
     pi = validate_pi(pi)
     rid = "unit-iff-complement"
-    profile = d_pi(group, pi, limits.max_elements, name)
+    profile = d_pi(group, pi, config.max_elements, name)
     lhs = profile.d_pi == 1
-    exists, complement = has_normal_pi_complement(group, pi, limits.max_elements)
+    exists, complement = has_normal_pi_complement(group, pi, config.max_elements)
     witness: dict = {"d_pi": _frac(profile.d_pi), "complement_exists": exists}
     if exists:
         witness["complement_order"] = complement.order
     abelian_hall = None
     if exists:
-        outcome = hall_search(group, pi, budget=limits.hall_budget,
-                              subgroup_cap=limits.subgroup_cap,
-                              cap=limits.max_elements, seed=limits.seed)
+        outcome = hall_search(group, pi, budget=config.hall_budget,
+                              subgroup_cap=config.subgroup_cap,
+                              cap=config.max_elements, seed=config.seed)
         if outcome.status == "unresolved":
             return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
         if outcome.found:
@@ -230,7 +215,7 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     relevant = [p for p in sorted(pi) if group.order % p == 0]
     all_dp_one = all(
-        k_pi(group, frozenset([p]), limits.max_elements)
+        k_pi(group, frozenset([p]), config.max_elements)
         == pi_part(group.order, frozenset([p]))
         for p in relevant
     )
@@ -242,13 +227,12 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
 
 
 def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
-                         limits: Limits | None = None) -> VerdictReport:
+                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """Below 1 the ratio is at most 2/3; at most 5/8 when 3 is not in pi or
     the group order is odd."""
-    limits = limits or Limits()
     pi = validate_pi(pi)
     rid = "two-thirds-cap"
-    profile = d_pi(group, pi, limits.max_elements, name)
+    profile = d_pi(group, pi, config.max_elements, name)
     witness = {"d_pi": _frac(profile.d_pi)}
     if profile.d_pi == 1:
         return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
@@ -262,7 +246,7 @@ def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
 
 
 def check_quotient_bound(group: PermGroup, name: str = "",
-                         limits: Limits | None = None) -> VerdictReport:
+                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """d_pi(G) <= d_pi(N) * d_pi(G/N) for every normal N and every nonempty
     pi inside the group's primes.
 
@@ -271,29 +255,28 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     ``max_quotient_degree`` caps the index |G:N| that is checked; a normal
     subgroup of larger index is skipped and the verdict is partial.
     """
-    limits = limits or Limits()
     rid = "quotient-bound"
     primes = sorted(group_primes(group))
     witness: dict = {"normal_subgroups": 0, "checked": 0}
     if not primes:
         return VerdictReport(rid, name, None, VACUOUS, witness)
     partial = False
-    normals = normal_subgroups(group, limits.max_elements)
+    normals = normal_subgroups(group, config.max_elements)
     witness["normal_subgroups"] = len(normals)
     subsets = _nonempty_subsets(primes)
     checked = 0
     for n in normals:
         index = group.order // n.order
-        if index > limits.max_quotient_degree:
+        if index > config.max_quotient_degree:
             partial = True
             witness.setdefault("skipped", []).append(
                 f"index {index} over quotient degree cap")
             continue
         for pi in subsets:
-            lhs = d_pi(group, pi, limits.max_elements).d_pi
-            d_quotient = Fraction(quotient_k_pi(group, n, pi, limits.max_elements),
+            lhs = d_pi(group, pi, config.max_elements).d_pi
+            d_quotient = Fraction(quotient_k_pi(group, n, pi, config.max_elements),
                                   pi_part(index, pi))
-            rhs = d_pi(n.group, pi, limits.max_elements).d_pi * d_quotient
+            rhs = d_pi(n.group, pi, config.max_elements).d_pi * d_quotient
             checked += 1
             if lhs > rhs:
                 witness["counterexample"] = {
@@ -308,33 +291,32 @@ def check_quotient_bound(group: PermGroup, name: str = "",
 
 
 def check_sylow3_structure(group: PermGroup, name: str = "",
-                           limits: Limits | None = None) -> VerdictReport:
+                           config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """Structure forced by d_3 = 2/3 with trivial largest normal 3'-subgroup:
     abelian Sylow 3-subgroup P, |N_G(P)/C_G(P)| = 2, |[P, N_G(P)]| = 3,
     P = [P,N_G(P)] x (P n Z(N_G(P))), and one of:
     (1) P is self-centralizing normal, or (2) G = A x B with A almost simple
     (Sylow 3-subgroup of order 3 inside its socle) and B an abelian 3-group.
     """
-    limits = limits or Limits()
     rid = "sylow3-structure"
     witness: dict = {}
-    profile = d_pi(group, [3], limits.max_elements, name)
+    profile = d_pi(group, [3], config.max_elements, name)
     witness["d_3"] = _frac(profile.d_pi)
     if profile.d_pi != TWO_THIRDS:
         return VerdictReport(rid, name, (3,), VACUOUS, witness)
-    o3p = o_pi_prime(group, [3], limits.max_elements)
+    o3p = o_pi_prime(group, [3], config.max_elements)
     witness["o_3_prime_order"] = o3p.order
     if o3p.order != 1:
         return VerdictReport(rid, name, (3,), VACUOUS, witness)
 
-    p_syl = sylow_subgroup(group, 3, limits.max_elements)
+    p_syl = sylow_subgroup(group, 3, config.max_elements)
     witness["sylow3_order"] = p_syl.order
     if not p_syl.is_abelian():
         witness["abelian_P"] = False
         return VerdictReport(rid, name, (3,), FAIL, witness)
     witness["abelian_P"] = True
-    norm = normalizer(group, p_syl, limits.max_elements)
-    cent = centralizer_of_subgroup(group, p_syl, limits.max_elements)
+    norm = normalizer(group, p_syl, config.max_elements)
+    cent = centralizer_of_subgroup(group, p_syl, config.max_elements)
     ratio = norm.order // cent.order
     witness["normalizer_over_centralizer"] = ratio
     if ratio != 2:
@@ -343,12 +325,12 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     witness["commutator_order"] = comm.order
     if comm.order != 3:
         return VerdictReport(rid, name, (3,), FAIL, witness)
-    z_norm = center(norm.group, limits.max_elements)
+    z_norm = center(norm.group, config.max_elements)
     z_meet = subgroup_intersection(group, p_syl,
                                    SubgroupHandle(group, z_norm.group),
-                                   limits.max_elements)
+                                   config.max_elements)
     witness["central_part_order"] = z_meet.order
-    meet = subgroup_intersection(group, comm, z_meet, limits.max_elements)
+    meet = subgroup_intersection(group, comm, z_meet, config.max_elements)
     direct = comm.order * z_meet.order == p_syl.order and meet.order == 1
     witness["internal_direct_product"] = direct
     if not direct:
@@ -358,8 +340,8 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None
-    normals = normal_subgroups(group, limits.max_elements)
-    algebra = class_algebra(group, limits.max_elements)
+    normals = normal_subgroups(group, config.max_elements)
+    algebra = class_algebra(group, config.max_elements)
     for a in normals:
         if case2:
             break
@@ -371,12 +353,12 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue
             a_group = a.group
-            soc = almost_simple_socle(a_group, limits.max_elements)
+            soc = almost_simple_socle(a_group, config.max_elements)
             if soc is None:
                 continue
-            if sylow_subgroup(soc.group, 3, limits.max_elements).order != 3:
+            if sylow_subgroup(soc.group, 3, config.max_elements).order != 3:
                 continue
-            syl_a = sylow_subgroup(a_group, 3, limits.max_elements)
+            syl_a = sylow_subgroup(a_group, 3, config.max_elements)
             if not all(soc.contains(g) for g in syl_a.generators):
                 continue
             case2 = True
@@ -392,12 +374,11 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
 
 
 def check_commuting_threshold(group: PermGroup, name: str = "",
-                              limits: Limits | None = None) -> VerdictReport:
+                              config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """Commuting degree above 5/8 forces the group to be abelian; below it,
     the group must be non-abelian (the contrapositive on the census)."""
-    limits = limits or Limits()
     rid = "commuting-threshold"
-    d = commuting_degree(group, limits.max_elements)
+    d = commuting_degree(group, config.max_elements)
     abelian = group.is_abelian()
     witness = {"d": _frac(d), "abelian": abelian}
     if d > THRESHOLD:
@@ -409,12 +390,11 @@ def check_commuting_threshold(group: PermGroup, name: str = "",
 
 
 def check_selftest(group: PermGroup, name: str = "",
-                   limits: Limits | None = None) -> VerdictReport:
+                   config: Config = DEFAULT_CONFIG) -> VerdictReport:
     """Deliberately wrong pin (asserts the dihedral-of-order-8 ratio at p=2
     is 1/2); exists so the harness's fail path stays honest."""
-    limits = limits or Limits()
     rid = "selftest-fixed-value"
-    profile = d_pi(group, [2], limits.max_elements, name)
+    profile = d_pi(group, [2], config.max_elements, name)
     witness = {"d_2": _frac(profile.d_pi), "pinned": "1/2"}
     status = PASS if profile.d_pi == Fraction(1, 2) else FAIL
     return VerdictReport(rid, name, (2,), status, witness)
@@ -469,11 +449,10 @@ class CampaignResult:
         return [r for r in self.reports if r.status == FAIL]
 
 
-def run_group_suite(group: PermGroup, name: str, suites, limits: Limits | None = None,
+def run_group_suite(group: PermGroup, name: str, suites, config: Config = DEFAULT_CONFIG,
                     pi_sets=None) -> list[VerdictReport]:
     """All selected verifiers on one group; per-pi suites run over the given
     pi sets, defaulting to every nonempty subset of the group's primes."""
-    limits = limits or Limits()
     suites = resolve_suites(suites)
     if pi_sets is None:
         pi_sets = _nonempty_subsets(group_primes(group))
@@ -481,21 +460,22 @@ def run_group_suite(group: PermGroup, name: str, suites, limits: Limits | None =
     for suite_name in suites:
         kind, fn = SUITES[suite_name]
         if kind == "per-group":
-            reports.append(fn(group, name=name, limits=limits))
+            reports.append(fn(group, name=name, config=config))
         else:
             for pi in pi_sets:
-                reports.append(fn(group, pi, name=name, limits=limits))
+                reports.append(fn(group, pi, name=name, config=config))
     return reports
 
 
-def run_census_campaign(census_iter, suites, limits: Limits | None = None,
+def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
                         workers: int = 1) -> CampaignResult:
-    """Apply the selected suites to every census group.
+    """Apply the selected suites to every census group under the caps of
+    ``config`` (``max_elements``, ``subgroup_cap``, ``max_quotient_degree``,
+    ``hall_budget``, ``seed``).
 
     Reports come back in census order regardless of the worker count; the
     summary counts verdicts per status.
     """
-    limits = limits or Limits()
     suites = resolve_suites(suites)
     entries = list(census_iter)
     if workers > 1:
@@ -503,9 +483,9 @@ def run_census_campaign(census_iter, suites, limits: Limits | None = None,
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(
-                lambda item: run_group_suite(item[1], item[0], suites, limits), entries))
+                lambda item: run_group_suite(item[1], item[0], suites, config), entries))
     else:
-        chunks = [run_group_suite(g, name, suites, limits) for name, g in entries]
+        chunks = [run_group_suite(g, name, suites, config) for name, g in entries]
     reports = [r for chunk in chunks for r in chunk]
     summary: dict[str, int] = {}
     for r in reports:
@@ -519,9 +499,6 @@ def run_census_campaign(census_iter, suites, limits: Limits | None = None,
 def write_counterexample_bundle(directory, group: PermGroup, verdict: VerdictReport,
                                 config_dict: dict | None = None) -> str:
     """Self-contained replay bundle: group file, claim id, pi, verdict."""
-    import json
-    import os
-
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, "group.grp"), "w") as fh:
         fh.write(serialize_group_file(group))
@@ -537,31 +514,39 @@ def write_counterexample_bundle(directory, group: PermGroup, verdict: VerdictRep
     return directory
 
 
+_SUITE_OF_RESULT = {
+    "hall-dichotomy": "main",
+    "unit-iff-complement": "complement",
+    "two-thirds-cap": "cap",
+    "quotient-bound": "quotient",
+    "sylow3-structure": "structure",
+    "commuting-threshold": "commuting",
+    "selftest-fixed-value": "selftest",
+}
+
+
 def replay_counterexample(directory) -> VerdictReport:
-    """Re-run the single check recorded in a bundle under the caps the bundle
-    recorded (``Limits`` fields of its config; defaults for missing keys);
-    must reproduce the verdict."""
-    import json
-    import os
+    """Re-run the single check recorded in a bundle; must reproduce the verdict.
 
-    from .catalog import parse_group_file
-
-    with open(os.path.join(directory, "meta.json")) as fh:
-        meta = json.load(fh)
-    with open(os.path.join(directory, "group.grp")) as fh:
-        group = parse_group_file(fh.read())
-    limits = Limits.from_config(meta["config"])
-    by_rid = {
-        "hall-dichotomy": "main",
-        "unit-iff-complement": "complement",
-        "two-thirds-cap": "cap",
-        "quotient-bound": "quotient",
-        "sylow3-structure": "structure",
-        "commuting-threshold": "commuting",
-        "selftest-fixed-value": "selftest",
-    }
-    suite_name = by_rid[meta["result_id"]]
-    kind, fn = SUITES[suite_name]
+    The check runs under the bundle's whole recorded config, rebuilt with
+    ``Config.from_dict`` (validated like a ``--config`` file; missing keys take
+    their defaults), not under the replaying command's config.  A directory
+    without a readable ``meta.json`` or ``group.grp``, an unknown result id or
+    a bad config value raises ``InvalidInputError``.
+    """
+    try:
+        with open(os.path.join(directory, "meta.json")) as fh:
+            meta = json.load(fh)
+        with open(os.path.join(directory, "group.grp")) as fh:
+            group_text = fh.read()
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
+        raise InvalidInputError(f"not a replay bundle ({directory}): {exc}") from None
+    if not isinstance(meta, dict) or meta.get("result_id") not in _SUITE_OF_RESULT:
+        raise InvalidInputError(f"not a replay bundle ({directory}): unknown result_id")
+    config = Config.from_dict(meta.get("config", {}))
+    group = parse_group_file(group_text, config.max_degree)
+    kind, fn = SUITES[_SUITE_OF_RESULT[meta["result_id"]]]
+    name = meta.get("group", "")
     if kind == "per-group":
-        return fn(group, name=meta["group"], limits=limits)
-    return fn(group, meta["pi"], name=meta["group"], limits=limits)
+        return fn(group, name=name, config=config)
+    return fn(group, meta.get("pi") or (), name=name, config=config)

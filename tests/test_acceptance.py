@@ -12,6 +12,7 @@ from fractions import Fraction
 from oracles import brute_conjugacy_partition, commuting_pair_count, naive_closure
 from piclass.catalog import build, parse_name, product
 from piclass.classes import conjugacy_classes, k_pi
+from piclass.config import Config
 from piclass.invariants import (
     commuting_degree,
     d_pi,
@@ -20,7 +21,6 @@ from piclass.invariants import (
 )
 from piclass.subgroups import hall_search, normal_subgroups, normalizer, quotient, sylow_subgroup
 from piclass.suite import (
-    Limits,
     _nonempty_subsets,
     check_hall_dichotomy,
     check_sylow3_structure,
@@ -70,13 +70,13 @@ def test_criterion_03_commuting_threshold_sweep(census_entries):
 
 def test_criterion_04_hall_dichotomy_campaign(census_entries):
     t0 = time.perf_counter()
-    limits = Limits()
+    config = Config()
     statuses = {}
     fails = []
     pairs = 0
     for name, g in census_entries:
         for pi in _nonempty_subsets(group_primes(g)):
-            verdict = check_hall_dichotomy(g, pi, name=name, limits=limits)
+            verdict = check_hall_dichotomy(g, pi, name=name, config=config)
             statuses[verdict.status] = statuses.get(verdict.status, 0) + 1
             pairs += 1
             if verdict.status not in ("pass", "vacuous"):
@@ -124,12 +124,12 @@ def test_criterion_06_chain_inequality(census_entries):
 
 
 def test_criterion_07_unit_iff_characterization(census_entries):
-    limits = Limits()
+    config = Config()
     pairs = 0
     for name, g in census_entries:
         for pi in _nonempty_subsets(group_primes(g)):
             pairs += 1
-            verdict = check_unit_iff_complement(g, pi, name=name, limits=limits)
+            verdict = check_unit_iff_complement(g, pi, name=name, config=config)
             assert verdict.status == "pass", (name, sorted(pi), verdict.witness)
     _report("7 (d_pi = 1 iff complement + abelian Hall)", f"{pairs} (G, pi) pairs")
 

@@ -222,6 +222,26 @@ def test_unknown_group_message(runner):
     assert "neither a readable file nor a known group name" in result.output
 
 
+def _write_replay_dirs(root):
+    """Directories that are not valid replay bundles, each broken one way."""
+    group_file = serialize_group_file(build(parse_name("C3")))
+    meta = {"result_id": "commuting-threshold", "group": "C3", "pi": None,
+            "verdict": {}, "config": {}}
+    bundles = {
+        "empty": {},
+        "bad-meta": {"meta.json": "not json", "group.grp": group_file},
+        "no-group": {"meta.json": json.dumps(meta)},
+        "unknown-rid": {"meta.json": json.dumps({**meta, "result_id": "nope"}),
+                        "group.grp": group_file},
+        "bad-config": {"meta.json": json.dumps({**meta, "config": {"max_elements": "x"}}),
+                       "group.grp": group_file},
+    }
+    for name, files in bundles.items():
+        (root / name).mkdir()
+        for filename, text in files.items():
+            (root / name / filename).write_text(text)
+
+
 @pytest.mark.parametrize("args", [
     ["verify", "C3", "--max-order", "0"],
     ["verify", "C3", "--pi", "4"],
@@ -230,13 +250,52 @@ def test_unknown_group_message(runner):
     ["verify", "C3", "--config", "unknown-key.json"],
     ["verify", "C3", "--config", "not-json.json"],
     ["hall", "C3", "--pi", "2", "--budget", "-1"],
+    ["verify", "C3", "--config", "str-int.json"],
+    ["verify", "C3", "--config", "bool-int.json"],
+    ["verify", "C3", "--config", "float-int.json"],
+    ["verify", "C3", "--config", "str-bool.json"],
+    ["verify", "C3", "--config", "int-cache-dir.json"],
+    ["verify", "C3", "--config", "not-utf8.json"],
+    ["verify", "C3", "--config", "empty"],
+    ["verify", "C3", "--config", "list.json"],
+    ["verify", "--replay", "empty"],
+    ["verify", "--replay", "bad-meta"],
+    ["verify", "--replay", "no-group"],
+    ["verify", "--replay", "unknown-rid"],
+    ["verify", "--replay", "bad-config"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "unknown-key.json").write_text('{"max_ordr": 10}')
     (tmp_path / "not-json.json").write_text("max_order = 10")
+    (tmp_path / "str-int.json").write_text('{"max_order": "x"}')
+    (tmp_path / "bool-int.json").write_text('{"max_order": true}')
+    (tmp_path / "float-int.json").write_text('{"max_order": 10.0}')
+    (tmp_path / "str-bool.json").write_text('{"include_quaternion": "no"}')
+    (tmp_path / "int-cache-dir.json").write_text('{"cache_dir": 5}')
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "list.json").write_text("[]")
+    _write_replay_dirs(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code != 0
     assert "Error:" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_hall_records_the_budget_it_searched_with(runner, monkeypatch):
+    import piclass.subgroups
+
+    budgets = []
+    search = piclass.subgroups.hall_search
+
+    def recording_search(*args, **kwargs):
+        budgets.append(kwargs["budget"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(piclass.subgroups, "hall_search", recording_search)
+    result = runner.invoke(main, ["hall", "S4", "--pi", "2,3", "--budget", "3",
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["config"]["hall_budget"] == 3
+    assert budgets == [3]

@@ -20,7 +20,7 @@ import pytest
 from piclass.catalog import census
 from piclass.config import Config
 from piclass.reporting import document, render_json
-from piclass.suite import Limits, run_census_campaign
+from piclass.suite import run_census_campaign
 
 SLICES = {
     "quotient-structure": (
@@ -53,7 +53,7 @@ def test_report_digest(slice_name):
     config, suites, groups, marker, golden = SLICES[slice_name]
     entries = list(census(config.census_ranges(), config.max_degree))
     assert set(groups) <= set(dict(entries))
-    result = run_census_campaign(entries, suites, Limits())
+    result = run_census_campaign(entries, suites, config)
     body = {"results": [r.as_dict() for r in result.reports], "summary": result.summary}
     text = render_json(document("verify", config, body))
     assert marker in text

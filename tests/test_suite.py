@@ -1,5 +1,6 @@
 import pytest
 
+from piclass import suite
 from piclass.catalog import census, CensusRanges
 from piclass.config import Config
 from piclass.suite import (
@@ -7,7 +8,6 @@ from piclass.suite import (
     PASS,
     PARTIAL,
     VACUOUS,
-    Limits,
     SUITES,
     check_commuting_threshold,
     check_hall_dichotomy,
@@ -49,8 +49,8 @@ def test_hall_dichotomy_two_thirds_consistency(named):
 
 
 def test_hall_dichotomy_degrades_to_partial(named):
-    limits = Limits(subgroup_cap=10)
-    v = check_hall_dichotomy(named("C12"), [2, 3], name="C12", limits=limits)
+    config = Config(subgroup_cap=10)
+    v = check_hall_dichotomy(named("C12"), [2, 3], name="C12", config=config)
     assert v.status == PARTIAL
     assert "cyclic" in v.witness["degraded"]
 
@@ -82,8 +82,8 @@ def test_quotient_bound_examples(named):
     assert v.witness["normal_subgroups"] == 4
     assert v.witness["checked"] == 4 * 3  # four normals, three prime subsets
 
-    limits = Limits(max_quotient_degree=2)
-    v = check_quotient_bound(named("S4"), name="S4", limits=limits)
+    config = Config(max_quotient_degree=2)
+    v = check_quotient_bound(named("S4"), name="S4", config=config)
     assert v.status == PARTIAL
     assert "skipped" in v.witness
 
@@ -155,9 +155,14 @@ def test_campaign_workers_agree():
     entries = list(census(CensusRanges(cyclic_max=5, dihedral_max_order=6,
                                        symmetric_max=3, alternating_max=4,
                                        max_order=30)))
-    seq = run_census_campaign(entries, ["cap", "commuting"], workers=1)
-    par = run_census_campaign(entries, ["cap", "commuting"], workers=4)
-    assert [r.as_dict() for r in seq.reports] == [r.as_dict() for r in par.reports]
+    suites = ["cap", "commuting"]
+    seq = run_census_campaign(entries, suites, Config())
+    par = run_census_campaign(entries, suites, workers=4)
+    # the call the benchmark's workloads make
+    bench = suite.run_census_campaign(entries, suites, suite.Limits(), workers=1)
+    expected = [r.as_dict() for r in seq.reports]
+    assert [r.as_dict() for r in par.reports] == expected
+    assert [r.as_dict() for r in bench.reports] == expected
 
 
 def test_bundle_round_trip(tmp_path, named):
@@ -182,7 +187,7 @@ def test_bundle_replay_every_suite(tmp_path, named):
 
 def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
     s4 = named("S4")
-    verdict = check_quotient_bound(s4, name="S4", limits=Limits(max_quotient_degree=2))
+    verdict = check_quotient_bound(s4, name="S4", config=Config(max_quotient_degree=2))
     assert verdict.status == PARTIAL
     config = Config(max_quotient_degree=2).to_dict()
     path = write_counterexample_bundle(tmp_path / "capped", s4, verdict, config)
