@@ -16,6 +16,7 @@ by it), so parse -> serialize -> parse is the identity on the parsed group.
 
 import re
 from dataclasses import dataclass
+from math import factorial, prod
 
 from .errors import CapExceededError, GroupFileError
 from .group import PermGroup
@@ -53,27 +54,14 @@ class GroupSpec:
     @property
     def order(self) -> int:
         """Closed-form order; raw specs do not have one."""
-        if self.kind == "cyclic":
-            return self.n
-        if self.kind == "dihedral":
+        if self.kind in ("cyclic", "dihedral"):
             return self.n
         if self.kind == "quaternion":
             return 8
-        if self.kind == "symmetric":
-            out = 1
-            for i in range(2, self.n + 1):
-                out *= i
-            return out
-        if self.kind == "alternating":
-            out = 1
-            for i in range(2, self.n + 1):
-                out *= i
-            return out // 2
+        if self.kind in ("symmetric", "alternating"):
+            return factorial(self.n) // (2 if self.kind == "alternating" else 1)
         if self.kind == "product":
-            out = 1
-            for f in self.factors:
-                out *= f.order
-            return out
+            return prod(f.order for f in self.factors)
         raise ValueError("raw specs have no closed-form order")
 
 
@@ -141,26 +129,21 @@ def _quaternion_group() -> PermGroup:
 
 def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
     """Realize a spec as a PermGroup of its advertised order."""
-    if spec.kind == "cyclic":
-        n = spec.n
+    if spec.kind in ("cyclic", "dihedral", "symmetric", "alternating"):
+        n = spec.n // 2 if spec.kind == "dihedral" else spec.n
         if n > max_degree:
             raise CapExceededError("degree", n, max_degree)
+    if spec.kind == "cyclic":
         if n == 1:
             return PermGroup([Permutation.identity(1)], degree=1)
         return PermGroup([Permutation.from_cycles(n, [list(range(n))])], degree=n)
     if spec.kind == "dihedral":
-        n = spec.n // 2
-        if n > max_degree:
-            raise CapExceededError("degree", n, max_degree)
         rot = Permutation.from_cycles(n, [list(range(n))])
         refl = Permutation([(n - i) % n for i in range(n)])
         return PermGroup([rot, refl], degree=n)
     if spec.kind == "quaternion":
         return _quaternion_group()
     if spec.kind == "symmetric":
-        n = spec.n
-        if n > max_degree:
-            raise CapExceededError("degree", n, max_degree)
         if n == 1:
             return PermGroup([Permutation.identity(1)], degree=1)
         if n == 2:
@@ -170,9 +153,6 @@ def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
             degree=n,
         )
     if spec.kind == "alternating":
-        n = spec.n
-        if n > max_degree:
-            raise CapExceededError("degree", n, max_degree)
         if n == 3:
             return PermGroup([Permutation.from_cycles(3, [[0, 1, 2]])], degree=3)
         three = Permutation.from_cycles(n, [[0, 1, 2]])

@@ -189,8 +189,10 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
     config = _config_from(params)
     by_name: dict[str, PermGroup] = {}
     suites = resolve_suites(list(suites))
-    if replay:
-        reports = [replay_counterexample(replay)]
+    if replay:  # the document shows the bundle's config, in the requested format
+        report, replayed = replay_counterexample(replay)
+        reports = [report]
+        config = Config.from_dict({**replayed.to_dict(), "output_format": config.output_format})
     elif use_census or not group_source:
         entries = list(census(config.census_ranges(), config.max_degree))
         by_name = dict(entries)

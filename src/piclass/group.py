@@ -247,12 +247,6 @@ class PermGroup:
             g = g * lvl.transversal[pts[rng.randrange(len(pts))]]
         return g
 
-    def moved_points(self) -> list[int]:
-        moved = set()
-        for g in self.generators:
-            moved.update(g.moved_points())
-        return sorted(moved)
-
     def is_abelian(self) -> bool:
         gens = self.generators
         for i, a in enumerate(gens):

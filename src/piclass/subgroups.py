@@ -1,5 +1,9 @@
 """Subgroup construction and structural computations.
 
+Subgroups built one generator at a time (subgroup-class enumeration, normal
+closures, Sylow growth, greedy generating sets) are grown by coset closure on
+element sets (``_extend_closure``), so each membership test is a set lookup;
+a handle's Schreier-Sims chain is built only when something asks for it.
 Stabilizer-style computations (element centralizers, normalizers, subgroup
 conjugacy) walk one conjugation orbit with ``orbit_transversal`` and read
 the stabilizer off its Schreier generators, so they never enumerate the
@@ -37,11 +41,11 @@ DEFAULT_HALL_BUDGET = 20
 class SubgroupHandle:
     """A subgroup of a parent group, given by generators inside the parent."""
 
-    def __init__(self, parent: PermGroup, group: PermGroup):
+    def __init__(self, parent: PermGroup, group: PermGroup, elements: frozenset | None = None):
         self.parent = parent
         self.group = group
-        self._order: int | None = None
-        self._element_set: frozenset[tuple[int, ...]] | None = None
+        self._element_set: frozenset[tuple[int, ...]] | None = elements
+        self._order: int | None = None if elements is None else len(elements)
         self._is_abelian: bool | None = None
         self._is_normal: bool | None = None
         # bitset over the parent's class table (see ClassAlgebra), set by
@@ -59,6 +63,8 @@ class SubgroupHandle:
         return self._order
 
     def contains(self, p: Permutation) -> bool:
+        if self._element_set is not None:
+            return p.images in self._element_set
         return self.group.contains(p)
 
     def elements(self, cap: int = DEFAULT_MAX_ELEMENTS) -> list[Permutation]:
@@ -78,7 +84,7 @@ class SubgroupHandle:
         """Normal in the parent group."""
         if self._is_normal is None:
             self._is_normal = all(
-                self.group.contains(conjugate(g, s))
+                self.contains(conjugate(g, s))
                 for g in self.parent.generators
                 for s in self.group.generators
             )
@@ -101,24 +107,58 @@ def subgroup(parent: PermGroup, gens, *, verify: bool = True) -> SubgroupHandle:
 
 
 def trivial_subgroup(parent: PermGroup) -> SubgroupHandle:
-    return subgroup(parent, [])
+    one = Permutation.identity(parent.degree)
+    return SubgroupHandle(parent, PermGroup([one]), frozenset([one.images]))
 
 
 def whole_group(parent: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(parent, parent)
 
 
-def _reduced_generators(degree: int, elements) -> list[Permutation]:
-    """Greedy generating subset: keep an element only when it enlarges the closure."""
-    gens: list[Permutation] = []
-    current: PermGroup | None = None
+def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple[int, ...]]:
+    """Element set of <H, x>, from the element set and generators of H.
+
+    Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
+    Groups, LNCS 559, 1991): the set is a union of left cosets r*H.  For each
+    representative r, in the order found (the identity first), and each
+    generator s of <H, x> in list order, a product y = s*r outside the set
+    adds the whole coset y*H and becomes a representative.  The set is then
+    closed under left multiplication by the generators, so it is <H, x>.
+    No sifting and no inverses.  Raises CapExceededError once the set would
+    pass ``cap``; never returns a truncated set.
+    """
+    base = list(elements)
+    steps = [g.images for g in gens] + [x.images]
+    closure = set(base)
+    reps = [Permutation.identity(len(x.images)).images]
+    for r in reps:
+        for s in steps:
+            y = tuple(map(s.__getitem__, r))
+            if y not in closure:
+                if len(closure) + len(base) > cap:
+                    raise CapExceededError("subgroup closure", len(closure) + len(base), cap)
+                closure.update([tuple(map(y.__getitem__, h)) for h in base])
+                reps.append(y)
+    return frozenset(closure)
+
+
+def _extend(handle: SubgroupHandle, x: Permutation, cap: int) -> SubgroupHandle:
+    """<H, x> on H's generators (less the trivial H's identity) and then x;
+    its chain is built only on demand."""
+    gens = [g for g in handle.generators if not g.is_identity()]
+    return SubgroupHandle(handle.parent, PermGroup(gens + [x]),
+                          _extend_closure(handle.element_set(cap), gens, x, cap))
+
+
+def _reduced_subgroup(parent: PermGroup, elements,
+                      cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+    """Subgroup generated by ``elements``, on a greedy generating subset: an
+    element is kept when it lies outside the closure of those kept before."""
+    current = trivial_subgroup(parent)
     for x in elements:
-        if x.is_identity():
-            continue
-        if current is None or not current.contains(x):
-            gens.append(x)
-            current = PermGroup(gens, degree=degree)
-    return gens
+        if not current.contains(x):
+            current = _extend(current, x, cap)
+    return current
 
 
 # -- orbit / stabilizer machinery ------------------------------------------
@@ -173,10 +213,7 @@ def _schreier_stabilizer(parent: PermGroup, start, act) -> SubgroupHandle:
                         break
             if stab is not None and stab.order == target:
                 break
-    if stab is None:
-        handle = trivial_subgroup(parent)
-    else:
-        handle = SubgroupHandle(parent, stab)
+    handle = trivial_subgroup(parent) if stab is None else SubgroupHandle(parent, stab)
     if handle.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return handle
@@ -202,7 +239,7 @@ def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,
     """C_G(H) by filtering the element list against H's generators."""
     hgens = handle.generators
     hits = [g for g in group.elements(cap) if all(g * h == h * g for h in hgens)]
-    return subgroup(group, _reduced_generators(group.degree, hits), verify=False)
+    return _reduced_subgroup(group, hits, cap)
 
 
 def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
@@ -210,36 +247,31 @@ def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
 
 
 def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    """Smallest normal subgroup of G containing the seed elements."""
+    """Smallest normal subgroup of G containing the seed elements.
+
+    The generators are the nonidentity seeds, then each conjugate of a
+    generator by a generator of G (generators taken in the order added) that
+    lies outside the subgroup so far.  The element set grows by coset closure
+    (``_extend``); CapExceededError is raised once it would pass ``cap``.
+    """
     gens = [s for s in seeds if not s.is_identity()]
-    if not gens:
-        return trivial_subgroup(group)
-    current = PermGroup(gens, degree=group.degree)
-    queue = list(gens)
-    while queue:
-        s = queue.pop(0)
+    current = _reduced_subgroup(group, gens, cap)
+    for s in gens:  # gens grows while it is walked
         for g in group.generators:
             c = conjugate(g, s)
             if not current.contains(c):
+                current = _extend(current, c, cap)
                 gens.append(c)
-                current = PermGroup(gens, degree=group.degree)
-                queue.append(c)
-    return SubgroupHandle(group, current)
+    return SubgroupHandle(group, PermGroup(gens), current.element_set()) if gens else current
 
 
-def commutator_subgroup(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
+def commutator_subgroup(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
+                        cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    joint = PermGroup(
-        _reduced_generators(group.degree, list(a.generators) + list(b.generators))
-        or [Permutation.identity(group.degree)],
-        degree=group.degree,
-    )
-    comms = []
-    for x in a.generators:
-        for y in b.generators:
-            comms.append(x * y * x.inverse() * y.inverse())
-    closed = normal_closure(joint, comms)
-    return SubgroupHandle(group, closed.group)
+    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators), cap).group
+    comms = [x * y * x.inverse() * y.inverse() for x in a.generators for y in b.generators]
+    closed = normal_closure(joint, comms, cap)
+    return SubgroupHandle(group, closed.group, closed.element_set())
 
 
 def derived_subgroup(group: PermGroup) -> SubgroupHandle:
@@ -252,7 +284,7 @@ def subgroup_intersection(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle
     small, big = (a, b) if a.order <= b.order else (b, a)
     bigset = big.element_set(cap)
     hits = [x for x in small.elements(cap) if x.images in bigset]
-    return subgroup(group, _reduced_generators(group.degree, hits), verify=False)
+    return _reduced_subgroup(group, hits, cap)
 
 
 def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
@@ -378,10 +410,7 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
     start = Permutation._make(label(Permutation.identity(degree)))
     reps = [start]
     index_of = {start.images: 0}
-    i = 0
-    while i < len(reps):
-        r = reps[i]
-        i += 1
+    for r in reps:  # reps grows while it is walked
         for g in group.generators:
             lab = label(g * r)
             if lab not in index_of:
@@ -389,9 +418,7 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
                 reps.append(Permutation._make(lab))
     if len(reps) != index:
         raise AssertionError("coset count does not match the index")
-    qgens = []
-    for g in group.generators:
-        qgens.append(Permutation([index_of[label(g * r)] for r in reps]))
+    qgens = [Permutation([index_of[label(g * r)] for r in reps]) for g in group.generators]
     qgroup = PermGroup(qgens or [Permutation.identity(index)], degree=index)
     if qgroup.order != index:
         raise AssertionError("coset action order does not match the index")
@@ -403,27 +430,26 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
 
 
 def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups."""
+    """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
+
+    Starts from the p-part of the first element of order divisible by p and
+    adds, one at a time, the p-part of the first normalizer element outside
+    the current subgroup; each step is a coset closure (``_extend``).
+    """
     validate_pi([p])
     target = pi_part(group.order, frozenset([p]))
     if target == 1:
         return trivial_subgroup(group)
-    seed = None
-    for x in group.elements(cap):
-        if x.order() % p == 0:
-            seed = pi_part_of_element(x, [p])[0]
-            break
-    current = subgroup(group, [seed], verify=False)
+    seed = next(x for x in group.elements(cap) if x.order() % p == 0)
+    current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0], cap)
     while current.order < target:
         norm = normalizer(group, current, cap)
-        grown = False
         for y in norm.elements(cap):
             yp = pi_part_of_element(y, [p])[0]
-            if not yp.is_identity() and not current.contains(yp):
-                current = subgroup(group, list(current.generators) + [yp], verify=False)
-                grown = True
+            if not current.contains(yp):
+                current = _extend(current, yp, cap)
                 break
-        if not grown:
+        else:
             raise AssertionError("Sylow growth stalled below the target order")
     return current
 
@@ -471,10 +497,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
 
     relevant = [p for p in prime_factors(group.order) if p in pi]
     sylows = [sylow_subgroup(group, p, cap) for p in relevant]
-    gens: list[Permutation] = []
-    for s in sylows:
-        gens.extend(s.generators)
-    cand = subgroup(group, gens, verify=False)
+    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False)
     if cand.order == target:
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
@@ -577,7 +600,7 @@ def fitting_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Subgr
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
     gens = [g for p in prime_factors(group.order)
             for g in _normal_core(group, lambda q, p=p: q == p, cap).generators]
-    return subgroup(group, _reduced_generators(group.degree, gens), verify=False)
+    return _reduced_subgroup(group, gens, cap)
 
 
 def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
@@ -621,9 +644,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     """One representative per conjugacy class of subgroups, complete.
 
     Layered one-element extensions: every found class representative H is
-    extended by candidate elements (one per H-conjugation orbit), and each new
-    subgroup is deduplicated against the conjugate closure of the classes
-    found so far.  Any subgroup is reachable through its own generation chain,
+    extended by candidate elements (one per H-conjugation orbit) by coset
+    closure (``_extend``), and each new subgroup is deduplicated against the
+    conjugate closure of the classes found so far.  Any subgroup is reachable through its own generation chain,
     so the sweep is exhaustive.  With ``pi`` set, only pi-subgroups are
     enumerated (sound: every subgroup of a pi-group is again one, so chains
     never have to leave the pi-world).  Results are cached per (group, pi).
@@ -637,10 +660,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         return cached
 
     elements = group.element_list(element_cap)
-    if pi is not None:
-        candidates = [x for x in elements if is_pi_number(x.order(), pi)]
-    else:
-        candidates = elements
+    candidates = elements if pi is None else [x for x in elements if is_pi_number(x.order(), pi)]
     found: list[SubgroupHandle] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
@@ -660,7 +680,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
             if xim in base_set or xim in covered:
                 continue
             covered.update(conjugation_orbit(xim, base_pairs))
-            extended = subgroup(group, list(base.generators) + [x], verify=False)
+            extended = _extend(base, x, element_cap)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue
             register(extended)

@@ -321,7 +321,7 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     witness["normalizer_over_centralizer"] = ratio
     if ratio != 2:
         return VerdictReport(rid, name, (3,), FAIL, witness)
-    comm = commutator_subgroup(group, p_syl, norm)
+    comm = commutator_subgroup(group, p_syl, norm, config.max_elements)
     witness["commutator_order"] = comm.order
     if comm.order != 3:
         return VerdictReport(rid, name, (3,), FAIL, witness)
@@ -525,14 +525,15 @@ _SUITE_OF_RESULT = {
 }
 
 
-def replay_counterexample(directory) -> VerdictReport:
+def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
     """Re-run the single check recorded in a bundle; must reproduce the verdict.
 
-    The check runs under the bundle's whole recorded config, rebuilt with
-    ``Config.from_dict`` (validated like a ``--config`` file; missing keys take
-    their defaults), not under the replaying command's config.  A directory
-    without a readable ``meta.json`` or ``group.grp``, an unknown result id or
-    a bad config value raises ``InvalidInputError``.
+    Returns the verdict and the config it ran under: the bundle's whole
+    recorded config, rebuilt with ``Config.from_dict`` (validated like a
+    ``--config`` file; missing keys take their defaults), not the replaying
+    command's config.  A directory without a readable ``meta.json`` or
+    ``group.grp``, an unknown result id or a bad config value raises
+    ``InvalidInputError``.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
@@ -548,5 +549,5 @@ def replay_counterexample(directory) -> VerdictReport:
     kind, fn = SUITES[_SUITE_OF_RESULT[meta["result_id"]]]
     name = meta.get("group", "")
     if kind == "per-group":
-        return fn(group, name=name, config=config)
-    return fn(group, meta.get("pi") or (), name=name, config=config)
+        return fn(group, name=name, config=config), config
+    return fn(group, meta.get("pi") or (), name=name, config=config), config

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 from piclass.cache import InvariantCache, entry_key, group_key
 from piclass.catalog import build, parse_name, serialize_group_file
 from piclass.cli import main
+from piclass.config import Config
+from piclass.suite import check_quotient_bound, write_counterexample_bundle
 
 
 @pytest.fixture
@@ -150,6 +152,19 @@ def test_verify_selftest_fails_with_bundle(runner, tmp_path):
     replay = runner.invoke(main, ["verify", "--replay", bundle, "--format", "text"])
     assert replay.exit_code == 1
     assert "FAIL" in replay.output
+
+
+def test_verify_replay_prints_the_bundle_config(runner, tmp_path):
+    s4 = build(parse_name("S4"))
+    config = Config(max_quotient_degree=2)
+    verdict = check_quotient_bound(s4, name="S4", config=config)
+    bundle = write_counterexample_bundle(str(tmp_path / "capped"), s4, verdict,
+                                         config.to_dict())
+    result = runner.invoke(main, ["verify", "--replay", bundle])
+    assert result.exit_code == 0
+    doc = json.loads(result.output)
+    assert [r["status"] for r in doc["results"]] == ["partial"]
+    assert doc["config"] == config.to_dict()
 
 
 def test_verify_census_subset(runner):

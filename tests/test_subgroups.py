@@ -13,6 +13,7 @@ from oracles import (
 from piclass.catalog import build, parse_name
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError
+from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
 from piclass.perm import (
     Permutation,
@@ -24,6 +25,7 @@ from piclass.perm import (
 )
 from piclass.suite import _nonempty_subsets
 from piclass.subgroups import (
+    _extend_closure,
     are_conjugate_subgroups,
     almost_simple_socle,
     center,
@@ -197,6 +199,47 @@ def test_normal_subgroup_queries_match_element_oracles(name, named):
         assert (complement.element_set() if exists else None) == expected
     assert fitting_subgroup(g).element_set() == fitting_subgroup_by_closures(g)
     assert socle(g).element_set() == socle_by_element_sets(g)
+
+
+def _chain_elements(gens) -> frozenset:
+    """Element set of <gens>, listed from a Schreier-Sims chain."""
+    return frozenset(p.images for p in PermGroup(gens).elements())
+
+
+def _assert_matches_chain(handle):
+    oracle = _chain_elements(handle.generators)
+    assert handle.element_set() == oracle
+    assert handle.order == len(oracle)
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_coset_closure_matches_chain_oracle(name, named):
+    g = named(name)
+    primes = group_primes(g)
+    # all subgroups of the small groups; the p-subgroups of the larger ones
+    for pi in [None] if g.order <= 200 else [[p] for p in sorted(primes)]:
+        for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi):
+            _assert_matches_chain(h)
+            for x in g.generators:  # the primitive on <H, x>
+                assert (_extend_closure(h.element_set(), h.generators, x, g.order)
+                        == _chain_elements(h.generators + (x,)))
+    for cls in conjugacy_classes(g).classes:
+        _assert_matches_chain(normal_closure(g, [cls.rep]))
+    for p in primes:
+        _assert_matches_chain(sylow_subgroup(g, p))
+
+
+def test_coset_closure_caps_fail_loudly(named):
+    s5 = named("S5")
+    five = parse_cycle_text("(0 1 2 3 4)", 5)
+    with pytest.raises(CapExceededError):
+        normal_closure(s5, [five], cap=50)
+    assert normal_closure(s5, [five], cap=60).order == 60
+    cyclic = frozenset((five ** k).images for k in range(5))
+    swap = parse_cycle_text("(0 1)", 5)
+    with pytest.raises(CapExceededError):
+        _extend_closure(cyclic, [five], swap, cap=119)
+    assert len(_extend_closure(cyclic, [five], swap, cap=120)) == 120
 
 
 def test_quotient_k_pi_outside_the_lattice(named):

@@ -169,7 +169,7 @@ def test_bundle_round_trip(tmp_path, named):
     d8 = named("D8")
     verdict = check_selftest(d8, name="D8")
     path = write_counterexample_bundle(tmp_path / "bundle", d8, verdict, {"seed": 0})
-    replayed = replay_counterexample(path)
+    replayed, _ = replay_counterexample(path)
     assert replayed.status == verdict.status == FAIL
     assert replayed.witness == verdict.witness
 
@@ -180,7 +180,7 @@ def test_bundle_replay_every_suite(tmp_path, named):
         verdict = (fn(s3, name="S3") if kind == "per-group"
                    else fn(s3, [3], name="S3"))
         path = write_counterexample_bundle(tmp_path / suite_name, s3, verdict, {})
-        replayed = replay_counterexample(path)
+        replayed, _ = replay_counterexample(path)
         assert replayed.status == verdict.status
         assert replayed.witness == verdict.witness
 
@@ -191,9 +191,10 @@ def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
     assert verdict.status == PARTIAL
     config = Config(max_quotient_degree=2).to_dict()
     path = write_counterexample_bundle(tmp_path / "capped", s4, verdict, config)
-    replayed = replay_counterexample(path)
+    replayed, replayed_config = replay_counterexample(path)
     assert replayed.status == PARTIAL
     assert replayed.witness == verdict.witness
+    assert replayed_config == Config(max_quotient_degree=2)
 
 
 def test_verdict_serialization_excludes_timing(named):
