@@ -59,6 +59,7 @@ from .subgroups import (
     hall_search,
     is_simple,
     normal_closure,
+    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,

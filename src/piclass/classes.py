@@ -103,6 +103,9 @@ class ClassAlgebra:
         # symmetric matrix of supports, None until built
         self._supports: list[list[int | None]] = [[None] * table.k for _ in table.classes]
         self._cosets: dict[int, list[int]] = {}
+        self._fusions: dict[int, list[int]] = {}
+        self._splits: dict[int, dict[int, int]] = {}
+        self._powers: dict[tuple[int, int], int] = {}
 
     def mask_of(self, elements) -> int:
         mask = 0
@@ -169,7 +172,10 @@ class ClassAlgebra:
     def fusion(self, normal: int) -> list[int]:
         """The classes of G/N as bitsets of G-classes, in order of their
         first G-class: the class of x * N, x in class i, lifts to the
-        classes meeting x * N."""
+        classes meeting x * N.  Cached per class set."""
+        blocks = self._fusions.get(normal)
+        if blocks is not None:
+            return blocks
         blocks = []
         covered = 0
         for i, met in enumerate(self.coset_classes(normal)):
@@ -180,7 +186,37 @@ class ClassAlgebra:
         sizes = [self.order(b) for b in blocks]
         if covered != self.full or sum(sizes) != self.table.group.order or any(s % n for s in sizes):
             raise AssertionError("class fusion does not partition the group into cosets")
+        self._fusions[normal] = blocks
         return blocks
+
+    def class_splits(self, normal: int, gens) -> dict[int, int]:
+        """For the normal subgroup N with class set ``normal``, generated by
+        ``gens``: each class i in N mapped to the number of N-classes it
+        splits into.  G permutes the N-orbits on a G-class C inside N
+        transitively, so they share one size |x^N| and C splits into
+        |C| / |x^N| classes of N: one orbit walk per class.  The split is 1
+        when N is G or C is a single element.  Cached per class set."""
+        splits = self._splits.get(normal)
+        if splits is None:
+            classes = self.table.classes
+            pairs = conjugation_pairs(gens)
+            splits = {}
+            for i in _bits(normal):
+                size = classes[i].size
+                if normal == self.full or size == 1:
+                    splits[i] = 1
+                else:
+                    splits[i] = size // len(conjugation_orbit(classes[i].rep.images, pairs))
+            self._splits[normal] = splits
+        return splits
+
+    def power_class(self, i: int, e: int) -> int:
+        """The class of rep_i ** e, memoised per (class, exponent)."""
+        key = (i, e)
+        power = self._powers.get(key)
+        if power is None:
+            power = self._powers[key] = self.table.class_of(self.table.classes[i].rep ** e)
+        return power
 
     def order(self, mask: int) -> int:
         classes = self.table.classes

@@ -8,9 +8,12 @@ Stabilizer-style computations (element centralizers, normalizers, subgroup
 conjugacy) walk one conjugation orbit with ``orbit_transversal`` and read
 the stabilizer off its Schreier generators, so they never enumerate the
 ambient group.  Normal-subgroup queries (the lattice, O_pi', the Fitting
-subgroup, the socle, quotient class counts) read class bitsets over the
-class table (``classes.ClassAlgebra``) instead of element sets.  Set-level
-filters (subgroup centralizers, centers) enumerate under the element cap.
+subgroup, the socle, the class counts k_pi(N) and k_pi(G/N)) read class
+bitsets over the class table of G (``classes.ClassAlgebra``) instead of
+element sets: k_pi(N) from the split of G-classes into N-classes, k_pi(G/N)
+from class fusion, so neither N nor G/N gets a class table of its own.
+Set-level filters (subgroup centralizers, centers) enumerate under the
+element cap.
 Searches that can fail distinguish three outcomes explicitly; in particular
 ``hall_search`` only ever reports nonexistence from its exhaustive tier.
 """
@@ -21,7 +24,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .classes import class_algebra, k_pi, pi_part_of_element
-from .errors import CapExceededError, NotInGroupError
+from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
 from .perm import (
@@ -349,10 +352,26 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
 def _normal_class_mask(group: PermGroup, kernel: SubgroupHandle, cap: int) -> int:
     if kernel.class_mask is None:
         if not kernel.is_normal():
-            raise ValueError("kernel is not normal in the group")
+            raise PreconditionError("kernel is not normal in the group")
         algebra = class_algebra(group, cap)
         kernel.class_mask = algebra.closure(algebra.mask_of(kernel.generators))
     return kernel.class_mask
+
+
+def normal_k_pi(group: PermGroup, n: SubgroupHandle, pi,
+                cap: int = DEFAULT_MAX_ELEMENTS) -> int:
+    """k_pi(N) for N normal in G, read from the class table of G.
+
+    N is a union of G-classes, and each of them splits into classes of N
+    of one size (ClassAlgebra.class_splits); k_pi(N) sums the splits of the
+    G-classes of pi-elements.  N's own class table is never built.
+    """
+    pi = validate_pi(pi)
+    mask = _normal_class_mask(group, n, cap)
+    algebra = class_algebra(group, cap)
+    classes = algebra.table.classes
+    return sum(split for i, split in algebra.class_splits(mask, n.generators).items()
+               if is_pi_number(classes[i].order, pi))
 
 
 def quotient_k_pi(group: PermGroup, kernel: SubgroupHandle, pi,
@@ -366,11 +385,11 @@ def quotient_k_pi(group: PermGroup, kernel: SubgroupHandle, pi,
     pi = validate_pi(pi)
     mask = _normal_class_mask(group, kernel, cap)
     algebra = class_algebra(group, cap)
-    table = algebra.table
+    classes = algebra.table.classes
     count = 0
     for block in algebra.fusion(mask):
-        cls = table.classes[(block & -block).bit_length() - 1]
-        if mask >> table.class_of(cls.rep ** pi_part(cls.order, pi)) & 1:
+        i = (block & -block).bit_length() - 1
+        if mask >> algebra.power_class(i, pi_part(classes[i].order, pi)) & 1:
             count += 1
     return count
 
@@ -396,7 +415,7 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
              cap: int = DEFAULT_MAX_ELEMENTS) -> QuotientGroup:
     """Coset action of G on G/N; fails rather than seeking a smaller action."""
     if not kernel.is_normal():
-        raise ValueError("kernel is not normal in the group")
+        raise PreconditionError("kernel is not normal in the group")
     index = group.order // kernel.order
     if index > max_degree:
         raise CapExceededError("quotient degree", index, max_degree)

@@ -33,6 +33,7 @@ from .subgroups import (
     commutator_subgroup,
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
+    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,
@@ -250,8 +251,11 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     """d_pi(G) <= d_pi(N) * d_pi(G/N) for every normal N and every nonempty
     pi inside the group's primes.
 
-    G/N is never built: k_pi(G/N) comes from the class fusion of G's class
-    table (``quotient_k_pi``) and |G/N|_pi is the pi-part of the index.
+    Neither N nor G/N gets a class table: k_pi(N) is the number of N-classes
+    the G-classes of pi-elements inside N split into (``normal_k_pi``),
+    k_pi(G/N) comes from the class fusion of G's class table
+    (``quotient_k_pi``), and |N|_pi, |G/N|_pi are the pi-parts of |N| and of
+    the index.  d_pi(G) is computed once per pi.
     ``max_quotient_degree`` caps the index |G:N| that is checked; a normal
     subgroup of larger index is skipped and the verdict is partial.
     """
@@ -264,6 +268,7 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     normals = normal_subgroups(group, config.max_elements)
     witness["normal_subgroups"] = len(normals)
     subsets = _nonempty_subsets(primes)
+    d_group = [d_pi(group, pi, config.max_elements).d_pi for pi in subsets]
     checked = 0
     for n in normals:
         index = group.order // n.order
@@ -272,11 +277,12 @@ def check_quotient_bound(group: PermGroup, name: str = "",
             witness.setdefault("skipped", []).append(
                 f"index {index} over quotient degree cap")
             continue
-        for pi in subsets:
-            lhs = d_pi(group, pi, config.max_elements).d_pi
+        for pi, lhs in zip(subsets, d_group):
+            d_normal = Fraction(normal_k_pi(group, n, pi, config.max_elements),
+                                pi_part(n.order, pi))
             d_quotient = Fraction(quotient_k_pi(group, n, pi, config.max_elements),
                                   pi_part(index, pi))
-            rhs = d_pi(n.group, pi, config.max_elements).d_pi * d_quotient
+            rhs = d_normal * d_quotient
             checked += 1
             if lhs > rhs:
                 witness["counterexample"] = {

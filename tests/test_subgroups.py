@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from oracles import (
@@ -11,8 +13,8 @@ from oracles import (
     socle_by_element_sets,
 )
 from piclass.catalog import build, parse_name
-from piclass.classes import conjugacy_classes, k_pi
-from piclass.errors import CapExceededError, NotInGroupError
+from piclass.classes import class_algebra, conjugacy_classes, k_pi
+from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
 from piclass.perm import (
@@ -23,7 +25,7 @@ from piclass.perm import (
     conjugation_pairs,
     parse_cycle_text,
 )
-from piclass.suite import _nonempty_subsets
+from piclass.suite import _nonempty_subsets, check_quotient_bound
 from piclass.subgroups import (
     _extend_closure,
     are_conjugate_subgroups,
@@ -38,6 +40,7 @@ from piclass.subgroups import (
     is_simple,
     join_subgroups,
     normal_closure,
+    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,
@@ -249,8 +252,64 @@ def test_quotient_k_pi_outside_the_lattice(named):
     assert quotient_k_pi(s4, v4, [2, 3]) == 3
     assert quotient_k_pi(s4, whole_group(s4), [3]) == 1
     assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+
+
+def _assert_normal_k_pi_matches_class_table(g, n):
+    for pi in _nonempty_subsets(group_primes(g) | {2}):
+        assert normal_k_pi(g, n, pi) == k_pi(n.group, pi), (n.order, sorted(pi))
+    splits = class_algebra(g).class_splits(n.class_mask, n.generators)
+    assert sum(splits.values()) == conjugacy_classes(n.group).k
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_normal_k_pi_matches_class_table_of_n(name, named):
+    g = named(name)
+    for n in normal_subgroups(g):
+        _assert_normal_k_pi_matches_class_table(g, n)
+
+
+def test_normal_k_pi_outside_the_lattice(named):
+    s4 = named("S4")
+    v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+    for n in (v4, trivial_subgroup(s4), whole_group(s4)):
+        _assert_normal_k_pi_matches_class_table(s4, n)
+    assert normal_k_pi(s4, v4, [2]) == 4  # V4 is abelian
+    assert normal_k_pi(s4, whole_group(s4), [2, 3]) == 5
+    with pytest.raises(PreconditionError):
+        normal_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+
+
+def test_quotient_suite_builds_no_table_of_n():
+    g = build(parse_name("D8 x D8"))  # fresh: no caches shared with other tests
+    assert check_quotient_bound(g, name="D8 x D8").status == "pass"
+    proper = [n for n in normal_subgroups(g) if n.order < g.order]
+    assert len(proper) > 1
+    for n in proper:
+        assert n.group._levels is None, n
+        assert "class_table" not in n.group.cache, n
+
+
+def _relabelled(g, seed):
+    sigma = list(range(g.degree))
+    random.Random(seed).shuffle(sigma)
+    s = Permutation(sigma)
+    return PermGroup([conjugate(s, x) for x in g.generators], degree=g.degree)
+
+
+def _normal_profiles(g):
+    subsets = _nonempty_subsets(group_primes(g))
+    return sorted((n.order, [normal_k_pi(g, n, pi) for pi in subsets],
+                   [quotient_k_pi(g, n, pi) for pi in subsets]) for n in normal_subgroups(g))
+
+
+@pytest.mark.parametrize("name", ["Q8 x D8", "S4 x S4"])
+def test_normal_class_counts_survive_relabelling(name):
+    g = build(parse_name(name))
+    profiles = _normal_profiles(g)
+    for seed in (1, 2):
+        assert _normal_profiles(_relabelled(g, seed)) == profiles
 
 
 def test_quotient_examples(named):
@@ -285,7 +344,7 @@ def test_quotient_projection_is_homomorphism(named):
 def test_quotient_requires_normal(named):
     s4 = named("S4")
     h = subgroup(s4, [parse_cycle_text("(0 1)", 4)])
-    with pytest.raises(ValueError):
+    with pytest.raises(PreconditionError):
         quotient(s4, h)
 
 
