@@ -1,6 +1,7 @@
 """Conjugacy classes, element centralizers, and pi-element classification."""
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
@@ -194,16 +195,19 @@ class ClassAlgebra:
         ``gens``: each class i in N mapped to the number of N-classes it
         splits into.  G permutes the N-orbits on a G-class C inside N
         transitively, so they share one size |x^N| and C splits into
-        |C| / |x^N| classes of N: one orbit walk per class.  The split is 1
-        when N is G or C is a single element.  Cached per class set."""
+        |C| / |x^N| classes of N: one orbit walk per class.  That split is
+        |G : N C_G(x)|, so it divides both |C| and |G : N|; no walk is needed
+        when they are coprime (N = G, or C a single element, among others).
+        Cached per class set."""
         splits = self._splits.get(normal)
         if splits is None:
             classes = self.table.classes
+            index = self.table.group.order // self.order(normal)
             pairs = conjugation_pairs(gens)
             splits = {}
             for i in _bits(normal):
                 size = classes[i].size
-                if normal == self.full or size == 1:
+                if gcd(size, index) == 1:
                     splits[i] = 1
                 else:
                     splits[i] = size // len(conjugation_orbit(classes[i].rep.images, pairs))
