@@ -305,8 +305,8 @@ def _normal_profiles(g):
 
 
 @pytest.mark.parametrize("name", ["Q8 x D8", "S4 x S4"])
-def test_normal_class_counts_survive_relabelling(name):
-    g = build(parse_name(name))
+def test_normal_class_counts_survive_relabelling(name, named):
+    g = named(name)
     profiles = _normal_profiles(g)
     for seed in (1, 2):
         assert _normal_profiles(_relabelled(g, seed)) == profiles
