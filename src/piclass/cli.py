@@ -61,8 +61,8 @@ def _parse_pi(values) -> list[frozenset[int]]:
 
 
 # command-line option -> the Config field it overrides
-_OVERRIDES = {"seed": "seed", "workers": "workers", "max_order": "max_order",
-              "cache_dir": "cache_dir", "fmt": "output_format", "budget": "hall_budget"}
+_OVERRIDES = {"seed": "seed", "max_order": "max_order", "cache_dir": "cache_dir",
+              "fmt": "output_format", "budget": "hall_budget"}
 
 
 def _config_from(ctx_params) -> Config:
@@ -177,7 +177,6 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
               help="Suite selector; repeatable. One of "
                    "main/complement/cap/quotient/structure/commuting/selftest/all.")
 @click.option("--pi", "pi_values", multiple=True, help="Restrict per-pi suites to these prime sets.")
-@click.option("--workers", type=int, default=None, help="Worker threads for the campaign.")
 @click.option("--max-order", type=int, default=None, help="Census order cap.")
 @click.option("--bundle-dir", type=click.Path(), default="counterexamples",
               help="Where failure replay bundles are written.")
@@ -196,7 +195,7 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
     elif use_census or not group_source:
         entries = list(census(config.census_ranges(), config.max_degree))
         by_name = dict(entries)
-        reports = run_census_campaign(entries, suites, config, workers=config.workers).reports
+        reports = run_census_campaign(entries, suites, config).reports
     else:
         name, group = _load_group(group_source, config)
         by_name = {name: group}

@@ -13,6 +13,10 @@ from .subgroups import (
 )
 
 
+# Every report prints "workers": 1, so the field stays; it admits one value.
+WORKERS_ERROR = "workers must be 1: the campaign runs on one thread"
+
+
 @dataclass(frozen=True)
 class Config:
     max_elements: int = DEFAULT_MAX_ELEMENTS
@@ -42,9 +46,11 @@ class Config:
                 expected = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise InvalidInputError(f"{f.name} must be {expected}, not {value!r}")
         for name in ("max_elements", "max_degree", "max_quotient_degree",
-                     "subgroup_cap", "workers", "max_order"):
+                     "subgroup_cap", "max_order"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be positive")
+        if self.workers != 1:
+            raise InvalidInputError(WORKERS_ERROR)
         if self.hall_budget < 0:
             raise InvalidInputError("hall_budget must be >= 0")
         if self.output_format not in ("json", "csv", "text"):

@@ -6,13 +6,9 @@ moves, orbits are explored breadth-first with generators in list order, and
 no randomization is used anywhere.  Two constructions from the same generator
 list therefore produce identical chains, identical element enumeration order,
 and identical random-element streams for a fixed seed.
-
-A group is immutable once its chain is built; the build itself is guarded by
-a lock so concurrent first uses are safe.
 """
 
 import random
-import threading
 from math import prod
 
 from .errors import CapExceededError, DegreeMismatchError
@@ -70,16 +66,13 @@ class PermGroup:
         self._base_hint = tuple(base_hint)
         self._levels: list[_Level] | None = None
         self._order: int | None = None
-        self._lock = threading.Lock()
         self.cache: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
 
     def _ensure_chain(self):
         if self._levels is None:
-            with self._lock:
-                if self._levels is None:
-                    self._build_chain()
+            self._build_chain()
         return self._levels
 
     def _build_chain(self):

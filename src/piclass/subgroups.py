@@ -153,12 +153,15 @@ def _extend(handle: SubgroupHandle, x: Permutation, cap: int) -> SubgroupHandle:
                           _extend_closure(handle.element_set(cap), gens, x, cap))
 
 
-def _reduced_subgroup(parent: PermGroup, elements,
-                      cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def _reduced_subgroup(parent: PermGroup, elements, cap: int = DEFAULT_MAX_ELEMENTS,
+                      order: int | None = None) -> SubgroupHandle:
     """Subgroup generated by ``elements``, on a greedy generating subset: an
-    element is kept when it lies outside the closure of those kept before."""
+    element is kept when it lies outside the closure of those kept before.
+    With ``order`` given, the scan stops once the subgroup reaches it."""
     current = trivial_subgroup(parent)
     for x in elements:
+        if current.order == order:
+            break
         if not current.contains(x):
             current = _extend(current, x, cap)
     return current
@@ -191,7 +194,7 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
     return transversal
 
 
-def _schreier_stabilizer(parent: PermGroup, start, act) -> SubgroupHandle:
+def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> SubgroupHandle:
     """Stabilizer of ``start`` under ``act`` (as in ``orbit_transversal``).
 
     Schreier generators u_{g.key}^-1 * g * u_key are consumed lazily and
@@ -201,22 +204,9 @@ def _schreier_stabilizer(parent: PermGroup, start, act) -> SubgroupHandle:
     transversal = orbit_transversal(parent, start, act)
     target = parent.order // len(transversal)
     steps = list(zip(parent.generators, conjugation_pairs(parent.generators)))
-    stab_gens: list[Permutation] = []
-    stab: PermGroup | None = None
-    if target > 1:
-        for key, u in transversal.items():
-            for g, pair in steps:
-                s = transversal[act(pair, key)].inverse() * (g * u)
-                if s.is_identity():
-                    continue
-                if stab is None or not stab.contains(s):
-                    stab_gens.append(s)
-                    stab = PermGroup(stab_gens, degree=parent.degree)
-                    if stab.order == target:
-                        break
-            if stab is not None and stab.order == target:
-                break
-    handle = trivial_subgroup(parent) if stab is None else SubgroupHandle(parent, stab)
+    schreier = (transversal[act(pair, key)].inverse() * (g * u)
+                for key, u in transversal.items() for g, pair in steps)
+    handle = _reduced_subgroup(parent, schreier, cap, target)
     if handle.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return handle
@@ -228,13 +218,13 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
         raise NotInGroupError(f"element not in group: {x!r}")
     if group.is_abelian():
         return whole_group(group)
-    return _schreier_stabilizer(group, x.images, conjugate_images)
+    return _schreier_stabilizer(group, x.images, conjugate_images, DEFAULT_MAX_ELEMENTS)
 
 
 def normalizer(group: PermGroup, handle: SubgroupHandle,
                cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """N_G(H): stabilizer of the element set of H under conjugation."""
-    return _schreier_stabilizer(group, handle.element_set(cap), conjugate_set)
+    return _schreier_stabilizer(group, handle.element_set(cap), conjugate_set, cap)
 
 
 def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,

@@ -8,12 +8,13 @@ witness payload sufficient to replay a failure.
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import parse_group_file, serialize_group_file
 from .classes import class_algebra, conjugacy_classes, k_pi
-from .config import DEFAULT_CONFIG, Config
+from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import CapExceededError, InvalidInputError
 from .group import PermGroup
 from .invariants import (
@@ -477,26 +478,17 @@ def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
                         workers: int = 1) -> CampaignResult:
     """Apply the selected suites to every census group under the caps of
     ``config`` (``max_elements``, ``subgroup_cap``, ``max_quotient_degree``,
-    ``hall_budget``, ``seed``).
+    ``hall_budget``, ``seed``), one group after another on this thread.
 
-    Reports come back in census order regardless of the worker count; the
-    summary counts verdicts per status.
+    Reports come back in census order; the summary counts verdicts per status.
     """
+    # ``workers`` is accepted only as 1, for perfbench/workloads.py; the
+    # benchmark PR of ROADMAP item 4 drops it together with the Limits alias.
+    if workers != 1:
+        raise InvalidInputError(WORKERS_ERROR)
     suites = resolve_suites(suites)
-    entries = list(census_iter)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(
-                lambda item: run_group_suite(item[1], item[0], suites, config), entries))
-    else:
-        chunks = [run_group_suite(g, name, suites, config) for name, g in entries]
-    reports = [r for chunk in chunks for r in chunk]
-    summary: dict[str, int] = {}
-    for r in reports:
-        summary[r.status] = summary.get(r.status, 0) + 1
-    return CampaignResult(reports=reports, summary=summary)
+    reports = [r for name, g in census_iter for r in run_group_suite(g, name, suites, config)]
+    return CampaignResult(reports=reports, summary=dict(Counter(r.status for r in reports)))
 
 
 # -- counterexample bundles ---------------------------------------------------

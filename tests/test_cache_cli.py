@@ -250,6 +250,8 @@ def _write_replay_dirs(root):
                         "group.grp": group_file},
         "bad-config": {"meta.json": json.dumps({**meta, "config": {"max_elements": "x"}}),
                        "group.grp": group_file},
+        "two-workers": {"meta.json": json.dumps({**meta, "config": {"workers": 2}}),
+                        "group.grp": group_file},
     }
     for name, files in bundles.items():
         (root / name).mkdir()
@@ -278,6 +280,9 @@ def _write_replay_dirs(root):
     ["verify", "--replay", "no-group"],
     ["verify", "--replay", "unknown-rid"],
     ["verify", "--replay", "bad-config"],
+    ["verify", "C3", "--workers", "2"],
+    ["verify", "C3", "--config", "two-workers.json"],
+    ["verify", "--replay", "two-workers"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -290,6 +295,7 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     (tmp_path / "int-cache-dir.json").write_text('{"cache_dir": 5}')
     (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "two-workers.json").write_text('{"workers": 2}')
     _write_replay_dirs(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code != 0

@@ -66,6 +66,7 @@ def test_order_invariant_under_base_regeneration(named):
     a5 = named("A5")
     for hint in ([4, 2], [3], [0, 1, 2, 3, 4]):
         rebuilt = PermGroup(list(a5.generators), base_hint=hint)
+        assert rebuilt.base[:len(hint)] == tuple(hint)
         assert rebuilt.order == 60
         assert set(rebuilt.elements()) == set(a5.elements())
 
@@ -105,24 +106,6 @@ def test_random_element_deterministic_stream(named):
     assert first == second
     for p in first:
         assert s4.contains(p)
-
-
-def test_concurrent_first_use_is_safe():
-    import threading
-
-    gens = [parse_cycle_text("(0 1)", 6), parse_cycle_text("(0 1 2 3 4 5)", 6)]
-    g = PermGroup(gens)
-    results = []
-
-    def probe():
-        results.append((g.order, g.contains(parse_cycle_text("(0 2)", 6))))
-
-    threads = [threading.Thread(target=probe) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert results == [(720, True)] * 8
 
 
 @settings(max_examples=25, deadline=None)

@@ -104,6 +104,16 @@ def test_normalizer_brute_crosscheck(named):
     assert n.element_set() == frozenset(b.images for b in brute)
 
 
+def test_normalizer_keeps_the_greedy_generators_and_its_cap(named):
+    s5 = named("S5")
+    h = subgroup(s5, [parse_cycle_text("(0 1)", 5)])
+    n = normalizer(s5, h)
+    assert n.order == 12
+    assert n.generators == tuple(parse_cycle_text(c, 5) for c in ("(0 1)", "(3 4)", "(2 3)"))
+    with pytest.raises(CapExceededError):  # N_G(H) has order 12
+        normalizer(s5, subgroup(s5, [parse_cycle_text("(0 1)", 5)]), cap=10)
+
+
 def test_center_examples(named):
     assert center(named("D8")).order == 2
     assert center(named("Q8")).order == 2
