@@ -1,13 +1,13 @@
 """Subgroup construction and structural computations.
 
 Subgroups built one generator at a time (subgroup-class enumeration, normal
-closures, Sylow growth, greedy generating sets) are grown by coset closure on
-element sets (``_extend_closure``), so each membership test is a set lookup;
-a handle's Schreier-Sims chain is built only when something asks for it.
-Stabilizer-style computations (element centralizers, normalizers, subgroup
-conjugacy) walk one conjugation orbit with ``orbit_transversal`` and read
-the stabilizer off its Schreier generators, so they never enumerate the
-ambient group.  Normal-subgroup queries (the lattice, O_pi', the Fitting
+closures, Sylow growth, greedy generating sets, stabilizers) are grown by
+coset closure on element sets (``_extend_closure``), so each membership test
+is a set lookup; a handle's Schreier-Sims chain is built only when something
+asks for it.  Stabilizer-style computations (element centralizers,
+normalizers, subgroup conjugacy) walk one conjugation orbit with
+``orbit_transversal`` and grow the stabilizer from its Schreier generators,
+so they never enumerate the ambient group.  Normal-subgroup queries (the lattice, O_pi', the Fitting
 subgroup, the socle, the class counts k_pi(N) and k_pi(G/N)) read class
 bitsets over the class table of G (``classes.ClassAlgebra``) instead of
 element sets: k_pi(N) from the split of G-classes into N-classes, k_pi(G/N)

@@ -8,7 +8,6 @@ witness payload sufficient to replay a failure.
 
 import json
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -483,12 +482,15 @@ def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
     Reports come back in census order; the summary counts verdicts per status.
     """
     # ``workers`` is accepted only as 1, for perfbench/workloads.py; the
-    # benchmark PR of ROADMAP item 4 drops it together with the Limits alias.
+    # benchmark change of ROADMAP item 4 drops it together with the Limits alias.
     if workers != 1:
         raise InvalidInputError(WORKERS_ERROR)
     suites = resolve_suites(suites)
     reports = [r for name, g in census_iter for r in run_group_suite(g, name, suites, config)]
-    return CampaignResult(reports=reports, summary=dict(Counter(r.status for r in reports)))
+    summary: dict[str, int] = {}
+    for r in reports:
+        summary[r.status] = summary.get(r.status, 0) + 1
+    return CampaignResult(reports=reports, summary=summary)
 
 
 # -- counterexample bundles ---------------------------------------------------
