@@ -18,6 +18,7 @@ Searches that can fail distinguish three outcomes explicitly; in particular
 ``hall_search`` only ever reports nonexistence from its exhaustive tier.
 """
 
+import math
 import random
 from collections import deque
 from collections.abc import Callable
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from .classes import class_algebra, k_pi, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
-from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
+from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
     Permutation,
     conjugate,
@@ -653,12 +654,25 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     """One representative per conjugacy class of subgroups, complete.
 
     Layered one-element extensions: every found class representative H is
-    extended by candidate elements (one per H-conjugation orbit) by coset
-    closure (``_extend``), and each new subgroup is deduplicated against the
-    conjugate closure of the classes found so far.  Any subgroup is reachable through its own generation chain,
-    so the sweep is exhaustive.  With ``pi`` set, only pi-subgroups are
-    enumerated (sound: every subgroup of a pi-group is again one, so chains
-    never have to leave the pi-world).  Results are cached per (group, pi).
+    extended by candidate elements x by coset closure (``_extend``), and
+    each new subgroup K = <H, x> is deduplicated against the conjugate
+    closure of the classes found so far.  Any subgroup is reachable through
+    its own generation chain, so the sweep is exhaustive.  With ``pi`` set,
+    only pi-subgroups are enumerated (sound: every subgroup of a pi-group is
+    again one, so chains never have to leave the pi-world).  Results are
+    cached per (group, pi).
+
+    After each closure, later candidates y with <H, y> = K are skipped:
+    (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
+    (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
+    since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
+    are built as the H-conjugation orbits of the coset H x^k (a x^k b is
+    the conjugate of b a x^k by b^-1).  Both sets are unions of such
+    double cosets, so a candidate is skipped exactly when its double coset
+    was seen.  A skipped y would only rebuild a K that ``register`` has
+    already seen (or that the pi filter dropped), so the list of classes,
+    its order and every handle's generators are those of the sweep without
+    the skips.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
@@ -668,8 +682,8 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if cached is not None:
         return cached
 
-    elements = group.element_list(element_cap)
-    candidates = elements if pi is None else [x for x in elements if is_pi_number(x.order(), pi)]
+    orders = [(x, x.order()) for x in group.element_list(element_cap)]
+    candidates = orders if pi is None else [(x, n) for x, n in orders if is_pi_number(n, pi)]
     found: list[SubgroupHandle] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
@@ -684,12 +698,22 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         base_set = base.element_set(element_cap)
         base_pairs = conjugation_pairs(base.generators)
         covered: set[tuple[int, ...]] = set()
-        for x in candidates:
+        for x, n in candidates:
             xim = x.images
             if xim in base_set or xim in covered:
                 continue
-            covered.update(conjugation_orbit(xim, base_pairs))
             extended = _extend(base, x, element_cap)
+            if is_prime(extended.order // base.order):  # H is maximal in <H, x>
+                covered.update(extended.element_set(element_cap))
+            else:  # the double cosets H x^k H, k coprime to |x|
+                power = xim
+                for k in range(1, n):
+                    if power not in covered and math.gcd(k, n) == 1:
+                        for h in base_set:
+                            hx = tuple(map(h.__getitem__, power))
+                            if hx not in covered:
+                                covered.update(conjugation_orbit(hx, base_pairs))
+                    power = tuple(map(xim.__getitem__, power))
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue
             register(extended)

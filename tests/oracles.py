@@ -4,10 +4,12 @@ Nothing here touches the BSGS machinery beyond listing a group's elements:
 closures are multiplication BFS over raw image tuples, class partitions
 conjugate by every element, and the commuting probability counts pairs.
 numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
-The one exception is ``normal_subgroups_by_joins``, the pairwise-join
-lattice the library used before its class-algebra lattice; it fixes the
-order and the generators the library must keep reproducing.  The routines
-after it redo, on element sets, the normal-subgroup queries the library
+The exceptions are ``normal_subgroups_by_joins``, the pairwise-join
+lattice the library used before its class-algebra lattice, and
+``subgroup_classes_by_orbit_skip``, the subgroup-class sweep the library
+ran before its double-coset skip rules; they fix the order and the
+generators the library must keep reproducing.  The routines after the
+lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.
 """
@@ -124,6 +126,58 @@ def all_subgroups_naive(group, cap=100_000):
                 found.add(closure)
                 queue.append((closure, new_gens))
     return found
+
+
+def k_pi_by_class_equation(group, pi, cap=100_000):
+    """k_pi(G) = (1/|G|) * sum of |C_G(x)| over the pi-elements x: each class
+    x^G has |G : C_G(x)| members, so it contributes |G| to the sum."""
+    from piclass.numtheory import is_pi_number
+
+    elements = group.element_list(cap)
+    total = sum(len(brute_centralizer(elements, x))
+                for x in elements if is_pi_number(x.order(), frozenset(pi)))
+    assert total % group.order == 0
+    return total // group.order
+
+
+def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
+    """One handle per conjugacy class of subgroups (pi-subgroups with ``pi``
+    set), by the sweep the library ran before its double-coset skip rules.
+
+    Each class representative H is extended by every candidate outside H,
+    skipping only the H-conjugates of candidates already tried; a new
+    subgroup is kept unless a conjugate of it was found before.  Sorted by
+    order and then element set, like the library.  Uncached.
+    """
+    from piclass.numtheory import is_pi_number
+    from piclass.perm import conjugate_set, conjugation_orbit, conjugation_pairs
+    from piclass.subgroups import _extend, orbit_transversal, trivial_subgroup
+
+    pi = None if pi is None else frozenset(pi)
+    elements = group.element_list(cap)
+    candidates = elements if pi is None else [x for x in elements if is_pi_number(x.order(), pi)]
+    found = []
+    seen = set()
+
+    def register(handle):
+        key = handle.element_set(cap)
+        if key not in seen:
+            found.append(handle)
+            seen.update(orbit_transversal(group, key, conjugate_set))
+
+    register(trivial_subgroup(group))
+    for base in found:
+        base_set = base.element_set(cap)
+        base_pairs = conjugation_pairs(base.generators)
+        covered = set()
+        for x in candidates:
+            if x.images in base_set or x.images in covered:
+                continue
+            covered.update(conjugation_orbit(x.images, base_pairs))
+            extended = _extend(base, x, cap)
+            if pi is None or is_pi_number(extended.order, pi):
+                register(extended)
+    return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set(cap)))))
 
 
 def normal_subgroups_by_joins(group, cap=100_000):

@@ -5,18 +5,21 @@ import pytest
 from oracles import (
     all_subgroups_naive,
     fitting_subgroup_by_closures,
+    k_pi_by_class_equation,
     naive_closure,
     normal_core_by_closures,
     normal_pi_complement_by_element_scan,
     normal_subgroups_by_class_unions,
     normal_subgroups_by_joins,
     socle_by_element_sets,
+    subgroup_classes_by_orbit_skip,
 )
-from piclass.catalog import build, parse_name
+from piclass.catalog import build, census_specs, parse_name
 from piclass.classes import class_algebra, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
+from piclass.numtheory import is_pi_number
 from piclass.perm import (
     Permutation,
     conjugate,
@@ -507,6 +510,51 @@ def test_subgroup_enumeration_against_naive(name, named):
     for h in classes:
         total += g.order // normalizer(g, h).order
     assert total == len(all_subgroups_naive(g))
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "A4", "S3 x C3"])
+def test_pi_restricted_enumeration_against_naive(name, named):
+    g = named(name)
+    subgroup_sets = all_subgroups_naive(g)
+    for pi in _nonempty_subsets(group_primes(g)):
+        total = sum(g.order // normalizer(g, h).order
+                    for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi))
+        assert total == sum(is_pi_number(len(s), pi) for s in subgroup_sets), sorted(pi)
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_subgroup_enumeration_matches_orbit_skip_sweep(name, named):
+    g = named(name)
+    for pi in _nonempty_subsets(group_primes(g)):
+        ours = enumerate_subgroups_up_to_conjugacy(g, pi=pi)
+        oracle = subgroup_classes_by_orbit_skip(g, pi)
+        assert [h.order for h in ours] == [h.order for h in oracle], sorted(pi)
+        assert [h.generators for h in ours] == [h.generators for h in oracle], sorted(pi)
+        assert [h.element_set() for h in ours] == [h.element_set() for h in oracle], sorted(pi)
+
+
+def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
+    import piclass.subgroups
+
+    closures = []
+    closure = piclass.subgroups._extend_closure
+
+    def counting(*args):
+        closures.append(1)
+        return closure(*args)
+
+    monkeypatch.setattr(piclass.subgroups, "_extend_closure", counting)
+    g = build(parse_name("C12 x C6"))  # fresh: no cached classes
+    assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
+    # the H-orbit skip alone makes 2,862 closures here, the double-coset rules 274
+    assert 0 < len(closures) <= 600
+
+
+@pytest.mark.parametrize("name", [n for n in LATTICE_SLICE if parse_name(n).order <= 200])
+def test_k_pi_matches_class_equation(name, named):
+    g = named(name)
+    for pi in _nonempty_subsets(group_primes(g)):
+        assert k_pi(g, pi) == k_pi_by_class_equation(g, pi), sorted(pi)
 
 
 def test_pi_restricted_enumeration(named):
