@@ -170,8 +170,8 @@ def d_pi_hall_average(group: PermGroup, pi, p: int,
         raise PreconditionError("Hall mu-subgroup is not abelian")
     order_p = pi_part(group.order, frozenset([p]))
     total = 0
-    for h in hall.elements(cap):
-        cent = centralizer_of_element(group, h)
+    for h in hall.element_set():
+        cent = centralizer_of_element(group, Permutation._make(h))
         total += k_pi(cent.group, frozenset([p]), cap)
     return Fraction(total, hall.order * order_p)
 
@@ -232,7 +232,7 @@ def class_count_product_bound(group: PermGroup, pi,
         else:
             host = group
         q = sylow_subgroup(host, p, cap)
-        witnesses.append(SubgroupHandle(group, q.group))
+        witnesses.append(SubgroupHandle(group, q.group, q.element_set()))
         primes.append(p)
     value = k_pi(group, pi, cap)
     prod = 1

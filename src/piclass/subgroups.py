@@ -1,21 +1,23 @@
 """Subgroup construction and structural computations.
 
-Subgroups built one generator at a time (subgroup-class enumeration, normal
-closures, Sylow growth, greedy generating sets, stabilizers) are grown by
-coset closure on element sets (``_extend_closure``), so each membership test
-is a set lookup; a handle's Schreier-Sims chain is built only when something
-asks for it.  Stabilizer-style computations (element centralizers,
+Every subgroup handle carries its element set, so its order is the set's
+size and each membership test is a set lookup; its Schreier-Sims chain is
+built only to list it in chain order.  Subgroups made from generators (the
+closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
+growth, greedy generating sets, stabilizers) get their sets by coset closure
+(``_extend_closure``).  Stabilizer-style computations (element centralizers,
 normalizers, subgroup conjugacy) walk one conjugation orbit with
 ``orbit_transversal`` and grow the stabilizer from its Schreier generators,
-so they never enumerate the ambient group.  Normal-subgroup queries (the lattice, O_pi', the Fitting
-subgroup, the socle, the class counts k_pi(N) and k_pi(G/N)) read class
-bitsets over the class table of G (``classes.ClassAlgebra``) instead of
-element sets: k_pi(N) from the split of G-classes into N-classes, k_pi(G/N)
-from class fusion, so neither N nor G/N gets a class table of its own.
-Set-level filters (subgroup centralizers, centers) enumerate under the
-element cap.
-Searches that can fail distinguish three outcomes explicitly; in particular
-``hall_search`` only ever reports nonexistence from its exhaustive tier.
+so they never enumerate the ambient group.  Normal-subgroup queries (the
+lattice, O_pi', the Fitting subgroup, the socle, the class counts k_pi(N)
+and k_pi(G/N)) close class bitsets over the class table of G
+(``classes.ClassAlgebra``): the lattice's joins read their element sets
+from them, k_pi(N) comes from the split of G-classes into N-classes and
+k_pi(G/N) from class fusion, so neither N nor G/N gets a class table of
+its own.  Set-level filters (subgroup centralizers, centers) enumerate
+under the element cap.  Searches that can fail distinguish three outcomes
+explicitly; in particular ``hall_search`` only ever reports nonexistence
+from its exhaustive tier.
 """
 
 import math
@@ -24,7 +26,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import class_algebra, k_pi, pi_part_of_element
+from .classes import class_algebra, conjugacy_classes, k_pi, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -43,18 +45,19 @@ DEFAULT_HALL_BUDGET = 20
 
 
 class SubgroupHandle:
-    """A subgroup of a parent group, given by generators inside the parent."""
+    """A subgroup of a parent group: its generators inside the parent and the
+    element set (image tuples) they span, which gives ``order`` and
+    ``contains``.  The chain of ``group``, the PermGroup on the generators,
+    is built only by ``elements()``, which lists in the chain's order.
+    ``class_mask`` is the bitset over the parent's class table (ClassAlgebra)
+    of a normal subgroup, from the lattice or ``_normal_class_mask``."""
 
-    def __init__(self, parent: PermGroup, group: PermGroup, elements: frozenset | None = None):
+    def __init__(self, parent: PermGroup, group: PermGroup, elements: frozenset,
+                 class_mask: int | None = None):
         self.parent = parent
         self.group = group
-        self._element_set: frozenset[tuple[int, ...]] | None = elements
-        self._order: int | None = None if elements is None else len(elements)
-        self._is_abelian: bool | None = None
-        self._is_normal: bool | None = None
-        # bitset over the parent's class table (see ClassAlgebra), set by
-        # normal_subgroups, or by quotient_k_pi on first use
-        self.class_mask: int | None = None
+        self._element_set: frozenset[tuple[int, ...]] = elements
+        self.class_mask = class_mask
 
     @property
     def generators(self) -> tuple[Permutation, ...]:
@@ -62,52 +65,45 @@ class SubgroupHandle:
 
     @property
     def order(self) -> int:
-        if self._order is None:
-            self._order = self.group.order
-        return self._order
+        return len(self._element_set)
 
     def contains(self, p: Permutation) -> bool:
-        if self._element_set is not None:
-            return p.images in self._element_set
-        return self.group.contains(p)
+        return p.images in self._element_set
 
     def elements(self, cap: int = DEFAULT_MAX_ELEMENTS) -> list[Permutation]:
         return self.group.element_list(cap)
 
-    def element_set(self, cap: int = DEFAULT_MAX_ELEMENTS) -> frozenset[tuple[int, ...]]:
-        if self._element_set is None:
-            self._element_set = frozenset(p.images for p in self.elements(cap))
+    def element_set(self) -> frozenset[tuple[int, ...]]:
         return self._element_set
 
     def is_abelian(self) -> bool:
-        if self._is_abelian is None:
-            self._is_abelian = self.group.is_abelian()
-        return self._is_abelian
+        return self.group.is_abelian()
 
     def is_normal(self) -> bool:
         """Normal in the parent group."""
-        if self._is_normal is None:
-            self._is_normal = all(
-                self.contains(conjugate(g, s))
-                for g in self.parent.generators
-                for s in self.group.generators
-            )
-        return self._is_normal
+        return self.class_mask is not None or all(
+            self.contains(conjugate(g, s))
+            for g in self.parent.generators
+            for s in self.group.generators
+        )
 
     def __repr__(self) -> str:
         return f"SubgroupHandle(order={self.order} in parent order {self.parent.order})"
 
 
-def subgroup(parent: PermGroup, gens, *, verify: bool = True) -> SubgroupHandle:
-    """Smallest subgroup of parent containing gens (the closure)."""
+def subgroup(parent: PermGroup, gens, *, verify: bool = True,
+             cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+    """Smallest subgroup of parent containing gens (the closure), on the
+    nonidentity gens as given.  Its element set is grown by coset closure
+    (``_reduced_subgroup``); CapExceededError once it would pass ``cap``."""
     gens = [g for g in gens if not g.is_identity()]
     if verify:
         for g in gens:
             if not parent.contains(g):
                 raise NotInGroupError(f"generator not in parent group: {g!r}")
-    if not gens:
-        gens = [Permutation.identity(parent.degree)]
-    return SubgroupHandle(parent, PermGroup(gens, degree=parent.degree))
+    elements = _reduced_subgroup(parent, gens, cap).element_set()
+    return SubgroupHandle(parent, PermGroup(gens or [Permutation.identity(parent.degree)],
+                                            degree=parent.degree), elements)
 
 
 def trivial_subgroup(parent: PermGroup) -> SubgroupHandle:
@@ -115,8 +111,8 @@ def trivial_subgroup(parent: PermGroup) -> SubgroupHandle:
     return SubgroupHandle(parent, PermGroup([one]), frozenset([one.images]))
 
 
-def whole_group(parent: PermGroup) -> SubgroupHandle:
-    return SubgroupHandle(parent, parent)
+def whole_group(parent: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+    return SubgroupHandle(parent, parent, frozenset(p.images for p in parent.element_list(cap)))
 
 
 def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple[int, ...]]:
@@ -151,7 +147,7 @@ def _extend(handle: SubgroupHandle, x: Permutation, cap: int) -> SubgroupHandle:
     its chain is built only on demand."""
     gens = [g for g in handle.generators if not g.is_identity()]
     return SubgroupHandle(handle.parent, PermGroup(gens + [x]),
-                          _extend_closure(handle.element_set(cap), gens, x, cap))
+                          _extend_closure(handle.element_set(), gens, x, cap))
 
 
 def _reduced_subgroup(parent: PermGroup, elements, cap: int = DEFAULT_MAX_ELEMENTS,
@@ -225,7 +221,7 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
 def normalizer(group: PermGroup, handle: SubgroupHandle,
                cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     """N_G(H): stabilizer of the element set of H under conjugation."""
-    return _schreier_stabilizer(group, handle.element_set(cap), conjugate_set, cap)
+    return _schreier_stabilizer(group, handle.element_set(), conjugate_set, cap)
 
 
 def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,
@@ -237,7 +233,7 @@ def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,
 
 
 def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    return centralizer_of_subgroup(group, whole_group(group), cap)
+    return centralizer_of_subgroup(group, whole_group(group, cap), cap)
 
 
 def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
@@ -268,21 +264,22 @@ def commutator_subgroup(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
     return SubgroupHandle(group, closed.group, closed.element_set())
 
 
-def derived_subgroup(group: PermGroup) -> SubgroupHandle:
-    g = whole_group(group)
-    return commutator_subgroup(group, g, g)
+def derived_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+    g = whole_group(group, cap)
+    return commutator_subgroup(group, g, g, cap)
 
 
 def subgroup_intersection(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
                           cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
     small, big = (a, b) if a.order <= b.order else (b, a)
-    bigset = big.element_set(cap)
+    bigset = big.element_set()
     hits = [x for x in small.elements(cap) if x.images in bigset]
     return _reduced_subgroup(group, hits, cap)
 
 
-def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
-    return subgroup(group, list(a.generators) + list(b.generators), verify=False)
+def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
+                   cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+    return subgroup(group, list(a.generators) + list(b.generators), verify=False, cap=cap)
 
 
 # -- normal subgroup lattice ------------------------------------------------
@@ -295,23 +292,23 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
     every normal subgroup is the join of the seeds it contains, so closing
     the seed set under pairwise joins is exhaustive.  The closing runs in
     the class algebra, on class bitsets: a join is the class set of N * M.
-    A handle is made only for a bitset seen for the first time, as the
-    normal closure of its class representative or the join of the two
-    handles' generators.  Orders and element sets come from the bitsets.
-    Cached on the group.
+    A handle is made only for a bitset seen for the first time, on the
+    generators of the normal closure of its class representative or on
+    those of the two joined handles; a join's element set is read from its
+    bitset, so no join runs a closure.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
     algebra = class_algebra(group, cap)
     full = algebra.full
-    trivial = algebra.mask_of([Permutation.identity(group.degree)])
-    found: dict[int, SubgroupHandle] = {trivial: trivial_subgroup(group)}
-    seeds = []
+    found: dict[int, SubgroupHandle] = {}
+    seeds = []  # the identity's class comes first and gives the trivial group
     for i, cls in enumerate(algebra.table.classes):
         mask = algebra.closure(1 << i)
         if mask not in found:
-            found[mask] = normal_closure(group, [cls.rep], cap)
+            seed = normal_closure(group, [cls.rep], cap)
+            found[mask] = SubgroupHandle(group, seed.group, seed.element_set(), mask)
             seeds.append(mask)
     queue = deque(seeds)
     while queue:
@@ -324,17 +321,13 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
                 continue
             joined = algebra.join(current, other)
             if joined not in found:
-                found[joined] = join_subgroups(group, found[current], found[other])
+                gens = found[current].generators + found[other].generators
+                found[joined] = SubgroupHandle(group, PermGroup(gens),
+                                               frozenset(algebra.elements(joined)), joined)
                 queue.append(joined)
-    for mask, handle in found.items():
-        handle._order = algebra.order(mask)
-        handle._is_normal = True
-        handle.class_mask = mask
-        if mask != full:
-            handle._element_set = frozenset(algebra.elements(mask))
     result = sorted(
         found.values(),
-        key=lambda h: (h.order, tuple(sorted(h._element_set)) if h.class_mask != full else ()),
+        key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.class_mask != full else ()),
     )
     group.cache["normal_subgroups"] = result
     return result
@@ -402,15 +395,14 @@ class QuotientGroup:
 
 
 def quotient(group: PermGroup, kernel: SubgroupHandle,
-             max_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE,
-             cap: int = DEFAULT_MAX_ELEMENTS) -> QuotientGroup:
+             max_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE) -> QuotientGroup:
     """Coset action of G on G/N; fails rather than seeking a smaller action."""
     if not kernel.is_normal():
         raise PreconditionError("kernel is not normal in the group")
     index = group.order // kernel.order
     if index > max_degree:
         raise CapExceededError("quotient degree", index, max_degree)
-    kernel_images = [n.images for n in kernel.elements(cap)]
+    kernel_images = kernel.element_set()
     degree = group.degree
 
     def label(h: Permutation) -> tuple[int, ...]:
@@ -503,11 +495,11 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     if target == 1:
         return found(trivial_subgroup(group), "constructive", "pi-part of order is 1")
     if target == group.order:
-        return found(whole_group(group), "constructive", "whole group is a pi-group")
+        return found(whole_group(group, cap), "constructive", "whole group is a pi-group")
 
     relevant = [p for p in prime_factors(group.order) if p in pi]
     sylows = [sylow_subgroup(group, p, cap) for p in relevant]
-    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False)
+    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False, cap=cap)
     if cand.order == target:
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
@@ -527,7 +519,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
                 syl = sylow_subgroup(cur, p, cap)
                 hgens.extend(syl.generators)
                 cur = centralizer_of_subgroup(cur, syl, cap).group
-            cand = subgroup(group, hgens, verify=False)
+            cand = subgroup(group, hgens, verify=False, cap=cap)
             if cand.order == target and is_pi_number(cand.order, pi):
                 return found(cand, "constructive",
                              f"Sylow subgroups in iterated centralizers ({direction})")
@@ -539,7 +531,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
             c = group.random_element(rng)
             cinv = c.inverse()
             gens.extend(conjugate(c, g, cinv) for g in s.generators)
-        cand = subgroup(group, gens, verify=False)
+        cand = subgroup(group, gens, verify=False, cap=cap)
         if cand.order == target and is_pi_number(cand.order, pi):
             return found(cand, "randomized", f"random Sylow conjugates, attempt {attempt + 1}")
 
@@ -554,8 +546,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     return HallSearchOutcome("unresolved", None, None, "budget exhausted over exhaustive cap", None)
 
 
-def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
-                            cap: int = DEFAULT_MAX_ELEMENTS):
+def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle):
     """(conjugate?, witness g with g a g^-1 = b).
 
     The witness is the transversal element of b in the conjugation orbit of
@@ -563,8 +554,8 @@ def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHand
     """
     if a.order != b.order:
         return False, None
-    akey = a.element_set(cap)
-    bkey = b.element_set(cap)
+    akey = a.element_set()
+    bkey = b.element_set()
     if akey == bkey:
         return True, Permutation.identity(group.degree)
     witness = orbit_transversal(group, akey, conjugate_set).get(bkey)
@@ -682,20 +673,22 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if cached is not None:
         return cached
 
-    orders = [(x, x.order()) for x in group.element_list(element_cap)]
+    table = conjugacy_classes(group, element_cap)
+    orders = [(x, table.classes[table.class_of(x)].order)
+              for x in group.element_list(element_cap)]
     candidates = orders if pi is None else [(x, n) for x, n in orders if is_pi_number(n, pi)]
     found: list[SubgroupHandle] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
     def register(handle: SubgroupHandle) -> None:
-        key = handle.element_set(element_cap)
+        key = handle.element_set()
         if key not in seen:
             found.append(handle)
             seen.update(orbit_transversal(group, key, conjugate_set))
 
     register(trivial_subgroup(group))
     for base in found:
-        base_set = base.element_set(element_cap)
+        base_set = base.element_set()
         base_pairs = conjugation_pairs(base.generators)
         covered: set[tuple[int, ...]] = set()
         for x, n in candidates:
@@ -704,7 +697,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                 continue
             extended = _extend(base, x, element_cap)
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
-                covered.update(extended.element_set(element_cap))
+                covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|
                 power = xim
                 for k in range(1, n):
@@ -717,6 +710,6 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue
             register(extended)
-    found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set(element_cap)))))
+    found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set()))))
     group.cache[cache_key] = found
     return found

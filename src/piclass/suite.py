@@ -132,8 +132,8 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
         for cls in table.classes:
             if not is_pi_number(cls.order, pi):
                 continue
-            cyc = subgroup(group, [cls.rep], verify=False)
-            key = cyc.element_set(config.max_elements)
+            cyc = subgroup(group, [cls.rep], verify=False, cap=config.max_elements)
+            key = cyc.element_set()
             if key not in seen:
                 seen.add(key)
                 classes.append(cyc)
@@ -145,16 +145,15 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
         witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     for other in halls:
-        same, _ = are_conjugate_subgroups(group, hall, other, config.max_elements)
+        same, _ = are_conjugate_subgroups(group, hall, other)
         if not same:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
             return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     witness["conjugacy"] = "ok"
 
-    hall_conjugates = orbit_transversal(group, hall.element_set(config.max_elements),
-                                        conjugate_set)
+    hall_conjugates = orbit_transversal(group, hall.element_set(), conjugate_set)
     for sub in classes:
-        subset = sub.element_set(config.max_elements)
+        subset = sub.element_set()
         if not any(subset <= conj for conj in hall_conjugates):
             witness["containment"] = f"pi-subgroup of order {sub.order} in no Hall conjugate"
             witness["offender_generators"] = _gens(sub)
@@ -333,7 +332,7 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
         return VerdictReport(rid, name, (3,), FAIL, witness)
     z_norm = center(norm.group, config.max_elements)
     z_meet = subgroup_intersection(group, p_syl,
-                                   SubgroupHandle(group, z_norm.group),
+                                   SubgroupHandle(group, z_norm.group, z_norm.element_set()),
                                    config.max_elements)
     witness["central_part_order"] = z_meet.order
     meet = subgroup_intersection(group, comm, z_meet, config.max_elements)

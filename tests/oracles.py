@@ -160,14 +160,14 @@ def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
     seen = set()
 
     def register(handle):
-        key = handle.element_set(cap)
+        key = handle.element_set()
         if key not in seen:
             found.append(handle)
             seen.update(orbit_transversal(group, key, conjugate_set))
 
     register(trivial_subgroup(group))
     for base in found:
-        base_set = base.element_set(cap)
+        base_set = base.element_set()
         base_pairs = conjugation_pairs(base.generators)
         covered = set()
         for x in candidates:
@@ -177,11 +177,11 @@ def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
             extended = _extend(base, x, cap)
             if pi is None or is_pi_number(extended.order, pi):
                 register(extended)
-    return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set(cap)))))
+    return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set()))))
 
 
 def normal_subgroups_by_joins(group, cap=100_000):
-    """Normal subgroups by Schreier-Sims joins, keyed by element sets.
+    """Normal subgroups by pairwise ``join_subgroups``, keyed by element sets.
 
     Seeds are the normal closures of the class representatives, closed under
     pairwise joins (FIFO over the subgroups found, in insertion order); the
@@ -197,7 +197,7 @@ def normal_subgroups_by_joins(group, cap=100_000):
     def key_of(handle):
         if handle.order == group.order:
             return whole_key
-        return handle.element_set(cap)
+        return handle.element_set()
 
     def register(handle):
         k = key_of(handle)
@@ -232,7 +232,7 @@ def normal_subgroups_by_joins(group, cap=100_000):
                 queue.append(joined)
     return sorted(
         found.values(),
-        key=lambda h: (h.order, tuple(sorted(h.element_set(cap))) if h.order < group.order else ()),
+        key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.order < group.order else ()),
     )
 
 
@@ -286,7 +286,7 @@ def socle_by_element_sets(group, cap=100_000):
     smaller nontrivial one, by subset tests on element sets."""
     from piclass.subgroups import normal_subgroups
 
-    normals = [n.element_set(cap) for n in normal_subgroups(group, cap) if n.order > 1]
+    normals = [n.element_set() for n in normal_subgroups(group, cap) if n.order > 1]
     members = []
     for n in normals:
         if not any(len(m) < len(n) and m <= n for m in normals):

@@ -10,7 +10,10 @@ behind ``normalizer`` and Sylow growth; its digest was recorded with one
 hand-written orbit loop per caller.  The ``complement``+``structure`` slice
 is the whole default census: normal pi-complements, O_3' and the ``case2``
 direct decompositions; its digest was recorded when those were computed from
-element sets and Schreier-Sims closures.
+element sets and Schreier-Sims closures.  The ``all`` slice is the report of
+``piclass verify --census --suite all --format json``; its digest was
+recorded while some subgroup handles still fell back to Schreier-Sims chains
+for their orders and memberships.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ import pytest
 from piclass.catalog import census
 from piclass.config import Config
 from piclass.reporting import document, render_json
-from piclass.suite import run_census_campaign
+from piclass.suite import DEFAULT_SUITES, run_census_campaign
 
 SLICES = {
     "quotient-structure": (
@@ -44,6 +47,13 @@ SLICES = {
         ["S5 x C9", "A5 x C3"],
         '"o_3_prime_order"',
         "ada2484aff74687fc2f778a86dc6081a2be37aa237f642f16201d44a2b5bfc16",
+    ),
+    "all": (
+        Config(),
+        DEFAULT_SUITES,
+        ["C12 x C12", "S5 x C9", "D8 x D8"],
+        '"hall_generators"',
+        "ac9814b8f9d72caad5c725699304ee4468d16dfa39df5056780a8bba7556d21d",
     ),
 }
 

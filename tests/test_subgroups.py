@@ -230,6 +230,9 @@ def _assert_matches_chain(handle):
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_coset_closure_matches_chain_oracle(name, named):
+    """Every kind of handle (enumeration, normal closures, ``subgroup``,
+    ``whole_group``, Sylow growth, the lattice, ``join_subgroups`` and
+    ``hall_search``) holds the element set its own generators span."""
     g = named(name)
     primes = group_primes(g)
     # all subgroups of the small groups; the p-subgroups of the larger ones
@@ -241,8 +244,18 @@ def test_coset_closure_matches_chain_oracle(name, named):
                         == _chain_elements(h.generators + (x,)))
     for cls in conjugacy_classes(g).classes:
         _assert_matches_chain(normal_closure(g, [cls.rep]))
-    for p in primes:
-        _assert_matches_chain(sylow_subgroup(g, p))
+        _assert_matches_chain(subgroup(g, [cls.rep]))
+    sylows = [sylow_subgroup(g, p) for p in sorted(primes)]
+    normals = normal_subgroups(g)
+    handles = [whole_group(g), subgroup(g, g.generators), *sylows, *normals]
+    handles += [join_subgroups(g, a, b) for a, b in zip(normals, normals[1:])]
+    handles += [join_subgroups(g, a, b) for a, b in zip(sylows, sylows[1:])]
+    for pi in _nonempty_subsets(primes):
+        outcome = hall_search(g, pi)
+        if outcome.found:
+            handles.append(outcome.subgroup)
+    for h in handles:
+        _assert_matches_chain(h)
 
 
 def test_coset_closure_caps_fail_loudly(named):
@@ -256,6 +269,11 @@ def test_coset_closure_caps_fail_loudly(named):
     with pytest.raises(CapExceededError):
         _extend_closure(cyclic, [five], swap, cap=119)
     assert len(_extend_closure(cyclic, [five], swap, cap=120)) == 120
+    with pytest.raises(CapExceededError):
+        subgroup(s5, [five, swap], cap=119)
+    assert subgroup(s5, [five, swap], cap=120).order == 120
+    with pytest.raises(CapExceededError):
+        whole_group(s5, cap=100)
 
 
 def test_quotient_k_pi_outside_the_lattice(named):
