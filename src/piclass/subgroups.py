@@ -264,9 +264,9 @@ def commutator_subgroup(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
     return SubgroupHandle(group, closed.group, closed.element_set())
 
 
-def derived_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    g = whole_group(group, cap)
-    return commutator_subgroup(group, g, g, cap)
+def derived_subgroup(group: PermGroup) -> SubgroupHandle:
+    g = whole_group(group)
+    return commutator_subgroup(group, g, g)
 
 
 def subgroup_intersection(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
@@ -277,9 +277,8 @@ def subgroup_intersection(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle
     return _reduced_subgroup(group, hits, cap)
 
 
-def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
-                   cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    return subgroup(group, list(a.generators) + list(b.generators), verify=False, cap=cap)
+def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
+    return subgroup(group, list(a.generators) + list(b.generators), verify=False)
 
 
 # -- normal subgroup lattice ------------------------------------------------

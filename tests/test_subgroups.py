@@ -274,6 +274,9 @@ def test_coset_closure_caps_fail_loudly(named):
     assert subgroup(s5, [five, swap], cap=120).order == 120
     with pytest.raises(CapExceededError):
         whole_group(s5, cap=100)
+    with pytest.raises(CapExceededError):  # the whole-group shortcut lists G
+        hall_search(s5, [2, 3, 5], cap=100)
+    assert hall_search(s5, [2, 3, 5], cap=120).subgroup.order == 120
 
 
 def test_quotient_k_pi_outside_the_lattice(named):
