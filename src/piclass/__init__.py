@@ -47,7 +47,6 @@ from .perm import Permutation, compose, conjugate, parse_cycle_text
 from .subgroups import (
     HallSearchOutcome,
     QuotientGroup,
-    SubgroupHandle,
     are_conjugate_subgroups,
     center,
     centralizer_of_element,
@@ -57,6 +56,7 @@ from .subgroups import (
     enumerate_subgroups_up_to_conjugacy,
     fitting_subgroup,
     hall_search,
+    is_normal,
     is_simple,
     normal_closure,
     normal_k_pi,

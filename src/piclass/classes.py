@@ -92,6 +92,8 @@ class ClassAlgebra:
     bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
     of classes, so its support is the set of classes met by x * C_i for one
     x in C_j; each support is built on first use from the smaller class.
+    ``normal_masks`` maps the element set of each normal subgroup met so far
+    (the lattice, the kernels of ``normal_k_pi``) to its bitset.
     """
 
     def __init__(self, table: ClassTable):
@@ -107,6 +109,7 @@ class ClassAlgebra:
         self._fusions: dict[int, list[int]] = {}
         self._splits: dict[int, dict[int, int]] = {}
         self._powers: dict[tuple[int, int], int] = {}
+        self.normal_masks: dict[frozenset[tuple[int, ...]], int] = {}
 
     def mask_of(self, elements) -> int:
         mask = 0
@@ -270,3 +273,10 @@ def k_pi(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> int:
     pi = validate_pi(pi)
     table = conjugacy_classes(group, cap)
     return sum(1 for c in table.classes if is_pi_number(c.order, pi))
+
+
+def all_d_p_one(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:
+    """True when k_p(G) = |G|_p, that is d_p(G) = 1, for every p in pi
+    dividing |G|."""
+    return all(k_pi(group, [p], cap) == pi_part(group.order, frozenset([p]))
+               for p in sorted(validate_pi(pi)) if group.order % p == 0)

@@ -1,11 +1,14 @@
-"""Permutation groups backed by a base and strong generating set.
+"""Permutation groups backed by a base and strong generating set, or by
+their element set.
 
 The stabilizer chain is built with a deterministic Schreier-Sims: base points
 are taken in ascending order among the points a generator (or sift residue)
 moves, orbits are explored breadth-first with generators in list order, and
 no randomization is used anywhere.  Two constructions from the same generator
 list therefore produce identical chains, identical element enumeration order,
-and identical random-element streams for a fixed seed.
+and identical random-element streams for a fixed seed.  A group built with
+its element set (every subgroup) answers order, membership and its element
+list from the set, in sorted image order, and builds no chain for them.
 """
 
 import random
@@ -47,10 +50,13 @@ class PermGroup:
 
     ``base_hint`` seeds the base with the given points (in order) before the
     automatic ascending choice kicks in; it exists so tests can regenerate
-    the chain with a different base and compare invariants.
+    the chain with a different base and compare invariants.  ``elements``
+    is the element set as image tuples, when the caller already has it; it
+    is trusted, not checked against the generators.
     """
 
-    def __init__(self, generators, degree: int | None = None, base_hint=()):
+    def __init__(self, generators, degree: int | None = None, base_hint=(),
+                 elements: frozenset | None = None):
         generators = tuple(generators)
         if not generators:
             raise ValueError("a group needs at least one generator (identity for the trivial group)")
@@ -65,7 +71,8 @@ class PermGroup:
         self.generators = generators
         self._base_hint = tuple(base_hint)
         self._levels: list[_Level] | None = None
-        self._order: int | None = None
+        self._element_set: frozenset[tuple[int, ...]] | None = elements
+        self._order: int | None = None if elements is None else len(elements)
         self.cache: dict = {}
 
     # -- stabilizer chain ------------------------------------------------
@@ -166,7 +173,8 @@ class PermGroup:
 
     @property
     def order(self) -> int:
-        self._ensure_chain()
+        if self._order is None:
+            self._build_chain()
         return self._order
 
     @property
@@ -182,7 +190,9 @@ class PermGroup:
         return _sift(self._ensure_chain(), p, 0)[0]
 
     def contains(self, p: Permutation) -> bool:
-        return self.sift(p).is_identity()
+        if self._element_set is None:
+            return self.sift(p).is_identity()
+        return p.images in self._element_set
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
@@ -223,14 +233,26 @@ class PermGroup:
                 prefix[m] = prev = prev * levels[m].transversal[points[m][idx[m]]]
 
     def element_list(self, cap: int = DEFAULT_MAX_ELEMENTS) -> list[Permutation]:
-        """Cached list(self.elements(cap))."""
+        """All elements, cached: the given element set in sorted image order,
+        otherwise ``list(self.elements(cap))`` in chain order.  Raises
+        CapExceededError when the group is larger than ``cap``."""
         cached = self.cache.get("elements")
         if cached is None:
-            cached = list(self.elements(cap))
+            if self._element_set is None:
+                cached = list(self.elements(cap))
+            else:
+                cached = [Permutation._make(im) for im in sorted(self._element_set)]
             self.cache["elements"] = cached
-        elif len(cached) > cap:
+        if len(cached) > cap:
             raise CapExceededError("element enumeration", len(cached), cap)
         return cached
+
+    def element_set(self) -> frozenset[tuple[int, ...]]:
+        """The image tuples of all elements; for a group given by generators
+        alone, read once from ``element_list()``."""
+        if self._element_set is None:
+            self._element_set = frozenset(p.images for p in self.element_list())
+        return self._element_set
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""

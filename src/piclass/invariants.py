@@ -20,7 +20,6 @@ from .subgroups import (
     DEFAULT_HALL_BUDGET,
     DEFAULT_SUBGROUP_CAP,
     HallSearchOutcome,
-    SubgroupHandle,
     centralizer_of_element,
     centralizer_of_subgroup,
     hall_search,
@@ -79,7 +78,7 @@ class CentralizerDecomposition:
     total: int
     summands: tuple[int, ...]
     representatives: tuple[Permutation, ...]
-    argmax: SubgroupHandle  # centralizer realizing the largest summand
+    argmax: PermGroup  # centralizer realizing the largest summand
 
 
 def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
@@ -103,7 +102,7 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
     for rep in reps:
         cent = centralizer_of_element(group, rep)
         centralizers.append(cent)
-        summands.append(k_pi(cent.group, frozenset([p]), cap))
+        summands.append(k_pi(cent, frozenset([p]), cap))
     best = max(range(len(reps)), key=lambda i: summands[i])
     return CentralizerDecomposition(
         total=sum(summands),
@@ -115,7 +114,7 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
 
 def has_normal_pi_complement(group: PermGroup, pi,
                              cap: int = DEFAULT_MAX_ELEMENTS
-                             ) -> tuple[bool, SubgroupHandle | None]:
+                             ) -> tuple[bool, PermGroup | None]:
     """Normal subgroup of pi'-order and index |G|_pi, if one exists.
 
     A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
@@ -130,7 +129,7 @@ def has_normal_pi_complement(group: PermGroup, pi,
 
 def has_normal_p_complement(group: PermGroup, p: int,
                             cap: int = DEFAULT_MAX_ELEMENTS
-                            ) -> tuple[bool, SubgroupHandle | None]:
+                            ) -> tuple[bool, PermGroup | None]:
     return has_normal_pi_complement(group, [p], cap)
 
 
@@ -172,7 +171,7 @@ def d_pi_hall_average(group: PermGroup, pi, p: int,
     total = 0
     for h in hall.element_set():
         cent = centralizer_of_element(group, Permutation._make(h))
-        total += k_pi(cent.group, frozenset([p]), cap)
+        total += k_pi(cent, frozenset([p]), cap)
     return Fraction(total, hall.order * order_p)
 
 
@@ -204,7 +203,7 @@ def product_lower_bound_check(group: PermGroup, pi,
 class ClassProductBound:
     """Constructive witnesses Q_i with k_pi(G) <= prod k(Q_i)."""
 
-    witnesses: tuple[SubgroupHandle, ...]
+    witnesses: tuple[PermGroup, ...]
     primes: tuple[int, ...]
     k_pi_value: int
     product: int
@@ -228,16 +227,15 @@ def class_count_product_bound(group: PermGroup, pi,
         mu = remaining[i + 1 :]
         if mu:
             decomp = k_pi_by_centralizer_decomposition(group, frozenset([p, *mu]), p, cap)
-            host = decomp.argmax.group
+            host = decomp.argmax
         else:
             host = group
-        q = sylow_subgroup(host, p, cap)
-        witnesses.append(SubgroupHandle(group, q.group, q.element_set()))
+        witnesses.append(sylow_subgroup(host, p, cap))
         primes.append(p)
     value = k_pi(group, pi, cap)
     prod = 1
     for w in witnesses:
-        prod *= conjugacy_classes(w.group, cap).k
+        prod *= conjugacy_classes(w, cap).k
     return ClassProductBound(
         witnesses=tuple(witnesses),
         primes=tuple(primes),

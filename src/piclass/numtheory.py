@@ -62,7 +62,10 @@ def is_pi_number(n: int, pi: frozenset[int]) -> bool:
 
 def validate_pi(pi, *, allow_empty: bool = False) -> frozenset[int]:
     """Normalize a prime-set argument, rejecting non-primes and duplicates by construction."""
-    out = frozenset(pi)
+    try:
+        out = frozenset(pi)
+    except TypeError:  # not iterable, or holds unhashable items
+        raise InvalidInputError(f"pi must be a set of primes, not {pi!r}") from None
     if not out and not allow_empty:
         raise InvalidInputError("pi must be a non-empty set of primes")
     for p in out:

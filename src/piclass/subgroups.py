@@ -1,8 +1,9 @@
 """Subgroup construction and structural computations.
 
-Every subgroup handle carries its element set, so its order is the set's
-size and each membership test is a set lookup; its Schreier-Sims chain is
-built only to list it in chain order.  Subgroups made from generators (the
+Every subgroup is a ``PermGroup`` built with its element set, so its order
+is the set's size, each membership test is a set lookup and it lists in
+sorted image order; no subgroup needs a Schreier-Sims chain, and
+``whole_group`` is the group itself.  Subgroups made from generators (the
 closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
 growth, greedy generating sets, stabilizers) get their sets by coset closure
 (``_extend_closure``).  Stabilizer-style computations (element centralizers,
@@ -26,7 +27,7 @@ from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import class_algebra, conjugacy_classes, k_pi, pi_part_of_element
+from .classes import all_d_p_one, class_algebra, conjugacy_classes, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -44,55 +45,8 @@ DEFAULT_MAX_QUOTIENT_DEGREE = 2048
 DEFAULT_HALL_BUDGET = 20
 
 
-class SubgroupHandle:
-    """A subgroup of a parent group: its generators inside the parent and the
-    element set (image tuples) they span, which gives ``order`` and
-    ``contains``.  The chain of ``group``, the PermGroup on the generators,
-    is built only by ``elements()``, which lists in the chain's order.
-    ``class_mask`` is the bitset over the parent's class table (ClassAlgebra)
-    of a normal subgroup, from the lattice or ``_normal_class_mask``."""
-
-    def __init__(self, parent: PermGroup, group: PermGroup, elements: frozenset,
-                 class_mask: int | None = None):
-        self.parent = parent
-        self.group = group
-        self._element_set: frozenset[tuple[int, ...]] = elements
-        self.class_mask = class_mask
-
-    @property
-    def generators(self) -> tuple[Permutation, ...]:
-        return self.group.generators
-
-    @property
-    def order(self) -> int:
-        return len(self._element_set)
-
-    def contains(self, p: Permutation) -> bool:
-        return p.images in self._element_set
-
-    def elements(self, cap: int = DEFAULT_MAX_ELEMENTS) -> list[Permutation]:
-        return self.group.element_list(cap)
-
-    def element_set(self) -> frozenset[tuple[int, ...]]:
-        return self._element_set
-
-    def is_abelian(self) -> bool:
-        return self.group.is_abelian()
-
-    def is_normal(self) -> bool:
-        """Normal in the parent group."""
-        return self.class_mask is not None or all(
-            self.contains(conjugate(g, s))
-            for g in self.parent.generators
-            for s in self.group.generators
-        )
-
-    def __repr__(self) -> str:
-        return f"SubgroupHandle(order={self.order} in parent order {self.parent.order})"
-
-
 def subgroup(parent: PermGroup, gens, *, verify: bool = True,
-             cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+             cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """Smallest subgroup of parent containing gens (the closure), on the
     nonidentity gens as given.  Its element set is grown by coset closure
     (``_reduced_subgroup``); CapExceededError once it would pass ``cap``."""
@@ -102,17 +56,25 @@ def subgroup(parent: PermGroup, gens, *, verify: bool = True,
             if not parent.contains(g):
                 raise NotInGroupError(f"generator not in parent group: {g!r}")
     elements = _reduced_subgroup(parent, gens, cap).element_set()
-    return SubgroupHandle(parent, PermGroup(gens or [Permutation.identity(parent.degree)],
-                                            degree=parent.degree), elements)
+    return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
+                     elements=elements)
 
 
-def trivial_subgroup(parent: PermGroup) -> SubgroupHandle:
+def trivial_subgroup(parent: PermGroup) -> PermGroup:
     one = Permutation.identity(parent.degree)
-    return SubgroupHandle(parent, PermGroup([one]), frozenset([one.images]))
+    return PermGroup([one], elements=frozenset([one.images]))
 
 
-def whole_group(parent: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    return SubgroupHandle(parent, parent, frozenset(p.images for p in parent.element_list(cap)))
+def whole_group(parent: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+    """The parent itself, once it is listed under ``cap``."""
+    parent.element_list(cap)
+    return parent
+
+
+def is_normal(group: PermGroup, sub: PermGroup) -> bool:
+    """True when ``sub`` is normal in ``group``: it holds every conjugate of
+    its generators by the generators of ``group``."""
+    return all(sub.contains(conjugate(g, s)) for g in group.generators for s in sub.generators)
 
 
 def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple[int, ...]]:
@@ -142,16 +104,14 @@ def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple
     return frozenset(closure)
 
 
-def _extend(handle: SubgroupHandle, x: Permutation, cap: int) -> SubgroupHandle:
-    """<H, x> on H's generators (less the trivial H's identity) and then x;
-    its chain is built only on demand."""
-    gens = [g for g in handle.generators if not g.is_identity()]
-    return SubgroupHandle(handle.parent, PermGroup(gens + [x]),
-                          _extend_closure(handle.element_set(), gens, x, cap))
+def _extend(sub: PermGroup, x: Permutation, cap: int) -> PermGroup:
+    """<H, x> on H's generators (less the trivial H's identity) and then x."""
+    gens = [g for g in sub.generators if not g.is_identity()]
+    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x, cap))
 
 
 def _reduced_subgroup(parent: PermGroup, elements, cap: int = DEFAULT_MAX_ELEMENTS,
-                      order: int | None = None) -> SubgroupHandle:
+                      order: int | None = None) -> PermGroup:
     """Subgroup generated by ``elements``, on a greedy generating subset: an
     element is kept when it lies outside the closure of those kept before.
     With ``order`` given, the scan stops once the subgroup reaches it."""
@@ -191,7 +151,7 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
     return transversal
 
 
-def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> SubgroupHandle:
+def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> PermGroup:
     """Stabilizer of ``start`` under ``act`` (as in ``orbit_transversal``).
 
     Schreier generators u_{g.key}^-1 * g * u_key are consumed lazily and
@@ -203,13 +163,13 @@ def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> SubgroupHan
     steps = list(zip(parent.generators, conjugation_pairs(parent.generators)))
     schreier = (transversal[act(pair, key)].inverse() * (g * u)
                 for key, u in transversal.items() for g, pair in steps)
-    handle = _reduced_subgroup(parent, schreier, cap, target)
-    if handle.order != target:
+    stabilizer = _reduced_subgroup(parent, schreier, cap, target)
+    if stabilizer.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
-    return handle
+    return stabilizer
 
 
-def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
+def centralizer_of_element(group: PermGroup, x: Permutation) -> PermGroup:
     """C_G(x) as the stabilizer of x under conjugation."""
     if not group.contains(x):
         raise NotInGroupError(f"element not in group: {x!r}")
@@ -218,25 +178,25 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> SubgroupHandle:
     return _schreier_stabilizer(group, x.images, conjugate_images, DEFAULT_MAX_ELEMENTS)
 
 
-def normalizer(group: PermGroup, handle: SubgroupHandle,
-               cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def normalizer(group: PermGroup, sub: PermGroup,
+               cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """N_G(H): stabilizer of the element set of H under conjugation."""
-    return _schreier_stabilizer(group, handle.element_set(), conjugate_set, cap)
+    return _schreier_stabilizer(group, sub.element_set(), conjugate_set, cap)
 
 
-def centralizer_of_subgroup(group: PermGroup, handle: SubgroupHandle,
-                            cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def centralizer_of_subgroup(group: PermGroup, sub: PermGroup,
+                            cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """C_G(H) by filtering the element list against H's generators."""
-    hgens = handle.generators
-    hits = [g for g in group.elements(cap) if all(g * h == h * g for h in hgens)]
+    hgens = sub.generators
+    hits = [g for g in group.element_list(cap) if all(g * h == h * g for h in hgens)]
     return _reduced_subgroup(group, hits, cap)
 
 
-def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     return centralizer_of_subgroup(group, whole_group(group, cap), cap)
 
 
-def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     The generators are the nonidentity seeds, then each conjugate of a
@@ -252,62 +212,61 @@ def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> 
             if not current.contains(c):
                 current = _extend(current, c, cap)
                 gens.append(c)
-    return SubgroupHandle(group, PermGroup(gens), current.element_set()) if gens else current
+    return PermGroup(gens, elements=current.element_set()) if gens else current
 
 
-def commutator_subgroup(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
-                        cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def commutator_subgroup(group: PermGroup, a: PermGroup, b: PermGroup,
+                        cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators), cap).group
+    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators), cap)
     comms = [x * y * x.inverse() * y.inverse() for x in a.generators for y in b.generators]
-    closed = normal_closure(joint, comms, cap)
-    return SubgroupHandle(group, closed.group, closed.element_set())
+    return normal_closure(joint, comms, cap)
 
 
-def derived_subgroup(group: PermGroup) -> SubgroupHandle:
+def derived_subgroup(group: PermGroup) -> PermGroup:
     g = whole_group(group)
     return commutator_subgroup(group, g, g)
 
 
-def subgroup_intersection(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle,
-                          cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup,
+                          cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     small, big = (a, b) if a.order <= b.order else (b, a)
     bigset = big.element_set()
-    hits = [x for x in small.elements(cap) if x.images in bigset]
+    hits = [x for x in small.element_list(cap) if x.images in bigset]
     return _reduced_subgroup(group, hits, cap)
 
 
-def join_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle) -> SubgroupHandle:
+def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     return subgroup(group, list(a.generators) + list(b.generators), verify=False)
 
 
 # -- normal subgroup lattice ------------------------------------------------
 
 
-def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[SubgroupHandle]:
+def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[PermGroup]:
     """The complete list of normal subgroups.
 
     Seeds are the normal closures of the conjugacy class representatives;
     every normal subgroup is the join of the seeds it contains, so closing
     the seed set under pairwise joins is exhaustive.  The closing runs in
     the class algebra, on class bitsets: a join is the class set of N * M.
-    A handle is made only for a bitset seen for the first time, on the
+    A subgroup is made only for a bitset seen for the first time, on the
     generators of the normal closure of its class representative or on
-    those of the two joined handles; a join's element set is read from its
-    bitset, so no join runs a closure.  Cached on the group.
+    those of the two joined subgroups; a join's element set is read from its
+    bitset, so no join runs a closure.  Each bitset is recorded in the
+    algebra's ``normal_masks`` under its element set.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
     algebra = class_algebra(group, cap)
     full = algebra.full
-    found: dict[int, SubgroupHandle] = {}
+    found: dict[int, PermGroup] = {}
     seeds = []  # the identity's class comes first and gives the trivial group
     for i, cls in enumerate(algebra.table.classes):
         mask = algebra.closure(1 << i)
         if mask not in found:
-            seed = normal_closure(group, [cls.rep], cap)
-            found[mask] = SubgroupHandle(group, seed.group, seed.element_set(), mask)
+            found[mask] = normal_closure(group, [cls.rep], cap)
             seeds.append(mask)
     queue = deque(seeds)
     while queue:
@@ -321,27 +280,30 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
             joined = algebra.join(current, other)
             if joined not in found:
                 gens = found[current].generators + found[other].generators
-                found[joined] = SubgroupHandle(group, PermGroup(gens),
-                                               frozenset(algebra.elements(joined)), joined)
+                found[joined] = PermGroup(gens, elements=frozenset(algebra.elements(joined)))
                 queue.append(joined)
+    for mask, sub in found.items():
+        algebra.normal_masks[sub.element_set()] = mask
     result = sorted(
         found.values(),
-        key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.class_mask != full else ()),
+        key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.order != group.order else ()),
     )
     group.cache["normal_subgroups"] = result
     return result
 
 
-def _normal_class_mask(group: PermGroup, kernel: SubgroupHandle, cap: int) -> int:
-    if kernel.class_mask is None:
-        if not kernel.is_normal():
+def _normal_class_mask(group: PermGroup, kernel: PermGroup, cap: int) -> int:
+    algebra = class_algebra(group, cap)
+    key = kernel.element_set()
+    mask = algebra.normal_masks.get(key)
+    if mask is None:
+        if not is_normal(group, kernel):
             raise PreconditionError("kernel is not normal in the group")
-        algebra = class_algebra(group, cap)
-        kernel.class_mask = algebra.closure(algebra.mask_of(kernel.generators))
-    return kernel.class_mask
+        mask = algebra.normal_masks[key] = algebra.closure(algebra.mask_of(kernel.generators))
+    return mask
 
 
-def normal_k_pi(group: PermGroup, n: SubgroupHandle, pi,
+def normal_k_pi(group: PermGroup, n: PermGroup, pi,
                 cap: int = DEFAULT_MAX_ELEMENTS) -> int:
     """k_pi(N) for N normal in G, read from the class table of G.
 
@@ -357,7 +319,7 @@ def normal_k_pi(group: PermGroup, n: SubgroupHandle, pi,
                if is_pi_number(classes[i].order, pi))
 
 
-def quotient_k_pi(group: PermGroup, kernel: SubgroupHandle, pi,
+def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi,
                   cap: int = DEFAULT_MAX_ELEMENTS) -> int:
     """k_pi(G/N) by class fusion, read from the class table of G.
 
@@ -383,7 +345,7 @@ class QuotientGroup:
 
     group: PermGroup
     parent: PermGroup
-    kernel: SubgroupHandle
+    kernel: PermGroup
     coset_reps: tuple[Permutation, ...]
     label: Callable[[Permutation], tuple[int, ...]]  # coset of h -> its least element
     index_of: dict[tuple[int, ...], int]  # coset label -> point of the action
@@ -393,10 +355,10 @@ class QuotientGroup:
         return Permutation([self.index_of[self.label(g * r)] for r in self.coset_reps])
 
 
-def quotient(group: PermGroup, kernel: SubgroupHandle,
+def quotient(group: PermGroup, kernel: PermGroup,
              max_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE) -> QuotientGroup:
     """Coset action of G on G/N; fails rather than seeking a smaller action."""
-    if not kernel.is_normal():
+    if not is_normal(group, kernel):
         raise PreconditionError("kernel is not normal in the group")
     index = group.order // kernel.order
     if index > max_degree:
@@ -430,7 +392,7 @@ def quotient(group: PermGroup, kernel: SubgroupHandle,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
-def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
 
     Starts from the p-part of the first element of order divisible by p and
@@ -441,11 +403,11 @@ def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) ->
     target = pi_part(group.order, frozenset([p]))
     if target == 1:
         return trivial_subgroup(group)
-    seed = next(x for x in group.elements(cap) if x.order() % p == 0)
+    seed = next(x for x in group.element_list(cap) if x.order() % p == 0)
     current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0], cap)
     while current.order < target:
         norm = normalizer(group, current, cap)
-        for y in norm.elements(cap):
+        for y in norm.element_list(cap):
             yp = pi_part_of_element(y, [p])[0]
             if not current.contains(yp):
                 current = _extend(current, yp, cap)
@@ -460,7 +422,7 @@ class HallSearchOutcome:
     """Outcome of a Hall subgroup search; ``none_exists`` only from the exhaustive tier."""
 
     status: str  # "found" | "none_exists" | "unresolved"
-    subgroup: SubgroupHandle | None
+    subgroup: PermGroup | None
     method: str | None  # constructive | randomized | exhaustive
     route: str | None
     abelian: bool | None
@@ -485,11 +447,11 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     pi = validate_pi(pi)
     target = pi_part(group.order, pi)
 
-    def found(handle: SubgroupHandle, method: str, route: str) -> HallSearchOutcome:
+    def found(sub: PermGroup, method: str, route: str) -> HallSearchOutcome:
         # Independent recheck of the Found contract.
-        if handle.order != target or not is_pi_number(handle.order, pi):
+        if sub.order != target or not is_pi_number(sub.order, pi):
             raise AssertionError("hall candidate failed verification")
-        return HallSearchOutcome("found", handle, method, route, handle.is_abelian())
+        return HallSearchOutcome("found", sub, method, route, sub.is_abelian())
 
     if target == 1:
         return found(trivial_subgroup(group), "constructive", "pi-part of order is 1")
@@ -503,13 +465,10 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
     try:
-        all_dp_one = all(
-            k_pi(group, frozenset([p]), cap) == pi_part(group.order, frozenset([p]))
-            for p in relevant
-        )
+        dp_one = all_d_p_one(group, pi, cap)
     except CapExceededError:
-        all_dp_one = False
-    if all_dp_one:
+        dp_one = False
+    if dp_one:
         for direction, primes in (("descending", sorted(relevant, reverse=True)),
                                   ("ascending", sorted(relevant))):
             cur = group
@@ -517,7 +476,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
             for p in primes:
                 syl = sylow_subgroup(cur, p, cap)
                 hgens.extend(syl.generators)
-                cur = centralizer_of_subgroup(cur, syl, cap).group
+                cur = centralizer_of_subgroup(cur, syl, cap)
             cand = subgroup(group, hgens, verify=False, cap=cap)
             if cand.order == target and is_pi_number(cand.order, pi):
                 return found(cand, "constructive",
@@ -537,15 +496,15 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     if group.order <= subgroup_cap:
         classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=subgroup_cap,
                                                       element_cap=cap)
-        for handle in classes:
-            if handle.order == target:
-                return found(handle, "exhaustive", "pi-subgroup enumeration")
+        for sub in classes:
+            if sub.order == target:
+                return found(sub, "exhaustive", "pi-subgroup enumeration")
         return HallSearchOutcome("none_exists", None, "exhaustive",
                                  "no pi-subgroup of Hall order exists", None)
     return HallSearchOutcome("unresolved", None, None, "budget exhausted over exhaustive cap", None)
 
 
-def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHandle):
+def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
     """(conjugate?, witness g with g a g^-1 = b).
 
     The witness is the transversal element of b in the conjugation orbit of
@@ -564,7 +523,7 @@ def are_conjugate_subgroups(group: PermGroup, a: SubgroupHandle, b: SubgroupHand
 # -- characteristic-style subgroups ------------------------------------------
 
 
-def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """Largest normal subgroup whose order has only primes satisfying pred.
 
     A group is a pred-group exactly when all its elements are pred-elements,
@@ -584,50 +543,51 @@ def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) 
             if mask & ~allowed == 0:
                 picked.append(cls.rep)
                 covered |= mask
-    handle = normal_closure(group, picked, cap)
-    if not all(prime_pred(q) for q in prime_factors(handle.order)):
+    core = normal_closure(group, picked, cap)
+    if not all(prime_pred(q) for q in prime_factors(core.order)):
         raise AssertionError("normal core has a disallowed prime")
-    return handle
+    return core
 
 
-def o_pi_prime(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def o_pi_prime(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """O_{pi'}(G), the largest normal pi'-subgroup."""
     pi = validate_pi(pi)
     return _normal_core(group, lambda q: q not in pi, cap)
 
 
-def fitting_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
+def fitting_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
     gens = [g for p in prime_factors(group.order)
             for g in _normal_core(group, lambda q, p=p: q == p, cap).generators]
     return _reduced_subgroup(group, gens, cap)
 
 
-def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle:
-    """Join of the minimal normal subgroups: the lattice handle whose class
+def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+    """Join of the minimal normal subgroups: the lattice entry whose class
     bitset is the closure of the minimal bitsets, those with no other
     nontrivial bitset of the lattice inside them."""
     normals = normal_subgroups(group, cap)
-    masks = [n.class_mask for n in normals[1:]]
-    joined = normals[0].class_mask
-    for m in masks:
-        if not any(o != m and o & m == o for o in masks):
+    algebra = class_algebra(group, cap)
+    masks = [algebra.normal_masks[n.element_set()] for n in normals]
+    joined = masks[0]
+    for m in masks[1:]:
+        if not any(o != m and o & m == o for o in masks[1:]):
             joined |= m
-    joined = class_algebra(group, cap).closure(joined)
-    return next(n for n in normals if n.class_mask == joined)
+    joined = algebra.closure(joined)
+    return normals[masks.index(joined)]
 
 
 def is_simple(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:
     return group.order > 1 and len(normal_subgroups(group, cap)) == 2
 
 
-def almost_simple_socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> SubgroupHandle | None:
+def almost_simple_socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup | None:
     """The socle when the group is almost simple (non-abelian simple socle
     with trivial centralizer); None otherwise."""
     s = socle(group, cap)
     if s.order == 1 or s.is_abelian():
         return None
-    if not is_simple(s.group, cap):
+    if not is_simple(s, cap):
         return None
     if centralizer_of_subgroup(group, s, cap).order != 1:
         return None
@@ -640,7 +600,7 @@ def almost_simple_socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Su
 def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                                         cap: int = DEFAULT_SUBGROUP_CAP,
                                         element_cap: int = DEFAULT_MAX_ELEMENTS
-                                        ) -> list[SubgroupHandle]:
+                                        ) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, complete.
 
     Layered one-element extensions: every found class representative H is
@@ -661,7 +621,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     double cosets, so a candidate is skipped exactly when its double coset
     was seen.  A skipped y would only rebuild a K that ``register`` has
     already seen (or that the pi filter dropped), so the list of classes,
-    its order and every handle's generators are those of the sweep without
+    its order and every subgroup's generators are those of the sweep without
     the skips.
     """
     if group.order > cap:
@@ -676,13 +636,13 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     orders = [(x, table.classes[table.class_of(x)].order)
               for x in group.element_list(element_cap)]
     candidates = orders if pi is None else [(x, n) for x, n in orders if is_pi_number(n, pi)]
-    found: list[SubgroupHandle] = []
+    found: list[PermGroup] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
-    def register(handle: SubgroupHandle) -> None:
-        key = handle.element_set()
+    def register(sub: PermGroup) -> None:
+        key = sub.element_set()
         if key not in seen:
-            found.append(handle)
+            found.append(sub)
             seen.update(orbit_transversal(group, key, conjugate_set))
 
     register(trivial_subgroup(group))

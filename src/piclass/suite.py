@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import parse_group_file, serialize_group_file
-from .classes import class_algebra, conjugacy_classes, k_pi
+from .classes import all_d_p_one, class_algebra, conjugacy_classes
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import CapExceededError, InvalidInputError
 from .group import PermGroup
@@ -25,7 +25,6 @@ from .invariants import (
 from .numtheory import is_pi_number, pi_part, validate_pi
 from .perm import conjugate_set
 from .subgroups import (
-    SubgroupHandle,
     almost_simple_socle,
     are_conjugate_subgroups,
     center,
@@ -33,6 +32,7 @@ from .subgroups import (
     commutator_subgroup,
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
+    is_normal,
     normal_k_pi,
     normal_subgroups,
     normalizer,
@@ -80,8 +80,8 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _gens(handle: SubgroupHandle) -> list[str]:
-    return [g.cycle_string() for g in handle.generators]
+def _gens(sub: PermGroup) -> list[str]:
+    return [g.cycle_string() for g in sub.generators]
 
 
 def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
@@ -213,12 +213,7 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
     witness["iff"] = {"lhs": lhs, "rhs": rhs}
     if lhs != rhs:
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
-    relevant = [p for p in sorted(pi) if group.order % p == 0]
-    all_dp_one = all(
-        k_pi(group, frozenset([p]), config.max_elements)
-        == pi_part(group.order, frozenset([p]))
-        for p in relevant
-    )
+    all_dp_one = all_d_p_one(group, pi, config.max_elements)
     witness["all_d_p_one"] = all_dp_one
     if all_dp_one and not exists:
         witness["part1"] = "d_p = 1 for all p but no normal pi-complement"
@@ -330,10 +325,8 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     witness["commutator_order"] = comm.order
     if comm.order != 3:
         return VerdictReport(rid, name, (3,), FAIL, witness)
-    z_norm = center(norm.group, config.max_elements)
-    z_meet = subgroup_intersection(group, p_syl,
-                                   SubgroupHandle(group, z_norm.group, z_norm.element_set()),
-                                   config.max_elements)
+    z_norm = center(norm, config.max_elements)
+    z_meet = subgroup_intersection(group, p_syl, z_norm, config.max_elements)
     witness["central_part_order"] = z_meet.order
     meet = subgroup_intersection(group, comm, z_meet, config.max_elements)
     direct = comm.order * z_meet.order == p_syl.order and meet.order == 1
@@ -341,29 +334,29 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     if not direct:
         return VerdictReport(rid, name, (3,), FAIL, witness)
 
-    case1 = p_syl.is_normal() and cent.order == p_syl.order
+    case1 = is_normal(group, p_syl) and cent.order == p_syl.order
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None
     normals = normal_subgroups(group, config.max_elements)
     algebra = class_algebra(group, config.max_elements)
+    masks = algebra.normal_masks
     for a in normals:
         if case2:
             break
         for b in normals:
             if a.order * b.order != group.order:
                 continue
-            if algebra.order(a.class_mask & b.class_mask) != 1:
+            if algebra.order(masks[a.element_set()] & masks[b.element_set()]) != 1:
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue
-            a_group = a.group
-            soc = almost_simple_socle(a_group, config.max_elements)
+            soc = almost_simple_socle(a, config.max_elements)
             if soc is None:
                 continue
-            if sylow_subgroup(soc.group, 3, config.max_elements).order != 3:
+            if sylow_subgroup(soc, 3, config.max_elements).order != 3:
                 continue
-            syl_a = sylow_subgroup(a_group, 3, config.max_elements)
+            syl_a = sylow_subgroup(a, 3, config.max_elements)
             if not all(soc.contains(g) for g in syl_a.generators):
                 continue
             case2 = True
@@ -531,8 +524,8 @@ def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
     recorded config, rebuilt with ``Config.from_dict`` (validated like a
     ``--config`` file; missing keys take their defaults), not the replaying
     command's config.  A directory without a readable ``meta.json`` or
-    ``group.grp``, an unknown result id or a bad config value raises
-    ``InvalidInputError``.
+    ``group.grp``, an unknown result id, a group name that is not a string
+    or a bad config or pi value raises ``InvalidInputError``.
     """
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
@@ -541,12 +534,15 @@ def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
             group_text = fh.read()
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
         raise InvalidInputError(f"not a replay bundle ({directory}): {exc}") from None
-    if not isinstance(meta, dict) or meta.get("result_id") not in _SUITE_OF_RESULT:
+    rid = meta.get("result_id") if isinstance(meta, dict) else None
+    if not isinstance(rid, str) or rid not in _SUITE_OF_RESULT:
         raise InvalidInputError(f"not a replay bundle ({directory}): unknown result_id")
+    name = meta.get("group", "")
+    if not isinstance(name, str):
+        raise InvalidInputError(f"not a replay bundle ({directory}): group is not a string")
     config = Config.from_dict(meta.get("config", {}))
     group = parse_group_file(group_text, config.max_degree)
-    kind, fn = SUITES[_SUITE_OF_RESULT[meta["result_id"]]]
-    name = meta.get("group", "")
+    kind, fn = SUITES[_SUITE_OF_RESULT[rid]]
     if kind == "per-group":
         return fn(group, name=name, config=config), config
     return fn(group, meta.get("pi") or (), name=name, config=config), config

@@ -145,7 +145,7 @@ def test_criterion_08_quotient_submultiplicativity(census_entries):
             q = quotient(g, n)
             for pi in subsets:
                 lhs = d_pi(g, pi).d_pi
-                rhs = d_pi(n.group, pi).d_pi * d_pi(q.group, pi).d_pi
+                rhs = d_pi(n, pi).d_pi * d_pi(q.group, pi).d_pi
                 assert lhs <= rhs, (name, n.order, sorted(pi), str(lhs), str(rhs))
                 checked += 1
     elapsed = time.perf_counter() - t0
@@ -163,7 +163,7 @@ def test_criterion_09_burnside_fusion(census_entries):
                 continue
             pairs += 1
             norm = normalizer(g, syl)
-            assert d_pi(g, [p]).d_pi == d_pi(norm.group, [p]).d_pi, (name, p)
+            assert d_pi(g, [p]).d_pi == d_pi(norm, [p]).d_pi, (name, p)
     _report("9 (abelian-Sylow fusion equality)", f"{pairs} (G, p) pairs, exact")
 
 

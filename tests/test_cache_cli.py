@@ -252,6 +252,11 @@ def _write_replay_dirs(root):
                        "group.grp": group_file},
         "two-workers": {"meta.json": json.dumps({**meta, "config": {"workers": 2}}),
                         "group.grp": group_file},
+        "int-pi": {"meta.json": json.dumps({**meta, "result_id": "two-thirds-cap", "pi": 5}),
+                   "group.grp": group_file},
+        "list-rid": {"meta.json": json.dumps({**meta, "result_id": ["two-thirds-cap"]}),
+                     "group.grp": group_file},
+        "int-group": {"meta.json": json.dumps({**meta, "group": 3}), "group.grp": group_file},
     }
     for name, files in bundles.items():
         (root / name).mkdir()
@@ -283,6 +288,9 @@ def _write_replay_dirs(root):
     ["verify", "C3", "--workers", "2"],
     ["verify", "C3", "--config", "two-workers.json"],
     ["verify", "--replay", "two-workers"],
+    ["verify", "--replay", "int-pi"],
+    ["verify", "--replay", "list-rid"],
+    ["verify", "--replay", "int-group"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

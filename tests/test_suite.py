@@ -27,6 +27,25 @@ from piclass.suite import (
 STATUSES = {"pass", "fail", "vacuous", "inapplicable", "partial", "unresolved"}
 
 
+def test_campaign_builds_one_chain_per_census_group(monkeypatch):
+    """Subgroups carry their element sets, so a Schreier-Sims chain is built
+    only for the census groups, which are given by generators alone."""
+    from piclass.group import PermGroup
+
+    built = []
+    build_chain = PermGroup._build_chain
+
+    def counting(self):
+        built.append(self)
+        build_chain(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counting)
+    entries = list(census(Config(max_order=72).census_ranges()))
+    run_census_campaign(entries, ["main", "complement", "structure"])
+    assert len(entries) == 153
+    assert sorted(map(id, built)) == sorted(id(g) for _, g in entries)
+
+
 def test_hall_dichotomy_examples(named):
     v = check_hall_dichotomy(named("S3"), [3], name="S3")
     assert v.status == PASS
