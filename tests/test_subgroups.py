@@ -235,10 +235,10 @@ def _assert_matches_chain(sub):
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_coset_closure_matches_chain_oracle(name, named):
     """Every kind of subgroup (enumeration, normal closures, ``subgroup``,
-    Sylow growth, the lattice, ``join_subgroups``,
-    ``hall_search``, stabilizers, centralizers, centers, intersections,
-    commutators and normal cores) holds the element set its own generators
-    span, and lists it in sorted image order."""
+    Sylow growth, the lattice, ``join_subgroups``, ``hall_search``,
+    stabilizers, centralizers, centers, intersections, commutators and
+    normal cores) holds the element set its own generators span, and lists
+    it in sorted image order."""
     g = named(name)
     primes = group_primes(g)
     # all subgroups of the small groups; the p-subgroups of the larger ones
