@@ -5,7 +5,7 @@ from math import gcd
 
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
-from .numtheory import is_pi_number, pi_part, validate_pi
+from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
 from .perm import Permutation, conjugation_orbit, conjugation_pairs
 
 
@@ -92,6 +92,24 @@ class ClassAlgebra:
     bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
     of classes, so its support is the set of classes met by x * C_i for one
     x in C_j; each support is built on first use from the smaller class.
+
+    Each normal subgroup is answered once, and the answers are cached:
+
+    - ``closure(mask)``: the normal subgroup generated by a union S of
+      classes.  Each class reached is multiplied by the classes of S only,
+      not by every class reached.  That reaches S, S^2, S^3, ..., the
+      semigroup S generates, and in a finite group that is the subgroup <S>
+      (x^-1 = x^(|x| - 1)).  The lattice seeds and the normal cores read the
+      same single-class entries.
+    - ``normal_orders(mask, gens)``: element order -> number of classes of N,
+      summed from ``class_splits``.  The orbit walk behind a split stops once
+      it passes |C|/p, for p the least prime of gcd(|C|, |G:N|): the split
+      divides that gcd, so a longer orbit means a split of 1.
+    - ``quotient_orders(mask)``: element order in G/N -> number of classes of
+      G/N.  The order of x * N is the least e with x^e in N, read from
+      ``power_class``.
+
+    k_pi(N) and k_pi(G/N) sum the counts whose order is a pi-number.
     ``normal_masks`` maps the element set of each normal subgroup met so far
     (the lattice, the kernels of ``normal_k_pi``) to its bitset.
     """
@@ -105,9 +123,10 @@ class ClassAlgebra:
         self.members = members
         # symmetric matrix of supports, None until built
         self._supports: list[list[int | None]] = [[None] * table.k for _ in table.classes]
+        self._closures: dict[int, int] = {}
         self._cosets: dict[int, list[int]] = {}
-        self._fusions: dict[int, list[int]] = {}
-        self._splits: dict[int, dict[int, int]] = {}
+        self._normal_orders: dict[int, dict[int, int]] = {}
+        self._quotient_orders: dict[int, dict[int, int]] = {}
         self._powers: dict[tuple[int, int], int] = {}
         self.normal_masks: dict[frozenset[tuple[int, ...]], int] = {}
 
@@ -131,22 +150,26 @@ class ClassAlgebra:
 
     def closure(self, mask: int) -> int:
         """Smallest union of classes containing ``mask`` and closed under
-        products: the normal subgroup the classes generate."""
-        todo = list(_bits(mask))
-        done: list[int] = []
-        while todo:
-            i = todo.pop()
-            done.append(i)
-            row = self._supports[i]
-            for j in done:
-                met = row[j]
-                if met is None:
-                    met = self._support(i, j)
-                new = met & ~mask
-                if new:
-                    mask |= new
-                    todo.extend(_bits(new))
-        return mask
+        products: the normal subgroup the classes generate.  Each class
+        reached is multiplied by the classes of ``mask`` only.  Cached."""
+        closed = self._closures.get(mask)
+        if closed is None:
+            gens = list(_bits(mask))
+            todo = list(gens)
+            closed = mask
+            while todo:
+                i = todo.pop()
+                row = self._supports[i]
+                for j in gens:
+                    met = row[j]
+                    if met is None:
+                        met = self._support(i, j)
+                    new = met & ~closed
+                    if new:
+                        closed |= new
+                        todo.extend(_bits(new))
+            self._closures[mask] = closed
+        return closed
 
     def coset_classes(self, normal: int) -> list[int]:
         """For the normal subgroup N with class set ``normal``: entry i is the
@@ -176,10 +199,7 @@ class ClassAlgebra:
     def fusion(self, normal: int) -> list[int]:
         """The classes of G/N as bitsets of G-classes, in order of their
         first G-class: the class of x * N, x in class i, lifts to the
-        classes meeting x * N.  Cached per class set."""
-        blocks = self._fusions.get(normal)
-        if blocks is not None:
-            return blocks
+        classes meeting x * N."""
         blocks = []
         covered = 0
         for i, met in enumerate(self.coset_classes(normal)):
@@ -190,7 +210,6 @@ class ClassAlgebra:
         sizes = [self.order(b) for b in blocks]
         if covered != self.full or sum(sizes) != self.table.group.order or any(s % n for s in sizes):
             raise AssertionError("class fusion does not partition the group into cosets")
-        self._fusions[normal] = blocks
         return blocks
 
     def class_splits(self, normal: int, gens) -> dict[int, int]:
@@ -198,24 +217,58 @@ class ClassAlgebra:
         ``gens``: each class i in N mapped to the number of N-classes it
         splits into.  G permutes the N-orbits on a G-class C inside N
         transitively, so they share one size |x^N| and C splits into
-        |C| / |x^N| classes of N: one orbit walk per class.  That split is
-        |G : N C_G(x)|, so it divides both |C| and |G : N|; no walk is needed
-        when they are coprime (N = G, or C a single element, among others).
-        Cached per class set."""
-        splits = self._splits.get(normal)
-        if splits is None:
-            classes = self.table.classes
-            index = self.table.group.order // self.order(normal)
-            pairs = conjugation_pairs(gens)
-            splits = {}
-            for i in _bits(normal):
-                size = classes[i].size
-                if gcd(size, index) == 1:
-                    splits[i] = 1
-                else:
-                    splits[i] = size // len(conjugation_orbit(classes[i].rep.images, pairs))
-            self._splits[normal] = splits
+        |C| / |x^N| classes of N.  That split is |G : N C_G(x)|, so it
+        divides g = gcd(|C|, |G : N|): no walk is needed when g = 1 (N = G,
+        or C a single element, among others), and otherwise the orbit walk
+        stops once it passes |C|/p, p the least prime of g, since only a
+        split of 1 leaves an orbit that long."""
+        classes = self.table.classes
+        index = self.table.group.order // self.order(normal)
+        pairs = conjugation_pairs(gens)
+        splits = {}
+        for i in _bits(normal):
+            size = classes[i].size
+            common = gcd(size, index)
+            if common == 1:
+                splits[i] = 1
+                continue
+            limit = size // prime_factors(common)[0]
+            walked = len(conjugation_orbit(classes[i].rep.images, pairs, limit))
+            splits[i] = 1 if walked > limit else size // walked
         return splits
+
+    def normal_orders(self, normal: int, gens) -> dict[int, int]:
+        """Element order -> number of classes of the normal subgroup N with
+        class set ``normal`` (generated by ``gens``), from the class splits.
+        Cached per class set."""
+        counts = self._normal_orders.get(normal)
+        if counts is None:
+            classes = self.table.classes
+            counts = {}
+            for i, split in self.class_splits(normal, gens).items():
+                counts[classes[i].order] = counts.get(classes[i].order, 0) + split
+            self._normal_orders[normal] = counts
+        return counts
+
+    def quotient_orders(self, normal: int) -> dict[int, int]:
+        """Element order in G/N -> number of classes of G/N, for the normal
+        subgroup N with class set ``normal``.  The order of x * N, x the
+        representative of a fusion block's first class, is the least e with
+        x^e in N: starting from |x|, each prime is divided out while the
+        power stays in N.  Cached per class set."""
+        counts = self._quotient_orders.get(normal)
+        if counts is None:
+            classes = self.table.classes
+            counts = {}
+            for block in self.fusion(normal):
+                i = (block & -block).bit_length() - 1
+                order = classes[i].order
+                for p in prime_factors(order):
+                    while order % p == 0 and normal >> self.power_class(i, order // p) & 1:
+                        order //= p
+                counts[order] = counts.get(order, 0) + 1
+            self._quotient_orders[normal] = counts
+        return counts
 
     def power_class(self, i: int, e: int) -> int:
         """The class of rep_i ** e, memoised per (class, exponent)."""

@@ -37,8 +37,12 @@ from .suite import (
 def _load_group(source: str, config: Config) -> tuple[str, PermGroup]:
     """A group source is a path to a group file if it exists, else a census name."""
     if os.path.exists(source):
-        with open(source) as fh:
-            group = parse_group_file(fh.read(), config.max_degree)
+        try:
+            with open(source) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, or not text
+            raise InvalidInputError(f"group file {source}: {exc}") from None
+        group = parse_group_file(text, config.max_degree)
         name = os.path.splitext(os.path.basename(source))[0]
         return name, group
     try:

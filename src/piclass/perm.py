@@ -181,12 +181,13 @@ def conjugate_set(pair, key: frozenset) -> frozenset:
     return frozenset(tuple(gim[t[q]] for q in ginvim) for t in key)
 
 
-def conjugation_orbit(xim: tuple[int, ...], pairs) -> list[tuple[int, ...]]:
+def conjugation_orbit(xim: tuple[int, ...], pairs, limit: int | None = None) -> list[tuple[int, ...]]:
     """The conjugates of xim under the group the pairs come from.
 
     Breadth-first, pairs in list order, so the order of the list is fixed by
-    the input.  The conjugation is written inline: this loop runs over every
-    element of every class table.
+    the input.  With a ``limit``, the walk stops as soon as it holds
+    ``limit + 1`` conjugates and returns those.  The conjugation is written
+    inline: this loop runs over every element of every class table.
     """
     orbit = [xim]
     seen = {xim}
@@ -196,6 +197,8 @@ def conjugation_orbit(xim: tuple[int, ...], pairs) -> list[tuple[int, ...]]:
             if yim not in seen:
                 seen.add(yim)
                 orbit.append(yim)
+                if limit is not None and len(orbit) > limit:
+                    return orbit
     return orbit
 
 

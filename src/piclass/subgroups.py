@@ -308,35 +308,28 @@ def normal_k_pi(group: PermGroup, n: PermGroup, pi,
     """k_pi(N) for N normal in G, read from the class table of G.
 
     N is a union of G-classes, and each of them splits into classes of N
-    of one size (ClassAlgebra.class_splits); k_pi(N) sums the splits of the
-    G-classes of pi-elements.  N's own class table is never built.
+    of one size (ClassAlgebra.class_splits); k_pi(N) sums the classes of N
+    whose element order is a pi-number (ClassAlgebra.normal_orders, counted
+    once per N).  N's own class table is never built.
     """
     pi = validate_pi(pi)
     mask = _normal_class_mask(group, n, cap)
-    algebra = class_algebra(group, cap)
-    classes = algebra.table.classes
-    return sum(split for i, split in algebra.class_splits(mask, n.generators).items()
-               if is_pi_number(classes[i].order, pi))
+    counts = class_algebra(group, cap).normal_orders(mask, n.generators)
+    return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
 def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi,
                   cap: int = DEFAULT_MAX_ELEMENTS) -> int:
     """k_pi(G/N) by class fusion, read from the class table of G.
 
-    A class of G/N is the set of G-classes meeting x * N (ClassAlgebra.fusion).
-    x * N is a pi-element of G/N exactly when the pi'-part of x, generated by
-    x ** |x|_pi, lies in N.
+    A class of G/N is the set of G-classes meeting x * N (ClassAlgebra.fusion);
+    k_pi(G/N) sums the classes of G/N whose element order is a pi-number
+    (ClassAlgebra.quotient_orders, counted once per N).
     """
     pi = validate_pi(pi)
     mask = _normal_class_mask(group, kernel, cap)
-    algebra = class_algebra(group, cap)
-    classes = algebra.table.classes
-    count = 0
-    for block in algebra.fusion(mask):
-        i = (block & -block).bit_length() - 1
-        if mask >> algebra.power_class(i, pi_part(classes[i].order, pi)) & 1:
-            count += 1
-    return count
+    counts = class_algebra(group, cap).quotient_orders(mask)
+    return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
 @dataclass

@@ -11,7 +11,10 @@ ran before its double-coset skip rules; they fix the order and the
 generators the library must keep reproducing.  The routines after the
 lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
-(from the library's lattice) and normal pi-complements.
+(from the library's lattice) and normal pi-complements.  Last come the
+class-algebra routines the library ran before it closed over generating
+classes only and cut its orbit walks short: the all-pairs class closure and
+the class splits by full orbit walks.
 """
 
 import numpy as np
@@ -306,3 +309,34 @@ def normal_pi_complement_by_element_scan(group, pi, cap=100_000):
     if len(closed) == len(elements):
         return True, closed
     return False, None
+
+
+def closure_by_all_pairs(algebra, mask):
+    """Class bitset of the normal subgroup the classes of ``mask`` generate:
+    every class reached is multiplied by every class reached (supports read
+    from ``algebra``).  Uncached."""
+    from piclass.classes import _bits
+
+    todo = list(_bits(mask))
+    done = []
+    while todo:
+        i = todo.pop()
+        done.append(i)
+        for j in done:
+            new = algebra._support(i, j) & ~mask
+            if new:
+                mask |= new
+                todo.extend(_bits(new))
+    return mask
+
+
+def class_splits_by_full_walk(algebra, normal, gens):
+    """Class i of G inside N (class set ``normal``, generated by ``gens``)
+    -> |C_i| / |x^N|, with the whole N-orbit of the representative walked."""
+    from piclass.classes import _bits
+    from piclass.perm import conjugation_orbit, conjugation_pairs
+
+    pairs = conjugation_pairs(gens)
+    classes = algebra.table.classes
+    return {i: classes[i].size // len(conjugation_orbit(classes[i].rep.images, pairs))
+            for i in _bits(normal)}

@@ -19,7 +19,15 @@ from piclass.invariants import (
     group_primes,
     k_pi_by_centralizer_decomposition,
 )
-from piclass.subgroups import hall_search, normal_subgroups, normalizer, quotient, sylow_subgroup
+from piclass.subgroups import (
+    hall_search,
+    normal_k_pi,
+    normal_subgroups,
+    normalizer,
+    quotient,
+    quotient_k_pi,
+    sylow_subgroup,
+)
 from piclass.suite import (
     _nonempty_subsets,
     check_hall_dichotomy,
@@ -147,11 +155,15 @@ def test_criterion_08_quotient_submultiplicativity(census_entries):
                 lhs = d_pi(g, pi).d_pi
                 rhs = d_pi(n, pi).d_pi * d_pi(q.group, pi).d_pi
                 assert lhs <= rhs, (name, n.order, sorted(pi), str(lhs), str(rhs))
+                # the quotient suite's fast paths agree with the class tables
+                assert normal_k_pi(g, n, pi) == k_pi(n, pi), (name, n.order, sorted(pi))
+                assert quotient_k_pi(g, n, pi) == k_pi(q.group, pi), (name, n.order, sorted(pi))
                 checked += 1
     elapsed = time.perf_counter() - t0
     assert elapsed < 900, f"runtime {elapsed:.1f}s exceeds 15min"
     _report("8 (quotient submultiplicativity)",
-            f"{checked} (G, N, pi) checks via coset actions, {elapsed:.1f}s")
+            f"{checked} (G, N, pi) checks via coset actions, fast paths agree, "
+            f"{elapsed:.1f}s")
 
 
 def test_criterion_09_burnside_fusion(census_entries):

@@ -291,6 +291,8 @@ def _write_replay_dirs(root):
     ["verify", "--replay", "int-pi"],
     ["verify", "--replay", "list-rid"],
     ["verify", "--replay", "int-group"],
+    ["analyze", "group-dir"],
+    ["hall", "not-utf8.grp", "--pi", "2"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -304,6 +306,8 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "two-workers.json").write_text('{"workers": 2}')
+    (tmp_path / "group-dir").mkdir()
+    (tmp_path / "not-utf8.grp").write_bytes(b"\xff\xfe")
     _write_replay_dirs(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code != 0

@@ -4,6 +4,8 @@ import pytest
 
 from oracles import (
     all_subgroups_naive,
+    class_splits_by_full_walk,
+    closure_by_all_pairs,
     fitting_subgroup_by_closures,
     k_pi_by_class_equation,
     naive_closure,
@@ -329,6 +331,25 @@ def test_normal_k_pi_outside_the_lattice(named):
     assert normal_k_pi(s4, whole_group(s4), [2, 3]) == 5
     with pytest.raises(PreconditionError):
         normal_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+
+
+def test_class_closures_and_splits_match_their_oracles(census_entries):
+    """On every census group: the generating-class closure of each lattice
+    entry's generators and of each class equals the all-pairs closure, and
+    each lattice entry's early-stopping splits equal those of full orbit
+    walks.  The single classes come last, so their cached closures are read
+    after closures of other class sets were cached."""
+    for name, g in census_entries:
+        algebra = class_algebra(g)
+        for n in normal_subgroups(g):
+            mask = algebra.normal_masks[n.element_set()]
+            gens_mask = algebra.mask_of(n.generators)
+            assert (algebra.closure(gens_mask) == closure_by_all_pairs(algebra, gens_mask)
+                    == mask), (name, n.order)
+            splits = class_splits_by_full_walk(algebra, mask, n.generators)
+            assert algebra.class_splits(mask, n.generators) == splits, (name, n.order)
+        for i in range(algebra.table.k):
+            assert algebra.closure(1 << i) == closure_by_all_pairs(algebra, 1 << i), (name, i)
 
 
 def test_quotient_suite_builds_no_table_of_n():
