@@ -4,8 +4,10 @@ Keys hash the concrete group representation (degree plus the sorted list of
 generator image sequences), the invariant name, its parameters, and the tool
 version; the cache therefore never confuses relabeled or regenerated groups
 with each other, and a version bump invalidates everything.  Values are JSON
-with an embedded checksum: a corrupt or mismatched file reads as a miss.
-Writes go through a temp file and an atomic rename (single-writer per key).
+with an embedded checksum: a corrupt or mismatched file (not UTF-8, not
+JSON, not a JSON object) reads as a miss.  Only regular ``*.json`` files
+count as entries.  Writes go through a temp file and an atomic rename
+(single-writer per key).
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import os
 import tempfile
 
 from . import __version__
+from .errors import InvalidInputError
 from .group import PermGroup
 
 
@@ -42,7 +45,10 @@ def _value_checksum(value) -> str:
 class InvariantCache:
     def __init__(self, directory: str):
         self.directory = directory
-        os.makedirs(directory, exist_ok=True)
+        try:
+            os.makedirs(directory, exist_ok=True)
+        except OSError as exc:  # the path or one of its parents is not a directory
+            raise InvalidInputError(f"cache directory {directory}: {exc}") from None
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".json")
@@ -53,9 +59,9 @@ class InvariantCache:
         try:
             with open(path) as fh:
                 entry = json.load(fh)
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # unreadable, not UTF-8 or not JSON
             return None
-        if entry.get("version") != __version__:
+        if not isinstance(entry, dict) or entry.get("version") != __version__:
             return None
         value = entry.get("value")
         if entry.get("checksum") != _value_checksum(value):
@@ -79,17 +85,18 @@ class InvariantCache:
                 os.unlink(tmp)
             raise
 
+    def _entry_files(self) -> list[str]:
+        with os.scandir(self.directory) as it:
+            return [e.name for e in it if e.name.endswith(".json") and e.is_file()]
+
     def keys(self) -> list[str]:
-        return sorted(
-            name[:-5] for name in os.listdir(self.directory) if name.endswith(".json"))
+        return sorted(name[:-5] for name in self._entry_files())
 
     def clear(self) -> int:
-        removed = 0
-        for name in os.listdir(self.directory):
-            if name.endswith(".json"):
-                os.unlink(os.path.join(self.directory, name))
-                removed += 1
-        return removed
+        names = self._entry_files()
+        for name in names:
+            os.unlink(os.path.join(self.directory, name))
+        return len(names)
 
     def verify(self, recompute) -> list[str]:
         """Recompute each entry via ``recompute(key) -> value`` and report

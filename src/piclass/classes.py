@@ -99,8 +99,16 @@ class ClassAlgebra:
       classes.  Each class reached is multiplied by the classes of S only,
       not by every class reached.  That reaches S, S^2, S^3, ..., the
       semigroup S generates, and in a finite group that is the subgroup <S>
-      (x^-1 = x^(|x| - 1)).  The lattice seeds and the normal cores read the
-      same single-class entries.
+      (x^-1 = x^(|x| - 1)).  The walk stops once the classes reached hold
+      more than |G|/p elements, p the least prime of |G|: |<S>| divides
+      |G|, so <S> is then G.  The lattice seeds and the normal cores read
+      the same single-class entries.
+    - ``block(mask, i)``: the support of C_i * N, that is the class of x * N
+      in G/N (x in class i) lifted to G.  It is built once per class of G/N,
+      from one row of supports, and recorded under every class it holds.
+      ``join(N, M)``, the class set of N * M, reads a block only for a class
+      of M not yet in the union; ``fusion(N)`` lists the classes of G/N as
+      the blocks of the classes no earlier block covers.
     - ``normal_orders(mask, gens)``: element order -> number of classes of N,
       summed from ``class_splits``.  The orbit walk behind a split stops once
       it passes |C|/p, for p the least prime of gcd(|C|, |G:N|): the split
@@ -117,6 +125,10 @@ class ClassAlgebra:
     def __init__(self, table: ClassTable):
         self.table = table
         self.full = (1 << table.k) - 1
+        order = table.group.order
+        primes = prime_factors(order)
+        # a union of classes holding more than |G|/p elements generates G
+        self._lagrange = order // primes[0] if primes else 0
         members: list[list[tuple[int, ...]]] = [[] for _ in table.classes]
         for images, idx in table._index_of.items():
             members[idx].append(images)
@@ -124,7 +136,7 @@ class ClassAlgebra:
         # symmetric matrix of supports, None until built
         self._supports: list[list[int | None]] = [[None] * table.k for _ in table.classes]
         self._closures: dict[int, int] = {}
-        self._cosets: dict[int, list[int]] = {}
+        self._blocks: dict[int, list[int | None]] = {}
         self._normal_orders: dict[int, dict[int, int]] = {}
         self._quotient_orders: dict[int, dict[int, int]] = {}
         self._powers: dict[tuple[int, int], int] = {}
@@ -151,13 +163,17 @@ class ClassAlgebra:
     def closure(self, mask: int) -> int:
         """Smallest union of classes containing ``mask`` and closed under
         products: the normal subgroup the classes generate.  Each class
-        reached is multiplied by the classes of ``mask`` only.  Cached."""
+        reached is multiplied by the classes of ``mask`` only, and the walk
+        stops as soon as the classes reached hold more than |G|/p elements,
+        p the least prime of |G|: the order of the closure divides |G|, so
+        it is then G.  Cached."""
         closed = self._closures.get(mask)
         if closed is None:
             gens = list(_bits(mask))
             todo = list(gens)
             closed = mask
-            while todo:
+            reached = self.order(mask)
+            while todo and reached <= self._lagrange:
                 i = todo.pop()
                 row = self._supports[i]
                 for j in gens:
@@ -167,43 +183,53 @@ class ClassAlgebra:
                     new = met & ~closed
                     if new:
                         closed |= new
+                        reached += self.order(new)
+                        if reached > self._lagrange:
+                            break
                         todo.extend(_bits(new))
+            if reached > self._lagrange:
+                closed = self.full
             self._closures[mask] = closed
         return closed
 
-    def coset_classes(self, normal: int) -> list[int]:
-        """For the normal subgroup N with class set ``normal``: entry i is the
-        bitset of classes met by x * N, x in class i; that is the support of
-        C_i * N."""
-        cosets = self._cosets.get(normal)
-        if cosets is None:
-            in_normal = list(_bits(normal))
-            cosets = []
-            for i, row in enumerate(self._supports):
-                met = 0
-                for j in in_normal:
-                    support = row[j]
-                    met |= self._support(i, j) if support is None else support
-                cosets.append(met)
-            self._cosets[normal] = cosets
-        return cosets
+    def block(self, normal: int, i: int) -> int:
+        """Class set of C_i * N for the normal subgroup N with class set
+        ``normal``: the classes meeting x * N, x in class i, that is the class
+        of x * N in G/N lifted to G.  Every class in it gives the same block,
+        so it is built once per class of G/N and recorded under each of its
+        classes."""
+        blocks = self._blocks.get(normal)
+        if blocks is None:
+            blocks = self._blocks[normal] = [None] * self.table.k
+        met = blocks[i]
+        if met is None:
+            row = self._supports[i]
+            met = 0
+            for j in _bits(normal):
+                support = row[j]
+                met |= self._support(i, j) if support is None else support
+            for c in _bits(met):
+                blocks[c] = met
+        return met
 
     def join(self, normal: int, other: int) -> int:
-        """Class set of N * M: the union of the supports of C_i * N, i in M."""
-        cosets = self.coset_classes(normal)
+        """Class set of N * M: the union of the blocks of N over the classes
+        of M, each read only for a class not yet in the union."""
         mask = normal
         for i in _bits(other & ~normal):
-            mask |= cosets[i]
+            if not mask >> i & 1:
+                mask |= self.block(normal, i)
         return mask
 
     def fusion(self, normal: int) -> list[int]:
         """The classes of G/N as bitsets of G-classes, in order of their
-        first G-class: the class of x * N, x in class i, lifts to the
-        classes meeting x * N."""
+        first G-class: the block of each class not covered by an earlier
+        block."""
         blocks = []
         covered = 0
-        for i, met in enumerate(self.coset_classes(normal)):
+        for i in range(self.table.k):
             if not covered >> i & 1:
+                met = self.block(normal, i)
                 blocks.append(met)
                 covered |= met
         n = self.order(normal)

@@ -144,7 +144,7 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
     if cache is not None:
         key = entry_key(group, "analysis", {"pi": ordered_pi})
         hit = cache.get(key)
-        if hit is not None:
+        if isinstance(hit, dict) and "body" in hit:
             return hit["body"]
     table = conjugacy_classes(group, config.max_elements)
     body = {

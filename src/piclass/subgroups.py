@@ -13,10 +13,14 @@ so they never enumerate the ambient group.  Normal-subgroup queries (the
 lattice, O_pi', the Fitting subgroup, the socle, the class counts k_pi(N)
 and k_pi(G/N)) close class bitsets over the class table of G
 (``classes.ClassAlgebra``): the lattice's joins read their element sets
-from them, k_pi(N) comes from the split of G-classes into N-classes and
-k_pi(G/N) from class fusion, so neither N nor G/N gets a class table of
-its own.  Set-level filters (subgroup centralizers, centers) enumerate
-under the element cap.  Searches that can fail distinguish three outcomes
+from them, a join N * M unions the fusion blocks of N (one per class of
+G/N, built once) over the classes of M, each unordered pair of bitsets is
+joined once, and a closure stops as soon as it holds more than |G|/p
+elements (p the least prime of |G|); the lattice's seed walks stop at the
+order their bitset gives.  k_pi(N) comes from the split of G-classes into
+N-classes and k_pi(G/N) from class fusion, so neither N nor G/N gets a
+class table of its own.  Set-level filters (subgroup centralizers,
+centers) enumerate under the element cap.  Searches that can fail distinguish three outcomes
 explicitly; in particular ``hall_search`` only ever reports nonexistence
 from its exhaustive tier.
 """
@@ -196,21 +200,32 @@ def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     return centralizer_of_subgroup(group, whole_group(group, cap), cap)
 
 
-def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS,
+                   elements=None) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     The generators are the nonidentity seeds, then each conjugate of a
     generator by a generator of G (generators taken in the order added) that
     lies outside the subgroup so far.  The element set grows by coset closure
     (``_extend``); CapExceededError is raised once it would pass ``cap``.
+    With ``elements``, the element set of the normal closure when the caller
+    already knows it, the walk stops once the subgroup reaches its size, and
+    a step whose index into that size is prime takes the set whole
+    (Lagrange); the generators are the same.
     """
     gens = [s for s in seeds if not s.is_identity()]
-    current = _reduced_subgroup(group, gens, cap)
+    target = None if elements is None else len(elements)
+    current = _reduced_subgroup(group, gens, cap, target)
     for s in gens:  # gens grows while it is walked
         for g in group.generators:
+            if current.order == target:
+                break
             c = conjugate(g, s)
             if not current.contains(c):
-                current = _extend(current, c, cap)
+                if target is not None and is_prime(target // current.order):
+                    current = PermGroup(gens, elements=elements)
+                else:
+                    current = _extend(current, c, cap)
                 gens.append(c)
     return PermGroup(gens, elements=current.element_set()) if gens else current
 
@@ -252,9 +267,18 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
     the class algebra, on class bitsets: a join is the class set of N * M.
     A subgroup is made only for a bitset seen for the first time, on the
     generators of the normal closure of its class representative or on
-    those of the two joined subgroups; a join's element set is read from its
-    bitset, so no join runs a closure.  Each bitset is recorded in the
-    algebra's ``normal_masks`` under its element set.  Cached on the group.
+    those of the two joined subgroups; every element set is read from its
+    bitset, so no join runs a closure, and a seed's ``normal_closure`` walk
+    stops once it reaches that set's size.
+
+    Bitsets are popped in the order found.  Each pair is joined once: when a
+    bitset is popped, the number found so far is recorded, and a later pop
+    skips every partner that was popped after it was found, since that
+    partner's pop already joined the pair (to the same bitset, N * M = M * N).
+    The skipped joins never reach a new bitset first, so the first pair
+    reaching each bitset, and with it the generators, is that of the full
+    pairwise loop.  Each bitset is recorded in the algebra's
+    ``normal_masks`` under its element set.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
@@ -262,25 +286,34 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
     algebra = class_algebra(group, cap)
     full = algebra.full
     found: dict[int, PermGroup] = {}
+    position: dict[int, int] = {}  # mask -> its index in found
+    reach: dict[int, int] = {}  # popped mask -> how many masks were found then
     seeds = []  # the identity's class comes first and gives the trivial group
     for i, cls in enumerate(algebra.table.classes):
         mask = algebra.closure(1 << i)
         if mask not in found:
-            found[mask] = normal_closure(group, [cls.rep], cap)
+            elements = frozenset(algebra.elements(mask))
+            found[mask] = normal_closure(group, [cls.rep], cap, elements)
+            position[mask] = len(position)
             seeds.append(mask)
     queue = deque(seeds)
     while queue:
         current = queue.popleft()
         if current == full:
             continue
+        reach[current] = len(found)
         for other in list(found):
-            # the whole group and nested pairs join to a subgroup already found
-            if other == full or other & current in (other, current):
+            # the whole group and nested pairs join to a subgroup already
+            # found, and a partner popped after current was found has
+            # already been joined with it
+            if (other == full or other & current in (other, current)
+                    or reach.get(other, 0) > position[current]):
                 continue
             joined = algebra.join(current, other)
             if joined not in found:
                 gens = found[current].generators + found[other].generators
                 found[joined] = PermGroup(gens, elements=frozenset(algebra.elements(joined)))
+                position[joined] = len(position)
                 queue.append(joined)
     for mask, sub in found.items():
         algebra.normal_masks[sub.element_set()] = mask

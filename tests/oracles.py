@@ -14,7 +14,8 @@ reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
 class-algebra routines the library ran before it closed over generating
 classes only and cut its orbit walks short: the all-pairs class closure and
-the class splits by full orbit walks.
+the class splits by full orbit walks, and the eager coset rows it built
+before it read one fusion block per class of G/N.
 """
 
 import numpy as np
@@ -340,3 +341,19 @@ def class_splits_by_full_walk(algebra, normal, gens):
     classes = algebra.table.classes
     return {i: classes[i].size // len(conjugation_orbit(classes[i].rep.images, pairs))
             for i in _bits(normal)}
+
+
+def coset_classes_by_rows(algebra, normal):
+    """For the normal subgroup N with class set ``normal``: entry i is the
+    bitset of classes met by C_i * N, the union of the supports of C_i * C_j
+    over the classes j of N, built for every class i of G.  Uncached."""
+    from piclass.classes import _bits
+
+    in_normal = list(_bits(normal))
+    rows = []
+    for i in range(algebra.table.k):
+        met = 0
+        for j in in_normal:
+            met |= algebra._support(i, j)
+        rows.append(met)
+    return rows

@@ -46,6 +46,16 @@ def test_cache_corruption_is_a_miss(tmp_path):
     assert store.get("k1") is None
     open(store._path("k2"), "w").write("not json at all")
     assert store.get("k2") is None
+    open(store._path("k3"), "wb").write(b"\xff\xfe")  # not UTF-8
+    assert store.get("k3") is None
+    for key, text in (("k4", "[1]"), ("k5", "5"), ("k6", '"x"')):  # JSON, not an object
+        open(store._path(key), "w").write(text)
+        assert store.get(key) is None, text
+    os.mkdir(store._path("sub"))  # a directory named like an entry is no entry
+    assert store.keys() == ["k1", "k2", "k3", "k4", "k5", "k6"]
+    assert store.clear() == 6
+    assert store.keys() == []
+    assert os.path.isdir(store._path("sub"))
 
 
 def test_cache_clear_and_keys(tmp_path):
@@ -231,6 +241,28 @@ def test_cache_verify_detects_tamper(runner, tmp_path):
     assert verify.exit_code == 1
 
 
+def test_cache_commands_read_bad_entries_as_misses(runner, tmp_path):
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    key = entry_key(build(parse_name("S4")), "analysis", {"pi": [[2]]})
+    (cache_dir / f"{key}.json").write_bytes(b"\xff\xfe")  # the entry analyze reads
+    (cache_dir / "list.json").write_text("[1]")
+    (cache_dir / "number.json").write_text("5")
+    (cache_dir / "dir.json").mkdir()
+    fresh = runner.invoke(main, ["analyze", "S4", "--pi", "2"])
+    cached = runner.invoke(main, ["analyze", "S4", "--pi", "2", "--cache-dir", str(cache_dir)])
+    assert cached.exit_code == 0
+    body = {k: v for k, v in json.loads(cached.output).items() if k != "config"}
+    assert body == {k: v for k, v in json.loads(fresh.output).items() if k != "config"}
+    verify = runner.invoke(main, ["cache", "verify", "--cache-dir", str(cache_dir)])
+    assert verify.exit_code == 1
+    assert "checked: 3, mismatched or corrupt: 2" in verify.output
+    cleared = runner.invoke(main, ["cache", "clear", "--cache-dir", str(cache_dir)])
+    assert cleared.exit_code == 0
+    assert "removed: 3" in cleared.output
+    assert (cache_dir / "dir.json").is_dir()
+
+
 def test_unknown_group_message(runner):
     result = runner.invoke(main, ["analyze", "E8"])
     assert result.exit_code != 0
@@ -293,6 +325,9 @@ def _write_replay_dirs(root):
     ["verify", "--replay", "int-group"],
     ["analyze", "group-dir"],
     ["hall", "not-utf8.grp", "--pi", "2"],
+    ["analyze", "C3", "--cache-dir", "list.json"],
+    ["cache", "stats", "--cache-dir", "list.json"],
+    ["cache", "clear", "--cache-dir", "list.json/sub"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -6,6 +6,7 @@ from oracles import (
     all_subgroups_naive,
     class_splits_by_full_walk,
     closure_by_all_pairs,
+    coset_classes_by_rows,
     fitting_subgroup_by_closures,
     k_pi_by_class_equation,
     naive_closure,
@@ -17,7 +18,7 @@ from oracles import (
     subgroup_classes_by_orbit_skip,
 )
 from piclass.catalog import build, census_specs, parse_name
-from piclass.classes import class_algebra, conjugacy_classes, k_pi
+from piclass.classes import ClassAlgebra, class_algebra, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
@@ -184,7 +185,8 @@ LATTICE_SLICE = ["C1", "S3", "C12", "D8", "Q8", "A4", "S4", "A5", "C6 x C6", "D8
                  "Q8 x D8", "S4 x S4", "A5 x C3", "S5 x C2", "S5 x S3"]
 
 
-@pytest.mark.parametrize("name", LATTICE_SLICE)
+@pytest.mark.parametrize("name", LATTICE_SLICE + [s.name for s in census_specs()
+                                                  if s.order <= 72 and s.name not in LATTICE_SLICE])
 def test_normal_subgroups_match_pairwise_joins(name, named):
     g = named(name)
     ours = normal_subgroups(g)
@@ -350,6 +352,84 @@ def test_class_closures_and_splits_match_their_oracles(census_entries):
             assert algebra.class_splits(mask, n.generators) == splits, (name, n.order)
         for i in range(algebra.table.k):
             assert algebra.closure(1 << i) == closure_by_all_pairs(algebra, 1 << i), (name, i)
+
+
+def test_fusion_blocks_match_coset_rows(census_entries):
+    """On every census group and every lattice entry N: each block of N
+    equals the eager coset row of its class, and ``fusion`` and every
+    ``join`` with another lattice entry equal those read from the rows."""
+    for name, g in census_entries:
+        algebra = class_algebra(g)
+        masks = [algebra.normal_masks[n.element_set()] for n in normal_subgroups(g)]
+        for mask in masks:
+            rows = coset_classes_by_rows(algebra, mask)
+            assert [algebra.block(mask, i) for i in range(algebra.table.k)] == rows, name
+            fusion, covered = [], 0
+            for i, row in enumerate(rows):
+                if not covered >> i & 1:
+                    fusion.append(row)
+                    covered |= row
+            assert algebra.fusion(mask) == fusion, name
+            for other in masks:
+                joined = mask
+                for i in range(algebra.table.k):
+                    if other >> i & 1:
+                        joined |= rows[i]
+                assert algebra.join(mask, other) == joined, (name, mask, other)
+
+
+def _built_supports(algebra):
+    """Number of class-product supports built so far (the matrix is symmetric)."""
+    return sum(met is not None for i, row in enumerate(algebra._supports) for met in row[i:])
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_fusion_blocks_are_built_once_per_class_of_the_quotient(name, named):
+    """A block is built from one row of supports per class of G/N and read
+    by every class it holds: after ``fusion(N)`` on a fresh algebra, no join
+    of N builds another support."""
+    g = named(name)
+    table = conjugacy_classes(g)
+    masks = [class_algebra(g).normal_masks[n.element_set()] for n in normal_subgroups(g)]
+    for mask in masks:
+        algebra = ClassAlgebra(table)
+        blocks = algebra.fusion(mask)
+        built = _built_supports(algebra)
+        assert built <= len(blocks) * bin(mask).count("1"), (name, mask)
+        for other in masks:
+            algebra.join(mask, other)
+        assert _built_supports(algebra) == built, (name, mask)
+
+
+def test_lattice_joins_each_unordered_pair_once(monkeypatch):
+    import collections
+
+    pairs = collections.Counter()
+    join = ClassAlgebra.join
+
+    def counting(self, normal, other):
+        pairs[id(self), frozenset((normal, other))] += 1
+        return join(self, normal, other)
+
+    monkeypatch.setattr(ClassAlgebra, "join", counting)
+    for name in LATTICE_SLICE:
+        normal_subgroups(build(parse_name(name)))  # fresh: no cached lattice
+    assert pairs
+    assert max(pairs.values()) == 1
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_normal_closure_with_known_elements_keeps_its_generators(name, named):
+    """Stopping the conjugate walk at the known order, and taking the set
+    whole at a prime index, leaves the generators and the set unchanged."""
+    g = named(name)
+    algebra = class_algebra(g)
+    for i, cls in enumerate(algebra.table.classes):
+        elements = frozenset(algebra.elements(algebra.closure(1 << i)))
+        plain = normal_closure(g, [cls.rep])
+        known = normal_closure(g, [cls.rep], elements=elements)
+        assert known.generators == plain.generators, (name, i)
+        assert known.element_set() == plain.element_set() == elements, (name, i)
 
 
 def test_quotient_suite_builds_no_table_of_n():
