@@ -307,9 +307,13 @@ def cache_cmd(action, **params):
             value = store.get(key)
             if not isinstance(value, dict) or value.get("invariant") != "analysis":
                 return None
-            group = parse_group_file(value["group_file"], config.max_degree)
-            pi_sets = [frozenset(p) for p in value["pi_sets"]]
-            body = _analysis_body(value["name"], group, pi_sets, config, use_cache=False)
+            try:
+                group = parse_group_file(value["group_file"], config.max_degree)
+                pi_sets = [validate_pi(p) for p in value["pi_sets"]]
+                name = value["name"]
+            except (KeyError, TypeError, AttributeError, PiclassError):
+                return {}  # a malformed entry matches no recomputation
+            body = _analysis_body(name, group, pi_sets, config, use_cache=False)
             return {**value, "body": body}
 
         bad = store.verify(recompute)

@@ -249,6 +249,14 @@ def test_cache_commands_read_bad_entries_as_misses(runner, tmp_path):
     (cache_dir / "list.json").write_text("[1]")
     (cache_dir / "number.json").write_text("5")
     (cache_dir / "dir.json").mkdir()
+    store = InvariantCache(str(cache_dir))
+    store.put("no-group-file", {"invariant": "analysis"})  # checksummed, malformed
+    store.put("bad-group-file", {"invariant": "analysis", "group_file": "x",
+                                 "pi_sets": [[2]], "name": "x"})
+    store.put("int-group-file", {"invariant": "analysis", "group_file": 5,
+                                 "pi_sets": [[2]], "name": "x"})
+    store.put("bad-pi", {"invariant": "analysis", "pi_sets": [[4]], "name": "x",
+                         "group_file": serialize_group_file(build(parse_name("C3")))})
     fresh = runner.invoke(main, ["analyze", "S4", "--pi", "2"])
     cached = runner.invoke(main, ["analyze", "S4", "--pi", "2", "--cache-dir", str(cache_dir)])
     assert cached.exit_code == 0
@@ -256,10 +264,10 @@ def test_cache_commands_read_bad_entries_as_misses(runner, tmp_path):
     assert body == {k: v for k, v in json.loads(fresh.output).items() if k != "config"}
     verify = runner.invoke(main, ["cache", "verify", "--cache-dir", str(cache_dir)])
     assert verify.exit_code == 1
-    assert "checked: 3, mismatched or corrupt: 2" in verify.output
+    assert "checked: 7, mismatched or corrupt: 6" in verify.output
     cleared = runner.invoke(main, ["cache", "clear", "--cache-dir", str(cache_dir)])
     assert cleared.exit_code == 0
-    assert "removed: 3" in cleared.output
+    assert "removed: 7" in cleared.output
     assert (cache_dir / "dir.json").is_dir()
 
 

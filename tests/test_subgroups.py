@@ -412,8 +412,9 @@ def test_lattice_joins_each_unordered_pair_once(monkeypatch):
         return join(self, normal, other)
 
     monkeypatch.setattr(ClassAlgebra, "join", counting)
-    for name in LATTICE_SLICE:
-        normal_subgroups(build(parse_name(name)))  # fresh: no cached lattice
+    groups = [build(parse_name(name)) for name in LATTICE_SLICE]  # fresh: no cached lattice
+    for g in groups:  # kept alive, so no two algebras share an id
+        normal_subgroups(g)
     assert pairs
     assert max(pairs.values()) == 1
 
