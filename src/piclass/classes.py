@@ -6,7 +6,7 @@ from math import gcd
 from .errors import CapExceededError, NotInGroupError
 from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
-from .perm import Permutation, conjugation_orbit, conjugation_pairs
+from .perm import Permutation, conjugation_orbit, conjugation_pairs, right_multiplier
 
 
 @dataclass(frozen=True)
@@ -149,14 +149,15 @@ class ClassAlgebra:
         return mask
 
     def _support(self, i: int, j: int) -> int:
-        """Bitset of the classes met by C_i * C_j."""
+        """Bitset of the classes met by C_i * C_j: the classes of the products
+        y * x, y in the smaller class and x the other's representative (x * y
+        is conjugate to y * x, and each class of C_i * C_j holds such an x * y)."""
         met = self._supports[i][j]
         if met is None:
             small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
             index_of = self.table._index_of
-            get = self.table.classes[big].rep.images.__getitem__
-            met = sum(1 << c for c in {index_of[tuple(map(get, yim))]
-                                       for yim in self.members[small]})
+            times_x = right_multiplier(self.table.classes[big].rep.images)
+            met = sum(1 << c for c in {index_of[times_x(yim)] for yim in self.members[small]})
             self._supports[i][j] = self._supports[j][i] = met
         return met
 

@@ -2,10 +2,18 @@
 
 Composition convention, fixed globally: (a * b)(x) = a(b(x)), i.e. apply b
 first, then a.  Every other module relies on this choice.
+
+This module owns the permutation kernel: ``right_multiplier(b)``, the map
+a -> a * b on image tuples, is one C-level ``operator.itemgetter``, and
+``compose_images`` applies it once.  ``Permutation.__mul__``, the
+conjugations and the conjugation walks are built on them; no other module
+composes image tuples by hand.
 """
 
 import math
 import re
+from collections.abc import Callable
+from operator import index, itemgetter
 
 from .errors import DegreeMismatchError
 
@@ -29,6 +37,10 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
+        try:
+            images = tuple(map(index, images))
+        except TypeError:
+            raise ValueError(f"not a permutation: non-integer image in {images!r}") from None
         n = len(images)
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
@@ -77,7 +89,7 @@ class Permutation:
             raise DegreeMismatchError(
                 f"degree mismatch: {len(a)} vs {len(other.images)}"
             )
-        return Permutation._make(tuple(map(a.__getitem__, other.images)))
+        return Permutation._make(compose_images(a, other.images))
 
     def inverse(self) -> "Permutation":
         images = self.images
@@ -158,10 +170,26 @@ def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -
     return Permutation._make(conjugate_images((g.images, ginv.images), x.images))
 
 
-# -- conjugation on image tuples ---------------------------------------------
+# -- the kernel: composition and conjugation on image tuples -----------------
 #
-# A conjugation pair (g.images, g^-1.images) is all that x -> g x g^-1 needs:
-# (g x g^-1)(q) = g(x(g^-1(q))), read off in one pass over q.
+# itemgetter(*b)(a) is the tuple (a[b[0]], a[b[1]], ...), the images of a * b,
+# read in C.  With one index itemgetter returns a scalar, so degree <= 1 takes
+# a plain tuple instead.  A conjugation pair (g.images, g^-1.images) is all
+# that x -> g x g^-1 needs: g x g^-1 = (g * x) * g^-1, and the walks over
+# sets and orbits build the right multiplier of each g^-1 once per call.
+
+
+def right_multiplier(b: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The map a -> a * b on image tuples (a[b[q]] for each point q), built
+    once for many a."""
+    if len(b) > 1:
+        return itemgetter(*b)
+    return lambda a: tuple([a[q] for q in b])
+
+
+def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Images of a * b: a[b[q]] for each point q."""
+    return right_multiplier(b)(a)
 
 
 def conjugation_pairs(generators) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -172,13 +200,14 @@ def conjugation_pairs(generators) -> list[tuple[tuple[int, ...], tuple[int, ...]
 def conjugate_images(pair, xim: tuple[int, ...]) -> tuple[int, ...]:
     """Images of g x g^-1, for pair = (g.images, g^-1.images) and x given by xim."""
     gim, ginvim = pair
-    return tuple(gim[xim[q]] for q in ginvim)
+    return compose_images(compose_images(gim, xim), ginvim)
 
 
 def conjugate_set(pair, key: frozenset) -> frozenset:
     """g K g^-1 for a set K of image tuples (a subgroup's element set)."""
     gim, ginvim = pair
-    return frozenset(tuple(gim[t[q]] for q in ginvim) for t in key)
+    times_ginv = right_multiplier(ginvim)
+    return frozenset([times_ginv(compose_images(gim, t)) for t in key])
 
 
 def conjugation_orbit(xim: tuple[int, ...], pairs, limit: int | None = None) -> list[tuple[int, ...]]:
@@ -186,14 +215,17 @@ def conjugation_orbit(xim: tuple[int, ...], pairs, limit: int | None = None) -> 
 
     Breadth-first, pairs in list order, so the order of the list is fixed by
     the input.  With a ``limit``, the walk stops as soon as it holds
-    ``limit + 1`` conjugates and returns those.  The conjugation is written
-    inline: this loop runs over every element of every class table.
+    ``limit + 1`` conjugates and returns those.  Each conjugate cur is
+    multiplied on the right once per step: g * cur by cur's multiplier,
+    built once, then (g * cur) * g^-1 by g^-1's, built once per call.
     """
+    steps = [(gim, right_multiplier(ginvim)) for gim, ginvim in pairs]
     orbit = [xim]
     seen = {xim}
     for cur in orbit:
-        for gim, ginvim in pairs:
-            yim = tuple(gim[cur[q]] for q in ginvim)
+        times_cur = right_multiplier(cur)
+        for gim, times_ginv in steps:
+            yim = times_ginv(times_cur(gim))
             if yim not in seen:
                 seen.add(yim)
                 orbit.append(yim)

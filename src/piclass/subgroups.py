@@ -37,11 +37,13 @@ from .group import DEFAULT_MAX_ELEMENTS, PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
     Permutation,
+    compose_images,
     conjugate,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
+    right_multiplier,
 )
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -94,16 +96,18 @@ def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple
     pass ``cap``; never returns a truncated set.
     """
     base = list(elements)
+    coset = [right_multiplier(h) for h in base]  # y -> y*h for each h in H
     steps = [g.images for g in gens] + [x.images]
     closure = set(base)
     reps = [Permutation.identity(len(x.images)).images]
     for r in reps:
+        times_r = right_multiplier(r)
         for s in steps:
-            y = tuple(map(s.__getitem__, r))
+            y = times_r(s)
             if y not in closure:
                 if len(closure) + len(base) > cap:
                     raise CapExceededError("subgroup closure", len(closure) + len(base), cap)
-                closure.update([tuple(map(y.__getitem__, h)) for h in base])
+                closure.update([times_h(y) for times_h in coset])
                 reps.append(y)
     return frozenset(closure)
 
@@ -389,12 +393,12 @@ def quotient(group: PermGroup, kernel: PermGroup,
     index = group.order // kernel.order
     if index > max_degree:
         raise CapExceededError("quotient degree", index, max_degree)
-    kernel_images = kernel.element_set()
+    kernel_times = [right_multiplier(nim) for nim in kernel.element_set()]
     degree = group.degree
 
     def label(h: Permutation) -> tuple[int, ...]:
         him = h.images
-        return min(tuple(map(him.__getitem__, nim)) for nim in kernel_images)
+        return min([times_n(him) for times_n in kernel_times])
 
     start = Permutation._make(label(Permutation.identity(degree)))
     reps = [start]
@@ -687,11 +691,12 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                 power = xim
                 for k in range(1, n):
                     if power not in covered and math.gcd(k, n) == 1:
+                        times_power = right_multiplier(power)
                         for h in base_set:
-                            hx = tuple(map(h.__getitem__, power))
+                            hx = times_power(h)
                             if hx not in covered:
                                 covered.update(conjugation_orbit(hx, base_pairs))
-                    power = tuple(map(xim.__getitem__, power))
+                    power = compose_images(xim, power)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue
             register(extended)

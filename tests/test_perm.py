@@ -1,9 +1,19 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from piclass.errors import DegreeMismatchError
-from piclass.perm import Permutation, compose, conjugate, parse_cycle_text
+from piclass.perm import (
+    Permutation,
+    compose,
+    compose_images,
+    conjugate,
+    conjugate_images,
+    conjugate_set,
+    conjugation_orbit,
+    conjugation_pairs,
+    parse_cycle_text,
+)
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n))).map(Permutation)
@@ -48,6 +58,12 @@ def test_degree_mismatch():
 def test_not_a_permutation_rejected():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])
+    with pytest.raises(ValueError):
+        Permutation([1.0, 0.0])
+    # integer-like images are stored as plain ints
+    p = Permutation([True, False])
+    assert p.images == (1, 0) and all(type(i) is int for i in p.images)
+    assert p.cycle_string() == "(0 1)"
 
 
 def test_element_orders():
@@ -103,3 +119,72 @@ def test_conjugation_preserves_order(pair):
 @given(perms)
 def test_order_annihilates(p):
     assert (p ** p.order()).is_identity()
+
+
+# -- the composition kernel against its naive definitions ----------------------
+
+
+def image_tuples(k):
+    """k image tuples of one degree in 1..20."""
+    return st.integers(min_value=1, max_value=20).flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(tuple), min_size=k, max_size=k)
+    )
+
+
+def naive_compose(a, b):
+    return tuple(a[b[q]] for q in range(len(b)))
+
+
+def naive_conjugate(g, x):
+    ginv = Permutation(g).inverse().images
+    return tuple(g[x[ginv[q]]] for q in range(len(x)))
+
+
+def naive_orbit(xim, gens, limit=None):
+    orbit = [xim]
+    for cur in orbit:
+        for g in gens:
+            y = naive_conjugate(g, cur)
+            if y not in orbit:
+                orbit.append(y)
+                if limit is not None and len(orbit) > limit:
+                    return orbit
+    return orbit
+
+
+@given(image_tuples(2))
+@example([(0,), (0,)])
+def test_composition_and_conjugation_match_naive(ims):
+    a, b = ims
+    assert compose_images(a, b) == naive_compose(a, b)
+    assert (Permutation(a) * Permutation(b)).images == naive_compose(a, b)
+    pair = conjugation_pairs([Permutation(a)])[0]
+    assert conjugate_images(pair, b) == naive_conjugate(a, b)
+    assert conjugate(Permutation(a), Permutation(b)).images == naive_conjugate(a, b)
+
+
+@given(image_tuples(7))
+@example([(0,)] * 7)
+def test_conjugate_set_matches_naive(ims):
+    g, *key = ims
+    pair = conjugation_pairs([Permutation(g)])[0]
+    assert conjugate_set(pair, frozenset(key)) == frozenset(naive_conjugate(g, t) for t in key)
+    assert conjugate_set(pair, frozenset()) == frozenset()
+
+
+@given(image_tuples(2), st.integers(min_value=1, max_value=7))
+@example([(0,), (0,)], 1)
+def test_cyclic_conjugation_orbit_matches_naive(ims, k):
+    """The whole orbit under <g> (at most 420 conjugates at degree 20), walked
+    with the pairs of g and g^k."""
+    g, x = ims
+    gens = [g, (Permutation(g) ** k).images]
+    assert conjugation_orbit(x, conjugation_pairs(map(Permutation, gens))) == naive_orbit(x, gens)
+
+
+@given(image_tuples(4), st.integers(min_value=1, max_value=40))
+@example([(0,)] * 4, 1)
+def test_limited_conjugation_orbit_matches_naive(ims, limit):
+    x, *gens = ims
+    pairs = conjugation_pairs(map(Permutation, gens))
+    assert conjugation_orbit(x, pairs, limit) == naive_orbit(x, gens, limit)

@@ -31,7 +31,7 @@ from piclass.perm import (
     conjugation_pairs,
     parse_cycle_text,
 )
-from piclass.suite import _nonempty_subsets, check_quotient_bound
+from piclass.suite import _nonempty_subsets, check_hall_dichotomy, check_quotient_bound
 from piclass.subgroups import (
     _extend_closure,
     are_conjugate_subgroups,
@@ -661,6 +661,37 @@ def test_subgroup_enumeration_matches_orbit_skip_sweep(name, named):
     for pi in _nonempty_subsets(group_primes(g)):
         assert (handles(enumerate_subgroups_up_to_conjugacy(g, pi=pi))
                 == handles(subgroup_classes_by_orbit_skip(g, pi))), sorted(pi)
+
+
+def _relabelled_reordered(g, seed):
+    """g with its points relabelled by a seeded permutation and its
+    generators listed twice each, in a seeded order."""
+    rng = random.Random(seed)
+    sigma = list(range(g.degree))
+    rng.shuffle(sigma)
+    s = Permutation(sigma)
+    gens = [conjugate(s, x) for x in g.generators] * 2
+    rng.shuffle(gens)
+    return PermGroup(gens, degree=g.degree)
+
+
+def _enumeration_profile(g):
+    """Sorted class orders for every pi, and the Hall verdict's class counts."""
+    pis = _nonempty_subsets(group_primes(g))
+    orders = [sorted(h.order for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi))
+              for pi in [None, *pis]]
+    witnesses = [check_hall_dichotomy(g, pi).witness for pi in pis]
+    counts = [(w.get("pi_subgroup_classes"), w.get("hall_class_count")) for w in witnesses]
+    return orders, counts
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_subgroup_enumeration_survives_relabelling(name, named):
+    """Relabelling the points and shuffling and duplicating the generators
+    changes no class order of the enumeration, for any pi, and neither
+    Hall verdict count."""
+    g = named(name)
+    assert _enumeration_profile(_relabelled_reordered(g, 7)) == _enumeration_profile(g)
 
 
 def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
