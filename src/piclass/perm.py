@@ -164,7 +164,7 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
 
 
 def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -> Permutation:
-    """g * x * g^-1 in one pass; pass ginv to reuse a precomputed inverse."""
+    """g * x * g^-1; pass ginv to reuse a precomputed inverse."""
     if ginv is None:
         ginv = g.inverse()
     return Permutation._make(conjugate_images((g.images, ginv.images), x.images))

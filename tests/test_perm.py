@@ -136,7 +136,7 @@ def naive_compose(a, b):
 
 
 def naive_conjugate(g, x):
-    ginv = Permutation(g).inverse().images
+    ginv = sorted(range(len(g)), key=lambda i: g[i])
     return tuple(g[x[ginv[q]]] for q in range(len(x)))
 
 
