@@ -180,7 +180,8 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
 @click.option("--suite", "suites", multiple=True, default=("all",),
               help="Suite selector; repeatable. One of "
                    "main/complement/cap/quotient/structure/commuting/selftest/all.")
-@click.option("--pi", "pi_values", multiple=True, help="Restrict per-pi suites to these prime sets.")
+@click.option("--pi", "pi_values", multiple=True,
+              help="Restrict per-pi suites to these prime sets; single GROUP_SOURCE only.")
 @click.option("--max-order", type=int, default=None, help="Census order cap.")
 @click.option("--bundle-dir", type=click.Path(), default="counterexamples",
               help="Where failure replay bundles are written.")
@@ -192,6 +193,10 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
     config = _config_from(params)
     by_name: dict[str, PermGroup] = {}
     suites = resolve_suites(list(suites))
+    if bool(group_source) + use_census + bool(replay) > 1:
+        raise InvalidInputError("give only one of GROUP_SOURCE, --census and --replay")
+    if pi_values and not group_source:
+        raise InvalidInputError("--pi needs a single GROUP_SOURCE, not the census or a replay")
     if replay:  # the document shows the bundle's config, in the requested format
         report, replayed = replay_counterexample(replay)
         reports = [report]

@@ -14,20 +14,19 @@ lattice, O_pi', the Fitting subgroup, the socle, the class counts k_pi(N)
 and k_pi(G/N)) close class bitsets over the class table of G
 (``classes.ClassAlgebra``): the lattice's joins read their element sets
 from them, a join N * M unions the fusion blocks of N (one per class of
-G/N, built once) over the classes of M, each unordered pair of bitsets is
-joined once, and a closure stops as soon as it holds more than |G|/p
-elements (p the least prime of |G|); the lattice's seed walks stop at the
-order their bitset gives.  k_pi(N) comes from the split of G-classes into
-N-classes and k_pi(G/N) from class fusion, so neither N nor G/N gets a
-class table of its own.  Set-level filters (subgroup centralizers,
-centers) enumerate under the element cap.  Searches that can fail distinguish three outcomes
-explicitly; in particular ``hall_search`` only ever reports nonexistence
-from its exhaustive tier.
+G/N, built once) over the classes of M, each bitset is joined with the
+seeds only (the normal closures of single classes), and a closure stops as
+soon as it holds more than |G|/p elements (p the least prime of |G|); the
+lattice's seed walks stop at the order their bitset gives.  k_pi(N) comes
+from the split of G-classes into N-classes and k_pi(G/N) from class fusion,
+so neither N nor G/N gets a class table of its own.  Set-level filters
+(subgroup centralizers, centers) enumerate under the element cap.  Searches
+that can fail distinguish three outcomes explicitly; in particular
+``hall_search`` only ever reports nonexistence from its exhaustive tier.
 """
 
 import math
 import random
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -267,57 +266,39 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
 
     Seeds are the normal closures of the conjugacy class representatives;
     every normal subgroup is the join of the seeds it contains, so closing
-    the seed set under pairwise joins is exhaustive.  The closing runs in
-    the class algebra, on class bitsets: a join is the class set of N * M.
-    A subgroup is made only for a bitset seen for the first time, on the
-    generators of the normal closure of its class representative or on
-    those of the two joined subgroups; every element set is read from its
-    bitset, so no join runs a closure, and a seed's ``normal_closure`` walk
-    stops once it reaches that set's size.
-
-    Bitsets are popped in the order found.  Each pair is joined once: when a
-    bitset is popped, the number found so far is recorded, and a later pop
-    skips every partner that was popped after it was found, since that
-    partner's pop already joined the pair (to the same bitset, N * M = M * N).
-    The skipped joins never reach a new bitset first, so the first pair
-    reaching each bitset, and with it the generators, is that of the full
-    pairwise loop.  Each bitset is recorded in the algebra's
-    ``normal_masks`` under its element set.  Cached on the group.
+    the seed set under joins with single seeds is exhaustive.  The closing
+    runs in the class algebra, on class bitsets: a join is the class set of
+    N * M.  Bitsets are walked in the order found; a seed is joined with the
+    seeds after it and any other bitset with every seed, so each unordered
+    pair is joined at most once.  A subgroup is made only for a bitset seen
+    for the first time, on the generators of the normal closure of its class
+    representative or on those of the two joined subgroups; every element
+    set is read from its bitset, so no join runs a closure, and a seed's
+    ``normal_closure`` walk stops once it reaches that set's size.  Each
+    bitset is recorded in the algebra's ``normal_masks`` under its element
+    set.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
     algebra = class_algebra(group, cap)
-    full = algebra.full
     found: dict[int, PermGroup] = {}
-    position: dict[int, int] = {}  # mask -> its index in found
-    reach: dict[int, int] = {}  # popped mask -> how many masks were found then
     seeds = []  # the identity's class comes first and gives the trivial group
     for i, cls in enumerate(algebra.table.classes):
         mask = algebra.closure(1 << i)
         if mask not in found:
             elements = frozenset(algebra.elements(mask))
             found[mask] = normal_closure(group, [cls.rep], cap, elements)
-            position[mask] = len(position)
             seeds.append(mask)
-    queue = deque(seeds)
-    while queue:
-        current = queue.popleft()
-        if current == full:
-            continue
-        reach[current] = len(found)
-        for other in list(found):
-            # the whole group and nested pairs join to a subgroup already
-            # found, and a partner popped after current was found has
-            # already been joined with it
-            if (other == full or other & current in (other, current)
-                    or reach.get(other, 0) > position[current]):
+    queue = list(seeds)
+    for k, current in enumerate(queue):  # queue grows while it is walked
+        for other in seeds[k + 1:] if k < len(seeds) else seeds:
+            if other & current in (other, current):  # nested: joins to the bigger
                 continue
             joined = algebra.join(current, other)
             if joined not in found:
                 gens = found[current].generators + found[other].generators
                 found[joined] = PermGroup(gens, elements=frozenset(algebra.elements(joined)))
-                position[joined] = len(position)
                 queue.append(joined)
     for mask, sub in found.items():
         algebra.normal_masks[sub.element_set()] = mask
@@ -508,7 +489,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
                 hgens.extend(syl.generators)
                 cur = centralizer_of_subgroup(cur, syl, cap)
             cand = subgroup(group, hgens, verify=False, cap=cap)
-            if cand.order == target and is_pi_number(cand.order, pi):
+            if cand.order == target:
                 return found(cand, "constructive",
                              f"Sylow subgroups in iterated centralizers ({direction})")
 
@@ -520,7 +501,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
             cinv = c.inverse()
             gens.extend(conjugate(c, g, cinv) for g in s.generators)
         cand = subgroup(group, gens, verify=False, cap=cap)
-        if cand.order == target and is_pi_number(cand.order, pi):
+        if cand.order == target:
             return found(cand, "randomized", f"random Sylow conjugates, attempt {attempt + 1}")
 
     if group.order <= subgroup_cap:

@@ -26,7 +26,6 @@ from .numtheory import is_pi_number, pi_part, validate_pi
 from .perm import conjugate_set
 from .subgroups import (
     almost_simple_socle,
-    are_conjugate_subgroups,
     center,
     centralizer_of_subgroup,
     commutator_subgroup,
@@ -144,14 +143,13 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     if not partial and len(halls) != 1:
         witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+    hall_conjugates = orbit_transversal(group, hall.element_set(), conjugate_set)
     for other in halls:
-        same, _ = are_conjugate_subgroups(group, hall, other)
-        if not same:
+        if other.element_set() not in hall_conjugates:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
             return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
     witness["conjugacy"] = "ok"
 
-    hall_conjugates = orbit_transversal(group, hall.element_set(), conjugate_set)
     for sub in classes:
         subset = sub.element_set()
         if not any(subset <= conj for conj in hall_conjugates):

@@ -4,8 +4,9 @@ Nothing here touches the BSGS machinery beyond listing a group's elements:
 closures are multiplication BFS over raw image tuples, class partitions
 conjugate by every element, and the commuting probability counts pairs.
 numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
-The exceptions are ``normal_subgroups_by_joins``, the pairwise-join
-lattice the library used before its class-algebra lattice, and
+The exceptions are ``normal_subgroups_by_joins``, the lattice closed by
+joins with the seeds as the library closes it, but on generators and
+element sets in place of class bitsets, and
 ``subgroup_classes_by_orbit_skip``, the subgroup-class sweep the library
 ran before its double-coset skip rules; they fix the order and the
 generators the library must keep reproducing.  The routines after the
@@ -185,11 +186,12 @@ def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
 
 
 def normal_subgroups_by_joins(group, cap=100_000):
-    """Normal subgroups by pairwise ``join_subgroups``, keyed by element sets.
+    """Normal subgroups by ``join_subgroups`` with the seeds, keyed by element sets.
 
-    Seeds are the normal closures of the class representatives, closed under
-    pairwise joins (FIFO over the subgroups found, in insertion order); the
-    first handle built for an element set is kept.  Uncached.
+    Seeds are the normal closures of the class representatives.  The
+    subgroups found are walked in insertion order: a seed is joined with the
+    seeds after it and any other subgroup with every seed; the first handle
+    built for an element set is kept.  Uncached.
     """
     from piclass.classes import conjugacy_classes
     from piclass.subgroups import join_subgroups, normal_closure, trivial_subgroup
@@ -217,11 +219,10 @@ def normal_subgroups_by_joins(group, cap=100_000):
         if register(closure):
             seeds.append(closure)
     queue = list(seeds)
-    while queue:
-        current = queue.pop(0)
-        for other in list(found.values()):
-            if current.order == group.order:
-                break
+    for k, current in enumerate(queue):
+        if current.order == group.order:
+            continue
+        for other in seeds[k + 1:] if k < len(seeds) else seeds:
             if other.order == group.order:
                 continue
             # nested pairs join to the bigger one, already registered

@@ -278,7 +278,8 @@ def test_unknown_group_message(runner):
 
 
 def _write_replay_dirs(root):
-    """Directories that are not valid replay bundles, each broken one way."""
+    """Directories that are not valid replay bundles, each broken one way,
+    and one valid bundle."""
     group_file = serialize_group_file(build(parse_name("C3")))
     meta = {"result_id": "commuting-threshold", "group": "C3", "pi": None,
             "verdict": {}, "config": {}}
@@ -297,6 +298,7 @@ def _write_replay_dirs(root):
         "list-rid": {"meta.json": json.dumps({**meta, "result_id": ["two-thirds-cap"]}),
                      "group.grp": group_file},
         "int-group": {"meta.json": json.dumps({**meta, "group": 3}), "group.grp": group_file},
+        "valid": {"meta.json": json.dumps(meta), "group.grp": group_file},
     }
     for name, files in bundles.items():
         (root / name).mkdir()
@@ -336,6 +338,12 @@ def _write_replay_dirs(root):
     ["analyze", "C3", "--cache-dir", "list.json"],
     ["cache", "stats", "--cache-dir", "list.json"],
     ["cache", "clear", "--cache-dir", "list.json/sub"],
+    ["verify", "--census", "--max-order", "6", "--suite", "cap", "--pi", "7"],
+    ["verify", "--max-order", "6", "--suite", "cap", "--pi", "3"],
+    ["verify", "C3", "--census", "--max-order", "6", "--suite", "cap"],
+    ["verify", "--replay", "valid", "--pi", "3"],
+    ["verify", "C3", "--replay", "valid"],
+    ["verify", "--census", "--replay", "valid", "--max-order", "6", "--suite", "cap"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
