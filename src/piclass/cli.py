@@ -1,4 +1,4 @@
-"""Command-line surface: analyze, verify, hall, census, cache."""
+"""Command-line surface: analyze, verify, hall, census."""
 
 import functools
 import os
@@ -8,8 +8,7 @@ from collections import Counter
 import click
 
 from . import __version__
-from .cache import InvariantCache, entry_key
-from .catalog import build, census, parse_group_file, parse_name, serialize_group_file
+from .catalog import build, census, parse_group_file, parse_name
 from .classes import conjugacy_classes
 from .config import Config
 from .errors import InvalidInputError, PiclassError
@@ -65,8 +64,8 @@ def _parse_pi(values) -> list[frozenset[int]]:
 
 
 # command-line option -> the Config field it overrides
-_OVERRIDES = {"seed": "seed", "max_order": "max_order", "cache_dir": "cache_dir",
-              "fmt": "output_format", "budget": "hall_budget"}
+_OVERRIDES = {"seed": "seed", "max_order": "max_order", "fmt": "output_format",
+              "budget": "hall_budget"}
 
 
 def _config_from(ctx_params) -> Config:
@@ -84,8 +83,6 @@ _common = [
     click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
                  default=None, help="Output format (default json)."),
     click.option("--seed", type=int, default=None, help="Deterministic seed."),
-    click.option("--cache-dir", type=click.Path(), default=None,
-                 help="Enable the on-disk invariant cache in this directory."),
 ]
 
 
@@ -130,8 +127,7 @@ def analyze(group_source, pi_values, **params):
         click.echo(render_analysis_text(body), nl=False)
 
 
-def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True) -> dict:
-    cache = InvariantCache(config.cache_dir) if (config.cache_dir and use_cache) else None
+def _analysis_body(name, group, pi_sets, config: Config) -> dict:
     if pi_sets is None:
         primes = sorted(group_primes(group))
         pi_sets = [frozenset([p]) for p in primes]
@@ -139,15 +135,8 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
             pi_sets.append(frozenset(primes))
         if not pi_sets:
             pi_sets = [frozenset([2])]
-    ordered_pi = [sorted(s) for s in pi_sets]
-    key = None
-    if cache is not None:
-        key = entry_key(group, "analysis", {"pi": ordered_pi})
-        hit = cache.get(key)
-        if isinstance(hit, dict) and "body" in hit:
-            return hit["body"]
     table = conjugacy_classes(group, config.max_elements)
-    body = {
+    return {
         "group": {
             "name": name,
             "degree": group.degree,
@@ -163,15 +152,6 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
             d_pi(group, pi, config.max_elements, name).as_dict() for pi in pi_sets
         ],
     }
-    if cache is not None:
-        cache.put(key, {
-            "invariant": "analysis",
-            "group_file": serialize_group_file(group),
-            "pi_sets": ordered_pi,
-            "name": name,
-            "body": body,
-        })
-    return body
 
 
 @main.command()
@@ -182,7 +162,8 @@ def _analysis_body(name, group, pi_sets, config: Config, use_cache: bool = True)
                    "main/complement/cap/quotient/structure/commuting/selftest/all.")
 @click.option("--pi", "pi_values", multiple=True,
               help="Restrict per-pi suites to these prime sets; single GROUP_SOURCE only.")
-@click.option("--max-order", type=int, default=None, help="Census order cap.")
+@click.option("--max-order", type=int, default=None,
+              help="Census order cap; the census only, not a GROUP_SOURCE or --replay.")
 @click.option("--bundle-dir", type=click.Path(), default="counterexamples",
               help="Where failure replay bundles are written.")
 @click.option("--replay", type=click.Path(exists=True), default=None,
@@ -197,6 +178,8 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
         raise InvalidInputError("give only one of GROUP_SOURCE, --census and --replay")
     if pi_values and not group_source:
         raise InvalidInputError("--pi needs a single GROUP_SOURCE, not the census or a replay")
+    if params["max_order"] is not None and (group_source or replay):
+        raise InvalidInputError("--max-order caps the census, not a GROUP_SOURCE or a replay")
     if replay:  # the document shows the bundle's config, in the requested format
         report, replayed = replay_counterexample(replay)
         reports = [report]
@@ -292,39 +275,6 @@ def census_cmd(**params):
     else:
         for row in rows:
             click.echo(f"{row['name']:16} order {row['order']:6} degree {row['degree']}")
-
-
-@main.command(name="cache")
-@click.argument("action", type=click.Choice(["stats", "clear", "verify"]))
-@_with_common
-def cache_cmd(action, **params):
-    """Inspect, clear, or verify the on-disk invariant cache."""
-    config = _config_from(params)
-    if not config.cache_dir:
-        raise click.ClickException("no cache directory configured (--cache-dir)")
-    store = InvariantCache(config.cache_dir)
-    if action == "stats":
-        click.echo(f"entries: {len(store.keys())}")
-    elif action == "clear":
-        click.echo(f"removed: {store.clear()}")
-    else:
-        def recompute(key):
-            value = store.get(key)
-            if not isinstance(value, dict) or value.get("invariant") != "analysis":
-                return None
-            try:
-                group = parse_group_file(value["group_file"], config.max_degree)
-                pi_sets = [validate_pi(p) for p in value["pi_sets"]]
-                name = value["name"]
-            except (KeyError, TypeError, AttributeError, PiclassError):
-                return {}  # a malformed entry matches no recomputation
-            body = _analysis_body(name, group, pi_sets, config, use_cache=False)
-            return {**value, "body": body}
-
-        bad = store.verify(recompute)
-        click.echo(f"checked: {len(store.keys())}, mismatched or corrupt: {len(bad)}")
-        if bad:
-            sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -15,6 +15,8 @@ from .subgroups import (
 
 # Every report prints "workers": 1, so the field stays; it admits one value.
 WORKERS_ERROR = "workers must be 1: the campaign runs on one thread"
+# Every report prints "cache_dir": null, so the field stays; it admits one value.
+CACHE_DIR_ERROR = "cache_dir must be null: piclass keeps no on-disk cache"
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,8 @@ class Config:
     output_format: str = "json"
 
     def __post_init__(self):
+        if self.cache_dir is not None:
+            raise InvalidInputError(CACHE_DIR_ERROR)
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is int:

@@ -1,0 +1,47 @@
+"""Exact identities on the census: the product rule and known class counts.
+
+A direct product multiplies class counts and pi-parts factor by factor, so
+``k(A x B) = k(A) k(B)`` and ``d_pi(A x B) = d_pi(A) d_pi(B)`` for every
+prime set.  The closed forms are the class counts of the symmetric,
+alternating and dihedral groups.
+"""
+
+import time
+
+from piclass.catalog import alternating, build, census_specs, symmetric
+from piclass.classes import conjugacy_classes
+from piclass.invariants import d_pi, group_primes
+
+PARTITIONS = {3: 3, 4: 5, 5: 7, 6: 11}  # p(n): the classes of S_n
+ALTERNATING_CLASSES = {4: 4, 5: 5, 6: 7}
+
+
+def _prime_sets(group):
+    primes = sorted(group_primes(group))
+    return {frozenset([p]) for p in primes} | {frozenset(primes)}
+
+
+def test_product_rule_and_closed_forms(census_entries):
+    t0 = time.perf_counter()
+    by_name = dict(census_entries)
+    products = [s for s in census_specs() if s.kind == "product"]
+    for spec in products:
+        g = by_name[spec.name]
+        a, b = (by_name[f.name] for f in spec.factors)
+        k = conjugacy_classes(g).k
+        assert k == conjugacy_classes(a).k * conjugacy_classes(b).k, spec.name
+        for pi in _prime_sets(g):
+            assert d_pi(g, pi).d_pi == d_pi(a, pi).d_pi * d_pi(b, pi).d_pi, (spec.name, pi)
+
+    for n, count in PARTITIONS.items():
+        assert conjugacy_classes(build(symmetric(n))).k == count, f"S{n}"
+    for n, count in ALTERNATING_CLASSES.items():
+        assert conjugacy_classes(build(alternating(n))).k == count, f"A{n}"
+    for m in range(6, 17, 2):
+        n = m // 2
+        count = n // 2 + 3 if n % 2 == 0 else (n + 3) // 2
+        assert conjugacy_classes(by_name[f"D{m}"]).k == count, f"D{m}"
+
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 15.0, f"runtime {elapsed:.2f}s exceeds 15s"
+    print(f"product rule on {len(products)} census products, closed forms; {elapsed:.2f}s")

@@ -58,13 +58,19 @@ SLICES = {
 }
 
 
-@pytest.mark.parametrize("slice_name", list(SLICES))
-def test_report_digest(slice_name):
-    config, suites, groups, marker, golden = SLICES[slice_name]
+def render(slice_name: str) -> str:
+    """The JSON report of one slice, as ``piclass verify`` prints it."""
+    config, suites, groups, marker, _ = SLICES[slice_name]
     entries = list(census(config.census_ranges(), config.max_degree))
     assert set(groups) <= set(dict(entries))
     result = run_census_campaign(entries, suites, config)
     body = {"results": [r.as_dict() for r in result.reports], "summary": result.summary}
     text = render_json(document("verify", config, body))
     assert marker in text
-    assert hashlib.sha256(text.encode()).hexdigest() == golden
+    return text
+
+
+@pytest.mark.parametrize("slice_name", list(SLICES))
+def test_report_digest(slice_name):
+    text = render(slice_name)
+    assert hashlib.sha256(text.encode()).hexdigest() == SLICES[slice_name][4]
