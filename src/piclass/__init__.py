@@ -15,7 +15,6 @@ from .classes import (
     ClassTable,
     class_algebra,
     conjugacy_classes,
-    is_pi_element,
     k_pi,
     pi_part_of_element,
 )
@@ -34,16 +33,11 @@ from .invariants import (
     PiProfile,
     commuting_degree,
     d_pi,
-    d_pi_hall_average,
     group_primes,
-    has_normal_p_complement,
     has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
-    pi_part_of_integer,
-    product_lower_bound_check,
-    class_count_product_bound,
 )
-from .perm import Permutation, compose, conjugate, parse_cycle_text
+from .perm import Permutation, conjugate, parse_cycle_text
 from .subgroups import (
     HallSearchOutcome,
     QuotientGroup,

@@ -3,7 +3,8 @@
 Families: cyclic C{n}, dihedral D{m} (m = group order, even, >= 6),
 quaternion Q8 (regular representation on 8 points, the smallest faithful
 one), symmetric S{n}, alternating A{n}, direct products acting on the
-disjoint union of the factors' points, and raw generator lists.
+disjoint union of the factors' points.  Groups given by raw generators
+come in as group files (``parse_group_file``).
 
 Group file format
 -----------------
@@ -29,11 +30,9 @@ DEFAULT_MAX_DEGREE = 128
 class GroupSpec:
     """A buildable description of a catalog group."""
 
-    kind: str  # cyclic | dihedral | quaternion | symmetric | alternating | product | raw
+    kind: str  # cyclic | dihedral | quaternion | symmetric | alternating | product
     n: int = 0
     factors: tuple["GroupSpec", ...] = ()
-    raw_generators: tuple[str, ...] = ()
-    raw_degree: int = 0
 
     @property
     def name(self) -> str:
@@ -47,22 +46,18 @@ class GroupSpec:
             return f"S{self.n}"
         if self.kind == "alternating":
             return f"A{self.n}"
-        if self.kind == "product":
-            return " x ".join(f.name for f in self.factors)
-        return f"raw[{self.raw_degree}]"
+        return " x ".join(f.name for f in self.factors)
 
     @property
     def order(self) -> int:
-        """Closed-form order; raw specs do not have one."""
+        """Closed-form order."""
         if self.kind in ("cyclic", "dihedral"):
             return self.n
         if self.kind == "quaternion":
             return 8
         if self.kind in ("symmetric", "alternating"):
             return factorial(self.n) // (2 if self.kind == "alternating" else 1)
-        if self.kind == "product":
-            return prod(f.order for f in self.factors)
-        raise ValueError("raw specs have no closed-form order")
+        return prod(f.order for f in self.factors)
 
 
 def cyclic(n: int) -> GroupSpec:
@@ -97,10 +92,6 @@ def product(*factors: GroupSpec) -> GroupSpec:
     if len(factors) < 2:
         raise ValueError("a product needs at least two factors")
     return GroupSpec("product", factors=tuple(factors))
-
-
-def raw(degree: int, generator_texts) -> GroupSpec:
-    return GroupSpec("raw", raw_degree=degree, raw_generators=tuple(generator_texts))
 
 
 # Quaternion units 1,-1,i,-i,j,-j,k,-k as (sign, axis) with axis in 1,i,j,k.
@@ -176,13 +167,6 @@ def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
                 gens.append(Permutation(images))
             offset += g.degree
         return PermGroup(gens, degree=degree)
-    if spec.kind == "raw":
-        if spec.raw_degree > max_degree:
-            raise CapExceededError("degree", spec.raw_degree, max_degree)
-        gens = [parse_cycle_text(t, spec.raw_degree) for t in spec.raw_generators]
-        if not gens:
-            gens = [Permutation.identity(spec.raw_degree)]
-        return PermGroup(gens, degree=spec.raw_degree)
     raise ValueError(f"unknown spec kind: {spec.kind}")
 
 

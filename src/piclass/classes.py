@@ -1,4 +1,5 @@
-"""Conjugacy classes, element centralizers, and pi-element classification."""
+"""Conjugacy classes, element centralizers, pi-element class counts and the
+pi-part decomposition of elements."""
 
 from dataclasses import dataclass
 from math import gcd
@@ -321,11 +322,6 @@ def class_algebra(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> ClassAlg
         algebra = ClassAlgebra(conjugacy_classes(group, cap))
         group.cache["class_algebra"] = algebra
     return algebra
-
-
-def is_pi_element(x: Permutation, pi) -> bool:
-    """True iff every prime factor of the element order lies in pi."""
-    return is_pi_number(x.order(), validate_pi(pi))
 
 
 def pi_part_of_element(x: Permutation, pi) -> tuple[Permutation, Permutation]:

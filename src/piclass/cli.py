@@ -19,6 +19,7 @@ from .reporting import (
     document,
     render_analysis_csv,
     render_analysis_text,
+    render_hall_csv,
     render_json,
     render_verdicts_csv,
     render_verdicts_text,
@@ -240,12 +241,14 @@ def hall(group_source, pi_values, **params):
         }
         if out.found:
             entry["order"] = out.subgroup.order
-            entry["abelian"] = out.abelian
+            entry["abelian"] = out.subgroup.is_abelian()
             entry["generators"] = [g.cycle_string() for g in out.subgroup.generators]
         outcomes.append(entry)
     body = {"group": name, "outcomes": outcomes}
     if config.output_format == "json":
         click.echo(render_json(document("hall", config, body)), nl=False)
+    elif config.output_format == "csv":
+        click.echo(render_hall_csv(outcomes), nl=False)
     else:
         for entry in outcomes:
             pi = ",".join(map(str, entry["pi"]))

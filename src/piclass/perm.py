@@ -158,11 +158,6 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """(a . b)(x) = a(b(x)); the module-wide convention."""
-    return a * b
-
-
 def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -> Permutation:
     """g * x * g^-1; pass ginv to reuse a precomputed inverse."""
     if ginv is None:

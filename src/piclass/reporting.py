@@ -70,6 +70,23 @@ def render_analysis_csv(body: dict) -> str:
     return buf.getvalue()
 
 
+def render_hall_csv(outcomes: list[dict]) -> str:
+    """One row per prime set; order and abelian are empty when nothing was found."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pi", "status", "method", "route", "order", "abelian"])
+    for entry in outcomes:
+        writer.writerow([
+            ",".join(map(str, entry["pi"])),
+            entry["status"],
+            entry["method"],
+            entry["route"],
+            entry.get("order"),
+            entry.get("abelian"),
+        ])
+    return buf.getvalue()
+
+
 def render_analysis_text(body: dict) -> str:
     g = body["group"]
     lines = [

@@ -436,7 +436,6 @@ class HallSearchOutcome:
     subgroup: PermGroup | None
     method: str | None  # constructive | randomized | exhaustive
     route: str | None
-    abelian: bool | None
 
     @property
     def found(self) -> bool:
@@ -462,7 +461,7 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
         # Independent recheck of the Found contract.
         if sub.order != target or not is_pi_number(sub.order, pi):
             raise AssertionError("hall candidate failed verification")
-        return HallSearchOutcome("found", sub, method, route, sub.is_abelian())
+        return HallSearchOutcome("found", sub, method, route)
 
     if target == 1:
         return found(trivial_subgroup(group), "constructive", "pi-part of order is 1")
@@ -511,8 +510,8 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
             if sub.order == target:
                 return found(sub, "exhaustive", "pi-subgroup enumeration")
         return HallSearchOutcome("none_exists", None, "exhaustive",
-                                 "no pi-subgroup of Hall order exists", None)
-    return HallSearchOutcome("unresolved", None, None, "budget exhausted over exhaustive cap", None)
+                                 "no pi-subgroup of Hall order exists")
+    return HallSearchOutcome("unresolved", None, None, "budget exhausted over exhaustive cap")
 
 
 def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):

@@ -128,6 +128,18 @@ def test_hall_cli(runner):
     assert "found order=8" in result.output
 
 
+def test_hall_csv(runner):
+    result = runner.invoke(main, ["hall", "A4", "--pi", "2", "--pi", "2,3", "--format", "csv"])
+    assert result.exit_code == 0
+    assert result.output == (
+        "pi,status,method,route,order,abelian\n"
+        "2,found,constructive,closure of one Sylow subgroup per prime,4,True\n"
+        '"2,3",found,constructive,whole group is a pi-group,12,False\n')
+    result = runner.invoke(main, ["hall", "A5", "--pi", "3,5", "--format", "csv"])
+    assert result.output.splitlines()[1] == (
+        '"3,5",none_exists,exhaustive,no pi-subgroup of Hall order exists,,')
+
+
 def test_census_cli(runner):
     result = runner.invoke(main, ["census", "--format", "csv"])
     lines = result.output.splitlines()

@@ -9,7 +9,6 @@ from piclass.catalog import (
     parse_group_file,
     parse_name,
     product,
-    raw,
     serialize_group_file,
 )
 from piclass.classes import conjugacy_classes
@@ -53,11 +52,6 @@ def test_quaternion_regular_representation(named):
     assert sorted(table.sizes()) == [1, 1, 2, 2, 2]
     # exactly one involution (the central -1)
     assert sum(1 for e in q8.element_list() if e.order() == 2) == 1
-
-
-def test_raw_spec_builds():
-    g = build(raw(3, ["(0 1 2)"]))
-    assert g.order == 3
 
 
 def test_parse_name_variants():

@@ -4,38 +4,38 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from lemmas import (
+    burnside_criterion,
+    class_count_product_bound,
+    d_pi_hall_average,
+    product_lower_bound_check,
+)
 from oracles import commuting_pair_count
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import PreconditionError
 from piclass.invariants import (
-    burnside_criterion,
     commuting_degree,
     d_pi,
-    d_pi_hall_average,
     group_primes,
-    has_normal_p_complement,
     has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
-    pi_part_of_integer,
-    product_lower_bound_check,
-    class_count_product_bound,
 )
-from piclass.numtheory import is_prime, prime_factors, validate_pi
+from piclass.numtheory import is_prime, pi_part, prime_factors, validate_pi
 from piclass.subgroups import is_normal
 
 
 def test_pi_part_of_integer_examples():
-    assert pi_part_of_integer(24, frozenset([2])) == 8
-    assert pi_part_of_integer(24, frozenset([2, 3])) == 24
-    assert pi_part_of_integer(24, frozenset([5, 7])) == 1
-    assert pi_part_of_integer(1, frozenset([2])) == 1
+    assert pi_part(24, frozenset([2])) == 8
+    assert pi_part(24, frozenset([2, 3])) == 24
+    assert pi_part(24, frozenset([5, 7])) == 1
+    assert pi_part(1, frozenset([2])) == 1
 
 
 @given(st.integers(min_value=1, max_value=10_000),
        st.sets(st.sampled_from([2, 3, 5, 7, 11]), min_size=1))
 def test_pi_part_properties(n, pi):
     pi = frozenset(pi)
-    a = pi_part_of_integer(n, pi)
+    a = pi_part(n, pi)
     assert n % a == 0
     rest = n // a
     assert all(p not in pi for p in prime_factors(rest))
@@ -173,13 +173,13 @@ def test_class_product_bound_examples(named):
 
 def test_normal_complement_examples(named):
     a4 = named("A4")
-    exists, comp = has_normal_p_complement(a4, 3)
+    exists, comp = has_normal_pi_complement(a4, [3])
     assert exists and comp.order == 4 and is_normal(a4, comp)
 
-    exists, comp = has_normal_p_complement(named("S4"), 2)
+    exists, comp = has_normal_pi_complement(named("S4"), [2])
     assert not exists and comp is None
 
-    exists, comp = has_normal_p_complement(named("S3"), 5)
+    exists, comp = has_normal_pi_complement(named("S3"), [5])
     assert exists and comp.order == 6
 
 
@@ -187,10 +187,10 @@ def test_normal_complement_soundness(named):
     for name in ["A4", "S3", "C12", "D12", "S3 x C5"]:
         g = named(name)
         for p in group_primes(g):
-            exists, comp = has_normal_p_complement(g, p)
+            exists, comp = has_normal_pi_complement(g, [p])
             if exists:
                 assert is_normal(g, comp)
-                assert comp.order == g.order // pi_part_of_integer(g.order, frozenset([p]))
+                assert comp.order == g.order // pi_part(g.order, frozenset([p]))
                 assert all(q != p for q in prime_factors(comp.order))
 
 
@@ -201,7 +201,7 @@ def test_burnside_predicate_implies_complement(named, census_entries):
     for name, g in census_entries[:60]:
         for p in group_primes(g):
             if burnside_criterion(g, p):
-                assert has_normal_p_complement(g, p)[0], (name, p)
+                assert has_normal_pi_complement(g, [p])[0], (name, p)
 
 
 def test_normal_pi_complement_multi_prime(named):

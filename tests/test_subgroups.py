@@ -556,7 +556,7 @@ def test_hall_whole_group_when_pi_covers(named):
     out = hall_search(named("D8 x C3"), [2, 3])
     assert out.found
     assert out.subgroup.order == 24
-    assert out.abelian is False
+    assert not out.subgroup.is_abelian()
 
 
 def test_hall_unresolved_outside_exhaustive_tier(named):
