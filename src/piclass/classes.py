@@ -4,8 +4,8 @@ pi-part decomposition of elements."""
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import CapExceededError, NotInGroupError
-from .group import DEFAULT_MAX_ELEMENTS, PermGroup
+from .errors import NotInGroupError
+from .group import PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
 from .perm import Permutation, conjugation_orbit, conjugation_pairs, right_multiplier
 
@@ -39,20 +39,18 @@ class ClassTable:
         return [c.size for c in self.classes]
 
 
-def conjugacy_classes(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> ClassTable:
+def conjugacy_classes(group: PermGroup) -> ClassTable:
     """Class table via a conjugation-orbit sweep over the full element list.
 
     Deterministic: elements come from the group's enumeration order and each
     orbit is explored breadth-first with generators in list order.  The result
     is cached on the group.
     """
-    if group.order > cap:
-        raise CapExceededError("class table", group.order, cap)
     cached = group.cache.get("class_table")
     if cached is not None:
         return cached
 
-    elements = group.element_list(cap)
+    elements = group.element_list()
     pairs = conjugation_pairs(group.generators)
     index_of: dict[tuple[int, ...], int] = {}
     classes: list[ConjClass] = []
@@ -315,11 +313,11 @@ class ClassAlgebra:
         return [im for i in _bits(mask) for im in self.members[i]]
 
 
-def class_algebra(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> ClassAlgebra:
+def class_algebra(group: PermGroup) -> ClassAlgebra:
     """The class algebra over the group's class table, cached on the group."""
     algebra = group.cache.get("class_algebra")
     if algebra is None:
-        algebra = ClassAlgebra(conjugacy_classes(group, cap))
+        algebra = ClassAlgebra(conjugacy_classes(group))
         group.cache["class_algebra"] = algebra
     return algebra
 
@@ -344,15 +342,15 @@ def pi_part_of_element(x: Permutation, pi) -> tuple[Permutation, Permutation]:
     return x_pi, x ** (m + 1 - e)
 
 
-def k_pi(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> int:
+def k_pi(group: PermGroup, pi) -> int:
     """Number of conjugacy classes consisting of pi-elements."""
     pi = validate_pi(pi)
-    table = conjugacy_classes(group, cap)
+    table = conjugacy_classes(group)
     return sum(1 for c in table.classes if is_pi_number(c.order, pi))
 
 
-def all_d_p_one(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:
+def all_d_p_one(group: PermGroup, pi) -> bool:
     """True when k_p(G) = |G|_p, that is d_p(G) = 1, for every p in pi
     dividing |G|."""
-    return all(k_pi(group, [p], cap) == pi_part(group.order, frozenset([p]))
+    return all(k_pi(group, [p]) == pi_part(group.order, frozenset([p]))
                for p in sorted(validate_pi(pi)) if group.order % p == 0)

@@ -118,6 +118,7 @@ def analyze(group_source, pi_values, **params):
     """Class table summary and exact profiles for GROUP_SOURCE."""
     config = _config_from(params)
     name, group = _load_group(group_source, config)
+    config.check_element_cap(group)
     pi_sets = _parse_pi(pi_values) if pi_values else None
     body = _analysis_body(name, group, pi_sets, config)
     if config.output_format == "json":
@@ -136,7 +137,7 @@ def _analysis_body(name, group, pi_sets, config: Config) -> dict:
             pi_sets.append(frozenset(primes))
         if not pi_sets:
             pi_sets = [frozenset([2])]
-    table = conjugacy_classes(group, config.max_elements)
+    table = conjugacy_classes(group)
     return {
         "group": {
             "name": name,
@@ -150,7 +151,7 @@ def _analysis_body(name, group, pi_sets, config: Config) -> dict:
             for p in sorted(group_primes(group))
         },
         "profiles": [
-            d_pi(group, pi, config.max_elements, name).as_dict() for pi in pi_sets
+            d_pi(group, pi, name).as_dict() for pi in pi_sets
         ],
     }
 
@@ -228,11 +229,11 @@ def hall(group_source, pi_values, **params):
 
     config = _config_from(params)
     name, group = _load_group(group_source, config)
+    config.check_element_cap(group)
     outcomes = []
     for pi in _parse_pi(pi_values):
         out = hall_search(group, pi, budget=config.hall_budget,
-                          subgroup_cap=config.subgroup_cap,
-                          cap=config.max_elements, seed=config.seed)
+                          subgroup_cap=config.subgroup_cap, seed=config.seed)
         entry = {
             "pi": sorted(pi),
             "status": out.status,

@@ -1,17 +1,23 @@
-"""Run configuration: caps, budgets, census ranges, output options."""
+"""Run configuration: caps, budgets, census ranges, output options.
+
+``max_elements`` is the one element cap.  It is checked once, against |G|,
+where a run on G starts (``Config.check_element_cap``): every group a run
+builds from G is a subgroup or a quotient of G, so none holds more elements.
+"""
 
 import json
 from dataclasses import asdict, dataclass, fields
 
 from .catalog import CensusRanges
-from .errors import InvalidInputError
-from .group import DEFAULT_MAX_ELEMENTS
+from .errors import CapExceededError, InvalidInputError
+from .group import PermGroup
 from .subgroups import (
     DEFAULT_HALL_BUDGET,
     DEFAULT_MAX_QUOTIENT_DEGREE,
     DEFAULT_SUBGROUP_CAP,
 )
 
+DEFAULT_MAX_ELEMENTS = 100_000
 
 # Every report prints "workers": 1, so the field stays; it admits one value.
 WORKERS_ERROR = "workers must be 1: the campaign runs on one thread"
@@ -59,6 +65,12 @@ class Config:
             raise InvalidInputError("hall_budget must be >= 0")
         if self.output_format not in ("json", "csv", "text"):
             raise InvalidInputError(f"unknown output format: {self.output_format!r}")
+
+    def check_element_cap(self, group: PermGroup) -> None:
+        """Raise CapExceededError when |G| passes ``max_elements``; the
+        order is read from G's chain and nothing is listed."""
+        if group.order > self.max_elements:
+            raise CapExceededError("element enumeration", group.order, self.max_elements)
 
     def census_ranges(self) -> CensusRanges:
         return CensusRanges(

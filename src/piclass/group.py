@@ -14,10 +14,8 @@ list from the set, in sorted image order, and builds no chain for them.
 import random
 from math import prod
 
-from .errors import CapExceededError, DegreeMismatchError
+from .errors import DegreeMismatchError
 from .perm import Permutation
-
-DEFAULT_MAX_ELEMENTS = 100_000
 
 
 class _Level:
@@ -197,16 +195,15 @@ class PermGroup:
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    def elements(self, cap: int = DEFAULT_MAX_ELEMENTS):
+    def elements(self):
         """Deterministic iterator over all elements, exactly ``order`` of them.
 
         Elements are the transversal products of the chain, with orbit points
-        taken in ascending order at every level.  Raises CapExceededError up
-        front when the group is larger than ``cap``; never truncates.
+        taken in ascending order at every level.  No cap is checked here; a
+        run checks its one element cap as it starts
+        (``Config.check_element_cap``).
         """
         levels = self._ensure_chain()
-        if self._order > cap:
-            raise CapExceededError("element enumeration", self._order, cap)
         ident = Permutation.identity(self.degree)
         if not levels:
             yield ident
@@ -232,19 +229,16 @@ class PermGroup:
             for m in range(lv, k):
                 prefix[m] = prev = prev * levels[m].transversal[points[m][idx[m]]]
 
-    def element_list(self, cap: int = DEFAULT_MAX_ELEMENTS) -> list[Permutation]:
+    def element_list(self) -> list[Permutation]:
         """All elements, cached: the given element set in sorted image order,
-        otherwise ``list(self.elements(cap))`` in chain order.  Raises
-        CapExceededError when the group is larger than ``cap``."""
+        otherwise ``list(self.elements())`` in chain order."""
         cached = self.cache.get("elements")
         if cached is None:
             if self._element_set is None:
-                cached = list(self.elements(cap))
+                cached = list(self.elements())
             else:
                 cached = [Permutation._make(im) for im in sorted(self._element_set)]
             self.cache["elements"] = cached
-        if len(cached) > cap:
-            raise CapExceededError("element enumeration", len(cached), cap)
         return cached
 
     def element_set(self) -> frozenset[tuple[int, ...]]:

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .classes import conjugacy_classes, k_pi
 from .errors import PreconditionError
-from .group import DEFAULT_MAX_ELEMENTS, PermGroup
+from .group import PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
 from .perm import Permutation
 from .subgroups import centralizer_of_element, o_pi_prime
@@ -44,19 +44,18 @@ def group_primes(group: PermGroup) -> frozenset[int]:
     return frozenset(prime_factors(group.order))
 
 
-def d_pi(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS,
-         name: str = "") -> PiProfile:
+def d_pi(group: PermGroup, pi, name: str = "") -> PiProfile:
     """The exact profile (k_pi, |G|_pi, their quotient) for one prime set."""
     pi = validate_pi(pi)
-    k = k_pi(group, pi, cap)
+    k = k_pi(group, pi)
     opi = pi_part(group.order, pi)
     return PiProfile(group_name=name, pi=pi, k_pi=k, order_pi=opi,
                      d_pi=Fraction(k, opi))
 
 
-def commuting_degree(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Fraction:
+def commuting_degree(group: PermGroup) -> Fraction:
     """k(G)/|G|: the probability that two uniform elements commute."""
-    return Fraction(conjugacy_classes(group, cap).k, group.order)
+    return Fraction(conjugacy_classes(group).k, group.order)
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,7 @@ class CentralizerDecomposition:
     argmax: PermGroup  # centralizer realizing the largest summand
 
 
-def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
-                                      cap: int = DEFAULT_MAX_ELEMENTS
-                                      ) -> CentralizerDecomposition:
+def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int) -> CentralizerDecomposition:
     """Sum k_p(C_G(x)) over representatives x of the mu-classes, mu = pi - {p}.
 
     Equals k_pi(G); the argmax centralizer N realizes the two-factor bound
@@ -83,14 +80,14 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
     mu = pi - {p}
     if not mu:
         raise PreconditionError("pi must contain at least one prime besides p")
-    table = conjugacy_classes(group, cap)
+    table = conjugacy_classes(group)
     reps = [c.rep for c in table.classes if is_pi_number(c.order, mu)]
     summands = []
     centralizers = []
     for rep in reps:
         cent = centralizer_of_element(group, rep)
         centralizers.append(cent)
-        summands.append(k_pi(cent, frozenset([p]), cap))
+        summands.append(k_pi(cent, frozenset([p])))
     best = max(range(len(reps)), key=lambda i: summands[i])
     return CentralizerDecomposition(
         total=sum(summands),
@@ -100,16 +97,14 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int,
     )
 
 
-def has_normal_pi_complement(group: PermGroup, pi,
-                             cap: int = DEFAULT_MAX_ELEMENTS
-                             ) -> tuple[bool, PermGroup | None]:
+def has_normal_pi_complement(group: PermGroup, pi) -> tuple[bool, PermGroup | None]:
     """Normal subgroup of pi'-order and index |G|_pi, if one exists.
 
     A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
     can only be O_pi'(G), the largest one.
     """
     pi = validate_pi(pi)
-    core = o_pi_prime(group, pi, cap)
+    core = o_pi_prime(group, pi)
     if core.order * pi_part(group.order, pi) == group.order:
         return True, core
     return False, None

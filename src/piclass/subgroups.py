@@ -2,8 +2,8 @@
 
 Every subgroup is a ``PermGroup`` built with its element set, so its order
 is the set's size, each membership test is a set lookup and it lists in
-sorted image order; no subgroup needs a Schreier-Sims chain, and
-``whole_group`` is the group itself.  Subgroups made from generators (the
+sorted image order; no subgroup needs a Schreier-Sims chain, and where the
+answer is G itself, G is returned.  Subgroups made from generators (the
 closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
 growth, greedy generating sets, stabilizers) get their sets by coset closure
 (``_extend_closure``).  Stabilizer-style computations (element centralizers,
@@ -20,8 +20,10 @@ soon as it holds more than |G|/p elements (p the least prime of |G|); the
 lattice's seed walks stop at the order their bitset gives.  k_pi(N) comes
 from the split of G-classes into N-classes and k_pi(G/N) from class fusion,
 so neither N nor G/N gets a class table of its own.  Set-level filters
-(subgroup centralizers, centers) enumerate under the element cap.  Searches
-that can fail distinguish three outcomes explicitly; in particular
+(subgroup centralizers, centers) enumerate the group.  No element cap is
+checked here: every group built is a subgroup of the one a run starts from,
+whose order the run checks (``Config.check_element_cap``).  Searches that
+can fail distinguish three outcomes explicitly; in particular
 ``hall_search`` only ever reports nonexistence from its exhaustive tier.
 """
 
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 from .classes import all_d_p_one, class_algebra, conjugacy_classes, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
-from .group import DEFAULT_MAX_ELEMENTS, PermGroup
+from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
     Permutation,
@@ -50,17 +52,16 @@ DEFAULT_MAX_QUOTIENT_DEGREE = 2048
 DEFAULT_HALL_BUDGET = 20
 
 
-def subgroup(parent: PermGroup, gens, *, verify: bool = True,
-             cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def subgroup(parent: PermGroup, gens, *, verify: bool = True) -> PermGroup:
     """Smallest subgroup of parent containing gens (the closure), on the
     nonidentity gens as given.  Its element set is grown by coset closure
-    (``_reduced_subgroup``); CapExceededError once it would pass ``cap``."""
+    (``_reduced_subgroup``)."""
     gens = [g for g in gens if not g.is_identity()]
     if verify:
         for g in gens:
             if not parent.contains(g):
                 raise NotInGroupError(f"generator not in parent group: {g!r}")
-    elements = _reduced_subgroup(parent, gens, cap).element_set()
+    elements = _reduced_subgroup(parent, gens).element_set()
     return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
                      elements=elements)
 
@@ -70,19 +71,13 @@ def trivial_subgroup(parent: PermGroup) -> PermGroup:
     return PermGroup([one], elements=frozenset([one.images]))
 
 
-def whole_group(parent: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
-    """The parent itself, once it is listed under ``cap``."""
-    parent.element_list(cap)
-    return parent
-
-
 def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     """True when ``sub`` is normal in ``group``: it holds every conjugate of
     its generators by the generators of ``group``."""
     return all(sub.contains(conjugate(g, s)) for g in group.generators for s in sub.generators)
 
 
-def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple[int, ...]]:
+def _extend_closure(elements, gens, x: Permutation) -> frozenset[tuple[int, ...]]:
     """Element set of <H, x>, from the element set and generators of H.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
@@ -91,8 +86,7 @@ def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple
     generator s of <H, x> in list order, a product y = s*r outside the set
     adds the whole coset y*H and becomes a representative.  The set is then
     closed under left multiplication by the generators, so it is <H, x>.
-    No sifting and no inverses.  Raises CapExceededError once the set would
-    pass ``cap``; never returns a truncated set.
+    No sifting and no inverses.
     """
     base = list(elements)
     coset = [right_multiplier(h) for h in base]  # y -> y*h for each h in H
@@ -104,21 +98,18 @@ def _extend_closure(elements, gens, x: Permutation, cap: int) -> frozenset[tuple
         for s in steps:
             y = times_r(s)
             if y not in closure:
-                if len(closure) + len(base) > cap:
-                    raise CapExceededError("subgroup closure", len(closure) + len(base), cap)
                 closure.update([times_h(y) for times_h in coset])
                 reps.append(y)
     return frozenset(closure)
 
 
-def _extend(sub: PermGroup, x: Permutation, cap: int) -> PermGroup:
+def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
     """<H, x> on H's generators (less the trivial H's identity) and then x."""
     gens = [g for g in sub.generators if not g.is_identity()]
-    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x, cap))
+    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x))
 
 
-def _reduced_subgroup(parent: PermGroup, elements, cap: int = DEFAULT_MAX_ELEMENTS,
-                      order: int | None = None) -> PermGroup:
+def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
     """Subgroup generated by ``elements``, on a greedy generating subset: an
     element is kept when it lies outside the closure of those kept before.
     With ``order`` given, the scan stops once the subgroup reaches it."""
@@ -127,7 +118,7 @@ def _reduced_subgroup(parent: PermGroup, elements, cap: int = DEFAULT_MAX_ELEMEN
         if current.order == order:
             break
         if not current.contains(x):
-            current = _extend(current, x, cap)
+            current = _extend(current, x)
     return current
 
 
@@ -158,7 +149,7 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
     return transversal
 
 
-def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> PermGroup:
+def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
     """Stabilizer of ``start`` under ``act`` (as in ``orbit_transversal``).
 
     Schreier generators u_{g.key}^-1 * g * u_key are consumed lazily and
@@ -170,7 +161,7 @@ def _schreier_stabilizer(parent: PermGroup, start, act, cap: int) -> PermGroup:
     steps = list(zip(parent.generators, conjugation_pairs(parent.generators)))
     schreier = (transversal[act(pair, key)].inverse() * (g * u)
                 for key, u in transversal.items() for g, pair in steps)
-    stabilizer = _reduced_subgroup(parent, schreier, cap, target)
+    stabilizer = _reduced_subgroup(parent, schreier, target)
     if stabilizer.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return stabilizer
@@ -181,44 +172,40 @@ def centralizer_of_element(group: PermGroup, x: Permutation) -> PermGroup:
     if not group.contains(x):
         raise NotInGroupError(f"element not in group: {x!r}")
     if group.is_abelian():
-        return whole_group(group)
-    return _schreier_stabilizer(group, x.images, conjugate_images, DEFAULT_MAX_ELEMENTS)
+        return group
+    return _schreier_stabilizer(group, x.images, conjugate_images)
 
 
-def normalizer(group: PermGroup, sub: PermGroup,
-               cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
     """N_G(H): stabilizer of the element set of H under conjugation."""
-    return _schreier_stabilizer(group, sub.element_set(), conjugate_set, cap)
+    return _schreier_stabilizer(group, sub.element_set(), conjugate_set)
 
 
-def centralizer_of_subgroup(group: PermGroup, sub: PermGroup,
-                            cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def centralizer_of_subgroup(group: PermGroup, sub: PermGroup) -> PermGroup:
     """C_G(H) by filtering the element list against H's generators."""
     hgens = sub.generators
-    hits = [g for g in group.element_list(cap) if all(g * h == h * g for h in hgens)]
-    return _reduced_subgroup(group, hits, cap)
+    hits = [g for g in group.element_list() if all(g * h == h * g for h in hgens)]
+    return _reduced_subgroup(group, hits)
 
 
-def center(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
-    return centralizer_of_subgroup(group, whole_group(group, cap), cap)
+def center(group: PermGroup) -> PermGroup:
+    return centralizer_of_subgroup(group, group)
 
 
-def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS,
-                   elements=None) -> PermGroup:
+def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     """Smallest normal subgroup of G containing the seed elements.
 
     The generators are the nonidentity seeds, then each conjugate of a
     generator by a generator of G (generators taken in the order added) that
     lies outside the subgroup so far.  The element set grows by coset closure
-    (``_extend``); CapExceededError is raised once it would pass ``cap``.
-    With ``elements``, the element set of the normal closure when the caller
-    already knows it, the walk stops once the subgroup reaches its size, and
-    a step whose index into that size is prime takes the set whole
-    (Lagrange); the generators are the same.
+    (``_extend``).  With ``elements``, the element set of the normal closure
+    when the caller already knows it, the walk stops once the subgroup
+    reaches its size, and a step whose index into that size is prime takes
+    the set whole (Lagrange); the generators are the same.
     """
     gens = [s for s in seeds if not s.is_identity()]
     target = None if elements is None else len(elements)
-    current = _reduced_subgroup(group, gens, cap, target)
+    current = _reduced_subgroup(group, gens, target)
     for s in gens:  # gens grows while it is walked
         for g in group.generators:
             if current.order == target:
@@ -228,30 +215,27 @@ def normal_closure(group: PermGroup, seeds, cap: int = DEFAULT_MAX_ELEMENTS,
                 if target is not None and is_prime(target // current.order):
                     current = PermGroup(gens, elements=elements)
                 else:
-                    current = _extend(current, c, cap)
+                    current = _extend(current, c)
                 gens.append(c)
     return PermGroup(gens, elements=current.element_set()) if gens else current
 
 
-def commutator_subgroup(group: PermGroup, a: PermGroup, b: PermGroup,
-                        cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def commutator_subgroup(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators), cap)
+    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators))
     comms = [x * y * x.inverse() * y.inverse() for x in a.generators for y in b.generators]
-    return normal_closure(joint, comms, cap)
+    return normal_closure(joint, comms)
 
 
 def derived_subgroup(group: PermGroup) -> PermGroup:
-    g = whole_group(group)
-    return commutator_subgroup(group, g, g)
+    return commutator_subgroup(group, group, group)
 
 
-def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup,
-                          cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     small, big = (a, b) if a.order <= b.order else (b, a)
     bigset = big.element_set()
-    hits = [x for x in small.element_list(cap) if x.images in bigset]
-    return _reduced_subgroup(group, hits, cap)
+    hits = [x for x in small.element_list() if x.images in bigset]
+    return _reduced_subgroup(group, hits)
 
 
 def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
@@ -261,7 +245,7 @@ def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
 # -- normal subgroup lattice ------------------------------------------------
 
 
-def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[PermGroup]:
+def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     """The complete list of normal subgroups.
 
     Seeds are the normal closures of the conjugacy class representatives;
@@ -281,14 +265,14 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
-    algebra = class_algebra(group, cap)
+    algebra = class_algebra(group)
     found: dict[int, PermGroup] = {}
     seeds = []  # the identity's class comes first and gives the trivial group
     for i, cls in enumerate(algebra.table.classes):
         mask = algebra.closure(1 << i)
         if mask not in found:
             elements = frozenset(algebra.elements(mask))
-            found[mask] = normal_closure(group, [cls.rep], cap, elements)
+            found[mask] = normal_closure(group, [cls.rep], elements)
             seeds.append(mask)
     queue = list(seeds)
     for k, current in enumerate(queue):  # queue grows while it is walked
@@ -310,8 +294,8 @@ def normal_subgroups(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> list[
     return result
 
 
-def _normal_class_mask(group: PermGroup, kernel: PermGroup, cap: int) -> int:
-    algebra = class_algebra(group, cap)
+def _normal_class_mask(group: PermGroup, kernel: PermGroup) -> int:
+    algebra = class_algebra(group)
     key = kernel.element_set()
     mask = algebra.normal_masks.get(key)
     if mask is None:
@@ -321,8 +305,7 @@ def _normal_class_mask(group: PermGroup, kernel: PermGroup, cap: int) -> int:
     return mask
 
 
-def normal_k_pi(group: PermGroup, n: PermGroup, pi,
-                cap: int = DEFAULT_MAX_ELEMENTS) -> int:
+def normal_k_pi(group: PermGroup, n: PermGroup, pi) -> int:
     """k_pi(N) for N normal in G, read from the class table of G.
 
     N is a union of G-classes, and each of them splits into classes of N
@@ -331,13 +314,12 @@ def normal_k_pi(group: PermGroup, n: PermGroup, pi,
     once per N).  N's own class table is never built.
     """
     pi = validate_pi(pi)
-    mask = _normal_class_mask(group, n, cap)
-    counts = class_algebra(group, cap).normal_orders(mask, n.generators)
+    mask = _normal_class_mask(group, n)
+    counts = class_algebra(group).normal_orders(mask, n.generators)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
-def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi,
-                  cap: int = DEFAULT_MAX_ELEMENTS) -> int:
+def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi) -> int:
     """k_pi(G/N) by class fusion, read from the class table of G.
 
     A class of G/N is the set of G-classes meeting x * N (ClassAlgebra.fusion);
@@ -345,8 +327,8 @@ def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi,
     (ClassAlgebra.quotient_orders, counted once per N).
     """
     pi = validate_pi(pi)
-    mask = _normal_class_mask(group, kernel, cap)
-    counts = class_algebra(group, cap).quotient_orders(mask)
+    mask = _normal_class_mask(group, kernel)
+    counts = class_algebra(group).quotient_orders(mask)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
@@ -403,7 +385,7 @@ def quotient(group: PermGroup, kernel: PermGroup,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
-def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
 
     Starts from the p-part of the first element of order divisible by p and
@@ -414,14 +396,14 @@ def sylow_subgroup(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) ->
     target = pi_part(group.order, frozenset([p]))
     if target == 1:
         return trivial_subgroup(group)
-    seed = next(x for x in group.element_list(cap) if x.order() % p == 0)
-    current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0], cap)
+    seed = next(x for x in group.element_list() if x.order() % p == 0)
+    current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0])
     while current.order < target:
-        norm = normalizer(group, current, cap)
-        for y in norm.element_list(cap):
+        norm = normalizer(group, current)
+        for y in norm.element_list():
             yp = pi_part_of_element(y, [p])[0]
             if not current.contains(yp):
-                current = _extend(current, yp, cap)
+                current = _extend(current, yp)
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
@@ -443,8 +425,7 @@ class HallSearchOutcome:
 
 
 def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
-                subgroup_cap: int = DEFAULT_SUBGROUP_CAP,
-                cap: int = DEFAULT_MAX_ELEMENTS, seed: int = 0) -> HallSearchOutcome:
+                subgroup_cap: int = DEFAULT_SUBGROUP_CAP, seed: int = 0) -> HallSearchOutcome:
     """Tiered search for a Hall pi-subgroup (order exactly |G|_pi).
 
     Tier 1 is constructive: the whole group / trivial group shortcuts, the
@@ -466,28 +447,24 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     if target == 1:
         return found(trivial_subgroup(group), "constructive", "pi-part of order is 1")
     if target == group.order:
-        return found(whole_group(group, cap), "constructive", "whole group is a pi-group")
+        return found(group, "constructive", "whole group is a pi-group")
 
     relevant = [p for p in prime_factors(group.order) if p in pi]
-    sylows = [sylow_subgroup(group, p, cap) for p in relevant]
-    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False, cap=cap)
+    sylows = [sylow_subgroup(group, p) for p in relevant]
+    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False)
     if cand.order == target:
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
-    try:
-        dp_one = all_d_p_one(group, pi, cap)
-    except CapExceededError:
-        dp_one = False
-    if dp_one:
+    if all_d_p_one(group, pi):
         for direction, primes in (("descending", sorted(relevant, reverse=True)),
                                   ("ascending", sorted(relevant))):
             cur = group
             hgens: list[Permutation] = []
             for p in primes:
-                syl = sylow_subgroup(cur, p, cap)
+                syl = sylow_subgroup(cur, p)
                 hgens.extend(syl.generators)
-                cur = centralizer_of_subgroup(cur, syl, cap)
-            cand = subgroup(group, hgens, verify=False, cap=cap)
+                cur = centralizer_of_subgroup(cur, syl)
+            cand = subgroup(group, hgens, verify=False)
             if cand.order == target:
                 return found(cand, "constructive",
                              f"Sylow subgroups in iterated centralizers ({direction})")
@@ -499,13 +476,12 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
             c = group.random_element(rng)
             cinv = c.inverse()
             gens.extend(conjugate(c, g, cinv) for g in s.generators)
-        cand = subgroup(group, gens, verify=False, cap=cap)
+        cand = subgroup(group, gens, verify=False)
         if cand.order == target:
             return found(cand, "randomized", f"random Sylow conjugates, attempt {attempt + 1}")
 
     if group.order <= subgroup_cap:
-        classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=subgroup_cap,
-                                                      element_cap=cap)
+        classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=subgroup_cap)
         for sub in classes:
             if sub.order == target:
                 return found(sub, "exhaustive", "pi-subgroup enumeration")
@@ -533,7 +509,7 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
 # -- characteristic-style subgroups ------------------------------------------
 
 
-def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def _normal_core(group: PermGroup, prime_pred) -> PermGroup:
     """Largest normal subgroup whose order has only primes satisfying pred.
 
     A group is a pred-group exactly when all its elements are pred-elements,
@@ -541,7 +517,7 @@ def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) 
     stays inside the classes of pred-elements (one representative each,
     skipping classes inside a closure already picked).
     """
-    algebra = class_algebra(group, cap)
+    algebra = class_algebra(group)
     classes = algebra.table.classes
     allowed = sum(1 << i for i, cls in enumerate(classes)
                   if all(prime_pred(q) for q in prime_factors(cls.order)))
@@ -553,31 +529,31 @@ def _normal_core(group: PermGroup, prime_pred, cap: int = DEFAULT_MAX_ELEMENTS) 
             if mask & ~allowed == 0:
                 picked.append(cls.rep)
                 covered |= mask
-    core = normal_closure(group, picked, cap)
+    core = normal_closure(group, picked)
     if not all(prime_pred(q) for q in prime_factors(core.order)):
         raise AssertionError("normal core has a disallowed prime")
     return core
 
 
-def o_pi_prime(group: PermGroup, pi, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def o_pi_prime(group: PermGroup, pi) -> PermGroup:
     """O_{pi'}(G), the largest normal pi'-subgroup."""
     pi = validate_pi(pi)
-    return _normal_core(group, lambda q: q not in pi, cap)
+    return _normal_core(group, lambda q: q not in pi)
 
 
-def fitting_subgroup(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def fitting_subgroup(group: PermGroup) -> PermGroup:
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
     gens = [g for p in prime_factors(group.order)
-            for g in _normal_core(group, lambda q, p=p: q == p, cap).generators]
-    return _reduced_subgroup(group, gens, cap)
+            for g in _normal_core(group, lambda q, p=p: q == p).generators]
+    return _reduced_subgroup(group, gens)
 
 
-def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
+def socle(group: PermGroup) -> PermGroup:
     """Join of the minimal normal subgroups: the lattice entry whose class
     bitset is the closure of the minimal bitsets, those with no other
     nontrivial bitset of the lattice inside them."""
-    normals = normal_subgroups(group, cap)
-    algebra = class_algebra(group, cap)
+    normals = normal_subgroups(group)
+    algebra = class_algebra(group)
     masks = [algebra.normal_masks[n.element_set()] for n in normals]
     joined = masks[0]
     for m in masks[1:]:
@@ -587,19 +563,19 @@ def socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup:
     return normals[masks.index(joined)]
 
 
-def is_simple(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:
-    return group.order > 1 and len(normal_subgroups(group, cap)) == 2
+def is_simple(group: PermGroup) -> bool:
+    return group.order > 1 and len(normal_subgroups(group)) == 2
 
 
-def almost_simple_socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> PermGroup | None:
+def almost_simple_socle(group: PermGroup) -> PermGroup | None:
     """The socle when the group is almost simple (non-abelian simple socle
     with trivial centralizer); None otherwise."""
-    s = socle(group, cap)
+    s = socle(group)
     if s.order == 1 or s.is_abelian():
         return None
-    if not is_simple(s, cap):
+    if not is_simple(s):
         return None
-    if centralizer_of_subgroup(group, s, cap).order != 1:
+    if centralizer_of_subgroup(group, s).order != 1:
         return None
     return s
 
@@ -608,9 +584,7 @@ def almost_simple_socle(group: PermGroup, cap: int = DEFAULT_MAX_ELEMENTS) -> Pe
 
 
 def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
-                                        cap: int = DEFAULT_SUBGROUP_CAP,
-                                        element_cap: int = DEFAULT_MAX_ELEMENTS
-                                        ) -> list[PermGroup]:
+                                        cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, complete.
 
     Layered one-element extensions: every found class representative H is
@@ -642,9 +616,8 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if cached is not None:
         return cached
 
-    table = conjugacy_classes(group, element_cap)
-    orders = [(x, table.classes[table.class_of(x)].order)
-              for x in group.element_list(element_cap)]
+    table = conjugacy_classes(group)
+    orders = [(x, table.classes[table.class_of(x)].order) for x in group.element_list()]
     candidates = orders if pi is None else [(x, n) for x, n in orders if is_pi_number(n, pi)]
     found: list[PermGroup] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
@@ -664,7 +637,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
             xim = x.images
             if xim in base_set or xim in covered:
                 continue
-            extended = _extend(base, x, element_cap)
+            extended = _extend(base, x)
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
                 covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .catalog import parse_group_file, serialize_group_file
 from .classes import all_d_p_one, class_algebra, conjugacy_classes
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
-from .errors import CapExceededError, InvalidInputError
+from .errors import InvalidInputError
 from .group import PermGroup
 from .invariants import (
     commuting_degree,
@@ -93,15 +93,14 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     degrade to cyclic pi-subgroups and the verdict is labelled partial.
     """
     pi = validate_pi(pi)
-    profile = d_pi(group, pi, config.max_elements, name)
+    profile = d_pi(group, pi, name)
     witness: dict = {"d_pi": _frac(profile.d_pi)}
     rid = "hall-dichotomy"
     if profile.d_pi <= THRESHOLD:
         return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
 
     outcome = hall_search(group, pi, budget=config.hall_budget,
-                          subgroup_cap=config.subgroup_cap,
-                          cap=config.max_elements, seed=config.seed)
+                          subgroup_cap=config.subgroup_cap, seed=config.seed)
     if outcome.status == "unresolved":
         witness["hall"] = "unresolved"
         return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
@@ -119,24 +118,21 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     witness["abelian"] = True
 
     target = pi_part(group.order, pi)
-    partial = False
-    try:
-        classes = enumerate_subgroups_up_to_conjugacy(
-            group, pi=pi, cap=config.subgroup_cap, element_cap=config.max_elements)
-    except CapExceededError:
-        partial = True
-        table = conjugacy_classes(group, config.max_elements)
+    partial = group.order > config.subgroup_cap  # enumeration would refuse the group
+    if partial:
         classes = []
         seen = set()
-        for cls in table.classes:
+        for cls in conjugacy_classes(group).classes:
             if not is_pi_number(cls.order, pi):
                 continue
-            cyc = subgroup(group, [cls.rep], verify=False, cap=config.max_elements)
+            cyc = subgroup(group, [cls.rep], verify=False)
             key = cyc.element_set()
             if key not in seen:
                 seen.add(key)
                 classes.append(cyc)
         witness["degraded"] = "cyclic pi-subgroups only (subgroup cap exceeded)"
+    else:
+        classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=config.subgroup_cap)
 
     halls = [h for h in classes if h.order == target]
     witness["hall_class_count"] = len(halls)
@@ -165,8 +161,8 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     if profile.d_pi == TWO_THIRDS:
         # consistency cross-check on every 2/3 pass
         mu = pi - {3}
-        d3 = d_pi(group, [3], config.max_elements).d_pi if 3 in pi else None
-        dmu = d_pi(group, mu, config.max_elements).d_pi if mu else Fraction(1)
+        d3 = d_pi(group, [3]).d_pi if 3 in pi else None
+        dmu = d_pi(group, mu).d_pi if mu else Fraction(1)
         witness["two_thirds_consistency"] = {
             "three_in_pi": 3 in pi,
             "two_in_pi": 2 in pi,
@@ -188,17 +184,16 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
     """
     pi = validate_pi(pi)
     rid = "unit-iff-complement"
-    profile = d_pi(group, pi, config.max_elements, name)
+    profile = d_pi(group, pi, name)
     lhs = profile.d_pi == 1
-    exists, complement = has_normal_pi_complement(group, pi, config.max_elements)
+    exists, complement = has_normal_pi_complement(group, pi)
     witness: dict = {"d_pi": _frac(profile.d_pi), "complement_exists": exists}
     if exists:
         witness["complement_order"] = complement.order
     abelian_hall = None
     if exists:
         outcome = hall_search(group, pi, budget=config.hall_budget,
-                              subgroup_cap=config.subgroup_cap,
-                              cap=config.max_elements, seed=config.seed)
+                              subgroup_cap=config.subgroup_cap, seed=config.seed)
         if outcome.status == "unresolved":
             return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
         if outcome.found:
@@ -211,7 +206,7 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
     witness["iff"] = {"lhs": lhs, "rhs": rhs}
     if lhs != rhs:
         return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
-    all_dp_one = all_d_p_one(group, pi, config.max_elements)
+    all_dp_one = all_d_p_one(group, pi)
     witness["all_d_p_one"] = all_dp_one
     if all_dp_one and not exists:
         witness["part1"] = "d_p = 1 for all p but no normal pi-complement"
@@ -225,7 +220,7 @@ def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
     the group order is odd."""
     pi = validate_pi(pi)
     rid = "two-thirds-cap"
-    profile = d_pi(group, pi, config.max_elements, name)
+    profile = d_pi(group, pi, name)
     witness = {"d_pi": _frac(profile.d_pi)}
     if profile.d_pi == 1:
         return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
@@ -257,10 +252,10 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     if not primes:
         return VerdictReport(rid, name, None, VACUOUS, witness)
     partial = False
-    normals = normal_subgroups(group, config.max_elements)
+    normals = normal_subgroups(group)
     witness["normal_subgroups"] = len(normals)
     subsets = _nonempty_subsets(primes)
-    d_group = [d_pi(group, pi, config.max_elements).d_pi for pi in subsets]
+    d_group = [d_pi(group, pi).d_pi for pi in subsets]
     checked = 0
     for n in normals:
         index = group.order // n.order
@@ -270,10 +265,8 @@ def check_quotient_bound(group: PermGroup, name: str = "",
                 f"index {index} over quotient degree cap")
             continue
         for pi, lhs in zip(subsets, d_group):
-            d_normal = Fraction(normal_k_pi(group, n, pi, config.max_elements),
-                                pi_part(n.order, pi))
-            d_quotient = Fraction(quotient_k_pi(group, n, pi, config.max_elements),
-                                  pi_part(index, pi))
+            d_normal = Fraction(normal_k_pi(group, n, pi), pi_part(n.order, pi))
+            d_quotient = Fraction(quotient_k_pi(group, n, pi), pi_part(index, pi))
             rhs = d_normal * d_quotient
             checked += 1
             if lhs > rhs:
@@ -298,35 +291,35 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     """
     rid = "sylow3-structure"
     witness: dict = {}
-    profile = d_pi(group, [3], config.max_elements, name)
+    profile = d_pi(group, [3], name)
     witness["d_3"] = _frac(profile.d_pi)
     if profile.d_pi != TWO_THIRDS:
         return VerdictReport(rid, name, (3,), VACUOUS, witness)
-    o3p = o_pi_prime(group, [3], config.max_elements)
+    o3p = o_pi_prime(group, [3])
     witness["o_3_prime_order"] = o3p.order
     if o3p.order != 1:
         return VerdictReport(rid, name, (3,), VACUOUS, witness)
 
-    p_syl = sylow_subgroup(group, 3, config.max_elements)
+    p_syl = sylow_subgroup(group, 3)
     witness["sylow3_order"] = p_syl.order
     if not p_syl.is_abelian():
         witness["abelian_P"] = False
         return VerdictReport(rid, name, (3,), FAIL, witness)
     witness["abelian_P"] = True
-    norm = normalizer(group, p_syl, config.max_elements)
-    cent = centralizer_of_subgroup(group, p_syl, config.max_elements)
+    norm = normalizer(group, p_syl)
+    cent = centralizer_of_subgroup(group, p_syl)
     ratio = norm.order // cent.order
     witness["normalizer_over_centralizer"] = ratio
     if ratio != 2:
         return VerdictReport(rid, name, (3,), FAIL, witness)
-    comm = commutator_subgroup(group, p_syl, norm, config.max_elements)
+    comm = commutator_subgroup(group, p_syl, norm)
     witness["commutator_order"] = comm.order
     if comm.order != 3:
         return VerdictReport(rid, name, (3,), FAIL, witness)
-    z_norm = center(norm, config.max_elements)
-    z_meet = subgroup_intersection(group, p_syl, z_norm, config.max_elements)
+    z_norm = center(norm)
+    z_meet = subgroup_intersection(group, p_syl, z_norm)
     witness["central_part_order"] = z_meet.order
-    meet = subgroup_intersection(group, comm, z_meet, config.max_elements)
+    meet = subgroup_intersection(group, comm, z_meet)
     direct = comm.order * z_meet.order == p_syl.order and meet.order == 1
     witness["internal_direct_product"] = direct
     if not direct:
@@ -336,8 +329,8 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None
-    normals = normal_subgroups(group, config.max_elements)
-    algebra = class_algebra(group, config.max_elements)
+    normals = normal_subgroups(group)
+    algebra = class_algebra(group)
     masks = algebra.normal_masks
     for a in normals:
         if case2:
@@ -349,12 +342,12 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue
-            soc = almost_simple_socle(a, config.max_elements)
+            soc = almost_simple_socle(a)
             if soc is None:
                 continue
-            if sylow_subgroup(soc, 3, config.max_elements).order != 3:
+            if sylow_subgroup(soc, 3).order != 3:
                 continue
-            syl_a = sylow_subgroup(a, 3, config.max_elements)
+            syl_a = sylow_subgroup(a, 3)
             if not all(soc.contains(g) for g in syl_a.generators):
                 continue
             case2 = True
@@ -374,7 +367,7 @@ def check_commuting_threshold(group: PermGroup, name: str = "",
     """Commuting degree above 5/8 forces the group to be abelian; below it,
     the group must be non-abelian (the contrapositive on the census)."""
     rid = "commuting-threshold"
-    d = commuting_degree(group, config.max_elements)
+    d = commuting_degree(group)
     abelian = group.is_abelian()
     witness = {"d": _frac(d), "abelian": abelian}
     if d > THRESHOLD:
@@ -390,7 +383,7 @@ def check_selftest(group: PermGroup, name: str = "",
     """Deliberately wrong pin (asserts the dihedral-of-order-8 ratio at p=2
     is 1/2); exists so the harness's fail path stays honest."""
     rid = "selftest-fixed-value"
-    profile = d_pi(group, [2], config.max_elements, name)
+    profile = d_pi(group, [2], name)
     witness = {"d_2": _frac(profile.d_pi), "pinned": "1/2"}
     status = PASS if profile.d_pi == Fraction(1, 2) else FAIL
     return VerdictReport(rid, name, (2,), status, witness)
@@ -448,7 +441,10 @@ class CampaignResult:
 def run_group_suite(group: PermGroup, name: str, suites, config: Config = DEFAULT_CONFIG,
                     pi_sets=None) -> list[VerdictReport]:
     """All selected verifiers on one group; per-pi suites run over the given
-    pi sets, defaulting to every nonempty subset of the group's primes."""
+    pi sets, defaulting to every nonempty subset of the group's primes.
+    The run starts with its one element-cap check, |G| against
+    ``config.max_elements`` (``Config.check_element_cap``)."""
+    config.check_element_cap(group)
     suites = resolve_suites(suites)
     if pi_sets is None:
         pi_sets = _nonempty_subsets(group_primes(group))
@@ -465,9 +461,11 @@ def run_group_suite(group: PermGroup, name: str, suites, config: Config = DEFAUL
 
 def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
                         workers: int = 1) -> CampaignResult:
-    """Apply the selected suites to every census group under the caps of
-    ``config`` (``max_elements``, ``subgroup_cap``, ``max_quotient_degree``,
-    ``hall_budget``, ``seed``), one group after another on this thread.
+    """Apply the selected suites to every census group under ``config``, one
+    group after another on this thread.  ``max_elements`` is checked against
+    each group's order as its run starts (``run_group_suite``); the other
+    caps are ``subgroup_cap`` and ``max_quotient_degree``, and the Hall search
+    takes ``hall_budget`` and ``seed``.
 
     Reports come back in census order; the summary counts verdicts per status.
     """
@@ -516,7 +514,8 @@ _SUITE_OF_RESULT = {
 
 
 def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
-    """Re-run the single check recorded in a bundle; must reproduce the verdict.
+    """Re-run the single check recorded in a bundle through ``run_group_suite``;
+    must reproduce the verdict.
 
     Returns the verdict and the config it ran under: the bundle's whole
     recorded config, rebuilt with ``Config.from_dict`` (validated like a
@@ -540,7 +539,5 @@ def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
         raise InvalidInputError(f"not a replay bundle ({directory}): group is not a string")
     config = Config.from_dict(meta.get("config", {}))
     group = parse_group_file(group_text, config.max_degree)
-    kind, fn = SUITES[_SUITE_OF_RESULT[rid]]
-    if kind == "per-group":
-        return fn(group, name=name, config=config), config
-    return fn(group, meta.get("pi") or (), name=name, config=config), config
+    pi_sets = [meta.get("pi") or ()]  # read by a per-pi check only
+    return run_group_suite(group, name, [_SUITE_OF_RESULT[rid]], config, pi_sets)[0], config

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import PreconditionError
-from piclass.group import DEFAULT_MAX_ELEMENTS, PermGroup
+from piclass.group import PermGroup
 from piclass.invariants import (
     d_pi,
     group_primes,
@@ -32,17 +32,16 @@ from piclass.subgroups import (
 )
 
 
-def burnside_criterion(group: PermGroup, p: int, cap: int = DEFAULT_MAX_ELEMENTS) -> bool:
+def burnside_criterion(group: PermGroup, p: int) -> bool:
     """True when a Sylow p-subgroup is self-centralizing in its normalizer,
     i.e. C_G(P) = N_G(P); this forces a normal p-complement."""
-    syl = sylow_subgroup(group, p, cap)
-    norm = normalizer(group, syl, cap)
-    cent = centralizer_of_subgroup(group, syl, cap)
+    syl = sylow_subgroup(group, p)
+    norm = normalizer(group, syl)
+    cent = centralizer_of_subgroup(group, syl)
     return norm.order == cent.order
 
 
 def d_pi_hall_average(group: PermGroup, pi, p: int,
-                      cap: int = DEFAULT_MAX_ELEMENTS,
                       budget: int = DEFAULT_HALL_BUDGET,
                       subgroup_cap: int = DEFAULT_SUBGROUP_CAP) -> Fraction:
     """Average of k_p(C_G(h)) / |G|_p over an abelian Hall mu-subgroup H.
@@ -57,10 +56,10 @@ def d_pi_hall_average(group: PermGroup, pi, p: int,
     mu = pi - {p}
     if not mu:
         raise PreconditionError("pi must contain at least one prime besides p")
-    exists, _ = has_normal_pi_complement(group, mu, cap)
+    exists, _ = has_normal_pi_complement(group, mu)
     if not exists:
         raise PreconditionError("no normal mu-complement; the average formula does not apply")
-    outcome = hall_search(group, mu, budget=budget, subgroup_cap=subgroup_cap, cap=cap)
+    outcome = hall_search(group, mu, budget=budget, subgroup_cap=subgroup_cap)
     if not outcome.found:
         raise PreconditionError("no Hall mu-subgroup located")
     hall = outcome.subgroup
@@ -70,13 +69,12 @@ def d_pi_hall_average(group: PermGroup, pi, p: int,
     total = 0
     for h in hall.element_set():
         cent = centralizer_of_element(group, Permutation._make(h))
-        total += k_pi(cent, frozenset([p]), cap)
+        total += k_pi(cent, frozenset([p]))
     return Fraction(total, hall.order * order_p)
 
 
 def product_lower_bound_check(group: PermGroup, pi,
                               hall_outcome: HallSearchOutcome | None = None,
-                              cap: int = DEFAULT_MAX_ELEMENTS,
                               budget: int = DEFAULT_HALL_BUDGET,
                               subgroup_cap: int = DEFAULT_SUBGROUP_CAP
                               ) -> tuple[Fraction, Fraction, bool]:
@@ -86,14 +84,13 @@ def product_lower_bound_check(group: PermGroup, pi,
     """
     pi = validate_pi(pi)
     if hall_outcome is None:
-        hall_outcome = hall_search(group, pi, budget=budget,
-                                   subgroup_cap=subgroup_cap, cap=cap)
+        hall_outcome = hall_search(group, pi, budget=budget, subgroup_cap=subgroup_cap)
     if not hall_outcome.found or not hall_outcome.subgroup.is_abelian():
         raise PreconditionError("no abelian Hall pi-subgroup established")
     lhs = Fraction(1)
     for p in sorted(pi):
-        lhs *= d_pi(group, [p], cap).d_pi
-    rhs = d_pi(group, pi, cap).d_pi
+        lhs *= d_pi(group, [p]).d_pi
+    rhs = d_pi(group, pi).d_pi
     return lhs, rhs, lhs <= rhs
 
 
@@ -108,8 +105,7 @@ class ClassProductBound:
     holds: bool
 
 
-def class_count_product_bound(group: PermGroup, pi,
-                              cap: int = DEFAULT_MAX_ELEMENTS) -> ClassProductBound:
+def class_count_product_bound(group: PermGroup, pi) -> ClassProductBound:
     """Realize the product bound by peeling primes in descending order.
 
     At each step with remaining primes {p} + mu (p largest), the centralizer
@@ -124,16 +120,16 @@ def class_count_product_bound(group: PermGroup, pi,
     for i, p in enumerate(remaining):
         mu = remaining[i + 1 :]
         if mu:
-            decomp = k_pi_by_centralizer_decomposition(group, frozenset([p, *mu]), p, cap)
+            decomp = k_pi_by_centralizer_decomposition(group, frozenset([p, *mu]), p)
             host = decomp.argmax
         else:
             host = group
-        witnesses.append(sylow_subgroup(host, p, cap))
+        witnesses.append(sylow_subgroup(host, p))
         primes.append(p)
-    value = k_pi(group, pi, cap)
+    value = k_pi(group, pi)
     prod = 1
     for w in witnesses:
-        prod *= conjugacy_classes(w, cap).k
+        prod *= conjugacy_classes(w).k
     return ClassProductBound(
         witnesses=tuple(witnesses),
         primes=tuple(primes),

@@ -24,7 +24,7 @@ import numpy as np
 from piclass.perm import Permutation
 
 
-def naive_closure(gens, cap=None):
+def naive_closure(gens):
     """All products of the generators as a set of image tuples."""
     degree = gens[0].degree
     gen_images = [g.images for g in gens]
@@ -37,8 +37,6 @@ def naive_closure(gens, cap=None):
             for gim in gen_images:
                 y = tuple(gim[p] for p in x)
                 if y not in seen:
-                    if cap is not None and len(seen) >= cap:
-                        raise OverflowError("closure exceeded cap")
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
@@ -85,15 +83,15 @@ def brute_centralizer(elements, x):
     return [g for g in elements if g * x == x * g]
 
 
-def normal_subgroups_by_class_unions(group, cap=100_000):
+def normal_subgroups_by_class_unions(group):
     """Normal subgroups as the class-unions closed under multiplication.
 
     Exponential in the class count; only for small class tables.
     """
     from piclass.classes import conjugacy_classes
 
-    table = conjugacy_classes(group, cap)
-    elements = group.element_list(cap)
+    table = conjugacy_classes(group)
+    elements = group.element_list()
     class_of = {e.images: table.class_of(e) for e in elements}
     members = [[] for _ in range(table.k)]
     for e in elements:
@@ -113,9 +111,9 @@ def normal_subgroups_by_class_unions(group, cap=100_000):
     return out
 
 
-def all_subgroups_naive(group, cap=100_000):
+def all_subgroups_naive(group):
     """Every subgroup (not up to conjugacy) by one-element extensions of sets."""
-    elements = group.element_list(cap)
+    elements = group.element_list()
     ident = Permutation.identity(group.degree)
     start = frozenset([ident.images])
     found = {start}
@@ -133,19 +131,19 @@ def all_subgroups_naive(group, cap=100_000):
     return found
 
 
-def k_pi_by_class_equation(group, pi, cap=100_000):
+def k_pi_by_class_equation(group, pi):
     """k_pi(G) = (1/|G|) * sum of |C_G(x)| over the pi-elements x: each class
     x^G has |G : C_G(x)| members, so it contributes |G| to the sum."""
     from piclass.numtheory import is_pi_number
 
-    elements = group.element_list(cap)
+    elements = group.element_list()
     total = sum(len(brute_centralizer(elements, x))
                 for x in elements if is_pi_number(x.order(), frozenset(pi)))
     assert total % group.order == 0
     return total // group.order
 
 
-def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
+def subgroup_classes_by_orbit_skip(group, pi=None):
     """One handle per conjugacy class of subgroups (pi-subgroups with ``pi``
     set), by the sweep the library ran before its double-coset skip rules.
 
@@ -159,7 +157,7 @@ def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
     from piclass.subgroups import _extend, orbit_transversal, trivial_subgroup
 
     pi = None if pi is None else frozenset(pi)
-    elements = group.element_list(cap)
+    elements = group.element_list()
     candidates = elements if pi is None else [x for x in elements if is_pi_number(x.order(), pi)]
     found = []
     seen = set()
@@ -179,13 +177,13 @@ def subgroup_classes_by_orbit_skip(group, pi=None, cap=100_000):
             if x.images in base_set or x.images in covered:
                 continue
             covered.update(conjugation_orbit(x.images, base_pairs))
-            extended = _extend(base, x, cap)
+            extended = _extend(base, x)
             if pi is None or is_pi_number(extended.order, pi):
                 register(extended)
     return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set()))))
 
 
-def normal_subgroups_by_joins(group, cap=100_000):
+def normal_subgroups_by_joins(group):
     """Normal subgroups by ``join_subgroups`` with the seeds, keyed by element sets.
 
     Seeds are the normal closures of the class representatives.  The
@@ -196,7 +194,7 @@ def normal_subgroups_by_joins(group, cap=100_000):
     from piclass.classes import conjugacy_classes
     from piclass.subgroups import join_subgroups, normal_closure, trivial_subgroup
 
-    table = conjugacy_classes(group, cap)
+    table = conjugacy_classes(group)
     whole_key = None  # element-set key for G itself is never materialized
     found = {}
 
@@ -215,7 +213,7 @@ def normal_subgroups_by_joins(group, cap=100_000):
     register(trivial_subgroup(group))
     seeds = []
     for cls in table.classes:
-        closure = normal_closure(group, [cls.rep], cap)
+        closure = normal_closure(group, [cls.rep])
         if register(closure):
             seeds.append(closure)
     queue = list(seeds)
@@ -254,12 +252,12 @@ def _generated(degree, elements):
     return frozenset(closed)
 
 
-def _classes(group, cap):
-    elements = group.element_list(cap)
+def _classes(group):
+    elements = group.element_list()
     return [[elements[i] for i in sorted(cls)] for cls in brute_conjugacy_partition(elements)]
 
 
-def normal_core_by_closures(group, prime_pred, cap=100_000):
+def normal_core_by_closures(group, prime_pred):
     """Element set of the largest normal subgroup whose order has only primes
     satisfying pred: generated by every conjugacy class whose normal closure
     (the subgroup the class generates) qualifies."""
@@ -269,29 +267,29 @@ def normal_core_by_closures(group, prime_pred, cap=100_000):
         return all(prime_pred(q) for q in prime_factors(n))
 
     picked = []
-    for members in _classes(group, cap):
+    for members in _classes(group):
         if qualifies(members[0].order()) and qualifies(len(_generated(group.degree, members))):
             picked.extend(members)
     return _generated(group.degree, picked)
 
 
-def fitting_subgroup_by_closures(group, cap=100_000):
+def fitting_subgroup_by_closures(group):
     """Element set of F(G): generated by the largest normal p-subgroups."""
     from piclass.numtheory import prime_factors
 
     members = []
     for p in prime_factors(group.order):
-        core = normal_core_by_closures(group, lambda q, p=p: q == p, cap)
+        core = normal_core_by_closures(group, lambda q, p=p: q == p)
         members.extend(Permutation(im) for im in core)
     return _generated(group.degree, members)
 
 
-def socle_by_element_sets(group, cap=100_000):
+def socle_by_element_sets(group):
     """Element set of the join of the normal subgroups that contain no
     smaller nontrivial one, by subset tests on element sets."""
     from piclass.subgroups import normal_subgroups
 
-    normals = [n.element_set() for n in normal_subgroups(group, cap) if n.order > 1]
+    normals = [n.element_set() for n in normal_subgroups(group) if n.order > 1]
     members = []
     for n in normals:
         if not any(len(m) < len(n) and m <= n for m in normals):
@@ -299,13 +297,13 @@ def socle_by_element_sets(group, cap=100_000):
     return _generated(group.degree, members)
 
 
-def normal_pi_complement_by_element_scan(group, pi, cap=100_000):
+def normal_pi_complement_by_element_scan(group, pi):
     """(exists, element set): the pi'-elements form a normal pi-complement
     exactly when they generate a subgroup of their own number."""
     from piclass.numtheory import is_pi_number, prime_factors
 
     complement_primes = frozenset(prime_factors(group.order)) - frozenset(pi)
-    elements = [x for x in group.element_list(cap)
+    elements = [x for x in group.element_list()
                 if is_pi_number(x.order(), complement_primes)]
     closed = _generated(group.degree, elements)
     if len(closed) == len(elements):

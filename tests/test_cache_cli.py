@@ -8,7 +8,11 @@ from piclass.catalog import build, parse_name, serialize_group_file
 from piclass.cli import main
 from piclass.config import Config
 from piclass.errors import InvalidInputError
-from piclass.suite import check_quotient_bound, write_counterexample_bundle
+from piclass.suite import (
+    check_commuting_threshold,
+    check_quotient_bound,
+    write_counterexample_bundle,
+)
 
 
 @pytest.fixture
@@ -247,6 +251,25 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     assert "Error:" in result.output
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "S5", "--config", "cap50.json"],
+    ["analyze", "S5", "--config", "cap50.json"],
+    ["hall", "S5", "--pi", "2,3,5", "--config", "cap50.json"],
+    ["hall", "S5", "--pi", "7", "--config", "cap50.json"],  # needs no element list
+    ["verify", "--replay", "capped"],
+])
+def test_group_over_max_elements_stops_where_the_run_starts(runner, args, tmp_path,
+                                                            monkeypatch, named):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cap50.json").write_text('{"max_elements": 50}')
+    s5 = named("S5")
+    write_counterexample_bundle(tmp_path / "capped", s5, check_commuting_threshold(s5, "S5"),
+                                Config(max_elements=50).to_dict())
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == "Error: element enumeration: needs 120, cap is 50\n"
 
 
 def test_config_admits_only_a_null_cache_dir():

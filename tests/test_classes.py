@@ -8,7 +8,7 @@ from piclass.classes import (
     k_pi,
     pi_part_of_element,
 )
-from piclass.errors import CapExceededError, NotInGroupError
+from piclass.errors import NotInGroupError
 from piclass.numtheory import is_pi_number
 from piclass.perm import Permutation, conjugate, parse_cycle_text
 from piclass.subgroups import centralizer_of_element
@@ -60,11 +60,6 @@ def test_representative_is_lex_least(named):
 def test_class_of_rejects_outsiders(named):
     with pytest.raises(NotInGroupError):
         conjugacy_classes(named("A4")).class_of(parse_cycle_text("(0 1)", 4))
-
-
-def test_class_table_cap(named):
-    with pytest.raises(CapExceededError):
-        conjugacy_classes(named("S4"), cap=10)
 
 
 def test_centralizer_examples(named):

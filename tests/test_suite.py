@@ -1,10 +1,11 @@
 import pytest
 
 from piclass import suite
-from piclass.catalog import census, CensusRanges
+from piclass.catalog import build, census, CensusRanges, parse_name
 from piclass.config import Config
-from piclass.errors import InvalidInputError
+from piclass.errors import CapExceededError, InvalidInputError
 from piclass.suite import (
+    DEFAULT_SUITES,
     FAIL,
     PASS,
     PARTIAL,
@@ -29,7 +30,9 @@ STATUSES = {"pass", "fail", "vacuous", "inapplicable", "partial", "unresolved"}
 
 def test_campaign_builds_one_chain_per_census_group(monkeypatch):
     """Subgroups carry their element sets, so a Schreier-Sims chain is built
-    only for the census groups, which are given by generators alone."""
+    only for the census groups, which are given by generators alone: under
+    every default suite, only G itself is listed from a chain.  This is why
+    the element cap is checked once, against |G|."""
     from piclass.group import PermGroup
 
     built = []
@@ -41,9 +44,23 @@ def test_campaign_builds_one_chain_per_census_group(monkeypatch):
 
     monkeypatch.setattr(PermGroup, "_build_chain", counting)
     entries = list(census(Config(max_order=72).census_ranges()))
-    run_census_campaign(entries, ["main", "complement", "structure"])
+    run_census_campaign(entries, DEFAULT_SUITES)
     assert len(entries) == 153
     assert sorted(map(id, built)) == sorted(id(g) for _, g in entries)
+
+
+def test_element_cap_is_checked_against_the_group_order(named):
+    """A run on G with max_elements = |G| gives the default verdicts; one
+    less stops as the run starts, before G is listed.  The bound is
+    inclusive."""
+    s5 = named("S5")
+    default = [r.as_dict() for r in run_group_suite(s5, "S5", DEFAULT_SUITES)]
+    at_cap = run_group_suite(s5, "S5", DEFAULT_SUITES, Config(max_elements=120))
+    assert [r.as_dict() for r in at_cap] == default
+    fresh = build(parse_name("S5"))
+    with pytest.raises(CapExceededError, match="^element enumeration: needs 120, cap is 119$"):
+        run_group_suite(fresh, "S5", DEFAULT_SUITES, Config(max_elements=119))
+    assert "elements" not in fresh.cache
 
 
 def test_hall_dichotomy_examples(named):
