@@ -9,15 +9,8 @@ of concrete groups.
 
 __version__ = "0.1.0"
 
-from .catalog import CensusRanges, GroupSpec, build, census, parse_group_file, parse_name, serialize_group_file
-from .classes import (
-    ClassAlgebra,
-    ClassTable,
-    class_algebra,
-    conjugacy_classes,
-    k_pi,
-    pi_part_of_element,
-)
+from .catalog import GroupSpec, build, census, parse_group_file, parse_name, serialize_group_file
+from .classes import ClassTable, conjugacy_classes, k_pi, pi_part_of_element
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
     CapExceededError,

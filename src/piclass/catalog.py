@@ -4,7 +4,9 @@ Families: cyclic C{n}, dihedral D{m} (m = group order, even, >= 6),
 quaternion Q8 (regular representation on 8 points, the smallest faithful
 one), symmetric S{n}, alternating A{n}, direct products acting on the
 disjoint union of the factors' points.  Groups given by raw generators
-come in as group files (``parse_group_file``).
+come in as group files (``parse_group_file``).  The census is read from a
+``Config``: its family ranges and order cap (``census_specs``) and its
+degree cap (``census``).
 
 Group file format
 -----------------
@@ -19,11 +21,10 @@ import re
 from dataclasses import dataclass
 from math import factorial, prod
 
+from .config import DEFAULT_CONFIG, DEFAULT_MAX_DEGREE, Config
 from .errors import CapExceededError, GroupFileError
 from .group import PermGroup
 from .perm import Permutation, parse_cycle_text
-
-DEFAULT_MAX_DEGREE = 128
 
 
 @dataclass(frozen=True)
@@ -239,47 +240,33 @@ def serialize_group_file(group: PermGroup) -> str:
 # -- census ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CensusRanges:
-    """Parameter ranges for the default census of base families."""
-
-    cyclic_max: int = 12
-    dihedral_max_order: int = 16
-    symmetric_max: int = 5
-    alternating_max: int = 5
-    include_quaternion: bool = True
-    max_order: int = 2000
-
-    def base_specs(self) -> list[GroupSpec]:
-        specs = [cyclic(n) for n in range(1, self.cyclic_max + 1)]
-        specs += [dihedral(m) for m in range(6, self.dihedral_max_order + 1, 2)]
-        if self.include_quaternion:
-            specs.append(quaternion())
-        specs += [symmetric(n) for n in range(3, self.symmetric_max + 1)]
-        specs += [alternating(n) for n in range(4, self.alternating_max + 1)]
-        return specs
-
-
-def census_specs(ranges: CensusRanges | None = None) -> list[GroupSpec]:
+def census_specs(config: Config = DEFAULT_CONFIG) -> list[GroupSpec]:
     """Deterministic census: base families, then pairwise direct products.
 
-    Products pair every base spec (trivial group excluded) with itself and
-    with every later one, subject to the order cap.
+    The base families run up to the config's ranges.  Products pair every
+    base spec (trivial group excluded) with itself and with every later one;
+    base specs and products alike stay within ``config.max_order``.
     """
-    ranges = ranges or CensusRanges()
-    base = [s for s in ranges.base_specs() if s.order <= ranges.max_order]
+    base = [cyclic(n) for n in range(1, config.cyclic_max + 1)]
+    base += [dihedral(m) for m in range(6, config.dihedral_max_order + 1, 2)]
+    if config.include_quaternion:
+        base.append(quaternion())
+    base += [symmetric(n) for n in range(3, config.symmetric_max + 1)]
+    base += [alternating(n) for n in range(4, config.alternating_max + 1)]
+    base = [s for s in base if s.order <= config.max_order]
     out = list(base)
     factors = [s for s in base if s.order > 1]
     for i, a in enumerate(factors):
         for b in factors[i:]:
-            if a.order * b.order <= ranges.max_order:
+            if a.order * b.order <= config.max_order:
                 # canonical product form: larger-order factor first
                 first, second = (a, b) if a.order >= b.order else (b, a)
                 out.append(product(first, second))
     return out
 
 
-def census(ranges: CensusRanges | None = None, max_degree: int = DEFAULT_MAX_DEGREE):
-    """Yield (name, PermGroup) pairs for the configured census, in order."""
-    for spec in census_specs(ranges):
-        yield spec.name, build(spec, max_degree)
+def census(config: Config = DEFAULT_CONFIG):
+    """Yield (name, PermGroup) pairs for the configured census, in order,
+    each built under ``config.max_degree``."""
+    for spec in census_specs(config):
+        yield spec.name, build(spec, config.max_degree)

@@ -1,5 +1,11 @@
-"""Conjugacy classes, element centralizers, pi-element class counts and the
-pi-part decomposition of elements."""
+"""The class table of a group, pi-element class counts and the pi-part
+decomposition of elements.
+
+``conjugacy_classes(G)`` is the one class table of G, cached on G.  It holds
+the classes and their members, and reads the normal subgroups of G as unions
+of classes: their closures and joins, k_pi(N) by class splits and k_pi(G/N)
+by class fusion.
+"""
 
 from dataclasses import dataclass
 from math import gcd
@@ -17,63 +23,6 @@ class ConjClass:
     order: int  # element order, shared by the whole class
 
 
-class ClassTable:
-    """All conjugacy classes of a group plus an element -> class resolver."""
-
-    def __init__(self, group: PermGroup, classes, index_of):
-        self.group = group
-        self.classes: tuple[ConjClass, ...] = tuple(classes)
-        self._index_of: dict[tuple[int, ...], int] = index_of
-
-    @property
-    def k(self) -> int:
-        return len(self.classes)
-
-    def class_of(self, p: Permutation) -> int:
-        idx = self._index_of.get(p.images)
-        if idx is None:
-            raise NotInGroupError(f"element not in group: {p!r}")
-        return idx
-
-    def sizes(self) -> list[int]:
-        return [c.size for c in self.classes]
-
-
-def conjugacy_classes(group: PermGroup) -> ClassTable:
-    """Class table via a conjugation-orbit sweep over the full element list.
-
-    Deterministic: elements come from the group's enumeration order and each
-    orbit is explored breadth-first with generators in list order.  The result
-    is cached on the group.
-    """
-    cached = group.cache.get("class_table")
-    if cached is not None:
-        return cached
-
-    elements = group.element_list()
-    pairs = conjugation_pairs(group.generators)
-    index_of: dict[tuple[int, ...], int] = {}
-    classes: list[ConjClass] = []
-    for start in elements:
-        if start.images in index_of:
-            continue
-        idx = len(classes)
-        orbit = conjugation_orbit(start.images, pairs)
-        for xim in orbit:
-            index_of[xim] = idx
-        rep = Permutation._make(min(orbit))
-        classes.append(ConjClass(rep=rep, size=len(orbit), order=rep.order()))
-    classes_sorted = sorted(range(len(classes)), key=lambda i: classes[i].rep.images)
-    renumber = {old: new for new, old in enumerate(classes_sorted)}
-    table = ClassTable(
-        group,
-        [classes[i] for i in classes_sorted],
-        {images: renumber[idx] for images, idx in index_of.items()},
-    )
-    group.cache["class_table"] = table
-    return table
-
-
 def _bits(mask: int):
     """Indices of the set bits of ``mask``, ascending."""
     while mask:
@@ -82,8 +31,13 @@ def _bits(mask: int):
         mask ^= low
 
 
-class ClassAlgebra:
-    """Unions of conjugacy classes as bitsets over a class table.
+class ClassTable:
+    """The conjugacy classes of a group, their members and the unions of
+    classes that normal subgroups are.
+
+    Class i is ``classes[i]``; ``members[i]`` lists its image tuples in the
+    order the sweep's orbit found them, and ``class_of`` resolves an element
+    to its class.
 
     A normal subgroup is a union of classes (Hulpke, "Computing normal
     subgroups", ISSAC 1998), so it is kept as a bitset: bit i stands for
@@ -121,19 +75,18 @@ class ClassAlgebra:
     (the lattice, the kernels of ``normal_k_pi``) to its bitset.
     """
 
-    def __init__(self, table: ClassTable):
-        self.table = table
-        self.full = (1 << table.k) - 1
-        order = table.group.order
-        primes = prime_factors(order)
+    def __init__(self, group: PermGroup, classes, members):
+        self.group = group
+        self.classes: tuple[ConjClass, ...] = tuple(classes)
+        self.members: list[list[tuple[int, ...]]] = members
+        self._index_of = {im: i for i, ims in enumerate(members) for im in ims}
+        k = len(self.classes)
+        self.full = (1 << k) - 1
+        primes = prime_factors(group.order)
         # a union of classes holding more than |G|/p elements generates G
-        self._lagrange = order // primes[0] if primes else 0
-        members: list[list[tuple[int, ...]]] = [[] for _ in table.classes]
-        for images, idx in table._index_of.items():
-            members[idx].append(images)
-        self.members = members
+        self._lagrange = group.order // primes[0] if primes else 0
         # symmetric matrix of supports, None until built
-        self._supports: list[list[int | None]] = [[None] * table.k for _ in table.classes]
+        self._supports: list[list[int | None]] = [[None] * k for _ in range(k)]
         self._closures: dict[int, int] = {}
         self._blocks: dict[int, list[int | None]] = {}
         self._normal_orders: dict[int, dict[int, int]] = {}
@@ -141,10 +94,23 @@ class ClassAlgebra:
         self._powers: dict[tuple[int, int], int] = {}
         self.normal_masks: dict[frozenset[tuple[int, ...]], int] = {}
 
+    @property
+    def k(self) -> int:
+        return len(self.classes)
+
+    def class_of(self, p: Permutation) -> int:
+        idx = self._index_of.get(p.images)
+        if idx is None:
+            raise NotInGroupError(f"element not in group: {p!r}")
+        return idx
+
+    def sizes(self) -> list[int]:
+        return [c.size for c in self.classes]
+
     def mask_of(self, elements) -> int:
         mask = 0
         for x in elements:
-            mask |= 1 << self.table.class_of(x)
+            mask |= 1 << self.class_of(x)
         return mask
 
     def _support(self, i: int, j: int) -> int:
@@ -154,8 +120,8 @@ class ClassAlgebra:
         met = self._supports[i][j]
         if met is None:
             small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
-            index_of = self.table._index_of
-            times_x = right_multiplier(self.table.classes[big].rep.images)
+            index_of = self._index_of
+            times_x = right_multiplier(self.classes[big].rep.images)
             met = sum(1 << c for c in {index_of[times_x(yim)] for yim in self.members[small]})
             self._supports[i][j] = self._supports[j][i] = met
         return met
@@ -200,7 +166,7 @@ class ClassAlgebra:
         classes."""
         blocks = self._blocks.get(normal)
         if blocks is None:
-            blocks = self._blocks[normal] = [None] * self.table.k
+            blocks = self._blocks[normal] = [None] * self.k
         met = blocks[i]
         if met is None:
             row = self._supports[i]
@@ -227,14 +193,14 @@ class ClassAlgebra:
         block."""
         blocks = []
         covered = 0
-        for i in range(self.table.k):
+        for i in range(self.k):
             if not covered >> i & 1:
                 met = self.block(normal, i)
                 blocks.append(met)
                 covered |= met
         n = self.order(normal)
         sizes = [self.order(b) for b in blocks]
-        if covered != self.full or sum(sizes) != self.table.group.order or any(s % n for s in sizes):
+        if covered != self.full or sum(sizes) != self.group.order or any(s % n for s in sizes):
             raise AssertionError("class fusion does not partition the group into cosets")
         return blocks
 
@@ -248,8 +214,8 @@ class ClassAlgebra:
         or C a single element, among others), and otherwise the orbit walk
         stops once it passes |C|/p, p the least prime of g, since only a
         split of 1 leaves an orbit that long."""
-        classes = self.table.classes
-        index = self.table.group.order // self.order(normal)
+        classes = self.classes
+        index = self.group.order // self.order(normal)
         pairs = conjugation_pairs(gens)
         splits = {}
         for i in _bits(normal):
@@ -269,7 +235,7 @@ class ClassAlgebra:
         Cached per class set."""
         counts = self._normal_orders.get(normal)
         if counts is None:
-            classes = self.table.classes
+            classes = self.classes
             counts = {}
             for i, split in self.class_splits(normal, gens).items():
                 counts[classes[i].order] = counts.get(classes[i].order, 0) + split
@@ -284,7 +250,7 @@ class ClassAlgebra:
         power stays in N.  Cached per class set."""
         counts = self._quotient_orders.get(normal)
         if counts is None:
-            classes = self.table.classes
+            classes = self.classes
             counts = {}
             for block in self.fusion(normal):
                 i = (block & -block).bit_length() - 1
@@ -301,11 +267,11 @@ class ClassAlgebra:
         key = (i, e)
         power = self._powers.get(key)
         if power is None:
-            power = self._powers[key] = self.table.class_of(self.table.classes[i].rep ** e)
+            power = self._powers[key] = self.class_of(self.classes[i].rep ** e)
         return power
 
     def order(self, mask: int) -> int:
-        classes = self.table.classes
+        classes = self.classes
         return sum(classes[i].size for i in _bits(mask))
 
     def elements(self, mask: int) -> list[tuple[int, ...]]:
@@ -313,13 +279,35 @@ class ClassAlgebra:
         return [im for i in _bits(mask) for im in self.members[i]]
 
 
-def class_algebra(group: PermGroup) -> ClassAlgebra:
-    """The class algebra over the group's class table, cached on the group."""
-    algebra = group.cache.get("class_algebra")
-    if algebra is None:
-        algebra = ClassAlgebra(conjugacy_classes(group))
-        group.cache["class_algebra"] = algebra
-    return algebra
+def conjugacy_classes(group: PermGroup) -> ClassTable:
+    """The class table of the group, by a conjugation-orbit sweep over the
+    full element list.
+
+    Deterministic: elements come from the group's enumeration order, each
+    orbit is explored breadth-first with generators in list order and kept as
+    its class's member list, and classes are numbered by their least image
+    tuple.  The result is cached on the group.
+    """
+    cached = group.cache.get("class_table")
+    if cached is not None:
+        return cached
+
+    pairs = conjugation_pairs(group.generators)
+    seen: set[tuple[int, ...]] = set()
+    found = []  # (least image tuple, orbit) per class
+    for start in group.element_list():
+        if start.images not in seen:
+            orbit = conjugation_orbit(start.images, pairs)
+            seen.update(orbit)
+            found.append((min(orbit), orbit))
+    found.sort(key=lambda least_orbit: least_orbit[0])
+    classes = []
+    for least, orbit in found:
+        rep = Permutation._make(least)
+        classes.append(ConjClass(rep=rep, size=len(orbit), order=rep.order()))
+    table = ClassTable(group, classes, [orbit for _, orbit in found])
+    group.cache["class_table"] = table
+    return table
 
 
 def pi_part_of_element(x: Permutation, pi) -> tuple[Permutation, Permutation]:

@@ -187,7 +187,7 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
         reports = [report]
         config = Config.from_dict({**replayed.to_dict(), "output_format": config.output_format})
     elif use_census or not group_source:
-        entries = list(census(config.census_ranges(), config.max_degree))
+        entries = list(census(config))
         by_name = dict(entries)
         reports = run_census_campaign(entries, suites, config).reports
     else:
@@ -268,7 +268,7 @@ def census_cmd(**params):
     config = _config_from(params)
     rows = [
         {"name": name, "order": group.order, "degree": group.degree}
-        for name, group in census(config.census_ranges(), config.max_degree)
+        for name, group in census(config)
     ]
     if config.output_format == "json":
         click.echo(render_json(document("census", config, {"groups": rows})), nl=False)

@@ -60,8 +60,15 @@ def is_pi_number(n: int, pi: frozenset[int]) -> bool:
     return pi_part(n, pi) == n
 
 
+# Every prime dividing |G| is at most the degree of G, the length of an image
+# tuple held in memory, so no larger prime can change an answer.  It is
+# refused before the trial division, which takes about sqrt(p) / 2 steps.
+MAX_PRIME = 2**31 - 1
+
+
 def validate_pi(pi, *, allow_empty: bool = False) -> frozenset[int]:
-    """Normalize a prime-set argument, rejecting non-primes and duplicates by construction."""
+    """Normalize a prime-set argument, rejecting non-primes, primes above
+    ``MAX_PRIME`` and duplicates by construction."""
     try:
         out = frozenset(pi)
     except TypeError:  # not iterable, or holds unhashable items
@@ -69,6 +76,8 @@ def validate_pi(pi, *, allow_empty: bool = False) -> frozenset[int]:
     if not out and not allow_empty:
         raise InvalidInputError("pi must be a non-empty set of primes")
     for p in out:
+        if isinstance(p, int) and p > MAX_PRIME:
+            raise InvalidInputError(f"prime too large: {p} (the limit is {MAX_PRIME})")
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInputError(f"not a prime: {p!r}")
     return out

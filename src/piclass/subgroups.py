@@ -12,7 +12,7 @@ normalizers, subgroup conjugacy) walk one conjugation orbit with
 so they never enumerate the ambient group.  Normal-subgroup queries (the
 lattice, O_pi', the Fitting subgroup, the socle, the class counts k_pi(N)
 and k_pi(G/N)) close class bitsets over the class table of G
-(``classes.ClassAlgebra``): the lattice's joins read their element sets
+(``classes.ClassTable``): the lattice's joins read their element sets
 from them, a join N * M unions the fusion blocks of N (one per class of
 G/N, built once) over the classes of M, each bitset is joined with the
 seeds only (the normal closures of single classes), and a closure stops as
@@ -32,7 +32,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import all_d_p_one, class_algebra, conjugacy_classes, pi_part_of_element
+from .classes import all_d_p_one, conjugacy_classes, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -251,7 +251,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     Seeds are the normal closures of the conjugacy class representatives;
     every normal subgroup is the join of the seeds it contains, so closing
     the seed set under joins with single seeds is exhaustive.  The closing
-    runs in the class algebra, on class bitsets: a join is the class set of
+    runs in the class table, on class bitsets: a join is the class set of
     N * M.  Bitsets are walked in the order found; a seed is joined with the
     seeds after it and any other bitset with every seed, so each unordered
     pair is joined at most once.  A subgroup is made only for a bitset seen
@@ -259,19 +259,19 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     representative or on those of the two joined subgroups; every element
     set is read from its bitset, so no join runs a closure, and a seed's
     ``normal_closure`` walk stops once it reaches that set's size.  Each
-    bitset is recorded in the algebra's ``normal_masks`` under its element
+    bitset is recorded in the table's ``normal_masks`` under its element
     set.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
         return cached
-    algebra = class_algebra(group)
+    table = conjugacy_classes(group)
     found: dict[int, PermGroup] = {}
     seeds = []  # the identity's class comes first and gives the trivial group
-    for i, cls in enumerate(algebra.table.classes):
-        mask = algebra.closure(1 << i)
+    for i, cls in enumerate(table.classes):
+        mask = table.closure(1 << i)
         if mask not in found:
-            elements = frozenset(algebra.elements(mask))
+            elements = frozenset(table.elements(mask))
             found[mask] = normal_closure(group, [cls.rep], elements)
             seeds.append(mask)
     queue = list(seeds)
@@ -279,13 +279,13 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
         for other in seeds[k + 1:] if k < len(seeds) else seeds:
             if other & current in (other, current):  # nested: joins to the bigger
                 continue
-            joined = algebra.join(current, other)
+            joined = table.join(current, other)
             if joined not in found:
                 gens = found[current].generators + found[other].generators
-                found[joined] = PermGroup(gens, elements=frozenset(algebra.elements(joined)))
+                found[joined] = PermGroup(gens, elements=frozenset(table.elements(joined)))
                 queue.append(joined)
     for mask, sub in found.items():
-        algebra.normal_masks[sub.element_set()] = mask
+        table.normal_masks[sub.element_set()] = mask
     result = sorted(
         found.values(),
         key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.order != group.order else ()),
@@ -295,13 +295,13 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
 
 
 def _normal_class_mask(group: PermGroup, kernel: PermGroup) -> int:
-    algebra = class_algebra(group)
+    table = conjugacy_classes(group)
     key = kernel.element_set()
-    mask = algebra.normal_masks.get(key)
+    mask = table.normal_masks.get(key)
     if mask is None:
         if not is_normal(group, kernel):
             raise PreconditionError("kernel is not normal in the group")
-        mask = algebra.normal_masks[key] = algebra.closure(algebra.mask_of(kernel.generators))
+        mask = table.normal_masks[key] = table.closure(table.mask_of(kernel.generators))
     return mask
 
 
@@ -309,26 +309,26 @@ def normal_k_pi(group: PermGroup, n: PermGroup, pi) -> int:
     """k_pi(N) for N normal in G, read from the class table of G.
 
     N is a union of G-classes, and each of them splits into classes of N
-    of one size (ClassAlgebra.class_splits); k_pi(N) sums the classes of N
-    whose element order is a pi-number (ClassAlgebra.normal_orders, counted
+    of one size (ClassTable.class_splits); k_pi(N) sums the classes of N
+    whose element order is a pi-number (ClassTable.normal_orders, counted
     once per N).  N's own class table is never built.
     """
     pi = validate_pi(pi)
     mask = _normal_class_mask(group, n)
-    counts = class_algebra(group).normal_orders(mask, n.generators)
+    counts = conjugacy_classes(group).normal_orders(mask, n.generators)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
 def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi) -> int:
     """k_pi(G/N) by class fusion, read from the class table of G.
 
-    A class of G/N is the set of G-classes meeting x * N (ClassAlgebra.fusion);
+    A class of G/N is the set of G-classes meeting x * N (ClassTable.fusion);
     k_pi(G/N) sums the classes of G/N whose element order is a pi-number
-    (ClassAlgebra.quotient_orders, counted once per N).
+    (ClassTable.quotient_orders, counted once per N).
     """
     pi = validate_pi(pi)
     mask = _normal_class_mask(group, kernel)
-    counts = class_algebra(group).quotient_orders(mask)
+    counts = conjugacy_classes(group).quotient_orders(mask)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
 
 
@@ -517,15 +517,15 @@ def _normal_core(group: PermGroup, prime_pred) -> PermGroup:
     stays inside the classes of pred-elements (one representative each,
     skipping classes inside a closure already picked).
     """
-    algebra = class_algebra(group)
-    classes = algebra.table.classes
+    table = conjugacy_classes(group)
+    classes = table.classes
     allowed = sum(1 << i for i, cls in enumerate(classes)
                   if all(prime_pred(q) for q in prime_factors(cls.order)))
     picked: list[Permutation] = []
     covered = 0
     for i, cls in enumerate(classes):
         if (allowed & ~covered) >> i & 1:
-            mask = algebra.closure(1 << i)
+            mask = table.closure(1 << i)
             if mask & ~allowed == 0:
                 picked.append(cls.rep)
                 covered |= mask
@@ -553,13 +553,13 @@ def socle(group: PermGroup) -> PermGroup:
     bitset is the closure of the minimal bitsets, those with no other
     nontrivial bitset of the lattice inside them."""
     normals = normal_subgroups(group)
-    algebra = class_algebra(group)
-    masks = [algebra.normal_masks[n.element_set()] for n in normals]
+    table = conjugacy_classes(group)
+    masks = [table.normal_masks[n.element_set()] for n in normals]
     joined = masks[0]
     for m in masks[1:]:
         if not any(o != m and o & m == o for o in masks[1:]):
             joined |= m
-    joined = algebra.closure(joined)
+    joined = table.closure(joined)
     return normals[masks.index(joined)]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import parse_group_file, serialize_group_file
-from .classes import all_d_p_one, class_algebra, conjugacy_classes
+from .classes import all_d_p_one, conjugacy_classes
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import InvalidInputError
 from .group import PermGroup
@@ -330,15 +330,15 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     case2 = False
     case2_witness = None
     normals = normal_subgroups(group)
-    algebra = class_algebra(group)
-    masks = algebra.normal_masks
+    table = conjugacy_classes(group)
+    masks = table.normal_masks
     for a in normals:
         if case2:
             break
         for b in normals:
             if a.order * b.order != group.order:
                 continue
-            if algebra.order(masks[a.element_set()] & masks[b.element_set()]) != 1:
+            if table.order(masks[a.element_set()] & masks[b.element_set()]) != 1:
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue

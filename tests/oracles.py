@@ -13,7 +13,7 @@ generators the library must keep reproducing.  The routines after the
 lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
-class-algebra routines the library ran before it closed over generating
+class-table routines the library ran before it closed over generating
 classes only and cut its orbit walks short: the all-pairs class closure and
 the class splits by full orbit walks, and the eager coset rows it built
 before it read one fusion block per class of G/N.
@@ -311,10 +311,10 @@ def normal_pi_complement_by_element_scan(group, pi):
     return False, None
 
 
-def closure_by_all_pairs(algebra, mask):
+def closure_by_all_pairs(table, mask):
     """Class bitset of the normal subgroup the classes of ``mask`` generate:
     every class reached is multiplied by every class reached (supports read
-    from ``algebra``).  Uncached."""
+    from ``table``).  Uncached."""
     from piclass.classes import _bits
 
     todo = list(_bits(mask))
@@ -323,26 +323,26 @@ def closure_by_all_pairs(algebra, mask):
         i = todo.pop()
         done.append(i)
         for j in done:
-            new = algebra._support(i, j) & ~mask
+            new = table._support(i, j) & ~mask
             if new:
                 mask |= new
                 todo.extend(_bits(new))
     return mask
 
 
-def class_splits_by_full_walk(algebra, normal, gens):
+def class_splits_by_full_walk(table, normal, gens):
     """Class i of G inside N (class set ``normal``, generated by ``gens``)
     -> |C_i| / |x^N|, with the whole N-orbit of the representative walked."""
     from piclass.classes import _bits
     from piclass.perm import conjugation_orbit, conjugation_pairs
 
     pairs = conjugation_pairs(gens)
-    classes = algebra.table.classes
+    classes = table.classes
     return {i: classes[i].size // len(conjugation_orbit(classes[i].rep.images, pairs))
             for i in _bits(normal)}
 
 
-def coset_classes_by_rows(algebra, normal):
+def coset_classes_by_rows(table, normal):
     """For the normal subgroup N with class set ``normal``: entry i is the
     bitset of classes met by C_i * N, the union of the supports of C_i * C_j
     over the classes j of N, built for every class i of G.  Uncached."""
@@ -350,9 +350,9 @@ def coset_classes_by_rows(algebra, normal):
 
     in_normal = list(_bits(normal))
     rows = []
-    for i in range(algebra.table.k):
+    for i in range(table.k):
         met = 0
         for j in in_normal:
-            met |= algebra._support(i, j)
+            met |= table._support(i, j)
         rows.append(met)
     return rows

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -270,6 +271,14 @@ def test_group_over_max_elements_stops_where_the_run_starts(runner, args, tmp_pa
     result = runner.invoke(main, args)
     assert result.exit_code == 1
     assert result.output == "Error: element enumeration: needs 120, cap is 50\n"
+
+
+def test_huge_pi_is_a_quick_one_line_error(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["hall", "S3", "--pi", "1000000000000000003"])
+    assert time.perf_counter() - start < 1.0
+    assert result.exit_code == 1
+    assert result.output.startswith("Error:") and result.output.count("\n") == 1
 
 
 def test_config_admits_only_a_null_cache_dir():

@@ -1,7 +1,6 @@
 import pytest
 
 from piclass.catalog import (
-    CensusRanges,
     build,
     census_specs,
     cyclic,
@@ -12,6 +11,7 @@ from piclass.catalog import (
     serialize_group_file,
 )
 from piclass.classes import conjugacy_classes
+from piclass.config import Config
 from piclass.errors import CapExceededError, GroupFileError
 
 
@@ -109,7 +109,7 @@ def test_census_contains_required_groups(census_entries):
 
 
 def test_census_order_cap():
-    names = [s.name for s in census_specs(CensusRanges(max_order=100))]
+    names = [s.name for s in census_specs(Config(max_order=100))]
     assert "A5 x C3" not in names
     assert "A5" in names
 

@@ -49,6 +49,16 @@ def test_class_equation_and_partition_oracle(name, named):
         brute_conjugacy_partition(elements), key=sorted)
 
 
+@pytest.mark.parametrize("name", ["S4", "Q8", "D8 x C3"])
+def test_members_list_each_class(name, named):
+    g = named(name)
+    table = conjugacy_classes(g)
+    for i, (cls, members) in enumerate(zip(table.classes, table.members)):
+        assert len(members) == cls.size and min(members) == cls.rep.images
+        assert {table.class_of(Permutation._make(im)) for im in members} == {i}
+    assert sorted(table.elements(table.full)) == sorted(e.images for e in g.element_list())
+
+
 def test_representative_is_lex_least(named):
     g = named("S4")
     table = conjugacy_classes(g)

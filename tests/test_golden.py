@@ -61,7 +61,7 @@ SLICES = {
 def render(slice_name: str) -> str:
     """The JSON report of one slice, as ``piclass verify`` prints it."""
     config, suites, groups, marker, _ = SLICES[slice_name]
-    entries = list(census(config.census_ranges(), config.max_degree))
+    entries = list(census(config))
     assert set(groups) <= set(dict(entries))
     result = run_census_campaign(entries, suites, config)
     body = {"results": [r.as_dict() for r in result.reports], "summary": result.summary}

@@ -12,7 +12,7 @@ from lemmas import (
 )
 from oracles import commuting_pair_count
 from piclass.classes import conjugacy_classes, k_pi
-from piclass.errors import PreconditionError
+from piclass.errors import InvalidInputError, PreconditionError
 from piclass.invariants import (
     commuting_degree,
     d_pi,
@@ -20,7 +20,7 @@ from piclass.invariants import (
     has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
 )
-from piclass.numtheory import is_prime, pi_part, prime_factors, validate_pi
+from piclass.numtheory import MAX_PRIME, is_prime, pi_part, prime_factors, validate_pi
 from piclass.subgroups import is_normal
 
 
@@ -48,6 +48,12 @@ def test_validate_pi_rejects_junk():
     with pytest.raises(ValueError):
         validate_pi([])
     assert validate_pi([3, 2]) == frozenset([2, 3])
+
+
+def test_validate_pi_refuses_primes_above_the_limit():
+    assert validate_pi([MAX_PRIME]) == frozenset([MAX_PRIME])  # 2**31 - 1 is prime
+    with pytest.raises(InvalidInputError, match="prime too large"):
+        validate_pi([2, 2147483659])  # the least prime above the limit
 
 
 @given(st.integers(min_value=2, max_value=2000))

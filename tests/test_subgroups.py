@@ -18,7 +18,7 @@ from oracles import (
     subgroup_classes_by_orbit_skip,
 )
 from piclass.catalog import build, census_specs, parse_name
-from piclass.classes import ClassAlgebra, class_algebra, conjugacy_classes, k_pi
+from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
@@ -110,7 +110,7 @@ def test_normalizer_brute_crosscheck(named):
     assert n.element_set() == frozenset(b.images for b in brute)
 
 
-def test_normalizer_keeps_the_greedy_generators_and_its_cap(named):
+def test_normalizer_keeps_the_greedy_generators(named):
     s5 = named("S5")
     h = subgroup(s5, [parse_cycle_text("(0 1)", 5)])
     n = normalizer(s5, h)
@@ -287,8 +287,8 @@ def test_quotient_k_pi_outside_the_lattice(named):
 def _assert_normal_k_pi_matches_class_table(g, n):
     for pi in _nonempty_subsets(group_primes(g) | {2}):
         assert normal_k_pi(g, n, pi) == k_pi(n, pi), (n.order, sorted(pi))
-    algebra = class_algebra(g)
-    splits = algebra.class_splits(algebra.normal_masks[n.element_set()], n.generators)
+    table = conjugacy_classes(g)
+    splits = table.class_splits(table.normal_masks[n.element_set()], n.generators)
     assert sum(splits.values()) == conjugacy_classes(n).k
 
 
@@ -317,16 +317,16 @@ def test_class_closures_and_splits_match_their_oracles(census_entries):
     walks.  The single classes come last, so their cached closures are read
     after closures of other class sets were cached."""
     for name, g in census_entries:
-        algebra = class_algebra(g)
+        table = conjugacy_classes(g)
         for n in normal_subgroups(g):
-            mask = algebra.normal_masks[n.element_set()]
-            gens_mask = algebra.mask_of(n.generators)
-            assert (algebra.closure(gens_mask) == closure_by_all_pairs(algebra, gens_mask)
+            mask = table.normal_masks[n.element_set()]
+            gens_mask = table.mask_of(n.generators)
+            assert (table.closure(gens_mask) == closure_by_all_pairs(table, gens_mask)
                     == mask), (name, n.order)
-            splits = class_splits_by_full_walk(algebra, mask, n.generators)
-            assert algebra.class_splits(mask, n.generators) == splits, (name, n.order)
-        for i in range(algebra.table.k):
-            assert algebra.closure(1 << i) == closure_by_all_pairs(algebra, 1 << i), (name, i)
+            splits = class_splits_by_full_walk(table, mask, n.generators)
+            assert table.class_splits(mask, n.generators) == splits, (name, n.order)
+        for i in range(table.k):
+            assert table.closure(1 << i) == closure_by_all_pairs(table, 1 << i), (name, i)
 
 
 def test_fusion_blocks_match_coset_rows(census_entries):
@@ -334,61 +334,60 @@ def test_fusion_blocks_match_coset_rows(census_entries):
     equals the eager coset row of its class, and ``fusion`` and every
     ``join`` with another lattice entry equal those read from the rows."""
     for name, g in census_entries:
-        algebra = class_algebra(g)
-        masks = [algebra.normal_masks[n.element_set()] for n in normal_subgroups(g)]
+        table = conjugacy_classes(g)
+        masks = [table.normal_masks[n.element_set()] for n in normal_subgroups(g)]
         for mask in masks:
-            rows = coset_classes_by_rows(algebra, mask)
-            assert [algebra.block(mask, i) for i in range(algebra.table.k)] == rows, name
+            rows = coset_classes_by_rows(table, mask)
+            assert [table.block(mask, i) for i in range(table.k)] == rows, name
             fusion, covered = [], 0
             for i, row in enumerate(rows):
                 if not covered >> i & 1:
                     fusion.append(row)
                     covered |= row
-            assert algebra.fusion(mask) == fusion, name
+            assert table.fusion(mask) == fusion, name
             for other in masks:
                 joined = mask
-                for i in range(algebra.table.k):
+                for i in range(table.k):
                     if other >> i & 1:
                         joined |= rows[i]
-                assert algebra.join(mask, other) == joined, (name, mask, other)
+                assert table.join(mask, other) == joined, (name, mask, other)
 
 
-def _built_supports(algebra):
+def _built_supports(table):
     """Number of class-product supports built so far (the matrix is symmetric)."""
-    return sum(met is not None for i, row in enumerate(algebra._supports) for met in row[i:])
+    return sum(met is not None for i, row in enumerate(table._supports) for met in row[i:])
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_fusion_blocks_are_built_once_per_class_of_the_quotient(name, named):
     """A block is built from one row of supports per class of G/N and read
-    by every class it holds: after ``fusion(N)`` on a fresh algebra, no join
+    by every class it holds: after ``fusion(N)`` on a fresh table, no join
     of N builds another support."""
     g = named(name)
-    table = conjugacy_classes(g)
-    masks = [class_algebra(g).normal_masks[n.element_set()] for n in normal_subgroups(g)]
+    masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normal_subgroups(g)]
     for mask in masks:
-        algebra = ClassAlgebra(table)
-        blocks = algebra.fusion(mask)
-        built = _built_supports(algebra)
+        table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
+        blocks = table.fusion(mask)
+        built = _built_supports(table)
         assert built <= len(blocks) * bin(mask).count("1"), (name, mask)
         for other in masks:
-            algebra.join(mask, other)
-        assert _built_supports(algebra) == built, (name, mask)
+            table.join(mask, other)
+        assert _built_supports(table) == built, (name, mask)
 
 
 def test_lattice_joins_each_unordered_pair_once(monkeypatch):
     import collections
 
     pairs = collections.Counter()
-    join = ClassAlgebra.join
+    join = ClassTable.join
 
     def counting(self, normal, other):
         pairs[id(self), frozenset((normal, other))] += 1
         return join(self, normal, other)
 
-    monkeypatch.setattr(ClassAlgebra, "join", counting)
+    monkeypatch.setattr(ClassTable, "join", counting)
     groups = [build(parse_name(name)) for name in LATTICE_SLICE]  # fresh: no cached lattice
-    for g in groups:  # kept alive, so no two algebras share an id
+    for g in groups:  # kept alive, so no two tables share an id
         normal_subgroups(g)
     assert pairs
     assert max(pairs.values()) == 1
@@ -399,9 +398,9 @@ def test_normal_closure_with_known_elements_keeps_its_generators(name, named):
     """Stopping the conjugate walk at the known order, and taking the set
     whole at a prime index, leaves the generators and the set unchanged."""
     g = named(name)
-    algebra = class_algebra(g)
-    for i, cls in enumerate(algebra.table.classes):
-        elements = frozenset(algebra.elements(algebra.closure(1 << i)))
+    table = conjugacy_classes(g)
+    for i, cls in enumerate(table.classes):
+        elements = frozenset(table.elements(table.closure(1 << i)))
         plain = normal_closure(g, [cls.rep])
         known = normal_closure(g, [cls.rep], elements=elements)
         assert known.generators == plain.generators, (name, i)

@@ -1,7 +1,7 @@
 import pytest
 
 from piclass import suite
-from piclass.catalog import build, census, CensusRanges, parse_name
+from piclass.catalog import build, census, parse_name
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
 from piclass.suite import (
@@ -43,7 +43,7 @@ def test_campaign_builds_one_chain_per_census_group(monkeypatch):
         build_chain(self)
 
     monkeypatch.setattr(PermGroup, "_build_chain", counting)
-    entries = list(census(Config(max_order=72).census_ranges()))
+    entries = list(census(Config(max_order=72)))
     run_census_campaign(entries, DEFAULT_SUITES)
     assert len(entries) == 153
     assert sorted(map(id, built)) == sorted(id(g) for _, g in entries)
@@ -174,9 +174,9 @@ def test_status_taxonomy_total(named):
 
 
 def test_campaign_tiny_census_zero_fails():
-    entries = list(census(CensusRanges(cyclic_max=6, dihedral_max_order=8,
-                                       symmetric_max=4, alternating_max=4,
-                                       max_order=60)))
+    entries = list(census(Config(cyclic_max=6, dihedral_max_order=8,
+                                symmetric_max=4, alternating_max=4,
+                                max_order=60)))
     result = run_census_campaign(entries, "all")
     assert result.summary.get("fail", 0) == 0
     assert not result.failures
@@ -189,9 +189,9 @@ def test_campaign_empty_census():
 
 
 def test_campaign_workers_agree():
-    entries = list(census(CensusRanges(cyclic_max=5, dihedral_max_order=6,
-                                       symmetric_max=3, alternating_max=4,
-                                       max_order=30)))
+    entries = list(census(Config(cyclic_max=5, dihedral_max_order=6,
+                                symmetric_max=3, alternating_max=4,
+                                max_order=30)))
     suites = ["cap", "commuting"]
     seq = run_census_campaign(entries, suites, Config())
     # the call the benchmark's workloads make

@@ -1,9 +1,12 @@
-"""Every name the benchmark tracer patches must exist in the library.
+"""Every name the benchmark uses must exist in the library.
 
 ``perfbench/tracer.py`` looks functions up with ``getattr`` and methods with
 ``vars(cls)[meth]``, with no default, so moving or renaming one of them
 breaks ``perfbench/run.py --trace 1`` with an ``AttributeError`` or a
-``KeyError``.  This test turns such a move into a test failure.
+``KeyError``.  ``perfbench/workloads.py`` builds its groups through
+``Config.census_ranges()`` and ``catalog.census_specs``, and the tracer
+reads class tables from ``group.cache["class_table"]``.  These tests turn
+such a move into a test failure.
 """
 
 import importlib
@@ -12,17 +15,27 @@ from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(filename: str):
+    path = PERFBENCH / filename
+    if not path.exists():
+        pytest.skip("perfbench/ is absent")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def tracer():
-    if not TRACER.exists():
-        pytest.skip("perfbench/ is absent")
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load("tracer.py")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads.py")
 
 
 def _module(tracer, layer: str):
@@ -47,3 +60,17 @@ def test_traced_methods_exist(tracer):
 def test_workload_names_exist(tracer):
     # perfbench/workloads.py runs its campaigns with suite.Limits()
     assert callable(getattr(_module(tracer, "suite"), "Limits"))
+
+
+def test_workload_setup_runs(workloads):
+    from piclass.classes import conjugacy_classes
+    from piclass.config import Config
+
+    assert len(workloads.make_groups("hall", 0)) == 153
+    groups = workloads.make_groups("quotient", 0)
+    assert len(groups) == 101
+    assert isinstance(workloads.config_for("quotient"), Config)
+    _, g = groups[-1]
+    table = conjugacy_classes(g)
+    assert g.cache["class_table"] is table
+    assert conjugacy_classes(g) is table
