@@ -44,7 +44,9 @@ class ClassTable:
     class i.  Everything is read from the supports of class products: the
     bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
     of classes, so its support is the set of classes met by x * C_i for one
-    x in C_j; each support is built on first use from the smaller class.
+    x in C_j; each support is built on first use from the smaller class, and
+    each row of supports is allocated on first use, so a table that only
+    counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
     Each normal subgroup is answered once, and the answers are cached:
 
@@ -85,8 +87,9 @@ class ClassTable:
         primes = prime_factors(group.order)
         # a union of classes holding more than |G|/p elements generates G
         self._lagrange = group.order // primes[0] if primes else 0
-        # symmetric matrix of supports, None until built
-        self._supports: list[list[int | None]] = [[None] * k for _ in range(k)]
+        # rows of the symmetric matrix of supports, each allocated on first
+        # use: k_pi and the class sizes never need one
+        self._supports: dict[int, list[int | None]] = {}
         self._closures: dict[int, int] = {}
         self._blocks: dict[int, list[int | None]] = {}
         self._normal_orders: dict[int, dict[int, int]] = {}
@@ -113,17 +116,25 @@ class ClassTable:
             mask |= 1 << self.class_of(x)
         return mask
 
+    def _row(self, i: int) -> list[int | None]:
+        """Row i of the supports matrix, allocated on first use."""
+        row = self._supports.get(i)
+        if row is None:
+            row = self._supports[i] = [None] * self.k
+        return row
+
     def _support(self, i: int, j: int) -> int:
         """Bitset of the classes met by C_i * C_j: the classes of the products
         y * x, y in the smaller class and x the other's representative (x * y
         is conjugate to y * x, and each class of C_i * C_j holds such an x * y)."""
-        met = self._supports[i][j]
+        row = self._row(i)
+        met = row[j]
         if met is None:
             small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
             index_of = self._index_of
             times_x = right_multiplier(self.classes[big].rep.images)
             met = sum(1 << c for c in {index_of[times_x(yim)] for yim in self.members[small]})
-            self._supports[i][j] = self._supports[j][i] = met
+            row[j] = self._row(j)[i] = met
         return met
 
     def closure(self, mask: int) -> int:
@@ -141,7 +152,7 @@ class ClassTable:
             reached = self.order(mask)
             while todo and reached <= self._lagrange:
                 i = todo.pop()
-                row = self._supports[i]
+                row = self._row(i)
                 for j in gens:
                     met = row[j]
                     if met is None:
@@ -169,7 +180,7 @@ class ClassTable:
             blocks = self._blocks[normal] = [None] * self.k
         met = blocks[i]
         if met is None:
-            row = self._supports[i]
+            row = self._row(i)
             met = 0
             for j in _bits(normal):
                 support = row[j]

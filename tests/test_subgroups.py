@@ -355,7 +355,7 @@ def test_fusion_blocks_match_coset_rows(census_entries):
 
 def _built_supports(table):
     """Number of class-product supports built so far (the matrix is symmetric)."""
-    return sum(met is not None for i, row in enumerate(table._supports) for met in row[i:])
+    return sum(met is not None for i, row in table._supports.items() for met in row[i:])
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
