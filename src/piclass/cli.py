@@ -15,17 +15,10 @@ from .errors import InvalidInputError, PiclassError
 from .group import PermGroup
 from .invariants import d_pi, group_primes
 from .numtheory import pi_part, validate_pi
-from .reporting import (
-    document,
-    render_analysis_csv,
-    render_analysis_text,
-    render_hall_csv,
-    render_json,
-    render_verdicts_csv,
-    render_verdicts_text,
-)
+from .reporting import render
 from .suite import (
     FAIL,
+    SUITES,
     replay_counterexample,
     resolve_suites,
     run_census_campaign,
@@ -121,12 +114,7 @@ def analyze(group_source, pi_values, **params):
     config.check_element_cap(group)
     pi_sets = _parse_pi(pi_values) if pi_values else None
     body = _analysis_body(name, group, pi_sets, config)
-    if config.output_format == "json":
-        click.echo(render_json(document("analysis", config, body)), nl=False)
-    elif config.output_format == "csv":
-        click.echo(render_analysis_csv(body), nl=False)
-    else:
-        click.echo(render_analysis_text(body), nl=False)
+    click.echo(render("analysis", config, body), nl=False)
 
 
 def _analysis_body(name, group, pi_sets, config: Config) -> dict:
@@ -160,8 +148,7 @@ def _analysis_body(name, group, pi_sets, config: Config) -> dict:
 @click.argument("group_source", required=False)
 @click.option("--census", "use_census", is_flag=True, help="Run over the default census.")
 @click.option("--suite", "suites", multiple=True, default=("all",),
-              help="Suite selector; repeatable. One of "
-                   "main/complement/cap/quotient/structure/commuting/selftest/all.")
+              help=f"Suite selector; repeatable. One of {'/'.join([*SUITES, 'all'])}.")
 @click.option("--pi", "pi_values", multiple=True,
               help="Restrict per-pi suites to these prime sets; single GROUP_SOURCE only.")
 @click.option("--max-order", type=int, default=None,
@@ -207,12 +194,7 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
         click.echo(f"counterexample bundle: {path}", err=True)
 
     body = {"results": [r.as_dict() for r in reports], "summary": summary}
-    if config.output_format == "json":
-        click.echo(render_json(document("verify", config, body)), nl=False)
-    elif config.output_format == "csv":
-        click.echo(render_verdicts_csv(reports), nl=False)
-    else:
-        click.echo(render_verdicts_text(reports, summary), nl=False)
+    click.echo(render("verify", config, body), nl=False)
     sys.exit(1 if failures else 0)
 
 
@@ -246,18 +228,7 @@ def hall(group_source, pi_values, **params):
             entry["generators"] = [g.cycle_string() for g in out.subgroup.generators]
         outcomes.append(entry)
     body = {"group": name, "outcomes": outcomes}
-    if config.output_format == "json":
-        click.echo(render_json(document("hall", config, body)), nl=False)
-    elif config.output_format == "csv":
-        click.echo(render_hall_csv(outcomes), nl=False)
-    else:
-        for entry in outcomes:
-            pi = ",".join(map(str, entry["pi"]))
-            line = f"pi={{{pi}}}: {entry['status']}"
-            if "order" in entry:
-                line += f" order={entry['order']} abelian={entry['abelian']}"
-            line += f" ({entry['method']}: {entry['route']})"
-            click.echo(line)
+    click.echo(render("hall", config, body), nl=False)
 
 
 @main.command(name="census")
@@ -270,15 +241,7 @@ def census_cmd(**params):
         {"name": name, "order": group.order, "degree": group.degree}
         for name, group in census(config)
     ]
-    if config.output_format == "json":
-        click.echo(render_json(document("census", config, {"groups": rows})), nl=False)
-    elif config.output_format == "csv":
-        click.echo("name,order,degree")
-        for row in rows:
-            click.echo(f"{row['name']},{row['order']},{row['degree']}")
-    else:
-        for row in rows:
-            click.echo(f"{row['name']:16} order {row['order']:6} degree {row['degree']}")
+    click.echo(render("census", config, {"groups": rows}), nl=False)
 
 
 if __name__ == "__main__":

@@ -2,7 +2,9 @@
 
 Same inputs, same config, same seed => byte-identical output: keys are
 sorted, rationals are always rendered as ``numerator/denominator`` strings,
-and no timestamps or timings enter machine-readable documents.
+and no timestamps or timings enter machine-readable documents.  ``render``
+is the one place that picks the format: each command hands it the body of
+its JSON document, and the csv and text renderers read the same body.
 """
 
 import csv
@@ -11,7 +13,6 @@ import json
 
 from . import __version__
 from .config import Config
-from .suite import VerdictReport
 
 SCHEMA_VERSION = 1
 
@@ -30,64 +31,47 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def render_verdicts_csv(reports: list[VerdictReport]) -> str:
+def render(kind: str, config: Config, body: dict) -> str:
+    """The ``kind`` document with ``body`` in ``config.output_format``."""
+    if config.output_format == "json":
+        return render_json(document(kind, config, body))
+    return _RENDERERS[kind, config.output_format](body)
+
+
+def _csv(header: list[str], rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["result_id", "group", "pi", "status", "witness"])
-    for r in reports:
-        writer.writerow([
-            r.result_id,
-            r.group,
-            ",".join(map(str, r.pi)) if r.pi is not None else "",
-            r.status,
-            json.dumps(r.witness, sort_keys=True),
-        ])
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
-def render_verdicts_text(reports: list[VerdictReport], summary: dict) -> str:
+def _verdicts_csv(body: dict) -> str:
+    return _csv(["result_id", "group", "pi", "status", "witness"], (
+        [r["result_id"], r["group"],
+         ",".join(map(str, r["pi"])) if r["pi"] is not None else "",
+         r["status"], json.dumps(r["witness"], sort_keys=True)]
+        for r in body["results"]))
+
+
+def _verdicts_text(body: dict) -> str:
     lines = []
-    for r in reports:
-        pi = "{" + ",".join(map(str, r.pi)) + "}" if r.pi is not None else "-"
-        lines.append(f"{r.status.upper():12} {r.result_id:24} {r.group:16} pi={pi}")
+    for r in body["results"]:
+        pi = "{" + ",".join(map(str, r["pi"])) + "}" if r["pi"] is not None else "-"
+        lines.append(f"{r['status'].upper():12} {r['result_id']:24} {r['group']:16} pi={pi}")
     lines.append("")
-    lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.items())))
+    lines.append("summary: " + ", ".join(f"{k}={v}" for k, v in sorted(body["summary"].items())))
     return "\n".join(lines) + "\n"
 
 
-def render_analysis_csv(body: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "pi", "k_pi", "order_pi", "d_pi"])
-    for profile in body["profiles"]:
-        writer.writerow([
-            body["group"]["name"],
-            ",".join(map(str, profile["pi"])),
-            profile["k_pi"],
-            profile["order_pi"],
-            profile["d_pi"],
-        ])
-    return buf.getvalue()
+def _analysis_csv(body: dict) -> str:
+    return _csv(["group", "pi", "k_pi", "order_pi", "d_pi"], (
+        [body["group"]["name"], ",".join(map(str, p["pi"])), p["k_pi"], p["order_pi"],
+         p["d_pi"]]
+        for p in body["profiles"]))
 
 
-def render_hall_csv(outcomes: list[dict]) -> str:
-    """One row per prime set; order and abelian are empty when nothing was found."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pi", "status", "method", "route", "order", "abelian"])
-    for entry in outcomes:
-        writer.writerow([
-            ",".join(map(str, entry["pi"])),
-            entry["status"],
-            entry["method"],
-            entry["route"],
-            entry.get("order"),
-            entry.get("abelian"),
-        ])
-    return buf.getvalue()
-
-
-def render_analysis_text(body: dict) -> str:
+def _analysis_text(body: dict) -> str:
     g = body["group"]
     lines = [
         f"group {g['name']}: degree {g['degree']}, order {g['order']}",
@@ -100,3 +84,40 @@ def render_analysis_text(body: dict) -> str:
             f"pi={pi}: k_pi = {profile['k_pi']}, |G|_pi = {profile['order_pi']}, "
             f"d_pi = {profile['d_pi']}")
     return "\n".join(lines) + "\n"
+
+
+def _hall_csv(body: dict) -> str:
+    """One row per prime set; order and abelian are empty when nothing was found."""
+    return _csv(["pi", "status", "method", "route", "order", "abelian"], (
+        [",".join(map(str, e["pi"])), e["status"], e["method"], e["route"], e.get("order"),
+         e.get("abelian")]
+        for e in body["outcomes"]))
+
+
+def _hall_text(body: dict) -> str:
+    lines = []
+    for entry in body["outcomes"]:
+        pi = ",".join(map(str, entry["pi"]))
+        line = f"pi={{{pi}}}: {entry['status']}"
+        if "order" in entry:
+            line += f" order={entry['order']} abelian={entry['abelian']}"
+        lines.append(line + f" ({entry['method']}: {entry['route']})\n")
+    return "".join(lines)
+
+
+def _census_csv(body: dict) -> str:
+    return "name,order,degree\n" + "".join(
+        f"{row['name']},{row['order']},{row['degree']}\n" for row in body["groups"])
+
+
+def _census_text(body: dict) -> str:
+    return "".join(f"{row['name']:16} order {row['order']:6} degree {row['degree']}\n"
+                   for row in body["groups"])
+
+
+_RENDERERS = {
+    ("verify", "csv"): _verdicts_csv, ("verify", "text"): _verdicts_text,
+    ("analysis", "csv"): _analysis_csv, ("analysis", "text"): _analysis_text,
+    ("hall", "csv"): _hall_csv, ("hall", "text"): _hall_text,
+    ("census", "csv"): _census_csv, ("census", "text"): _census_text,
+}

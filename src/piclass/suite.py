@@ -1,9 +1,13 @@
 """Machine checkers for the census: one verdict per (claim, group, prime set).
 
-Every verifier recomputes its own hypotheses from the group rather than
-trusting caller flags, returns exactly one status from the taxonomy
-{pass, fail, vacuous, inapplicable, partial, unresolved}, and attaches a
-witness payload sufficient to replay a failure.
+Each claim is declared once, in ``SUITES``: its selector maps to the prime
+sets it reports on, its checker and its result id.  A checker recomputes its
+own hypotheses from the group rather than trusting caller flags and answers
+``(status, witness)``: exactly one status from the taxonomy
+{pass, fail, vacuous, inapplicable, partial, unresolved}, and a witness
+payload sufficient to replay a failure.  ``run_group_suite`` is the one place
+that turns an answer into a ``VerdictReport``; the campaign, ``verify`` and
+the replay of a bundle all go through it.
 """
 
 import json
@@ -83,8 +87,8 @@ def _gens(sub: PermGroup) -> list[str]:
     return [g.cycle_string() for g in sub.generators]
 
 
-def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
-                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_hall_dichotomy(group: PermGroup, pi,
+                         config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Above the 5/8 threshold: an abelian Hall pi-subgroup exists, all Hall
     pi-subgroups are conjugate, every pi-subgroup lies in a conjugate of it,
     and the ratio is exactly 2/3 or 1.
@@ -93,20 +97,19 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     degrade to cyclic pi-subgroups and the verdict is labelled partial.
     """
     pi = validate_pi(pi)
-    profile = d_pi(group, pi, name)
+    profile = d_pi(group, pi)
     witness: dict = {"d_pi": _frac(profile.d_pi)}
-    rid = "hall-dichotomy"
     if profile.d_pi <= THRESHOLD:
-        return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
+        return VACUOUS, witness
 
     outcome = hall_search(group, pi, budget=config.hall_budget,
                           subgroup_cap=config.subgroup_cap, seed=config.seed)
     if outcome.status == "unresolved":
         witness["hall"] = "unresolved"
-        return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
+        return UNRESOLVED, witness
     if not outcome.found:
         witness["hall"] = "reported nonexistent"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     hall = outcome.subgroup
     witness["hall_order"] = hall.order
     witness["hall_generators"] = _gens(hall)
@@ -114,7 +117,7 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     witness["hall_route"] = outcome.route
     if not hall.is_abelian():
         witness["abelian"] = False
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     witness["abelian"] = True
 
     target = pi_part(group.order, pi)
@@ -138,12 +141,12 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
     witness["hall_class_count"] = len(halls)
     if not partial and len(halls) != 1:
         witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     hall_conjugates = orbit_transversal(group, hall.element_set(), conjugate_set)
     for other in halls:
         if other.element_set() not in hall_conjugates:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
-            return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+            return FAIL, witness
     witness["conjugacy"] = "ok"
 
     for sub in classes:
@@ -151,13 +154,13 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
         if not any(subset <= conj for conj in hall_conjugates):
             witness["containment"] = f"pi-subgroup of order {sub.order} in no Hall conjugate"
             witness["offender_generators"] = _gens(sub)
-            return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+            return FAIL, witness
     witness["containment"] = "ok"
     witness["pi_subgroup_classes"] = len(classes)
 
     if profile.d_pi not in (TWO_THIRDS, Fraction(1)):
         witness["dichotomy"] = "value outside {2/3, 1}"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     if profile.d_pi == TWO_THIRDS:
         # consistency cross-check on every 2/3 pass
         mu = pi - {3}
@@ -170,21 +173,19 @@ def check_hall_dichotomy(group: PermGroup, pi, name: str = "",
             "d_mu": _frac(dmu),
         }
         if not (3 in pi and 2 not in pi and d3 == TWO_THIRDS and dmu == 1):
-            return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
-    status = PARTIAL if partial else PASS
-    return VerdictReport(rid, name, tuple(sorted(pi)), status, witness)
+            return FAIL, witness
+    return (PARTIAL if partial else PASS), witness
 
 
-def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
-                              config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_unit_iff_complement(group: PermGroup, pi,
+                              config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """The ratio equals 1 exactly when a normal pi-complement and an abelian
     Hall pi-subgroup both exist; both sides evaluated independently.
 
     Also: if d_p = 1 for every p in pi, a normal pi-complement must exist.
     """
     pi = validate_pi(pi)
-    rid = "unit-iff-complement"
-    profile = d_pi(group, pi, name)
+    profile = d_pi(group, pi)
     lhs = profile.d_pi == 1
     exists, complement = has_normal_pi_complement(group, pi)
     witness: dict = {"d_pi": _frac(profile.d_pi), "complement_exists": exists}
@@ -195,7 +196,7 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
         outcome = hall_search(group, pi, budget=config.hall_budget,
                               subgroup_cap=config.subgroup_cap, seed=config.seed)
         if outcome.status == "unresolved":
-            return VerdictReport(rid, name, tuple(sorted(pi)), UNRESOLVED, witness)
+            return UNRESOLVED, witness
         if outcome.found:
             abelian_hall = outcome.subgroup.is_abelian()
             witness["hall_order"] = outcome.subgroup.order
@@ -205,36 +206,34 @@ def check_unit_iff_complement(group: PermGroup, pi, name: str = "",
     rhs = bool(exists and abelian_hall)
     witness["iff"] = {"lhs": lhs, "rhs": rhs}
     if lhs != rhs:
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     all_dp_one = all_d_p_one(group, pi)
     witness["all_d_p_one"] = all_dp_one
     if all_dp_one and not exists:
         witness["part1"] = "d_p = 1 for all p but no normal pi-complement"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
-    return VerdictReport(rid, name, tuple(sorted(pi)), PASS, witness)
+        return FAIL, witness
+    return PASS, witness
 
 
-def check_two_thirds_cap(group: PermGroup, pi, name: str = "",
-                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_two_thirds_cap(group: PermGroup, pi,
+                         config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Below 1 the ratio is at most 2/3; at most 5/8 when 3 is not in pi or
     the group order is odd."""
     pi = validate_pi(pi)
-    rid = "two-thirds-cap"
-    profile = d_pi(group, pi, name)
+    profile = d_pi(group, pi)
     witness = {"d_pi": _frac(profile.d_pi)}
     if profile.d_pi == 1:
-        return VerdictReport(rid, name, tuple(sorted(pi)), VACUOUS, witness)
+        return VACUOUS, witness
     if profile.d_pi > TWO_THIRDS:
         witness["violated"] = "d_pi > 2/3"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
+        return FAIL, witness
     if (3 not in pi or group.order % 2 == 1) and profile.d_pi > THRESHOLD:
         witness["violated"] = "d_pi > 5/8 with 3 outside pi or odd order"
-        return VerdictReport(rid, name, tuple(sorted(pi)), FAIL, witness)
-    return VerdictReport(rid, name, tuple(sorted(pi)), PASS, witness)
+        return FAIL, witness
+    return PASS, witness
 
 
-def check_quotient_bound(group: PermGroup, name: str = "",
-                         config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """d_pi(G) <= d_pi(N) * d_pi(G/N) for every normal N and every nonempty
     pi inside the group's primes.
 
@@ -246,11 +245,10 @@ def check_quotient_bound(group: PermGroup, name: str = "",
     ``max_quotient_degree`` caps the index |G:N| that is checked; a normal
     subgroup of larger index is skipped and the verdict is partial.
     """
-    rid = "quotient-bound"
     primes = sorted(group_primes(group))
     witness: dict = {"normal_subgroups": 0, "checked": 0}
     if not primes:
-        return VerdictReport(rid, name, None, VACUOUS, witness)
+        return VACUOUS, witness
     partial = False
     normals = normal_subgroups(group)
     witness["normal_subgroups"] = len(normals)
@@ -276,46 +274,44 @@ def check_quotient_bound(group: PermGroup, name: str = "",
                     "d_pi_G": _frac(lhs),
                     "bound": _frac(rhs),
                 }
-                return VerdictReport(rid, name, None, FAIL, witness)
+                return FAIL, witness
     witness["checked"] = checked
-    return VerdictReport(rid, name, None, PARTIAL if partial else PASS, witness)
+    return PARTIAL if partial else PASS, witness
 
 
-def check_sylow3_structure(group: PermGroup, name: str = "",
-                           config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_sylow3_structure(group: PermGroup, config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Structure forced by d_3 = 2/3 with trivial largest normal 3'-subgroup:
     abelian Sylow 3-subgroup P, |N_G(P)/C_G(P)| = 2, |[P, N_G(P)]| = 3,
     P = [P,N_G(P)] x (P n Z(N_G(P))), and one of:
     (1) P is self-centralizing normal, or (2) G = A x B with A almost simple
     (Sylow 3-subgroup of order 3 inside its socle) and B an abelian 3-group.
     """
-    rid = "sylow3-structure"
     witness: dict = {}
-    profile = d_pi(group, [3], name)
+    profile = d_pi(group, [3])
     witness["d_3"] = _frac(profile.d_pi)
     if profile.d_pi != TWO_THIRDS:
-        return VerdictReport(rid, name, (3,), VACUOUS, witness)
+        return VACUOUS, witness
     o3p = o_pi_prime(group, [3])
     witness["o_3_prime_order"] = o3p.order
     if o3p.order != 1:
-        return VerdictReport(rid, name, (3,), VACUOUS, witness)
+        return VACUOUS, witness
 
     p_syl = sylow_subgroup(group, 3)
     witness["sylow3_order"] = p_syl.order
     if not p_syl.is_abelian():
         witness["abelian_P"] = False
-        return VerdictReport(rid, name, (3,), FAIL, witness)
+        return FAIL, witness
     witness["abelian_P"] = True
     norm = normalizer(group, p_syl)
     cent = centralizer_of_subgroup(group, p_syl)
     ratio = norm.order // cent.order
     witness["normalizer_over_centralizer"] = ratio
     if ratio != 2:
-        return VerdictReport(rid, name, (3,), FAIL, witness)
+        return FAIL, witness
     comm = commutator_subgroup(group, p_syl, norm)
     witness["commutator_order"] = comm.order
     if comm.order != 3:
-        return VerdictReport(rid, name, (3,), FAIL, witness)
+        return FAIL, witness
     z_norm = center(norm)
     z_meet = subgroup_intersection(group, p_syl, z_norm)
     witness["central_part_order"] = z_meet.order
@@ -323,7 +319,7 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     direct = comm.order * z_meet.order == p_syl.order and meet.order == 1
     witness["internal_direct_product"] = direct
     if not direct:
-        return VerdictReport(rid, name, (3,), FAIL, witness)
+        return FAIL, witness
 
     case1 = is_normal(group, p_syl) and cent.order == p_syl.order
     witness["case1_self_centralizing_normal"] = case1
@@ -358,35 +354,29 @@ def check_sylow3_structure(group: PermGroup, name: str = "",
     if case2_witness:
         witness["case2_witness"] = case2_witness
     if not (case1 or case2):
-        return VerdictReport(rid, name, (3,), FAIL, witness)
-    return VerdictReport(rid, name, (3,), PASS, witness)
+        return FAIL, witness
+    return PASS, witness
 
 
-def check_commuting_threshold(group: PermGroup, name: str = "",
-                              config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_commuting_threshold(group: PermGroup,
+                              config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Commuting degree above 5/8 forces the group to be abelian; below it,
     the group must be non-abelian (the contrapositive on the census)."""
-    rid = "commuting-threshold"
     d = commuting_degree(group)
     abelian = group.is_abelian()
     witness = {"d": _frac(d), "abelian": abelian}
     if d > THRESHOLD:
-        status = PASS if abelian else FAIL
-        return VerdictReport(rid, name, None, status, witness)
+        return (PASS if abelian else FAIL), witness
     # d <= 5/8: abelian would contradict d = 1
-    status = VACUOUS if not abelian else FAIL
-    return VerdictReport(rid, name, None, status, witness)
+    return (VACUOUS if not abelian else FAIL), witness
 
 
-def check_selftest(group: PermGroup, name: str = "",
-                   config: Config = DEFAULT_CONFIG) -> VerdictReport:
+def check_selftest(group: PermGroup, config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Deliberately wrong pin (asserts the dihedral-of-order-8 ratio at p=2
     is 1/2); exists so the harness's fail path stays honest."""
-    rid = "selftest-fixed-value"
-    profile = d_pi(group, [2], name)
+    profile = d_pi(group, [2])
     witness = {"d_2": _frac(profile.d_pi), "pinned": "1/2"}
-    status = PASS if profile.d_pi == Fraction(1, 2) else FAIL
-    return VerdictReport(rid, name, (2,), status, witness)
+    return (PASS if profile.d_pi == Fraction(1, 2) else FAIL), witness
 
 
 def _nonempty_subsets(primes) -> list[frozenset[int]]:
@@ -400,14 +390,17 @@ def _nonempty_subsets(primes) -> list[frozenset[int]]:
 
 # -- campaign ---------------------------------------------------------------
 
+# selector -> (prime sets, checker, result id).  A "per-pi" claim runs once
+# per prime set and reports it; any other claim runs once per group and
+# reports the fixed pi given here (None: the claim ranges over every pi).
 SUITES = {
-    "main": ("per-pi", check_hall_dichotomy),
-    "complement": ("per-pi", check_unit_iff_complement),
-    "cap": ("per-pi", check_two_thirds_cap),
-    "quotient": ("per-group", check_quotient_bound),
-    "structure": ("per-group", check_sylow3_structure),
-    "commuting": ("per-group", check_commuting_threshold),
-    "selftest": ("per-group", check_selftest),
+    "main": ("per-pi", check_hall_dichotomy, "hall-dichotomy"),
+    "complement": ("per-pi", check_unit_iff_complement, "unit-iff-complement"),
+    "cap": ("per-pi", check_two_thirds_cap, "two-thirds-cap"),
+    "quotient": (None, check_quotient_bound, "quotient-bound"),
+    "structure": ((3,), check_sylow3_structure, "sylow3-structure"),
+    "commuting": (None, check_commuting_threshold, "commuting-threshold"),
+    "selftest": ((2,), check_selftest, "selftest-fixed-value"),
 }
 
 DEFAULT_SUITES = ["main", "complement", "cap", "quotient", "structure", "commuting"]
@@ -443,19 +436,24 @@ def run_group_suite(group: PermGroup, name: str, suites, config: Config = DEFAUL
     """All selected verifiers on one group; per-pi suites run over the given
     pi sets, defaulting to every nonempty subset of the group's primes.
     The run starts with its one element-cap check, |G| against
-    ``config.max_elements`` (``Config.check_element_cap``)."""
+    ``config.max_elements`` (``Config.check_element_cap``).
+
+    This is the only constructor of ``VerdictReport``: each row takes its
+    result id and its printed pi from the claim's ``SUITES`` entry."""
     config.check_element_cap(group)
     suites = resolve_suites(suites)
     if pi_sets is None:
         pi_sets = _nonempty_subsets(group_primes(group))
+    else:
+        pi_sets = [validate_pi(pi) for pi in pi_sets]
     reports = []
     for suite_name in suites:
-        kind, fn = SUITES[suite_name]
-        if kind == "per-group":
-            reports.append(fn(group, name=name, config=config))
+        pis, check, rid = SUITES[suite_name]
+        if pis == "per-pi":
+            reports.extend(VerdictReport(rid, name, tuple(sorted(pi)),
+                                         *check(group, pi, config=config)) for pi in pi_sets)
         else:
-            for pi in pi_sets:
-                reports.append(fn(group, pi, name=name, config=config))
+            reports.append(VerdictReport(rid, name, pis, *check(group, config=config)))
     return reports
 
 
@@ -486,10 +484,8 @@ def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
 
 def write_counterexample_bundle(directory, group: PermGroup, verdict: VerdictReport,
                                 config_dict: dict | None = None) -> str:
-    """Self-contained replay bundle: group file, claim id, pi, verdict."""
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, "group.grp"), "w") as fh:
-        fh.write(serialize_group_file(group))
+    """Self-contained replay bundle: group file, claim id, pi, verdict.
+    A directory that cannot be made or written raises ``InvalidInputError``."""
     meta = {
         "result_id": verdict.result_id,
         "group": verdict.group,
@@ -497,20 +493,16 @@ def write_counterexample_bundle(directory, group: PermGroup, verdict: VerdictRep
         "verdict": verdict.as_dict(),
         "config": config_dict or {},
     }
-    with open(os.path.join(directory, "meta.json"), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+        with open(os.path.join(directory, "group.grp"), "w") as fh:
+            fh.write(serialize_group_file(group))
+        with open(os.path.join(directory, "meta.json"), "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        raise InvalidInputError(
+            f"cannot write a replay bundle to {directory}: {exc.strerror or exc}") from None
     return directory
-
-
-_SUITE_OF_RESULT = {
-    "hall-dichotomy": "main",
-    "unit-iff-complement": "complement",
-    "two-thirds-cap": "cap",
-    "quotient-bound": "quotient",
-    "sylow3-structure": "structure",
-    "commuting-threshold": "commuting",
-    "selftest-fixed-value": "selftest",
-}
 
 
 def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
@@ -532,12 +524,14 @@ def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
     except (OSError, ValueError) as exc:  # ValueError: not JSON, or not text
         raise InvalidInputError(f"not a replay bundle ({directory}): {exc}") from None
     rid = meta.get("result_id") if isinstance(meta, dict) else None
-    if not isinstance(rid, str) or rid not in _SUITE_OF_RESULT:
+    suite_name = next((s for s, entry in SUITES.items() if entry[2] == rid), None)
+    if suite_name is None:
         raise InvalidInputError(f"not a replay bundle ({directory}): unknown result_id")
     name = meta.get("group", "")
     if not isinstance(name, str):
         raise InvalidInputError(f"not a replay bundle ({directory}): group is not a string")
     config = Config.from_dict(meta.get("config", {}))
     group = parse_group_file(group_text, config.max_degree)
-    pi_sets = [meta.get("pi") or ()]  # read by a per-pi check only
-    return run_group_suite(group, name, [_SUITE_OF_RESULT[rid]], config, pi_sets)[0], config
+    # only a per-pi claim reads the recorded pi; the others print a fixed one
+    pi_sets = [meta.get("pi") or ()] if SUITES[suite_name][0] == "per-pi" else None
+    return run_group_suite(group, name, [suite_name], config, pi_sets)[0], config

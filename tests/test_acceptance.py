@@ -84,11 +84,11 @@ def test_criterion_04_hall_dichotomy_campaign(census_entries):
     pairs = 0
     for name, g in census_entries:
         for pi in _nonempty_subsets(group_primes(g)):
-            verdict = check_hall_dichotomy(g, pi, name=name, config=config)
-            statuses[verdict.status] = statuses.get(verdict.status, 0) + 1
+            status, witness = check_hall_dichotomy(g, pi, config=config)
+            statuses[status] = statuses.get(status, 0) + 1
             pairs += 1
-            if verdict.status not in ("pass", "vacuous"):
-                fails.append((name, sorted(pi), verdict.status, verdict.witness))
+            if status not in ("pass", "vacuous"):
+                fails.append((name, sorted(pi), status, witness))
     elapsed = time.perf_counter() - t0
     assert fails == []
     assert statuses.get("pass", 0) > 0 and statuses.get("vacuous", 0) > 0
@@ -137,8 +137,8 @@ def test_criterion_07_unit_iff_characterization(census_entries):
     for name, g in census_entries:
         for pi in _nonempty_subsets(group_primes(g)):
             pairs += 1
-            verdict = check_unit_iff_complement(g, pi, name=name, config=config)
-            assert verdict.status == "pass", (name, sorted(pi), verdict.witness)
+            status, witness = check_unit_iff_complement(g, pi, config=config)
+            assert status == "pass", (name, sorted(pi), witness)
     _report("7 (d_pi = 1 iff complement + abelian Hall)", f"{pairs} (G, pi) pairs")
 
 
@@ -182,22 +182,22 @@ def test_criterion_09_burnside_fusion(census_entries):
 def test_criterion_10_sylow3_structure_instances():
     t0 = time.perf_counter()
     s3 = build(parse_name("S3"))
-    verdict = check_sylow3_structure(s3, name="S3")
-    assert verdict.status == "pass"
-    assert verdict.witness["case1_self_centralizing_normal"] is True
-    assert verdict.witness["normalizer_over_centralizer"] == 2
-    assert verdict.witness["commutator_order"] == 3
-    assert verdict.witness["internal_direct_product"] is True
+    status, witness = check_sylow3_structure(s3)
+    assert status == "pass"
+    assert witness["case1_self_centralizing_normal"] is True
+    assert witness["normalizer_over_centralizer"] == 2
+    assert witness["commutator_order"] == 3
+    assert witness["internal_direct_product"] is True
 
     a5c3 = build(parse_name("A5 x C3"))
-    verdict = check_sylow3_structure(a5c3, name="A5 x C3")
-    assert verdict.status == "pass"
-    assert verdict.witness["case2_almost_simple_times_3group"] is True
-    assert verdict.witness["case2_witness"]["A_order"] == 60
-    assert verdict.witness["case2_witness"]["B_order"] == 3
-    assert verdict.witness["normalizer_over_centralizer"] == 2
-    assert verdict.witness["commutator_order"] == 3
-    assert verdict.witness["internal_direct_product"] is True
+    status, witness = check_sylow3_structure(a5c3)
+    assert status == "pass"
+    assert witness["case2_almost_simple_times_3group"] is True
+    assert witness["case2_witness"]["A_order"] == 60
+    assert witness["case2_witness"]["B_order"] == 3
+    assert witness["normalizer_over_centralizer"] == 2
+    assert witness["commutator_order"] == 3
+    assert witness["internal_direct_product"] is True
     elapsed = time.perf_counter() - t0
     assert elapsed < 60, f"runtime {elapsed:.1f}s exceeds 1min"
     _report("10 (structure at d_3 = 2/3)", f"case(1)=S3, case(2)=A5 x C3, {elapsed:.1f}s")

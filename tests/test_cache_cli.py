@@ -9,11 +9,7 @@ from piclass.catalog import build, parse_name, serialize_group_file
 from piclass.cli import main
 from piclass.config import Config
 from piclass.errors import InvalidInputError
-from piclass.suite import (
-    check_commuting_threshold,
-    check_quotient_bound,
-    write_counterexample_bundle,
-)
+from piclass.suite import run_group_suite, write_counterexample_bundle
 
 
 @pytest.fixture
@@ -130,7 +126,7 @@ def test_verify_selftest_fails_with_bundle(runner, tmp_path):
 def test_verify_replay_prints_the_bundle_config(runner, tmp_path):
     s4 = build(parse_name("S4"))
     config = Config(max_quotient_degree=2)
-    verdict = check_quotient_bound(s4, name="S4", config=config)
+    verdict = run_group_suite(s4, "S4", ["quotient"], config)[0]
     bundle = write_counterexample_bundle(str(tmp_path / "capped"), s4, verdict,
                                          config.to_dict())
     result = runner.invoke(main, ["verify", "--replay", bundle])
@@ -254,6 +250,7 @@ def _write_replay_dirs(root):
     ["verify", "--census", "--replay", "valid", "--max-order", "6", "--suite", "cap"],
     ["verify", "--replay", "valid", "--max-order", "6"],
     ["cache", "stats"],
+    ["verify", "D8", "--suite", "selftest", "--bundle-dir", "plain-file"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -269,6 +266,7 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     (tmp_path / "two-workers.json").write_text('{"workers": 2}')
     (tmp_path / "group-dir").mkdir()
     (tmp_path / "not-utf8.grp").write_bytes(b"\xff\xfe")
+    (tmp_path / "plain-file").write_text("")
     _write_replay_dirs(tmp_path)
     result = runner.invoke(main, args)
     assert result.exit_code != 0
@@ -289,7 +287,8 @@ def test_group_over_max_elements_stops_where_the_run_starts(runner, args, tmp_pa
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cap50.json").write_text('{"max_elements": 50}')
     s5 = named("S5")
-    write_counterexample_bundle(tmp_path / "capped", s5, check_commuting_threshold(s5, "S5"),
+    write_counterexample_bundle(tmp_path / "capped", s5,
+                                run_group_suite(s5, "S5", ["commuting"])[0],
                                 Config(max_elements=50).to_dict())
     result = runner.invoke(main, args)
     assert result.exit_code == 1

@@ -64,96 +64,96 @@ def test_element_cap_is_checked_against_the_group_order(named):
 
 
 def test_hall_dichotomy_examples(named):
-    v = check_hall_dichotomy(named("S3"), [3], name="S3")
-    assert v.status == PASS
-    assert v.witness["d_pi"] == "2/3"
-    assert v.witness["hall_order"] == 3
-    assert v.witness["abelian"] is True
+    status, witness = check_hall_dichotomy(named("S3"), [3])
+    assert status == PASS
+    assert witness["d_pi"] == "2/3"
+    assert witness["hall_order"] == 3
+    assert witness["abelian"] is True
 
-    v = check_hall_dichotomy(named("A5"), [3], name="A5")
-    assert v.status == PASS and v.witness["d_pi"] == "2/3"
+    status, witness = check_hall_dichotomy(named("A5"), [3])
+    assert status == PASS and witness["d_pi"] == "2/3"
 
-    v = check_hall_dichotomy(named("D8 x C3"), [2], name="D8 x C3")
-    assert v.status == VACUOUS and v.witness["d_pi"] == "5/8"
+    status, witness = check_hall_dichotomy(named("D8 x C3"), [2])
+    assert status == VACUOUS and witness["d_pi"] == "5/8"
 
 
 def test_hall_dichotomy_two_thirds_consistency(named):
-    v = check_hall_dichotomy(named("S3 x C5"), [3, 5], name="S3 x C5")
-    assert v.status == PASS
-    cons = v.witness["two_thirds_consistency"]
+    status, witness = check_hall_dichotomy(named("S3 x C5"), [3, 5])
+    assert status == PASS
+    cons = witness["two_thirds_consistency"]
     assert cons["three_in_pi"] and not cons["two_in_pi"]
     assert cons["d_3"] == "2/3" and cons["d_mu"] == "1/1"
 
 
 def test_hall_dichotomy_degrades_to_partial(named):
     config = Config(subgroup_cap=10)
-    v = check_hall_dichotomy(named("C12"), [2, 3], name="C12", config=config)
-    assert v.status == PARTIAL
-    assert "cyclic" in v.witness["degraded"]
+    status, witness = check_hall_dichotomy(named("C12"), [2, 3], config=config)
+    assert status == PARTIAL
+    assert "cyclic" in witness["degraded"]
 
 
 def test_unit_iff_examples(named):
-    v = check_unit_iff_complement(named("A4"), [3], name="A4")
-    assert v.status == PASS and v.witness["iff"] == {"lhs": True, "rhs": True}
-    assert v.witness["complement_order"] == 4
+    status, witness = check_unit_iff_complement(named("A4"), [3])
+    assert status == PASS and witness["iff"] == {"lhs": True, "rhs": True}
+    assert witness["complement_order"] == 4
 
-    v = check_unit_iff_complement(named("S3"), [3], name="S3")
-    assert v.status == PASS and v.witness["iff"] == {"lhs": False, "rhs": False}
+    status, witness = check_unit_iff_complement(named("S3"), [3])
+    assert status == PASS and witness["iff"] == {"lhs": False, "rhs": False}
 
-    v = check_unit_iff_complement(named("C12"), [2, 3], name="C12")
-    assert v.status == PASS and v.witness["iff"] == {"lhs": True, "rhs": True}
+    status, witness = check_unit_iff_complement(named("C12"), [2, 3])
+    assert status == PASS and witness["iff"] == {"lhs": True, "rhs": True}
 
 
 def test_two_thirds_cap_examples(named):
-    v = check_two_thirds_cap(named("S4"), [2], name="S4")
-    assert v.status == PASS and v.witness["d_pi"] == "1/2"
-    v = check_two_thirds_cap(named("S3"), [3], name="S3")
-    assert v.status == PASS
-    v = check_two_thirds_cap(named("C6"), [2], name="C6")
-    assert v.status == VACUOUS
+    status, witness = check_two_thirds_cap(named("S4"), [2])
+    assert status == PASS and witness["d_pi"] == "1/2"
+    status, _ = check_two_thirds_cap(named("S3"), [3])
+    assert status == PASS
+    status, _ = check_two_thirds_cap(named("C6"), [2])
+    assert status == VACUOUS
 
 
 def test_quotient_bound_examples(named):
-    v = check_quotient_bound(named("S4"), name="S4")
-    assert v.status == PASS
-    assert v.witness["normal_subgroups"] == 4
-    assert v.witness["checked"] == 4 * 3  # four normals, three prime subsets
+    status, witness = check_quotient_bound(named("S4"))
+    assert status == PASS
+    assert witness["normal_subgroups"] == 4
+    assert witness["checked"] == 4 * 3  # four normals, three prime subsets
 
     config = Config(max_quotient_degree=2)
-    v = check_quotient_bound(named("S4"), name="S4", config=config)
-    assert v.status == PARTIAL
-    assert "skipped" in v.witness
+    status, witness = check_quotient_bound(named("S4"), config=config)
+    assert status == PARTIAL
+    assert "skipped" in witness
 
 
 def test_sylow3_structure_cases(named):
-    v = check_sylow3_structure(named("S3"), name="S3")
-    assert v.status == PASS
-    assert v.witness["case1_self_centralizing_normal"] is True
-    assert v.witness["normalizer_over_centralizer"] == 2
-    assert v.witness["commutator_order"] == 3
-    assert v.witness["internal_direct_product"] is True
+    status, witness = check_sylow3_structure(named("S3"))
+    assert status == PASS
+    assert witness["case1_self_centralizing_normal"] is True
+    assert witness["normalizer_over_centralizer"] == 2
+    assert witness["commutator_order"] == 3
+    assert witness["internal_direct_product"] is True
 
-    v = check_sylow3_structure(named("A5 x C3"), name="A5 x C3")
-    assert v.status == PASS
-    assert v.witness["case2_almost_simple_times_3group"] is True
-    assert v.witness["case2_witness"]["A_order"] == 60
-    assert v.witness["case2_witness"]["B_order"] == 3
+    status, witness = check_sylow3_structure(named("A5 x C3"))
+    assert status == PASS
+    assert witness["case2_almost_simple_times_3group"] is True
+    assert witness["case2_witness"]["A_order"] == 60
+    assert witness["case2_witness"]["B_order"] == 3
 
-    v = check_sylow3_structure(named("A4"), name="A4")
-    assert v.status == VACUOUS and v.witness["d_3"] == "1/1"
+    status, witness = check_sylow3_structure(named("A4"))
+    assert status == VACUOUS and witness["d_3"] == "1/1"
 
 
 def test_commuting_threshold_examples(named):
-    assert check_commuting_threshold(named("C6"), name="C6").status == PASS
-    v = check_commuting_threshold(named("D8"), name="D8")
-    assert v.status == VACUOUS and v.witness["d"] == "5/8"
-    assert check_commuting_threshold(named("S3"), name="S3").status == VACUOUS
+    assert check_commuting_threshold(named("C6"))[0] == PASS
+    status, witness = check_commuting_threshold(named("D8"))
+    assert status == VACUOUS and witness["d"] == "5/8"
+    assert check_commuting_threshold(named("S3"))[0] == VACUOUS
 
 
 def test_selftest_fails_by_design(named):
-    v = check_selftest(named("D8"), name="D8")
-    assert v.status == FAIL
-    assert v.witness == {"d_2": "5/8", "pinned": "1/2"}
+    status, witness = check_selftest(named("D8"))
+    assert status == FAIL
+    assert witness == {"d_2": "5/8", "pinned": "1/2"}
 
 
 def test_resolve_suites():
@@ -206,27 +206,50 @@ def test_campaign_runs_on_one_thread():
 
 def test_bundle_round_trip(tmp_path, named):
     d8 = named("D8")
-    verdict = check_selftest(d8, name="D8")
+    verdict = run_group_suite(d8, "D8", ["selftest"])[0]
     path = write_counterexample_bundle(tmp_path / "bundle", d8, verdict, {"seed": 0})
     replayed, _ = replay_counterexample(path)
     assert replayed.status == verdict.status == FAIL
     assert replayed.witness == verdict.witness
 
 
+# selector -> the result id its verdicts and replay bundles carry
+RESULT_IDS = {
+    "main": "hall-dichotomy",
+    "complement": "unit-iff-complement",
+    "cap": "two-thirds-cap",
+    "quotient": "quotient-bound",
+    "structure": "sylow3-structure",
+    "commuting": "commuting-threshold",
+    "selftest": "selftest-fixed-value",
+}
+
+
 def test_bundle_replay_every_suite(tmp_path, named):
+    """Every claim, selftest included, replays to its own result id and
+    printed pi: a per-pi claim prints its prime set sorted, structure (3,),
+    selftest (2,), and the claims over every pi None."""
     s3 = named("S3")
-    for suite_name, (kind, fn) in SUITES.items():
-        verdict = (fn(s3, name="S3") if kind == "per-group"
-                   else fn(s3, [3], name="S3"))
+    pi = [3, 2]
+    fixed_pi = {"structure": (3,), "selftest": (2,)}
+    assert set(SUITES) == set(RESULT_IDS)
+    for suite_name, (pis, _check, rid) in SUITES.items():
+        verdict = run_group_suite(s3, "S3", [suite_name], pi_sets=[pi])[0]
+        assert verdict.result_id == rid == RESULT_IDS[suite_name]
+        if pis == "per-pi":
+            assert verdict.pi == tuple(sorted(pi)) == (2, 3)
+        else:
+            assert verdict.pi == pis == fixed_pi.get(suite_name)
         path = write_counterexample_bundle(tmp_path / suite_name, s3, verdict, {})
         replayed, _ = replay_counterexample(path)
+        assert (replayed.result_id, replayed.pi) == (verdict.result_id, verdict.pi)
         assert replayed.status == verdict.status
         assert replayed.witness == verdict.witness
 
 
 def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
     s4 = named("S4")
-    verdict = check_quotient_bound(s4, name="S4", config=Config(max_quotient_degree=2))
+    verdict = run_group_suite(s4, "S4", ["quotient"], Config(max_quotient_degree=2))[0]
     assert verdict.status == PARTIAL
     config = Config(max_quotient_degree=2).to_dict()
     path = write_counterexample_bundle(tmp_path / "capped", s4, verdict, config)
@@ -237,5 +260,5 @@ def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
 
 
 def test_verdict_serialization_excludes_timing(named):
-    v = check_commuting_threshold(named("S3"), name="S3")
+    v = run_group_suite(named("S3"), "S3", ["commuting"])[0]
     assert "seconds" not in v.as_dict()
