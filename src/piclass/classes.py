@@ -4,7 +4,9 @@ decomposition of elements.
 ``conjugacy_classes(G)`` is the one class table of G, cached on G.  It holds
 the classes and their members, and reads the normal subgroups of G as unions
 of classes: their closures and joins, k_pi(N) by class splits and k_pi(G/N)
-by class fusion.
+by class fusion.  The classes of G, of each N and of each G/N are counted
+per prime support, the set of primes dividing the element order, so k_pi
+for any pi is a sum over those counts.
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from math import gcd
 
 from .errors import NotInGroupError
 from .group import PermGroup
-from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
+from .numtheory import pi_part, prime_factors, validate_pi
 from .perm import Permutation, conjugation_orbit, conjugation_pairs, right_multiplier
 
 
@@ -21,6 +23,13 @@ class ConjClass:
     rep: Permutation  # lexicographically least image tuple in the class
     size: int
     order: int  # element order, shared by the whole class
+
+
+def pi_count(histogram: dict[int, int], bits: int) -> int:
+    """The classes counted in ``histogram`` (prime support -> classes) whose
+    support lies inside ``bits``: k_pi, for ``bits`` the primes of pi
+    (``ClassTable.pi_bits``)."""
+    return sum(count for support, count in histogram.items() if not support & ~bits)
 
 
 def _bits(mask: int):
@@ -64,17 +73,22 @@ class ClassTable:
       ``join(N, M)``, the class set of N * M, reads a block only for a class
       of M not yet in the union; ``fusion(N)`` lists the classes of G/N as
       the blocks of the classes no earlier block covers.
-    - ``normal_orders(mask, gens)``: element order -> number of classes of N,
-      summed from ``class_splits``.  The orbit walk behind a split stops once
-      it passes |C|/p, for p the least prime of gcd(|C|, |G:N|): the split
-      divides that gcd, so a longer orbit means a split of 1.
-    - ``quotient_orders(mask)``: element order in G/N -> number of classes of
+    - ``normal_histogram(mask, gens)``: prime support -> number of classes
+      of N, summed from ``class_splits``.  The orbit walk behind a split
+      stops once it passes |C|/p, for p the least prime of gcd(|C|, |G:N|):
+      the split divides that gcd, so a longer orbit means a split of 1.
+    - ``quotient_histogram(mask)``: prime support -> number of classes of
       G/N.  The order of x * N is the least e with x^e in N, read from
       ``power_class``.
 
-    k_pi(N) and k_pi(G/N) sum the counts whose order is a pi-number.
-    ``normal_masks`` maps the element set of each normal subgroup met so far
-    (the lattice, the kernels of ``normal_k_pi``) to its bitset.
+    The prime support of an element order is the bitmask of the primes of
+    |G| that divide it: bit t for ``primes[t]``.  An element is a
+    pi-element exactly when its support lies inside the bits of pi, so one
+    histogram of classes per support answers k_pi for every pi
+    (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
+    ``histogram()`` is the one of G.  ``normal_masks`` maps the element set
+    of each normal subgroup met so far (the lattice, the kernels of
+    ``normal_k_pi``) to its bitset.
     """
 
     def __init__(self, group: PermGroup, classes, members):
@@ -84,16 +98,18 @@ class ClassTable:
         self._index_of = {im: i for i, ims in enumerate(members) for im in ims}
         k = len(self.classes)
         self.full = (1 << k) - 1
-        primes = prime_factors(group.order)
+        self.primes = tuple(prime_factors(group.order))
         # a union of classes holding more than |G|/p elements generates G
-        self._lagrange = group.order // primes[0] if primes else 0
+        self._lagrange = group.order // self.primes[0] if self.primes else 0
         # rows of the symmetric matrix of supports, each allocated on first
         # use: k_pi and the class sizes never need one
         self._supports: dict[int, list[int | None]] = {}
         self._closures: dict[int, int] = {}
         self._blocks: dict[int, list[int | None]] = {}
-        self._normal_orders: dict[int, dict[int, int]] = {}
-        self._quotient_orders: dict[int, dict[int, int]] = {}
+        self._prime_supports: dict[int, int] = {}  # element order -> its support
+        self._histogram: dict[int, int] | None = None
+        self._normal_histograms: dict[int, dict[int, int]] = {}
+        self._quotient_histograms: dict[int, dict[int, int]] = {}
         self._powers: dict[tuple[int, int], int] = {}
         self.normal_masks: dict[frozenset[tuple[int, ...]], int] = {}
 
@@ -240,37 +256,62 @@ class ClassTable:
             splits[i] = 1 if walked > limit else size // walked
         return splits
 
-    def normal_orders(self, normal: int, gens) -> dict[int, int]:
-        """Element order -> number of classes of the normal subgroup N with
-        class set ``normal`` (generated by ``gens``), from the class splits.
-        Cached per class set."""
-        counts = self._normal_orders.get(normal)
+    def prime_support(self, order: int) -> int:
+        """Bitmask of the primes of |G| dividing ``order`` (a divisor of |G|):
+        bit t for ``primes[t]``.  Memoised per order."""
+        support = self._prime_supports.get(order)
+        if support is None:
+            support = self._prime_supports[order] = sum(
+                1 << t for t, p in enumerate(self.primes) if order % p == 0)
+        return support
+
+    def pi_bits(self, pi) -> int:
+        """Bitmask of the primes of |G| that lie in ``pi``; a prime outside
+        |G| divides no element order, so it has no bit."""
+        return sum(1 << t for t, p in enumerate(self.primes) if p in pi)
+
+    def histogram(self) -> dict[int, int]:
+        """Prime support -> number of classes of G with that support.
+        Cached."""
+        counts = self._histogram
         if counts is None:
-            classes = self.classes
-            counts = {}
-            for i, split in self.class_splits(normal, gens).items():
-                counts[classes[i].order] = counts.get(classes[i].order, 0) + split
-            self._normal_orders[normal] = counts
+            counts = self._histogram = {}
+            for c in self.classes:
+                support = self.prime_support(c.order)
+                counts[support] = counts.get(support, 0) + 1
         return counts
 
-    def quotient_orders(self, normal: int) -> dict[int, int]:
-        """Element order in G/N -> number of classes of G/N, for the normal
-        subgroup N with class set ``normal``.  The order of x * N, x the
-        representative of a fusion block's first class, is the least e with
-        x^e in N: starting from |x|, each prime is divided out while the
-        power stays in N.  Cached per class set."""
-        counts = self._quotient_orders.get(normal)
+    def normal_histogram(self, normal: int, gens) -> dict[int, int]:
+        """Prime support -> number of classes of the normal subgroup N with
+        class set ``normal`` (generated by ``gens``), from the class splits.
+        Cached per class set."""
+        counts = self._normal_histograms.get(normal)
         if counts is None:
             classes = self.classes
-            counts = {}
+            counts = self._normal_histograms[normal] = {}
+            for i, split in self.class_splits(normal, gens).items():
+                support = self.prime_support(classes[i].order)
+                counts[support] = counts.get(support, 0) + split
+        return counts
+
+    def quotient_histogram(self, normal: int) -> dict[int, int]:
+        """Prime support of the element order in G/N -> number of classes of
+        G/N, for the normal subgroup N with class set ``normal``.  The order
+        of x * N, x the representative of a fusion block's first class, is
+        the least e with x^e in N: starting from |x|, each prime is divided
+        out while the power stays in N.  Cached per class set."""
+        counts = self._quotient_histograms.get(normal)
+        if counts is None:
+            classes = self.classes
+            counts = self._quotient_histograms[normal] = {}
             for block in self.fusion(normal):
                 i = (block & -block).bit_length() - 1
                 order = classes[i].order
                 for p in prime_factors(order):
                     while order % p == 0 and normal >> self.power_class(i, order // p) & 1:
                         order //= p
-                counts[order] = counts.get(order, 0) + 1
-            self._quotient_orders[normal] = counts
+                support = self.prime_support(order)
+                counts[support] = counts.get(support, 0) + 1
         return counts
 
     def power_class(self, i: int, e: int) -> int:
@@ -342,10 +383,10 @@ def pi_part_of_element(x: Permutation, pi) -> tuple[Permutation, Permutation]:
 
 
 def k_pi(group: PermGroup, pi) -> int:
-    """Number of conjugacy classes consisting of pi-elements."""
-    pi = validate_pi(pi)
+    """Number of conjugacy classes consisting of pi-elements, read from the
+    prime-support histogram of the class table."""
     table = conjugacy_classes(group)
-    return sum(1 for c in table.classes if is_pi_number(c.order, pi))
+    return pi_count(table.histogram(), table.pi_bits(validate_pi(pi)))
 
 
 def all_d_p_one(group: PermGroup, pi) -> bool:

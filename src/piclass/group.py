@@ -15,7 +15,7 @@ import random
 from math import prod
 
 from .errors import DegreeMismatchError
-from .perm import Permutation
+from .perm import Permutation, right_multiplier
 
 
 class _Level:
@@ -198,36 +198,42 @@ class PermGroup:
     def elements(self):
         """Deterministic iterator over all elements, exactly ``order`` of them.
 
-        Elements are the transversal products of the chain, with orbit points
-        taken in ascending order at every level.  No cap is checked here; a
-        run checks its one element cap as it starts
+        Elements are the transversal products u_0 * u_1 * ... of the chain,
+        with orbit points taken in ascending order at every level and the
+        deepest level varying fastest.  The products are image tuples: each
+        transversal element is turned into its right multiplier
+        (``perm.right_multiplier``) once per call, and the prefix product
+        of the levels above the deepest is kept between elements.  No cap is
+        checked here; a run checks its one element cap as it starts
         (``Config.check_element_cap``).
         """
         levels = self._ensure_chain()
-        ident = Permutation.identity(self.degree)
+        make = Permutation._make
+        ident = Permutation.identity(self.degree).images
         if not levels:
-            yield ident
+            yield make(ident)
             return
-        points = [sorted(lvl.transversal) for lvl in levels]
-        k = len(levels)
-        idx = [0] * k
-        prefix: list[Permutation] = [None] * k
-        prev = ident
-        for lv in range(k):
-            prefix[lv] = prev = prev * levels[lv].transversal[points[lv][0]]
+        steps = [[right_multiplier(lvl.transversal[x].images) for x in sorted(lvl.transversal)]
+                 for lvl in levels]
+        *upper, deepest = steps
+        idx = [0] * len(upper)
+        prefix = [ident]  # prefix[m]: the product of the chosen u_0 ... u_{m-1}
+        for times_u in upper:
+            prefix.append(times_u[0](prefix[-1]))
         while True:
-            yield prefix[-1]
-            lv = k - 1
-            while lv >= 0 and idx[lv] == len(points[lv]) - 1:
+            above = prefix[-1]
+            for times_u in deepest:
+                yield make(times_u(above))
+            lv = len(upper) - 1
+            while lv >= 0 and idx[lv] == len(upper[lv]) - 1:
                 lv -= 1
             if lv < 0:
                 return
             idx[lv] += 1
-            for m in range(lv + 1, k):
+            prefix[lv + 1] = upper[lv][idx[lv]](prefix[lv])
+            for m in range(lv + 1, len(upper)):
                 idx[m] = 0
-            prev = prefix[lv - 1] if lv > 0 else ident
-            for m in range(lv, k):
-                prefix[m] = prev = prev * levels[m].transversal[points[m][idx[m]]]
+                prefix[m + 1] = upper[m][0](prefix[m])
 
     def element_list(self) -> list[Permutation]:
         """All elements, cached: the given element set in sorted image order,

@@ -17,14 +17,17 @@ from them, a join N * M unions the fusion blocks of N (one per class of
 G/N, built once) over the classes of M, each bitset is joined with the
 seeds only (the normal closures of single classes), and a closure stops as
 soon as it holds more than |G|/p elements (p the least prime of |G|); the
-lattice's seed walks stop at the order their bitset gives.  k_pi(N) comes
-from the split of G-classes into N-classes and k_pi(G/N) from class fusion,
-so neither N nor G/N gets a class table of its own.  Set-level filters
-(subgroup centralizers, centers) enumerate the group.  No element cap is
-checked here: every group built is a subgroup of the one a run starts from,
-whose order the run checks (``Config.check_element_cap``).  Searches that
-can fail distinguish three outcomes explicitly; in particular
-``hall_search`` only ever reports nonexistence from its exhaustive tier.
+lattice's seed walks stop at the order their bitset gives.  The classes of
+N come from the split of G-classes into N-classes and those of G/N from
+class fusion, each counted once per N by the prime support of its element
+order (the primes dividing it); k_pi(N) and k_pi(G/N) sum the supports
+inside pi, so neither N nor G/N gets a class table of its own.  Set-level
+filters (subgroup centralizers, centers) enumerate the group.  No element
+cap is checked here: every group built is a subgroup of the one a run
+starts from, whose order the run checks (``Config.check_element_cap``).
+Searches that can fail distinguish three outcomes explicitly; in
+particular ``hall_search`` only ever reports nonexistence from its
+exhaustive tier.
 """
 
 import math
@@ -32,7 +35,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from .classes import all_d_p_one, conjugacy_classes, pi_part_of_element
+from .classes import all_d_p_one, conjugacy_classes, pi_count, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -309,27 +312,26 @@ def normal_k_pi(group: PermGroup, n: PermGroup, pi) -> int:
     """k_pi(N) for N normal in G, read from the class table of G.
 
     N is a union of G-classes, and each of them splits into classes of N
-    of one size (ClassTable.class_splits); k_pi(N) sums the classes of N
-    whose element order is a pi-number (ClassTable.normal_orders, counted
-    once per N).  N's own class table is never built.
+    of one size (ClassTable.class_splits); the classes of N are counted per
+    prime support once per N (ClassTable.normal_histogram), and k_pi(N)
+    sums the supports inside pi.  N's own class table is never built.
     """
-    pi = validate_pi(pi)
-    mask = _normal_class_mask(group, n)
-    counts = conjugacy_classes(group).normal_orders(mask, n.generators)
-    return sum(count for order, count in counts.items() if is_pi_number(order, pi))
+    table = conjugacy_classes(group)
+    bits = table.pi_bits(validate_pi(pi))
+    return pi_count(table.normal_histogram(_normal_class_mask(group, n), n.generators), bits)
 
 
 def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi) -> int:
     """k_pi(G/N) by class fusion, read from the class table of G.
 
     A class of G/N is the set of G-classes meeting x * N (ClassTable.fusion);
-    k_pi(G/N) sums the classes of G/N whose element order is a pi-number
-    (ClassTable.quotient_orders, counted once per N).
+    the classes of G/N are counted per prime support of their element order
+    once per N (ClassTable.quotient_histogram), and k_pi(G/N) sums the
+    supports inside pi.
     """
-    pi = validate_pi(pi)
-    mask = _normal_class_mask(group, kernel)
-    counts = conjugacy_classes(group).quotient_orders(mask)
-    return sum(count for order, count in counts.items() if is_pi_number(order, pi))
+    table = conjugacy_classes(group)
+    bits = table.pi_bits(validate_pi(pi))
+    return pi_count(table.quotient_histogram(_normal_class_mask(group, kernel)), bits)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .catalog import parse_group_file, serialize_group_file
-from .classes import all_d_p_one, conjugacy_classes
+from .classes import all_d_p_one, conjugacy_classes, pi_count
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import InvalidInputError
 from .group import PermGroup
@@ -36,12 +36,10 @@ from .subgroups import (
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
     is_normal,
-    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,
     orbit_transversal,
-    quotient_k_pi,
     subgroup,
     subgroup_intersection,
     sylow_subgroup,
@@ -237,11 +235,13 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     """d_pi(G) <= d_pi(N) * d_pi(G/N) for every normal N and every nonempty
     pi inside the group's primes.
 
-    Neither N nor G/N gets a class table: k_pi(N) is the number of N-classes
-    the G-classes of pi-elements inside N split into (``normal_k_pi``),
-    k_pi(G/N) comes from the class fusion of G's class table
-    (``quotient_k_pi``), and |N|_pi, |G/N|_pi are the pi-parts of |N| and of
-    the index.  d_pi(G) is computed once per pi.
+    |N|_pi * |G:N|_pi = |G|_pi, so the bound holds exactly when
+    k_pi(G) <= k_pi(N) * k_pi(G/N), and that integer test is what runs; the
+    fractions are built only for a counterexample.  Neither N nor G/N gets
+    a class table: the classes of N (the splits of the G-classes inside N)
+    and of G/N (the class fusion of G's class table) are counted per prime
+    support once per N (``ClassTable.normal_histogram`` and
+    ``quotient_histogram``), and each k_pi is a sum over those counts.
     ``max_quotient_degree`` caps the index |G:N| that is checked; a normal
     subgroup of larger index is skipped and the verdict is partial.
     """
@@ -252,8 +252,10 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     partial = False
     normals = normal_subgroups(group)
     witness["normal_subgroups"] = len(normals)
+    table = conjugacy_classes(group)
     subsets = _nonempty_subsets(primes)
-    d_group = [d_pi(group, pi).d_pi for pi in subsets]
+    pi_bits = [table.pi_bits(pi) for pi in subsets]
+    k_group = [pi_count(table.histogram(), bits) for bits in pi_bits]
     checked = 0
     for n in normals:
         index = group.order // n.order
@@ -262,17 +264,19 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
             witness.setdefault("skipped", []).append(
                 f"index {index} over quotient degree cap")
             continue
-        for pi, lhs in zip(subsets, d_group):
-            d_normal = Fraction(normal_k_pi(group, n, pi), pi_part(n.order, pi))
-            d_quotient = Fraction(quotient_k_pi(group, n, pi), pi_part(index, pi))
-            rhs = d_normal * d_quotient
+        mask = table.normal_masks[n.element_set()]
+        in_normal = table.normal_histogram(mask, n.generators)
+        in_quotient = table.quotient_histogram(mask)
+        for pi, bits, lhs in zip(subsets, pi_bits, k_group):
+            rhs = pi_count(in_normal, bits) * pi_count(in_quotient, bits)
             checked += 1
             if lhs > rhs:
+                order_pi = pi_part(group.order, pi)
                 witness["counterexample"] = {
                     "normal_order": n.order,
                     "pi": sorted(pi),
-                    "d_pi_G": _frac(lhs),
-                    "bound": _frac(rhs),
+                    "d_pi_G": _frac(Fraction(lhs, order_pi)),
+                    "bound": _frac(Fraction(rhs, order_pi)),
                 }
                 return FAIL, witness
     witness["checked"] = checked

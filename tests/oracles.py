@@ -16,8 +16,17 @@ reads from class bitsets: normal cores, the Fitting subgroup, the socle
 class-table routines the library ran before it closed over generating
 classes only and cut its orbit walks short: the all-pairs class closure and
 the class splits by full orbit walks, and the eager coset rows it built
-before it read one fusion block per class of G/N.
+before it read one fusion block per class of G/N.  Then the per-pi class
+counts the library summed before it counted classes per prime support:
+element order -> classes of G, of N and of G/N, filtered by
+``is_pi_number`` for each pi, with the order of x * N found by walking the
+powers of x into N's element set.  Last, the element listing as
+``Permutation.__mul__`` products of transversal elements.
 """
+
+import itertools
+from functools import reduce
+from operator import mul
 
 import numpy as np
 
@@ -239,7 +248,6 @@ def normal_subgroups_by_joins(group):
     )
 
 
-
 def _generated(degree, elements):
     """Element set of the subgroup generated by ``elements``; an element
     becomes a generator only when it lies outside the closure so far."""
@@ -356,3 +364,60 @@ def coset_classes_by_rows(table, normal):
             met |= table._support(i, j)
         rows.append(met)
     return rows
+
+
+def order_counts(table):
+    """Element order -> number of classes of G."""
+    counts = {}
+    for c in table.classes:
+        counts[c.order] = counts.get(c.order, 0) + 1
+    return counts
+
+
+def normal_order_counts(table, normal, gens):
+    """Element order -> number of classes of the normal subgroup N with
+    class set ``normal`` (generated by ``gens``), from the class splits."""
+    counts = {}
+    for i, split in table.class_splits(normal, gens).items():
+        order = table.classes[i].order
+        counts[order] = counts.get(order, 0) + split
+    return counts
+
+
+def quotient_order_counts(table, normal):
+    """Element order -> number of classes of G/N, for the normal subgroup N
+    with class set ``normal``: one class per fusion block, of order the
+    least e >= 1 with x^e in N, x the representative of the block's first
+    class."""
+    from piclass.classes import _bits
+
+    in_normal = set(table.elements(normal))
+    counts = {}
+    for block in table.fusion(normal):
+        x = table.classes[next(_bits(block))].rep.images
+        power, order = x, 1
+        while power not in in_normal:
+            power = tuple(x[q] for q in power)
+            order += 1
+        counts[order] = counts.get(order, 0) + 1
+    return counts
+
+
+def pi_sum(counts, pi):
+    """The classes counted in ``counts`` (element order -> classes) whose
+    order is a pi-number."""
+    from piclass.numtheory import is_pi_number
+
+    pi = frozenset(pi)
+    return sum(count for order, count in counts.items() if is_pi_number(order, pi))
+
+
+def elements_by_transversal_products(group):
+    """The elements u_0 * u_1 * ... of the group's chain, one transversal
+    element per level with orbit points ascending and the deepest level
+    varying fastest, each a ``Permutation.__mul__`` product."""
+    levels = group._ensure_chain()
+    identity = Permutation.identity(group.degree)
+    points = [sorted(lvl.transversal) for lvl in levels]
+    return [reduce(mul, (lvl.transversal[x] for lvl, x in zip(levels, choice)), identity)
+            for choice in itertools.product(*points)]

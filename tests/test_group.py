@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_closure
+from oracles import elements_by_transversal_products, naive_closure
 from piclass.group import PermGroup
 from piclass.perm import Permutation, parse_cycle_text
 
@@ -63,6 +63,16 @@ def test_order_invariant_under_base_regeneration(named):
         assert rebuilt.base[:len(hint)] == tuple(hint)
         assert rebuilt.order == 60
         assert set(rebuilt.elements()) == set(a5.elements())
+
+
+def test_listing_order_is_the_transversal_product_order(census_entries, named):
+    """The chain order the report reaches: every census group of order <= 72,
+    and A5 on a hinted base, lists its elements as the ``__mul__`` products
+    of transversal elements, deepest level fastest."""
+    groups = [g for _, g in census_entries if g.order <= 72]
+    groups.append(PermGroup(list(named("A5").generators), base_hint=[4, 2]))
+    for g in groups:
+        assert list(g.elements()) == elements_by_transversal_products(g), g
 
 
 def test_generators_pass_membership(named):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,9 +12,13 @@ from oracles import (
     k_pi_by_class_equation,
     naive_closure,
     normal_core_by_closures,
+    normal_order_counts,
     normal_pi_complement_by_element_scan,
     normal_subgroups_by_class_unions,
     normal_subgroups_by_joins,
+    order_counts,
+    pi_sum,
+    quotient_order_counts,
     socle_by_element_sets,
     subgroup_classes_by_orbit_skip,
 )
@@ -22,7 +27,7 @@ from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
-from piclass.numtheory import is_pi_number
+from piclass.numtheory import is_pi_number, is_prime
 from piclass.perm import (
     Permutation,
     conjugate,
@@ -282,6 +287,29 @@ def test_quotient_k_pi_outside_the_lattice(named):
     assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
     with pytest.raises(PreconditionError):
         quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+
+
+def test_pi_counts_match_order_sums_on_the_census(census_entries):
+    """k_pi(G), k_pi(N) and k_pi(G/N), read from the prime-support
+    histograms, equal the sums over element orders that are pi-numbers, for
+    every normal N of every census group and every nonempty pi inside the
+    primes of |G|, and for pi holding a prime outside |G|."""
+    for name, g in census_entries:
+        table = conjugacy_classes(g)
+        primes = group_primes(g)
+        outside = next(p for p in itertools.count(2) if is_prime(p) and g.order % p)
+        pis = _nonempty_subsets(primes) + [frozenset([outside]), primes | {outside}]
+        counts = order_counts(table)
+        for pi in pis:
+            assert k_pi(g, pi) == pi_sum(counts, pi), (name, sorted(pi))
+        for n in normal_subgroups(g):
+            mask = table.normal_masks[n.element_set()]
+            in_normal = normal_order_counts(table, mask, n.generators)
+            in_quotient = quotient_order_counts(table, mask)
+            for pi in pis:
+                where = (name, n.order, sorted(pi))
+                assert normal_k_pi(g, n, pi) == pi_sum(in_normal, pi), where
+                assert quotient_k_pi(g, n, pi) == pi_sum(in_quotient, pi), where
 
 
 def _assert_normal_k_pi_matches_class_table(g, n):

@@ -125,6 +125,32 @@ def test_quotient_bound_examples(named):
     assert "skipped" in witness
 
 
+def test_quotient_bound_failure_witness_is_exact(monkeypatch):
+    """No census group fails the bound, so in C4 the quotient histogram of
+    N = C2 is made to count the identity's class alone: k_2(G/N) = 1, and
+    k_2(C4) = 4 > k_2(N) * 1 = 2.  The witness carries d_2(G) and the bound
+    d_2(N) * d_2(G/N) as exact fractions."""
+    from fractions import Fraction
+
+    from piclass.classes import ClassTable, conjugacy_classes
+    from piclass.invariants import d_pi
+    from piclass.subgroups import normal_subgroups
+
+    g = build(parse_name("C4"))
+    _, n, _ = normal_subgroups(g)
+    patched = conjugacy_classes(g).normal_masks[n.element_set()]
+    real = ClassTable.quotient_histogram
+    monkeypatch.setattr(ClassTable, "quotient_histogram",
+                        lambda self, normal: {0: 1} if normal == patched else real(self, normal))
+    status, witness = check_quotient_bound(g)
+    assert status == FAIL
+    counterexample = witness["counterexample"]
+    assert (counterexample["normal_order"], counterexample["pi"]) == (2, [2])
+    assert Fraction(counterexample["d_pi_G"]) == d_pi(g, [2]).d_pi == 1
+    bound = d_pi(n, [2]).d_pi * Fraction(1, 2)  # d_2(G/N) = 1 / |G:N|_2
+    assert Fraction(counterexample["bound"]) == bound == Fraction(1, 2)
+
+
 def test_sylow3_structure_cases(named):
     status, witness = check_sylow3_structure(named("S3"))
     assert status == PASS
