@@ -126,10 +126,15 @@ class ClassTable:
     def sizes(self) -> list[int]:
         return [c.size for c in self.classes]
 
-    def mask_of(self, elements) -> int:
+    def mask_of(self, images) -> int:
+        """Bitset of the classes that the image tuples ``images`` meet."""
+        index_of = self._index_of
         mask = 0
-        for x in elements:
-            mask |= 1 << self.class_of(x)
+        for im in images:
+            idx = index_of.get(im)
+            if idx is None:
+                raise NotInGroupError(f"element not in group: {Permutation._make(im)!r}")
+            mask |= 1 << idx
         return mask
 
     def _row(self, i: int) -> list[int | None]:

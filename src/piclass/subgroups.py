@@ -27,12 +27,15 @@ cap is checked here: every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
 Searches that can fail distinguish three outcomes explicitly; in
 particular ``hall_search`` only ever reports nonexistence from its
-exhaustive tier.
+exhaustive tier.  The deterministic searches are cached on the group they
+search: ``sylow_subgroup`` per prime, ``hall_search`` per (pi, budget,
+subgroup_cap, seed) and subgroup-class enumeration per pi.
 """
 
 import math
 import random
 from collections.abc import Callable
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
 from .classes import all_d_p_one, conjugacy_classes, pi_count, pi_part_of_element
@@ -150,6 +153,17 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
                 transversal[nkey] = g * u
                 orbit.append(nkey)
     return transversal
+
+
+def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
+    """The element sets of the conjugates of the subgroup whose element set
+    is ``key``.  A subgroup that is a union of classes of G is normal, so
+    its one conjugate is itself and no orbit is walked; for any other the
+    set is the orbit of ``key`` under conjugation (``orbit_transversal``)."""
+    table = conjugacy_classes(group)
+    if table.order(table.mask_of(key)) == len(key):
+        return {key}
+    return orbit_transversal(group, key, conjugate_set).keys()
 
 
 def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
@@ -304,7 +318,8 @@ def _normal_class_mask(group: PermGroup, kernel: PermGroup) -> int:
     if mask is None:
         if not is_normal(group, kernel):
             raise PreconditionError("kernel is not normal in the group")
-        mask = table.normal_masks[key] = table.closure(table.mask_of(kernel.generators))
+        gens = table.mask_of(g.images for g in kernel.generators)
+        mask = table.normal_masks[key] = table.closure(gens)
     return mask
 
 
@@ -391,24 +406,37 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
 
     Starts from the p-part of the first element of order divisible by p and
-    adds, one at a time, the p-part of the first normalizer element outside
-    the current subgroup; each step is a coset closure (``_extend``).
+    adds, one at a time, the p-part of the first normalizer element whose
+    p-part lies outside the current subgroup; each step is a coset closure
+    (``_extend``).  A normalizer element inside the current subgroup is
+    passed over before its p-part is computed, since that p-part (a power
+    of it) lies inside too.  Deterministic, so it is cached on the group
+    per p: the Hall search for every pi and the Sylow 3-structure check
+    share one Sylow subgroup per prime.
     """
     validate_pi([p])
+    cache_key = ("sylow_subgroup", p)
+    cached = group.cache.get(cache_key)
+    if cached is not None:
+        return cached
     target = pi_part(group.order, frozenset([p]))
     if target == 1:
-        return trivial_subgroup(group)
-    seed = next(x for x in group.element_list() if x.order() % p == 0)
-    current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0])
+        current = trivial_subgroup(group)
+    else:
+        seed = next(x for x in group.element_list() if x.order() % p == 0)
+        current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0])
     while current.order < target:
         norm = normalizer(group, current)
         for y in norm.element_list():
+            if current.contains(y):
+                continue
             yp = pi_part_of_element(y, [p])[0]
             if not current.contains(yp):
                 current = _extend(current, yp)
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
+    group.cache[cache_key] = current
     return current
 
 
@@ -436,8 +464,22 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     randomized pass then conjugates the Sylow tuple by seeded random elements,
     ``budget`` attempts.  Tier 2 enumerates pi-subgroups up to conjugacy and
     is the only tier allowed to conclude nonexistence.
+
+    The search is deterministic, so its outcome is cached on the group
+    under (pi, budget, subgroup_cap, seed): the checks that ask for the same
+    search on the same group run it once.  The Sylow subgroups come from
+    ``sylow_subgroup``'s cache, shared by every pi.
     """
     pi = validate_pi(pi)
+    cache_key = ("hall_search", pi, budget, subgroup_cap, seed)
+    outcome = group.cache.get(cache_key)
+    if outcome is None:
+        outcome = group.cache[cache_key] = _hall_search(group, pi, budget, subgroup_cap, seed)
+    return outcome
+
+
+def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap: int,
+                 seed: int) -> HallSearchOutcome:
     target = pi_part(group.order, pi)
 
     def found(sub: PermGroup, method: str, route: str) -> HallSearchOutcome:
@@ -511,28 +553,34 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
 # -- characteristic-style subgroups ------------------------------------------
 
 
-def _normal_core(group: PermGroup, prime_pred) -> PermGroup:
-    """Largest normal subgroup whose order has only primes satisfying pred.
+def _normal_core(group: PermGroup, primes) -> PermGroup:
+    """Largest normal subgroup whose order has only primes in ``primes``.
 
-    A group is a pred-group exactly when all its elements are pred-elements,
-    so the core is the normal closure of the classes whose closure bitset
-    stays inside the classes of pred-elements (one representative each,
-    skipping classes inside a closure already picked).
+    A group is a ``primes``-group exactly when all its elements are
+    ``primes``-elements: those whose class has its prime support
+    (``ClassTable.prime_support``) inside the bits of ``primes``.  So the
+    core is the normal closure of the classes whose closure bitset stays
+    inside those classes (one representative each, skipping classes inside
+    a closure already picked).  The closures picked cover exactly the
+    classes of the core: the core holds every normal ``primes``-subgroup,
+    and the closure of each of its classes lies inside it.  So
+    ``normal_closure`` is handed the core's element set, which stops its
+    walk early and keeps the same generators.
     """
     table = conjugacy_classes(group)
-    classes = table.classes
-    allowed = sum(1 << i for i, cls in enumerate(classes)
-                  if all(prime_pred(q) for q in prime_factors(cls.order)))
+    bits = table.pi_bits(primes)
+    allowed = sum(1 << i for i, cls in enumerate(table.classes)
+                  if not table.prime_support(cls.order) & ~bits)
     picked: list[Permutation] = []
     covered = 0
-    for i, cls in enumerate(classes):
+    for i, cls in enumerate(table.classes):
         if (allowed & ~covered) >> i & 1:
             mask = table.closure(1 << i)
             if mask & ~allowed == 0:
                 picked.append(cls.rep)
                 covered |= mask
-    core = normal_closure(group, picked)
-    if not all(prime_pred(q) for q in prime_factors(core.order)):
+    core = normal_closure(group, picked, frozenset(table.elements(covered)))
+    if not is_pi_number(core.order, primes):
         raise AssertionError("normal core has a disallowed prime")
     return core
 
@@ -540,13 +588,13 @@ def _normal_core(group: PermGroup, prime_pred) -> PermGroup:
 def o_pi_prime(group: PermGroup, pi) -> PermGroup:
     """O_{pi'}(G), the largest normal pi'-subgroup."""
     pi = validate_pi(pi)
-    return _normal_core(group, lambda q: q not in pi)
+    return _normal_core(group, frozenset(prime_factors(group.order)) - pi)
 
 
 def fitting_subgroup(group: PermGroup) -> PermGroup:
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
     gens = [g for p in prime_factors(group.order)
-            for g in _normal_core(group, lambda q, p=p: q == p).generators]
+            for g in _normal_core(group, frozenset([p])).generators]
     return _reduced_subgroup(group, gens)
 
 
@@ -603,12 +651,18 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
     since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
     are built as the H-conjugation orbits of the coset H x^k (a x^k b is
-    the conjugate of b a x^k by b^-1).  Both sets are unions of such
-    double cosets, so a candidate is skipped exactly when its double coset
-    was seen.  A skipped y would only rebuild a K that ``register`` has
-    already seen (or that the pi filter dropped), so the list of classes,
-    its order and every subgroup's generators are those of the sweep without
-    the skips.
+    the conjugate of b a x^k by b^-1); when x normalizes H (in particular
+    when it centralizes H), x^k b = (x^k b x^-k) x^k puts H x^k H = H x^k,
+    so that coset is added as it is, with no orbit walk.  Both sets are
+    unions of such double cosets, so a candidate is skipped exactly when
+    its double coset was seen.  A skipped y would only rebuild a K that
+    ``register`` has already seen (or that the pi filter dropped), so the
+    list of classes, its order and every subgroup's generators are those of
+    the sweep without the skips.
+
+    ``register`` marks every conjugate of a new class as seen
+    (``conjugates``): a normal subgroup, a union of classes of G, is its
+    own one conjugate and walks no orbit.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
@@ -628,7 +682,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         key = sub.element_set()
         if key not in seen:
             found.append(sub)
-            seen.update(orbit_transversal(group, key, conjugate_set))
+            seen.update(conjugates(group, key))
 
     register(trivial_subgroup(group))
     for base in found:
@@ -643,14 +697,19 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
                 covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|
+                pair = (xim, x.inverse().images)
+                normalizing = all(conjugate_images(pair, g) in base_set for g, _ in base_pairs)
                 power = xim
                 for k in range(1, n):
                     if power not in covered and math.gcd(k, n) == 1:
                         times_power = right_multiplier(power)
-                        for h in base_set:
-                            hx = times_power(h)
-                            if hx not in covered:
-                                covered.update(conjugation_orbit(hx, base_pairs))
+                        if normalizing:  # H x^k H = H x^k
+                            covered.update([times_power(h) for h in base_set])
+                        else:
+                            for h in base_set:
+                                hx = times_power(h)
+                                if hx not in covered:
+                                    covered.update(conjugation_orbit(hx, base_pairs))
                     power = compose_images(xim, power)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue

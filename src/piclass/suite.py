@@ -27,19 +27,18 @@ from .invariants import (
     has_normal_pi_complement,
 )
 from .numtheory import is_pi_number, pi_part, validate_pi
-from .perm import conjugate_set
 from .subgroups import (
     almost_simple_socle,
     center,
     centralizer_of_subgroup,
     commutator_subgroup,
+    conjugates,
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
     is_normal,
     normal_subgroups,
     normalizer,
     o_pi_prime,
-    orbit_transversal,
     subgroup,
     subgroup_intersection,
     sylow_subgroup,
@@ -140,7 +139,7 @@ def check_hall_dichotomy(group: PermGroup, pi,
     if not partial and len(halls) != 1:
         witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
         return FAIL, witness
-    hall_conjugates = orbit_transversal(group, hall.element_set(), conjugate_set)
+    hall_conjugates = conjugates(group, hall.element_set())
     for other in halls:
         if other.element_set() not in hall_conjugates:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
@@ -271,6 +270,7 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
             rhs = pi_count(in_normal, bits) * pi_count(in_quotient, bits)
             checked += 1
             if lhs > rhs:
+                witness["checked"] = checked
                 order_pi = pi_part(group.order, pi)
                 witness["counterexample"] = {
                     "normal_order": n.order,

@@ -44,6 +44,7 @@ from piclass.subgroups import (
     center,
     centralizer_of_subgroup,
     commutator_subgroup,
+    conjugates,
     derived_subgroup,
     enumerate_subgroups_up_to_conjugacy,
     fitting_subgroup,
@@ -348,7 +349,7 @@ def test_class_closures_and_splits_match_their_oracles(census_entries):
         table = conjugacy_classes(g)
         for n in normal_subgroups(g):
             mask = table.normal_masks[n.element_set()]
-            gens_mask = table.mask_of(n.generators)
+            gens_mask = table.mask_of([x.images for x in n.generators])
             assert (table.closure(gens_mask) == closure_by_all_pairs(table, gens_mask)
                     == mask), (name, n.order)
             splits = class_splits_by_full_walk(table, mask, n.generators)
@@ -574,6 +575,80 @@ def test_hall_found_verification_fields(named):
     assert out.route
 
 
+def test_hall_search_runs_once_per_arguments(monkeypatch):
+    """A second search with the same arguments returns the cached outcome
+    and grows no Sylow subgroup again; a pi with the same relevant primes
+    reruns the search on the cached Sylow subgroups; a different budget,
+    seed or subgroup cap reruns it."""
+    import piclass.subgroups
+
+    searches, normalizers = [], []
+    search, norm = piclass.subgroups._hall_search, piclass.subgroups.normalizer
+
+    def counting_search(*args):
+        searches.append(args[1:])
+        return search(*args)
+
+    def counting_normalizer(*args):
+        normalizers.append(1)
+        return norm(*args)
+
+    monkeypatch.setattr(piclass.subgroups, "_hall_search", counting_search)
+    monkeypatch.setattr(piclass.subgroups, "normalizer", counting_normalizer)
+    g = build(parse_name("S4"))  # fresh: nothing cached
+    first = hall_search(g, [2])
+    grown = len(normalizers)
+    assert first.found and first.subgroup.order == 8 and grown > 0
+    assert hall_search(g, [2]) is first
+    assert (len(searches), len(normalizers)) == (1, grown)
+    same = first.subgroup.generators, first.subgroup.element_set()
+    other = hall_search(g, [2, 5]).subgroup  # 5 does not divide |G|
+    assert (other.generators, other.element_set()) == same
+    assert (len(searches), len(normalizers)) == (2, grown)
+    for kwargs in ({"budget": 3}, {"seed": 7}, {"subgroup_cap": 100}):
+        other = hall_search(g, [2], **kwargs).subgroup
+        assert (other.generators, other.element_set()) == same
+    assert len(searches) == 5 and len(normalizers) == grown
+
+
+def test_sylow_subgroup_is_cached_per_prime(named):
+    g = build(parse_name("D8 x C3"))  # fresh: nothing cached
+    assert sylow_subgroup(g, 2) is sylow_subgroup(g, 2)
+    assert sylow_subgroup(g, 3) is not sylow_subgroup(g, 2)
+    assert sylow_subgroup(g, 5).order == 1
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_conjugates_match_the_orbit_walk(name, named):
+    """For every subgroup class, the normal-subgroup shortcut gives the
+    orbit that the conjugation walk gives."""
+    g = named(name)
+    for h in enumerate_subgroups_up_to_conjugacy(g):
+        key = h.element_set()
+        assert set(conjugates(g, key)) == set(orbit_transversal(g, key, conjugate_set)), h.order
+
+
+def test_conjugates_of_normal_subgroups_walk_no_orbit(monkeypatch):
+    import piclass.subgroups
+
+    walks = []
+    walk = piclass.subgroups.orbit_transversal
+
+    def counting(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(piclass.subgroups, "orbit_transversal", counting)
+    g = build(parse_name("C12 x C6"))  # abelian, fresh: no cached classes
+    assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
+    assert walks == []
+    s4 = build(parse_name("S4"))
+    key = sylow_subgroup(s4, 2).element_set()
+    walks.clear()
+    assert len(conjugates(s4, key)) == 3
+    assert len(walks) == 1
+
+
 def test_are_conjugate_examples(named):
     s4 = named("S4")
     h1 = subgroup(s4, [parse_cycle_text("(0 1)", 4)])
@@ -622,6 +697,30 @@ def test_o_pi_prime_maximality(named):
         for n in normal_subgroups(g):
             if all(q not in pi for q in prime_factors(n.order)):
                 assert n.element_set() <= core.element_set()
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_o_pi_prime_keeps_the_generators_of_its_plain_closure(name, named, monkeypatch):
+    """O_pi' hands its element set to ``normal_closure``; the generators are
+    those the closure of the same seeds gives without it."""
+    import piclass.subgroups
+
+    calls = []
+    closure = piclass.subgroups.normal_closure
+
+    def recording(group, seeds, elements=None):
+        calls.append((list(seeds), elements))
+        return closure(group, seeds, elements)
+
+    monkeypatch.setattr(piclass.subgroups, "normal_closure", recording)
+    g = named(name)
+    for pi in _nonempty_subsets(group_primes(g)):
+        calls.clear()
+        core = o_pi_prime(g, pi)
+        [(seeds, elements)] = calls
+        plain = closure(g, seeds)
+        assert core.generators == plain.generators, sorted(pi)
+        assert core.element_set() == plain.element_set() == elements, sorted(pi)
 
 
 def test_fitting_socle_simple(named):

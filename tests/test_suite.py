@@ -125,15 +125,11 @@ def test_quotient_bound_examples(named):
     assert "skipped" in witness
 
 
-def test_quotient_bound_failure_witness_is_exact(monkeypatch):
-    """No census group fails the bound, so in C4 the quotient histogram of
-    N = C2 is made to count the identity's class alone: k_2(G/N) = 1, and
-    k_2(C4) = 4 > k_2(N) * 1 = 2.  The witness carries d_2(G) and the bound
-    d_2(N) * d_2(G/N) as exact fractions."""
-    from fractions import Fraction
-
+def _c4_failing_the_quotient_bound(monkeypatch):
+    """C4 and its N = C2, with the quotient histogram of N made to count the
+    identity's class alone: k_2(G/N) = 1, and k_2(C4) = 4 > k_2(N) * 1 = 2.
+    No census group fails the bound."""
     from piclass.classes import ClassTable, conjugacy_classes
-    from piclass.invariants import d_pi
     from piclass.subgroups import normal_subgroups
 
     g = build(parse_name("C4"))
@@ -142,6 +138,17 @@ def test_quotient_bound_failure_witness_is_exact(monkeypatch):
     real = ClassTable.quotient_histogram
     monkeypatch.setattr(ClassTable, "quotient_histogram",
                         lambda self, normal: {0: 1} if normal == patched else real(self, normal))
+    return g, n
+
+
+def test_quotient_bound_failure_witness_is_exact(monkeypatch):
+    """The witness carries d_2(G) and the bound d_2(N) * d_2(G/N) as exact
+    fractions."""
+    from fractions import Fraction
+
+    from piclass.invariants import d_pi
+
+    g, n = _c4_failing_the_quotient_bound(monkeypatch)
     status, witness = check_quotient_bound(g)
     assert status == FAIL
     counterexample = witness["counterexample"]
@@ -149,6 +156,16 @@ def test_quotient_bound_failure_witness_is_exact(monkeypatch):
     assert Fraction(counterexample["d_pi_G"]) == d_pi(g, [2]).d_pi == 1
     bound = d_pi(n, [2]).d_pi * Fraction(1, 2)  # d_2(G/N) = 1 / |G:N|_2
     assert Fraction(counterexample["bound"]) == bound == Fraction(1, 2)
+
+
+def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
+    """The (N, pi) pairs compared up to and including the counterexample:
+    the trivial N with pi {2}, then N = C2 with pi {2}."""
+    g, _ = _c4_failing_the_quotient_bound(monkeypatch)
+    status, witness = check_quotient_bound(g)
+    assert status == FAIL
+    assert witness["normal_subgroups"] == 3
+    assert witness["checked"] == 2
 
 
 def test_sylow3_structure_cases(named):
