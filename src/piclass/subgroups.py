@@ -83,7 +83,7 @@ def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     return all(sub.contains(conjugate(g, s)) for g in group.generators for s in sub.generators)
 
 
-def _extend_closure(elements, gens, x: Permutation) -> frozenset[tuple[int, ...]]:
+def _extend_closure(elements, gens, x: Permutation, coset=None) -> frozenset[tuple[int, ...]]:
     """Element set of <H, x>, from the element set and generators of H.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
@@ -92,10 +92,12 @@ def _extend_closure(elements, gens, x: Permutation) -> frozenset[tuple[int, ...]
     generator s of <H, x> in list order, a product y = s*r outside the set
     adds the whole coset y*H and becomes a representative.  The set is then
     closed under left multiplication by the generators, so it is <H, x>.
-    No sifting and no inverses.
+    No sifting and no inverses.  ``coset`` is H's right multipliers, for a
+    caller that extends one H many times.
     """
     base = list(elements)
-    coset = [right_multiplier(h) for h in base]  # y -> y*h for each h in H
+    if coset is None:
+        coset = [right_multiplier(h) for h in base]  # y -> y*h for each h in H
     steps = [g.images for g in gens] + [x.images]
     closure = set(base)
     reps = [Permutation.identity(len(x.images)).images]
@@ -109,10 +111,11 @@ def _extend_closure(elements, gens, x: Permutation) -> frozenset[tuple[int, ...]
     return frozenset(closure)
 
 
-def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
-    """<H, x> on H's generators (less the trivial H's identity) and then x."""
+def _extend(sub: PermGroup, x: Permutation, coset=None) -> PermGroup:
+    """<H, x> on H's generators (less the trivial H's identity) and then x;
+    ``coset`` as in ``_extend_closure``."""
     gens = [g for g in sub.generators if not g.is_identity()]
-    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x))
+    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x, coset))
 
 
 def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
@@ -633,32 +636,66 @@ def almost_simple_socle(group: PermGroup) -> PermGroup | None:
 # -- exhaustive subgroup enumeration ------------------------------------------
 
 
+def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
+    """Element orders, and the prime roots of each element, by position in
+    ``element_list``.
+
+    The roots of h are the x with x^q = h for some prime q dividing |x|;
+    the dict maps h's image tuple to their positions, ascending.  Built
+    once per group and cached, so every pi shares it.
+    """
+    cached = group.cache.get("prime_roots")
+    if cached is None:
+        table = conjugacy_classes(group)
+        orders = []
+        roots: dict[tuple[int, ...], list[int]] = {}
+        for i, x in enumerate(group.element_list()):
+            n = table.classes[table.class_of(x)].order
+            orders.append(n)
+            xim = power = x.images
+            k = 1  # power is x^k
+            for q in prime_factors(n):
+                while k < q:
+                    power = compose_images(xim, power)
+                    k += 1
+                roots.setdefault(power, []).append(i)
+        cached = group.cache["prime_roots"] = (orders, roots)
+    return cached
+
+
 def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                                         cap: int = DEFAULT_SUBGROUP_CAP) -> list[PermGroup]:
     """One representative per conjugacy class of subgroups, complete.
 
-    Layered one-element extensions: every found class representative H is
-    extended by candidate elements x by coset closure (``_extend``), and
-    each new subgroup K = <H, x> is deduplicated against the conjugate
-    closure of the classes found so far.  Any subgroup is reachable through
-    its own generation chain, so the sweep is exhaustive.  With ``pi`` set,
-    only pi-subgroups are enumerated (sound: every subgroup of a pi-group is
-    again one, so chains never have to leave the pi-world).  Results are
-    cached per (group, pi).
+    Layered prime steps (the cyclic extension method; Neubüser 1960): every
+    found class representative H is extended by coset closure (``_extend``)
+    by each x outside H with x^q in H for a prime q dividing |x|, walked in
+    element-list order, and each new subgroup K = <H, x> is deduplicated
+    against the conjugate closure of the classes found so far.  The steps
+    of H are the prime roots of its elements (``_prime_roots``).  With
+    ``pi`` set, only pi-elements are steps and only pi-subgroups are kept
+    (sound: every subgroup of a pi-group is again one, so chains never have
+    to leave the pi-world).  Results are cached per (group, pi).
 
-    After each closure, later candidates y with <H, y> = K are skipped:
+    The sweep is exhaustive.  A subgroup K > H is generated by its elements
+    of prime-power order, so one of them, x of order q^a, lies outside H;
+    for the least j with x^(q^j) in H, y = x^(q^(j-1)) is a prime step of
+    H inside K.  So every K is reached from 1 by a chain of prime steps.
+    Conjugation maps prime steps to prime steps, so if H in such a chain is
+    conjugate to a representative R = H^g, then <H, y>^g = <R, y^g> is a
+    prime step of R, and induction on the chain reaches K's class.
+
+    After each closure, later steps y with <H, y> = K are skipped:
     (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
     (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
     since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
     are built as the H-conjugation orbits of the coset H x^k (a x^k b is
     the conjugate of b a x^k by b^-1); when x normalizes H (in particular
     when it centralizes H), x^k b = (x^k b x^-k) x^k puts H x^k H = H x^k,
-    so that coset is added as it is, with no orbit walk.  Both sets are
-    unions of such double cosets, so a candidate is skipped exactly when
-    its double coset was seen.  A skipped y would only rebuild a K that
-    ``register`` has already seen (or that the pi filter dropped), so the
-    list of classes, its order and every subgroup's generators are those of
-    the sweep without the skips.
+    so that coset is added as it is, with no orbit walk.  A skipped y would
+    only rebuild a K that ``register`` has already seen (or that the pi
+    filter dropped), so no class is lost.  H's right multipliers are built
+    once for all its closures.
 
     ``register`` marks every conjugate of a new class as seen
     (``conjugates``): a normal subgroup, a union of classes of G, is its
@@ -672,9 +709,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if cached is not None:
         return cached
 
-    table = conjugacy_classes(group)
-    orders = [(x, table.classes[table.class_of(x)].order) for x in group.element_list()]
-    candidates = orders if pi is None else [(x, n) for x, n in orders if is_pi_number(n, pi)]
+    elements = group.element_list()
+    orders, roots = _prime_roots(group)
+    allowed = [pi is None or is_pi_number(n, pi) for n in orders]
     found: list[PermGroup] = []
     seen: set[frozenset] = set()  # element sets of every conjugate of each found class
 
@@ -687,13 +724,16 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     register(trivial_subgroup(group))
     for base in found:
         base_set = base.element_set()
+        steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = conjugation_pairs(base.generators)
+        coset = [right_multiplier(h) for h in base_set]
         covered: set[tuple[int, ...]] = set()
-        for x, n in candidates:
+        for i in steps:
+            x, n = elements[i], orders[i]
             xim = x.images
             if xim in base_set or xim in covered:
                 continue
-            extended = _extend(base, x)
+            extended = _extend(base, x, coset)
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
                 covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|

@@ -127,8 +127,8 @@ def check_hall_dichotomy(group: PermGroup, pi,
                 continue
             cyc = subgroup(group, [cls.rep], verify=False)
             key = cyc.element_set()
-            if key not in seen:
-                seen.add(key)
+            if key not in seen:  # one per conjugacy class of cyclic subgroups
+                seen.update(conjugates(group, key))
                 classes.append(cyc)
         witness["degraded"] = "cyclic pi-subgroups only (subgroup cap exceeded)"
     else:

@@ -6,10 +6,11 @@ conjugate by every element, and the commuting probability counts pairs.
 numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
 The exceptions are ``normal_subgroups_by_joins``, the lattice closed by
 joins with the seeds as the library closes it, but on generators and
-element sets in place of class bitsets, and
+element sets in place of class bitsets, which fixes the order and the
+generators the library must keep reproducing, and
 ``subgroup_classes_by_orbit_skip``, the subgroup-class sweep the library
-ran before its double-coset skip rules; they fix the order and the
-generators the library must keep reproducing.  The routines after the
+ran before its double-coset skip rules and prime steps, which fixes the
+conjugacy classes it must keep finding.  The routines after the
 lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
@@ -154,12 +155,16 @@ def k_pi_by_class_equation(group, pi):
 
 def subgroup_classes_by_orbit_skip(group, pi=None):
     """One handle per conjugacy class of subgroups (pi-subgroups with ``pi``
-    set), by the sweep the library ran before its double-coset skip rules.
+    set), by the sweep the library ran before its double-coset skip rules
+    and its prime steps.
 
-    Each class representative H is extended by every candidate outside H,
+    Each class representative H is extended by every candidate (every
+    pi-element with ``pi`` set) outside H, not only by the x with x^q in H,
     skipping only the H-conjugates of candidates already tried; a new
-    subgroup is kept unless a conjugate of it was found before.  Sorted by
-    order and then element set, like the library.  Uncached.
+    subgroup is kept unless a conjugate of it was found before.  So it
+    finds the library's classes, but may pick other representatives, on
+    other generators.  Sorted by order and then element set, like the
+    library.  Uncached.
     """
     from piclass.numtheory import is_pi_number
     from piclass.perm import conjugate_set, conjugation_orbit, conjugation_pairs

@@ -1,10 +1,13 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 from click.testing import CliRunner
 
+from piclass import __version__
 from piclass.catalog import build, parse_name, serialize_group_file
 from piclass.cli import main
 from piclass.config import Config
@@ -325,3 +328,13 @@ def test_hall_records_the_budget_it_searched_with(runner, monkeypatch):
     assert result.exit_code == 0
     assert json.loads(result.output)["config"]["hall_budget"] == 3
     assert budgets == [3]
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m piclass`` from a checkout, with ``src`` on the path."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "piclass", "--version"], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == f"piclass, version {__version__}"

@@ -27,7 +27,7 @@ from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
-from piclass.numtheory import is_pi_number, is_prime
+from piclass.numtheory import is_pi_number, is_prime, prime_factors
 from piclass.perm import (
     Permutation,
     conjugate,
@@ -762,13 +762,20 @@ def test_subgroup_enumeration_against_naive(name, named):
 @pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
 def test_subgroup_enumeration_matches_orbit_skip_sweep(name, named):
     g = named(name)
-
-    def handles(classes):
-        return [(h.order, h.generators, h.element_set()) for h in classes]
-
     for pi in _nonempty_subsets(group_primes(g)):
-        assert (handles(enumerate_subgroups_up_to_conjugacy(g, pi=pi))
-                == handles(subgroup_classes_by_orbit_skip(g, pi))), sorted(pi)
+        _assert_same_classes(g, enumerate_subgroups_up_to_conjugacy(g, pi=pi),
+                             subgroup_classes_by_orbit_skip(g, pi))
+
+
+def _assert_same_classes(g, classes, oracle):
+    """``classes`` holds one subgroup of each class ``oracle`` does: each
+    class keyed by the element sets of all its conjugates."""
+
+    def keys(subs):
+        return [frozenset(orbit_transversal(g, h.element_set(), conjugate_set)) for h in subs]
+
+    mine, theirs = keys(classes), keys(oracle)
+    assert len(mine) == len(theirs) and set(mine) == set(theirs)
 
 
 def _enumeration_profile(g):
@@ -803,8 +810,32 @@ def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
     monkeypatch.setattr(piclass.subgroups, "_extend_closure", counting)
     g = build(parse_name("C12 x C6"))  # fresh: no cached classes
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
-    # the H-orbit skip alone makes 2,862 closures here, the double-coset rules 274
-    assert 0 < len(closures) <= 600
+    # the H-orbit skip over every element alone makes 2,862 closures here,
+    # with the double-coset rules 274, and over prime steps only 130
+    assert 0 < len(closures) <= 200
+
+
+@pytest.mark.parametrize("name", ["C12 x C6", "S4 x S3"])
+def test_enumeration_extends_by_prime_steps_only(name, monkeypatch):
+    """Every extension <H, x> of a fresh enumeration, for every pi, takes a
+    prime step: x^q lies in H for a prime q dividing |x|."""
+    import piclass.subgroups
+
+    g = build(parse_name(name))
+    steps = []
+    extend = piclass.subgroups._extend
+
+    def recording(sub, x, *rest):
+        steps.append((sub.element_set(), x))
+        return extend(sub, x, *rest)
+
+    monkeypatch.setattr(piclass.subgroups, "_extend", recording)
+    for pi in [None, *_nonempty_subsets(group_primes(g))]:
+        enumerate_subgroups_up_to_conjugacy(g, pi=pi)
+    assert steps
+    for base, x in steps:
+        assert x.images not in base
+        assert any((x ** q).images in base for q in prime_factors(x.order())), x
 
 
 @pytest.mark.parametrize("name", [n for n in LATTICE_SLICE if parse_name(n).order <= 200])
@@ -834,3 +865,27 @@ def test_intersection_and_join(named):
     meet = subgroup_intersection(s4, a4, d8)
     assert meet.order == 4
     assert join_subgroups(s4, a4, d8).order == 24
+
+
+def _psl27():
+    """PSL(2,7), order 168, on the 7 points of the Fano plane."""
+    gens = [parse_cycle_text("(0 1 2 3 4 5 6)", 7), parse_cycle_text("(1 2)(3 6)", 7)]
+    return PermGroup(gens)
+
+
+def test_psl27_subgroup_classes():
+    """A non-solvable group outside the census: its 15 subgroup classes, the
+    two classes of Hall {2,3}-subgroups (both S4), class-level agreement
+    with the oracle for every pi, and the 2/3 case of the Hall check."""
+    g = _psl27()
+    assert g.order == 168
+    assert ([h.order for h in enumerate_subgroups_up_to_conjugacy(g)]
+            == [1, 2, 3, 4, 4, 4, 6, 7, 8, 12, 12, 21, 24, 24, 168])
+    two_three = enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])
+    assert len(two_three) == 12
+    assert [h.order for h in two_three].count(24) == 2
+    for pi in _nonempty_subsets(group_primes(g)):
+        _assert_same_classes(g, enumerate_subgroups_up_to_conjugacy(g, pi=pi),
+                             subgroup_classes_by_orbit_skip(g, pi))
+    status, witness = check_hall_dichotomy(g, [3])
+    assert status == "pass" and witness["d_pi"] == "2/3"

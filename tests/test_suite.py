@@ -4,6 +4,7 @@ from piclass import suite
 from piclass.catalog import build, census, parse_name
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
+from piclass.subgroups import enumerate_subgroups_up_to_conjugacy
 from piclass.suite import (
     DEFAULT_SUITES,
     FAIL,
@@ -90,6 +91,18 @@ def test_hall_dichotomy_degrades_to_partial(named):
     status, witness = check_hall_dichotomy(named("C12"), [2, 3], config=config)
     assert status == PARTIAL
     assert "cyclic" in witness["degraded"]
+
+
+def test_degraded_hall_check_counts_cyclic_classes_once(named):
+    """Past the cap, conjugate cyclic pi-subgroups generated by elements of
+    different G-classes count as one class: S4 x C3 has four classes of
+    cyclic 3-subgroups (orders 1, 3, 3, 3) besides its Sylow C3 x C3."""
+    g = named("S4 x C3")
+    status, witness = check_hall_dichotomy(g, [3], config=Config(subgroup_cap=10))
+    assert status == PARTIAL
+    assert witness["pi_subgroup_classes"] == 4
+    cyclic = [h for h in enumerate_subgroups_up_to_conjugacy(g, pi=[3]) if h.order in (1, 3)]
+    assert len(cyclic) == 4
 
 
 def test_unit_iff_examples(named):
