@@ -7,6 +7,14 @@ of classes: their closures and joins, k_pi(N) by class splits and k_pi(G/N)
 by class fusion.  The classes of G, of each N and of each G/N are counted
 per prime support, the set of primes dividing the element order, so k_pi
 for any pi is a sum over those counts.
+
+Members are kept as images (``Permutation.images``: bytes up to degree
+256, int tuples above) and every product goes through ``perm``.  The class
+sweep walks conjugation orbits, each conjugate x giving its table once for
+the steps g * (x * g^-1); a class product C_i * C_j fixes the class
+representative x as left factor and reads x * y for every y of the smaller
+class through x's table; the class splits walk conjugation orbits under the
+generators of N.
 """
 
 from dataclasses import dataclass
@@ -15,12 +23,19 @@ from math import gcd
 from .errors import NotInGroupError
 from .group import PermGroup
 from .numtheory import pi_part, prime_factors, validate_pi
-from .perm import Permutation, conjugation_orbit, conjugation_pairs, right_multiplier
+from .perm import (
+    Images,
+    Permutation,
+    conjugation_orbit,
+    conjugation_orbits,
+    conjugation_pairs,
+    left_products,
+)
 
 
 @dataclass(frozen=True)
 class ConjClass:
-    rep: Permutation  # lexicographically least image tuple in the class
+    rep: Permutation  # the class member with the least images
     size: int
     order: int  # element order, shared by the whole class
 
@@ -44,16 +59,18 @@ class ClassTable:
     """The conjugacy classes of a group, their members and the unions of
     classes that normal subgroups are.
 
-    Class i is ``classes[i]``; ``members[i]`` lists its image tuples in the
-    order the sweep's orbit found them, and ``class_of`` resolves an element
-    to its class.
+    Class i is ``classes[i]``; ``members[i]`` lists its members' images in
+    the order the sweep's orbit found them, and ``class_of`` resolves an
+    element to its class through the sweep's dict from images to class
+    numbers.
 
     A normal subgroup is a union of classes (Hulpke, "Computing normal
     subgroups", ISSAC 1998), so it is kept as a bitset: bit i stands for
     class i.  Everything is read from the supports of class products: the
     bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
     of classes, so its support is the set of classes met by x * C_i for one
-    x in C_j; each support is built on first use from the smaller class, and
+    x in C_j (the left products of x's table, ``perm.left_products``); each
+    support is built on first use from the smaller class, and
     each row of supports is allocated on first use, so a table that only
     counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
@@ -91,11 +108,12 @@ class ClassTable:
     ``normal_k_pi``) to its bitset.
     """
 
-    def __init__(self, group: PermGroup, classes, members):
+    def __init__(self, group: PermGroup, classes, members: list[list[Images]],
+                 index_of: dict[Images, int]):
         self.group = group
         self.classes: tuple[ConjClass, ...] = tuple(classes)
-        self.members: list[list[tuple[int, ...]]] = members
-        self._index_of = {im: i for i, ims in enumerate(members) for im in ims}
+        self.members = members
+        self._index_of = index_of
         k = len(self.classes)
         self.full = (1 << k) - 1
         self.primes = tuple(prime_factors(group.order))
@@ -111,7 +129,7 @@ class ClassTable:
         self._normal_histograms: dict[int, dict[int, int]] = {}
         self._quotient_histograms: dict[int, dict[int, int]] = {}
         self._powers: dict[tuple[int, int], int] = {}
-        self.normal_masks: dict[frozenset[tuple[int, ...]], int] = {}
+        self.normal_masks: dict[frozenset[Images], int] = {}
 
     @property
     def k(self) -> int:
@@ -127,7 +145,7 @@ class ClassTable:
         return [c.size for c in self.classes]
 
     def mask_of(self, images) -> int:
-        """Bitset of the classes that the image tuples ``images`` meet."""
+        """Bitset of the classes that the elements given by ``images`` meet."""
         index_of = self._index_of
         mask = 0
         for im in images:
@@ -146,15 +164,17 @@ class ClassTable:
 
     def _support(self, i: int, j: int) -> int:
         """Bitset of the classes met by C_i * C_j: the classes of the products
-        y * x, y in the smaller class and x the other's representative (x * y
-        is conjugate to y * x, and each class of C_i * C_j holds such an x * y)."""
+        x * y, y in the smaller class and x the other's representative, read
+        through x's table (y * x is conjugate to x * y, and each class of
+        C_i * C_j holds such a y * x)."""
         row = self._row(i)
         met = row[j]
         if met is None:
             small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
-            index_of = self._index_of
-            times_x = right_multiplier(self.classes[big].rep.images)
-            met = sum(1 << c for c in {index_of[times_x(yim)] for yim in self.members[small]})
+            products = left_products(self.classes[big].rep.images, self.members[small])
+            met = 0
+            for c in set(map(self._index_of.__getitem__, products)):
+                met |= 1 << c
             row[j] = self._row(j)[i] = met
         return met
 
@@ -331,38 +351,37 @@ class ClassTable:
         classes = self.classes
         return sum(classes[i].size for i in _bits(mask))
 
-    def elements(self, mask: int) -> list[tuple[int, ...]]:
-        """Image tuples of the members of the classes in ``mask``."""
+    def elements(self, mask: int) -> list[Images]:
+        """Images of the members of the classes in ``mask``."""
         return [im for i in _bits(mask) for im in self.members[i]]
 
 
 def conjugacy_classes(group: PermGroup) -> ClassTable:
     """The class table of the group, by a conjugation-orbit sweep over the
-    full element list.
+    full element list (``perm.conjugation_orbits``).
 
     Deterministic: elements come from the group's enumeration order, each
     orbit is explored breadth-first with generators in list order and kept as
-    its class's member list, and classes are numbered by their least image
-    tuple.  The result is cached on the group.
+    its class's member list, and classes are numbered by their least images.
+    The sweep's dict from images to orbit numbers, renumbered, is the
+    table's index of classes.  The result is cached on the group.
     """
     cached = group.cache.get("class_table")
     if cached is not None:
         return cached
 
-    pairs = conjugation_pairs(group.generators)
-    seen: set[tuple[int, ...]] = set()
-    found = []  # (least image tuple, orbit) per class
-    for start in group.element_list():
-        if start.images not in seen:
-            orbit = conjugation_orbit(start.images, pairs)
-            seen.update(orbit)
-            found.append((min(orbit), orbit))
-    found.sort(key=lambda least_orbit: least_orbit[0])
+    orbits, index_of = conjugation_orbits([p.images for p in group.element_list()],
+                                          conjugation_pairs(group.generators))
+    least = [min(orbit) for orbit in orbits]
+    ranked = sorted(range(len(orbits)), key=least.__getitem__)
+    rank = [0] * len(orbits)
     classes = []
-    for least, orbit in found:
-        rep = Permutation._make(least)
-        classes.append(ConjClass(rep=rep, size=len(orbit), order=rep.order()))
-    table = ClassTable(group, classes, [orbit for _, orbit in found])
+    for r, i in enumerate(ranked):
+        rank[i] = r
+        rep = Permutation._make(least[i])
+        classes.append(ConjClass(rep=rep, size=len(orbits[i]), order=rep.order()))
+    table = ClassTable(group, classes, [orbits[i] for i in ranked],
+                       {im: rank[i] for im, i in index_of.items()})
     group.cache["class_table"] = table
     return table
 

@@ -9,13 +9,16 @@ list therefore produce identical chains, identical element enumeration order,
 and identical random-element streams for a fixed seed.  A group built with
 its element set (every subgroup) answers order, membership and its element
 list from the set, in sorted image order, and builds no chain for them.
+Elements are handled as their images (``Permutation.images``: bytes up to
+degree 256, int tuples above), and every product of them goes through the
+kernel in ``perm``.
 """
 
 import random
 from math import prod
 
 from .errors import DegreeMismatchError
-from .perm import Permutation, right_multiplier
+from .perm import Images, Permutation, left_products
 
 
 class _Level:
@@ -49,7 +52,7 @@ class PermGroup:
     ``base_hint`` seeds the base with the given points (in order) before the
     automatic ascending choice kicks in; it exists so tests can regenerate
     the chain with a different base and compare invariants.  ``elements``
-    is the element set as image tuples, when the caller already has it; it
+    is the element set as images, when the caller already has it; it
     is trusted, not checked against the generators.
     """
 
@@ -69,7 +72,7 @@ class PermGroup:
         self.generators = generators
         self._base_hint = tuple(base_hint)
         self._levels: list[_Level] | None = None
-        self._element_set: frozenset[tuple[int, ...]] | None = elements
+        self._element_set: frozenset[Images] | None = elements
         self._order: int | None = None if elements is None else len(elements)
         self.cache: dict = {}
 
@@ -200,40 +203,21 @@ class PermGroup:
 
         Elements are the transversal products u_0 * u_1 * ... of the chain,
         with orbit points taken in ascending order at every level and the
-        deepest level varying fastest.  The products are image tuples: each
-        transversal element is turned into its right multiplier
-        (``perm.right_multiplier``) once per call, and the prefix product
-        of the levels above the deepest is kept between elements.  No cap is
-        checked here; a run checks its one element cap as it starts
+        deepest level varying fastest.  The products are images, built from
+        the deepest level up: the products of levels j, j+1, ... are the
+        left products (``perm.left_products``) of each u_j in turn with the
+        products of the levels below, so each transversal element's table is
+        built once and each product is one translate.  No cap is checked
+        here; a run checks its one element cap as it starts
         (``Config.check_element_cap``).
         """
-        levels = self._ensure_chain()
-        make = Permutation._make
-        ident = Permutation.identity(self.degree).images
-        if not levels:
-            yield make(ident)
-            return
-        steps = [[right_multiplier(lvl.transversal[x].images) for x in sorted(lvl.transversal)]
-                 for lvl in levels]
-        *upper, deepest = steps
-        idx = [0] * len(upper)
-        prefix = [ident]  # prefix[m]: the product of the chosen u_0 ... u_{m-1}
-        for times_u in upper:
-            prefix.append(times_u[0](prefix[-1]))
-        while True:
-            above = prefix[-1]
-            for times_u in deepest:
-                yield make(times_u(above))
-            lv = len(upper) - 1
-            while lv >= 0 and idx[lv] == len(upper[lv]) - 1:
-                lv -= 1
-            if lv < 0:
-                return
-            idx[lv] += 1
-            prefix[lv + 1] = upper[lv][idx[lv]](prefix[lv])
-            for m in range(lv + 1, len(upper)):
-                idx[m] = 0
-                prefix[m + 1] = upper[m][0](prefix[m])
+        products = [Permutation.identity(self.degree).images]
+        for lvl in reversed(self._ensure_chain()):
+            above = []
+            for x in sorted(lvl.transversal):
+                above += left_products(lvl.transversal[x].images, products)
+            products = above
+        yield from map(Permutation._make, products)
 
     def element_list(self) -> list[Permutation]:
         """All elements, cached: the given element set in sorted image order,
@@ -247,8 +231,8 @@ class PermGroup:
             self.cache["elements"] = cached
         return cached
 
-    def element_set(self) -> frozenset[tuple[int, ...]]:
-        """The image tuples of all elements; for a group given by generators
+    def element_set(self) -> frozenset[Images]:
+        """The images of all elements; for a group given by generators
         alone, read once from ``element_list()``."""
         if self._element_set is None:
             self._element_set = frozenset(p.images for p in self.element_list())

@@ -1,13 +1,24 @@
-"""Permutations of {0..n-1} as immutable image tuples.
+"""Permutations of {0..n-1} as immutable image sequences.
 
 Composition convention, fixed globally: (a * b)(x) = a(b(x)), i.e. apply b
 first, then a.  Every other module relies on this choice.
 
-This module owns the permutation kernel: ``right_multiplier(b)``, the map
-a -> a * b on image tuples, is one C-level ``operator.itemgetter``, and
-``compose_images`` applies it once.  ``Permutation.__mul__``, the
-conjugations and the conjugation walks are built on them; no other module
-composes image tuples by hand.
+Layout: ``Permutation.images`` is ``bytes`` when the degree is at most 256,
+so every point is one byte, and a tuple of ints above that.  Permutations of
+one degree share a layout, and bytes compare bytewise, so images compare and
+sort exactly as the int tuples would; bytes also cache their hash, so a set
+or dict lookup of an element hashes it once.
+
+This module owns the permutation kernel and is the only module that looks at
+the layout.  A product fixes its left factor: on bytes a * b is
+``b.translate(table)``, for the 256-byte table of a built once per fixed a
+(``left_multiplier``, ``left_products``), and the inverse is
+``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.  A
+conjugation g x g^-1 is two translates, one through x's table and one
+through g's (``conjugate_images``, ``conjugate_set``), and the conjugation
+walks (``conjugation_orbit``, ``conjugation_orbits``) build each table once.
+``Permutation.__mul__`` and the conjugations are built on them; no other
+module composes images by hand.
 """
 
 import math
@@ -19,19 +30,31 @@ from .errors import DegreeMismatchError
 
 _CYCLE_GAP = re.compile(r"\)\s*\(")
 
-_IDENTITY_IMAGES: dict[int, tuple[int, ...]] = {}
+_BYTES_MAX_DEGREE = 256  # images are bytes up to this degree, tuples above it
+
+Images = bytes | tuple[int, ...]
+
+# _TAILS[n]: the points n..255, which pad n images to a 256-byte table
+_TAILS = [bytes(range(n, _BYTES_MAX_DEGREE)) for n in range(_BYTES_MAX_DEGREE + 1)]
+
+_IDENTITY_IMAGES: dict[int, Images] = {}
 
 
-def _identity_images(n: int) -> tuple[int, ...]:
+def _pack(images) -> Images:
+    """The images of a sequence of points, in the layout of its degree."""
+    return bytes(images) if len(images) <= _BYTES_MAX_DEGREE else tuple(images)
+
+
+def _identity_images(n: int) -> Images:
     images = _IDENTITY_IMAGES.get(n)
     if images is None:
-        images = tuple(range(n))
-        _IDENTITY_IMAGES[n] = images
+        images = _IDENTITY_IMAGES[n] = _pack(range(n))
     return images
 
 
 class Permutation:
-    """A bijection on {0..n-1}, stored as the tuple of images."""
+    """A bijection on {0..n-1}, stored as its images: bytes up to degree 256,
+    a tuple of ints above it."""
 
     __slots__ = ("images",)
 
@@ -44,11 +67,12 @@ class Permutation:
         n = len(images)
         if sorted(images) != list(range(n)):
             raise ValueError(f"not a permutation of 0..{n - 1}: {images!r}")
-        self.images = images
+        self.images = _pack(images)
 
     @classmethod
-    def _make(cls, images: tuple[int, ...]) -> "Permutation":
-        # Internal fast path: caller guarantees images is a bijection.
+    def _make(cls, images: Images) -> "Permutation":
+        # Internal fast path: caller guarantees images is a bijection in the
+        # layout of its degree.
         p = object.__new__(cls)
         p.images = images
         return p
@@ -73,7 +97,7 @@ class Permutation:
                 images[a] = b
             if cycle:
                 images[cycle[-1]] = cycle[0]
-        return cls._make(tuple(images))
+        return cls._make(_pack(images))
 
     @property
     def degree(self) -> int:
@@ -93,6 +117,10 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         images = self.images
+        if type(images) is bytes:
+            # the table sending images[i] to i holds the inverse in its first n bytes
+            return Permutation._make(
+                bytes.maketrans(images, _identity_images(len(images)))[:len(images)])
         inv = [0] * len(images)
         for i, j in enumerate(images):
             inv[j] = i
@@ -162,71 +190,127 @@ def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -
     """g * x * g^-1; pass ginv to reuse a precomputed inverse."""
     if ginv is None:
         ginv = g.inverse()
-    return Permutation._make(conjugate_images((g.images, ginv.images), x.images))
+    return Permutation._make(conjugate_images((_table(g.images), ginv.images), x.images))
 
 
-# -- the kernel: composition and conjugation on image tuples -----------------
+# -- the kernel: composition and conjugation on images ------------------------
 #
-# itemgetter(*b)(a) is the tuple (a[b[0]], a[b[1]], ...), the images of a * b,
-# read in C.  With one index itemgetter returns a scalar, so degree <= 1 takes
-# a plain tuple instead.  A conjugation pair (g.images, g^-1.images) is all
-# that x -> g x g^-1 needs: g x g^-1 = (g * x) * g^-1, and the walks over
-# sets and orbits build the right multiplier of each g^-1 once per call.
+# The table of a is the sequence that a * b reads a's images from: for bytes,
+# a padded with the fixed points n..255 to the 256 bytes that bytes.translate
+# takes, so a * b = b.translate(table); for tuples, a itself, and a * b =
+# itemgetter(*b)(a).  Every walk fixes the left factor and builds its table
+# once.  A conjugation pair (table of g, images of g^-1) is all that
+# x -> g x g^-1 needs: g x g^-1 = g * (x * g^-1), that is g^-1 read through
+# x's table, then through g's; on tuples the walks keep reading (g * x) * g^-1
+# with g^-1's itemgetter built once per call.
 
 
-def right_multiplier(b: tuple[int, ...]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
-    """The map a -> a * b on image tuples (a[b[q]] for each point q), built
-    once for many a."""
-    if len(b) > 1:
-        return itemgetter(*b)
-    return lambda a: tuple([a[q] for q in b])
+def _table(a: Images) -> Images:
+    return a + _TAILS[len(a)] if type(a) is bytes else a
 
 
-def compose_images(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def compose_images(a: Images, b: Images) -> Images:
     """Images of a * b: a[b[q]] for each point q."""
-    return right_multiplier(b)(a)
+    if type(b) is bytes:
+        return b.translate(a + _TAILS[len(a)])
+    return itemgetter(*b)(a)
 
 
-def conjugation_pairs(generators) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The conjugation pair of each generator, in list order."""
-    return [(g.images, g.inverse().images) for g in generators]
+def left_multiplier(a: Images) -> Callable[[Images], Images]:
+    """The map b -> a * b, with a's table built once for many b."""
+    table = _table(a)
+    if type(a) is bytes:
+        return lambda b: b.translate(table)
+    return lambda b: itemgetter(*b)(table)
 
 
-def conjugate_images(pair, xim: tuple[int, ...]) -> tuple[int, ...]:
-    """Images of g x g^-1, for pair = (g.images, g^-1.images) and x given by xim."""
-    gim, ginvim = pair
-    return compose_images(compose_images(gim, xim), ginvim)
+def left_products(a: Images, bs) -> list[Images]:
+    """[a * b for b in bs], in the order of ``bs``, with a's table built once."""
+    table = _table(a)
+    if type(a) is bytes:
+        return [b.translate(table) for b in bs]
+    return [itemgetter(*b)(table) for b in bs]
+
+
+def conjugation_pairs(generators) -> list[tuple[Images, Images]]:
+    """The conjugation pair (table of g, images of g^-1) of each generator,
+    in list order."""
+    return [(_table(g.images), g.inverse().images) for g in generators]
+
+
+def conjugate_images(pair, xim: Images) -> Images:
+    """Images of g x g^-1, for the conjugation pair of g and x given by xim."""
+    gtable, ginv = pair
+    if type(ginv) is bytes:
+        return ginv.translate(xim + _TAILS[len(xim)]).translate(gtable)
+    return itemgetter(*ginv)(itemgetter(*xim)(gtable))
 
 
 def conjugate_set(pair, key: frozenset) -> frozenset:
-    """g K g^-1 for a set K of image tuples (a subgroup's element set)."""
-    gim, ginvim = pair
-    times_ginv = right_multiplier(ginvim)
-    return frozenset([times_ginv(compose_images(gim, t)) for t in key])
+    """g K g^-1 for a set K of images (a subgroup's element set)."""
+    gtable, ginv = pair
+    if type(ginv) is bytes:
+        tail = _TAILS[len(ginv)]
+        return frozenset([ginv.translate(t + tail).translate(gtable) for t in key])
+    times_ginv = itemgetter(*ginv)
+    return frozenset([times_ginv(itemgetter(*t)(gtable)) for t in key])
 
 
-def conjugation_orbit(xim: tuple[int, ...], pairs, limit: int | None = None) -> list[tuple[int, ...]]:
+def _walk(xim: Images, pairs, seen: dict, label, limit: int | None = None) -> list[Images]:
+    """The conjugation orbit of xim, breadth first with the pairs in list
+    order; each conjugate found is recorded as ``seen[y] = label``, and a
+    conjugate already in ``seen`` is not walked again.  With a ``limit``,
+    the walk stops as soon as it holds ``limit + 1`` conjugates."""
+    seen[xim] = label
+    orbit = [xim]
+    if type(xim) is bytes:
+        tail = _TAILS[len(xim)]
+        for cur in orbit:
+            table = cur + tail
+            for gtable, ginv in pairs:
+                y = ginv.translate(table).translate(gtable)
+                if y not in seen:
+                    seen[y] = label
+                    orbit.append(y)
+                    if limit is not None and len(orbit) > limit:
+                        return orbit
+        return orbit
+    steps = [(gim, itemgetter(*ginv)) for gim, ginv in pairs]
+    for cur in orbit:
+        times_cur = itemgetter(*cur)
+        for gim, times_ginv in steps:
+            y = times_ginv(times_cur(gim))
+            if y not in seen:
+                seen[y] = label
+                orbit.append(y)
+                if limit is not None and len(orbit) > limit:
+                    return orbit
+    return orbit
+
+
+def conjugation_orbit(xim: Images, pairs, limit: int | None = None) -> list[Images]:
     """The conjugates of xim under the group the pairs come from.
 
     Breadth-first, pairs in list order, so the order of the list is fixed by
     the input.  With a ``limit``, the walk stops as soon as it holds
-    ``limit + 1`` conjugates and returns those.  Each conjugate cur is
-    multiplied on the right once per step: g * cur by cur's multiplier,
-    built once, then (g * cur) * g^-1 by g^-1's, built once per call.
+    ``limit + 1`` conjugates and returns those.  On bytes each conjugate
+    cur gets its table once, and each step is two translates.
     """
-    steps = [(gim, right_multiplier(ginvim)) for gim, ginvim in pairs]
-    orbit = [xim]
-    seen = {xim}
-    for cur in orbit:
-        times_cur = right_multiplier(cur)
-        for gim, times_ginv in steps:
-            yim = times_ginv(times_cur(gim))
-            if yim not in seen:
-                seen.add(yim)
-                orbit.append(yim)
-                if limit is not None and len(orbit) > limit:
-                    return orbit
-    return orbit
+    return _walk(xim, pairs, {}, None, limit)
+
+
+def conjugation_orbits(elements, pairs) -> tuple[list[list[Images]], dict[Images, int]]:
+    """The orbits of the conjugation action on ``elements`` (images of a set
+    the pairs' group permutes), each walked from its first element in list
+    order, and the dict from each element to the number of its orbit.  The
+    dict is also the walks' record of elements seen, so an element is
+    hashed once per lookup and no orbit keeps a set of its own."""
+    index: dict[Images, int] = {}
+    orbits = []
+    for xim in elements:
+        if xim not in index:
+            orbits.append(_walk(xim, pairs, index, len(orbits)))
+    return orbits, index
 
 
 def parse_cycle_text(text: str, degree: int) -> Permutation:

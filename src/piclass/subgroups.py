@@ -43,14 +43,15 @@ from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
+    Images,
     Permutation,
-    compose_images,
     conjugate,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
-    right_multiplier,
+    left_multiplier,
+    left_products,
 )
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -83,39 +84,35 @@ def is_normal(group: PermGroup, sub: PermGroup) -> bool:
     return all(sub.contains(conjugate(g, s)) for g in group.generators for s in sub.generators)
 
 
-def _extend_closure(elements, gens, x: Permutation, coset=None) -> frozenset[tuple[int, ...]]:
+def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
     """Element set of <H, x>, from the element set and generators of H.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): the set is a union of left cosets r*H.  For each
     representative r, in the order found (the identity first), and each
     generator s of <H, x> in list order, a product y = s*r outside the set
-    adds the whole coset y*H and becomes a representative.  The set is then
-    closed under left multiplication by the generators, so it is <H, x>.
-    No sifting and no inverses.  ``coset`` is H's right multipliers, for a
-    caller that extends one H many times.
+    adds the whole coset y*H, read through y's table (``left_products``),
+    and becomes a representative.  The set is then closed under left
+    multiplication by the generators, so it is <H, x>.  No sifting and no
+    inverses.
     """
     base = list(elements)
-    if coset is None:
-        coset = [right_multiplier(h) for h in base]  # y -> y*h for each h in H
-    steps = [g.images for g in gens] + [x.images]
+    steps = [left_multiplier(s.images) for s in [*gens, x]]  # r -> s*r
     closure = set(base)
     reps = [Permutation.identity(len(x.images)).images]
     for r in reps:
-        times_r = right_multiplier(r)
-        for s in steps:
-            y = times_r(s)
+        for times_s in steps:
+            y = times_s(r)
             if y not in closure:
-                closure.update([times_h(y) for times_h in coset])
+                closure.update(left_products(y, base))
                 reps.append(y)
     return frozenset(closure)
 
 
-def _extend(sub: PermGroup, x: Permutation, coset=None) -> PermGroup:
-    """<H, x> on H's generators (less the trivial H's identity) and then x;
-    ``coset`` as in ``_extend_closure``."""
+def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
+    """<H, x> on H's generators (less the trivial H's identity) and then x."""
     gens = [g for g in sub.generators if not g.is_identity()]
-    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x, coset))
+    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x))
 
 
 def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
@@ -360,8 +357,8 @@ class QuotientGroup:
     parent: PermGroup
     kernel: PermGroup
     coset_reps: tuple[Permutation, ...]
-    label: Callable[[Permutation], tuple[int, ...]]  # coset of h -> its least element
-    index_of: dict[tuple[int, ...], int]  # coset label -> point of the action
+    label: Callable[[Permutation], Images]  # coset of h -> its least element
+    index_of: dict[Images, int]  # coset label -> point of the action
 
     def project(self, g: Permutation) -> Permutation:
         """Image of g in the coset action; a homomorphism by construction."""
@@ -376,12 +373,11 @@ def quotient(group: PermGroup, kernel: PermGroup,
     index = group.order // kernel.order
     if index > max_degree:
         raise CapExceededError("quotient degree", index, max_degree)
-    kernel_times = [right_multiplier(nim) for nim in kernel.element_set()]
+    kernel_elements = list(kernel.element_set())
     degree = group.degree
 
-    def label(h: Permutation) -> tuple[int, ...]:
-        him = h.images
-        return min([times_n(him) for times_n in kernel_times])
+    def label(h: Permutation) -> Images:
+        return min(left_products(h.images, kernel_elements))
 
     start = Permutation._make(label(Permutation.identity(degree)))
     reps = [start]
@@ -641,22 +637,24 @@ def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
     ``element_list``.
 
     The roots of h are the x with x^q = h for some prime q dividing |x|;
-    the dict maps h's image tuple to their positions, ascending.  Built
-    once per group and cached, so every pi shares it.
+    the dict maps h's images to their positions, ascending.  The powers of
+    x are read through x's table.  Built once per group and cached, so
+    every pi shares it.
     """
     cached = group.cache.get("prime_roots")
     if cached is None:
         table = conjugacy_classes(group)
         orders = []
-        roots: dict[tuple[int, ...], list[int]] = {}
+        roots: dict[Images, list[int]] = {}
         for i, x in enumerate(group.element_list()):
             n = table.classes[table.class_of(x)].order
             orders.append(n)
-            xim = power = x.images
+            power = x.images
+            times_x = left_multiplier(power)
             k = 1  # power is x^k
             for q in prime_factors(n):
                 while k < q:
-                    power = compose_images(xim, power)
+                    power = times_x(power)
                     k += 1
                 roots.setdefault(power, []).append(i)
         cached = group.cache["prime_roots"] = (orders, roots)
@@ -689,13 +687,13 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
     (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
     since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
-    are built as the H-conjugation orbits of the coset H x^k (a x^k b is
-    the conjugate of b a x^k by b^-1); when x normalizes H (in particular
-    when it centralizes H), x^k b = (x^k b x^-k) x^k puts H x^k H = H x^k,
-    so that coset is added as it is, with no orbit walk.  A skipped y would
-    only rebuild a K that ``register`` has already seen (or that the pi
-    filter dropped), so no class is lost.  H's right multipliers are built
-    once for all its closures.
+    are built as the H-conjugation orbits of the coset x^k H, read through
+    the table of x^k (a x^k b is the conjugate of x^k b a by a); when x
+    normalizes H (in particular when it centralizes H), a x^k = x^k
+    (x^-k a x^k) puts H x^k H = x^k H, so that coset is added as it is,
+    with no orbit walk.  A skipped y would only rebuild a K that
+    ``register`` has already seen (or that the pi filter dropped), so no
+    class is lost.
 
     ``register`` marks every conjugate of a new class as seen
     (``conjugates``): a normal subgroup, a union of classes of G, is its
@@ -726,31 +724,31 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         base_set = base.element_set()
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = conjugation_pairs(base.generators)
-        coset = [right_multiplier(h) for h in base_set]
-        covered: set[tuple[int, ...]] = set()
+        covered: set[Images] = set()
         for i in steps:
             x, n = elements[i], orders[i]
             xim = x.images
             if xim in base_set or xim in covered:
                 continue
-            extended = _extend(base, x, coset)
+            extended = _extend(base, x)
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
                 covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|
-                pair = (xim, x.inverse().images)
-                normalizing = all(conjugate_images(pair, g) in base_set for g, _ in base_pairs)
+                pair = conjugation_pairs([x])[0]
+                normalizing = all(conjugate_images(pair, g.images) in base_set
+                                  for g in base.generators)
+                times_x = left_multiplier(xim)
                 power = xim
                 for k in range(1, n):
                     if power not in covered and math.gcd(k, n) == 1:
-                        times_power = right_multiplier(power)
-                        if normalizing:  # H x^k H = H x^k
-                            covered.update([times_power(h) for h in base_set])
+                        coset = left_products(power, base_set)  # x^k H
+                        if normalizing:  # H x^k H = x^k H
+                            covered.update(coset)
                         else:
-                            for h in base_set:
-                                hx = times_power(h)
-                                if hx not in covered:
-                                    covered.update(conjugation_orbit(hx, base_pairs))
-                    power = compose_images(xim, power)
+                            for y in coset:
+                                if y not in covered:
+                                    covered.update(conjugation_orbit(y, base_pairs))
+                    power = times_x(power)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue
             register(extended)

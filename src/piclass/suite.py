@@ -92,6 +92,8 @@ def check_hall_dichotomy(group: PermGroup, pi,
 
     Past the subgroup-enumeration cap the containment and conjugacy checks
     degrade to cyclic pi-subgroups and the verdict is labelled partial.
+    Hall classes are then not counted, and conjugacy is checked only on the
+    cyclic Hall-order classes; with none, it is reported as not checked.
     """
     pi = validate_pi(pi)
     profile = d_pi(group, pi)
@@ -135,16 +137,19 @@ def check_hall_dichotomy(group: PermGroup, pi,
         classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=config.subgroup_cap)
 
     halls = [h for h in classes if h.order == target]
-    witness["hall_class_count"] = len(halls)
-    if not partial and len(halls) != 1:
-        witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
-        return FAIL, witness
+    if partial:
+        witness["hall_class_count"] = "not counted (subgroup cap exceeded)"
+    else:
+        witness["hall_class_count"] = len(halls)
+        if len(halls) != 1:
+            witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
+            return FAIL, witness
     hall_conjugates = conjugates(group, hall.element_set())
     for other in halls:
         if other.element_set() not in hall_conjugates:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"
             return FAIL, witness
-    witness["conjugacy"] = "ok"
+    witness["conjugacy"] = "ok" if halls else "not checked (no cyclic subgroup of Hall order)"
 
     for sub in classes:
         subset = sub.element_set()

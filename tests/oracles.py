@@ -1,7 +1,8 @@
 """Independent brute-force oracles the library is checked against.
 
 Nothing here touches the BSGS machinery beyond listing a group's elements:
-closures are multiplication BFS over raw image tuples, class partitions
+closures are multiplication BFS over raw image tuples (returned in the
+library's layout, ``Permutation(points).images``), class partitions
 conjugate by every element, and the commuting probability counts pairs.
 numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
 The exceptions are ``normal_subgroups_by_joins``, the lattice closed by
@@ -34,8 +35,13 @@ import numpy as np
 from piclass.perm import Permutation
 
 
+def _images(points):
+    """The library's images of the permutation with these images."""
+    return Permutation(points).images
+
+
 def naive_closure(gens):
-    """All products of the generators as a set of image tuples."""
+    """All products of the generators, as the set of their images."""
     degree = gens[0].degree
     gen_images = [g.images for g in gens]
     ident = tuple(range(degree))
@@ -50,7 +56,7 @@ def naive_closure(gens):
                     seen.add(y)
                     nxt.append(y)
         frontier = nxt
-    return seen
+    return {_images(t) for t in seen}
 
 
 def naive_membership(gens, p):
@@ -58,7 +64,7 @@ def naive_membership(gens, p):
 
 
 def _element_matrix(elements):
-    return np.array([e.images for e in elements], dtype=np.int64)
+    return np.array([list(e.images) for e in elements], dtype=np.int64)
 
 
 def commuting_pair_count(elements) -> int:
@@ -113,7 +119,7 @@ def normal_subgroups_by_class_unions(group):
         chosen = {identity_cls} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
         subset = {e.images for c in chosen for e in members[c]}
         closed = all(
-            tuple(a[b[p]] for p in range(group.degree)) in subset
+            _images([a[b[p]] for p in range(group.degree)]) in subset
             for a in subset for b in subset
         )
         if closed:
@@ -257,7 +263,7 @@ def _generated(degree, elements):
     """Element set of the subgroup generated by ``elements``; an element
     becomes a generator only when it lies outside the closure so far."""
     gens = []
-    closed = {tuple(range(degree))}
+    closed = {Permutation.identity(degree).images}
     for x in elements:
         if x.images not in closed:
             gens.append(x)
@@ -402,7 +408,7 @@ def quotient_order_counts(table, normal):
         x = table.classes[next(_bits(block))].rep.images
         power, order = x, 1
         while power not in in_normal:
-            power = tuple(x[q] for q in power)
+            power = _images([x[q] for q in power])
             order += 1
         counts[order] = counts.get(order, 0) + 1
     return counts

@@ -60,6 +60,21 @@ def test_analyze_from_file(runner, tmp_path, named):
     assert doc["profiles"][0]["d_pi"] == "5/8"
 
 
+def test_analyze_above_degree_256(runner, tmp_path):
+    """A group of degree 300 keeps int-tuple images: the 300-cycle, under a
+    config that admits its degree, has 300 classes and d_pi 1 for every pi."""
+    path = tmp_path / "c300.grp"
+    path.write_text("degree 300\n(" + " ".join(map(str, range(300))) + ")\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"max_degree": 300}))
+    result = runner.invoke(main, ["analyze", str(path), "--config", str(config)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.output)
+    assert doc["group"]["order"] == 300 and doc["class_summary"]["k"] == 300
+    assert [p["pi"] for p in doc["profiles"]] == [[2], [3], [5], [2, 3, 5]]
+    assert all(p["d_pi"] == "1/1" for p in doc["profiles"])
+
+
 def test_analyze_of_an_abelian_group_builds_no_supports(runner, tmp_path, monkeypatch):
     """k = |G| for an abelian group, so a k x k supports matrix would not
     fit for C2^12; analyze reads only the classes and their sizes."""

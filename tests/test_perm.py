@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piclass.errors import DegreeMismatchError
@@ -11,6 +11,8 @@ from piclass.perm import (
     conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
+    left_multiplier,
+    left_products,
     parse_cycle_text,
 )
 
@@ -61,7 +63,7 @@ def test_not_a_permutation_rejected():
         Permutation([1.0, 0.0])
     # integer-like images are stored as plain ints
     p = Permutation([True, False])
-    assert p.images == (1, 0) and all(type(i) is int for i in p.images)
+    assert tuple(p.images) == (1, 0) and all(type(i) is int for i in p.images)
     assert p.cycle_string() == "(0 1)"
 
 
@@ -121,17 +123,41 @@ def test_order_annihilates(p):
 
 
 # -- the composition kernel against its naive definitions ----------------------
+#
+# Degrees 1..20 and 250..262 straddle the switch from bytes to tuples at 256.
+# Images are made by ``Permutation`` and compared as tuples.
+
+KERNEL_DEGREES = st.one_of(st.integers(min_value=1, max_value=20),
+                           st.integers(min_value=250, max_value=262))
 
 
 def image_tuples(k):
-    """k image tuples of one degree in 1..20."""
-    return st.integers(min_value=1, max_value=20).flatmap(
-        lambda n: st.lists(st.permutations(list(range(n))).map(tuple), min_size=k, max_size=k)
+    """The images of k permutations of one degree in 1..20 or 250..262."""
+    return KERNEL_DEGREES.flatmap(
+        lambda n: st.lists(st.permutations(list(range(n))).map(lambda t: Permutation(t).images),
+                           min_size=k, max_size=k)
     )
+
+
+@st.composite
+def small_order_and_any(draw):
+    """The images of g and x of one degree in 1..20 or 250..262, g moving at
+    most 20 points, so that its order is at most 420."""
+    n = draw(KERNEL_DEGREES)
+    relabel = draw(st.permutations(list(range(n))))
+    moved = draw(st.permutations(list(range(min(n, 20)))))
+    g = list(range(n))
+    for i, j in enumerate(moved):
+        g[relabel[i]] = relabel[j]
+    return [Permutation(g).images, Permutation(draw(st.permutations(list(range(n))))).images]
 
 
 def naive_compose(a, b):
     return tuple(a[b[q]] for q in range(len(b)))
+
+
+def naive_inverse(a):
+    return tuple(sorted(range(len(a)), key=lambda i: a[i]))
 
 
 def naive_conjugate(g, x):
@@ -140,6 +166,7 @@ def naive_conjugate(g, x):
 
 
 def naive_orbit(xim, gens, limit=None):
+    xim = tuple(xim)
     orbit = [xim]
     for cur in orbit:
         for g in gens:
@@ -151,39 +178,53 @@ def naive_orbit(xim, gens, limit=None):
     return orbit
 
 
+def as_tuples(images_list):
+    return [tuple(im) for im in images_list]
+
+
 @given(image_tuples(2))
-@example([(0,), (0,)])
+@example([b"\x00", b"\x00"])
+@example([tuple(range(257))] * 2)
 def test_composition_and_conjugation_match_naive(ims):
     a, b = ims
-    assert compose_images(a, b) == naive_compose(a, b)
-    assert (Permutation(a) * Permutation(b)).images == naive_compose(a, b)
+    assert tuple(compose_images(a, b)) == naive_compose(a, b)
+    assert tuple(left_multiplier(a)(b)) == naive_compose(a, b)
+    assert as_tuples(left_products(a, [b, a])) == [naive_compose(a, b), naive_compose(a, a)]
+    assert tuple((Permutation(a) * Permutation(b)).images) == naive_compose(a, b)
+    assert tuple(Permutation(a).inverse().images) == naive_inverse(a)
     pair = conjugation_pairs([Permutation(a)])[0]
-    assert conjugate_images(pair, b) == naive_conjugate(a, b)
-    assert conjugate(Permutation(a), Permutation(b)).images == naive_conjugate(a, b)
+    assert tuple(conjugate_images(pair, b)) == naive_conjugate(a, b)
+    assert tuple(conjugate(Permutation(a), Permutation(b)).images) == naive_conjugate(a, b)
+    assert [type(im) for im in (compose_images(a, b), conjugate_images(pair, b))] == [type(a)] * 2
 
 
 @given(image_tuples(7))
-@example([(0,)] * 7)
+@example([b"\x00"] * 7)
 def test_conjugate_set_matches_naive(ims):
     g, *key = ims
     pair = conjugation_pairs([Permutation(g)])[0]
-    assert conjugate_set(pair, frozenset(key)) == frozenset(naive_conjugate(g, t) for t in key)
+    conj = conjugate_set(pair, frozenset(key))
+    assert set(as_tuples(conj)) == {naive_conjugate(g, t) for t in key}
+    assert len(conj) == len(set(key))
     assert conjugate_set(pair, frozenset()) == frozenset()
 
 
-@given(image_tuples(2), st.integers(min_value=1, max_value=7))
-@example([(0,), (0,)], 1)
+@settings(deadline=None)
+@given(small_order_and_any(), st.integers(min_value=1, max_value=7))
+@example([b"\x00", b"\x00"], 1)
 def test_cyclic_conjugation_orbit_matches_naive(ims, k):
-    """The whole orbit under <g> (at most 420 conjugates at degree 20), walked
-    with the pairs of g and g^k."""
+    """The whole orbit under <g> (at most 420 conjugates, g moving at most
+    20 points), walked with the pairs of g and g^k.  At degree 262 the
+    naive walk alone takes about 0.1 s, so no per-example deadline."""
     g, x = ims
     gens = [g, (Permutation(g) ** k).images]
-    assert conjugation_orbit(x, conjugation_pairs(map(Permutation, gens))) == naive_orbit(x, gens)
+    orbit = conjugation_orbit(x, conjugation_pairs(map(Permutation, gens)))
+    assert as_tuples(orbit) == naive_orbit(x, gens)
 
 
 @given(image_tuples(4), st.integers(min_value=1, max_value=40))
-@example([(0,)] * 4, 1)
+@example([b"\x00"] * 4, 1)
 def test_limited_conjugation_orbit_matches_naive(ims, limit):
     x, *gens = ims
     pairs = conjugation_pairs(map(Permutation, gens))
-    assert conjugation_orbit(x, pairs, limit) == naive_orbit(x, gens, limit)
+    assert as_tuples(conjugation_orbit(x, pairs, limit)) == naive_orbit(x, gens, limit)

@@ -105,6 +105,22 @@ def test_degraded_hall_check_counts_cyclic_classes_once(named):
     assert len(cyclic) == 4
 
 
+def test_degraded_hall_check_does_not_count_hall_classes(named):
+    """Past the cap only cyclic pi-subgroups are enumerated, so a Hall
+    subgroup that is not cyclic (C3 x C3 in S4 x C3 at pi {3}) is never
+    seen: the witness says Hall classes were not counted, and conjugacy was
+    not checked; a cyclic Hall subgroup (C12 at pi {2, 3}) is still checked."""
+    status, witness = check_hall_dichotomy(named("S4 x C3"), [3], config=Config(subgroup_cap=10))
+    assert status == PARTIAL
+    assert witness["hall_order"] == 9
+    assert witness["hall_class_count"] == "not counted (subgroup cap exceeded)"
+    assert witness["conjugacy"] == "not checked (no cyclic subgroup of Hall order)"
+    status, witness = check_hall_dichotomy(named("C12"), [2, 3], config=Config(subgroup_cap=10))
+    assert status == PARTIAL
+    assert witness["hall_class_count"] == "not counted (subgroup cap exceeded)"
+    assert witness["conjugacy"] == "ok"
+
+
 def test_unit_iff_examples(named):
     status, witness = check_unit_iff_complement(named("A4"), [3])
     assert status == PASS and witness["iff"] == {"lhs": True, "rhs": True}
