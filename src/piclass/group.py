@@ -213,10 +213,10 @@ class PermGroup:
         """
         products = [Permutation.identity(self.degree).images]
         for lvl in reversed(self._ensure_chain()):
-            above = []
+            longer = []  # the products of this level and the levels below
             for x in sorted(lvl.transversal):
-                above += left_products(lvl.transversal[x].images, products)
-            products = above
+                longer += left_products(lvl.transversal[x].images, products)
+            products = longer
         yield from map(Permutation._make, products)
 
     def element_list(self) -> list[Permutation]:
