@@ -126,8 +126,6 @@ def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
         if n > max_degree:
             raise CapExceededError("degree", n, max_degree)
     if spec.kind == "cyclic":
-        if n == 1:
-            return PermGroup([Permutation.identity(1)], degree=1)
         return PermGroup([Permutation.from_cycles(n, [list(range(n))])], degree=n)
     if spec.kind == "dihedral":
         rot = Permutation.from_cycles(n, [list(range(n))])

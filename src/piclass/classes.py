@@ -103,9 +103,11 @@ class ClassTable:
     pi-element exactly when its support lies inside the bits of pi, so one
     histogram of classes per support answers k_pi for every pi
     (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
-    ``histogram()`` is the one of G.  ``normal_masks`` maps the element set
-    of each normal subgroup met so far (the lattice, the kernels of
-    ``normal_k_pi``) to its bitset.
+    ``histogram()`` is the one of G.  A subgroup is normal exactly when it
+    is a union of classes, so ``normal_mask(key)`` is the one normality test
+    on element sets.  ``normal_masks`` maps the element set of each normal
+    subgroup met so far (the lattice, the kernels of ``normal_k_pi``) to its
+    bitset.
     """
 
     def __init__(self, group: PermGroup, classes, members: list[list[Images]],
@@ -154,6 +156,12 @@ class ClassTable:
                 raise NotInGroupError(f"element not in group: {Permutation._make(im)!r}")
             mask |= 1 << idx
         return mask
+
+    def normal_mask(self, key) -> int | None:
+        """Bitset of the classes the subgroup with element set ``key`` meets,
+        when they hold exactly its elements (it is normal); None otherwise."""
+        mask = self.mask_of(key)
+        return mask if self.order(mask) == len(key) else None
 
     def _row(self, i: int) -> list[int | None]:
         """Row i of the supports matrix, allocated on first use."""

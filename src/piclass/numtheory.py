@@ -66,14 +66,14 @@ def is_pi_number(n: int, pi: frozenset[int]) -> bool:
 MAX_PRIME = 2**31 - 1
 
 
-def validate_pi(pi, *, allow_empty: bool = False) -> frozenset[int]:
+def validate_pi(pi) -> frozenset[int]:
     """Normalize a prime-set argument, rejecting non-primes, primes above
     ``MAX_PRIME`` and duplicates by construction."""
     try:
         out = frozenset(pi)
     except TypeError:  # not iterable, or holds unhashable items
         raise InvalidInputError(f"pi must be a set of primes, not {pi!r}") from None
-    if not out and not allow_empty:
+    if not out:
         raise InvalidInputError("pi must be a non-empty set of primes")
     for p in out:
         if isinstance(p, int) and p > MAX_PRIME:

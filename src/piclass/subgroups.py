@@ -157,11 +157,10 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
 
 def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     """The element sets of the conjugates of the subgroup whose element set
-    is ``key``.  A subgroup that is a union of classes of G is normal, so
-    its one conjugate is itself and no orbit is walked; for any other the
-    set is the orbit of ``key`` under conjugation (``orbit_transversal``)."""
-    table = conjugacy_classes(group)
-    if table.order(table.mask_of(key)) == len(key):
+    is ``key``.  A normal subgroup (``ClassTable.normal_mask``) is its own
+    one conjugate and walks no orbit; for any other the set is the orbit of
+    ``key`` under conjugation (``orbit_transversal``)."""
+    if conjugacy_classes(group).normal_mask(key) is not None:
         return {key}
     return orbit_transversal(group, key, conjugate_set).keys()
 
@@ -316,10 +315,10 @@ def _normal_class_mask(group: PermGroup, kernel: PermGroup) -> int:
     key = kernel.element_set()
     mask = table.normal_masks.get(key)
     if mask is None:
-        if not is_normal(group, kernel):
+        mask = table.normal_mask(key)
+        if mask is None:
             raise PreconditionError("kernel is not normal in the group")
-        gens = table.mask_of(g.images for g in kernel.generators)
-        mask = table.normal_masks[key] = table.closure(gens)
+        table.normal_masks[key] = mask
     return mask
 
 
@@ -499,18 +498,18 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
     if all_d_p_one(group, pi):
-        for direction, primes in (("descending", sorted(relevant, reverse=True)),
-                                  ("ascending", sorted(relevant))):
-            cur = group
-            hgens: list[Permutation] = []
-            for p in primes:
-                syl = sylow_subgroup(cur, p)
-                hgens.extend(syl.generators)
-                cur = centralizer_of_subgroup(cur, syl)
-            cand = subgroup(group, hgens, verify=False)
-            if cand.order == target:
-                return found(cand, "constructive",
-                             f"Sylow subgroups in iterated centralizers ({direction})")
+        # d_p = 1 gives a normal p-complement K_p, so N = the meet of the K_p
+        # is a normal pi-complement, and G/N is abelian.  Each Sylow subgroup
+        # of an iterated centralizer is then one of G, and it lies with the
+        # earlier ones in one abelian Hall subgroup of that centralizer.
+        cur = group
+        hgens: list[Permutation] = []
+        for p in sorted(relevant, reverse=True):
+            syl = sylow_subgroup(cur, p)
+            hgens.extend(syl.generators)
+            cur = centralizer_of_subgroup(cur, syl)
+        return found(subgroup(group, hgens, verify=False), "constructive",
+                     "Sylow subgroups in iterated centralizers (descending)")
 
     rng = random.Random(seed)
     for attempt in range(budget):
@@ -688,12 +687,11 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
     since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
     are built as the H-conjugation orbits of the coset x^k H, read through
-    the table of x^k (a x^k b is the conjugate of x^k b a by a); when x
-    normalizes H (in particular when it centralizes H), a x^k = x^k
-    (x^-k a x^k) puts H x^k H = x^k H, so that coset is added as it is,
-    with no orbit walk.  A skipped y would only rebuild a K that
-    ``register`` has already seen (or that the pi filter dropped), so no
-    class is lost.
+    the table of x^k (a x^k b is the conjugate of x^k b a by a).  A prime
+    step x never normalizes H in case (b): if it did, |K : H| would be
+    |<x> : <x> meet H| = q, and (a) would apply.  A skipped y would only
+    rebuild a K that ``register`` has already seen (or that the pi filter
+    dropped), so no class is lost.
 
     ``register`` marks every conjugate of a new class as seen
     (``conjugates``): a normal subgroup, a union of classes of G, is its
@@ -734,20 +732,13 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
             if is_prime(extended.order // base.order):  # H is maximal in <H, x>
                 covered.update(extended.element_set())
             else:  # the double cosets H x^k H, k coprime to |x|
-                pair = conjugation_pairs([x])[0]
-                normalizing = all(conjugate_images(pair, g.images) in base_set
-                                  for g in base.generators)
                 times_x = left_multiplier(xim)
                 power = xim
                 for k in range(1, n):
                     if power not in covered and math.gcd(k, n) == 1:
-                        coset = left_products(power, base_set)  # x^k H
-                        if normalizing:  # H x^k H = x^k H
-                            covered.update(coset)
-                        else:
-                            for y in coset:
-                                if y not in covered:
-                                    covered.update(conjugation_orbit(y, base_pairs))
+                        for y in left_products(power, base_set):  # x^k H
+                            if y not in covered:
+                                covered.update(conjugation_orbit(y, base_pairs))
                     power = times_x(power)
             if pi is not None and not is_pi_number(extended.order, pi):
                 continue

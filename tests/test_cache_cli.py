@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -124,6 +125,17 @@ def test_verify_single_group_pass(runner):
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["summary"] == {"pass": 1}
+
+
+@pytest.mark.parametrize("filename, summary", [
+    pytest.param("agl17_regular.grp", {"pass": 15, "vacuous": 9}, id="agl17"),
+    pytest.param("a5_regular.grp", {"pass": 17, "vacuous": 7}, id="a5"),
+])
+def test_verify_group_files_beyond_the_census(runner, filename, summary):
+    path = Path(__file__).parent / "data" / filename
+    result = runner.invoke(main, ["verify", str(path), "--suite", "all"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["summary"] == summary
 
 
 def test_verify_selftest_fails_with_bundle(runner, tmp_path):

@@ -152,6 +152,12 @@ def small_order_and_any(draw):
     return [Permutation(g).images, Permutation(draw(st.permutations(list(range(n))))).images]
 
 
+# A 257-cycle and the transposition (255 256), in the tuple layout: explicit
+# examples run first and are not shrunk, so a broken tuple branch fails fast.
+CYCLE_257 = Permutation([*range(1, 257), 0]).images
+SWAP_257 = Permutation([*range(255), 256, 255]).images
+
+
 def naive_compose(a, b):
     return tuple(a[b[q]] for q in range(len(b)))
 
@@ -185,6 +191,7 @@ def as_tuples(images_list):
 @given(image_tuples(2))
 @example([b"\x00", b"\x00"])
 @example([tuple(range(257))] * 2)
+@example([CYCLE_257, SWAP_257])
 def test_composition_and_conjugation_match_naive(ims):
     a, b = ims
     assert tuple(compose_images(a, b)) == naive_compose(a, b)
@@ -200,6 +207,7 @@ def test_composition_and_conjugation_match_naive(ims):
 
 @given(image_tuples(7))
 @example([b"\x00"] * 7)
+@example([CYCLE_257, SWAP_257, CYCLE_257, SWAP_257, CYCLE_257, SWAP_257, CYCLE_257])
 def test_conjugate_set_matches_naive(ims):
     g, *key = ims
     pair = conjugation_pairs([Permutation(g)])[0]
@@ -212,6 +220,7 @@ def test_conjugate_set_matches_naive(ims):
 @settings(deadline=None)
 @given(small_order_and_any(), st.integers(min_value=1, max_value=7))
 @example([b"\x00", b"\x00"], 1)
+@example([SWAP_257, CYCLE_257], 1)
 def test_cyclic_conjugation_orbit_matches_naive(ims, k):
     """The whole orbit under <g> (at most 420 conjugates, g moving at most
     20 points), walked with the pairs of g and g^k.  At degree 262 the
@@ -224,6 +233,7 @@ def test_cyclic_conjugation_orbit_matches_naive(ims, k):
 
 @given(image_tuples(4), st.integers(min_value=1, max_value=40))
 @example([b"\x00"] * 4, 1)
+@example([CYCLE_257, SWAP_257, CYCLE_257, SWAP_257], 5)
 def test_limited_conjugation_orbit_matches_naive(ims, limit):
     x, *gens = ims
     pairs = conjugation_pairs(map(Permutation, gens))

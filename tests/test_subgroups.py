@@ -1,5 +1,6 @@
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,12 +23,12 @@ from oracles import (
     socle_by_element_sets,
     subgroup_classes_by_orbit_skip,
 )
-from piclass.catalog import build, census_specs, parse_name
+from piclass.catalog import build, census_specs, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
-from piclass.numtheory import is_pi_number, is_prime, prime_factors
+from piclass.numtheory import is_pi_number, is_prime, pi_part, prime_factors
 from piclass.perm import (
     Permutation,
     conjugate,
@@ -280,14 +281,18 @@ def test_coset_closure_matches_chain_oracle(name, named):
 
 
 def test_quotient_k_pi_outside_the_lattice(named):
-    s4 = named("S4")
-    v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
-    assert quotient_k_pi(s4, v4, [2]) == 2  # S3 has two 2-classes
-    assert quotient_k_pi(s4, v4, [2, 3]) == 3
-    assert quotient_k_pi(s4, s4, [3]) == 1
-    assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
-    with pytest.raises(PreconditionError):
-        quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+    """The shared S4 may have its lattice built; a fresh one has none, so
+    each of its kernels is tested by ``ClassTable.normal_mask``."""
+    fresh = build(parse_name("S4"))
+    for s4 in (named("S4"), fresh):
+        v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+        assert quotient_k_pi(s4, v4, [2]) == 2  # S3 has two 2-classes
+        assert quotient_k_pi(s4, v4, [2, 3]) == 3
+        assert quotient_k_pi(s4, s4, [3]) == 1
+        assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
+        with pytest.raises(PreconditionError):
+            quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+    assert "normal_subgroups" not in fresh.cache
 
 
 def test_pi_counts_match_order_sums_on_the_census(census_entries):
@@ -329,14 +334,20 @@ def test_normal_k_pi_matches_class_table_of_n(name, named):
 
 
 def test_normal_k_pi_outside_the_lattice(named):
-    s4 = named("S4")
-    v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
-    for n in (v4, trivial_subgroup(s4), s4):
-        _assert_normal_k_pi_matches_class_table(s4, n)
-    assert normal_k_pi(s4, v4, [2]) == 4  # V4 is abelian
-    assert normal_k_pi(s4, s4, [2, 3]) == 5
-    with pytest.raises(PreconditionError):
-        normal_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+    """As for ``quotient_k_pi``, on the shared S4 and on a fresh one."""
+    fresh = build(parse_name("S4"))
+    for s4 in (named("S4"), fresh):
+        v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+        for n in (v4, trivial_subgroup(s4), s4):
+            _assert_normal_k_pi_matches_class_table(s4, n)
+        assert normal_k_pi(s4, v4, [2]) == 4  # V4 is abelian
+        assert normal_k_pi(s4, s4, [2, 3]) == 5
+        with pytest.raises(PreconditionError):
+            normal_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+    assert "normal_subgroups" not in fresh.cache
+    s3 = PermGroup([parse_cycle_text("(0 1)", 4), parse_cycle_text("(0 1 2)", 4)])
+    with pytest.raises(NotInGroupError):  # a kernel with elements outside G
+        normal_k_pi(s3, subgroup(fresh, [parse_cycle_text("(2 3)", 4)]), [2])
 
 
 def test_class_closures_and_splits_match_their_oracles(census_entries):
@@ -573,6 +584,37 @@ def test_hall_found_verification_fields(named):
     assert out.found and out.subgroup.order == 8
     assert out.method in ("constructive", "randomized", "exhaustive")
     assert out.route
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("filename, pi, budget, method, route", [
+    # AGL(1,7) = C7 x| C6 on its 42 elements: d_2 = d_3 = 1, and the two
+    # Sylow subgroups the chain order picks generate all of G
+    pytest.param("agl17_regular.grp", [2, 3], 20, "constructive",
+                 "Sylow subgroups in iterated centralizers (descending)", id="agl17-centralizer"),
+    # A5 on its 60 elements (left multiplication), points shuffled by
+    # random.Random(1): the Sylow closure is A5 and d_2 < 1
+    pytest.param("a5_regular.grp", [2, 3], 20, "randomized",
+                 "random Sylow conjugates, attempt 1", id="a5-randomized"),
+    pytest.param("a5_regular.grp", [2, 3], 0, "exhaustive", "pi-subgroup enumeration",
+                 id="a5-exhaustive"),
+])
+def test_hall_routes_beyond_the_census(filename, pi, budget, method, route):
+    """The centralizer, randomized and exhaustive tiers each end a search
+    on a regular representation; no census search reaches the first two."""
+    g = parse_group_file((DATA / filename).read_text())
+    out = hall_search(g, pi, budget=budget)
+    assert out.found and out.subgroup.order == pi_part(g.order, frozenset(pi))
+    assert (out.method, out.route) == (method, route)
+
+
+def test_hall_none_exists_on_regular_a5():
+    g = parse_group_file((DATA / "a5_regular.grp").read_text())
+    assert g.order == 60
+    out = hall_search(g, [2, 5])
+    assert (out.status, out.method) == ("none_exists", "exhaustive")
 
 
 def test_hall_search_runs_once_per_arguments(monkeypatch):
