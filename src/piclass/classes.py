@@ -29,6 +29,7 @@ from .perm import (
     conjugation_orbit,
     conjugation_orbits,
     conjugation_pairs,
+    left_multiplier,
     left_products,
 )
 
@@ -83,20 +84,30 @@ class ClassTable:
       (x^-1 = x^(|x| - 1)).  The walk stops once the classes reached hold
       more than |G|/p elements, p the least prime of |G|: |<S>| divides
       |G|, so <S> is then G.  The lattice seeds and the normal cores read
-      the same single-class entries.
+      the same single-class entries.  The order reached is carried, each
+      class adding its size as the walk reaches it.
     - ``block(mask, i)``: the support of C_i * N, that is the class of x * N
       in G/N (x in class i) lifted to G.  It is built once per class of G/N,
-      from one row of supports, and recorded under every class it holds.
-      ``join(N, M)``, the class set of N * M, reads a block only for a class
-      of M not yet in the union; ``fusion(N)`` lists the classes of G/N as
-      the blocks of the classes no earlier block covers.
+      from one row of supports, and recorded under every class it holds,
+      with its order summed in the same pass.  ``join(N, M)``, the class
+      set of N * M, reads a block only for a class of M not yet in the
+      union; ``fusion(N)`` lists the classes of G/N as the blocks of the
+      classes no earlier block covers, and checks that they partition G
+      into unions of cosets of N from the blocks' orders.
     - ``normal_histogram(mask, gens)``: prime support -> number of classes
       of N, summed from ``class_splits``.  The orbit walk behind a split
       stops once it passes |C|/p, for p the least prime of gcd(|C|, |G:N|):
       the split divides that gcd, so a longer orbit means a split of 1.
     - ``quotient_histogram(mask)``: prime support -> number of classes of
       G/N.  The order of x * N is the least e with x^e in N, read from
-      ``power_class``.
+      x's power map.
+    - ``power_map(i)``: the class power map of class i, entry e the class
+      of rep_i^e for e < |rep_i|, one product per power through rep_i's
+      table, built on first use.  ``rational_class(i)`` reads from it the
+      classes of rep_i^e for e coprime to |rep_i| (Holt, Eick and O'Brien,
+      *Handbook of Computational Group Theory*): their members generate
+      conjugates of <rep_i>, so they all have one closure, and the lattice
+      seeds and the normal cores close one class per rational class.
 
     The prime support of an element order is the bitmask of the primes of
     |G| that divide it: bit t for ``primes[t]``.  An element is a
@@ -105,15 +116,18 @@ class ClassTable:
     (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
     ``histogram()`` is the one of G.  A subgroup is normal exactly when it
     is a union of classes, so ``normal_mask(key)`` is the one normality test
-    on element sets.  ``normal_masks`` maps the element set of each normal
-    subgroup met so far (the lattice, the kernels of ``normal_k_pi``) to its
-    bitset.
+    on element sets; it sums the sizes of the classes met, not the bits of
+    a mask.  ``order(mask)`` sums the sizes of a class set for the callers
+    that carry no order.  ``normal_masks`` maps the element set of each
+    normal subgroup met so far (the lattice, the kernels of
+    ``normal_k_pi``) to its bitset.
     """
 
     def __init__(self, group: PermGroup, classes, members: list[list[Images]],
                  index_of: dict[Images, int]):
         self.group = group
         self.classes: tuple[ConjClass, ...] = tuple(classes)
+        self._sizes = tuple(c.size for c in self.classes)
         self.members = members
         self._index_of = index_of
         k = len(self.classes)
@@ -126,11 +140,12 @@ class ClassTable:
         self._supports: dict[int, list[int | None]] = {}
         self._closures: dict[int, int] = {}
         self._blocks: dict[int, list[int | None]] = {}
+        self._block_orders: dict[int, int] = {}  # block -> its order, set as it is built
+        self._power_maps: dict[int, list[int]] = {}
         self._prime_supports: dict[int, int] = {}  # element order -> its support
         self._histogram: dict[int, int] | None = None
         self._normal_histograms: dict[int, dict[int, int]] = {}
         self._quotient_histograms: dict[int, dict[int, int]] = {}
-        self._powers: dict[tuple[int, int], int] = {}
         self.normal_masks: dict[frozenset[Images], int] = {}
 
     @property
@@ -144,24 +159,29 @@ class ClassTable:
         return idx
 
     def sizes(self) -> list[int]:
-        return [c.size for c in self.classes]
+        return list(self._sizes)
+
+    def _classes_met(self, images) -> set[int]:
+        """The classes that the elements given by ``images`` meet."""
+        met = set(map(self._index_of.get, images))
+        if None in met:
+            outsider = next(im for im in images if im not in self._index_of)
+            raise NotInGroupError(f"element not in group: {Permutation._make(outsider)!r}")
+        return met
 
     def mask_of(self, images) -> int:
         """Bitset of the classes that the elements given by ``images`` meet."""
-        index_of = self._index_of
-        mask = 0
-        for im in images:
-            idx = index_of.get(im)
-            if idx is None:
-                raise NotInGroupError(f"element not in group: {Permutation._make(im)!r}")
-            mask |= 1 << idx
-        return mask
+        return sum(1 << i for i in self._classes_met(images))
 
     def normal_mask(self, key) -> int | None:
         """Bitset of the classes the subgroup with element set ``key`` meets,
-        when they hold exactly its elements (it is normal); None otherwise."""
-        mask = self.mask_of(key)
-        return mask if self.order(mask) == len(key) else None
+        when they hold exactly its elements (it is normal); None otherwise.
+        The order of those classes is summed over the classes met, with no
+        walk of the bitset."""
+        met = self._classes_met(key)
+        if sum(map(self._sizes.__getitem__, met)) != len(key):
+            return None
+        return sum(1 << i for i in met)
 
     def _row(self, i: int) -> list[int | None]:
         """Row i of the supports matrix, allocated on first use."""
@@ -192,14 +212,17 @@ class ClassTable:
         reached is multiplied by the classes of ``mask`` only, and the walk
         stops as soon as the classes reached hold more than |G|/p elements,
         p the least prime of |G|: the order of the closure divides |G|, so
-        it is then G.  Cached."""
+        it is then G.  The order reached is carried: each class adds its size
+        as it is pushed onto the walk.  Cached."""
         closed = self._closures.get(mask)
         if closed is None:
+            sizes = self._sizes
+            lagrange = self._lagrange
             gens = list(_bits(mask))
             todo = list(gens)
             closed = mask
-            reached = self.order(mask)
-            while todo and reached <= self._lagrange:
+            reached = sum(map(sizes.__getitem__, gens))
+            while todo and reached <= lagrange:
                 i = todo.pop()
                 row = self._row(i)
                 for j in gens:
@@ -209,11 +232,12 @@ class ClassTable:
                     new = met & ~closed
                     if new:
                         closed |= new
-                        reached += self.order(new)
-                        if reached > self._lagrange:
+                        for c in _bits(new):
+                            reached += sizes[c]
+                            todo.append(c)
+                        if reached > lagrange:
                             break
-                        todo.extend(_bits(new))
-            if reached > self._lagrange:
+            if reached > lagrange:
                 closed = self.full
             self._closures[mask] = closed
         return closed
@@ -223,7 +247,8 @@ class ClassTable:
         ``normal``: the classes meeting x * N, x in class i, that is the class
         of x * N in G/N lifted to G.  Every class in it gives the same block,
         so it is built once per class of G/N and recorded under each of its
-        classes."""
+        classes; its order is summed in the same pass and kept for
+        ``fusion``."""
         blocks = self._blocks.get(normal)
         if blocks is None:
             blocks = self._blocks[normal] = [None] * self.k
@@ -234,8 +259,12 @@ class ClassTable:
             for j in _bits(normal):
                 support = row[j]
                 met |= self._support(i, j) if support is None else support
+            sizes = self._sizes
+            order = 0
             for c in _bits(met):
                 blocks[c] = met
+                order += sizes[c]
+            self._block_orders[met] = order
         return met
 
     def join(self, normal: int, other: int) -> int:
@@ -250,7 +279,9 @@ class ClassTable:
     def fusion(self, normal: int) -> list[int]:
         """The classes of G/N as bitsets of G-classes, in order of their
         first G-class: the block of each class not covered by an earlier
-        block."""
+        block.  The first is N itself, the block of the identity's class.
+        The check that the blocks partition G into unions of cosets of N
+        reads the orders the blocks carry."""
         blocks = []
         covered = 0
         for i in range(self.k):
@@ -258,9 +289,10 @@ class ClassTable:
                 met = self.block(normal, i)
                 blocks.append(met)
                 covered |= met
-        n = self.order(normal)
-        sizes = [self.order(b) for b in blocks]
-        if covered != self.full or sum(sizes) != self.group.order or any(s % n for s in sizes):
+        sizes = list(map(self._block_orders.__getitem__, blocks))
+        n = sizes[0]
+        if (covered != self.full or blocks[0] != normal or sum(sizes) != self.group.order
+                or any(s % n for s in sizes)):
             raise AssertionError("class fusion does not partition the group into cosets")
         return blocks
 
@@ -332,32 +364,49 @@ class ClassTable:
         G/N, for the normal subgroup N with class set ``normal``.  The order
         of x * N, x the representative of a fusion block's first class, is
         the least e with x^e in N: starting from |x|, each prime is divided
-        out while the power stays in N.  Cached per class set."""
+        out while the power stays in N, read from x's power map.  Cached per
+        class set."""
         counts = self._quotient_histograms.get(normal)
         if counts is None:
-            classes = self.classes
             counts = self._quotient_histograms[normal] = {}
             for block in self.fusion(normal):
-                i = (block & -block).bit_length() - 1
-                order = classes[i].order
+                powers = self.power_map((block & -block).bit_length() - 1)
+                order = len(powers)
                 for p in prime_factors(order):
-                    while order % p == 0 and normal >> self.power_class(i, order // p) & 1:
+                    while order % p == 0 and normal >> powers[order // p] & 1:
                         order //= p
                 support = self.prime_support(order)
                 counts[support] = counts.get(support, 0) + 1
         return counts
 
-    def power_class(self, i: int, e: int) -> int:
-        """The class of rep_i ** e, memoised per (class, exponent)."""
-        key = (i, e)
-        power = self._powers.get(key)
-        if power is None:
-            power = self._powers[key] = self.class_of(self.classes[i].rep ** e)
-        return power
+    def power_map(self, i: int) -> list[int]:
+        """The class power map of class i: entry e is the class of rep_i ** e,
+        for 0 <= e < |rep_i|.  Each power is one product through rep_i's
+        table, starting from the identity (class 0: its images are the least
+        of all).  Built on first use."""
+        powers = self._power_maps.get(i)
+        if powers is None:
+            index_of = self._index_of
+            times_rep = left_multiplier(self.classes[i].rep.images)
+            power = self.classes[0].rep.images
+            powers = self._power_maps[i] = []
+            for _ in range(self.classes[i].order):
+                powers.append(index_of[power])
+                power = times_rep(power)
+        return powers
+
+    def rational_class(self, i: int) -> int:
+        """Bitset of the classes of rep_i ** e for e coprime to |rep_i|: the
+        rational class of class i, the classes whose members generate a
+        conjugate of <rep_i>.  They all have the normal closure of class i,
+        so one closure per rational class reads every seed of the lattice."""
+        powers = self.power_map(i)
+        n = len(powers)
+        return sum({1 << c for e, c in enumerate(powers) if gcd(e, n) == 1})
 
     def order(self, mask: int) -> int:
-        classes = self.classes
-        return sum(classes[i].size for i in _bits(mask))
+        """Number of elements in the classes of ``mask``."""
+        return sum(map(self._sizes.__getitem__, _bits(mask)))
 
     def elements(self, mask: int) -> list[Images]:
         """Images of the members of the classes in ``mask``."""

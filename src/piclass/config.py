@@ -3,6 +3,11 @@
 ``max_elements`` is the one element cap.  It is checked once, against |G|,
 where a run on G starts (``Config.check_element_cap``): every group a run
 builds from G is a subgroup or a quotient of G, so none holds more elements.
+
+``max_quotient_degree`` bounds only ``subgroups.quotient()``, the coset
+action on G/N, whose default cap it mirrors.  No suite reads it: the
+quotient suite counts the classes of G/N in the class table of G and builds
+no G/N.  Every report prints it, so the field stays.
 """
 
 import json

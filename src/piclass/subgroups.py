@@ -266,11 +266,13 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
 
     Seeds are the normal closures of the conjugacy class representatives;
     every normal subgroup is the join of the seeds it contains, so closing
-    the seed set under joins with single seeds is exhaustive.  The closing
-    runs in the class table, on class bitsets: a join is the class set of
-    N * M.  Bitsets are walked in the order found; a seed is joined with the
-    seeds after it and any other bitset with every seed, so each unordered
-    pair is joined at most once.  A subgroup is made only for a bitset seen
+    the seed set under joins with single seeds is exhaustive.  The classes
+    of a rational class (``ClassTable.rational_class``) share one closure,
+    so only the first class of each is closed.  The closing runs in the
+    class table, on class bitsets: a join is the class set of N * M.
+    Bitsets are walked in the order found; a seed is joined with the seeds
+    after it and any other bitset with every seed, so each unordered pair
+    is joined at most once.  A subgroup is made only for a bitset seen
     for the first time, on the generators of the normal closure of its class
     representative or on those of the two joined subgroups; every element
     set is read from its bitset, so no join runs a closure, and a seed's
@@ -284,7 +286,11 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     table = conjugacy_classes(group)
     found: dict[int, PermGroup] = {}
     seeds = []  # the identity's class comes first and gives the trivial group
+    closed = 0  # the classes of the rational classes closed so far
     for i, cls in enumerate(table.classes):
+        if closed >> i & 1:
+            continue
+        closed |= table.rational_class(i)
         mask = table.closure(1 << i)
         if mask not in found:
             elements = frozenset(table.elements(mask))
@@ -563,7 +569,8 @@ def _normal_core(group: PermGroup, primes) -> PermGroup:
     classes of the core: the core holds every normal ``primes``-subgroup,
     and the closure of each of its classes lies inside it.  So
     ``normal_closure`` is handed the core's element set, which stops its
-    walk early and keeps the same generators.
+    walk early and keeps the same generators.  A class in the rational
+    class of a class already closed has that closure, so it is skipped too.
     """
     table = conjugacy_classes(group)
     bits = table.pi_bits(primes)
@@ -571,8 +578,10 @@ def _normal_core(group: PermGroup, primes) -> PermGroup:
                   if not table.prime_support(cls.order) & ~bits)
     picked: list[Permutation] = []
     covered = 0
+    closed = 0  # the classes of the rational classes closed so far
     for i, cls in enumerate(table.classes):
-        if (allowed & ~covered) >> i & 1:
+        if (allowed & ~(covered | closed)) >> i & 1:
+            closed |= table.rational_class(i)
             mask = table.closure(1 << i)
             if mask & ~allowed == 0:
                 picked.append(cls.rep)

@@ -130,12 +130,20 @@ def test_verify_single_group_pass(runner):
 @pytest.mark.parametrize("filename, summary", [
     pytest.param("agl17_regular.grp", {"pass": 15, "vacuous": 9}, id="agl17"),
     pytest.param("a5_regular.grp", {"pass": 17, "vacuous": 7}, id="a5"),
+    pytest.param("psl27.grp", {"pass": 17, "vacuous": 7}, id="psl27"),
+    # orders past 2,048: the quotient suite checks every normal subgroup
+    pytest.param("a7.grp", {"pass": 31, "vacuous": 17}, id="a7"),
+    pytest.param("s7.grp", {"pass": 31, "vacuous": 17}, id="s7"),
+    pytest.param("m11.grp", {"pass": 31, "vacuous": 17}, id="m11"),
+    pytest.param("s8.grp", {"pass": 31, "vacuous": 17}, id="s8"),
 ])
 def test_verify_group_files_beyond_the_census(runner, filename, summary):
     path = Path(__file__).parent / "data" / filename
     result = runner.invoke(main, ["verify", str(path), "--suite", "all"])
     assert result.exit_code == 0, result.output
-    assert json.loads(result.output)["summary"] == summary
+    doc = json.loads(result.output)
+    assert not {"fail", "partial"} & set(doc["summary"])
+    assert doc["summary"] == summary
 
 
 def test_verify_selftest_fails_with_bundle(runner, tmp_path):
@@ -154,10 +162,10 @@ def test_verify_selftest_fails_with_bundle(runner, tmp_path):
 
 
 def test_verify_replay_prints_the_bundle_config(runner, tmp_path):
-    s4 = build(parse_name("S4"))
-    config = Config(max_quotient_degree=2)
-    verdict = run_group_suite(s4, "S4", ["quotient"], config)[0]
-    bundle = write_counterexample_bundle(str(tmp_path / "capped"), s4, verdict,
+    c12 = build(parse_name("C12"))
+    config = Config(subgroup_cap=10)
+    verdict = run_group_suite(c12, "C12", ["main"], config, pi_sets=[[2, 3]])[0]
+    bundle = write_counterexample_bundle(str(tmp_path / "capped"), c12, verdict,
                                          config.to_dict())
     result = runner.invoke(main, ["verify", "--replay", bundle])
     assert result.exit_code == 0

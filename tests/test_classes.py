@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_centralizer, brute_conjugacy_partition
+from piclass.catalog import parse_group_file
 from piclass.classes import (
     conjugacy_classes,
     k_pi,
@@ -165,3 +168,32 @@ def test_conjugation_consistency(named):
             moved = conjugate(h, cls.rep)
             assert table.class_of(moved) == table.class_of(cls.rep)
             assert moved.order() == cls.order
+
+
+def test_power_maps_match_powers_on_the_census(census_entries):
+    """Entry e of each class's power map is the class of rep ** e, and its
+    rational class holds the classes of the powers of rep that have rep's
+    order, that is the generators of <rep>, on every census class table."""
+    for name, g in census_entries:
+        table = conjugacy_classes(g)
+        for i, cls in enumerate(table.classes):
+            powers = [cls.rep ** e for e in range(cls.order)]
+            assert table.power_map(i) == [table.class_of(x) for x in powers], (name, i)
+            generators = {table.class_of(x) for x in powers if x.order() == cls.order}
+            assert table.rational_class(i) == sum(1 << c for c in generators), (name, i)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("filename, order, k", [
+    ("psl27.grp", 168, 6),
+    ("a7.grp", 2520, 9),
+    ("s7.grp", 5040, 15),
+    ("m11.grp", 7920, 10),
+    ("s8.grp", 40320, 22),
+])
+def test_group_files_have_their_known_orders_and_class_counts(filename, order, k):
+    g = parse_group_file((DATA / filename).read_text())
+    assert g.order == order
+    assert conjugacy_classes(g).k == k

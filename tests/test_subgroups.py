@@ -433,6 +433,74 @@ def test_lattice_joins_each_unordered_pair_once(monkeypatch):
     assert max(pairs.values()) == 1
 
 
+def test_lattice_closes_one_class_per_cyclic_subgroup(monkeypatch):
+    """C6 x C6 is abelian, so each element is a class, and a rational class
+    holds the generators of one cyclic subgroup: the lattice closes 20 class
+    sets, one per cyclic subgroup (1 + 3 + 4 + 12), not one per class (36)."""
+    closed = []
+    closure = ClassTable.closure
+    monkeypatch.setattr(ClassTable, "closure",
+                        lambda self, mask: closed.append(mask) or closure(self, mask))
+    g = build(parse_name("C6 x C6"))  # fresh: no cached lattice
+    normal_subgroups(g)
+    cyclic = {frozenset((x ** e).images for e in range(x.order())) for x in g.element_list()}
+    assert len(closed) == len(set(closed)) == len(cyclic) == 20
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_rational_classes_share_their_leaders_closure(name, named):
+    """Every class in the rational class of class i has the all-pairs
+    closure of class i, and the same rational class."""
+    table = conjugacy_classes(named(name))
+    for i in range(table.k):
+        rational = table.rational_class(i)
+        assert rational >> i & 1
+        leader = closure_by_all_pairs(table, 1 << i)
+        assert table.closure(1 << i) == leader, (name, i)
+        for j in range(table.k):
+            if rational >> j & 1:
+                assert closure_by_all_pairs(table, 1 << j) == leader, (name, i, j)
+                assert table.rational_class(j) == rational, (name, i, j)
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_carried_orders_are_the_sums_of_class_sizes(name, named):
+    """The orders that closures, blocks and ``normal_mask`` carry equal the
+    sums of their class sizes, on a fresh table.  A closure's carried order
+    is read through its Lagrange stop: with the stop set just below the
+    closure's true order the walk must end at the whole group, and with it
+    set at that order the walk must end at the closure."""
+    g = named(name)
+    table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
+    sizes = table.sizes()
+
+    def order(mask):
+        return sum(size for i, size in enumerate(sizes) if mask >> i & 1)
+
+    normals = normal_subgroups(g)
+    masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normals]
+    sets = [1 << i for i in range(table.k)]
+    sets += [table.mask_of([x.images for x in n.generators]) for n in normals]
+    lagrange = table._lagrange
+    for mask in sets:
+        closed = closure_by_all_pairs(table, mask)
+        for stop, expected in ((order(closed) - 1, table.full), (order(closed), closed)):
+            table._closures.clear()
+            table._lagrange = stop
+            assert table.closure(mask) == expected, (name, mask, stop)
+    table._closures.clear()
+    table._lagrange = lagrange
+    for mask in masks:
+        for block in table.fusion(mask):
+            assert table._block_orders[block] == order(block), (name, mask)
+    subs = normals + [sylow_subgroup(g, p) for p in prime_factors(g.order)]
+    subs += [subgroup(g, [cls.rep]) for cls in table.classes]
+    for h in subs:
+        key = h.element_set()
+        met = table.mask_of(key)
+        assert table.normal_mask(key) == (met if order(met) == len(key) else None), name
+
+
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_normal_closure_with_known_elements_keeps_its_generators(name, named):
     """Stopping the conjugate walk at the known order, and taking the set

@@ -148,10 +148,14 @@ def test_quotient_bound_examples(named):
     assert witness["normal_subgroups"] == 4
     assert witness["checked"] == 4 * 3  # four normals, three prime subsets
 
-    config = Config(max_quotient_degree=2)
-    status, witness = check_quotient_bound(named("S4"), config=config)
-    assert status == PARTIAL
-    assert "skipped" in witness
+    # no G/N is built, so the quotient degree cap skips no N
+    assert check_quotient_bound(named("S4"), config=Config(max_quotient_degree=2)) == (
+        PASS, witness)
+    # a cap that still degrades a verdict is the subgroup cap, in the main suite
+    reports = run_group_suite(named("C12"), "C12", ["quotient", "main"],
+                              Config(subgroup_cap=10, max_quotient_degree=2), pi_sets=[[2, 3]])
+    assert [(r.result_id, r.status) for r in reports] == [
+        ("quotient-bound", PASS), ("hall-dichotomy", PARTIAL)]
 
 
 def _c4_failing_the_quotient_bound(monkeypatch):
@@ -320,15 +324,15 @@ def test_bundle_replay_every_suite(tmp_path, named):
 
 
 def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
-    s4 = named("S4")
-    verdict = run_group_suite(s4, "S4", ["quotient"], Config(max_quotient_degree=2))[0]
+    c12 = named("C12")
+    verdict = run_group_suite(c12, "C12", ["main"], Config(subgroup_cap=10), pi_sets=[[2, 3]])[0]
     assert verdict.status == PARTIAL
-    config = Config(max_quotient_degree=2).to_dict()
-    path = write_counterexample_bundle(tmp_path / "capped", s4, verdict, config)
+    config = Config(subgroup_cap=10).to_dict()
+    path = write_counterexample_bundle(tmp_path / "capped", c12, verdict, config)
     replayed, replayed_config = replay_counterexample(path)
     assert replayed.status == PARTIAL
     assert replayed.witness == verdict.witness
-    assert replayed_config == Config(max_quotient_degree=2)
+    assert replayed_config == Config(subgroup_cap=10)
 
 
 def test_verdict_serialization_excludes_timing(named):
