@@ -570,7 +570,8 @@ def _normal_core(group: PermGroup, primes) -> PermGroup:
     and the closure of each of its classes lies inside it.  So
     ``normal_closure`` is handed the core's element set, which stops its
     walk early and keeps the same generators.  A class in the rational
-    class of a class already closed has that closure, so it is skipped too.
+    class of a class whose closure left the allowed classes has that
+    closure, so it is skipped too.
     """
     table = conjugacy_classes(group)
     bits = table.pi_bits(primes)
@@ -578,14 +579,15 @@ def _normal_core(group: PermGroup, primes) -> PermGroup:
                   if not table.prime_support(cls.order) & ~bits)
     picked: list[Permutation] = []
     covered = 0
-    closed = 0  # the classes of the rational classes closed so far
+    rejected = 0  # the rational classes of the closures not picked
     for i, cls in enumerate(table.classes):
-        if (allowed & ~(covered | closed)) >> i & 1:
-            closed |= table.rational_class(i)
+        if (allowed & ~(covered | rejected)) >> i & 1:
             mask = table.closure(1 << i)
             if mask & ~allowed == 0:
                 picked.append(cls.rep)
                 covered |= mask
+            else:
+                rejected |= table.rational_class(i)
     core = normal_closure(group, picked, frozenset(table.elements(covered)))
     if not is_pi_number(core.order, primes):
         raise AssertionError("normal core has a disallowed prime")
