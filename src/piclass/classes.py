@@ -106,8 +106,9 @@ class ClassTable:
       table, built on first use.  ``rational_class(i)`` reads from it the
       classes of rep_i^e for e coprime to |rep_i| (Holt, Eick and O'Brien,
       *Handbook of Computational Group Theory*): their members generate
-      conjugates of <rep_i>, so they all have one closure, and the lattice
-      seeds and the normal cores close one class per rational class.
+      conjugates of <rep_i>, so they all have one closure: the lattice
+      closes one class per rational class, and the normal cores skip the
+      rational class of each closure they reject.
 
     The prime support of an element order is the bitmask of the primes of
     |G| that divide it: bit t for ``primes[t]``.  An element is a

@@ -464,8 +464,8 @@ def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
     """Apply the selected suites to every census group under ``config``, one
     group after another on this thread.  ``max_elements`` is checked against
     each group's order as its run starts (``run_group_suite``); the other
-    cap is ``subgroup_cap``, and the Hall search
-    takes ``hall_budget`` and ``seed``.
+    cap is ``subgroup_cap``, and the Hall search takes ``hall_budget`` and
+    ``seed``.
 
     Reports come back in census order; the summary counts verdicts per status.
     """
