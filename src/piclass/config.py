@@ -4,10 +4,10 @@
 where a run on G starts (``Config.check_element_cap``): every group a run
 builds from G is a subgroup or a quotient of G, so none holds more elements.
 
-``max_quotient_degree`` bounds only ``subgroups.quotient()``, the coset
-action on G/N, whose default cap it mirrors.  No suite reads it: the
-quotient suite counts the classes of G/N in the class table of G and builds
-no G/N.  Every report prints it, so the field stays.
+``max_quotient_degree`` bounds nothing: the quotient suite counts the
+classes of G/N in the class table of G and builds no G/N, and
+``subgroups.quotient()`` keeps its own default cap.  Every report prints
+it, so the field stays; it admits only that default.
 """
 
 import json
@@ -28,6 +28,10 @@ DEFAULT_MAX_DEGREE = 128
 WORKERS_ERROR = "workers must be 1: the campaign runs on one thread"
 # Every report prints "cache_dir": null, so the field stays; it admits one value.
 CACHE_DIR_ERROR = "cache_dir must be null: piclass keeps no on-disk cache"
+# Every report prints "max_quotient_degree": 2048, so the field stays; it
+# admits one value.
+MAX_QUOTIENT_DEGREE_ERROR = (f"max_quotient_degree must be {DEFAULT_MAX_QUOTIENT_DEGREE}: "
+                             "no check builds G/N, so nothing reads it")
 
 
 @dataclass(frozen=True)
@@ -60,12 +64,13 @@ class Config:
             if not ok:
                 expected = f.type.__name__ if isinstance(f.type, type) else f.type
                 raise InvalidInputError(f"{f.name} must be {expected}, not {value!r}")
-        for name in ("max_elements", "max_degree", "max_quotient_degree",
-                     "subgroup_cap", "max_order"):
+        for name in ("max_elements", "max_degree", "subgroup_cap", "max_order"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be positive")
         if self.workers != 1:
             raise InvalidInputError(WORKERS_ERROR)
+        if self.max_quotient_degree != DEFAULT_MAX_QUOTIENT_DEGREE:
+            raise InvalidInputError(MAX_QUOTIENT_DEGREE_ERROR)
         if self.hall_budget < 0:
             raise InvalidInputError("hall_budget must be >= 0")
         if self.output_format not in ("json", "csv", "text"):

@@ -240,6 +240,8 @@ def _write_replay_dirs(root):
         "list-rid": {"meta.json": json.dumps({**meta, "result_id": ["two-thirds-cap"]}),
                      "group.grp": group_file},
         "int-group": {"meta.json": json.dumps({**meta, "group": 3}), "group.grp": group_file},
+        "quotient-degree": {"meta.json": json.dumps({**meta, "config": {"max_quotient_degree": 2}}),
+                            "group.grp": group_file},
         "valid": {"meta.json": json.dumps(meta), "group.grp": group_file},
     }
     for name, files in bundles.items():
@@ -289,6 +291,8 @@ def _write_replay_dirs(root):
     ["verify", "--replay", "valid", "--max-order", "6"],
     ["cache", "stats"],
     ["verify", "D8", "--suite", "selftest", "--bundle-dir", "plain-file"],
+    ["verify", "C3", "--config", "quotient-degree.json"],
+    ["verify", "--replay", "quotient-degree"],
 ])
 def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -302,6 +306,7 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
     (tmp_path / "list.json").write_text("[]")
     (tmp_path / "two-workers.json").write_text('{"workers": 2}')
+    (tmp_path / "quotient-degree.json").write_text('{"max_quotient_degree": 2}')
     (tmp_path / "group-dir").mkdir()
     (tmp_path / "not-utf8.grp").write_bytes(b"\xff\xfe")
     (tmp_path / "plain-file").write_text("")

@@ -148,12 +148,9 @@ def test_quotient_bound_examples(named):
     assert witness["normal_subgroups"] == 4
     assert witness["checked"] == 4 * 3  # four normals, three prime subsets
 
-    # no G/N is built, so the quotient degree cap skips no N
-    assert check_quotient_bound(named("S4"), config=Config(max_quotient_degree=2)) == (
-        PASS, witness)
     # a cap that still degrades a verdict is the subgroup cap, in the main suite
     reports = run_group_suite(named("C12"), "C12", ["quotient", "main"],
-                              Config(subgroup_cap=10, max_quotient_degree=2), pi_sets=[[2, 3]])
+                              Config(subgroup_cap=10), pi_sets=[[2, 3]])
     assert [(r.result_id, r.status) for r in reports] == [
         ("quotient-bound", PASS), ("hall-dichotomy", PARTIAL)]
 
