@@ -43,15 +43,12 @@ from .subgroups import (
     enumerate_subgroups_up_to_conjugacy,
     fitting_subgroup,
     hall_search,
-    is_normal,
     is_simple,
     normal_closure,
-    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,
     quotient,
-    quotient_k_pi,
     socle,
     subgroup,
     sylow_subgroup,

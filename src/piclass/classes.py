@@ -20,7 +20,7 @@ generators of N.
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotInGroupError
+from .errors import NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import pi_part, prime_factors, validate_pi
 from .perm import (
@@ -75,7 +75,8 @@ class ClassTable:
     each row of supports is allocated on first use, so a table that only
     counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
-    Each normal subgroup is answered once, and the answers are cached:
+    Closures, fusions and power maps are built once and cached; the class
+    counts of N and of G/N are not, as the quotient suite reads each N once:
 
     - ``closure(mask)``: the normal subgroup generated by a union S of
       classes.  Each class reached is multiplied by the classes of S only,
@@ -86,16 +87,14 @@ class ClassTable:
       |G|, so <S> is then G.  The lattice seeds and the normal cores read
       the same single-class entries.  The order reached is carried, each
       class adding its size as the walk reaches it.
-    - ``block(mask, i)``: the support of C_i * N, that is the class of x * N
-      in G/N (x in class i) lifted to G.  It is built once per class of G/N,
-      from one row of supports, and recorded under every class it holds,
-      with its order summed in the same pass.  ``join(N, M)``, the class
-      set of N * M, reads a block only for a class of M not yet in the
-      union; ``fusion(N)`` lists the classes of G/N as the blocks of the
-      classes no earlier block covers, and checks that they partition G
-      into unions of cosets of N from the blocks' orders.
-    - ``normal_histogram(mask, gens)``: prime support -> number of classes
-      of N, summed from ``class_splits``.  The orbit walk behind a split
+    - ``fusion(mask)``: the classes of G/N, each lifted to G as its block,
+      the support of C_i * N for one class i of it.  All blocks are built in
+      one pass, each from the row of supports of its first class, with
+      their orders summed in the same pass for the check that they
+      partition G into unions of cosets of N.  ``join(N, M)``, the class set
+      of N * M, is the union of the blocks of N that meet M.
+    - ``normal_histogram(N)``: prime support -> number of classes of N,
+      summed from ``class_splits``.  The orbit walk behind a split
       stops once it passes |C|/p, for p the least prime of gcd(|C|, |G:N|):
       the split divides that gcd, so a longer orbit means a split of 1.
     - ``quotient_histogram(mask)``: prime support -> number of classes of
@@ -115,13 +114,14 @@ class ClassTable:
     pi-element exactly when its support lies inside the bits of pi, so one
     histogram of classes per support answers k_pi for every pi
     (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
-    ``histogram()`` is the one of G.  A subgroup is normal exactly when it
-    is a union of classes, so ``normal_mask(key)`` is the one normality test
-    on element sets; it sums the sizes of the classes met, not the bits of
-    a mask.  ``order(mask)`` sums the sizes of a class set for the callers
-    that carry no order.  ``normal_masks`` maps the element set of each
-    normal subgroup met so far (the lattice, the kernels of
-    ``normal_k_pi``) to its bitset.
+    ``histogram()`` is the one of G.
+
+    A subgroup is normal exactly when it is a union of classes, so
+    ``normal_mask(key)`` is the one lookup from an element set to a class
+    bitset and the one normality test: it sums the sizes of the classes
+    met.  ``normal_masks`` maps the element set of each normal subgroup met
+    so far to its bitset; the lattice fills it first, and ``normal_mask``
+    adds every other normal subgroup it answers.
     """
 
     def __init__(self, group: PermGroup, classes, members: list[list[Images]],
@@ -140,13 +140,10 @@ class ClassTable:
         # use: k_pi and the class sizes never need one
         self._supports: dict[int, list[int | None]] = {}
         self._closures: dict[int, int] = {}
-        self._blocks: dict[int, list[int | None]] = {}
-        self._block_orders: dict[int, int] = {}  # block -> its order, set as it is built
+        self._fusions: dict[int, list[int]] = {}
         self._power_maps: dict[int, list[int]] = {}
         self._prime_supports: dict[int, int] = {}  # element order -> its support
         self._histogram: dict[int, int] | None = None
-        self._normal_histograms: dict[int, dict[int, int]] = {}
-        self._quotient_histograms: dict[int, dict[int, int]] = {}
         self.normal_masks: dict[frozenset[Images], int] = {}
 
     @property
@@ -162,27 +159,22 @@ class ClassTable:
     def sizes(self) -> list[int]:
         return list(self._sizes)
 
-    def _classes_met(self, images) -> set[int]:
-        """The classes that the elements given by ``images`` meet."""
-        met = set(map(self._index_of.get, images))
-        if None in met:
-            outsider = next(im for im in images if im not in self._index_of)
-            raise NotInGroupError(f"element not in group: {Permutation._make(outsider)!r}")
-        return met
-
-    def mask_of(self, images) -> int:
-        """Bitset of the classes that the elements given by ``images`` meet."""
-        return sum(1 << i for i in self._classes_met(images))
-
     def normal_mask(self, key) -> int | None:
         """Bitset of the classes the subgroup with element set ``key`` meets,
         when they hold exactly its elements (it is normal); None otherwise.
         The order of those classes is summed over the classes met, with no
-        walk of the bitset."""
-        met = self._classes_met(key)
-        if sum(map(self._sizes.__getitem__, met)) != len(key):
-            return None
-        return sum(1 << i for i in met)
+        walk of the bitset.  A normal answer is kept in ``normal_masks``;
+        an element outside G raises ``NotInGroupError``."""
+        mask = self.normal_masks.get(key)
+        if mask is None:
+            met = set(map(self._index_of.get, key))
+            if None in met:
+                outsider = next(im for im in key if im not in self._index_of)
+                raise NotInGroupError(f"element not in group: {Permutation._make(outsider)!r}")
+            if sum(map(self._sizes.__getitem__, met)) != len(key):
+                return None
+            mask = self.normal_masks[key] = sum(1 << i for i in met)
+        return mask
 
     def _row(self, i: int) -> list[int | None]:
         """Row i of the supports matrix, allocated on first use."""
@@ -243,75 +235,67 @@ class ClassTable:
             self._closures[mask] = closed
         return closed
 
-    def block(self, normal: int, i: int) -> int:
-        """Class set of C_i * N for the normal subgroup N with class set
-        ``normal``: the classes meeting x * N, x in class i, that is the class
-        of x * N in G/N lifted to G.  Every class in it gives the same block,
-        so it is built once per class of G/N and recorded under each of its
-        classes; its order is summed in the same pass and kept for
-        ``fusion``."""
-        blocks = self._blocks.get(normal)
-        if blocks is None:
-            blocks = self._blocks[normal] = [None] * self.k
-        met = blocks[i]
-        if met is None:
-            row = self._row(i)
-            met = 0
-            for j in _bits(normal):
-                support = row[j]
-                met |= self._support(i, j) if support is None else support
-            sizes = self._sizes
-            order = 0
-            for c in _bits(met):
-                blocks[c] = met
-                order += sizes[c]
-            self._block_orders[met] = order
-        return met
-
-    def join(self, normal: int, other: int) -> int:
-        """Class set of N * M: the union of the blocks of N over the classes
-        of M, each read only for a class not yet in the union."""
-        mask = normal
-        for i in _bits(other & ~normal):
-            if not mask >> i & 1:
-                mask |= self.block(normal, i)
-        return mask
-
     def fusion(self, normal: int) -> list[int]:
-        """The classes of G/N as bitsets of G-classes, in order of their
-        first G-class: the block of each class not covered by an earlier
-        block.  The first is N itself, the block of the identity's class.
-        The check that the blocks partition G into unions of cosets of N
-        reads the orders the blocks carry."""
-        blocks = []
-        covered = 0
-        for i in range(self.k):
-            if not covered >> i & 1:
-                met = self.block(normal, i)
+        """The classes of G/N, for the normal subgroup N with class set
+        ``normal``, as bitsets of G-classes in order of their first G-class.
+        The block of class i, the class of x * N (x in class i) lifted to G,
+        is the support of C_i * N: the union of row i of the supports over
+        the classes of N.  One pass builds the block of each class that no
+        earlier block covers and sums its order; the first block is N
+        itself, the block of the identity's class.  The orders check that
+        the blocks partition G into unions of cosets of N.  Cached per N."""
+        blocks = self._fusions.get(normal)
+        if blocks is None:
+            sizes = self._sizes
+            in_normal = list(_bits(normal))
+            blocks, orders = [], []
+            covered = 0
+            for i in range(self.k):
+                if covered >> i & 1:
+                    continue
+                row = self._row(i)
+                met = 0
+                for j in in_normal:
+                    support = row[j]
+                    met |= self._support(i, j) if support is None else support
                 blocks.append(met)
+                orders.append(sum(map(sizes.__getitem__, _bits(met))))
                 covered |= met
-        sizes = list(map(self._block_orders.__getitem__, blocks))
-        n = sizes[0]
-        if (covered != self.full or blocks[0] != normal or sum(sizes) != self.group.order
-                or any(s % n for s in sizes)):
-            raise AssertionError("class fusion does not partition the group into cosets")
+            n = orders[0]
+            if (covered != self.full or blocks[0] != normal
+                    or sum(orders) != self.group.order or any(o % n for o in orders)):
+                raise AssertionError("class fusion does not partition the group into cosets")
+            self._fusions[normal] = blocks
         return blocks
 
-    def class_splits(self, normal: int, gens) -> dict[int, int]:
-        """For the normal subgroup N with class set ``normal``, generated by
-        ``gens``: each class i in N mapped to the number of N-classes it
-        splits into.  G permutes the N-orbits on a G-class C inside N
-        transitively, so they share one size |x^N| and C splits into
-        |C| / |x^N| classes of N.  That split is |G : N C_G(x)|, so it
-        divides g = gcd(|C|, |G : N|): no walk is needed when g = 1 (N = G,
-        or C a single element, among others), and otherwise the orbit walk
-        stops once it passes |C|/p, p the least prime of g, since only a
-        split of 1 leaves an orbit that long."""
+    def join(self, normal: int, other: int) -> int:
+        """Class set of N * M: the union of the fusion blocks of N that meet
+        the class set ``other`` of M."""
+        mask = 0
+        for block in self.fusion(normal):
+            if block & other:
+                mask |= block
+        return mask
+
+    def class_splits(self, sub: PermGroup) -> dict[int, int]:
+        """For the normal subgroup N = ``sub``: each class i of G inside N
+        mapped to the number of N-classes it splits into.  G permutes the
+        N-orbits on a G-class C inside N transitively, so they share one
+        size |x^N| and C splits into |C| / |x^N| classes of N.  That split
+        is |G : N C_G(x)|, so it divides g = gcd(|C|, |G : N|): no walk is
+        needed when g = 1 (N = G, or C a single element, among others), and
+        otherwise the walk of x's orbit under the generators of N stops once
+        it passes |C|/p, p the least prime of g, since only a split of 1
+        leaves an orbit that long.  A subgroup that is not normal raises
+        ``PreconditionError``."""
+        mask = self.normal_mask(sub.element_set())
+        if mask is None:
+            raise PreconditionError("subgroup is not normal in the group")
         classes = self.classes
-        index = self.group.order // self.order(normal)
-        pairs = conjugation_pairs(gens)
+        index = self.group.order // sub.order
+        pairs = conjugation_pairs(sub.generators)
         splits = {}
-        for i in _bits(normal):
+        for i in _bits(mask):
             size = classes[i].size
             common = gcd(size, index)
             if common == 1:
@@ -347,17 +331,14 @@ class ClassTable:
                 counts[support] = counts.get(support, 0) + 1
         return counts
 
-    def normal_histogram(self, normal: int, gens) -> dict[int, int]:
-        """Prime support -> number of classes of the normal subgroup N with
-        class set ``normal`` (generated by ``gens``), from the class splits.
-        Cached per class set."""
-        counts = self._normal_histograms.get(normal)
-        if counts is None:
-            classes = self.classes
-            counts = self._normal_histograms[normal] = {}
-            for i, split in self.class_splits(normal, gens).items():
-                support = self.prime_support(classes[i].order)
-                counts[support] = counts.get(support, 0) + split
+    def normal_histogram(self, sub: PermGroup) -> dict[int, int]:
+        """Prime support -> number of classes of the normal subgroup N =
+        ``sub``, from the class splits."""
+        classes = self.classes
+        counts: dict[int, int] = {}
+        for i, split in self.class_splits(sub).items():
+            support = self.prime_support(classes[i].order)
+            counts[support] = counts.get(support, 0) + split
         return counts
 
     def quotient_histogram(self, normal: int) -> dict[int, int]:
@@ -365,19 +346,16 @@ class ClassTable:
         G/N, for the normal subgroup N with class set ``normal``.  The order
         of x * N, x the representative of a fusion block's first class, is
         the least e with x^e in N: starting from |x|, each prime is divided
-        out while the power stays in N, read from x's power map.  Cached per
-        class set."""
-        counts = self._quotient_histograms.get(normal)
-        if counts is None:
-            counts = self._quotient_histograms[normal] = {}
-            for block in self.fusion(normal):
-                powers = self.power_map((block & -block).bit_length() - 1)
-                order = len(powers)
-                for p in prime_factors(order):
-                    while order % p == 0 and normal >> powers[order // p] & 1:
-                        order //= p
-                support = self.prime_support(order)
-                counts[support] = counts.get(support, 0) + 1
+        out while the power stays in N, read from x's power map."""
+        counts: dict[int, int] = {}
+        for block in self.fusion(normal):
+            powers = self.power_map((block & -block).bit_length() - 1)
+            order = len(powers)
+            for p in prime_factors(order):
+                while order % p == 0 and normal >> powers[order // p] & 1:
+                    order //= p
+            support = self.prime_support(order)
+            counts[support] = counts.get(support, 0) + 1
         return counts
 
     def power_map(self, i: int) -> list[int]:
@@ -404,10 +382,6 @@ class ClassTable:
         powers = self.power_map(i)
         n = len(powers)
         return sum({1 << c for e, c in enumerate(powers) if gcd(e, n) == 1})
-
-    def order(self, mask: int) -> int:
-        """Number of elements in the classes of ``mask``."""
-        return sum(map(self._sizes.__getitem__, _bits(mask)))
 
     def elements(self, mask: int) -> list[Images]:
         """Images of the members of the classes in ``mask``."""

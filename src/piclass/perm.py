@@ -187,9 +187,15 @@ class Permutation:
 
 
 def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -> Permutation:
-    """g * x * g^-1; pass ginv to reuse a precomputed inverse."""
+    """g * x * g^-1; pass ginv to reuse a precomputed inverse.  An x or a
+    ginv of another degree than g raises ``DegreeMismatchError``, as g * x
+    does."""
     if ginv is None:
         ginv = g.inverse()
+    n = len(g.images)
+    for other in (x, ginv):
+        if len(other.images) != n:
+            raise DegreeMismatchError(f"degree mismatch: {n} vs {len(other.images)}")
     return Permutation._make(conjugate_images((_table(g.images), ginv.images), x.images))
 
 

@@ -10,18 +10,16 @@ growth, greedy generating sets, stabilizers) get their sets by coset closure
 normalizers, subgroup conjugacy) walk one conjugation orbit with
 ``orbit_transversal`` and grow the stabilizer from its Schreier generators,
 so they never enumerate the ambient group.  Normal-subgroup queries (the
-lattice, O_pi', the Fitting subgroup, the socle, the class counts k_pi(N)
-and k_pi(G/N)) close class bitsets over the class table of G
-(``classes.ClassTable``): the lattice's joins read their element sets
-from them, a join N * M unions the fusion blocks of N (one per class of
-G/N, built once) over the classes of M, each bitset is joined with the
-seeds only (the normal closures of single classes), and a closure stops as
-soon as it holds more than |G|/p elements (p the least prime of |G|); the
-lattice's seed walks stop at the order their bitset gives.  The classes of
-N come from the split of G-classes into N-classes and those of G/N from
-class fusion, each counted once per N by the prime support of its element
-order (the primes dividing it); k_pi(N) and k_pi(G/N) sum the supports
-inside pi, so neither N nor G/N gets a class table of its own.  Set-level
+lattice, O_pi', the Fitting subgroup, the socle) close class bitsets over
+the class table of G (``classes.ClassTable``), and their element sets are
+read from those bitsets.  A join N * M is the union of the fusion blocks
+of N (the classes of G/N, built in one pass) that meet M; each bitset is
+joined with the seeds only (the normal closures of single classes), and a
+closure stops as soon as it holds more than |G|/p elements (p the least
+prime of |G|); the lattice's seed walks stop at the order their bitset
+gives.  ``ClassTable.normal_mask`` is the one normality test on a
+subgroup: the lattice fills its record, and the conjugates of a subgroup
+and the kernel of ``quotient`` are looked up through it.  Set-level
 filters (subgroup centralizers, centers) enumerate the group.  No element
 cap is checked here: every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
@@ -38,7 +36,7 @@ from collections.abc import Callable
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
-from .classes import all_d_p_one, conjugacy_classes, pi_count, pi_part_of_element
+from .classes import all_d_p_one, conjugacy_classes, pi_part_of_element
 from .errors import CapExceededError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -76,12 +74,6 @@ def subgroup(parent: PermGroup, gens, *, verify: bool = True) -> PermGroup:
 def trivial_subgroup(parent: PermGroup) -> PermGroup:
     one = Permutation.identity(parent.degree)
     return PermGroup([one], elements=frozenset([one.images]))
-
-
-def is_normal(group: PermGroup, sub: PermGroup) -> bool:
-    """True when ``sub`` is normal in ``group``: it holds every conjugate of
-    its generators by the generators of ``group``."""
-    return all(sub.contains(conjugate(g, s)) for g in group.generators for s in sub.generators)
 
 
 def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
@@ -316,44 +308,6 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     return result
 
 
-def _normal_class_mask(group: PermGroup, kernel: PermGroup) -> int:
-    table = conjugacy_classes(group)
-    key = kernel.element_set()
-    mask = table.normal_masks.get(key)
-    if mask is None:
-        mask = table.normal_mask(key)
-        if mask is None:
-            raise PreconditionError("kernel is not normal in the group")
-        table.normal_masks[key] = mask
-    return mask
-
-
-def normal_k_pi(group: PermGroup, n: PermGroup, pi) -> int:
-    """k_pi(N) for N normal in G, read from the class table of G.
-
-    N is a union of G-classes, and each of them splits into classes of N
-    of one size (ClassTable.class_splits); the classes of N are counted per
-    prime support once per N (ClassTable.normal_histogram), and k_pi(N)
-    sums the supports inside pi.  N's own class table is never built.
-    """
-    table = conjugacy_classes(group)
-    bits = table.pi_bits(validate_pi(pi))
-    return pi_count(table.normal_histogram(_normal_class_mask(group, n), n.generators), bits)
-
-
-def quotient_k_pi(group: PermGroup, kernel: PermGroup, pi) -> int:
-    """k_pi(G/N) by class fusion, read from the class table of G.
-
-    A class of G/N is the set of G-classes meeting x * N (ClassTable.fusion);
-    the classes of G/N are counted per prime support of their element order
-    once per N (ClassTable.quotient_histogram), and k_pi(G/N) sums the
-    supports inside pi.
-    """
-    table = conjugacy_classes(group)
-    bits = table.pi_bits(validate_pi(pi))
-    return pi_count(table.quotient_histogram(_normal_class_mask(group, kernel)), bits)
-
-
 @dataclass
 class QuotientGroup:
     """G/N realized as the action of G on the left cosets of N."""
@@ -372,8 +326,10 @@ class QuotientGroup:
 
 def quotient(group: PermGroup, kernel: PermGroup,
              max_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE) -> QuotientGroup:
-    """Coset action of G on G/N; fails rather than seeking a smaller action."""
-    if not is_normal(group, kernel):
+    """Coset action of G on G/N; fails rather than seeking a smaller action.
+    The kernel's normality is read from the class table of G
+    (``ClassTable.normal_mask``)."""
+    if conjugacy_classes(group).normal_mask(kernel.element_set()) is None:
         raise PreconditionError("kernel is not normal in the group")
     index = group.order // kernel.order
     if index > max_degree:
@@ -613,7 +569,7 @@ def socle(group: PermGroup) -> PermGroup:
     nontrivial bitset of the lattice inside them."""
     normals = normal_subgroups(group)
     table = conjugacy_classes(group)
-    masks = [table.normal_masks[n.element_set()] for n in normals]
+    masks = [table.normal_mask(n.element_set()) for n in normals]
     joined = masks[0]
     for m in masks[1:]:
         if not any(o != m and o & m == o for o in masks[1:]):

@@ -35,7 +35,6 @@ from .subgroups import (
     conjugates,
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
-    is_normal,
     normal_subgroups,
     normalizer,
     o_pi_prime,
@@ -245,7 +244,8 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     a class table: the classes of N (the splits of the G-classes inside N)
     and of G/N (the class fusion of G's class table) are counted per prime
     support once per N (``ClassTable.normal_histogram`` and
-    ``quotient_histogram``), and each k_pi is a sum over those counts.
+    ``quotient_histogram``, N's class set read by ``normal_mask``), and each
+    k_pi is a sum over those counts.
     Every normal N is checked, whatever its index: no G/N is built, so
     ``max_quotient_degree`` guards no cost here.
     """
@@ -261,9 +261,8 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     k_group = [pi_count(table.histogram(), bits) for bits in pi_bits]
     checked = 0
     for n in normals:
-        mask = table.normal_masks[n.element_set()]
-        in_normal = table.normal_histogram(mask, n.generators)
-        in_quotient = table.quotient_histogram(mask)
+        in_normal = table.normal_histogram(n)
+        in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
         for pi, bits, lhs in zip(subsets, pi_bits, k_group):
             rhs = pi_count(in_normal, bits) * pi_count(in_quotient, bits)
             checked += 1
@@ -323,20 +322,20 @@ def check_sylow3_structure(group: PermGroup, config: Config = DEFAULT_CONFIG) ->
     if not direct:
         return FAIL, witness
 
-    case1 = is_normal(group, p_syl) and cent.order == p_syl.order
+    normals = normal_subgroups(group)
+    table = conjugacy_classes(group)
+    case1 = table.normal_mask(p_syl.element_set()) is not None and cent.order == p_syl.order
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None
-    normals = normal_subgroups(group)
-    table = conjugacy_classes(group)
-    masks = table.normal_masks
     for a in normals:
         if case2:
             break
         for b in normals:
             if a.order * b.order != group.order:
                 continue
-            if table.order(masks[a.element_set()] & masks[b.element_set()]) != 1:
+            # A meet B is the union of their common classes; bit 0 is the identity's
+            if table.normal_mask(a.element_set()) & table.normal_mask(b.element_set()) != 1:
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue

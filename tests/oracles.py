@@ -3,7 +3,8 @@
 Nothing here touches the BSGS machinery beyond listing a group's elements:
 closures are multiplication BFS over raw image tuples (returned in the
 library's layout, ``Permutation(points).images``), class partitions
-conjugate by every element, and the commuting probability counts pairs.
+conjugate by every element, normality is tested on the conjugates of
+generators, and the commuting probability counts pairs.
 numpy only vectorizes the O(|G|^2) loops; all arithmetic stays integral.
 The exceptions are ``normal_subgroups_by_joins``, the lattice closed by
 joins with the seeds as the library closes it, but on generators and
@@ -97,6 +98,21 @@ def brute_conjugacy_partition(elements):
 
 def brute_centralizer(elements, x):
     return [g for g in elements if g * x == x * g]
+
+
+def is_normal(group, sub):
+    """True when ``sub`` is normal in ``group``: it holds g s g^-1 for every
+    generator g of ``group`` and s of ``sub``, composed point by point on raw
+    images, with no class table."""
+    elements = sub.element_set()
+    for g in group.generators:
+        g_inv = [0] * g.degree
+        for q, image in enumerate(g.images):
+            g_inv[image] = q
+        for s in sub.generators:
+            if _images([g.images[s.images[q]] for q in g_inv]) not in elements:
+                return False
+    return True
 
 
 def normal_subgroups_by_class_unions(group):
@@ -385,11 +401,11 @@ def order_counts(table):
     return counts
 
 
-def normal_order_counts(table, normal, gens):
-    """Element order -> number of classes of the normal subgroup N with
-    class set ``normal`` (generated by ``gens``), from the class splits."""
+def normal_order_counts(table, normal):
+    """Element order -> number of classes of the normal subgroup ``normal``,
+    from the class splits."""
     counts = {}
-    for i, split in table.class_splits(normal, gens).items():
+    for i, split in table.class_splits(normal).items():
         order = table.classes[i].order
         counts[order] = counts.get(order, 0) + split
     return counts

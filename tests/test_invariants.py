@@ -10,7 +10,7 @@ from lemmas import (
     d_pi_hall_average,
     product_lower_bound_check,
 )
-from oracles import commuting_pair_count
+from oracles import commuting_pair_count, is_normal
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import InvalidInputError, PreconditionError
 from piclass.invariants import (
@@ -21,7 +21,6 @@ from piclass.invariants import (
     k_pi_by_centralizer_decomposition,
 )
 from piclass.numtheory import MAX_PRIME, is_prime, pi_part, prime_factors, validate_pi
-from piclass.subgroups import is_normal
 
 
 def test_pi_part_of_integer_examples():

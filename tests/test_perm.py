@@ -56,6 +56,18 @@ def test_degree_mismatch():
         Permutation.identity(3) * Permutation.identity(4)
 
 
+def test_conjugate_degree_mismatch():
+    """``conjugate`` rejects an x or a ginv of another degree than g, as
+    g * x does, in place of returning a permutation that is not one."""
+    g = Permutation.identity(3)
+    with pytest.raises(DegreeMismatchError):
+        conjugate(g, parse_cycle_text("(0 4)", 5))
+    with pytest.raises(DegreeMismatchError):
+        conjugate(g, parse_cycle_text("(0 1)", 3), Permutation.identity(4))
+    with pytest.raises(DegreeMismatchError):
+        conjugate(Permutation.identity(300), parse_cycle_text("(0 1)", 3))
+
+
 def test_not_a_permutation_rejected():
     with pytest.raises(ValueError):
         Permutation([0, 0, 1])

@@ -10,6 +10,7 @@ from oracles import (
     closure_by_all_pairs,
     coset_classes_by_rows,
     fitting_subgroup_by_closures,
+    is_normal,
     k_pi_by_class_equation,
     naive_closure,
     normal_core_by_closures,
@@ -24,7 +25,7 @@ from oracles import (
     subgroup_classes_by_orbit_skip,
 )
 from piclass.catalog import build, census_specs, parse_group_file, parse_name
-from piclass.classes import ClassTable, conjugacy_classes, k_pi
+from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
 from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement
@@ -50,17 +51,14 @@ from piclass.subgroups import (
     enumerate_subgroups_up_to_conjugacy,
     fitting_subgroup,
     hall_search,
-    is_normal,
     is_simple,
     join_subgroups,
     normal_closure,
-    normal_k_pi,
     normal_subgroups,
     normalizer,
     o_pi_prime,
     orbit_transversal,
     quotient,
-    quotient_k_pi,
     socle,
     subgroup,
     subgroup_intersection,
@@ -203,14 +201,19 @@ def test_normal_subgroups_match_pairwise_joins(name, named):
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_quotient_k_pi_fusion_matches_coset_action(name, named):
+    """k_pi(G/N) read from the class fusion of G, as the quotient suite
+    reads it, equals k_pi of the coset action on G/N."""
     g = named(name)
+    table = conjugacy_classes(g)
     subsets = _nonempty_subsets(group_primes(g))
     for n in normal_subgroups(g):
         if g.order // n.order > 2048:
             continue
         q = quotient(g, n).group
+        in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
         for pi in subsets:
-            assert quotient_k_pi(g, n, pi) == k_pi(q, pi), (name, n.order, sorted(pi))
+            got = pi_count(in_quotient, table.pi_bits(pi))
+            assert got == k_pi(q, pi), (name, n.order, sorted(pi))
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
@@ -280,18 +283,37 @@ def test_coset_closure_matches_chain_oracle(name, named):
         _assert_matches_chain(h)
 
 
+def _v4(s4):
+    return subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+
+
 def test_quotient_k_pi_outside_the_lattice(named):
     """The shared S4 may have its lattice built; a fresh one has none, so
-    each of its kernels is tested by ``ClassTable.normal_mask``."""
+    ``ClassTable.normal_mask`` answers V4 itself: the identity's class and
+    the class of (0 1)(2 3), kept in ``normal_masks``.  It answers None for
+    a subgroup that is not normal, which ``quotient`` rejects.  k_pi(S4/N)
+    is read from the fusion of the class set it gives."""
     fresh = build(parse_name("S4"))
     for s4 in (named("S4"), fresh):
-        v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
-        assert quotient_k_pi(s4, v4, [2]) == 2  # S3 has two 2-classes
-        assert quotient_k_pi(s4, v4, [2, 3]) == 3
-        assert quotient_k_pi(s4, s4, [3]) == 1
-        assert quotient_k_pi(s4, trivial_subgroup(s4), [3]) == k_pi(s4, [3])
+        table = conjugacy_classes(s4)
+        v4 = _v4(s4)
+        mask = table.normal_mask(v4.element_set())
+        assert mask == 1 | 1 << table.class_of(parse_cycle_text("(0 1)(2 3)", 4))
+        assert table.normal_masks[v4.element_set()] == mask
+
+        def k_quotient(n, pi):
+            in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
+            return pi_count(in_quotient, table.pi_bits(pi))
+
+        assert k_quotient(v4, [2]) == 2  # S3 has two 2-classes
+        assert k_quotient(v4, [2, 3]) == 3
+        assert k_quotient(s4, [3]) == 1
+        assert k_quotient(trivial_subgroup(s4), [3]) == k_pi(s4, [3])
+        transposition = subgroup(s4, [parse_cycle_text("(0 1)", 4)])
+        assert table.normal_mask(transposition.element_set()) is None
+        assert transposition.element_set() not in table.normal_masks
         with pytest.raises(PreconditionError):
-            quotient_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+            quotient(s4, transposition)
     assert "normal_subgroups" not in fresh.cache
 
 
@@ -310,20 +332,22 @@ def test_pi_counts_match_order_sums_on_the_census(census_entries):
             assert k_pi(g, pi) == pi_sum(counts, pi), (name, sorted(pi))
         for n in normal_subgroups(g):
             mask = table.normal_masks[n.element_set()]
-            in_normal = normal_order_counts(table, mask, n.generators)
+            in_normal = normal_order_counts(table, n)
             in_quotient = quotient_order_counts(table, mask)
+            by_support = table.normal_histogram(n), table.quotient_histogram(mask)
             for pi in pis:
                 where = (name, n.order, sorted(pi))
-                assert normal_k_pi(g, n, pi) == pi_sum(in_normal, pi), where
-                assert quotient_k_pi(g, n, pi) == pi_sum(in_quotient, pi), where
+                bits = table.pi_bits(pi)
+                assert pi_count(by_support[0], bits) == pi_sum(in_normal, pi), where
+                assert pi_count(by_support[1], bits) == pi_sum(in_quotient, pi), where
 
 
 def _assert_normal_k_pi_matches_class_table(g, n):
-    for pi in _nonempty_subsets(group_primes(g) | {2}):
-        assert normal_k_pi(g, n, pi) == k_pi(n, pi), (n.order, sorted(pi))
     table = conjugacy_classes(g)
-    splits = table.class_splits(table.normal_masks[n.element_set()], n.generators)
-    assert sum(splits.values()) == conjugacy_classes(n).k
+    in_normal = table.normal_histogram(n)
+    for pi in _nonempty_subsets(group_primes(g) | {2}):
+        assert pi_count(in_normal, table.pi_bits(pi)) == k_pi(n, pi), (n.order, sorted(pi))
+    assert sum(table.class_splits(n).values()) == conjugacy_classes(n).k
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
@@ -334,20 +358,32 @@ def test_normal_k_pi_matches_class_table_of_n(name, named):
 
 
 def test_normal_k_pi_outside_the_lattice(named):
-    """As for ``quotient_k_pi``, on the shared S4 and on a fresh one."""
+    """As for k_pi(G/N), on the shared S4 and on a fresh one: k_pi(N) is read
+    from the class splits of the class set ``normal_mask`` gives, a subgroup
+    that is not normal raises ``PreconditionError``, and one with elements
+    outside G raises ``NotInGroupError``."""
     fresh = build(parse_name("S4"))
     for s4 in (named("S4"), fresh):
-        v4 = subgroup(s4, [parse_cycle_text("(0 1)(2 3)", 4), parse_cycle_text("(0 2)(1 3)", 4)])
+        table = conjugacy_classes(s4)
+        v4 = _v4(s4)
         for n in (v4, trivial_subgroup(s4), s4):
             _assert_normal_k_pi_matches_class_table(s4, n)
-        assert normal_k_pi(s4, v4, [2]) == 4  # V4 is abelian
-        assert normal_k_pi(s4, s4, [2, 3]) == 5
+        assert pi_count(table.normal_histogram(v4), table.pi_bits([2])) == 4  # V4 is abelian
+        assert pi_count(table.normal_histogram(s4), table.pi_bits([2, 3])) == 5
         with pytest.raises(PreconditionError):
-            normal_k_pi(s4, subgroup(s4, [parse_cycle_text("(0 1)", 4)]), [2])
+            table.normal_histogram(subgroup(s4, [parse_cycle_text("(0 1)", 4)]))
     assert "normal_subgroups" not in fresh.cache
     s3 = PermGroup([parse_cycle_text("(0 1)", 4), parse_cycle_text("(0 1 2)", 4)])
-    with pytest.raises(NotInGroupError):  # a kernel with elements outside G
-        normal_k_pi(s3, subgroup(fresh, [parse_cycle_text("(2 3)", 4)]), [2])
+    outside = subgroup(fresh, [parse_cycle_text("(2 3)", 4)])  # elements outside s3
+    with pytest.raises(NotInGroupError):
+        conjugacy_classes(s3).normal_mask(outside.element_set())
+    with pytest.raises(NotInGroupError):
+        conjugacy_classes(s3).normal_histogram(outside)
+
+
+def _classes_met(table, images) -> int:
+    """Bitset of the classes that the elements given by ``images`` meet."""
+    return sum({1 << table._index_of[im] for im in images})
 
 
 def test_class_closures_and_splits_match_their_oracles(census_entries):
@@ -360,31 +396,34 @@ def test_class_closures_and_splits_match_their_oracles(census_entries):
         table = conjugacy_classes(g)
         for n in normal_subgroups(g):
             mask = table.normal_masks[n.element_set()]
-            gens_mask = table.mask_of([x.images for x in n.generators])
+            gens_mask = _classes_met(table, [x.images for x in n.generators])
             assert (table.closure(gens_mask) == closure_by_all_pairs(table, gens_mask)
                     == mask), (name, n.order)
             splits = class_splits_by_full_walk(table, mask, n.generators)
-            assert table.class_splits(mask, n.generators) == splits, (name, n.order)
+            assert table.class_splits(n) == splits, (name, n.order)
         for i in range(table.k):
             assert table.closure(1 << i) == closure_by_all_pairs(table, 1 << i), (name, i)
 
 
 def test_fusion_blocks_match_coset_rows(census_entries):
-    """On every census group and every lattice entry N: each block of N
-    equals the eager coset row of its class, and ``fusion`` and every
-    ``join`` with another lattice entry equal those read from the rows."""
+    """On every census group and every lattice entry N: the fusion block
+    holding class i is the eager coset row of class i, the blocks are the
+    rows of the classes no earlier row covers, and every ``join`` with
+    another lattice entry equals the union of the rows of its classes."""
     for name, g in census_entries:
         table = conjugacy_classes(g)
         masks = [table.normal_masks[n.element_set()] for n in normal_subgroups(g)]
         for mask in masks:
             rows = coset_classes_by_rows(table, mask)
-            assert [table.block(mask, i) for i in range(table.k)] == rows, name
+            blocks = table.fusion(mask)
+            for i, row in enumerate(rows):
+                assert [b for b in blocks if b >> i & 1] == [row], (name, mask, i)
             fusion, covered = [], 0
             for i, row in enumerate(rows):
                 if not covered >> i & 1:
                     fusion.append(row)
                     covered |= row
-            assert table.fusion(mask) == fusion, name
+            assert blocks == fusion, name
             for other in masks:
                 joined = mask
                 for i in range(table.k):
@@ -400,9 +439,9 @@ def _built_supports(table):
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_fusion_blocks_are_built_once_per_class_of_the_quotient(name, named):
-    """A block is built from one row of supports per class of G/N and read
-    by every class it holds: after ``fusion(N)`` on a fresh table, no join
-    of N builds another support."""
+    """``fusion(N)`` on a fresh table builds at most one row of supports per
+    block, over the classes of N, and no join of N builds another
+    support."""
     g = named(name)
     masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normal_subgroups(g)]
     for mask in masks:
@@ -412,6 +451,22 @@ def test_fusion_blocks_are_built_once_per_class_of_the_quotient(name, named):
         assert built <= len(blocks) * bin(mask).count("1"), (name, mask)
         for other in masks:
             table.join(mask, other)
+        assert _built_supports(table) == built, (name, mask)
+
+
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_join_before_fusion_builds_the_fusion(name, named):
+    """On a fresh table, ``join(N, M)`` called before ``fusion(N)`` gives the
+    class set of N * M that the shared table gives, and builds the whole
+    fusion of N: ``fusion(N)`` afterwards builds no support."""
+    g = named(name)
+    shared = conjugacy_classes(g)
+    masks = [shared.normal_masks[n.element_set()] for n in normal_subgroups(g)]
+    for mask, other in zip(masks, reversed(masks)):
+        table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
+        assert table.join(mask, other) == shared.join(mask, other), (name, mask, other)
+        built = _built_supports(table)
+        assert table.fusion(mask) == shared.fusion(mask), (name, mask)
         assert _built_supports(table) == built, (name, mask)
 
 
@@ -465,11 +520,12 @@ def test_rational_classes_share_their_leaders_closure(name, named):
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_carried_orders_are_the_sums_of_class_sizes(name, named):
-    """The orders that closures, blocks and ``normal_mask`` carry equal the
-    sums of their class sizes, on a fresh table.  A closure's carried order
-    is read through its Lagrange stop: with the stop set just below the
-    closure's true order the walk must end at the whole group, and with it
-    set at that order the walk must end at the closure."""
+    """The orders that closures and ``normal_mask`` carry, and the block
+    orders that ``fusion`` checks, equal the sums of their class sizes, on a
+    fresh table.  A closure's carried order is read through its Lagrange
+    stop: with the stop set just below the closure's true order the walk
+    must end at the whole group, and with it set at that order the walk must
+    end at the closure."""
     g = named(name)
     table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
     sizes = table.sizes()
@@ -480,7 +536,7 @@ def test_carried_orders_are_the_sums_of_class_sizes(name, named):
     normals = normal_subgroups(g)
     masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normals]
     sets = [1 << i for i in range(table.k)]
-    sets += [table.mask_of([x.images for x in n.generators]) for n in normals]
+    sets += [_classes_met(table, [x.images for x in n.generators]) for n in normals]
     lagrange = table._lagrange
     for mask in sets:
         closed = closure_by_all_pairs(table, mask)
@@ -491,13 +547,14 @@ def test_carried_orders_are_the_sums_of_class_sizes(name, named):
     table._closures.clear()
     table._lagrange = lagrange
     for mask in masks:
-        for block in table.fusion(mask):
-            assert table._block_orders[block] == order(block), (name, mask)
+        orders = [order(block) for block in table.fusion(mask)]
+        assert sum(orders) == g.order, (name, mask)
+        assert all(o % order(mask) == 0 for o in orders), (name, mask)
     subs = normals + [sylow_subgroup(g, p) for p in prime_factors(g.order)]
     subs += [subgroup(g, [cls.rep]) for cls in table.classes]
     for h in subs:
         key = h.element_set()
-        met = table.mask_of(key)
+        met = _classes_met(table, key)
         assert table.normal_mask(key) == (met if order(met) == len(key) else None), name
 
 
@@ -538,9 +595,15 @@ def _relabelled_reordered(g, seed):
 
 
 def _normal_profiles(g):
-    subsets = _nonempty_subsets(group_primes(g))
-    return sorted((n.order, [normal_k_pi(g, n, pi) for pi in subsets],
-                   [quotient_k_pi(g, n, pi) for pi in subsets]) for n in normal_subgroups(g))
+    table = conjugacy_classes(g)
+    bits = [table.pi_bits(pi) for pi in _nonempty_subsets(group_primes(g))]
+    profiles = []
+    for n in normal_subgroups(g):
+        in_normal = table.normal_histogram(n)
+        in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
+        profiles.append((n.order, [pi_count(in_normal, b) for b in bits],
+                         [pi_count(in_quotient, b) for b in bits]))
+    return sorted(profiles)
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
