@@ -334,12 +334,13 @@ def test_pi_counts_match_order_sums_on_the_census(census_entries):
             mask = table.normal_masks[n.element_set()]
             in_normal = normal_order_counts(table, n)
             in_quotient = quotient_order_counts(table, mask)
-            by_support = table.normal_histogram(n), table.quotient_histogram(mask)
+            normal_supports = table.normal_histogram(n)
+            quotient_supports = table.quotient_histogram(mask)
             for pi in pis:
                 where = (name, n.order, sorted(pi))
                 bits = table.pi_bits(pi)
-                assert pi_count(by_support[0], bits) == pi_sum(in_normal, pi), where
-                assert pi_count(by_support[1], bits) == pi_sum(in_quotient, pi), where
+                assert pi_count(normal_supports, bits) == pi_sum(in_normal, pi), where
+                assert pi_count(quotient_supports, bits) == pi_sum(in_quotient, pi), where
 
 
 def _assert_normal_k_pi_matches_class_table(g, n):
