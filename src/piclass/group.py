@@ -12,37 +12,65 @@ list from the set, in sorted image order, and builds no chain for them.
 Elements are handled as their images (``Permutation.images``: bytes up to
 degree 256, int tuples above), and every product of them goes through the
 kernel in ``perm``.
+
+The chain is built on images, and no transversal element is inverted per
+Schreier generator or per sift step.  Each level keeps, beside each
+transversal element u, the table of u^-1 (``perm.schreier_tree``), built
+once each time the level's orbit is rebuilt (Seress, *Permutation Group
+Algorithms*, 2003, §4.1).  A Schreier generator u_y^-1 * g * u_x is the
+identity exactly when g * u_x = u_y, so it costs one product through g's
+table, built once per scan of a level; only the others are multiplied by
+u_y^-1 and sifted.  The sift (``_sift``) is one product through a level's
+table of u^-1 per step.  Strong generators and transversal elements become
+``Permutation``s once, when the chain is stored.
 """
 
 import random
 from math import prod
 
 from .errors import DegreeMismatchError
-from .perm import Images, Permutation, left_products
+from .perm import (
+    Images,
+    Permutation,
+    compose_images,
+    left_multiplier,
+    left_products,
+    schreier_tree,
+)
 
 
 class _Level:
-    __slots__ = ("point", "gens", "transversal", "orbit")
+    """One level of the chain: its base point, the strong generators that
+    fix the earlier base points, the orbit of the point, the transversal
+    (orbit point y -> u_y with u_y(point) = y) and the table of each u_y^-1
+    (``perm.schreier_tree``), read by ``_sift``.  While the chain is built,
+    generators and transversal hold images; the stored chain holds them as
+    ``Permutation``s."""
+
+    __slots__ = ("point", "gens", "transversal", "orbit", "inverses")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens: list[Permutation] = []
-        self.transversal: dict[int, Permutation] = {}
+        self.gens: list = []
+        self.transversal: dict = {}
         self.orbit: list[int] = []
+        self.inverses: dict[int, Images] = {}
 
 
-def _sift(levels: list[_Level], h: Permutation, start: int) -> tuple[Permutation, int]:
-    """Sift h through ``levels[start:]``: the residue, and the index of the
-    level whose orbit misses it (``len(levels)`` when it passes them all)."""
+def _sift(levels: list[_Level], h: Images, start: int) -> tuple[Images, int]:
+    """Sift the images h through ``levels[start:]``: the residue, and the
+    index of the level whose orbit misses it (``len(levels)`` when it passes
+    them all).  Each step is one product u^-1 * h through the table of u^-1
+    the level keeps."""
     for i in range(start, len(levels)):
         lvl = levels[i]
-        x = h.images[lvl.point]
+        x = h[lvl.point]
         if x == lvl.point:
             continue
-        u = lvl.transversal.get(x)
-        if u is None:
+        uinv = lvl.inverses.get(x)
+        if uinv is None:
             return h, i
-        h = u.inverse() * h
+        h = compose_images(uinv, h)
     return h, len(levels)
 
 
@@ -85,12 +113,13 @@ class PermGroup:
 
     def _build_chain(self):
         degree = self.degree
-        gens: list[Permutation] = []
-        seen = set()
+        ident = Permutation.identity(degree).images
+        gens: list[Images] = []
+        seen = {ident}
         for g in self.generators:
-            if not g.is_identity() and g.images not in seen:
+            if g.images not in seen:
                 seen.add(g.images)
-                gens.append(g)
+                gens.append(g.images)
 
         levels: list[_Level] = []
         base_points: set[int] = set()
@@ -99,39 +128,27 @@ class PermGroup:
             levels.append(_Level(point))
             base_points.add(point)
 
-        def place(g: Permutation):
+        def place(g: Images):
             # g joins every level group it belongs to: levels 0..j where
             # base[j] is the first base point g moves.
             for lvl in levels:
                 lvl.gens.append(g)
-                if g.images[lvl.point] != lvl.point:
+                if g[lvl.point] != lvl.point:
                     return
             raise AssertionError("generator fixes the whole base")
 
         def rebuild_orbit(lvl: _Level):
-            ident = Permutation.identity(degree)
-            lvl.transversal = {lvl.point: ident}
-            lvl.orbit = [lvl.point]
-            i = 0
-            while i < len(lvl.orbit):
-                x = lvl.orbit[i]
-                i += 1
-                ux = lvl.transversal[x]
-                for g in lvl.gens:
-                    y = g.images[x]
-                    if y not in lvl.transversal:
-                        lvl.transversal[y] = g * ux
-                        lvl.orbit.append(y)
+            lvl.orbit, lvl.transversal, lvl.inverses = schreier_tree(lvl.point, lvl.gens, degree)
 
-        def extend_base_for(g: Permutation):
-            if all(g.images[lvl.point] == lvl.point for lvl in levels):
-                add_level(min(p for p in range(degree) if g.images[p] != p))
+        def first_moved(g: Images) -> int:
+            return next(p for p in range(degree) if g[p] != p)
 
         for pt in self._base_hint:
             if 0 <= pt < degree and pt not in base_points:
                 add_level(pt)
         for g in gens:
-            extend_base_for(g)
+            if all(g[lvl.point] == lvl.point for lvl in levels):
+                add_level(first_moved(g))
         for g in gens:
             place(g)
         for lvl in levels:
@@ -139,23 +156,27 @@ class PermGroup:
 
         # Verify Schreier generators level by level, deepest first; a
         # non-identity residue becomes a new strong generator and sends
-        # verification back to its level.
+        # verification back to its level.  The Schreier generator
+        # u_y^-1 * g * u_x is the identity exactly when g * u_x = u_y, so
+        # only the others pay for the product through u_y^-1's table.
         i = len(levels) - 1
         while i >= 0:
             lvl = levels[i]
+            transversal, inverses = lvl.transversal, lvl.inverses
+            steps = [(g, left_multiplier(g)) for g in lvl.gens]
             clean = True
-            for x in sorted(lvl.transversal):
-                ux = lvl.transversal[x]
-                for g in lvl.gens:
-                    uy = lvl.transversal[g.images[x]]
-                    sg = uy.inverse() * (g * ux)
-                    if sg.is_identity():
+            for x in sorted(transversal):
+                ux = transversal[x]
+                for g, times_g in steps:
+                    gux = times_g(ux)
+                    y = g[x]
+                    if gux == transversal[y]:
                         continue
-                    h, j = _sift(levels, sg, i + 1)
-                    if h.is_identity():
+                    h, j = _sift(levels, compose_images(inverses[y], gux), i + 1)
+                    if h == ident:
                         continue
                     if j == len(levels):
-                        add_level(min(h.moved_points()))
+                        add_level(first_moved(h))
                     place(h)
                     for m in range(j + 1):
                         rebuild_orbit(levels[m])
@@ -167,8 +188,12 @@ class PermGroup:
             if clean:
                 i -= 1
 
+        make = Permutation._make
+        for lvl in levels:
+            lvl.gens = [make(g) for g in lvl.gens]
+            lvl.transversal = {x: make(u) for x, u in lvl.transversal.items()}
         self._levels = levels
-        self._order = prod(len(lvl.transversal) for lvl in levels)
+        self._order = prod(len(lvl.orbit) for lvl in levels)
 
     # -- queries ----------------------------------------------------------
 
@@ -188,7 +213,7 @@ class PermGroup:
             raise DegreeMismatchError(
                 f"element degree {p.degree} != group degree {self.degree}"
             )
-        return _sift(self._ensure_chain(), p, 0)[0]
+        return Permutation._make(_sift(self._ensure_chain(), p.images, 0)[0])
 
     def contains(self, p: Permutation) -> bool:
         if self._element_set is None:

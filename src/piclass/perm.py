@@ -13,7 +13,11 @@ This module owns the permutation kernel and is the only module that looks at
 the layout.  A product fixes its left factor: on bytes a * b is
 ``b.translate(table)``, for the 256-byte table of a built once per fixed a
 (``left_multiplier``, ``left_products``), and the inverse is
-``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.  A
+``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.  The
+Schreier-Sims transversals (``schreier_tree``) keep the table of each u^-1
+beside u: ``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1
+with one inverse per generator on tuples, so no transversal element is
+inverted by a Python loop.  A
 conjugation g x g^-1 is two translates, one through x's table and one
 through g's (``conjugate_images``, ``conjugate_set``), and the conjugation
 walks (``conjugation_orbit``, ``conjugation_orbits``) build each table once.
@@ -43,6 +47,13 @@ _IDENTITY_IMAGES: dict[int, Images] = {}
 def _pack(images) -> Images:
     """The images of a sequence of points, in the layout of its degree."""
     return bytes(images) if len(images) <= _BYTES_MAX_DEGREE else tuple(images)
+
+
+def _inverse_tuple(images: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return tuple(inv)
 
 
 def _identity_images(n: int) -> Images:
@@ -121,10 +132,7 @@ class Permutation:
             # the table sending images[i] to i holds the inverse in its first n bytes
             return Permutation._make(
                 bytes.maketrans(images, _identity_images(len(images)))[:len(images)])
-        inv = [0] * len(images)
-        for i, j in enumerate(images):
-            inv[j] = i
-        return Permutation._make(tuple(inv))
+        return Permutation._make(_inverse_tuple(images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -236,6 +244,43 @@ def left_products(a: Images, bs) -> list[Images]:
     if type(a) is bytes:
         return [b.translate(table) for b in bs]
     return [itemgetter(*b)(table) for b in bs]
+
+
+def schreier_tree(point: int, gens: list[Images], n: int):
+    """The orbit of ``point`` under the generators ``gens`` (images of
+    degree n), breadth first with the generators in list order, with a
+    transversal: u_point is the identity and u_y = g * u_x for the first
+    orbit point x and generator g that reach y.  Returns the orbit, the dict
+    y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
+    ``compose_images(inverses[y], h)``.  On bytes that table is
+    ``bytes.maketrans(u_y, identity)``, the 256-byte table of u_y^-1; on
+    tuples it is u_x^-1 * g^-1, with one inverse per generator, and no
+    transversal element is inverted."""
+    ident = _identity_images(n)
+    orbit = [point]
+    transversal = {point: ident}
+    inverses = {point: _table(ident)}
+    if type(ident) is bytes:
+        steps = [(g, _table(g)) for g in gens]
+        for x in orbit:
+            ux = transversal[x]
+            for g, table in steps:
+                y = g[x]
+                if y not in transversal:
+                    uy = transversal[y] = ux.translate(table)
+                    inverses[y] = bytes.maketrans(uy, ident)
+                    orbit.append(y)
+        return orbit, transversal, inverses
+    steps = [(g, itemgetter(*_inverse_tuple(g))) for g in gens]
+    for x in orbit:
+        ux, uxinv = transversal[x], inverses[x]
+        for g, times_ginv in steps:
+            y = g[x]
+            if y not in transversal:
+                transversal[y] = itemgetter(*ux)(g)
+                inverses[y] = times_ginv(uxinv)
+                orbit.append(y)
+    return orbit, transversal, inverses
 
 
 def conjugation_pairs(generators) -> list[tuple[Images, Images]]:

@@ -36,8 +36,8 @@ from collections.abc import Callable
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 
-from .classes import all_d_p_one, conjugacy_classes, pi_part_of_element
-from .errors import CapExceededError, NotInGroupError, PreconditionError
+from .classes import _bits, all_d_p_one, conjugacy_classes, pi_part_of_element
+from .errors import CapExceededError, DegreeMismatchError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
@@ -102,7 +102,11 @@ def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
 
 
 def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
-    """<H, x> on H's generators (less the trivial H's identity) and then x."""
+    """<H, x> on H's generators (less the trivial H's identity) and then x.
+    An x of another degree than H raises ``DegreeMismatchError`` before the
+    closure starts, which would otherwise never end."""
+    if x.degree != sub.degree:
+        raise DegreeMismatchError(f"element degree {x.degree} != group degree {sub.degree}")
     gens = [g for g in sub.generators if not g.is_identity()]
     return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x))
 
@@ -205,7 +209,8 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
 
     The generators are the nonidentity seeds, then each conjugate of a
     generator by a generator of G (generators taken in the order added) that
-    lies outside the subgroup so far.  The element set grows by coset closure
+    lies outside the subgroup so far; each generator of G is inverted once
+    per call (``perm.conjugation_pairs``).  The element set grows by coset closure
     (``_extend``).  With ``elements``, the element set of the normal closure
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
@@ -214,11 +219,12 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     target = None if elements is None else len(elements)
     current = _reduced_subgroup(group, gens, target)
+    pairs = conjugation_pairs(group.generators)
     for s in gens:  # gens grows while it is walked
-        for g in group.generators:
+        for pair in pairs:
             if current.order == target:
                 break
-            c = conjugate(g, s)
+            c = Permutation._make(conjugate_images(pair, s.images))
             if not current.contains(c):
                 if target is not None and is_prime(target // current.order):
                     current = PermGroup(gens, elements=elements)
@@ -270,7 +276,15 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     set is read from its bitset, so no join runs a closure, and a seed's
     ``normal_closure`` walk stops once it reaches that set's size.  Each
     bitset is recorded in the table's ``normal_masks`` under its element
-    set.  Cached on the group.
+    set.
+
+    The list is sorted by order, then by sorted element images, and that
+    second key is read from the bitsets: for two element sets A and B of one
+    size, sorted(A) < sorted(B) exactly when min(A ^ B) lies in A.  A ^ B is
+    the union of the classes in mask_A ^ mask_B, and classes are numbered by
+    their least images, so min(A ^ B) lies in the lowest-numbered of those
+    classes, and that is the class at which the ascending class indices of
+    the two bitsets first differ.  Cached on the group.
     """
     cached = group.cache.get("normal_subgroups")
     if cached is not None:
@@ -300,10 +314,8 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
                 queue.append(joined)
     for mask, sub in found.items():
         table.normal_masks[sub.element_set()] = mask
-    result = sorted(
-        found.values(),
-        key=lambda h: (h.order, tuple(sorted(h.element_set())) if h.order != group.order else ()),
-    )
+    ranked = sorted(found, key=lambda mask: (found[mask].order, tuple(_bits(mask))))
+    result = [found[mask] for mask in ranked]
     group.cache["normal_subgroups"] = result
     return result
 

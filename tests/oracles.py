@@ -24,7 +24,10 @@ counts the library summed before it counted classes per prime support:
 element order -> classes of G, of N and of G/N, filtered by
 ``is_pi_number`` for each pi, with the order of x * N found by walking the
 powers of x into N's element set.  Last, the element listing as
-``Permutation.__mul__`` products of transversal elements.
+``Permutation.__mul__`` products of transversal elements, and the
+Schreier-Sims chain as the library built it before it kept the table of
+each u^-1: every Schreier generator and sift step a ``Permutation``
+product with an inverse.
 """
 
 import itertools
@@ -448,3 +451,105 @@ def elements_by_transversal_products(group):
     points = [sorted(lvl.transversal) for lvl in levels]
     return [reduce(mul, (lvl.transversal[x] for lvl, x in zip(levels, choice)), identity)
             for choice in itertools.product(*points)]
+
+
+class ChainLevel:
+    """One level of ``chain_by_permutation_products``."""
+
+    def __init__(self, point):
+        self.point = point
+        self.gens = []
+        self.transversal = {}
+        self.orbit = []
+
+
+def _sift_by_products(levels, h, start):
+    for i in range(start, len(levels)):
+        lvl = levels[i]
+        x = h.images[lvl.point]
+        if x == lvl.point:
+            continue
+        u = lvl.transversal.get(x)
+        if u is None:
+            return h, i
+        h = u.inverse() * h
+    return h, len(levels)
+
+
+def chain_by_permutation_products(group):
+    """The Schreier-Sims chain of ``group`` (its generators and base hint)
+    as the library built it before it kept inverse tables and worked on
+    images: every Schreier generator is ``uy.inverse() * (g * ux)`` and every
+    sift step ``u.inverse() * h``, all ``Permutation`` products.  Same base
+    choice, scan order and restarts, so the levels (point, strong
+    generators, orbit, transversal) must equal the library's."""
+    degree = group.degree
+    gens = []
+    seen = set()
+    for g in group.generators:
+        if not g.is_identity() and g.images not in seen:
+            seen.add(g.images)
+            gens.append(g)
+    levels = []
+    base_points = set()
+
+    def add_level(point):
+        levels.append(ChainLevel(point))
+        base_points.add(point)
+
+    def place(g):
+        for lvl in levels:
+            lvl.gens.append(g)
+            if g.images[lvl.point] != lvl.point:
+                return
+        raise AssertionError("generator fixes the whole base")
+
+    def rebuild_orbit(lvl):
+        lvl.transversal = {lvl.point: Permutation.identity(degree)}
+        lvl.orbit = [lvl.point]
+        for x in lvl.orbit:
+            ux = lvl.transversal[x]
+            for g in lvl.gens:
+                y = g.images[x]
+                if y not in lvl.transversal:
+                    lvl.transversal[y] = g * ux
+                    lvl.orbit.append(y)
+
+    for pt in group._base_hint:
+        if 0 <= pt < degree and pt not in base_points:
+            add_level(pt)
+    for g in gens:
+        if all(g.images[lvl.point] == lvl.point for lvl in levels):
+            add_level(min(g.moved_points()))
+    for g in gens:
+        place(g)
+    for lvl in levels:
+        rebuild_orbit(lvl)
+
+    i = len(levels) - 1
+    while i >= 0:
+        lvl = levels[i]
+        clean = True
+        for x in sorted(lvl.transversal):
+            ux = lvl.transversal[x]
+            for g in lvl.gens:
+                uy = lvl.transversal[g.images[x]]
+                sg = uy.inverse() * (g * ux)
+                if sg.is_identity():
+                    continue
+                h, j = _sift_by_products(levels, sg, i + 1)
+                if h.is_identity():
+                    continue
+                if j == len(levels):
+                    add_level(min(h.moved_points()))
+                place(h)
+                for m in range(j + 1):
+                    rebuild_orbit(levels[m])
+                i = j
+                clean = False
+                break
+            if not clean:
+                break
+        if clean:
+            i -= 1
+    return levels

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import elements_by_transversal_products, naive_closure
+from oracles import chain_by_permutation_products, elements_by_transversal_products, naive_closure
 from piclass.group import PermGroup
-from piclass.perm import Permutation, parse_cycle_text
+from piclass.perm import Permutation, compose_images, conjugate, parse_cycle_text
 
 
 def test_symmetric_group_order(named):
@@ -73,6 +73,67 @@ def test_listing_order_is_the_transversal_product_order(census_entries, named):
     groups.append(PermGroup(list(named("A5").generators), base_hint=[4, 2]))
     for g in groups:
         assert list(g.elements()) == elements_by_transversal_products(g), g
+
+
+def _levels(levels) -> list:
+    return [(lvl.point, lvl.gens, lvl.orbit, list(lvl.transversal.items())) for lvl in levels]
+
+
+def _disguised(group: PermGroup, rng: random.Random) -> PermGroup:
+    """The group with relabelled points, a duplicated generator, shuffled
+    generators and a random base hint."""
+    points = list(range(group.degree))
+    rng.shuffle(points)
+    sigma = Permutation(points)
+    gens = [conjugate(sigma, g) for g in group.generators]
+    gens.append(rng.choice(gens))
+    rng.shuffle(gens)
+    return PermGroup(gens, base_hint=rng.sample(points, group.degree))
+
+
+def _agl1_257_x_s5() -> PermGroup:
+    """AGL(1,257) on points 0..256 (x -> x+1 and x -> 3x; 3 is a primitive
+    root mod 257) times S5 on points 257..261: degree 262, tuple images."""
+    n = 262
+    shift = Permutation([*((x + 1) % 257 for x in range(257)), *range(257, n)])
+    scale = Permutation([*((3 * x) % 257 for x in range(257)), *range(257, n)])
+    five = Permutation.from_cycles(n, [range(257, 262)])
+    swap = Permutation.from_cycles(n, [[257, 258]])
+    return PermGroup([shift, five, scale, swap])
+
+
+def test_chain_matches_the_permutation_product_oracle(census_entries, named):
+    """The chain built on images with inverse tables equals the one built
+    from ``Permutation`` products and inverses: base, strong generators,
+    orbits and transversals (in orbit order) at every level.  On every
+    census group as built and disguised, on A5 under the base hints of
+    ``test_order_invariant_under_base_regeneration``, and on a group of
+    degree 262, whose images are tuples."""
+    groups = []
+    for name, g in census_entries:
+        groups.append(PermGroup(list(g.generators)))
+        groups.append(_disguised(g, random.Random(f"chain/{name}")))
+    a5 = list(named("A5").generators)
+    groups += [PermGroup(a5, base_hint=hint) for hint in ([4, 2], [3], [0, 1, 2, 3, 4])]
+    big = _agl1_257_x_s5()
+    groups.append(big)
+    groups.append(_disguised(big, random.Random(257)))
+    for g in groups:
+        assert _levels(g._ensure_chain()) == _levels(chain_by_permutation_products(g)), g
+    assert big.order == 257 * 256 * 120
+    assert type(big.generators[0].images) is tuple
+
+
+def test_inverse_tables_invert_their_transversal_elements(census_entries):
+    """u^-1 * u is the identity for every transversal element u of every
+    census chain, and of the degree-262 chain, read through the table of
+    u^-1 the level keeps."""
+    for g in [g for _, g in census_entries] + [_agl1_257_x_s5()]:
+        ident = Permutation.identity(g.degree).images
+        for lvl in g._ensure_chain():
+            assert lvl.inverses.keys() == lvl.transversal.keys()
+            for x, u in lvl.transversal.items():
+                assert compose_images(lvl.inverses[x], u.images) == ident, (g, x)
 
 
 def test_generators_pass_membership(named):

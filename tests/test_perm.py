@@ -14,6 +14,7 @@ from piclass.perm import (
     left_multiplier,
     left_products,
     parse_cycle_text,
+    schreier_tree,
 )
 
 perms = st.integers(min_value=1, max_value=8).flatmap(
@@ -250,3 +251,33 @@ def test_limited_conjugation_orbit_matches_naive(ims, limit):
     x, *gens = ims
     pairs = conjugation_pairs(map(Permutation, gens))
     assert as_tuples(conjugation_orbit(x, pairs, limit)) == naive_orbit(x, gens, limit)
+
+
+def naive_schreier_tree(point, gens):
+    orbit = [point]
+    transversal = {point: tuple(range(len(gens[0])))}
+    for x in orbit:
+        for g in gens:
+            if g[x] not in transversal:
+                transversal[g[x]] = naive_compose(g, transversal[x])
+                orbit.append(g[x])
+    return orbit, transversal
+
+
+@given(image_tuples(3), st.integers(min_value=0, max_value=261))
+@example([b"\x00"] * 3, 0)
+@example([CYCLE_257, SWAP_257, CYCLE_257], 3)
+def test_schreier_tree_matches_naive(ims, point):
+    """The orbit, the transversal (in orbit order) and, through the table of
+    each u^-1, u^-1 * u and u^-1 * g for the first generator g."""
+    n = len(ims[0])
+    point %= n
+    orbit, transversal, inverses = schreier_tree(point, ims, n)
+    want_orbit, want = naive_schreier_tree(point, ims)
+    assert orbit == want_orbit
+    assert [(y, tuple(u)) for y, u in transversal.items()] == list(want.items())
+    assert inverses.keys() == transversal.keys()
+    for y, u in want.items():
+        assert tuple(compose_images(inverses[y], transversal[y])) == tuple(range(n))
+        assert tuple(compose_images(inverses[y], ims[0])) == naive_compose(naive_inverse(u), ims[0])
+        assert type(compose_images(inverses[y], ims[0])) is type(ims[0])

@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -154,6 +157,32 @@ def test_normal_closure_examples(named):
     assert is_normal(s4, v)
     a5 = named("A5")
     assert normal_closure(a5, [parse_cycle_text("(0 1 2)", 5)]).order == 60
+
+
+@pytest.mark.parametrize("call", ["normal_closure(g, [x])", "_reduced_subgroup(g, [x])"])
+def test_a_seed_of_another_degree_is_rejected_up_front(call):
+    """A seed of degree 5 in S3 raises ``DegreeMismatchError`` before any
+    closure starts; the coset closure on mixed degrees never ended.  The
+    call runs in a subprocess with a timeout, so a hang fails the test
+    instead of stalling the suite."""
+    tests = Path(__file__).parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)])}
+    script = "\n".join([
+        "from piclass.catalog import build, parse_name",
+        "from piclass.errors import DegreeMismatchError",
+        "from piclass.perm import parse_cycle_text",
+        "from piclass.subgroups import _reduced_subgroup, normal_closure",
+        "g = build(parse_name('S3'))",
+        "x = parse_cycle_text('(0 4)', 5)",
+        "try:",
+        f"    {call}",
+        "except DegreeMismatchError as exc:",
+        "    print(type(exc).__name__)",
+    ])
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "DegreeMismatchError"
 
 
 @pytest.mark.parametrize("name,expected", [
