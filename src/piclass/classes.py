@@ -293,7 +293,7 @@ class ClassTable:
             raise PreconditionError("subgroup is not normal in the group")
         classes = self.classes
         index = self.group.order // sub.order
-        pairs = conjugation_pairs(sub.generators)
+        pairs = sub.conjugation_pairs()
         splits = {}
         for i in _bits(mask):
             size = classes[i].size
@@ -403,7 +403,7 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
         return cached
 
     orbits, index_of = conjugation_orbits([p.images for p in group.element_list()],
-                                          conjugation_pairs(group.generators))
+                                          group.conjugation_pairs())
     least = [min(orbit) for orbit in orbits]
     ranked = sorted(range(len(orbits)), key=least.__getitem__)
     rank = [0] * len(orbits)

@@ -33,6 +33,7 @@ from .perm import (
     Images,
     Permutation,
     compose_images,
+    conjugation_pairs,
     left_multiplier,
     left_products,
     schreier_tree,
@@ -262,6 +263,15 @@ class PermGroup:
         if self._element_set is None:
             self._element_set = frozenset(p.images for p in self.element_list())
         return self._element_set
+
+    def conjugation_pairs(self) -> list[tuple[Images, Images]]:
+        """The conjugation pair of each generator, in list order
+        (``perm.conjugation_pairs``), cached: each generator is inverted
+        once per group."""
+        pairs = self.cache.get("conjugation_pairs")
+        if pairs is None:
+            pairs = self.cache["conjugation_pairs"] = conjugation_pairs(self.generators)
+        return pairs
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""

@@ -138,7 +138,7 @@ def orbit_transversal(group: PermGroup, start, act) -> dict:
     set when the key is first reached, so it is the first such word found
     (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1).
     """
-    steps = list(zip(group.generators, conjugation_pairs(group.generators)))
+    steps = list(zip(group.generators, group.conjugation_pairs()))
     transversal = {start: Permutation.identity(group.degree)}
     orbit = [start]
     for key in orbit:
@@ -170,7 +170,7 @@ def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
     """
     transversal = orbit_transversal(parent, start, act)
     target = parent.order // len(transversal)
-    steps = list(zip(parent.generators, conjugation_pairs(parent.generators)))
+    steps = list(zip(parent.generators, parent.conjugation_pairs()))
     schreier = (transversal[act(pair, key)].inverse() * (g * u)
                 for key, u in transversal.items() for g, pair in steps)
     stabilizer = _reduced_subgroup(parent, schreier, target)
@@ -209,8 +209,9 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
 
     The generators are the nonidentity seeds, then each conjugate of a
     generator by a generator of G (generators taken in the order added) that
-    lies outside the subgroup so far; each generator of G is inverted once
-    per call (``perm.conjugation_pairs``).  The element set grows by coset closure
+    lies outside the subgroup so far, read through the conjugation pairs
+    of G's generators (``PermGroup.conjugation_pairs``), so no generator
+    is inverted per conjugate.  The element set grows by coset closure
     (``_extend``).  With ``elements``, the element set of the normal closure
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
@@ -219,9 +220,8 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     target = None if elements is None else len(elements)
     current = _reduced_subgroup(group, gens, target)
-    pairs = conjugation_pairs(group.generators)
     for s in gens:  # gens grows while it is walked
-        for pair in pairs:
+        for pair in group.conjugation_pairs():
             if current.order == target:
                 break
             c = Permutation._make(conjugate_images(pair, s.images))
@@ -700,7 +700,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     for base in found:
         base_set = base.element_set()
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
-        base_pairs = conjugation_pairs(base.generators)
+        base_pairs = base.conjugation_pairs()
         covered: set[Images] = set()
         for i in steps:
             x, n = elements[i], orders[i]

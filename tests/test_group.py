@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from oracles import chain_by_permutation_products, elements_by_transversal_products, naive_closure
 from piclass.group import PermGroup
-from piclass.perm import Permutation, compose_images, conjugate, parse_cycle_text
+from piclass.perm import (
+    Permutation,
+    compose_images,
+    conjugate,
+    conjugation_pairs,
+    parse_cycle_text,
+)
 
 
 def test_symmetric_group_order(named):
@@ -134,6 +140,28 @@ def test_inverse_tables_invert_their_transversal_elements(census_entries):
             assert lvl.inverses.keys() == lvl.transversal.keys()
             for x, u in lvl.transversal.items():
                 assert compose_images(lvl.inverses[x], u.images) == ident, (g, x)
+
+
+def test_chain_build_and_sift_make_no_permutation_products(census_entries, monkeypatch):
+    """The chain is built and sifted on images: no ``Permutation.inverse``
+    and no ``Permutation.__mul__`` call, on bytes or on tuples."""
+    groups = [PermGroup(list(g.generators)) for _, g in census_entries] + [_agl1_257_x_s5()]
+
+    def forbidden(*args):
+        raise AssertionError("Permutation product or inverse in the chain")
+
+    monkeypatch.setattr(Permutation, "inverse", forbidden)
+    monkeypatch.setattr(Permutation, "__mul__", forbidden)
+    for g in groups:
+        assert g.order > 0
+        assert g.sift(g.generators[-1]).is_identity()
+
+
+def test_conjugation_pairs_are_cached_per_group(named):
+    g = PermGroup(list(named("S4").generators))
+    pairs = g.conjugation_pairs()
+    assert g.conjugation_pairs() is pairs
+    assert pairs == conjugation_pairs(g.generators)
 
 
 def test_generators_pass_membership(named):
