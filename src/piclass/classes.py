@@ -28,7 +28,6 @@ from .perm import (
     Permutation,
     conjugation_orbit,
     conjugation_orbits,
-    conjugation_pairs,
     left_multiplier,
     left_products,
 )

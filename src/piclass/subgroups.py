@@ -47,7 +47,6 @@ from .perm import (
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
-    conjugation_pairs,
     left_multiplier,
     left_products,
 )
