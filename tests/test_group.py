@@ -5,11 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import chain_by_permutation_products, elements_by_transversal_products, naive_closure
+from test_census_metamorphic import _disguised
 from piclass.group import PermGroup
 from piclass.perm import (
     Permutation,
     compose_images,
-    conjugate,
     conjugation_pairs,
     parse_cycle_text,
 )
@@ -83,18 +83,6 @@ def test_listing_order_is_the_transversal_product_order(census_entries, named):
 
 def _levels(levels) -> list:
     return [(lvl.point, lvl.gens, lvl.orbit, list(lvl.transversal.items())) for lvl in levels]
-
-
-def _disguised(group: PermGroup, rng: random.Random) -> PermGroup:
-    """The group with relabelled points, a duplicated generator, shuffled
-    generators and a random base hint."""
-    points = list(range(group.degree))
-    rng.shuffle(points)
-    sigma = Permutation(points)
-    gens = [conjugate(sigma, g) for g in group.generators]
-    gens.append(rng.choice(gens))
-    rng.shuffle(gens)
-    return PermGroup(gens, base_hint=rng.sample(points, group.degree))
 
 
 def _agl1_257_x_s5() -> PermGroup:
