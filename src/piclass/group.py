@@ -21,11 +21,13 @@ Algorithms*, 2003, §4.1).  A Schreier generator u_y^-1 * g * u_x is the
 identity exactly when g * u_x = u_y, so it costs one product through g's
 table, built once per scan of a level; only the others are multiplied by
 u_y^-1 and sifted.  The sift (``_sift``) is one product through a level's
-table of u^-1 per step.  Strong generators and transversal elements become
-``Permutation``s once, when the chain is stored.
+table of u^-1 per step.  The stored chain keeps its strong generators and
+transversal elements as images, and element enumeration and random
+elements compose them as images.
 """
 
 import random
+from itertools import combinations
 from math import prod
 
 from .errors import DegreeMismatchError
@@ -44,16 +46,15 @@ class _Level:
     """One level of the chain: its base point, the strong generators that
     fix the earlier base points, the orbit of the point, the transversal
     (orbit point y -> u_y with u_y(point) = y) and the table of each u_y^-1
-    (``perm.schreier_tree``), read by ``_sift``.  While the chain is built,
-    generators and transversal hold images; the stored chain holds them as
-    ``Permutation``s."""
+    (``perm.schreier_tree``), read by ``_sift``.  Generators and transversal
+    elements are images."""
 
     __slots__ = ("point", "gens", "transversal", "orbit", "inverses")
 
     def __init__(self, point: int):
         self.point = point
-        self.gens: list = []
-        self.transversal: dict = {}
+        self.gens: list[Images] = []
+        self.transversal: dict[int, Images] = {}
         self.orbit: list[int] = []
         self.inverses: dict[int, Images] = {}
 
@@ -139,7 +140,8 @@ class PermGroup:
             raise AssertionError("generator fixes the whole base")
 
         def rebuild_orbit(lvl: _Level):
-            lvl.orbit, lvl.transversal, lvl.inverses = schreier_tree(lvl.point, lvl.gens, degree)
+            moves = [(g, g.__getitem__) for g in lvl.gens]
+            lvl.orbit, lvl.transversal, lvl.inverses = schreier_tree(lvl.point, moves, degree)
 
         def first_moved(g: Images) -> int:
             return next(p for p in range(degree) if g[p] != p)
@@ -189,10 +191,6 @@ class PermGroup:
             if clean:
                 i -= 1
 
-        make = Permutation._make
-        for lvl in levels:
-            lvl.gens = [make(g) for g in lvl.gens]
-            lvl.transversal = {x: make(u) for x, u in lvl.transversal.items()}
         self._levels = levels
         self._order = prod(len(lvl.orbit) for lvl in levels)
 
@@ -241,7 +239,7 @@ class PermGroup:
         for lvl in reversed(self._ensure_chain()):
             longer = []  # the products of this level and the levels below
             for x in sorted(lvl.transversal):
-                longer += left_products(lvl.transversal[x].images, products)
+                longer += left_products(lvl.transversal[x], products)
             products = longer
         yield from map(Permutation._make, products)
 
@@ -275,19 +273,15 @@ class PermGroup:
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""
-        g = Permutation.identity(self.degree)
+        g = Permutation.identity(self.degree).images
         for lvl in self._ensure_chain():
             pts = sorted(lvl.transversal)
-            g = g * lvl.transversal[pts[rng.randrange(len(pts))]]
-        return g
+            g = compose_images(g, lvl.transversal[pts[rng.randrange(len(pts))]])
+        return Permutation._make(g)
 
     def is_abelian(self) -> bool:
-        gens = self.generators
-        for i, a in enumerate(gens):
-            for b in gens[i + 1 :]:
-                if a * b != b * a:
-                    return False
-        return True
+        gens = [g.images for g in self.generators]
+        return all(compose_images(a, b) == compose_images(b, a) for a, b in combinations(gens, 2))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"

@@ -13,16 +13,17 @@ This module owns the permutation kernel and is the only module that looks at
 the layout.  A product fixes its left factor: on bytes a * b is
 ``b.translate(table)``, for the 256-byte table of a built once per fixed a
 (``left_multiplier``, ``left_products``), and the inverse is
-``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.  The
-Schreier-Sims transversals (``schreier_tree``) keep the table of each u^-1
-beside u: ``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1
-with one inverse per generator on tuples, so no transversal element is
-inverted by a Python loop.  A
-conjugation g x g^-1 is two translates, one through x's table and one
-through g's (``conjugate_images``, ``conjugate_set``), and the conjugation
-walks (``conjugation_orbit``, ``conjugation_orbits``) build each table once.
-``Permutation.__mul__`` and the conjugations are built on them; no other
-module composes images by hand.
+``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.
+``schreier_tree`` is the one orbit-with-transversal walk: the chain runs it
+on points, the stabilizers and subgroup conjugacy on conjugation of
+elements and element sets.  It keeps the table of each u^-1 beside u:
+``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1 with one
+inverse per generator on tuples, so no transversal element is inverted by
+a Python loop.  A conjugation g x g^-1 is two translates, one through x's
+table and one through g's (``conjugate_images``, ``conjugate_set``), and
+the conjugation walks (``conjugation_orbit``, ``conjugation_orbits``) build
+each table once.  ``Permutation.__mul__`` and the conjugations are built on
+them; no other module composes images by hand.
 """
 
 import math
@@ -194,17 +195,12 @@ class Permutation:
         return f"Permutation[{self.degree}] {self.cycle_string()}"
 
 
-def conjugate(g: Permutation, x: Permutation, ginv: Permutation | None = None) -> Permutation:
-    """g * x * g^-1; pass ginv to reuse a precomputed inverse.  An x or a
-    ginv of another degree than g raises ``DegreeMismatchError``, as g * x
-    does."""
-    if ginv is None:
-        ginv = g.inverse()
-    n = len(g.images)
-    for other in (x, ginv):
-        if len(other.images) != n:
-            raise DegreeMismatchError(f"degree mismatch: {n} vs {len(other.images)}")
-    return Permutation._make(conjugate_images((_table(g.images), ginv.images), x.images))
+def conjugate(g: Permutation, x: Permutation) -> Permutation:
+    """g * x * g^-1.  An x of another degree than g raises
+    ``DegreeMismatchError``, as g * x does."""
+    if len(x.images) != len(g.images):
+        raise DegreeMismatchError(f"degree mismatch: {len(g.images)} vs {len(x.images)}")
+    return Permutation._make(conjugate_images(conjugation_pairs([g])[0], x.images))
 
 
 # -- the kernel: composition and conjugation on images ------------------------
@@ -246,39 +242,34 @@ def left_products(a: Images, bs) -> list[Images]:
     return [itemgetter(*b)(table) for b in bs]
 
 
-def schreier_tree(point: int, gens: list[Images], n: int):
-    """The orbit of ``point`` under the generators ``gens`` (images of
-    degree n), breadth first with the generators in list order, with a
-    transversal: u_point is the identity and u_y = g * u_x for the first
-    orbit point x and generator g that reach y.  Returns the orbit, the dict
-    y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
-    ``compose_images(inverses[y], h)``.  On bytes that table is
-    ``bytes.maketrans(u_y, identity)``, the 256-byte table of u_y^-1; on
-    tuples it is u_x^-1 * g^-1, with one inverse per generator, and no
-    transversal element is inverted."""
+def schreier_tree(start, moves, n: int):
+    """The orbit of ``start`` under a group of degree n, with a transversal.
+
+    Each move is a pair: the images of a generator g, and the map
+    key -> g.key of g's action (``g.__getitem__`` on points,
+    ``partial(conjugate_images, pair)`` on elements,
+    ``partial(conjugate_set, pair)`` on element sets).  The orbit is walked
+    breadth first with the moves in list order; u_start is the identity and
+    u_y = g * u_x for the first orbit key x and move g that reach y.
+    Returns the orbit, the dict y -> u_y and the dict y -> table of u_y^-1,
+    so that u_y^-1 * h is ``compose_images(inverses[y], h)``.  On bytes
+    that table is ``bytes.maketrans(u_y, identity)``, the 256-byte table of
+    u_y^-1; on tuples it is u_x^-1 * g^-1, with one inverse per generator,
+    and no transversal element is inverted."""
     ident = _identity_images(n)
-    orbit = [point]
-    transversal = {point: ident}
-    inverses = {point: _table(ident)}
-    if type(ident) is bytes:
-        steps = [(g, _table(g)) for g in gens]
-        for x in orbit:
-            ux = transversal[x]
-            for g, table in steps:
-                y = g[x]
-                if y not in transversal:
-                    uy = transversal[y] = ux.translate(table)
-                    inverses[y] = bytes.maketrans(uy, ident)
-                    orbit.append(y)
-        return orbit, transversal, inverses
-    steps = [(g, itemgetter(*_inverse_tuple(g))) for g in gens]
+    orbit = [start]
+    transversal = {start: ident}
+    inverses = {start: _table(ident)}
+    on_bytes = type(ident) is bytes
+    steps = [(act, left_multiplier(g), None if on_bytes else itemgetter(*_inverse_tuple(g)))
+             for g, act in moves]
     for x in orbit:
-        ux, uxinv = transversal[x], inverses[x]
-        for g, times_ginv in steps:
-            y = g[x]
+        ux = transversal[x]
+        for act, times_g, times_ginv in steps:
+            y = act(x)
             if y not in transversal:
-                transversal[y] = itemgetter(*ux)(g)
-                inverses[y] = times_ginv(uxinv)
+                uy = transversal[y] = times_g(ux)
+                inverses[y] = bytes.maketrans(uy, ident) if on_bytes else times_ginv(inverses[x])
                 orbit.append(y)
     return orbit, transversal, inverses
 

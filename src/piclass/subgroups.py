@@ -7,9 +7,11 @@ answer is G itself, G is returned.  Subgroups made from generators (the
 closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
 growth, greedy generating sets, stabilizers) get their sets by coset closure
 (``_extend_closure``).  Stabilizer-style computations (element centralizers,
-normalizers, subgroup conjugacy) walk one conjugation orbit with
-``orbit_transversal`` and grow the stabilizer from its Schreier generators,
-so they never enumerate the ambient group.  Normal-subgroup queries (the
+normalizers, subgroup conjugacy) walk one conjugation orbit with the
+chain's Schreier tree (``perm.schreier_tree``, with the conjugation of
+elements or element sets as the action) and grow the stabilizer from its
+Schreier generators, tested and built on images as the chain does, so they
+never enumerate the ambient group.  Normal-subgroup queries (the
 lattice, O_pi', the Fitting subgroup, the socle) close class bitsets over
 the class table of G (``classes.ClassTable``), and their element sets are
 read from those bitsets.  A join N * M is the union of the fusion blocks
@@ -35,6 +37,7 @@ import random
 from collections.abc import Callable
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
+from functools import partial
 
 from .classes import _bits, all_d_p_one, conjugacy_classes, pi_part_of_element
 from .errors import CapExceededError, DegreeMismatchError, NotInGroupError, PreconditionError
@@ -43,12 +46,14 @@ from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_
 from .perm import (
     Images,
     Permutation,
-    conjugate,
+    compose_images,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
+    conjugation_pairs,
     left_multiplier,
     left_products,
+    schreier_tree,
 )
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -56,15 +61,23 @@ DEFAULT_MAX_QUOTIENT_DEGREE = 2048
 DEFAULT_HALL_BUDGET = 20
 
 
-def subgroup(parent: PermGroup, gens, *, verify: bool = True) -> PermGroup:
+def _check_members(parent: PermGroup, elements) -> None:
+    """Raise ``DegreeMismatchError`` for an element of another degree than
+    parent, and ``NotInGroupError`` for any other element outside it."""
+    for x in elements:
+        if x.degree != parent.degree:
+            raise DegreeMismatchError(f"element degree {x.degree} != group degree {parent.degree}")
+        if not parent.contains(x):
+            raise NotInGroupError(f"element not in group: {x!r}")
+
+
+def subgroup(parent: PermGroup, gens) -> PermGroup:
     """Smallest subgroup of parent containing gens (the closure), on the
-    nonidentity gens as given.  Its element set is grown by coset closure
+    nonidentity gens as given; a generator outside parent raises (as in
+    ``_check_members``).  Its element set is grown by coset closure
     (``_reduced_subgroup``)."""
     gens = [g for g in gens if not g.is_identity()]
-    if verify:
-        for g in gens:
-            if not parent.contains(g):
-                raise NotInGroupError(f"generator not in parent group: {g!r}")
+    _check_members(parent, gens)
     elements = _reduced_subgroup(parent, gens).element_set()
     return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
                      elements=elements)
@@ -126,53 +139,50 @@ def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> 
 # -- orbit / stabilizer machinery ------------------------------------------
 
 
-def orbit_transversal(group: PermGroup, start, act) -> dict:
-    """Orbit of ``start`` under conjugation by ``group``, with a transversal.
-
-    ``act(pair, key) -> key`` is the action of one generator, given by its
-    conjugation pair (see ``perm.conjugation_pairs``): ``conjugate_images``
-    on elements, ``conjugate_set`` on subgroups.  The walk is breadth-first
-    with the generators in list order.  Returns an insertion-ordered dict
-    key -> transversal element u, where u maps ``start`` to ``key``; u is
-    set when the key is first reached, so it is the first such word found
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1).
-    """
-    steps = list(zip(group.generators, group.conjugation_pairs()))
-    transversal = {start: Permutation.identity(group.degree)}
-    orbit = [start]
-    for key in orbit:
-        u = transversal[key]
-        for g, pair in steps:
-            nkey = act(pair, key)
-            if nkey not in transversal:
-                transversal[nkey] = g * u
-                orbit.append(nkey)
-    return transversal
+def _conjugation_moves(group: PermGroup, act) -> list:
+    """The moves of ``perm.schreier_tree`` for conjugation by ``group``:
+    ``act(pair, key)`` conjugates by one generator, given by its conjugation
+    pair, ``conjugate_images`` on elements and ``conjugate_set`` on element
+    sets (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
+    4.1)."""
+    return [(g.images, partial(act, pair))
+            for g, pair in zip(group.generators, group.conjugation_pairs())]
 
 
 def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     """The element sets of the conjugates of the subgroup whose element set
     is ``key``.  A normal subgroup (``ClassTable.normal_mask``) is its own
     one conjugate and walks no orbit; for any other the set is the orbit of
-    ``key`` under conjugation (``orbit_transversal``)."""
+    ``key`` under conjugation."""
     if conjugacy_classes(group).normal_mask(key) is not None:
         return {key}
-    return orbit_transversal(group, key, conjugate_set).keys()
+    return schreier_tree(key, _conjugation_moves(group, conjugate_set), group.degree)[1].keys()
 
 
 def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
-    """Stabilizer of ``start`` under ``act`` (as in ``orbit_transversal``).
+    """Stabilizer of ``start`` under ``act`` (as in ``_conjugation_moves``).
 
-    Schreier generators u_{g.key}^-1 * g * u_key are consumed lazily and
-    reduced; the scan stops once the stabilizer reaches its known order
-    |parent| / |orbit|.
+    The Schreier generator u_y^-1 * g * u_x, for y = g.x, is the identity
+    exactly when g * u_x = u_y, so, as in the chain, that test costs one
+    product through g's table, and only the others are multiplied through
+    the table of u_y^-1.  They are taken lazily, orbit keys in orbit order
+    and generators in list order, and reduced; the scan stops once the
+    stabilizer reaches its known order |parent| / |orbit|.
     """
-    transversal = orbit_transversal(parent, start, act)
-    target = parent.order // len(transversal)
-    steps = list(zip(parent.generators, parent.conjugation_pairs()))
-    schreier = (transversal[act(pair, key)].inverse() * (g * u)
-                for key, u in transversal.items() for g, pair in steps)
-    stabilizer = _reduced_subgroup(parent, schreier, target)
+    moves = _conjugation_moves(parent, act)
+    orbit, transversal, inverses = schreier_tree(start, moves, parent.degree)
+    target = parent.order // len(orbit)
+    steps = [(move, left_multiplier(g)) for g, move in moves]
+
+    def schreier():
+        for x in orbit:
+            ux = transversal[x]
+            for move, times_g in steps:
+                gux, y = times_g(ux), move(x)
+                if gux != transversal[y]:
+                    yield Permutation._make(compose_images(inverses[y], gux))
+
+    stabilizer = _reduced_subgroup(parent, schreier(), target)
     if stabilizer.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return stabilizer
@@ -180,8 +190,7 @@ def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
 
 def centralizer_of_element(group: PermGroup, x: Permutation) -> PermGroup:
     """C_G(x) as the stabilizer of x under conjugation."""
-    if not group.contains(x):
-        raise NotInGroupError(f"element not in group: {x!r}")
+    _check_members(group, [x])
     if group.is_abelian():
         return group
     return _schreier_stabilizer(group, x.images, conjugate_images)
@@ -214,9 +223,11 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     (``_extend``).  With ``elements``, the element set of the normal closure
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
-    the set whole (Lagrange); the generators are the same.
+    the set whole (Lagrange); the generators are the same.  A seed outside
+    G raises (as in ``_check_members``).
     """
     gens = [s for s in seeds if not s.is_identity()]
+    _check_members(group, gens)
     target = None if elements is None else len(elements)
     current = _reduced_subgroup(group, gens, target)
     for s in gens:  # gens grows while it is walked
@@ -252,7 +263,7 @@ def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup) -> PermG
 
 
 def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
-    return subgroup(group, list(a.generators) + list(b.generators), verify=False)
+    return subgroup(group, list(a.generators) + list(b.generators))
 
 
 # -- normal subgroup lattice ------------------------------------------------
@@ -466,7 +477,7 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
 
     relevant = [p for p in prime_factors(group.order) if p in pi]
     sylows = [sylow_subgroup(group, p) for p in relevant]
-    cand = subgroup(group, [g for s in sylows for g in s.generators], verify=False)
+    cand = subgroup(group, [g for s in sylows for g in s.generators])
     if cand.order == target:
         return found(cand, "constructive", "closure of one Sylow subgroup per prime")
 
@@ -481,17 +492,17 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
             syl = sylow_subgroup(cur, p)
             hgens.extend(syl.generators)
             cur = centralizer_of_subgroup(cur, syl)
-        return found(subgroup(group, hgens, verify=False), "constructive",
+        return found(subgroup(group, hgens), "constructive",
                      "Sylow subgroups in iterated centralizers (descending)")
 
     rng = random.Random(seed)
     for attempt in range(budget):
         gens = []
         for s in sylows:
-            c = group.random_element(rng)
-            cinv = c.inverse()
-            gens.extend(conjugate(c, g, cinv) for g in s.generators)
-        cand = subgroup(group, gens, verify=False)
+            pair = conjugation_pairs([group.random_element(rng)])[0]
+            gens.extend(Permutation._make(conjugate_images(pair, g.images))
+                        for g in s.generators)
+        cand = subgroup(group, gens)
         if cand.order == target:
             return found(cand, "randomized", f"random Sylow conjugates, attempt {attempt + 1}")
 
@@ -509,7 +520,7 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
     """(conjugate?, witness g with g a g^-1 = b).
 
     The witness is the transversal element of b in the conjugation orbit of
-    a (``orbit_transversal``), a coset representative of N_G(a).
+    a, a coset representative of N_G(a).
     """
     if a.order != b.order:
         return False, None
@@ -517,8 +528,9 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
     bkey = b.element_set()
     if akey == bkey:
         return True, Permutation.identity(group.degree)
-    witness = orbit_transversal(group, akey, conjugate_set).get(bkey)
-    return witness is not None, witness
+    moves = _conjugation_moves(group, conjugate_set)
+    witness = schreier_tree(akey, moves, group.degree)[1].get(bkey)
+    return (False, None) if witness is None else (True, Permutation._make(witness))
 
 
 # -- characteristic-style subgroups ------------------------------------------

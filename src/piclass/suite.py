@@ -126,7 +126,7 @@ def check_hall_dichotomy(group: PermGroup, pi,
         for cls in conjugacy_classes(group).classes:
             if not is_pi_number(cls.order, pi):
                 continue
-            cyc = subgroup(group, [cls.rep], verify=False)
+            cyc = subgroup(group, [cls.rep])
             key = cyc.element_set()
             if key not in seen:  # one per conjugacy class of cyclic subgroups
                 seen.update(conjugates(group, key))

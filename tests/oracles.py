@@ -27,7 +27,11 @@ powers of x into N's element set.  Last, the element listing as
 ``Permutation.__mul__`` products of transversal elements, and the
 Schreier-Sims chain as the library built it before it kept the table of
 each u^-1: every Schreier generator and sift step a ``Permutation``
-product with an inverse.
+product with an inverse.  Likewise the conjugation orbit walk and the
+Schreier stabilizer (normalizers, element centralizers, conjugacy
+witnesses) as the library ran them before they shared the chain's Schreier
+tree, on ``Permutation`` products and inverses, and the conjugates of a
+subgroup by every element of the group.
 """
 
 import itertools
@@ -178,6 +182,56 @@ def k_pi_by_class_equation(group, pi):
     return total // group.order
 
 
+def conjugates_by_brute_force(group, key):
+    """{g H g^-1 : g in G} for the subgroup H whose element set is ``key``:
+    one conjugate per element of G, none found by walking an orbit."""
+    from piclass.perm import conjugate_set, conjugation_pairs
+
+    return {conjugate_set(pair, key) for pair in conjugation_pairs(group.element_list())}
+
+
+def orbit_transversal(group, start, act):
+    """The orbit of ``start`` under conjugation by ``group``, with a
+    transversal, as the library walked it before it ran on
+    ``perm.schreier_tree``: breadth first with the generators in list order,
+    ``act(pair, key)`` conjugating by one generator (``conjugate_images`` or
+    ``conjugate_set``), and u = g * u_x a ``Permutation`` product for the
+    first key x and generator g that reach a key.  An insertion-ordered dict
+    key -> u."""
+    from piclass.perm import conjugation_pairs
+
+    steps = list(zip(group.generators, conjugation_pairs(group.generators)))
+    transversal = {start: Permutation.identity(group.degree)}
+    orbit = [start]
+    for key in orbit:
+        u = transversal[key]
+        for g, pair in steps:
+            nkey = act(pair, key)
+            if nkey not in transversal:
+                transversal[nkey] = g * u
+                orbit.append(nkey)
+    return transversal
+
+
+def schreier_stabilizer_by_products(group, start, act):
+    """The stabilizer of ``start`` (as in ``orbit_transversal``) as the
+    library grew it before it tested Schreier generators on images: every
+    u_{g.x}^-1 * (g * u_x), trivial or not, a ``Permutation`` product with
+    an inverse, in orbit order and generator order, reduced by the library's
+    greedy ``_reduced_subgroup`` until it reaches |G| / |orbit|."""
+    from piclass.perm import conjugation_pairs
+    from piclass.subgroups import _reduced_subgroup
+
+    transversal = orbit_transversal(group, start, act)
+    target = group.order // len(transversal)
+    steps = list(zip(group.generators, conjugation_pairs(group.generators)))
+    schreier = (transversal[act(pair, key)].inverse() * (g * u)
+                for key, u in transversal.items() for g, pair in steps)
+    stabilizer = _reduced_subgroup(group, schreier, target)
+    assert stabilizer.order == target
+    return stabilizer
+
+
 def subgroup_classes_by_orbit_skip(group, pi=None):
     """One handle per conjugacy class of subgroups (pi-subgroups with ``pi``
     set), by the sweep the library ran before its double-coset skip rules
@@ -192,8 +246,8 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
     library.  Uncached.
     """
     from piclass.numtheory import is_pi_number
-    from piclass.perm import conjugate_set, conjugation_orbit, conjugation_pairs
-    from piclass.subgroups import _extend, orbit_transversal, trivial_subgroup
+    from piclass.perm import conjugation_orbit, conjugation_pairs
+    from piclass.subgroups import _extend, trivial_subgroup
 
     pi = None if pi is None else frozenset(pi)
     elements = group.element_list()
@@ -205,7 +259,7 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
         key = handle.element_set()
         if key not in seen:
             found.append(handle)
-            seen.update(orbit_transversal(group, key, conjugate_set))
+            seen.update(conjugates_by_brute_force(group, key))
 
     register(trivial_subgroup(group))
     for base in found:
@@ -445,12 +499,12 @@ def pi_sum(counts, pi):
 def elements_by_transversal_products(group):
     """The elements u_0 * u_1 * ... of the group's chain, one transversal
     element per level with orbit points ascending and the deepest level
-    varying fastest, each a ``Permutation.__mul__`` product."""
-    levels = group._ensure_chain()
+    varying fastest, each a ``Permutation.__mul__`` product of the stored
+    transversal images."""
     identity = Permutation.identity(group.degree)
-    points = [sorted(lvl.transversal) for lvl in levels]
-    return [reduce(mul, (lvl.transversal[x] for lvl, x in zip(levels, choice)), identity)
-            for choice in itertools.product(*points)]
+    levels = [[Permutation(lvl.transversal[x]) for x in sorted(lvl.transversal)]
+              for lvl in group._ensure_chain()]
+    return [reduce(mul, choice, identity) for choice in itertools.product(*levels)]
 
 
 class ChainLevel:

@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -58,13 +60,11 @@ def test_degree_mismatch():
 
 
 def test_conjugate_degree_mismatch():
-    """``conjugate`` rejects an x or a ginv of another degree than g, as
-    g * x does, in place of returning a permutation that is not one."""
+    """``conjugate`` rejects an x of another degree than g, as g * x does,
+    in place of returning a permutation that is not one."""
     g = Permutation.identity(3)
     with pytest.raises(DegreeMismatchError):
         conjugate(g, parse_cycle_text("(0 4)", 5))
-    with pytest.raises(DegreeMismatchError):
-        conjugate(g, parse_cycle_text("(0 1)", 3), Permutation.identity(4))
     with pytest.raises(DegreeMismatchError):
         conjugate(Permutation.identity(300), parse_cycle_text("(0 1)", 3))
 
@@ -253,31 +253,72 @@ def test_limited_conjugation_orbit_matches_naive(ims, limit):
     assert as_tuples(conjugation_orbit(x, pairs, limit)) == naive_orbit(x, gens, limit)
 
 
-def naive_schreier_tree(point, gens):
-    orbit = [point]
-    transversal = {point: tuple(range(len(gens[0])))}
+def naive_schreier_tree(start, gens, act):
+    orbit = [start]
+    transversal = {start: tuple(range(len(gens[0])))}
     for x in orbit:
         for g in gens:
-            if g[x] not in transversal:
-                transversal[g[x]] = naive_compose(g, transversal[x])
-                orbit.append(g[x])
+            y = act(g, x)
+            if y not in transversal:
+                transversal[y] = naive_compose(g, transversal[x])
+                orbit.append(y)
     return orbit, transversal
 
 
-@given(image_tuples(3), st.integers(min_value=0, max_value=261))
-@example([b"\x00"] * 3, 0)
-@example([CYCLE_257, SWAP_257, CYCLE_257], 3)
-def test_schreier_tree_matches_naive(ims, point):
-    """The orbit, the transversal (in orbit order) and, through the table of
-    each u^-1, u^-1 * u and u^-1 * g for the first generator g."""
+@st.composite
+def small_group_and_set(draw):
+    """The images of two generators of one degree in 1..20 or 250..262 that
+    move only the same five points (so they generate at most 120 elements),
+    and of two elements of that degree, any."""
+    n = draw(KERNEL_DEGREES)
+    relabel = draw(st.permutations(list(range(n))))
+    gens = []
+    for _ in range(2):
+        g = list(range(n))
+        for i, j in enumerate(draw(st.permutations(list(range(min(n, 5)))))):
+            g[relabel[i]] = relabel[j]
+        gens.append(Permutation(g).images)
+    return gens, [Permutation(draw(st.permutations(list(range(n))))).images for _ in range(2)]
+
+
+THREE_CYCLE_257 = Permutation.from_cycles(257, [[254, 255, 256]]).images
+
+
+def _assert_tree_matches(tree, want_orbit, want, as_key, probe):
+    """The orbit and the transversal (in orbit order) of ``schreier_tree``,
+    keys read through ``as_key``, against the naive walk, and through the
+    table of each u^-1, u^-1 * u and u^-1 * probe."""
+    orbit, transversal, inverses = tree
+    n = len(probe)
+    assert [as_key(y) for y in orbit] == want_orbit
+    assert [(as_key(y), tuple(u)) for y, u in transversal.items()] == list(want.items())
+    assert inverses.keys() == transversal.keys()
+    for y in orbit:
+        u = want[as_key(y)]
+        assert tuple(compose_images(inverses[y], transversal[y])) == tuple(range(n))
+        assert tuple(compose_images(inverses[y], probe)) == naive_compose(naive_inverse(u), probe)
+        assert type(compose_images(inverses[y], probe)) is type(probe)
+
+
+@given(image_tuples(3), st.integers(min_value=0, max_value=261), small_group_and_set())
+@example([b"\x00"] * 3, 0, ([b"\x01\x00\x02", b"\x00\x02\x01"], [b"\x02\x00\x01", b"\x00\x01\x02"]))
+@example([CYCLE_257, SWAP_257, CYCLE_257], 3, ([SWAP_257, THREE_CYCLE_257], [CYCLE_257, SWAP_257]))
+def test_schreier_tree_matches_naive(ims, point, group_and_set):
+    """Two actions: the points under the generators ``ims`` (the chain's),
+    and a set of two elements under conjugation by a group of at most 120
+    elements (the stabilizers'), on bytes and on tuples."""
     n = len(ims[0])
     point %= n
-    orbit, transversal, inverses = schreier_tree(point, ims, n)
-    want_orbit, want = naive_schreier_tree(point, ims)
-    assert orbit == want_orbit
-    assert [(y, tuple(u)) for y, u in transversal.items()] == list(want.items())
-    assert inverses.keys() == transversal.keys()
-    for y, u in want.items():
-        assert tuple(compose_images(inverses[y], transversal[y])) == tuple(range(n))
-        assert tuple(compose_images(inverses[y], ims[0])) == naive_compose(naive_inverse(u), ims[0])
-        assert type(compose_images(inverses[y], ims[0])) is type(ims[0])
+    moves = [(g, g.__getitem__) for g in ims]
+    want_orbit, want = naive_schreier_tree(point, ims, lambda g, x: g[x])
+    _assert_tree_matches(schreier_tree(point, moves, n), want_orbit, want, int, ims[0])
+
+    gens, key = group_and_set
+    pairs = conjugation_pairs(map(Permutation, gens))
+    moves = [(g, partial(conjugate_set, pair)) for g, pair in zip(gens, pairs)]
+    tree = schreier_tree(frozenset(key), moves, len(gens[0]))
+    want_orbit, want = naive_schreier_tree(
+        frozenset(map(tuple, key)), gens,
+        lambda g, k: frozenset(naive_conjugate(g, t) for t in k))
+    _assert_tree_matches(tree, want_orbit, want, lambda k: frozenset(map(tuple, k)), gens[0])
+    assert len(tree[0]) <= 120

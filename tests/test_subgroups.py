@@ -11,6 +11,7 @@ from oracles import (
     all_subgroups_naive,
     class_splits_by_full_walk,
     closure_by_all_pairs,
+    conjugates_by_brute_force,
     coset_classes_by_rows,
     fitting_subgroup_by_closures,
     is_normal,
@@ -21,9 +22,11 @@ from oracles import (
     normal_pi_complement_by_element_scan,
     normal_subgroups_by_class_unions,
     normal_subgroups_by_joins,
+    orbit_transversal,
     order_counts,
     pi_sum,
     quotient_order_counts,
+    schreier_stabilizer_by_products,
     socle_by_element_sets,
     subgroup_classes_by_orbit_skip,
 )
@@ -36,17 +39,21 @@ from piclass.numtheory import is_pi_number, is_prime, pi_part, prime_factors
 from piclass.perm import (
     Permutation,
     conjugate,
+    conjugate_images,
     conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
     parse_cycle_text,
+    schreier_tree,
 )
 from piclass.suite import _nonempty_subsets, check_hall_dichotomy, check_quotient_bound
 from piclass.subgroups import (
+    _conjugation_moves,
     _extend_closure,
     are_conjugate_subgroups,
     almost_simple_socle,
     center,
+    centralizer_of_element,
     centralizer_of_subgroup,
     commutator_subgroup,
     conjugates,
@@ -60,7 +67,6 @@ from piclass.subgroups import (
     normal_subgroups,
     normalizer,
     o_pi_prime,
-    orbit_transversal,
     quotient,
     socle,
     subgroup,
@@ -183,6 +189,19 @@ def test_a_seed_of_another_degree_is_rejected_up_front(call):
                          text=True, timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "DegreeMismatchError"
+
+
+def test_a_seed_outside_the_group_is_rejected(named):
+    """A seed of the group's degree outside it raises ``NotInGroupError``,
+    as a generator outside it does in ``subgroup``; the closure of (0 1) in
+    C3 used to come out as a group of order 6.  On a group sifting through
+    its chain and on one holding its element set."""
+    swap = parse_cycle_text("(0 1)", 3)
+    for g in (build(parse_name("C3")), subgroup(named("S3"), [parse_cycle_text("(0 1 2)", 3)])):
+        with pytest.raises(NotInGroupError):
+            normal_closure(g, [swap])
+        with pytest.raises(NotInGroupError):
+            normal_closure(g, [Permutation.identity(3), swap])
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -835,13 +854,13 @@ def test_conjugates_of_normal_subgroups_walk_no_orbit(monkeypatch):
     import piclass.subgroups
 
     walks = []
-    walk = piclass.subgroups.orbit_transversal
+    walk = piclass.subgroups.schreier_tree
 
     def counting(*args):
         walks.append(1)
         return walk(*args)
 
-    monkeypatch.setattr(piclass.subgroups, "orbit_transversal", counting)
+    monkeypatch.setattr(piclass.subgroups, "schreier_tree", counting)
     g = build(parse_name("C12 x C6"))  # abelian, fresh: no cached classes
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
     assert walks == []
@@ -850,6 +869,69 @@ def test_conjugates_of_normal_subgroups_walk_no_orbit(monkeypatch):
     walks.clear()
     assert len(conjugates(s4, key)) == 3
     assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_stabilizers_match_the_permutation_product_oracle(name, named):
+    """``normalizer`` of every Sylow subgroup and subgroup-class
+    representative, and ``centralizer_of_element`` of every class
+    representative, have the generators and element set of the stabilizer
+    grown from ``Permutation`` products (``schreier_stabilizer_by_products``).
+    For each representative H and each conjugate K, ``are_conjugate_subgroups``
+    gives the transversal element of K in the oracle's orbit walk, which
+    conjugates H onto K; two representatives of one order are not
+    conjugate."""
+    g = named(name)
+    reps = enumerate_subgroups_up_to_conjugacy(g)
+    for h in [sylow_subgroup(g, p) for p in prime_factors(g.order)] + reps:
+        got = normalizer(g, h)
+        want = schreier_stabilizer_by_products(g, h.element_set(), conjugate_set)
+        assert (got.generators, got.element_set()) == (want.generators, want.element_set())
+    for cls in conjugacy_classes(g).classes:
+        got = centralizer_of_element(g, cls.rep)
+        want = g if g.is_abelian() else schreier_stabilizer_by_products(
+            g, cls.rep.images, conjugate_images)
+        assert (got.generators, got.element_set()) == (want.generators, want.element_set())
+    one = Permutation.identity(g.degree)
+    for h in reps:
+        hkey = h.element_set()
+        for key, u in orbit_transversal(g, hkey, conjugate_set).items():
+            assert are_conjugate_subgroups(g, h, PermGroup([one], elements=key)) == (True, u)
+            assert conjugate_set(conjugation_pairs([u])[0], hkey) == key
+        for other in reps:
+            if other is not h and other.order == h.order:
+                assert are_conjugate_subgroups(g, h, other) == (False, None)
+
+
+def _s4_on_262_points() -> PermGroup:
+    """S4 on the points 258..261 of 262: tuple images."""
+    return PermGroup([Permutation.from_cycles(262, [[258, 259, 260, 261]]),
+                      Permutation.from_cycles(262, [[258, 259]])])
+
+
+def test_stabilizers_make_no_permutation_products(monkeypatch):
+    """Once G's conjugation pairs are cached, normalizers and element
+    centralizers are built on images: no ``Permutation.__mul__`` and no
+    ``Permutation.inverse`` call, on bytes and on tuples.  On fresh groups,
+    so no chain or element list is cached."""
+    names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
+    groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
+    work = []
+    for g in groups:
+        fresh = PermGroup(list(g.generators))
+        subs = [sylow_subgroup(g, p) for p in prime_factors(g.order)]
+        subs += [subgroup(g, [cls.rep]) for cls in conjugacy_classes(g).classes]
+        fresh.conjugation_pairs()
+        work.append((fresh, subs, [cls.rep for cls in conjugacy_classes(g).classes]))
+
+    def forbidden(*args):
+        raise AssertionError("Permutation product or inverse in a stabilizer")
+
+    monkeypatch.setattr(Permutation, "inverse", forbidden)
+    monkeypatch.setattr(Permutation, "__mul__", forbidden)
+    for g, subs, reps in work:
+        assert sum(g.order // normalizer(g, h).order for h in subs) > 0
+        assert sum(centralizer_of_element(g, x).order for x in reps) > 0
 
 
 def test_are_conjugate_examples(named):
@@ -871,11 +953,12 @@ def test_conjugation_orbits_match_brute_force(name, named):
     elements = g.element_list()
     for h in (subgroup(g, g.generators[:1]), sylow_subgroup(g, 2)):
         start = h.element_set()
-        transversal = orbit_transversal(g, start, conjugate_set)
+        transversal = schreier_tree(start, _conjugation_moves(g, conjugate_set), g.degree)[1]
         brute = {frozenset((x * y * x.inverse()).images for y in h.element_list())
                  for x in elements}
         assert set(transversal) == brute
         for key, u in transversal.items():
+            u = Permutation._make(u)
             assert frozenset((u * y * u.inverse()).images for y in h.element_list()) == key
     pairs = conjugation_pairs(g.generators)
     for cls in conjugacy_classes(g).classes:
@@ -975,7 +1058,7 @@ def _assert_same_classes(g, classes, oracle):
     class keyed by the element sets of all its conjugates."""
 
     def keys(subs):
-        return [frozenset(orbit_transversal(g, h.element_set(), conjugate_set)) for h in subs]
+        return [frozenset(conjugates_by_brute_force(g, h.element_set())) for h in subs]
 
     mine, theirs = keys(classes), keys(oracle)
     assert len(mine) == len(theirs) and set(mine) == set(theirs)
