@@ -34,6 +34,7 @@ from .errors import DegreeMismatchError
 from .perm import (
     Images,
     Permutation,
+    _identity_images,
     compose_images,
     conjugation_pairs,
     left_multiplier,
@@ -115,7 +116,7 @@ class PermGroup:
 
     def _build_chain(self):
         degree = self.degree
-        ident = Permutation.identity(degree).images
+        ident = _identity_images(degree)
         gens: list[Images] = []
         seen = {ident}
         for g in self.generators:
@@ -235,7 +236,7 @@ class PermGroup:
         here; a run checks its one element cap as it starts
         (``Config.check_element_cap``).
         """
-        products = [Permutation.identity(self.degree).images]
+        products = [_identity_images(self.degree)]
         for lvl in reversed(self._ensure_chain()):
             longer = []  # the products of this level and the levels below
             for x in sorted(lvl.transversal):
@@ -273,7 +274,7 @@ class PermGroup:
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""
-        g = Permutation.identity(self.degree).images
+        g = _identity_images(self.degree)
         for lvl in self._ensure_chain():
             pts = sorted(lvl.transversal)
             g = compose_images(g, lvl.transversal[pts[rng.randrange(len(pts))]])
