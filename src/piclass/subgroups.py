@@ -224,10 +224,14 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
     the set whole (Lagrange); the generators are the same.  A seed outside
-    G raises (as in ``_check_members``).
+    G raises (as in ``_check_members``); with ``elements``, which lie in G,
+    a seed outside them raises ``NotInGroupError`` at one set lookup.
     """
     gens = [s for s in seeds if not s.is_identity()]
-    _check_members(group, gens)
+    if elements is None:
+        _check_members(group, gens)
+    elif not elements.issuperset([s.images for s in gens]):
+        raise NotInGroupError("seed outside the given normal closure")
     target = None if elements is None else len(elements)
     current = _reduced_subgroup(group, gens, target)
     for s in gens:  # gens grows while it is walked

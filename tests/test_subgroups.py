@@ -195,13 +195,16 @@ def test_a_seed_outside_the_group_is_rejected(named):
     """A seed of the group's degree outside it raises ``NotInGroupError``,
     as a generator outside it does in ``subgroup``; the closure of (0 1) in
     C3 used to come out as a group of order 6.  On a group sifting through
-    its chain and on one holding its element set."""
+    its chain and on one holding its element set, with and without the
+    closure's element set given."""
     swap = parse_cycle_text("(0 1)", 3)
     for g in (build(parse_name("C3")), subgroup(named("S3"), [parse_cycle_text("(0 1 2)", 3)])):
         with pytest.raises(NotInGroupError):
             normal_closure(g, [swap])
         with pytest.raises(NotInGroupError):
             normal_closure(g, [Permutation.identity(3), swap])
+        with pytest.raises(NotInGroupError):  # the known closure is checked by set lookups
+            normal_closure(g, [swap], elements=g.element_set())
 
 
 @pytest.mark.parametrize("name,expected", [
