@@ -245,17 +245,15 @@ def left_products(a: Images, bs) -> list[Images]:
 def schreier_tree(start, moves, n: int):
     """The orbit of ``start`` under a group of degree n, with a transversal.
 
-    Each move is a pair: the images of a generator g, and the map
-    key -> g.key of g's action (``g.__getitem__`` on points,
-    ``partial(conjugate_images, pair)`` on elements,
-    ``partial(conjugate_set, pair)`` on element sets).  The orbit is walked
-    breadth first with the moves in list order; u_start is the identity and
-    u_y = g * u_x for the first orbit key x and move g that reach y.
-    Returns the orbit, the dict y -> u_y and the dict y -> table of u_y^-1,
-    so that u_y^-1 * h is ``compose_images(inverses[y], h)``.  On bytes
-    that table is ``bytes.maketrans(u_y, identity)``, the 256-byte table of
-    u_y^-1; on tuples it is u_x^-1 * g^-1, with one inverse per generator,
-    and no transversal element is inverted."""
+    Each move is a generator g's images and its action key -> g.key:
+    ``g.__getitem__`` on points, ``partial(conjugate_images, pair)`` on
+    elements, ``partial(conjugate_set, pair)`` on element sets.  Breadth
+    first, moves in list order: u_start is the identity and u_y = g * u_x
+    for the first key x and move g that reach y.  Returns the orbit, the
+    dict y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
+    ``compose_images(inverses[y], h)``: on bytes ``bytes.maketrans(u_y,
+    identity)``, on tuples u_x^-1 * g^-1, with one inverse per generator,
+    so no transversal element is inverted."""
     ident = _identity_images(n)
     orbit = [start]
     transversal = {start: ident}

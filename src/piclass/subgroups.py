@@ -140,11 +140,10 @@ def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> 
 
 
 def _conjugation_moves(group: PermGroup, act) -> list:
-    """The moves of ``perm.schreier_tree`` for conjugation by ``group``:
-    ``act(pair, key)`` conjugates by one generator, given by its conjugation
-    pair, ``conjugate_images`` on elements and ``conjugate_set`` on element
-    sets (Holt, Eick and O'Brien, Handbook of Computational Group Theory,
-    4.1)."""
+    """The ``perm.schreier_tree`` moves of conjugation by ``group``: ``act``
+    is ``conjugate_images`` on elements or ``conjugate_set`` on element sets,
+    bound to each generator's conjugation pair (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 4.1)."""
     return [(g.images, partial(act, pair))
             for g, pair in zip(group.generators, group.conjugation_pairs())]
 
@@ -162,13 +161,11 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
 def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
     """Stabilizer of ``start`` under ``act`` (as in ``_conjugation_moves``).
 
-    The Schreier generator u_y^-1 * g * u_x, for y = g.x, is the identity
-    exactly when g * u_x = u_y, so, as in the chain, that test costs one
-    product through g's table, and only the others are multiplied through
-    the table of u_y^-1.  They are taken lazily, orbit keys in orbit order
-    and generators in list order, and reduced; the scan stops once the
-    stabilizer reaches its known order |parent| / |orbit|.
-    """
+    As in the chain, the Schreier generator u_y^-1 * g * u_x (y = g.x) is
+    tested as g * u_x = u_y, one product through g's table, and only the
+    others are multiplied through the table of u_y^-1.  They are taken
+    lazily, in orbit and generator order, and reduced; the scan stops once
+    the stabilizer reaches its known order |parent| / |orbit|."""
     moves = _conjugation_moves(parent, act)
     orbit, transversal, inverses = schreier_tree(start, moves, parent.degree)
     target = parent.order // len(orbit)
