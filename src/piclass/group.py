@@ -15,8 +15,9 @@ kernel in ``perm``.
 
 The chain is built on images, and no transversal element is inverted per
 Schreier generator or per sift step.  Each level keeps, beside each
-transversal element u, the table of u^-1 (``perm.schreier_tree``), built
-once each time the level's orbit is rebuilt (Seress, *Permutation Group
+transversal element u, the table of u^-1 (``perm.schreier_tree`` with the
+point action, the tree the subgroup stabilizers walk too), built once
+each time the level's orbit is rebuilt (Seress, *Permutation Group
 Algorithms*, 2003, §4.1).  A Schreier generator u_y^-1 * g * u_x is the
 identity exactly when g * u_x = u_y, so it costs one product through g's
 table, built once per scan of a level; only the others are multiplied by
