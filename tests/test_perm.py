@@ -300,13 +300,15 @@ def _assert_tree_matches(tree, want_orbit, want, as_key, probe):
         assert type(compose_images(inverses[y], probe)) is type(probe)
 
 
+@settings(deadline=None)
 @given(image_tuples(3), st.integers(min_value=0, max_value=261), small_group_and_set())
 @example([b"\x00"] * 3, 0, ([b"\x01\x00\x02", b"\x00\x02\x01"], [b"\x02\x00\x01", b"\x00\x01\x02"]))
 @example([CYCLE_257, SWAP_257, CYCLE_257], 3, ([SWAP_257, THREE_CYCLE_257], [CYCLE_257, SWAP_257]))
 def test_schreier_tree_matches_naive(ims, point, group_and_set):
     """Two actions: the points under the generators ``ims`` (the chain's),
     and a set of two elements under conjugation by a group of at most 120
-    elements (the stabilizers'), on bytes and on tuples."""
+    elements (the stabilizers'), on bytes and on tuples.  At degree 262 the
+    naive walks alone take about 0.1 s, so no per-example deadline."""
     n = len(ims[0])
     point %= n
     moves = [(g, g.__getitem__) for g in ims]
