@@ -18,13 +18,14 @@ Schreier generator or per sift step.  Each level keeps, beside each
 transversal element u, the table of u^-1 (``perm.schreier_tree`` with the
 point action, the tree the subgroup stabilizers walk too), built once
 each time the level's orbit is rebuilt (Seress, *Permutation Group
-Algorithms*, 2003, §4.1).  A Schreier generator u_y^-1 * g * u_x is the
-identity exactly when g * u_x = u_y, so it costs one product through g's
-table, built once per scan of a level; only the others are multiplied by
-u_y^-1 and sifted.  The sift (``_sift``) is one product through a level's
-table of u^-1 per step.  The stored chain keeps its strong generators and
-transversal elements as images, and element enumeration and random
-elements compose them as images.
+Algorithms*, 2003, §4.1).  Each strong generator's move (its table and
+inverse) is built once, when it is placed.  A Schreier generator
+u_y^-1 * g * u_x is the identity exactly when g * u_x = u_y, so it costs
+one product through g's table; only the others are multiplied by u_y^-1
+(``perm.schreier_generators``) and sifted.  The sift (``_sift``) is one
+product through a level's table of u^-1 per step.  The stored chain keeps
+its strong generators and transversal elements as images, and element
+enumeration and random elements compose them as images.
 """
 
 import random
@@ -36,10 +37,12 @@ from .perm import (
     Images,
     Permutation,
     _identity_images,
+    _inverse_images,
     compose_images,
     conjugation_pairs,
     left_multiplier,
     left_products,
+    schreier_generators,
     schreier_tree,
 )
 
@@ -127,6 +130,7 @@ class PermGroup:
 
         levels: list[_Level] = []
         base_points: set[int] = set()
+        move_of = {}  # strong generator -> its schreier_tree move
 
         def add_level(point: int):
             levels.append(_Level(point))
@@ -135,15 +139,18 @@ class PermGroup:
         def place(g: Images):
             # g joins every level group it belongs to: levels 0..j where
             # base[j] is the first base point g moves.
+            move_of[g] = (g.__getitem__, left_multiplier(g), _inverse_images(g))
             for lvl in levels:
                 lvl.gens.append(g)
                 if g[lvl.point] != lvl.point:
                     return
             raise AssertionError("generator fixes the whole base")
 
+        def moves(lvl: _Level) -> list:
+            return [move_of[g] for g in lvl.gens]
+
         def rebuild_orbit(lvl: _Level):
-            moves = [(g, g.__getitem__) for g in lvl.gens]
-            lvl.orbit, lvl.transversal, lvl.inverses = schreier_tree(lvl.point, moves, degree)
+            lvl.orbit, lvl.transversal, lvl.inverses = schreier_tree(lvl.point, moves(lvl), degree)
 
         def first_moved(g: Images) -> int:
             return next(p for p in range(degree) if g[p] != p)
@@ -161,36 +168,22 @@ class PermGroup:
 
         # Verify Schreier generators level by level, deepest first; a
         # non-identity residue becomes a new strong generator and sends
-        # verification back to its level.  The Schreier generator
-        # u_y^-1 * g * u_x is the identity exactly when g * u_x = u_y, so
-        # only the others pay for the product through u_y^-1's table.
+        # verification back to its level.
         i = len(levels) - 1
         while i >= 0:
             lvl = levels[i]
-            transversal, inverses = lvl.transversal, lvl.inverses
-            steps = [(g, left_multiplier(g)) for g in lvl.gens]
-            clean = True
-            for x in sorted(transversal):
-                ux = transversal[x]
-                for g, times_g in steps:
-                    gux = times_g(ux)
-                    y = g[x]
-                    if gux == transversal[y]:
-                        continue
-                    h, j = _sift(levels, compose_images(inverses[y], gux), i + 1)
-                    if h == ident:
-                        continue
+            for s in schreier_generators(sorted(lvl.transversal), moves(lvl),
+                                         lvl.transversal, lvl.inverses):
+                h, j = _sift(levels, s, i + 1)
+                if h != ident:
                     if j == len(levels):
                         add_level(first_moved(h))
                     place(h)
                     for m in range(j + 1):
                         rebuild_orbit(levels[m])
                     i = j
-                    clean = False
                     break
-                if not clean:
-                    break
-            if clean:
+            else:
                 i -= 1
 
         self._levels = levels

@@ -17,13 +17,15 @@ the layout.  A product fixes its left factor: on bytes a * b is
 ``schreier_tree`` is the one orbit-with-transversal walk: the chain runs it
 on points, the stabilizers and subgroup conjugacy on conjugation of
 elements and element sets.  It keeps the table of each u^-1 beside u:
-``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1 with one
-inverse per generator on tuples, so no transversal element is inverted by
-a Python loop.  A conjugation g x g^-1 is two translates, one through x's
-table and one through g's (``conjugate_images``, ``conjugate_set``), and
-the conjugation walks (``conjugation_orbit``, ``conjugation_orbits``) build
-each table once.  ``Permutation.__mul__`` and the conjugations are built on
-them; no other module composes images by hand.
+``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1 on tuples,
+with g^-1 carried by g's move, so the tree inverts nothing.
+``schreier_generators`` scans a tree's Schreier generators for the chain
+and the stabilizers alike.  A conjugation g x g^-1 is two translates, one
+through x's table and one through g's (``conjugate_images``,
+``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
+``conjugation_orbits``) build each table once.  ``Permutation.__mul__``
+and the conjugations are built on them; no other module composes images
+by hand.
 """
 
 import math
@@ -50,7 +52,10 @@ def _pack(images) -> Images:
     return bytes(images) if len(images) <= _BYTES_MAX_DEGREE else tuple(images)
 
 
-def _inverse_tuple(images: tuple[int, ...]) -> tuple[int, ...]:
+def _inverse_images(images: Images) -> Images:
+    if type(images) is bytes:
+        # the table sending images[i] to i holds the inverse in its first n bytes
+        return bytes.maketrans(images, _identity_images(len(images)))[:len(images)]
     inv = [0] * len(images)
     for i, j in enumerate(images):
         inv[j] = i
@@ -128,12 +133,7 @@ class Permutation:
         return Permutation._make(compose_images(a, other.images))
 
     def inverse(self) -> "Permutation":
-        images = self.images
-        if type(images) is bytes:
-            # the table sending images[i] to i holds the inverse in its first n bytes
-            return Permutation._make(
-                bytes.maketrans(images, _identity_images(len(images)))[:len(images)])
-        return Permutation._make(_inverse_tuple(images))
+        return Permutation._make(_inverse_images(self.images))
 
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
@@ -245,22 +245,22 @@ def left_products(a: Images, bs) -> list[Images]:
 def schreier_tree(start, moves, n: int):
     """The orbit of ``start`` under a group of degree n, with a transversal.
 
-    Each move is a generator g's images and its action key -> g.key:
-    ``g.__getitem__`` on points, ``partial(conjugate_images, pair)`` on
-    elements, ``partial(conjugate_set, pair)`` on element sets.  Breadth
+    Each move stands for a generator g: its action key -> g.key
+    (``g.__getitem__`` on points, ``partial(conjugate_images, pair)`` on
+    elements, ``partial(conjugate_set, pair)`` on element sets), the map
+    u -> g * u (``left_multiplier(g)``) and the images of g^-1.  Breadth
     first, moves in list order: u_start is the identity and u_y = g * u_x
     for the first key x and move g that reach y.  Returns the orbit, the
     dict y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
     ``compose_images(inverses[y], h)``: on bytes ``bytes.maketrans(u_y,
-    identity)``, on tuples u_x^-1 * g^-1, with one inverse per generator,
-    so no transversal element is inverted."""
+    identity)``, on tuples u_x^-1 * g^-1, so nothing is inverted here."""
     ident = _identity_images(n)
     orbit = [start]
     transversal = {start: ident}
     inverses = {start: _table(ident)}
     on_bytes = type(ident) is bytes
-    steps = [(act, left_multiplier(g), None if on_bytes else itemgetter(*_inverse_tuple(g)))
-             for g, act in moves]
+    steps = [(act, times_g, None if on_bytes else itemgetter(*ginv))
+             for act, times_g, ginv in moves]
     for x in orbit:
         ux = transversal[x]
         for act, times_g, times_ginv in steps:
@@ -270,6 +270,21 @@ def schreier_tree(start, moves, n: int):
                 inverses[y] = bytes.maketrans(uy, ident) if on_bytes else times_ginv(inverses[x])
                 orbit.append(y)
     return orbit, transversal, inverses
+
+
+def schreier_generators(keys, moves, transversal, inverses):
+    """The nontrivial Schreier generators u_y^-1 * g * u_x (y = g.x) of a
+    ``schreier_tree``, as images, lazily: for each key x in ``keys`` and
+    each move g in list order.  A generator is the identity exactly when
+    g * u_x = u_y, one product through g's table; only the others are
+    multiplied through the table of u_y^-1."""
+    for x in keys:
+        ux = transversal[x]
+        for act, times_g, _ in moves:
+            gux = times_g(ux)
+            y = act(x)
+            if gux != transversal[y]:
+                yield compose_images(inverses[y], gux)
 
 
 def conjugation_pairs(generators) -> list[tuple[Images, Images]]:

@@ -10,7 +10,7 @@ growth, greedy generating sets, stabilizers) get their sets by coset closure
 normalizers, subgroup conjugacy) walk one conjugation orbit with the
 chain's Schreier tree (``perm.schreier_tree``, with the conjugation of
 elements or element sets as the action) and grow the stabilizer from its
-Schreier generators, tested and built on images as the chain does, so they
+Schreier generators (``perm.schreier_generators``, the chain's scan), so they
 never enumerate the ambient group.  Normal-subgroup queries (the
 lattice, O_pi', the Fitting subgroup, the socle) close class bitsets over
 the class table of G (``classes.ClassTable``), and their element sets are
@@ -46,13 +46,13 @@ from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_
 from .perm import (
     Images,
     Permutation,
-    compose_images,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
     left_multiplier,
     left_products,
+    schreier_generators,
     schreier_tree,
 )
 
@@ -142,9 +142,9 @@ def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> 
 def _conjugation_moves(group: PermGroup, act) -> list:
     """The ``perm.schreier_tree`` moves of conjugation by ``group``: ``act``
     is ``conjugate_images`` on elements or ``conjugate_set`` on element sets,
-    bound to each generator's conjugation pair (Holt, Eick and O'Brien,
-    Handbook of Computational Group Theory, 4.1)."""
-    return [(g.images, partial(act, pair))
+    bound to each generator's conjugation pair, whose g^-1 the move carries
+    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1)."""
+    return [(partial(act, pair), left_multiplier(g.images), pair[1])
             for g, pair in zip(group.generators, group.conjugation_pairs())]
 
 
@@ -159,27 +159,16 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
 
 
 def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
-    """Stabilizer of ``start`` under ``act`` (as in ``_conjugation_moves``).
-
-    As in the chain, the Schreier generator u_y^-1 * g * u_x (y = g.x) is
-    tested as g * u_x = u_y, one product through g's table, and only the
-    others are multiplied through the table of u_y^-1.  They are taken
-    lazily, in orbit and generator order, and reduced; the scan stops once
-    the stabilizer reaches its known order |parent| / |orbit|."""
+    """Stabilizer of ``start`` under ``act`` (as in ``_conjugation_moves``):
+    the reduced subgroup of the tree's Schreier generators
+    (``perm.schreier_generators``), taken lazily in orbit and move order, as
+    the chain takes them; the scan stops once the stabilizer reaches its
+    known order |parent| / |orbit|."""
     moves = _conjugation_moves(parent, act)
     orbit, transversal, inverses = schreier_tree(start, moves, parent.degree)
     target = parent.order // len(orbit)
-    steps = [(move, left_multiplier(g)) for g, move in moves]
-
-    def schreier():
-        for x in orbit:
-            ux = transversal[x]
-            for move, times_g in steps:
-                gux, y = times_g(ux), move(x)
-                if gux != transversal[y]:
-                    yield Permutation._make(compose_images(inverses[y], gux))
-
-    stabilizer = _reduced_subgroup(parent, schreier(), target)
+    gens = schreier_generators(orbit, moves, transversal, inverses)
+    stabilizer = _reduced_subgroup(parent, map(Permutation._make, gens), target)
     if stabilizer.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return stabilizer
@@ -221,14 +210,10 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
     the set whole (Lagrange); the generators are the same.  A seed outside
-    G raises (as in ``_check_members``); with ``elements``, which lie in G,
-    a seed outside them raises ``NotInGroupError`` at one set lookup.
+    G raises (as in ``_check_members``).
     """
     gens = [s for s in seeds if not s.is_identity()]
-    if elements is None:
-        _check_members(group, gens)
-    elif not elements.issuperset([s.images for s in gens]):
-        raise NotInGroupError("seed outside the given normal closure")
+    _check_members(group, gens)
     target = None if elements is None else len(elements)
     current = _reduced_subgroup(group, gens, target)
     for s in gens:  # gens grows while it is walked

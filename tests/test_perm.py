@@ -16,6 +16,7 @@ from piclass.perm import (
     left_multiplier,
     left_products,
     parse_cycle_text,
+    schreier_generators,
     schreier_tree,
 )
 
@@ -254,6 +255,8 @@ def test_limited_conjugation_orbit_matches_naive(ims, limit):
 
 
 def naive_schreier_tree(start, gens, act):
+    """The orbit, the transversal and the nontrivial Schreier generators
+    u_y^-1 * g * u_x (y = g.x), in orbit and generator order."""
     orbit = [start]
     transversal = {start: tuple(range(len(gens[0])))}
     for x in orbit:
@@ -262,7 +265,9 @@ def naive_schreier_tree(start, gens, act):
             if y not in transversal:
                 transversal[y] = naive_compose(g, transversal[x])
                 orbit.append(y)
-    return orbit, transversal
+    schreier = [naive_compose(naive_inverse(transversal[act(g, x)]),
+                              naive_compose(g, transversal[x])) for x in orbit for g in gens]
+    return orbit, transversal, [s for s in schreier if s != tuple(range(len(s)))]
 
 
 @st.composite
@@ -284,13 +289,18 @@ def small_group_and_set(draw):
 THREE_CYCLE_257 = Permutation.from_cycles(257, [[254, 255, 256]]).images
 
 
-def _assert_tree_matches(tree, want_orbit, want, as_key, probe):
+def _assert_tree_matches(moves, tree, naive, as_key, probe):
     """The orbit and the transversal (in orbit order) of ``schreier_tree``,
-    keys read through ``as_key``, against the naive walk, and through the
-    table of each u^-1, u^-1 * u and u^-1 * probe."""
+    keys read through ``as_key``, and its Schreier generators
+    (``schreier_generators`` in orbit order) against the naive walk, and
+    through the table of each u^-1, u^-1 * u and u^-1 * probe."""
     orbit, transversal, inverses = tree
+    want_orbit, want, want_schreier = naive
     n = len(probe)
     assert [as_key(y) for y in orbit] == want_orbit
+    schreier = list(schreier_generators(orbit, moves, transversal, inverses))
+    assert [tuple(s) for s in schreier] == want_schreier
+    assert all(type(s) is type(probe) for s in schreier)
     assert [(as_key(y), tuple(u)) for y, u in transversal.items()] == list(want.items())
     assert inverses.keys() == transversal.keys()
     for y in orbit:
@@ -311,16 +321,16 @@ def test_schreier_tree_matches_naive(ims, point, group_and_set):
     naive walks alone take about 0.1 s, so no per-example deadline."""
     n = len(ims[0])
     point %= n
-    moves = [(g, g.__getitem__) for g in ims]
-    want_orbit, want = naive_schreier_tree(point, ims, lambda g, x: g[x])
-    _assert_tree_matches(schreier_tree(point, moves, n), want_orbit, want, int, ims[0])
+    moves = [(g.__getitem__, left_multiplier(g), Permutation(g).inverse().images) for g in ims]
+    naive = naive_schreier_tree(point, ims, lambda g, x: g[x])
+    _assert_tree_matches(moves, schreier_tree(point, moves, n), naive, int, ims[0])
 
     gens, key = group_and_set
     pairs = conjugation_pairs(map(Permutation, gens))
-    moves = [(g, partial(conjugate_set, pair)) for g, pair in zip(gens, pairs)]
+    moves = [(partial(conjugate_set, pair), left_multiplier(g), pair[1])
+             for g, pair in zip(gens, pairs)]
     tree = schreier_tree(frozenset(key), moves, len(gens[0]))
-    want_orbit, want = naive_schreier_tree(
-        frozenset(map(tuple, key)), gens,
-        lambda g, k: frozenset(naive_conjugate(g, t) for t in k))
-    _assert_tree_matches(tree, want_orbit, want, lambda k: frozenset(map(tuple, k)), gens[0])
+    naive = naive_schreier_tree(frozenset(map(tuple, key)), gens,
+                                lambda g, k: frozenset(naive_conjugate(g, t) for t in k))
+    _assert_tree_matches(moves, tree, naive, lambda k: frozenset(map(tuple, k)), gens[0])
     assert len(tree[0]) <= 120

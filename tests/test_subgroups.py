@@ -165,7 +165,9 @@ def test_normal_closure_examples(named):
     assert normal_closure(a5, [parse_cycle_text("(0 1 2)", 5)]).order == 60
 
 
-@pytest.mark.parametrize("call", ["normal_closure(g, [x])", "_reduced_subgroup(g, [x])"])
+@pytest.mark.parametrize("call", ["normal_closure(g, [x])",
+                                  "normal_closure(g, [x], elements=g.element_set())",
+                                  "_reduced_subgroup(g, [x])"])
 def test_a_seed_of_another_degree_is_rejected_up_front(call):
     """A seed of degree 5 in S3 raises ``DegreeMismatchError`` before any
     closure starts; the coset closure on mixed degrees never ended.  The
@@ -203,7 +205,7 @@ def test_a_seed_outside_the_group_is_rejected(named):
             normal_closure(g, [swap])
         with pytest.raises(NotInGroupError):
             normal_closure(g, [Permutation.identity(3), swap])
-        with pytest.raises(NotInGroupError):  # the known closure is checked by set lookups
+        with pytest.raises(NotInGroupError):
             normal_closure(g, [swap], elements=g.element_set())
 
 
