@@ -10,7 +10,7 @@ of concrete groups.
 __version__ = "0.1.0"
 
 from .catalog import GroupSpec, build, census, parse_group_file, parse_name, serialize_group_file
-from .classes import ClassTable, conjugacy_classes, k_pi, pi_part_of_element
+from .classes import ClassTable, conjugacy_classes, k_pi
 from .config import Config, DEFAULT_CONFIG
 from .errors import (
     CapExceededError,

@@ -1,5 +1,4 @@
-"""The class table of a group, pi-element class counts and the pi-part
-decomposition of elements.
+"""The class table of a group and its pi-element class counts.
 
 ``conjugacy_classes(G)`` is the one class table of G, cached on G.  It holds
 the classes and their members, and reads the normal subgroups of G as unions
@@ -10,11 +9,13 @@ for any pi is a sum over those counts.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
 256, int tuples above) and every product goes through ``perm``.  The class
-sweep walks conjugation orbits, each conjugate x giving its table once for
-the steps g * (x * g^-1); a class product C_i * C_j fixes the class
-representative x as left factor and reads x * y for every y of the smaller
-class through x's table; the class splits walk conjugation orbits under the
-generators of N.
+sweep walks the group's cached images list (``PermGroup._element_images``)
+by conjugation orbits, each conjugate x giving its table once for the steps
+g * (x * g^-1), and makes one ``Permutation`` per class, its
+representative; a class product C_i * C_j fixes the class representative x
+as left factor and reads x * y for every y of the smaller class through x's
+table; the class splits walk conjugation orbits under the generators of N.
+The primes of element orders are read from ``ClassTable.primes``.
 """
 
 from dataclasses import dataclass
@@ -300,7 +301,7 @@ class ClassTable:
             if common == 1:
                 splits[i] = 1
                 continue
-            limit = size // prime_factors(common)[0]
+            limit = size // next(p for p in self.primes if common % p == 0)
             walked = len(conjugation_orbit(classes[i].rep.images, pairs, limit))
             splits[i] = 1 if walked > limit else size // walked
         return splits
@@ -350,7 +351,7 @@ class ClassTable:
         for block in self.fusion(normal):
             powers = self.power_map((block & -block).bit_length() - 1)
             order = len(powers)
-            for p in prime_factors(order):
+            for p in self.primes:
                 while order % p == 0 and normal >> powers[order // p] & 1:
                     order //= p
             support = self.prime_support(order)
@@ -389,9 +390,9 @@ class ClassTable:
 
 def conjugacy_classes(group: PermGroup) -> ClassTable:
     """The class table of the group, by a conjugation-orbit sweep over the
-    full element list (``perm.conjugation_orbits``).
+    group's images list (``perm.conjugation_orbits``).
 
-    Deterministic: elements come from the group's enumeration order, each
+    Deterministic: elements come in the order of that list, each
     orbit is explored breadth-first with generators in list order and kept as
     its class's member list, and classes are numbered by their least images.
     The sweep's dict from images to orbit numbers, renumbered, is the
@@ -401,8 +402,7 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     if cached is not None:
         return cached
 
-    orbits, index_of = conjugation_orbits([p.images for p in group.element_list()],
-                                          group.conjugation_pairs())
+    orbits, index_of = conjugation_orbits(group._element_images(), group.conjugation_pairs())
     least = [min(orbit) for orbit in orbits]
     ranked = sorted(range(len(orbits)), key=least.__getitem__)
     rank = [0] * len(orbits)
@@ -415,26 +415,6 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
                        {im: rank[i] for im, i in index_of.items()})
     group.cache["class_table"] = table
     return table
-
-
-def pi_part_of_element(x: Permutation, pi) -> tuple[Permutation, Permutation]:
-    """The commuting (pi, pi')-factorization of x into powers of x.
-
-    Returns (x_pi, x_pi') with x = x_pi * x_pi', both powers of x, the orders
-    a pi-number and a pi'-number respectively.  The exponent for x_pi is the
-    CRT solution e = 1 mod m_pi, e = 0 mod m_pi' on the element order m.
-    """
-    pi = validate_pi(pi)
-    m = x.order()
-    a = pi_part(m, pi)
-    b = m // a
-    if b == 1:
-        return x, Permutation.identity(x.degree)
-    if a == 1:
-        return Permutation.identity(x.degree), x
-    e = b * pow(b, -1, a)
-    x_pi = x**e
-    return x_pi, x ** (m + 1 - e)
 
 
 def k_pi(group: PermGroup, pi) -> int:

@@ -6,12 +6,14 @@ are taken in ascending order among the points a generator (or sift residue)
 moves, orbits are explored breadth-first with generators in list order, and
 no randomization is used anywhere.  Two constructions from the same generator
 list therefore produce identical chains, identical element enumeration order,
-and identical random-element streams for a fixed seed.  A group built with
-its element set (every subgroup) answers order, membership and its element
-list from the set, in sorted image order, and builds no chain for them.
-Elements are handled as their images (``Permutation.images``: bytes up to
-degree 256, int tuples above), and every product of them goes through the
-kernel in ``perm``.
+and identical random-element streams for a fixed seed.  Inside the library
+an element is its images (``Permutation.images``: bytes up to degree 256,
+int tuples above), and every product of them goes through the kernel in
+``perm``.  Each group caches one list of its element images
+(``_element_images``): chain order for a group given by generators, sorted
+image order for one built with its element set (every subgroup), which
+answers order and membership from the set and builds no chain.  A
+``Permutation`` is made only where a public method returns one.
 
 The chain is built on images, and no transversal element is inverted per
 Schreier generator or per sift step.  Each level keeps, beside each
@@ -201,60 +203,65 @@ class PermGroup:
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.point for lvl in self._ensure_chain())
 
+    def _residue(self, p: Permutation) -> Images:
+        if p.degree != self.degree:
+            raise DegreeMismatchError(f"element degree {p.degree} != group degree {self.degree}")
+        return _sift(self._ensure_chain(), p.images, 0)[0]
+
     def sift(self, p: Permutation) -> Permutation:
         """Residue of p after sifting through the chain; identity iff p in G."""
-        if p.degree != self.degree:
-            raise DegreeMismatchError(
-                f"element degree {p.degree} != group degree {self.degree}"
-            )
-        return Permutation._make(_sift(self._ensure_chain(), p.images, 0)[0])
+        return Permutation._make(self._residue(p))
 
     def contains(self, p: Permutation) -> bool:
         if self._element_set is None:
-            return self.sift(p).is_identity()
+            return self._residue(p) == _identity_images(self.degree)
         return p.images in self._element_set
 
     def __contains__(self, p: Permutation) -> bool:
         return self.contains(p)
 
-    def elements(self):
-        """Deterministic iterator over all elements, exactly ``order`` of them.
-
-        Elements are the transversal products u_0 * u_1 * ... of the chain,
+    def _chain_images(self) -> list[Images]:
+        """The transversal products u_0 * u_1 * ... of the chain as images,
         with orbit points taken in ascending order at every level and the
-        deepest level varying fastest.  The products are images, built from
-        the deepest level up: the products of levels j, j+1, ... are the
-        left products (``perm.left_products``) of each u_j in turn with the
-        products of the levels below, so each transversal element's table is
-        built once and each product is one translate.  No cap is checked
-        here; a run checks its one element cap as it starts
-        (``Config.check_element_cap``).
-        """
+        deepest level varying fastest.  They are built from the deepest
+        level up: the products of levels j, j+1, ... are the left products
+        (``perm.left_products``) of each u_j in turn with the products of
+        the levels below, so each transversal element's table is built once
+        and each product is one translate."""
         products = [_identity_images(self.degree)]
         for lvl in reversed(self._ensure_chain()):
             longer = []  # the products of this level and the levels below
             for x in sorted(lvl.transversal):
                 longer += left_products(lvl.transversal[x], products)
             products = longer
-        yield from map(Permutation._make, products)
+        return products
+
+    def elements(self):
+        """Deterministic iterator over all elements, exactly ``order`` of
+        them, in the chain's order (``_chain_images``).  No cap is checked
+        here; a run checks its one element cap as it starts
+        (``Config.check_element_cap``)."""
+        yield from map(Permutation._make, self._chain_images())
+
+    def _element_images(self) -> list[Images]:
+        """All elements as images, cached under ``"elements"``: the given
+        element set in sorted image order, otherwise in the chain's order.
+        The library reads elements from this list."""
+        images = self.cache.get("elements")
+        if images is None:
+            images = self.cache["elements"] = (
+                self._chain_images() if self._element_set is None else sorted(self._element_set))
+        return images
 
     def element_list(self) -> list[Permutation]:
-        """All elements, cached: the given element set in sorted image order,
-        otherwise ``list(self.elements())`` in chain order."""
-        cached = self.cache.get("elements")
-        if cached is None:
-            if self._element_set is None:
-                cached = list(self.elements())
-            else:
-                cached = [Permutation._make(im) for im in sorted(self._element_set)]
-            self.cache["elements"] = cached
-        return cached
+        """All elements, in the order of ``_element_images``."""
+        return list(map(Permutation._make, self._element_images()))
 
     def element_set(self) -> frozenset[Images]:
         """The images of all elements; for a group given by generators
-        alone, read once from ``element_list()``."""
+        alone, read once from the cached images list."""
         if self._element_set is None:
-            self._element_set = frozenset(p.images for p in self.element_list())
+            self._element_set = frozenset(self._element_images())
         return self._element_set
 
     def conjugation_pairs(self) -> list[tuple[Images, Images]]:

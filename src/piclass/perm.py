@@ -62,6 +62,17 @@ def _inverse_images(images: Images) -> Images:
     return tuple(inv)
 
 
+def _power_images(images: Images, k: int) -> Images:
+    """Images of x^k for k >= 0, by repeated squaring."""
+    result = _identity_images(len(images))
+    while k:
+        if k & 1:
+            result = compose_images(result, images)
+        images = compose_images(images, images)
+        k >>= 1
+    return result
+
+
 def _identity_images(n: int) -> Images:
     images = _IDENTITY_IMAGES.get(n)
     if images is None:
@@ -138,14 +149,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inverse() ** (-k)
-        result = Permutation.identity(len(self.images))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Permutation._make(_power_images(self.images, k))
 
     def is_identity(self) -> bool:
         return self.images == _identity_images(len(self.images))
@@ -174,9 +178,6 @@ class Permutation:
                 x = images[x]
             out.append(tuple(cycle))
         return out
-
-    def moved_points(self) -> list[int]:
-        return [i for i, j in enumerate(self.images) if i != j]
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation over 0-based points; identity is ``()``."""
@@ -290,7 +291,7 @@ def schreier_generators(keys, moves, transversal, inverses):
 def conjugation_pairs(generators) -> list[tuple[Images, Images]]:
     """The conjugation pair (table of g, images of g^-1) of each generator,
     in list order."""
-    return [(_table(g.images), g.inverse().images) for g in generators]
+    return [(_table(g.images), _inverse_images(g.images)) for g in generators]
 
 
 def conjugate_images(pair, xim: Images) -> Images:

@@ -6,13 +6,17 @@ sorted image order; no subgroup needs a Schreier-Sims chain, and where the
 answer is G itself, G is returned.  Subgroups made from generators (the
 closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
 growth, greedy generating sets, stabilizers) get their sets by coset closure
-(``_extend_closure``).  Stabilizer-style computations (element centralizers,
-normalizers, subgroup conjugacy) walk one conjugation orbit with the
-chain's Schreier tree (``perm.schreier_tree``, with the conjugation of
-elements or element sets as the action) and grow the stabilizer from its
-Schreier generators (``perm.schreier_generators``, the chain's scan), so they
-never enumerate the ambient group.  Normal-subgroup queries (the
-lattice, O_pi', the Fitting subgroup, the socle) close class bitsets over
+(``_extend_closure``).  Elements are handled as images: membership is a set
+lookup, the walks read a group's cached images list
+(``PermGroup._element_images``), and a ``Permutation`` is made only for a
+generator a subgroup keeps.  Stabilizer-style computations (element
+centralizers, normalizers, subgroup conjugacy) walk one conjugation orbit
+with the chain's Schreier tree (``perm.schreier_tree``, with the
+conjugation of elements or element sets as the action) and grow the
+stabilizer from its Schreier generators (``perm.schreier_generators``, the
+chain's scan), so they never enumerate the ambient group.  Normal-subgroup
+queries (the lattice, O_pi', the Fitting subgroup, the socle) close class
+bitsets over
 the class table of G (``classes.ClassTable``), and their element sets are
 read from those bitsets.  A join N * M is the union of the fusion blocks
 of N (the classes of G/N, built in one pass) that meet M; each bitset is
@@ -39,13 +43,16 @@ from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
 from functools import partial
 
-from .classes import _bits, all_d_p_one, conjugacy_classes, pi_part_of_element
+from .classes import _bits, all_d_p_one, conjugacy_classes
 from .errors import CapExceededError, DegreeMismatchError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
 from .perm import (
     Images,
     Permutation,
+    _identity_images,
+    _power_images,
+    compose_images,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
@@ -78,7 +85,7 @@ def subgroup(parent: PermGroup, gens) -> PermGroup:
     (``_reduced_subgroup``)."""
     gens = [g for g in gens if not g.is_identity()]
     _check_members(parent, gens)
-    elements = _reduced_subgroup(parent, gens).element_set()
+    elements = _reduced_subgroup(parent, [g.images for g in gens]).element_set()
     return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
                      elements=elements)
 
@@ -88,8 +95,10 @@ def trivial_subgroup(parent: PermGroup) -> PermGroup:
     return PermGroup([one], elements=frozenset([one.images]))
 
 
-def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
-    """Element set of <H, x>, from the element set and generators of H.
+def _extend_closure(elements, gens: list[Images], x: Images) -> frozenset[Images]:
+    """Element set of <H, x>, from the element set and generators of H, all
+    as images.  An x of another degree than H raises ``DegreeMismatchError``
+    before the closure starts, which would otherwise never end.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): the set is a union of left cosets r*H.  For each
@@ -101,9 +110,11 @@ def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
     inverses.
     """
     base = list(elements)
-    steps = [left_multiplier(s.images) for s in [*gens, x]]  # r -> s*r
+    if len(x) != len(base[0]):
+        raise DegreeMismatchError(f"element degree {len(x)} != group degree {len(base[0])}")
+    steps = [left_multiplier(s) for s in [*gens, x]]  # r -> s*r
     closure = set(base)
-    reps = [Permutation.identity(len(x.images)).images]
+    reps = [_identity_images(len(x))]
     for r in reps:
         for times_s in steps:
             y = times_s(r)
@@ -114,26 +125,27 @@ def _extend_closure(elements, gens, x: Permutation) -> frozenset[Images]:
 
 
 def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
-    """<H, x> on H's generators (less the trivial H's identity) and then x.
-    An x of another degree than H raises ``DegreeMismatchError`` before the
-    closure starts, which would otherwise never end."""
-    if x.degree != sub.degree:
-        raise DegreeMismatchError(f"element degree {x.degree} != group degree {sub.degree}")
+    """<H, x> on H's generators (less the trivial H's identity) and then x."""
     gens = [g for g in sub.generators if not g.is_identity()]
-    return PermGroup(gens + [x], elements=_extend_closure(sub.element_set(), gens, x))
+    return PermGroup(gens + [x], elements=_extend_closure(
+        sub.element_set(), [g.images for g in gens], x.images))
 
 
 def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
-    """Subgroup generated by ``elements``, on a greedy generating subset: an
-    element is kept when it lies outside the closure of those kept before.
-    With ``order`` given, the scan stops once the subgroup reaches it."""
-    current = trivial_subgroup(parent)
+    """Subgroup generated by ``elements`` (images), on a greedy generating
+    subset: an element is kept when it lies outside the closure of those
+    kept before, and only the kept ones become ``Permutation``s.  With
+    ``order`` given, the scan stops once the subgroup reaches it."""
+    gens: list[Images] = []
+    closure = frozenset([_identity_images(parent.degree)])
     for x in elements:
-        if current.order == order:
+        if len(closure) == order:
             break
-        if not current.contains(x):
-            current = _extend(current, x)
-    return current
+        if x not in closure:
+            closure = _extend_closure(closure, gens, x)
+            gens.append(x)
+    return PermGroup([Permutation._make(g) for g in gens] or [Permutation.identity(parent.degree)],
+                     elements=closure)
 
 
 # -- orbit / stabilizer machinery ------------------------------------------
@@ -168,7 +180,7 @@ def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
     orbit, transversal, inverses = schreier_tree(start, moves, parent.degree)
     target = parent.order // len(orbit)
     gens = schreier_generators(orbit, moves, transversal, inverses)
-    stabilizer = _reduced_subgroup(parent, map(Permutation._make, gens), target)
+    stabilizer = _reduced_subgroup(parent, gens, target)
     if stabilizer.order != target:
         raise AssertionError("Schreier stabilizer does not match orbit index")
     return stabilizer
@@ -189,8 +201,9 @@ def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
 
 def centralizer_of_subgroup(group: PermGroup, sub: PermGroup) -> PermGroup:
     """C_G(H) by filtering the element list against H's generators."""
-    hgens = sub.generators
-    hits = [g for g in group.element_list() if all(g * h == h * g for h in hgens)]
+    hgens = [h.images for h in sub.generators]
+    hits = [g for g in group._element_images()
+            if all(compose_images(g, h) == compose_images(h, g) for h in hgens)]
     return _reduced_subgroup(group, hits)
 
 
@@ -215,13 +228,14 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     _check_members(group, gens)
     target = None if elements is None else len(elements)
-    current = _reduced_subgroup(group, gens, target)
+    current = _reduced_subgroup(group, [s.images for s in gens], target)
     for s in gens:  # gens grows while it is walked
         for pair in group.conjugation_pairs():
             if current.order == target:
                 break
-            c = Permutation._make(conjugate_images(pair, s.images))
-            if not current.contains(c):
+            c = conjugate_images(pair, s.images)
+            if c not in current.element_set():
+                c = Permutation._make(c)
                 if target is not None and is_prime(target // current.order):
                     current = PermGroup(gens, elements=elements)
                 else:
@@ -232,7 +246,7 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
 
 def commutator_subgroup(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     """[A, B]: normal closure in <A, B> of the generator commutators."""
-    joint = _reduced_subgroup(group, list(a.generators) + list(b.generators))
+    joint = _reduced_subgroup(group, [g.images for g in a.generators + b.generators])
     comms = [x * y * x.inverse() * y.inverse() for x in a.generators for y in b.generators]
     return normal_closure(joint, comms)
 
@@ -244,7 +258,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
     small, big = (a, b) if a.order <= b.order else (b, a)
     bigset = big.element_set()
-    hits = [x for x in small.element_list() if x.images in bigset]
+    hits = [x for x in small._element_images() if x in bigset]
     return _reduced_subgroup(group, hits)
 
 
@@ -373,14 +387,16 @@ def quotient(group: PermGroup, kernel: PermGroup,
 def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
 
-    Starts from the p-part of the first element of order divisible by p and
-    adds, one at a time, the p-part of the first normalizer element whose
-    p-part lies outside the current subgroup; each step is a coset closure
-    (``_extend``).  A normalizer element inside the current subgroup is
-    passed over before its p-part is computed, since that p-part (a power
-    of it) lies inside too.  Deterministic, so it is cached on the group
-    per p: the Hall search for every pi and the Sylow 3-structure check
-    share one Sylow subgroup per prime.
+    Starts from the p-part of the first element of G of order divisible by
+    p (the normalizer of the trivial group is G) and adds, one at a time,
+    the p-part of the first normalizer element whose p-part lies outside the
+    current subgroup; each step is a coset closure (``_extend``).  Elements
+    are walked as images, and a p-part is one power with an exponent read
+    from |G|.  A normalizer element inside the current subgroup is passed
+    over before its p-part is computed, since that p-part (a power of it)
+    lies inside too.  Deterministic, so it is cached on the group per p:
+    the Hall search for every pi and the Sylow 3-structure check share one
+    Sylow subgroup per prime.
     """
     validate_pi([p])
     cache_key = ("sylow_subgroup", p)
@@ -388,19 +404,19 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     if cached is not None:
         return cached
     target = pi_part(group.order, frozenset([p]))
-    if target == 1:
-        current = trivial_subgroup(group)
-    else:
-        seed = next(x for x in group.element_list() if x.order() % p == 0)
-        current = _extend(trivial_subgroup(group), pi_part_of_element(seed, [p])[0])
+    # x^e is the p-part of each x in G: e = 1 mod |G|_p, e = 0 mod |G|_p'
+    # agrees mod |x| with the exponent read from |x| (tests/oracles.py)
+    rest = group.order // target
+    e = rest * pow(rest, -1, target)
+    current = trivial_subgroup(group)
     while current.order < target:
-        norm = normalizer(group, current)
-        for y in norm.element_list():
-            if current.contains(y):
+        norm = normalizer(group, current) if current.order > 1 else group
+        for y in norm._element_images():
+            if y in current.element_set():
                 continue
-            yp = pi_part_of_element(y, [p])[0]
-            if not current.contains(yp):
-                current = _extend(current, yp)
+            yp = _power_images(y, e)
+            if yp not in current.element_set():
+                current = _extend(current, Permutation._make(yp))
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
@@ -567,7 +583,7 @@ def o_pi_prime(group: PermGroup, pi) -> PermGroup:
 
 def fitting_subgroup(group: PermGroup) -> PermGroup:
     """F(G): the join of the largest normal p-subgroups over p | |G|."""
-    gens = [g for p in prime_factors(group.order)
+    gens = [g.images for p in prime_factors(group.order)
             for g in _normal_core(group, frozenset([p])).generators]
     return _reduced_subgroup(group, gens)
 
@@ -609,25 +625,26 @@ def almost_simple_socle(group: PermGroup) -> PermGroup | None:
 
 def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
     """Element orders, and the prime roots of each element, by position in
-    ``element_list``.
+    the group's images list.
 
     The roots of h are the x with x^q = h for some prime q dividing |x|;
-    the dict maps h's images to their positions, ascending.  The powers of
-    x are read through x's table.  Built once per group and cached, so
-    every pi shares it.
+    the dict maps h's images to their positions, ascending.  Orders and
+    their primes are read from the class table, and the powers of x
+    through x's table.  Built once per group and cached, so every pi
+    shares it.
     """
     cached = group.cache.get("prime_roots")
     if cached is None:
         table = conjugacy_classes(group)
         orders = []
         roots: dict[Images, list[int]] = {}
-        for i, x in enumerate(group.element_list()):
-            n = table.classes[table.class_of(x)].order
+        for i, x in enumerate(group._element_images()):
+            n = table.classes[table._index_of[x]].order
             orders.append(n)
-            power = x.images
-            times_x = left_multiplier(power)
+            power = x
+            times_x = left_multiplier(x)
             k = 1  # power is x^k
-            for q in prime_factors(n):
+            for q in [q for q in table.primes if n % q == 0]:
                 while k < q:
                     power = times_x(power)
                     k += 1
@@ -641,14 +658,16 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     """One representative per conjugacy class of subgroups, complete.
 
     Layered prime steps (the cyclic extension method; Neubüser 1960): every
-    found class representative H is extended by coset closure (``_extend``)
-    by each x outside H with x^q in H for a prime q dividing |x|, walked in
-    element-list order, and each new subgroup K = <H, x> is deduplicated
-    against the conjugate closure of the classes found so far.  The steps
-    of H are the prime roots of its elements (``_prime_roots``).  With
-    ``pi`` set, only pi-elements are steps and only pi-subgroups are kept
-    (sound: every subgroup of a pi-group is again one, so chains never have
-    to leave the pi-world).  Results are cached per (group, pi).
+    found class representative H is extended by coset closure
+    (``_extend_closure``, on images) by each x outside H with x^q in H for a
+    prime q dividing |x|, walked in the order of the group's images list,
+    and each new subgroup K = <H, x> is deduplicated against the conjugate
+    closure of the classes found so far; a ``PermGroup`` is made only for a
+    new class.  The steps of H are the prime roots of its elements
+    (``_prime_roots``).  With ``pi`` set, only pi-elements are steps and only
+    pi-subgroups are kept (sound: every subgroup of a pi-group is again one,
+    so chains never have to leave the pi-world).  Results are cached per
+    (group, pi).
 
     The sweep is exhaustive.  A subgroup K > H is generated by its elements
     of prime-power order, so one of them, x of order q^a, lies outside H;
@@ -666,12 +685,12 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     the table of x^k (a x^k b is the conjugate of x^k b a by a).  A prime
     step x never normalizes H in case (b): if it did, |K : H| would be
     |<x> : <x> meet H| = q, and (a) would apply.  A skipped y would only
-    rebuild a K that ``register`` has already seen (or that the pi filter
-    dropped), so no class is lost.
+    rebuild a K that has already been seen (or that the pi filter dropped),
+    so no class is lost.
 
-    ``register`` marks every conjugate of a new class as seen
-    (``conjugates``): a normal subgroup, a union of classes of G, is its
-    own one conjugate and walks no orbit.
+    Every conjugate of a new class is marked as seen (``conjugates``): a
+    normal subgroup, a union of classes of G, is its own one conjugate and
+    walks no orbit.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
@@ -681,32 +700,25 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if cached is not None:
         return cached
 
-    elements = group.element_list()
+    elements = group._element_images()
     orders, roots = _prime_roots(group)
     allowed = [pi is None or is_pi_number(n, pi) for n in orders]
-    found: list[PermGroup] = []
-    seen: set[frozenset] = set()  # element sets of every conjugate of each found class
-
-    def register(sub: PermGroup) -> None:
-        key = sub.element_set()
-        if key not in seen:
-            found.append(sub)
-            seen.update(conjugates(group, key))
-
-    register(trivial_subgroup(group))
+    found = [trivial_subgroup(group)]
+    seen = set(conjugates(group, found[0].element_set()))  # every conjugate of each class found
     for base in found:
         base_set = base.element_set()
+        gens = [g for g in base.generators if not g.is_identity()]
+        base_gens = [g.images for g in gens]
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = base.conjugation_pairs()
         covered: set[Images] = set()
         for i in steps:
-            x, n = elements[i], orders[i]
-            xim = x.images
+            xim, n = elements[i], orders[i]
             if xim in base_set or xim in covered:
                 continue
-            extended = _extend(base, x)
-            if is_prime(extended.order // base.order):  # H is maximal in <H, x>
-                covered.update(extended.element_set())
+            extended = _extend_closure(base_set, base_gens, xim)
+            if is_prime(len(extended) // len(base_set)):  # H is maximal in <H, x>
+                covered.update(extended)
             else:  # the double cosets H x^k H, k coprime to |x|
                 times_x = left_multiplier(xim)
                 power = xim
@@ -716,9 +728,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                             if y not in covered:
                                 covered.update(conjugation_orbit(y, base_pairs))
                     power = times_x(power)
-            if pi is not None and not is_pi_number(extended.order, pi):
-                continue
-            register(extended)
+            if extended not in seen and (pi is None or is_pi_number(len(extended), pi)):
+                found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
+                seen.update(conjugates(group, extended))
     found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set()))))
     group.cache[cache_key] = found
     return found

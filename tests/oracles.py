@@ -31,7 +31,9 @@ product with an inverse.  Likewise the conjugation orbit walk and the
 Schreier stabilizer (normalizers, element centralizers, conjugacy
 witnesses) as the library ran them before they shared the chain's Schreier
 tree, on ``Permutation`` products and inverses, and the conjugates of a
-subgroup by every element of the group.
+subgroup by every element of the group.  ``pi_part_of_element`` splits an
+element into its pi- and pi'-parts from its own order, as Sylow growth did
+before it read one exponent from |G|.
 """
 
 import itertools
@@ -40,6 +42,7 @@ from operator import mul
 
 import numpy as np
 
+from piclass.numtheory import pi_part
 from piclass.perm import Permutation
 
 
@@ -227,7 +230,7 @@ def schreier_stabilizer_by_products(group, start, act):
     steps = list(zip(group.generators, conjugation_pairs(group.generators)))
     schreier = (transversal[act(pair, key)].inverse() * (g * u)
                 for key, u in transversal.items() for g, pair in steps)
-    stabilizer = _reduced_subgroup(group, schreier, target)
+    stabilizer = _reduced_subgroup(group, (s.images for s in schreier), target)
     assert stabilizer.order == target
     return stabilizer
 
@@ -517,6 +520,11 @@ class ChainLevel:
         self.orbit = []
 
 
+def moved_points(p):
+    """The points p moves, ascending."""
+    return [i for i, j in enumerate(p.images) if i != j]
+
+
 def _sift_by_products(levels, h, start):
     for i in range(start, len(levels)):
         lvl = levels[i]
@@ -574,7 +582,7 @@ def chain_by_permutation_products(group):
             add_level(pt)
     for g in gens:
         if all(g.images[lvl.point] == lvl.point for lvl in levels):
-            add_level(min(g.moved_points()))
+            add_level(min(moved_points(g)))
     for g in gens:
         place(g)
     for lvl in levels:
@@ -595,7 +603,7 @@ def chain_by_permutation_products(group):
                 if h.is_identity():
                     continue
                 if j == len(levels):
-                    add_level(min(h.moved_points()))
+                    add_level(min(moved_points(h)))
                 place(h)
                 for m in range(j + 1):
                     rebuild_orbit(levels[m])
@@ -607,3 +615,17 @@ def chain_by_permutation_products(group):
         if clean:
             i -= 1
     return levels
+
+
+def pi_part_of_element(x, pi):
+    """The commuting (pi, pi')-factorization of x into powers of x.
+
+    Returns (x_pi, x_pi') with x = x_pi * x_pi', both powers of x, the orders
+    a pi-number and a pi'-number respectively.  The exponent for x_pi is the
+    CRT solution e = 1 mod m_pi, e = 0 mod m_pi' on the element order m.
+    """
+    m = x.order()
+    a = pi_part(m, frozenset(pi))
+    b = m // a
+    e = b * pow(b, -1, a)
+    return x**e, x ** (m + 1 - e)

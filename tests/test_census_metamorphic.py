@@ -9,6 +9,10 @@ must give every verdict the same status and witness:
 
 Only the generator strings of a witness may differ, since they name
 elements in the chosen labelling; the swap also renames the group.
+
+A third relation runs on a census slice: padding every generator with fixed
+points to degree 300 moves the images from bytes to int tuples, and renames
+no point, so every row must be the same, generator strings included.
 """
 
 import random
@@ -16,7 +20,7 @@ import time
 
 import pytest
 
-from piclass.catalog import build, census_specs, product
+from piclass.catalog import build, census, census_specs, product
 from piclass.config import Config
 from piclass.group import PermGroup
 from piclass.perm import Permutation, conjugate
@@ -94,3 +98,34 @@ def test_census_product_verdicts_survive_factor_swap(shipped):
              if _comparable(a, with_group=False) != _comparable(b, with_group=False)]
     assert diffs == []
     _assert_runtime()
+
+
+PADDED_DEGREE = 300
+PADDED_SLICE_MAX_ORDER = 48
+
+
+def _padded(group: PermGroup) -> PermGroup:
+    """The group with every generator extended by the fixed points
+    degree..299."""
+    tail = list(range(group.degree, PADDED_DEGREE))
+    return PermGroup([Permutation(list(g.images) + tail) for g in group.generators],
+                     degree=PADDED_DEGREE)
+
+
+def test_census_slice_rows_survive_padding_to_degree_300():
+    """The census groups of order <= 48 and D8 x D8 (a deep normal-subgroup
+    lattice), every default suite, at their own degree (bytes) and padded
+    to degree 300 (int tuples): the rows are identical.  The slice holds
+    ``main`` verdicts above 5/8, such as S3 at pi {3}."""
+    entries = [(name, g) for name, g in census(Config())
+               if g.order <= PADDED_SLICE_MAX_ORDER or name == "D8 x D8"]
+    padded = [(name, _padded(g)) for name, g in entries]
+    assert "D8 x D8" in dict(entries)
+    assert all(type(g.generators[0].images) is tuple for _, g in padded)
+    own = [r.as_dict() for r in run_census_campaign(entries, DEFAULT_SUITES, Config()).reports]
+    rows = [r.as_dict() for r in run_census_campaign(padded, DEFAULT_SUITES, Config()).reports]
+    assert rows == own
+    # a main row passes only above 5/8; at or below it is vacuous
+    above = {(r["group"], tuple(r["pi"])) for r in own
+             if r["result_id"] == "hall-dichotomy" and r["status"] == "pass"}
+    assert ("S3", (3,)) in above

@@ -4,13 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_centralizer, brute_conjugacy_partition
+from oracles import brute_centralizer, brute_conjugacy_partition, pi_part_of_element
 from piclass.catalog import parse_group_file
-from piclass.classes import (
-    conjugacy_classes,
-    k_pi,
-    pi_part_of_element,
-)
+from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import NotInGroupError
 from piclass.numtheory import is_pi_number
 from piclass.perm import Permutation, conjugate, parse_cycle_text

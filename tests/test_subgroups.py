@@ -167,7 +167,7 @@ def test_normal_closure_examples(named):
 
 @pytest.mark.parametrize("call", ["normal_closure(g, [x])",
                                   "normal_closure(g, [x], elements=g.element_set())",
-                                  "_reduced_subgroup(g, [x])"])
+                                  "_reduced_subgroup(g, [x.images])"])
 def test_a_seed_of_another_degree_is_rejected_up_front(call):
     """A seed of degree 5 in S3 raises ``DegreeMismatchError`` before any
     closure starts; the coset closure on mixed degrees never ended.  The
@@ -310,7 +310,8 @@ def test_coset_closure_matches_chain_oracle(name, named):
         for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi):
             _assert_matches_chain(h)
             for x in g.generators:  # the primitive on <H, x>
-                assert (_extend_closure(h.element_set(), h.generators, x)
+                assert (_extend_closure(h.element_set(), [g.images for g in h.generators],
+                                        x.images)
                         == _chain_elements(h.generators + (x,)))
     for cls in conjugacy_classes(g).classes:
         _assert_matches_chain(normal_closure(g, [cls.rep]))
@@ -939,6 +940,37 @@ def test_stabilizers_make_no_permutation_products(monkeypatch):
         assert sum(centralizer_of_element(g, x).order for x in reps) > 0
 
 
+def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypatch):
+    """The class sweep and the coset closure read images: on fresh groups,
+    on bytes and on tuples, ``conjugacy_classes`` makes exactly one
+    ``Permutation`` per class, its representative, and ``_extend_closure``
+    makes none.  Every ``Permutation._make`` call is counted."""
+    names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
+    groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
+    made = []
+    make = vars(Permutation)["_make"].__func__
+
+    def counting(cls, images):
+        made.append(images)
+        return make(cls, images)
+
+    for g in groups:
+        fresh = PermGroup(list(g.generators))
+        subs = [sylow_subgroup(g, p) for p in prime_factors(g.order)]
+        closures = [(h.element_set(), [s.images for s in h.generators], cls.rep.images)
+                    for h in subs for cls in conjugacy_classes(g).classes]
+        made.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Permutation, "_make", classmethod(counting))
+            table = conjugacy_classes(fresh)
+            assert sorted(made) == sorted(cls.rep.images for cls in table.classes), g
+            made.clear()
+            grown = [_extend_closure(*args) for args in closures]
+            assert made == [], g
+        assert table.k == conjugacy_classes(g).k
+        assert sum(map(len, grown)) > 0
+
+
 def test_are_conjugate_examples(named):
     s4 = named("S4")
     h1 = subgroup(s4, [parse_cycle_text("(0 1)", 4)])
@@ -1114,13 +1146,13 @@ def test_enumeration_extends_by_prime_steps_only(name, monkeypatch):
 
     g = build(parse_name(name))
     steps = []
-    extend = piclass.subgroups._extend
+    closure = piclass.subgroups._extend_closure
 
-    def recording(sub, x, *rest):
-        steps.append((sub.element_set(), x))
-        return extend(sub, x, *rest)
+    def recording(elements, gens, x):
+        steps.append((elements, Permutation(x)))
+        return closure(elements, gens, x)
 
-    monkeypatch.setattr(piclass.subgroups, "_extend", recording)
+    monkeypatch.setattr(piclass.subgroups, "_extend_closure", recording)
     for pi in [None, *_nonempty_subsets(group_primes(g))]:
         enumerate_subgroups_up_to_conjugacy(g, pi=pi)
     assert steps
