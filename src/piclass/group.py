@@ -204,6 +204,7 @@ class PermGroup:
         return tuple(lvl.point for lvl in self._ensure_chain())
 
     def _residue(self, p: Permutation) -> Images:
+        """The images of p's residue after sifting through the chain."""
         if p.degree != self.degree:
             raise DegreeMismatchError(f"element degree {p.degree} != group degree {self.degree}")
         return _sift(self._ensure_chain(), p.images, 0)[0]

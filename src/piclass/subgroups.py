@@ -91,8 +91,7 @@ def subgroup(parent: PermGroup, gens) -> PermGroup:
 
 
 def trivial_subgroup(parent: PermGroup) -> PermGroup:
-    one = Permutation.identity(parent.degree)
-    return PermGroup([one], elements=frozenset([one.images]))
+    return _reduced_subgroup(parent, ())
 
 
 def _extend_closure(elements, gens: list[Images], x: Images) -> frozenset[Images]:
@@ -200,7 +199,7 @@ def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
 
 
 def centralizer_of_subgroup(group: PermGroup, sub: PermGroup) -> PermGroup:
-    """C_G(H) by filtering the element list against H's generators."""
+    """C_G(H) by filtering the images list against H's generators."""
     hgens = [h.images for h in sub.generators]
     hits = [g for g in group._element_images()
             if all(compose_images(g, h) == compose_images(h, g) for h in hgens)]
