@@ -310,7 +310,7 @@ def test_coset_closure_matches_chain_oracle(name, named):
         for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi):
             _assert_matches_chain(h)
             for x in g.generators:  # the primitive on <H, x>
-                assert (_extend_closure(h.element_set(), [g.images for g in h.generators],
+                assert (_extend_closure(h.element_set(), [s.images for s in h.generators],
                                         x.images)
                         == _chain_elements(h.generators + (x,)))
     for cls in conjugacy_classes(g).classes:
