@@ -45,12 +45,18 @@ def group_primes(group: PermGroup) -> frozenset[int]:
 
 
 def d_pi(group: PermGroup, pi, name: str = "") -> PiProfile:
-    """The exact profile (k_pi, |G|_pi, their quotient) for one prime set."""
-    pi = validate_pi(pi)
-    k = k_pi(group, pi)
-    opi = pi_part(group.order, pi)
-    return PiProfile(group_name=name, pi=pi, k_pi=k, order_pi=opi,
-                     d_pi=Fraction(k, opi))
+    """The exact profile (k_pi, |G|_pi, their quotient) for one prime set,
+    cached on the group per (pi, name): the suites ask for the same
+    profiles.  A pi given as a frozenset is looked up before it is
+    validated; only validated sets are stored."""
+    profile = group.cache.get(("d_pi", pi, name)) if isinstance(pi, frozenset) else None
+    if profile is None:
+        pi = validate_pi(pi)
+        k = k_pi(group, pi)
+        opi = pi_part(group.order, pi)
+        profile = group.cache["d_pi", pi, name] = PiProfile(
+            group_name=name, pi=pi, k_pi=k, order_pi=opi, d_pi=Fraction(k, opi))
+    return profile
 
 
 def commuting_degree(group: PermGroup) -> Fraction:

@@ -25,7 +25,8 @@ through x's table and one through g's (``conjugate_images``,
 ``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
 ``conjugation_orbits``) build each table once.  ``Permutation.__mul__``
 and the conjugations are built on them; no other module composes images
-by hand.
+by hand.  An element's order is read by powering through its table
+(``order_images``), with the cycle lengths past ``degree`` products.
 """
 
 import math
@@ -71,6 +72,23 @@ def _power_images(images: Images, k: int) -> Images:
         images = compose_images(images, images)
         k >>= 1
     return result
+
+
+def _cycles(images: Images) -> list[tuple[int, ...]]:
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start] or images[start] == start:
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = images[start]
+        while x != start:
+            seen[x] = True
+            cycle.append(x)
+            x = images[x]
+        out.append(tuple(cycle))
+    return out
 
 
 def _identity_images(n: int) -> Images:
@@ -155,29 +173,12 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        """Least m >= 1 with p**m = identity: the lcm of the cycle lengths."""
-        cycles = self.cycles()
-        if not cycles:
-            return 1
-        return math.lcm(*(len(c) for c in cycles))
+        """Least m >= 1 with p**m = identity (``order_images``)."""
+        return order_images(self.images)
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
-        images = self.images
-        seen = [False] * len(images)
-        out = []
-        for start in range(len(images)):
-            if seen[start] or images[start] == start:
-                continue
-            cycle = [start]
-            seen[start] = True
-            x = images[start]
-            while x != start:
-                seen[x] = True
-                cycle.append(x)
-                x = images[x]
-            out.append(tuple(cycle))
-        return out
+        return _cycles(self.images)
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation over 0-based points; identity is ``()``."""
@@ -218,6 +219,22 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 
 def _table(a: Images) -> Images:
     return a + _TAILS[len(a)] if type(a) is bytes else a
+
+
+def order_images(images: Images) -> int:
+    """The order of the element with these images: the least m >= 1 with
+    x^m = 1, by powering through x's table, one product per power.  After
+    ``degree`` products it gives up and reads the lcm of the cycle lengths,
+    so an element of large order costs at most one product per point
+    before the cycle walk."""
+    ident = _identity_images(len(images))
+    times_x = left_multiplier(images)
+    power = images
+    for m in range(1, len(images) + 1):
+        if power == ident:
+            return m
+        power = times_x(power)
+    return math.lcm(1, *map(len, _cycles(images)))
 
 
 def compose_images(a: Images, b: Images) -> Images:
@@ -288,10 +305,15 @@ def schreier_generators(keys, moves, transversal, inverses):
                 yield compose_images(inverses[y], gux)
 
 
+def conjugation_pair(images: Images) -> tuple[Images, Images]:
+    """The conjugation pair (table of g, images of g^-1) of the element g
+    with these images."""
+    return _table(images), _inverse_images(images)
+
+
 def conjugation_pairs(generators) -> list[tuple[Images, Images]]:
-    """The conjugation pair (table of g, images of g^-1) of each generator,
-    in list order."""
-    return [(_table(g.images), _inverse_images(g.images)) for g in generators]
+    """The conjugation pair of each generator, in list order."""
+    return [conjugation_pair(g.images) for g in generators]
 
 
 def conjugate_images(pair, xim: Images) -> Images:

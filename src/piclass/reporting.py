@@ -5,11 +5,15 @@ sorted, rationals are always rendered as ``numerator/denominator`` strings,
 and no timestamps or timings enter machine-readable documents.  ``render``
 is the one place that picks the format: each command hands it the body of
 its JSON document, and the csv and text renderers read the same body.
+``render_json`` writes the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` by one join per container, since ``indent`` sends
+``json.dumps`` to its pure-Python encoder.
 """
 
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .config import Config
@@ -28,7 +32,49 @@ def document(kind: str, config: Config, body: dict) -> dict:
 
 
 def render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
+    built without the encoder that ``indent`` selects: on CPython that is
+    the pure-Python one, a generator per container.  Here each container is
+    one join, and strings go through the C ``encode_basestring_ascii``."""
+    return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """One JSON value as ``json.dumps`` writes it with indent 2, ``newline``
+    being the line break and indent of the value's own line.  The type
+    tests go in ``json``'s order, so bool before int."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]) + newline + "}"
+    return json.dumps(value)  # raises the encoder's TypeError
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a string, or a quoted scalar."""
+    if isinstance(key, str):
+        return _quote(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _quote(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def render(kind: str, config: Config, body: dict) -> str:

@@ -14,11 +14,12 @@ centralizers, normalizers, subgroup conjugacy) walk one conjugation orbit
 with the chain's Schreier tree (``perm.schreier_tree``, with the
 conjugation of elements or element sets as the action) and grow the
 stabilizer from its Schreier generators (``perm.schreier_generators``, the
-chain's scan), so they never enumerate the ambient group.  Normal-subgroup
-queries (the lattice, O_pi', the Fitting subgroup, the socle) close class
-bitsets over
-the class table of G (``classes.ClassTable``), and their element sets are
-read from those bitsets.  A join N * M is the union of the fusion blocks
+chain's scan), so they never enumerate the ambient group.  Sylow growth
+builds no normalizer: it tests each element of G against the generators
+of the subgroup so far.  Normal-subgroup queries (the lattice, O_pi', the
+Fitting subgroup, the socle) close class bitsets over the class table of G
+(``classes.ClassTable``), and their element sets are read from those
+bitsets.  A join N * M is the union of the fusion blocks
 of N (the classes of G/N, built in one pass) that meet M; each bitset is
 joined with the seeds only (the normal closures of single classes), and a
 closure stops as soon as it holds more than |G|/p elements (p the least
@@ -33,7 +34,8 @@ Searches that can fail distinguish three outcomes explicitly; in
 particular ``hall_search`` only ever reports nonexistence from its
 exhaustive tier.  The deterministic searches are cached on the group they
 search: ``sylow_subgroup`` per prime, ``hall_search`` per (pi, budget,
-subgroup_cap, seed) and subgroup-class enumeration per pi.
+subgroup_cap, seed) and subgroup-class enumeration per pi, where a cached
+enumeration at a wider prime set (or at None) answers a narrower one.
 """
 
 import math
@@ -56,6 +58,7 @@ from .perm import (
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
+    conjugation_pair,
     conjugation_pairs,
     left_multiplier,
     left_products,
@@ -82,10 +85,10 @@ def subgroup(parent: PermGroup, gens) -> PermGroup:
     """Smallest subgroup of parent containing gens (the closure), on the
     nonidentity gens as given; a generator outside parent raises (as in
     ``_check_members``).  Its element set is grown by coset closure
-    (``_reduced_subgroup``)."""
+    (``_greedy_generators``)."""
     gens = [g for g in gens if not g.is_identity()]
     _check_members(parent, gens)
-    elements = _reduced_subgroup(parent, [g.images for g in gens]).element_set()
+    elements = _greedy_generators(parent.degree, gens, _images)[1]
     return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
                      elements=elements)
 
@@ -130,19 +133,34 @@ def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
         sub.element_set(), [g.images for g in gens], x.images))
 
 
-def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
-    """Subgroup generated by ``elements`` (images), on a greedy generating
-    subset: an element is kept when it lies outside the closure of those
-    kept before, and only the kept ones become ``Permutation``s.  With
-    ``order`` given, the scan stops once the subgroup reaches it."""
-    gens: list[Images] = []
-    closure = frozenset([_identity_images(parent.degree)])
+def _images(x: Permutation) -> Images:
+    return x.images
+
+
+def _greedy_generators(degree: int, elements, images=None, order: int | None = None):
+    """The greedy generating subset of ``elements`` and the element set it
+    generates: an element is kept when its images (``images(x)``, or x
+    itself when ``images`` is None) lie outside the closure of those kept
+    before, and the kept elements are returned as given.  With ``order``
+    given, the scan stops once the closure reaches it."""
+    kept, kept_images = [], []
+    closure = frozenset([_identity_images(degree)])
     for x in elements:
         if len(closure) == order:
             break
-        if x not in closure:
-            closure = _extend_closure(closure, gens, x)
-            gens.append(x)
+        xim = x if images is None else images(x)
+        if xim not in closure:
+            closure = _extend_closure(closure, kept_images, xim)
+            kept.append(x)
+            kept_images.append(xim)
+    return kept, closure
+
+
+def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
+    """Subgroup generated by ``elements`` (images), on their greedy
+    generating subset (``_greedy_generators``); only the kept elements
+    become ``Permutation``s."""
+    gens, closure = _greedy_generators(parent.degree, elements, order=order)
     return PermGroup([Permutation._make(g) for g in gens] or [Permutation.identity(parent.degree)],
                      elements=closure)
 
@@ -227,7 +245,8 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     _check_members(group, gens)
     target = None if elements is None else len(elements)
-    current = _reduced_subgroup(group, [s.images for s in gens], target)
+    kept, closure = _greedy_generators(group.degree, gens, _images, target)
+    current = PermGroup(kept or [Permutation.identity(group.degree)], elements=closure)
     for s in gens:  # gens grows while it is walked
         for pair in group.conjugation_pairs():
             if current.order == target:
@@ -384,18 +403,21 @@ def quotient(group: PermGroup, kernel: PermGroup,
 
 
 def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
-    """A Sylow p-subgroup, grown through normalizers of smaller p-subgroups.
+    """A Sylow p-subgroup, grown one p-part at a time inside the normalizer
+    of the subgroup so far, with no normalizer subgroup built.
 
-    Starts from the p-part of the first element of G of order divisible by
-    p (the normalizer of the trivial group is G) and adds, one at a time,
-    the p-part of the first normalizer element whose p-part lies outside the
-    current subgroup; each step is a coset closure (``_extend``).  Elements
-    are walked as images, and a p-part is one power with an exponent read
-    from |G|.  A normalizer element inside the current subgroup is passed
-    over before its p-part is computed, since that p-part (a power of it)
-    lies inside too.  Deterministic, so it is cached on the group per p:
-    the Hall search for every pi and the Sylow 3-structure check share one
-    Sylow subgroup per prime.
+    Each step takes the first y of G with y outside the current P, y P y^-1
+    = P (tested on P's generators, through y's conjugation pair) and y^e
+    outside P, and adds y^e, the p-part of y, by coset closure
+    (``_extend``).  "First" is in sorted image order, which is the order a
+    normalizer subgroup lists in; at the first step, where P is trivial
+    and its normalizer is G, it is the order of G's images list.  So a
+    step adds the p-part the walk of N_G(P) would pick.  The p-part is one
+    power with an exponent read from |G|; an element inside P is passed
+    over first, since its p-part (a power of it) lies inside too.
+    Deterministic, so it is cached on the group per p: the Hall search for
+    every pi and the Sylow 3-structure check share one Sylow subgroup per
+    prime.
     """
     validate_pi([p])
     cache_key = ("sylow_subgroup", p)
@@ -408,17 +430,26 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     rest = group.order // target
     e = rest * pow(rest, -1, target)
     current = trivial_subgroup(group)
+    images = group._element_images()
+    walk = images  # N_G(1) = G, in the order of G's images list
     while current.order < target:
-        norm = normalizer(group, current) if current.order > 1 else group
-        for y in norm._element_images():
-            if y in current.element_set():
+        members = current.element_set()
+        pgens = [g.images for g in current.generators if not g.is_identity()]
+        for y in walk:
+            if y in members:
                 continue
+            if pgens:
+                pair = conjugation_pair(y)
+                if not all(conjugate_images(pair, g) in members for g in pgens):
+                    continue
             yp = _power_images(y, e)
-            if yp not in current.element_set():
+            if yp not in members:
                 current = _extend(current, Permutation._make(yp))
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
+        if walk is images and current.order < target:
+            walk = sorted(images)
     group.cache[cache_key] = current
     return current
 
@@ -665,8 +696,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     new class.  The steps of H are the prime roots of its elements
     (``_prime_roots``).  With ``pi`` set, only pi-elements are steps and only
     pi-subgroups are kept (sound: every subgroup of a pi-group is again one,
-    so chains never have to leave the pi-world).  Results are cached per
-    (group, pi).
+    so chains never have to leave the pi-world); both tests read prime
+    supports from the class table (``ClassTable.prime_support``).  Results
+    are cached per (group, pi).
 
     The sweep is exhaustive.  A subgroup K > H is generated by its elements
     of prime-power order, so one of them, x of order q^a, lies outside H;
@@ -690,18 +722,42 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     Every conjugate of a new class is marked as seen (``conjugates``): a
     normal subgroup, a union of classes of G, is its own one conjugate and
     walks no orbit.
+
+    An enumeration already cached at a wider prime set q (pi a subset of
+    q, or q None) answers for pi: its classes of pi-order are the classes,
+    representatives and generators of a run at pi.  A pi-subgroup is
+    reached only from a pi-base by a pi-step, and the steps a q-run adds
+    to a base's walk only cover steps whose closures they share, which are
+    then not pi-groups either: a skipped y rebuilds a closure already
+    built.  So each pi-base meets its pi-steps and their closures in the
+    same order in both runs, and the same pi-subgroups are found first.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
     pi = validate_pi(pi) if pi is not None else None
     cache_key = ("subgroup_classes", pi)
     cached = group.cache.get(cache_key)
-    if cached is not None:
-        return cached
+    if cached is None:
+        wider = next((found for key, found in group.cache.items()
+                      if type(key) is tuple and key[0] == "subgroup_classes"
+                      and (key[1] is None or pi is not None and pi <= key[1])), None)
+        if wider is None:
+            cached = _enumerate(group, pi)
+        else:
+            cached = [h for h in wider if pi is None or is_pi_number(h.order, pi)]
+        group.cache[cache_key] = cached
+    return cached
 
+
+def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
+    """The sweep of ``enumerate_subgroups_up_to_conjugacy``, sorted by order
+    and then by sorted element images."""
+    table = conjugacy_classes(group)
+    primes = table.primes  # a prime index |K : H| divides |G|
     elements = group._element_images()
     orders, roots = _prime_roots(group)
-    allowed = [pi is None or is_pi_number(n, pi) for n in orders]
+    outside = 0 if pi is None else ~table.pi_bits(pi)  # the supports' other primes
+    allowed = [not table.prime_support(n) & outside for n in orders]
     found = [trivial_subgroup(group)]
     seen = set(conjugates(group, found[0].element_set()))  # every conjugate of each class found
     for base in found:
@@ -709,16 +765,18 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
         gens = [g for g in base.generators if not g.is_identity()]
         base_gens = [g.images for g in gens]
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
-        base_pairs = base.conjugation_pairs()
+        base_pairs = None  # built when case (b) first needs them
         covered: set[Images] = set()
         for i in steps:
             xim, n = elements[i], orders[i]
             if xim in base_set or xim in covered:
                 continue
             extended = _extend_closure(base_set, base_gens, xim)
-            if is_prime(len(extended) // len(base_set)):  # H is maximal in <H, x>
+            if len(extended) // len(base_set) in primes:  # H is maximal in <H, x>
                 covered.update(extended)
             else:  # the double cosets H x^k H, k coprime to |x|
+                if base_pairs is None:
+                    base_pairs = base.conjugation_pairs()
                 times_x = left_multiplier(xim)
                 power = xim
                 for k in range(1, n):
@@ -727,9 +785,8 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
                             if y not in covered:
                                 covered.update(conjugation_orbit(y, base_pairs))
                     power = times_x(power)
-            if extended not in seen and (pi is None or is_pi_number(len(extended), pi)):
+            if extended not in seen and not table.prime_support(len(extended)) & outside:
                 found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
                 seen.update(conjugates(group, extended))
     found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set()))))
-    group.cache[cache_key] = found
     return found

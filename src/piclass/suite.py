@@ -14,6 +14,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 
 from .catalog import parse_group_file, serialize_group_file
 from .classes import all_d_p_one, conjugacy_classes, pi_count
@@ -83,6 +84,27 @@ def _gens(sub: PermGroup) -> list[str]:
     return [g.cycle_string() for g in sub.generators]
 
 
+def _widest_pi(group: PermGroup, pi: frozenset[int]) -> frozenset[int] | None:
+    """The widest prime set q containing pi with d_q above 5/8, that is
+    8 k_q > 5 |G|_q, read from the class histogram: among the supersets of
+    pi inside the primes of |G|, largest first, the first in the order of
+    ``itertools.combinations``.  None stands for every prime of |G|, the
+    enumeration of all subgroups, and is also the answer when pi holds
+    them all; pi itself when it holds a prime outside |G|, or when no wider
+    set is above the threshold.  The caller has d_pi above 5/8."""
+    table = conjugacy_classes(group)
+    rest = [p for p in table.primes if p not in pi]
+    if len(rest) + len(pi) != len(table.primes):  # pi has a prime outside |G|
+        return pi
+    histogram = table.histogram()
+    for size in range(len(rest), 0, -1):
+        for extra in combinations(rest, size):
+            q = pi.union(extra)
+            if 8 * pi_count(histogram, table.pi_bits(q)) > 5 * pi_part(group.order, q):
+                return None if size == len(rest) else q
+    return pi if rest else None
+
+
 def check_hall_dichotomy(group: PermGroup, pi,
                          config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Above the 5/8 threshold: an abelian Hall pi-subgroup exists, all Hall
@@ -133,6 +155,9 @@ def check_hall_dichotomy(group: PermGroup, pi,
                 classes.append(cyc)
         witness["degraded"] = "cyclic pi-subgroups only (subgroup cap exceeded)"
     else:
+        # one enumeration per group serves every pi above the threshold
+        enumerate_subgroups_up_to_conjugacy(group, pi=_widest_pi(group, pi),
+                                            cap=config.subgroup_cap)
         classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=config.subgroup_cap)
 
     halls = [h for h in classes if h.order == target]

@@ -33,7 +33,9 @@ witnesses) as the library ran them before they shared the chain's Schreier
 tree, on ``Permutation`` products and inverses, and the conjugates of a
 subgroup by every element of the group.  ``pi_part_of_element`` splits an
 element into its pi- and pi'-parts from its own order, as Sylow growth did
-before it read one exponent from |G|.
+before it read one exponent from |G|, and ``sylow_subgroup_by_normalizers``
+grows a Sylow subgroup through normalizer subgroups, as the library did
+before it tested each element of G against the generators of P.
 """
 
 import itertools
@@ -629,3 +631,30 @@ def pi_part_of_element(x, pi):
     b = m // a
     e = b * pow(b, -1, a)
     return x**e, x ** (m + 1 - e)
+
+
+def sylow_subgroup_by_normalizers(group, p):
+    """A Sylow p-subgroup as the library grew it before it tested the
+    normalizer condition element by element: each step builds N_G(P) with
+    the library's ``normalizer`` (P trivial: G itself) and adds the p-part
+    y^e of the first y of N_G(P), in the order of its images list, with y
+    and y^e outside P.  Uncached."""
+    from piclass.perm import _power_images
+    from piclass.subgroups import _extend, normalizer, trivial_subgroup
+
+    target = pi_part(group.order, frozenset([p]))
+    rest = group.order // target
+    e = rest * pow(rest, -1, target)
+    current = trivial_subgroup(group)
+    while current.order < target:
+        norm = normalizer(group, current) if current.order > 1 else group
+        for y in norm._element_images():
+            if y in current.element_set():
+                continue
+            yp = _power_images(y, e)
+            if yp not in current.element_set():
+                current = _extend(current, Permutation._make(yp))
+                break
+        else:
+            raise AssertionError("Sylow growth stalled below the target order")
+    return current

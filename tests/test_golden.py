@@ -14,16 +14,31 @@ element sets and Schreier-Sims closures.  The ``all`` slice is the report of
 ``piclass verify --census --suite all --format json``; its digest was
 recorded while some subgroup handles still fell back to Schreier-Sims chains
 for their orders and memberships.
+
+Each slice's campaign runs once per module (the ``campaigns`` fixture); its
+document is also rendered by ``json.dumps``, which ``render_json`` must
+match byte for byte.  The ``all`` campaign is read against the ledger
+``tests/data/census_ledger.tsv``: one line per census group, its order and
+a short sha256 of its rows for each default suite, recorded with the code
+whose ``all`` digest is the one below.  When that digest moves, the ledger
+test names the first group and the suites that moved.  The ledger is
+generated, never edited by hand: ``PYTHONPATH=src python
+tests/test_golden.py`` rewrites it from the current code.
 """
 
 import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from piclass.catalog import census
 from piclass.config import Config
 from piclass.reporting import document, render_json
-from piclass.suite import DEFAULT_SUITES, run_census_campaign
+from piclass.suite import DEFAULT_SUITES, SUITES, run_census_campaign
+
+LEDGER = Path(__file__).parent / "data" / "census_ledger.tsv"
 
 SLICES = {
     "quotient-structure": (
@@ -58,19 +73,98 @@ SLICES = {
 }
 
 
-def render(slice_name: str) -> str:
-    """The JSON report of one slice, as ``piclass verify`` prints it."""
-    config, suites, groups, marker, _ = SLICES[slice_name]
+def campaign(slice_name: str):
+    """The campaign of one slice and its JSON document, as ``piclass verify``
+    prints it."""
+    config, suites, groups, _, _ = SLICES[slice_name]
     entries = list(census(config))
     assert set(groups) <= set(dict(entries))
     result = run_census_campaign(entries, suites, config)
     body = {"results": [r.as_dict() for r in result.reports], "summary": result.summary}
-    text = render_json(document("verify", config, body))
-    assert marker in text
-    return text
+    return result, document("verify", config, body)
+
+
+def render(slice_name: str) -> str:
+    """The JSON report of one slice, as ``piclass verify`` prints it."""
+    return render_json(campaign(slice_name)[1])
+
+
+@pytest.fixture(scope="module")
+def campaigns():
+    """``campaign``, run at most once per slice in this module."""
+    runs = {}
+
+    def run(slice_name):
+        if slice_name not in runs:
+            runs[slice_name] = campaign(slice_name)
+        return runs[slice_name]
+
+    return run
 
 
 @pytest.mark.parametrize("slice_name", list(SLICES))
-def test_report_digest(slice_name):
-    text = render(slice_name)
+def test_report_digest(slice_name, campaigns):
+    text = render_json(campaigns(slice_name)[1])
+    assert SLICES[slice_name][3] in text
     assert hashlib.sha256(text.encode()).hexdigest() == SLICES[slice_name][4]
+
+
+@pytest.mark.parametrize("slice_name", list(SLICES))
+def test_render_json_matches_json_dumps(slice_name, campaigns):
+    doc = campaigns(slice_name)[1]
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _suite_rows(reports) -> dict[str, dict[str, list[str]]]:
+    """Group name -> default suite -> its report rows, one compact JSON line
+    each, in report order; groups in census order."""
+    suite_of = {entry[2]: name for name, entry in SUITES.items()}
+    rows: dict[str, dict[str, list[str]]] = {}
+    for r in reports:
+        per_suite = rows.setdefault(r.group, {name: [] for name in DEFAULT_SUITES})
+        per_suite[suite_of[r.result_id]].append(json.dumps(r.as_dict(), sort_keys=True))
+    return rows
+
+
+def _short_sha(rows: list[str]) -> str:
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()[:12]
+
+
+def ledger_lines(result, orders: dict[str, int]) -> list[str]:
+    """The ledger of a full-census campaign: name, order and one short
+    sha256 per default suite, tab-separated, under a header line."""
+    lines = ["\t".join(["group", "order", *DEFAULT_SUITES])]
+    for name, per_suite in _suite_rows(result.reports).items():
+        lines.append("\t".join([name, str(orders[name]),
+                                *(_short_sha(per_suite[s]) for s in DEFAULT_SUITES)]))
+    return lines
+
+
+def _census_orders() -> dict[str, int]:
+    return {name: g.order for name, g in census(SLICES["all"][0])}
+
+
+def test_census_ledger(campaigns):
+    """Every census group's rows hash to its ledger line, suite by suite."""
+    result, _ = campaigns("all")
+    want = LEDGER.read_text().splitlines()
+    got = ledger_lines(result, _census_orders())
+    assert got[0] == want[0], "the ledger's header changed"
+    for line, recorded in zip(got[1:], want[1:]):
+        if line == recorded:
+            continue
+        name, *fields = line.split("\t")
+        old_name, *old_fields = recorded.split("\t")
+        assert name == old_name, f"census order moved: {name!r} where the ledger has {old_name!r}"
+        moved = [s for s, a, b in zip(["order", *DEFAULT_SUITES], fields, old_fields) if a != b]
+        rows = [_suite_rows(result.reports)[name][s] for s in moved if s != "order"]
+        first = rows[0][0] if rows and rows[0] else "(no row)"
+        pytest.fail(f"first group that moved: {name!r}; moved: {moved}; "
+                    f"the first row of its first moved suite now reads {first}")
+    assert len(got) == len(want), f"the ledger has {len(want) - 1} groups, the census {len(got) - 1}"
+
+
+if __name__ == "__main__":
+    lines = ledger_lines(campaign("all")[0], _census_orders())
+    LEDGER.write_text("\n".join(lines) + "\n")
+    sys.stdout.write(f"wrote {len(lines) - 1} groups to {LEDGER}\n")

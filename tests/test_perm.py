@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import pytest
@@ -15,6 +16,7 @@ from piclass.perm import (
     conjugation_pairs,
     left_multiplier,
     left_products,
+    order_images,
     parse_cycle_text,
     schreier_generators,
     schreier_tree,
@@ -334,3 +336,35 @@ def test_schreier_tree_matches_naive(ims, point, group_and_set):
                                 lambda g, k: frozenset(naive_conjugate(g, t) for t in k))
     _assert_tree_matches(moves, tree, naive, lambda k: frozenset(map(tuple, k)), gens[0])
     assert len(tree[0]) <= 120
+
+
+def naive_order(a) -> int:
+    """The lcm of the cycle lengths, walking each cycle point by point."""
+    seen, lengths = set(), []
+    for start in range(len(a)):
+        if start not in seen:
+            length, x = 0, start
+            while x not in seen:
+                seen.add(x)
+                x = a[x]
+                length += 1
+            lengths.append(length)
+    return math.lcm(1, *lengths)
+
+
+# two cycles of lengths 128 and 129: order 16,512, past the 257 products
+# after which powering gives up
+TWO_CYCLES_257 = Permutation.from_cycles(257, [range(128), range(128, 257)]).images
+
+
+@given(small_order_and_any())
+@example([b"", b"\x00"])
+@example([CYCLE_257, SWAP_257])
+@example([THREE_CYCLE_257, TWO_CYCLES_257])
+def test_order_by_powering_matches_cycle_lengths(ims):
+    """``order_images`` (and ``Permutation.order``, which reads it) against
+    the cycle lengths: on bytes and on tuples, for an element of order at
+    most 420 and one of any order, so both the powering and the cycle
+    lengths it falls back to are read."""
+    for a in ims:
+        assert order_images(a) == Permutation._make(a).order() == naive_order(a)

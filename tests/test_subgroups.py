@@ -29,6 +29,7 @@ from oracles import (
     schreier_stabilizer_by_products,
     socle_by_element_sets,
     subgroup_classes_by_orbit_skip,
+    sylow_subgroup_by_normalizers,
 )
 from piclass.catalog import build, census_specs, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
@@ -807,36 +808,88 @@ def test_hall_search_runs_once_per_arguments(monkeypatch):
     """A second search with the same arguments returns the cached outcome
     and grows no Sylow subgroup again; a pi with the same relevant primes
     reruns the search on the cached Sylow subgroups; a different budget,
-    seed or subgroup cap reruns it."""
+    seed or subgroup cap reruns it.  Growth is counted by its steps, the
+    ``_extend`` calls (nothing else in these searches calls it)."""
     import piclass.subgroups
 
-    searches, normalizers = [], []
-    search, norm = piclass.subgroups._hall_search, piclass.subgroups.normalizer
+    searches, steps = [], []
+    search, extend = piclass.subgroups._hall_search, piclass.subgroups._extend
 
     def counting_search(*args):
         searches.append(args[1:])
         return search(*args)
 
-    def counting_normalizer(*args):
-        normalizers.append(1)
-        return norm(*args)
+    def counting_extend(*args):
+        steps.append(1)
+        return extend(*args)
 
     monkeypatch.setattr(piclass.subgroups, "_hall_search", counting_search)
-    monkeypatch.setattr(piclass.subgroups, "normalizer", counting_normalizer)
+    monkeypatch.setattr(piclass.subgroups, "_extend", counting_extend)
     g = build(parse_name("S4"))  # fresh: nothing cached
     first = hall_search(g, [2])
-    grown = len(normalizers)
+    grown = len(steps)
     assert first.found and first.subgroup.order == 8 and grown > 0
     assert hall_search(g, [2]) is first
-    assert (len(searches), len(normalizers)) == (1, grown)
+    assert (len(searches), len(steps)) == (1, grown)
     same = first.subgroup.generators, first.subgroup.element_set()
     other = hall_search(g, [2, 5]).subgroup  # 5 does not divide |G|
     assert (other.generators, other.element_set()) == same
-    assert (len(searches), len(normalizers)) == (2, grown)
+    assert (len(searches), len(steps)) == (2, grown)
     for kwargs in ({"budget": 3}, {"seed": 7}, {"subgroup_cap": 100}):
         other = hall_search(g, [2], **kwargs).subgroup
         assert (other.generators, other.element_set()) == same
-    assert len(searches) == 5 and len(normalizers) == grown
+    assert len(searches) == 5 and len(steps) == grown
+
+
+def test_sylow_growth_matches_the_normalizer_walk(census_entries, monkeypatch):
+    """On every census (group, prime) pair, Sylow growth keeps the
+    generators and the element set of the growth through normalizer
+    subgroups, and builds no normalizer."""
+    import piclass.subgroups
+
+    def no_normalizer(*args):
+        raise AssertionError("Sylow growth built a normalizer")
+
+    pairs = 0
+    for name, g in census_entries:
+        for p in prime_factors(g.order):
+            fresh = PermGroup(list(g.generators))
+            with monkeypatch.context() as m:
+                m.setattr(piclass.subgroups, "normalizer", no_normalizer)
+                got = sylow_subgroup(fresh, p)
+            want = sylow_subgroup_by_normalizers(g, p)
+            assert got.generators == want.generators, (name, p)
+            assert got.element_set() == want.element_set(), (name, p)
+            pairs += 1
+    assert pairs == 657
+
+
+@pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
+def test_filtered_enumeration_matches_a_direct_run(name, monkeypatch):
+    """An enumeration at a prime set q, or at None, answers every pi inside
+    q from its classes of pi-order, with the representatives, generators
+    and order of a direct run at pi on a fresh group, and sweeps nothing
+    more."""
+    import piclass.subgroups
+
+    base = build(parse_name(name))
+    primes = prime_factors(base.order)
+    subsets = _nonempty_subsets(primes)
+
+    def classes(handles):
+        return [([g.images for g in h.generators], h.element_set()) for h in handles]
+
+    direct = {pi: classes(enumerate_subgroups_up_to_conjugacy(PermGroup(list(base.generators)),
+                                                              pi))
+              for pi in subsets}
+    for q in [*subsets, None]:
+        wide = PermGroup(list(base.generators))
+        enumerate_subgroups_up_to_conjugacy(wide, q)
+        with monkeypatch.context() as m:
+            m.setattr(piclass.subgroups, "_enumerate", None)  # a sweep would raise
+            for pi in subsets:
+                if q is None or pi < q:
+                    assert classes(enumerate_subgroups_up_to_conjugacy(wide, pi)) == direct[pi]
 
 
 def test_sylow_subgroup_is_cached_per_prime(named):
