@@ -74,14 +74,14 @@ SLICES = {
 
 
 def campaign(slice_name: str):
-    """The campaign of one slice and its JSON document, as ``piclass verify``
-    prints it."""
+    """The campaign of one slice, its JSON document, as ``piclass verify``
+    prints it, and the order of each of its groups."""
     config, suites, groups, _, _ = SLICES[slice_name]
     entries = list(census(config))
     assert set(groups) <= set(dict(entries))
     result = run_census_campaign(entries, suites, config)
     body = {"results": [r.as_dict() for r in result.reports], "summary": result.summary}
-    return result, document("verify", config, body)
+    return result, document("verify", config, body), {name: g.order for name, g in entries}
 
 
 def render(slice_name: str) -> str:
@@ -140,15 +140,11 @@ def ledger_lines(result, orders: dict[str, int]) -> list[str]:
     return lines
 
 
-def _census_orders() -> dict[str, int]:
-    return {name: g.order for name, g in census(SLICES["all"][0])}
-
-
 def test_census_ledger(campaigns):
     """Every census group's rows hash to its ledger line, suite by suite."""
-    result, _ = campaigns("all")
+    result, _, orders = campaigns("all")
     want = LEDGER.read_text().splitlines()
-    got = ledger_lines(result, _census_orders())
+    got = ledger_lines(result, orders)
     assert got[0] == want[0], "the ledger's header changed"
     for line, recorded in zip(got[1:], want[1:]):
         if line == recorded:
@@ -161,10 +157,12 @@ def test_census_ledger(campaigns):
         first = rows[0][0] if rows and rows[0] else "(no row)"
         pytest.fail(f"first group that moved: {name!r}; moved: {moved}; "
                     f"the first row of its first moved suite now reads {first}")
-    assert len(got) == len(want), f"the ledger has {len(want) - 1} groups, the census {len(got) - 1}"
+    assert len(got) == len(want), (
+        f"the ledger has {len(want) - 1} groups, the census {len(got) - 1}")
 
 
 if __name__ == "__main__":
-    lines = ledger_lines(campaign("all")[0], _census_orders())
+    result, _, orders = campaign("all")
+    lines = ledger_lines(result, orders)
     LEDGER.write_text("\n".join(lines) + "\n")
     sys.stdout.write(f"wrote {len(lines) - 1} groups to {LEDGER}\n")
