@@ -15,9 +15,9 @@ g * (x * g^-1), and makes one ``Permutation`` per class, its
 representative; a class product C_i * C_j fixes the class representative x
 as left factor and reads x * y for every y of the smaller class through x's
 table; the class splits walk conjugation orbits under the generators of N.
-A class's element order is read by powering its representative through
-the representative's table (``perm.order_images``), and the primes of
-element orders from ``ClassTable.primes``.
+A class's element order is its representative's (``Permutation.order``,
+the lcm of the cycle lengths), and the primes of element orders are read
+from ``ClassTable.primes``.
 """
 
 from dataclasses import dataclass
@@ -33,7 +33,6 @@ from .perm import (
     conjugation_orbits,
     left_multiplier,
     left_products,
-    order_images,
 )
 
 
@@ -412,8 +411,8 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     classes = []
     for r, i in enumerate(ranked):
         rank[i] = r
-        classes.append(ConjClass(rep=Permutation._make(least[i]), size=len(orbits[i]),
-                                 order=order_images(least[i])))
+        rep = Permutation._make(least[i])
+        classes.append(ConjClass(rep=rep, size=len(orbits[i]), order=rep.order()))
     table = ClassTable(group, classes, [orbits[i] for i in ranked],
                        {im: rank[i] for im, i in index_of.items()})
     group.cache["class_table"] = table

@@ -25,8 +25,8 @@ through x's table and one through g's (``conjugate_images``,
 ``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
 ``conjugation_orbits``) build each table once.  ``Permutation.__mul__``
 and the conjugations are built on them; no other module composes images
-by hand.  An element's order is read by powering through its table
-(``order_images``), with the cycle lengths past ``degree`` products.
+by hand.  An element's order is the lcm of its cycle lengths
+(``Permutation.order``).
 """
 
 import math
@@ -173,8 +173,8 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        """Least m >= 1 with p**m = identity (``order_images``)."""
-        return order_images(self.images)
+        """Least m >= 1 with p**m = identity: the lcm of the cycle lengths."""
+        return math.lcm(1, *map(len, _cycles(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
@@ -219,22 +219,6 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 
 def _table(a: Images) -> Images:
     return a + _TAILS[len(a)] if type(a) is bytes else a
-
-
-def order_images(images: Images) -> int:
-    """The order of the element with these images: the least m >= 1 with
-    x^m = 1, by powering through x's table, one product per power.  After
-    ``degree`` products it gives up and reads the lcm of the cycle lengths,
-    so an element of large order costs at most one product per point
-    before the cycle walk."""
-    ident = _identity_images(len(images))
-    times_x = left_multiplier(images)
-    power = images
-    for m in range(1, len(images) + 1):
-        if power == ident:
-            return m
-        power = times_x(power)
-    return math.lcm(1, *map(len, _cycles(images)))
 
 
 def compose_images(a: Images, b: Images) -> Images:

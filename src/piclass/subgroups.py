@@ -6,7 +6,9 @@ sorted image order; no subgroup needs a Schreier-Sims chain, and where the
 answer is G itself, G is returned.  Subgroups made from generators (the
 closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
 growth, greedy generating sets, stabilizers) get their sets by coset closure
-(``_extend_closure``).  Elements are handled as images: membership is a set
+(``_extend_closure``); normal closures and Sylow growth carry the element
+set and the generator images while they grow, and make one ``PermGroup``
+when they return.  Elements are handled as images: membership is a set
 lookup, the walks read a group's cached images list
 (``PermGroup._element_images``), and a ``Permutation`` is made only for a
 generator a subgroup keeps.  Stabilizer-style computations (element
@@ -88,7 +90,7 @@ def subgroup(parent: PermGroup, gens) -> PermGroup:
     (``_greedy_generators``)."""
     gens = [g for g in gens if not g.is_identity()]
     _check_members(parent, gens)
-    elements = _greedy_generators(parent.degree, gens, _images)[1]
+    elements = _greedy_generators(parent.degree, [g.images for g in gens])[1]
     return PermGroup(gens or [Permutation.identity(parent.degree)], degree=parent.degree,
                      elements=elements)
 
@@ -126,33 +128,19 @@ def _extend_closure(elements, gens: list[Images], x: Images) -> frozenset[Images
     return frozenset(closure)
 
 
-def _extend(sub: PermGroup, x: Permutation) -> PermGroup:
-    """<H, x> on H's generators (less the trivial H's identity) and then x."""
-    gens = [g for g in sub.generators if not g.is_identity()]
-    return PermGroup(gens + [x], elements=_extend_closure(
-        sub.element_set(), [g.images for g in gens], x.images))
-
-
-def _images(x: Permutation) -> Images:
-    return x.images
-
-
-def _greedy_generators(degree: int, elements, images=None, order: int | None = None):
-    """The greedy generating subset of ``elements`` and the element set it
-    generates: an element is kept when its images (``images(x)``, or x
-    itself when ``images`` is None) lie outside the closure of those kept
-    before, and the kept elements are returned as given.  With ``order``
-    given, the scan stops once the closure reaches it."""
-    kept, kept_images = [], []
+def _greedy_generators(degree: int, elements, order: int | None = None):
+    """The greedy generating subset of ``elements`` (images) and the element
+    set it generates: an element is kept when it lies outside the closure
+    of those kept before.  With ``order`` given, the scan stops once the
+    closure reaches it."""
+    kept: list[Images] = []
     closure = frozenset([_identity_images(degree)])
     for x in elements:
         if len(closure) == order:
             break
-        xim = x if images is None else images(x)
-        if xim not in closure:
-            closure = _extend_closure(closure, kept_images, xim)
+        if x not in closure:
+            closure = _extend_closure(closure, kept, x)
             kept.append(x)
-            kept_images.append(xim)
     return kept, closure
 
 
@@ -160,7 +148,7 @@ def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> 
     """Subgroup generated by ``elements`` (images), on their greedy
     generating subset (``_greedy_generators``); only the kept elements
     become ``Permutation``s."""
-    gens, closure = _greedy_generators(parent.degree, elements, order=order)
+    gens, closure = _greedy_generators(parent.degree, elements, order)
     return PermGroup([Permutation._make(g) for g in gens] or [Permutation.identity(parent.degree)],
                      elements=closure)
 
@@ -236,7 +224,9 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     lies outside the subgroup so far, read through the conjugation pairs
     of G's generators (``PermGroup.conjugation_pairs``), so no generator
     is inverted per conjugate.  The element set grows by coset closure
-    (``_extend``).  With ``elements``, the element set of the normal closure
+    (``_extend_closure``) from the greedy generating subset of the seeds and
+    the conjugates added, all as images, and the one ``PermGroup`` is made
+    at the end.  With ``elements``, the element set of the normal closure
     when the caller already knows it, the walk stops once the subgroup
     reaches its size, and a step whose index into that size is prime takes
     the set whole (Lagrange); the generators are the same.  A seed outside
@@ -245,21 +235,20 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     gens = [s for s in seeds if not s.is_identity()]
     _check_members(group, gens)
     target = None if elements is None else len(elements)
-    kept, closure = _greedy_generators(group.degree, gens, _images, target)
-    current = PermGroup(kept or [Permutation.identity(group.degree)], elements=closure)
+    kept, closure = _greedy_generators(group.degree, [s.images for s in gens], target)
     for s in gens:  # gens grows while it is walked
         for pair in group.conjugation_pairs():
-            if current.order == target:
+            if len(closure) == target:
                 break
             c = conjugate_images(pair, s.images)
-            if c not in current.element_set():
-                c = Permutation._make(c)
-                if target is not None and is_prime(target // current.order):
-                    current = PermGroup(gens, elements=elements)
+            if c not in closure:
+                if target is not None and is_prime(target // len(closure)):
+                    closure = elements
                 else:
-                    current = _extend(current, c)
-                gens.append(c)
-    return PermGroup(gens, elements=current.element_set()) if gens else current
+                    closure = _extend_closure(closure, kept, c)
+                kept.append(c)
+                gens.append(Permutation._make(c))
+    return PermGroup(gens or [Permutation.identity(group.degree)], elements=closure)
 
 
 def commutator_subgroup(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
@@ -409,15 +398,16 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     Each step takes the first y of G with y outside the current P, y P y^-1
     = P (tested on P's generators, through y's conjugation pair) and y^e
     outside P, and adds y^e, the p-part of y, by coset closure
-    (``_extend``).  "First" is in sorted image order, which is the order a
-    normalizer subgroup lists in; at the first step, where P is trivial
-    and its normalizer is G, it is the order of G's images list.  So a
-    step adds the p-part the walk of N_G(P) would pick.  The p-part is one
-    power with an exponent read from |G|; an element inside P is passed
-    over first, since its p-part (a power of it) lies inside too.
-    Deterministic, so it is cached on the group per p: the Hall search for
-    every pi and the Sylow 3-structure check share one Sylow subgroup per
-    prime.
+    (``_extend_closure``), on P's element set and generator images; the
+    one ``PermGroup`` is made at the end.  "First" is in sorted image
+    order, which is the order a normalizer subgroup lists in; at the first
+    step, where P is trivial and its normalizer is G, it is the order of
+    G's images list.  So a step adds the p-part the walk of N_G(P) would
+    pick.  The p-part is one power with an exponent read from |G|; an
+    element inside P is passed over first, since its p-part (a power of
+    it) lies inside too.  Deterministic, so it is cached on the group per
+    p: the Hall search for every pi and the Sylow 3-structure check share
+    one Sylow subgroup per prime.
     """
     validate_pi([p])
     cache_key = ("sylow_subgroup", p)
@@ -429,12 +419,11 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     # agrees mod |x| with the exponent read from |x| (tests/oracles.py)
     rest = group.order // target
     e = rest * pow(rest, -1, target)
-    current = trivial_subgroup(group)
+    members = frozenset([_identity_images(group.degree)])
+    pgens: list[Images] = []
     images = group._element_images()
     walk = images  # N_G(1) = G, in the order of G's images list
-    while current.order < target:
-        members = current.element_set()
-        pgens = [g.images for g in current.generators if not g.is_identity()]
+    while len(members) < target:
         for y in walk:
             if y in members:
                 continue
@@ -444,14 +433,17 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
                     continue
             yp = _power_images(y, e)
             if yp not in members:
-                current = _extend(current, Permutation._make(yp))
+                members = _extend_closure(members, pgens, yp)
+                pgens.append(yp)
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
-        if walk is images and current.order < target:
+        if walk is images and len(members) < target:
             walk = sorted(images)
-    group.cache[cache_key] = current
-    return current
+    sylow = PermGroup([Permutation._make(g) for g in pgens] or [Permutation.identity(group.degree)],
+                      elements=members)
+    group.cache[cache_key] = sylow
+    return sylow
 
 
 @dataclass(frozen=True)

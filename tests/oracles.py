@@ -252,7 +252,7 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
     """
     from piclass.numtheory import is_pi_number
     from piclass.perm import conjugation_orbit, conjugation_pairs
-    from piclass.subgroups import _extend, trivial_subgroup
+    from piclass.subgroups import subgroup, trivial_subgroup
 
     pi = None if pi is None else frozenset(pi)
     elements = group.element_list()
@@ -275,7 +275,7 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
             if x.images in base_set or x.images in covered:
                 continue
             covered.update(conjugation_orbit(x.images, base_pairs))
-            extended = _extend(base, x)
+            extended = subgroup(group, [*base.generators, x])
             if pi is None or is_pi_number(extended.order, pi):
                 register(extended)
     return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set()))))
@@ -640,7 +640,7 @@ def sylow_subgroup_by_normalizers(group, p):
     y^e of the first y of N_G(P), in the order of its images list, with y
     and y^e outside P.  Uncached."""
     from piclass.perm import _power_images
-    from piclass.subgroups import _extend, normalizer, trivial_subgroup
+    from piclass.subgroups import normalizer, subgroup, trivial_subgroup
 
     target = pi_part(group.order, frozenset([p]))
     rest = group.order // target
@@ -653,7 +653,7 @@ def sylow_subgroup_by_normalizers(group, p):
                 continue
             yp = _power_images(y, e)
             if yp not in current.element_set():
-                current = _extend(current, Permutation._make(yp))
+                current = subgroup(group, [*current.generators, Permutation._make(yp)])
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")

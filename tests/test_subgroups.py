@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -808,23 +809,24 @@ def test_hall_search_runs_once_per_arguments(monkeypatch):
     """A second search with the same arguments returns the cached outcome
     and grows no Sylow subgroup again; a pi with the same relevant primes
     reruns the search on the cached Sylow subgroups; a different budget,
-    seed or subgroup cap reruns it.  Growth is counted by its steps, the
-    ``_extend`` calls (nothing else in these searches calls it)."""
+    seed or subgroup cap reruns it.  Growth is counted by its p-part
+    powers, the ``_power_images`` calls of ``subgroups`` (nothing else
+    there calls it)."""
     import piclass.subgroups
 
     searches, steps = [], []
-    search, extend = piclass.subgroups._hall_search, piclass.subgroups._extend
+    search, power = piclass.subgroups._hall_search, piclass.subgroups._power_images
 
     def counting_search(*args):
         searches.append(args[1:])
         return search(*args)
 
-    def counting_extend(*args):
+    def counting_power(*args):
         steps.append(1)
-        return extend(*args)
+        return power(*args)
 
     monkeypatch.setattr(piclass.subgroups, "_hall_search", counting_search)
-    monkeypatch.setattr(piclass.subgroups, "_extend", counting_extend)
+    monkeypatch.setattr(piclass.subgroups, "_power_images", counting_power)
     g = build(parse_name("S4"))  # fresh: nothing cached
     first = hall_search(g, [2])
     grown = len(steps)
@@ -842,16 +844,18 @@ def test_hall_search_runs_once_per_arguments(monkeypatch):
 
 
 def test_sylow_growth_matches_the_normalizer_walk(census_entries, monkeypatch):
-    """On every census (group, prime) pair, Sylow growth keeps the
-    generators and the element set of the growth through normalizer
-    subgroups, and builds no normalizer."""
+    """On every census (group, prime) pair, and on the groups of
+    ``tests/data``, Sylow growth keeps the generators and the element set
+    of the growth through normalizer subgroups, and builds no normalizer."""
     import piclass.subgroups
 
     def no_normalizer(*args):
         raise AssertionError("Sylow growth built a normalizer")
 
+    data = [(path.name, parse_group_file(path.read_text())) for path in sorted(DATA.glob("*.grp"))]
+    assert len(data) == 7
     pairs = 0
-    for name, g in census_entries:
+    for name, g in [*census_entries, *data]:
         for p in prime_factors(g.order):
             fresh = PermGroup(list(g.generators))
             with monkeypatch.context() as m:
@@ -861,7 +865,39 @@ def test_sylow_growth_matches_the_normalizer_walk(census_entries, monkeypatch):
             assert got.generators == want.generators, (name, p)
             assert got.element_set() == want.element_set(), (name, p)
             pairs += 1
-    assert pairs == 657
+    assert pairs == 657 + 25  # 3 primes for PSL(2,7), AGL(1,7) and A5, 4 for A7, S7, M11, S8
+
+
+def test_normal_closure_and_sylow_growth_make_one_group_per_call(census_entries, monkeypatch):
+    """Normal closures (with and without the known element set) and Sylow
+    growth grow an element set and generator images, and make one
+    ``PermGroup`` per call, when they return."""
+    made = []
+    init = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    calls = 0
+    for name, g in census_entries:
+        if g.order > 72:
+            continue
+        fresh = PermGroup(list(g.generators))
+        table = conjugacy_classes(fresh)
+        runs = [partial(sylow_subgroup, fresh, p) for p in prime_factors(g.order)]
+        for i, cls in enumerate(table.classes):
+            elements = frozenset(table.elements(table.closure(1 << i)))
+            runs += [partial(normal_closure, fresh, [cls.rep]),
+                     partial(normal_closure, fresh, [cls.rep], elements)]
+        for run in runs:
+            made.clear()
+            with monkeypatch.context() as m:
+                m.setattr(PermGroup, "__init__", counting_init)
+                run()
+            assert len(made) == 1, (name, run)
+            calls += 1
+    assert calls > 1000
 
 
 @pytest.mark.parametrize("name", [s.name for s in census_specs() if s.order <= 72])
