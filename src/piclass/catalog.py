@@ -60,6 +60,17 @@ class GroupSpec:
             return factorial(self.n) // (2 if self.kind == "alternating" else 1)
         return prod(f.order for f in self.factors)
 
+    @property
+    def degree(self) -> int:
+        """Closed-form degree of the group ``build`` makes."""
+        if self.kind == "dihedral":
+            return self.n // 2
+        if self.kind == "quaternion":
+            return 8
+        if self.kind == "product":
+            return sum(f.degree for f in self.factors)
+        return self.n
+
 
 def cyclic(n: int) -> GroupSpec:
     if n < 1:
@@ -120,11 +131,10 @@ def _quaternion_group() -> PermGroup:
 
 
 def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
-    """Realize a spec as a PermGroup of its advertised order."""
-    if spec.kind in ("cyclic", "dihedral", "symmetric", "alternating"):
-        n = spec.n // 2 if spec.kind == "dihedral" else spec.n
-        if n > max_degree:
-            raise CapExceededError("degree", n, max_degree)
+    """Realize a spec as a PermGroup of its advertised order and degree."""
+    n = spec.degree
+    if n > max_degree:
+        raise CapExceededError("degree", n, max_degree)
     if spec.kind == "cyclic":
         return PermGroup([Permutation.from_cycles(n, [list(range(n))])], degree=n)
     if spec.kind == "dihedral":
@@ -152,20 +162,16 @@ def build(spec: GroupSpec, max_degree: int = DEFAULT_MAX_DEGREE) -> PermGroup:
             big = Permutation.from_cycles(n, [list(range(1, n))])
         return PermGroup([three, big], degree=n)
     if spec.kind == "product":
-        groups = [build(f, max_degree) for f in spec.factors]
-        degree = sum(g.degree for g in groups)
-        if degree > max_degree:
-            raise CapExceededError("degree", degree, max_degree)
         gens = []
         offset = 0
-        for g in groups:
-            for gen in g.generators:
-                images = list(range(degree))
+        for f in spec.factors:
+            for gen in build(f, max_degree).generators:
+                images = list(range(n))
                 for i, j in enumerate(gen.images):
                     images[offset + i] = offset + j
                 gens.append(Permutation(images))
-            offset += g.degree
-        return PermGroup(gens, degree=degree)
+            offset += f.degree
+        return PermGroup(gens, degree=n)
     raise ValueError(f"unknown spec kind: {spec.kind}")
 
 

@@ -239,10 +239,10 @@ class PermGroup:
 
     def elements(self):
         """Deterministic iterator over all elements, exactly ``order`` of
-        them, in the chain's order (``_chain_images``).  No cap is checked
-        here; a run checks its one element cap as it starts
-        (``Config.check_element_cap``)."""
-        yield from map(Permutation._make, self._chain_images())
+        them, in the order of ``_element_images``, so a group built with its
+        element set builds no chain.  No cap is checked here; a run checks
+        its one element cap as it starts (``Config.check_element_cap``)."""
+        yield from map(Permutation._make, self._element_images())
 
     def _element_images(self) -> list[Images]:
         """All elements as images, cached under ``"elements"``: the given

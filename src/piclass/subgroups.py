@@ -36,8 +36,7 @@ Searches that can fail distinguish three outcomes explicitly; in
 particular ``hall_search`` only ever reports nonexistence from its
 exhaustive tier.  The deterministic searches are cached on the group they
 search: ``sylow_subgroup`` per prime, ``hall_search`` per (pi, budget,
-subgroup_cap, seed) and subgroup-class enumeration per pi, where a cached
-enumeration at a wider prime set (or at None) answers a narrower one.
+subgroup_cap, seed) and subgroup-class enumeration per pi.
 """
 
 import math
@@ -714,15 +713,6 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     Every conjugate of a new class is marked as seen (``conjugates``): a
     normal subgroup, a union of classes of G, is its own one conjugate and
     walks no orbit.
-
-    An enumeration already cached at a wider prime set q (pi a subset of
-    q, or q None) answers for pi: its classes of pi-order are the classes,
-    representatives and generators of a run at pi.  A pi-subgroup is
-    reached only from a pi-base by a pi-step, and the steps a q-run adds
-    to a base's walk only cover steps whose closures they share, which are
-    then not pi-groups either: a skipped y rebuilds a closure already
-    built.  So each pi-base meets its pi-steps and their closures in the
-    same order in both runs, and the same pi-subgroups are found first.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
@@ -730,14 +720,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     cache_key = ("subgroup_classes", pi)
     cached = group.cache.get(cache_key)
     if cached is None:
-        wider = next((found for key, found in group.cache.items()
-                      if type(key) is tuple and key[0] == "subgroup_classes"
-                      and (key[1] is None or pi is not None and pi <= key[1])), None)
-        if wider is None:
-            cached = _enumerate(group, pi)
-        else:
-            cached = [h for h in wider if pi is None or is_pi_number(h.order, pi)]
-        group.cache[cache_key] = cached
+        cached = group.cache[cache_key] = _enumerate(group, pi)
     return cached
 
 

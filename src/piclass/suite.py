@@ -105,6 +105,20 @@ def _widest_pi(group: PermGroup, pi: frozenset[int]) -> frozenset[int] | None:
     return pi if rest else None
 
 
+def _cyclic_pi_subgroup_classes(group: PermGroup, pi: frozenset[int]) -> list[PermGroup]:
+    """One cyclic pi-subgroup <rep> per conjugacy class of them: <x> and <y>
+    are conjugate exactly when x and y share a rational class, so the first
+    class of each rational class of pi-elements gives its representative."""
+    table = conjugacy_classes(group)
+    classes = []
+    covered = 0  # the rational classes already represented
+    for i, cls in enumerate(table.classes):
+        if not covered >> i & 1 and is_pi_number(cls.order, pi):
+            classes.append(subgroup(group, [cls.rep]))
+            covered |= table.rational_class(i)
+    return classes
+
+
 def check_hall_dichotomy(group: PermGroup, pi,
                          config: Config = DEFAULT_CONFIG) -> tuple[str, dict]:
     """Above the 5/8 threshold: an abelian Hall pi-subgroup exists, all Hall
@@ -143,22 +157,17 @@ def check_hall_dichotomy(group: PermGroup, pi,
     target = pi_part(group.order, pi)
     partial = group.order > config.subgroup_cap  # enumeration would refuse the group
     if partial:
-        classes = []
-        seen = set()
-        for cls in conjugacy_classes(group).classes:
-            if not is_pi_number(cls.order, pi):
-                continue
-            cyc = subgroup(group, [cls.rep])
-            key = cyc.element_set()
-            if key not in seen:  # one per conjugacy class of cyclic subgroups
-                seen.update(conjugates(group, key))
-                classes.append(cyc)
+        classes = _cyclic_pi_subgroup_classes(group, pi)
         witness["degraded"] = "cyclic pi-subgroups only (subgroup cap exceeded)"
     else:
-        # one enumeration per group serves every pi above the threshold
-        enumerate_subgroups_up_to_conjugacy(group, pi=_widest_pi(group, pi),
-                                            cap=config.subgroup_cap)
-        classes = enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=config.subgroup_cap)
+        # One sweep per group serves every pi above the threshold.  Its
+        # classes of pi-order are those of a sweep at pi, with the same
+        # representatives and generators: a pi-subgroup is reached only by
+        # pi-steps from pi-subgroups, and a step the wider sweep adds only
+        # skips steps whose closures are not pi-groups.
+        classes = [h for h in enumerate_subgroups_up_to_conjugacy(
+                       group, pi=_widest_pi(group, pi), cap=config.subgroup_cap)
+                   if is_pi_number(h.order, pi)]
 
     halls = [h for h in classes if h.order == target]
     if partial:

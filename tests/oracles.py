@@ -12,7 +12,10 @@ element sets in place of class bitsets, which fixes the order and the
 generators the library must keep reproducing, and
 ``subgroup_classes_by_orbit_skip``, the subgroup-class sweep the library
 ran before its double-coset skip rules and prime steps, which fixes the
-conjugacy classes it must keep finding.  The routines after the
+conjugacy classes it must keep finding, and
+``cyclic_pi_subgroup_classes_by_conjugates``, the cyclic pi-subgroups up to
+conjugacy by the conjugates of each one, as the Hall check past the
+subgroup cap found them before it read rational classes.  The routines after the
 lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
@@ -279,6 +282,28 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
             if pi is None or is_pi_number(extended.order, pi):
                 register(extended)
     return sorted(found, key=lambda h: (h.order, tuple(sorted(h.element_set()))))
+
+
+def cyclic_pi_subgroup_classes_by_conjugates(group, pi):
+    """One cyclic pi-subgroup <rep> per conjugacy class of them, as the Hall
+    check past the subgroup cap found them before it read rational classes:
+    the class representatives of pi-order in class order, each kept unless
+    a conjugate of its cyclic subgroup was kept before.  Uncached."""
+    from piclass.classes import conjugacy_classes
+    from piclass.numtheory import is_pi_number
+    from piclass.subgroups import conjugates, subgroup
+
+    classes = []
+    seen = set()
+    for cls in conjugacy_classes(group).classes:
+        if not is_pi_number(cls.order, pi):
+            continue
+        cyc = subgroup(group, [cls.rep])
+        key = cyc.element_set()
+        if key not in seen:
+            seen.update(conjugates(group, key))
+            classes.append(cyc)
+    return classes
 
 
 def normal_subgroups_by_joins(group):

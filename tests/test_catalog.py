@@ -8,6 +8,7 @@ from piclass.catalog import (
     parse_group_file,
     parse_name,
     product,
+    quaternion,
     serialize_group_file,
 )
 from piclass.classes import conjugacy_classes
@@ -17,7 +18,8 @@ from piclass.errors import CapExceededError, GroupFileError
 
 def test_family_orders_closed_form():
     for spec in census_specs():
-        assert build(spec).order == spec.order
+        g = build(spec)
+        assert (g.order, g.degree) == (spec.order, spec.degree)
 
 
 def test_dihedral_of_order_8_class_count():
@@ -41,6 +43,10 @@ def test_build_degree_cap():
         build(cyclic(200))
     with pytest.raises(CapExceededError):
         build(cyclic(100), max_degree=64)
+    with pytest.raises(CapExceededError, match="^degree: needs 8, cap is 7$"):
+        build(quaternion(), max_degree=7)
+    with pytest.raises(CapExceededError, match="^degree: needs 7, cap is 6$"):
+        build(product(dihedral(8), cyclic(3)), max_degree=6)
 
 
 def test_quaternion_regular_representation(named):

@@ -81,6 +81,18 @@ def test_listing_order_is_the_transversal_product_order(census_entries, named):
         assert list(g.elements()) == elements_by_transversal_products(g), g
 
 
+def test_a_subgroup_lists_its_element_set_without_a_chain(named):
+    """A subgroup built with its element set lists it, through ``elements``
+    as through ``element_list``, in sorted image order and builds no
+    Schreier-Sims chain."""
+    from piclass.subgroups import sylow_subgroup
+
+    p = sylow_subgroup(PermGroup(list(named("S4").generators)), 2)
+    assert list(p.elements()) == p.element_list()
+    assert p.element_list()[0] == Permutation.identity(4)
+    assert p._levels is None
+
+
 def _levels(levels) -> list:
     return [(lvl.point, lvl.gens, lvl.orbit, list(lvl.transversal.items())) for lvl in levels]
 

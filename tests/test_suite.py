@@ -1,7 +1,7 @@
 import pytest
 
 from piclass import suite
-from piclass.catalog import build, census, parse_name
+from piclass.catalog import build, census, census_specs, parse_name
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
 from piclass.subgroups import enumerate_subgroups_up_to_conjugacy
@@ -103,6 +103,30 @@ def test_degraded_hall_check_counts_cyclic_classes_once(named):
     assert witness["pi_subgroup_classes"] == 4
     cyclic = [h for h in enumerate_subgroups_up_to_conjugacy(g, pi=[3]) if h.order in (1, 3)]
     assert len(cyclic) == 4
+
+
+def test_degraded_hall_check_reads_cyclic_classes_from_rational_classes():
+    """Past the cap, the cyclic pi-subgroups up to conjugacy read from the
+    rational classes are those found by walking the conjugates of each one:
+    same representatives, order and generators, on every census group of
+    order <= 72 and every nonempty pi of its primes."""
+    from oracles import cyclic_pi_subgroup_classes_by_conjugates
+
+    from piclass.invariants import group_primes
+
+    def classes(handles):
+        return [([g.images for g in h.generators], h.element_set()) for h in handles]
+
+    checked = 0
+    for spec in census_specs():
+        if spec.order > 72:
+            continue
+        g = build(spec)
+        for pi in suite._nonempty_subsets(group_primes(g)):
+            assert (classes(suite._cyclic_pi_subgroup_classes(g, pi))
+                    == classes(cyclic_pi_subgroup_classes_by_conjugates(g, pi))), (spec.name, pi)
+            checked += 1
+    assert checked > 300
 
 
 def test_degraded_hall_check_does_not_count_hall_classes(named):
