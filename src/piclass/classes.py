@@ -2,10 +2,11 @@
 
 ``conjugacy_classes(G)`` is the one class table of G, cached on G.  It holds
 the classes and their members, and reads the normal subgroups of G as unions
-of classes: their closures and joins, k_pi(N) by class splits and k_pi(G/N)
-by class fusion.  The classes of G, of each N and of each G/N are counted
-per prime support, the set of primes dividing the element order, so k_pi
-for any pi is a sum over those counts.
+of classes: their closures and joins, a lower bound on k_pi(N) by the
+G-classes inside N, k_pi(N) by class splits and k_pi(G/N) by class fusion.
+The classes of G, of each N and of each G/N are counted per prime support,
+the set of primes dividing the element order, so k_pi for any pi is a sum
+over those counts.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
 256, int tuples above) and every product goes through ``perm``.  The class
@@ -78,7 +79,10 @@ class ClassTable:
     counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
     Closures, fusions and power maps are built once and cached; the class
-    counts of N and of G/N are not, as the quotient suite reads each N once:
+    counts of N and of G/N are not, as the quotient suite reads each N once.
+    It reads the G-classes inside N (``histogram(mask)``), a lower bound on
+    the classes of N, and the classes of G/N; it splits classes only for an
+    N that lower bound leaves undecided:
 
     - ``closure(mask)``: the normal subgroup generated by a union S of
       classes.  Each class reached is multiplied by the classes of S only,
@@ -322,15 +326,21 @@ class ClassTable:
         |G| divides no element order, so it has no bit."""
         return sum(1 << t for t, p in enumerate(self.primes) if p in pi)
 
-    def histogram(self) -> dict[int, int]:
-        """Prime support -> number of classes of G with that support.
-        Cached."""
-        counts = self._histogram
-        if counts is None:
-            counts = self._histogram = {}
-            for c in self.classes:
-                support = self.prime_support(c.order)
-                counts[support] = counts.get(support, 0) + 1
+    def histogram(self, mask: int | None = None) -> dict[int, int]:
+        """Prime support -> number of classes of G with that support, among
+        the classes in ``mask``; every class by default, and that count is
+        cached.  For the class set of a normal subgroup N each count is at
+        most ``normal_histogram``'s, as each G-class inside N is a union of
+        N-classes."""
+        if mask is None:
+            if self._histogram is None:
+                self._histogram = self.histogram(self.full)
+            return self._histogram
+        classes = self.classes
+        counts: dict[int, int] = {}
+        for i in _bits(mask):
+            support = self.prime_support(classes[i].order)
+            counts[support] = counts.get(support, 0) + 1
         return counts
 
     def normal_histogram(self, sub: PermGroup) -> dict[int, int]:

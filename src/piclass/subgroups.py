@@ -25,9 +25,11 @@ bitsets.  A join N * M is the union of the fusion blocks
 of N (the classes of G/N, built in one pass) that meet M; each bitset is
 joined with the seeds only (the normal closures of single classes), and a
 closure stops as soon as it holds more than |G|/p elements (p the least
-prime of |G|); the lattice's seed walks stop at the order their bitset
-gives.  ``ClassTable.normal_mask`` is the one normality test on a
-subgroup: the lattice fills its record, and the conjugates of a subgroup
+prime of |G|).  The lattice (``normal_lattice``) is a ranked list of
+bitsets and builds no subgroup; ``normal_subgroups`` makes one per entry,
+and its seed walks stop at the order their bitset gives.
+``ClassTable.normal_mask`` is the one normality test on a subgroup:
+``normal_subgroups`` fills its record, and the conjugates of a subgroup
 and the kernel of ``quotient`` are looked up through it.  Set-level
 filters (subgroup centralizers, centers) enumerate the group.  No element
 cap is checked here: every group built is a subgroup of the one a run
@@ -275,26 +277,32 @@ def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
 # -- normal subgroup lattice ------------------------------------------------
 
 
-def normal_subgroups(group: PermGroup) -> list[PermGroup]:
-    """The complete list of normal subgroups.
+@dataclass(frozen=True)
+class LatticeEntry:
+    """A normal subgroup as the bitset of the classes it holds, with its
+    order and how the lattice found it: the normal closure of class
+    ``seed``, or the join of the two bitsets ``parts`` found before it."""
 
-    Seeds are the normal closures of the conjugacy class representatives;
-    every normal subgroup is the join of the seeds it contains, so closing
-    the seed set under joins with single seeds is exhaustive.  The classes
-    of a rational class (``ClassTable.rational_class``) share one closure,
-    so only the first class of each is closed.  The closing runs in the
-    class table, on class bitsets: a join is the class set of N * M.
-    Bitsets are walked in the order found; a seed is joined with the seeds
-    after it and any other bitset with every seed, so each unordered pair
-    is joined at most once.  A subgroup is made only for a bitset seen
-    for the first time, on the generators of the normal closure of its class
-    representative or on those of the two joined subgroups; every element
-    set is read from its bitset, so no join runs a closure, and a seed's
-    ``normal_closure`` walk stops once it reaches that set's size.  Each
-    bitset is recorded in the table's ``normal_masks`` under its element
-    set.
+    mask: int
+    order: int
+    seed: int | None = None
+    parts: tuple[int, int] | None = None
 
-    The list is sorted by order, then by sorted element images, and that
+
+def normal_lattice(group: PermGroup) -> tuple[LatticeEntry, ...]:
+    """The normal subgroups as class bitsets, no subgroup built.
+
+    Seeds are the normal closures of single classes; every normal subgroup
+    is the join of the seeds it contains, so closing the seed set under
+    joins with single seeds is exhaustive.  The classes of a rational class
+    (``ClassTable.rational_class``) share one closure, so only the first
+    class of each is closed.  A join is the class set of N * M
+    (``ClassTable.join``).  Bitsets are walked in the order found; a seed is
+    joined with the seeds after it and any other bitset with every seed, so
+    each unordered pair is joined at most once, and a pair nested one in
+    the other is not joined.  So a join is larger than both its parts.
+
+    The entries are sorted by order, then by sorted element images, and that
     second key is read from the bitsets: for two element sets A and B of one
     size, sorted(A) < sorted(B) exactly when min(A ^ B) lies in A.  A ^ B is
     the union of the classes in mask_A ^ mask_B, and classes are numbered by
@@ -302,21 +310,25 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     classes, and that is the class at which the ascending class indices of
     the two bitsets first differ.  Cached on the group.
     """
-    cached = group.cache.get("normal_subgroups")
+    cached = group.cache.get("normal_lattice")
     if cached is not None:
         return cached
     table = conjugacy_classes(group)
-    found: dict[int, PermGroup] = {}
+    sizes = table.sizes()
+    found: dict[int, LatticeEntry] = {}
+
+    def order(mask: int) -> int:
+        return sum(map(sizes.__getitem__, _bits(mask)))
+
     seeds = []  # the identity's class comes first and gives the trivial group
     closed = 0  # the classes of the rational classes closed so far
-    for i, cls in enumerate(table.classes):
+    for i in range(table.k):
         if closed >> i & 1:
             continue
         closed |= table.rational_class(i)
         mask = table.closure(1 << i)
         if mask not in found:
-            elements = frozenset(table.elements(mask))
-            found[mask] = normal_closure(group, [cls.rep], elements)
+            found[mask] = LatticeEntry(mask, order(mask), seed=i)
             seeds.append(mask)
     queue = list(seeds)
     for k, current in enumerate(queue):  # queue grows while it is walked
@@ -325,13 +337,37 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
                 continue
             joined = table.join(current, other)
             if joined not in found:
-                gens = found[current].generators + found[other].generators
-                found[joined] = PermGroup(gens, elements=frozenset(table.elements(joined)))
+                found[joined] = LatticeEntry(joined, order(joined), parts=(current, other))
                 queue.append(joined)
-    for mask, sub in found.items():
-        table.normal_masks[sub.element_set()] = mask
-    ranked = sorted(found, key=lambda mask: (found[mask].order, tuple(_bits(mask))))
-    result = [found[mask] for mask in ranked]
+    lattice = tuple(sorted(found.values(), key=lambda e: (e.order, tuple(_bits(e.mask)))))
+    group.cache["normal_lattice"] = lattice
+    return lattice
+
+
+def normal_subgroups(group: PermGroup) -> list[PermGroup]:
+    """The complete list of normal subgroups, one per entry of
+    ``normal_lattice`` and in its order.  Each element set is read from its
+    bitset.  A seed's generators are those of the normal closure of its
+    class representative, whose walk stops once it reaches that set's size;
+    a join's are those of its two parts, which are smaller and so built
+    before it.  Each bitset is recorded in the table's ``normal_masks``
+    under its element set.  Cached on the group.
+    """
+    cached = group.cache.get("normal_subgroups")
+    if cached is not None:
+        return cached
+    table = conjugacy_classes(group)
+    built: dict[int, PermGroup] = {}
+    for entry in normal_lattice(group):
+        elements = frozenset(table.elements(entry.mask))
+        if entry.parts is None:
+            sub = normal_closure(group, [table.classes[entry.seed].rep], elements)
+        else:
+            a, b = entry.parts
+            sub = PermGroup(built[a].generators + built[b].generators, elements=elements)
+        built[entry.mask] = sub
+        table.normal_masks[elements] = entry.mask
+    result = list(built.values())
     group.cache["normal_subgroups"] = result
     return result
 
@@ -613,19 +649,17 @@ def socle(group: PermGroup) -> PermGroup:
     """Join of the minimal normal subgroups: the lattice entry whose class
     bitset is the closure of the minimal bitsets, those with no other
     nontrivial bitset of the lattice inside them."""
-    normals = normal_subgroups(group)
-    table = conjugacy_classes(group)
-    masks = [table.normal_mask(n.element_set()) for n in normals]
+    masks = [entry.mask for entry in normal_lattice(group)]
     joined = masks[0]
     for m in masks[1:]:
         if not any(o != m and o & m == o for o in masks[1:]):
             joined |= m
-    joined = table.closure(joined)
-    return normals[masks.index(joined)]
+    joined = conjugacy_classes(group).closure(joined)
+    return normal_subgroups(group)[masks.index(joined)]
 
 
 def is_simple(group: PermGroup) -> bool:
-    return group.order > 1 and len(normal_subgroups(group)) == 2
+    return group.order > 1 and len(normal_lattice(group)) == 2
 
 
 def almost_simple_socle(group: PermGroup) -> PermGroup | None:

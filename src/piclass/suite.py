@@ -36,6 +36,7 @@ from .subgroups import (
     conjugates,
     enumerate_subgroups_up_to_conjugacy,
     hall_search,
+    normal_lattice,
     normal_subgroups,
     normalizer,
     o_pi_prime,
@@ -274,12 +275,17 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
 
     |N|_pi * |G:N|_pi = |G|_pi, so the bound holds exactly when
     k_pi(G) <= k_pi(N) * k_pi(G/N), and that integer test is what runs; the
-    fractions are built only for a counterexample.  Neither N nor G/N gets
-    a class table: the classes of N (the splits of the G-classes inside N)
-    and of G/N (the class fusion of G's class table) are counted per prime
-    support once per N (``ClassTable.normal_histogram`` and
-    ``quotient_histogram``, N's class set read by ``normal_mask``), and each
-    k_pi is a sum over those counts.
+    fractions are built only for a counterexample.  Each N is an entry of
+    the lattice (``normal_lattice``), a class bitset of G, and no N, G/N or
+    class table of either is built.  The classes of G/N are counted per
+    prime support by the class fusion (``ClassTable.quotient_histogram``).
+    Each G-class inside N is a union of N-classes, so the G-classes inside
+    N (``ClassTable.histogram(mask)``) count at most k_pi(N); when that
+    count already satisfies the bound for every pi, N is decided.  Only an
+    N it leaves open (AGL(3,2)'s translation subgroup, for one) is made a
+    subgroup (``normal_subgroups``), and its classes are counted exactly
+    from the class splits (``ClassTable.normal_histogram``).  Each k_pi is
+    a sum over the counts per support.
     Every normal N is checked, whatever its index: no G/N is built, so
     ``max_quotient_degree`` guards no cost here.
     """
@@ -287,24 +293,30 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     witness: dict = {"normal_subgroups": 0, "checked": 0}
     if not primes:
         return VACUOUS, witness
-    normals = normal_subgroups(group)
-    witness["normal_subgroups"] = len(normals)
+    lattice = normal_lattice(group)
+    witness["normal_subgroups"] = len(lattice)
     table = conjugacy_classes(group)
     subsets = _nonempty_subsets(primes)
     pi_bits = [table.pi_bits(pi) for pi in subsets]
     k_group = [pi_count(table.histogram(), bits) for bits in pi_bits]
     checked = 0
-    for n in normals:
-        in_normal = table.normal_histogram(n)
-        in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
-        for pi, bits, lhs in zip(subsets, pi_bits, k_group):
-            rhs = pi_count(in_normal, bits) * pi_count(in_quotient, bits)
+    for rank, entry in enumerate(lattice):
+        in_quotient = table.quotient_histogram(entry.mask)
+        k_quotient = [pi_count(in_quotient, bits) for bits in pi_bits]
+        in_classes = table.histogram(entry.mask)
+        if all(lhs <= pi_count(in_classes, bits) * kq
+               for bits, lhs, kq in zip(pi_bits, k_group, k_quotient)):
+            checked += len(subsets)
+            continue
+        in_normal = table.normal_histogram(normal_subgroups(group)[rank])
+        for pi, bits, lhs, kq in zip(subsets, pi_bits, k_group, k_quotient):
+            rhs = pi_count(in_normal, bits) * kq
             checked += 1
             if lhs > rhs:
                 witness["checked"] = checked
                 order_pi = pi_part(group.order, pi)
                 witness["counterexample"] = {
-                    "normal_order": n.order,
+                    "normal_order": entry.order,
                     "pi": sorted(pi),
                     "d_pi_G": _frac(Fraction(lhs, order_pi)),
                     "bound": _frac(Fraction(rhs, order_pi)),
@@ -356,20 +368,20 @@ def check_sylow3_structure(group: PermGroup, config: Config = DEFAULT_CONFIG) ->
     if not direct:
         return FAIL, witness
 
-    normals = normal_subgroups(group)
+    normals = list(zip(normal_subgroups(group), normal_lattice(group)))
     table = conjugacy_classes(group)
     case1 = table.normal_mask(p_syl.element_set()) is not None and cent.order == p_syl.order
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None
-    for a in normals:
+    for a, a_entry in normals:
         if case2:
             break
-        for b in normals:
+        for b, b_entry in normals:
             if a.order * b.order != group.order:
                 continue
             # A meet B is the union of their common classes; bit 0 is the identity's
-            if table.normal_mask(a.element_set()) & table.normal_mask(b.element_set()) != 1:
+            if a_entry.mask & b_entry.mask != 1:
                 continue
             if not (b.is_abelian() and is_pi_number(b.order, frozenset([3]))):
                 continue

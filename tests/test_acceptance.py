@@ -152,7 +152,11 @@ def test_criterion_08_quotient_submultiplicativity(census_entries):
             q = quotient(g, n)
             # the quotient suite's fast paths: class counts per prime support
             in_normal = table.normal_histogram(n)
-            in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
+            mask = table.normal_mask(n.element_set())
+            in_quotient = table.quotient_histogram(mask)
+            # the suite's lower bound: each G-class inside N is a union of N-classes
+            for support, count in table.histogram(mask).items():
+                assert count <= in_normal.get(support, 0), (name, n.order, support)
             for pi in subsets:
                 lhs = d_pi(g, pi).d_pi
                 rhs = d_pi(n, pi).d_pi * d_pi(q.group, pi).d_pi

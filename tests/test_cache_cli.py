@@ -136,6 +136,7 @@ def test_verify_single_group_pass(runner):
     pytest.param("s7.grp", {"pass": 31, "vacuous": 17}, id="s7"),
     pytest.param("m11.grp", {"pass": 31, "vacuous": 17}, id="m11"),
     pytest.param("s8.grp", {"pass": 31, "vacuous": 17}, id="s8"),
+    pytest.param("agl32.grp", {"pass": 16, "vacuous": 8}, id="agl32"),
 ])
 def test_verify_group_files_beyond_the_census(runner, filename, summary):
     path = Path(__file__).parent / "data" / filename

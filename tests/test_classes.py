@@ -188,6 +188,7 @@ DATA = Path(__file__).parent / "data"
     ("s7.grp", 5040, 15),
     ("m11.grp", 7920, 10),
     ("s8.grp", 40320, 22),
+    ("agl32.grp", 1344, 11),
 ])
 def test_group_files_have_their_known_orders_and_class_counts(filename, order, k):
     g = parse_group_file((DATA / filename).read_text())

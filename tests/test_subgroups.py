@@ -66,6 +66,7 @@ from piclass.subgroups import (
     is_simple,
     join_subgroups,
     normal_closure,
+    normal_lattice,
     normal_subgroups,
     normalizer,
     o_pi_prime,
@@ -527,6 +528,27 @@ def test_join_before_fusion_builds_the_fusion(name, named):
         assert _built_supports(table) == built, (name, mask)
 
 
+@pytest.mark.parametrize("name", LATTICE_SLICE)
+def test_lattice_entries_are_the_normal_subgroups(name, named):
+    """Entry i of ``normal_lattice`` is the class set and the order of
+    ``normal_subgroups(G)[i]``; a seed entry is the closure of its class,
+    and a join entry is the class set of the product of two smaller
+    entries."""
+    g = named(name)
+    table = conjugacy_classes(g)
+    lattice = normal_lattice(g)
+    assert len(lattice) == len(normal_subgroups(g))
+    orders = {entry.mask: entry.order for entry in lattice}
+    for entry, n in zip(lattice, normal_subgroups(g)):
+        assert (table.normal_masks[n.element_set()], n.order) == (entry.mask, entry.order)
+        if entry.parts is None:
+            assert table.closure(1 << entry.seed) == entry.mask
+        else:
+            a, b = entry.parts
+            assert max(orders[a], orders[b]) < entry.order
+            assert table.join(a, b) == entry.mask
+
+
 def test_lattice_joins_each_unordered_pair_once(monkeypatch):
     import collections
 
@@ -629,9 +651,27 @@ def test_normal_closure_with_known_elements_keeps_its_generators(name, named):
         assert known.element_set() == plain.element_set() == elements, (name, i)
 
 
-def test_quotient_suite_builds_no_table_of_n():
+def test_quotient_suite_builds_no_table_of_n(monkeypatch):
+    """Every N of D8 x D8 is decided by the G-classes inside it, so the
+    suite reads the lattice's bitsets alone: no subgroup, normal closure or
+    class split."""
+    import piclass.subgroups
+
     g = build(parse_name("D8 x D8"))  # fresh: no caches shared with other tests
+    calls = []
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
+
+    counted(piclass.subgroups, "normal_closure")
+    counted(ClassTable, "class_splits")
+    counted(PermGroup, "__init__")
     assert check_quotient_bound(g)[0] == "pass"
+    assert calls == []
+    assert "normal_subgroups" not in g.cache
+    monkeypatch.undo()
     proper = [n for n in normal_subgroups(g) if n.order < g.order]
     assert len(proper) > 1
     for n in proper:
@@ -853,7 +893,7 @@ def test_sylow_growth_matches_the_normalizer_walk(census_entries, monkeypatch):
         raise AssertionError("Sylow growth built a normalizer")
 
     data = [(path.name, parse_group_file(path.read_text())) for path in sorted(DATA.glob("*.grp"))]
-    assert len(data) == 7
+    assert len(data) == 8
     pairs = 0
     for name, g in [*census_entries, *data]:
         for p in prime_factors(g.order):
@@ -865,7 +905,7 @@ def test_sylow_growth_matches_the_normalizer_walk(census_entries, monkeypatch):
             assert got.generators == want.generators, (name, p)
             assert got.element_set() == want.element_set(), (name, p)
             pairs += 1
-    assert pairs == 657 + 25  # 3 primes for PSL(2,7), AGL(1,7) and A5, 4 for A7, S7, M11, S8
+    assert pairs == 657 + 28  # 3 for PSL(2,7), AGL(1,7), A5 and AGL(3,2), 4 for A7, S7, M11, S8
 
 
 def test_normal_closure_and_sylow_growth_make_one_group_per_call(census_entries, monkeypatch):

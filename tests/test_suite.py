@@ -222,6 +222,59 @@ def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
     assert witness["checked"] == 2
 
 
+def test_quotient_bound_of_agl32_splits_classes_of_its_translations(monkeypatch):
+    """AGL(3,2) (``tests/data/agl32.grp``) has the normal subgroups 1, its
+    translations T = C2^3 and G.  The 7 nonzero translations form one
+    G-class, so the G-classes inside T count 2 of T's 8 classes, and with
+    G/T = GL(3,2) that lower bound fails: pi {2} has k_2(G) = 7 > 2 * 3, and
+    pi {2, 3} has 9 > 2 * 4.  T is the one entry the suite counts exactly."""
+    from pathlib import Path
+
+    from piclass.catalog import parse_group_file
+    from piclass.classes import ClassTable, conjugacy_classes, pi_count
+    from piclass.subgroups import normal_lattice
+
+    g = parse_group_file((Path(__file__).parent / "data" / "agl32.grp").read_text())
+    table = conjugacy_classes(g)
+    lattice = normal_lattice(g)
+    assert (g.order, table.k, [e.order for e in lattice]) == (1344, 11, [1, 8, 1344])
+    open_pairs = {}
+    for entry in lattice:
+        in_classes = table.histogram(entry.mask)
+        in_quotient = table.quotient_histogram(entry.mask)
+        for pi in ([2], [3], [7], [2, 3], [2, 7], [3, 7], [2, 3, 7]):
+            bits = table.pi_bits(pi)
+            lower, k_quotient = pi_count(in_classes, bits), pi_count(in_quotient, bits)
+            lhs = pi_count(table.histogram(), bits)
+            if lhs > lower * k_quotient:
+                open_pairs[entry.order, tuple(pi)] = (lhs, lower, k_quotient)
+    assert open_pairs == {(8, (2,)): (7, 2, 3), (8, (2, 3)): (9, 2, 4)}
+
+    exact = []
+    normal_histogram = ClassTable.normal_histogram
+    monkeypatch.setattr(ClassTable, "normal_histogram",
+                        lambda self, sub: exact.append(sub.order) or normal_histogram(self, sub))
+    assert check_quotient_bound(g) == (PASS, {"checked": 21, "normal_subgroups": 3})
+    assert exact == [8]
+
+
+def test_quotient_bound_without_the_class_count_shortcut(census_entries, monkeypatch):
+    """With the G-classes inside N counted as none, the lower bound decides
+    no N and every N is counted from its class splits: the verdicts and
+    witnesses of the census stay the same."""
+    from piclass.classes import ClassTable
+
+    shortcut = [(name, check_quotient_bound(g)) for name, g in census_entries]
+    histogram, normal_histogram = ClassTable.histogram, ClassTable.normal_histogram
+    exact = []
+    monkeypatch.setattr(ClassTable, "histogram",
+                        lambda self, mask=None: histogram(self) if mask is None else {})
+    monkeypatch.setattr(ClassTable, "normal_histogram",
+                        lambda self, sub: exact.append(sub) or normal_histogram(self, sub))
+    assert [(name, check_quotient_bound(g)) for name, g in census_entries] == shortcut
+    assert len(exact) == sum(witness["normal_subgroups"] for _, (_, witness) in shortcut)
+
+
 def test_sylow3_structure_cases(named):
     status, witness = check_sylow3_structure(named("S3"))
     assert status == PASS
