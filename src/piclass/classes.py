@@ -3,10 +3,10 @@
 ``conjugacy_classes(G)`` is the one class table of G, cached on G.  It holds
 the classes and their members, and reads the normal subgroups of G as unions
 of classes: their closures and joins, a lower bound on k_pi(N) by the
-G-classes inside N, k_pi(N) by class splits and k_pi(G/N) by class fusion.
-The classes of G, of each N and of each G/N are counted per prime support,
-the set of primes dividing the element order, so k_pi for any pi is a sum
-over those counts.
+G-classes inside N, and k_pi(G/N) by class fusion.  An N is counted exactly
+on its own class table.  The classes of G and of each G/N are counted per
+prime support, the set of primes dividing the element order, so k_pi for
+any pi is a sum over those counts.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
 256, int tuples above) and every product goes through ``perm``.  The class
@@ -15,22 +15,20 @@ by conjugation orbits, each conjugate x giving its table once for the steps
 g * (x * g^-1), and makes one ``Permutation`` per class, its
 representative; a class product C_i * C_j fixes the class representative x
 as left factor and reads x * y for every y of the smaller class through x's
-table; the class splits walk conjugation orbits under the generators of N.
-A class's element order is its representative's (``Permutation.order``,
-the lcm of the cycle lengths), and the primes of element orders are read
-from ``ClassTable.primes``.
+table.  A class's element order is its representative's
+(``Permutation.order``, the lcm of the cycle lengths), and the primes of
+element orders are read from ``ClassTable.primes``.
 """
 
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotInGroupError, PreconditionError
+from .errors import NotInGroupError
 from .group import PermGroup
 from .numtheory import pi_part, prime_factors, validate_pi
 from .perm import (
     Images,
     Permutation,
-    conjugation_orbit,
     conjugation_orbits,
     left_multiplier,
     left_products,
@@ -79,10 +77,10 @@ class ClassTable:
     counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
     Closures, fusions and power maps are built once and cached; the class
-    counts of N and of G/N are not, as the quotient suite reads each N once.
-    It reads the G-classes inside N (``histogram(mask)``), a lower bound on
-    the classes of N, and the classes of G/N; it splits classes only for an
-    N that lower bound leaves undecided:
+    counts of G/N are not, as the quotient suite reads each N once.  It
+    reads the G-classes inside N (``histogram(mask)``), a lower bound on the
+    classes of N, and the classes of G/N; an N that lower bound leaves open
+    is counted on its own class table:
 
     - ``closure(mask)``: the normal subgroup generated by a union S of
       classes.  Each class reached is multiplied by the classes of S only,
@@ -99,10 +97,6 @@ class ClassTable:
       their orders summed in the same pass for the check that they
       partition G into unions of cosets of N.  ``join(N, M)``, the class set
       of N * M, is the union of the blocks of N that meet M.
-    - ``normal_histogram(N)``: prime support -> number of classes of N,
-      summed from ``class_splits``.  The orbit walk behind a split
-      stops once it passes |C|/p, for p the least prime of gcd(|C|, |G:N|):
-      the split divides that gcd, so a longer orbit means a split of 1.
     - ``quotient_histogram(mask)``: prime support -> number of classes of
       G/N.  The order of x * N is the least e with x^e in N, read from
       x's power map.
@@ -283,35 +277,6 @@ class ClassTable:
                 mask |= block
         return mask
 
-    def class_splits(self, sub: PermGroup) -> dict[int, int]:
-        """For the normal subgroup N = ``sub``: each class i of G inside N
-        mapped to the number of N-classes it splits into.  G permutes the
-        N-orbits on a G-class C inside N transitively, so they share one
-        size |x^N| and C splits into |C| / |x^N| classes of N.  That split
-        is |G : N C_G(x)|, so it divides g = gcd(|C|, |G : N|): no walk is
-        needed when g = 1 (N = G, or C a single element, among others), and
-        otherwise the walk of x's orbit under the generators of N stops once
-        it passes |C|/p, p the least prime of g, since only a split of 1
-        leaves an orbit that long.  A subgroup that is not normal raises
-        ``PreconditionError``."""
-        mask = self.normal_mask(sub.element_set())
-        if mask is None:
-            raise PreconditionError("subgroup is not normal in the group")
-        classes = self.classes
-        index = self.group.order // sub.order
-        pairs = sub.conjugation_pairs()
-        splits = {}
-        for i in _bits(mask):
-            size = classes[i].size
-            common = gcd(size, index)
-            if common == 1:
-                splits[i] = 1
-                continue
-            limit = size // next(p for p in self.primes if common % p == 0)
-            walked = len(conjugation_orbit(classes[i].rep.images, pairs, limit))
-            splits[i] = 1 if walked > limit else size // walked
-        return splits
-
     def prime_support(self, order: int) -> int:
         """Bitmask of the primes of |G| dividing ``order`` (a divisor of |G|):
         bit t for ``primes[t]``.  Memoised per order."""
@@ -330,8 +295,8 @@ class ClassTable:
         """Prime support -> number of classes of G with that support, among
         the classes in ``mask``; every class by default, and that count is
         cached.  For the class set of a normal subgroup N each count is at
-        most ``normal_histogram``'s, as each G-class inside N is a union of
-        N-classes."""
+        most the number of classes of N with that support (in G's prime
+        numbering), as each G-class inside N is a union of N-classes."""
         if mask is None:
             if self._histogram is None:
                 self._histogram = self.histogram(self.full)
@@ -341,16 +306,6 @@ class ClassTable:
         for i in _bits(mask):
             support = self.prime_support(classes[i].order)
             counts[support] = counts.get(support, 0) + 1
-        return counts
-
-    def normal_histogram(self, sub: PermGroup) -> dict[int, int]:
-        """Prime support -> number of classes of the normal subgroup N =
-        ``sub``, from the class splits."""
-        classes = self.classes
-        counts: dict[int, int] = {}
-        for i, split in self.class_splits(sub).items():
-            support = self.prime_support(classes[i].order)
-            counts[support] = counts.get(support, 0) + split
         return counts
 
     def quotient_histogram(self, normal: int) -> dict[int, int]:

@@ -16,6 +16,7 @@ from .group import PermGroup
 from .invariants import d_pi, group_primes
 from .numtheory import pi_part, validate_pi
 from .reporting import render
+from .subgroups import hall_search
 from .suite import (
     FAIL,
     SUITES,
@@ -41,8 +42,8 @@ def _load_group(source: str, config: Config) -> tuple[str, PermGroup]:
     try:
         spec = parse_name(source)
     except ValueError as exc:
-        raise click.ClickException(
-            f"{source!r} is neither a readable file nor a known group name: {exc}")
+        raise InvalidInputError(
+            f"{source!r} is neither a readable file nor a known group name: {exc}") from None
     return spec.name, build(spec, config.max_degree)
 
 
@@ -139,7 +140,7 @@ def _analysis_body(name, group, pi_sets, config: Config) -> dict:
             for p in sorted(group_primes(group))
         },
         "profiles": [
-            d_pi(group, pi, name).as_dict() for pi in pi_sets
+            {"group": name, **d_pi(group, pi).as_dict()} for pi in pi_sets
         ],
     }
 
@@ -207,8 +208,6 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
 @_with_common
 def hall(group_source, pi_values, **params):
     """Search for a Hall subgroup for the given prime set."""
-    from .subgroups import hall_search
-
     config = _config_from(params)
     name, group = _load_group(group_source, config)
     config.check_element_cap(group)

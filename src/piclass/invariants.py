@@ -23,7 +23,6 @@ from .subgroups import centralizer_of_element, o_pi_prime
 class PiProfile:
     """Exact pi-profile of one group: class count, pi-part, and their ratio."""
 
-    group_name: str
     pi: frozenset[int]
     k_pi: int
     order_pi: int
@@ -31,7 +30,6 @@ class PiProfile:
 
     def as_dict(self) -> dict:
         return {
-            "group": self.group_name,
             "pi": sorted(self.pi),
             "k_pi": self.k_pi,
             "order_pi": self.order_pi,
@@ -44,18 +42,18 @@ def group_primes(group: PermGroup) -> frozenset[int]:
     return frozenset(prime_factors(group.order))
 
 
-def d_pi(group: PermGroup, pi, name: str = "") -> PiProfile:
+def d_pi(group: PermGroup, pi) -> PiProfile:
     """The exact profile (k_pi, |G|_pi, their quotient) for one prime set,
-    cached on the group per (pi, name): the suites ask for the same
-    profiles.  A pi given as a frozenset is looked up before it is
-    validated; only validated sets are stored."""
-    profile = group.cache.get(("d_pi", pi, name)) if isinstance(pi, frozenset) else None
+    cached on the group per pi: the suites ask for the same profiles.  A pi
+    given as a frozenset is looked up before it is validated; only
+    validated sets are stored."""
+    profile = group.cache.get(("d_pi", pi)) if isinstance(pi, frozenset) else None
     if profile is None:
         pi = validate_pi(pi)
         k = k_pi(group, pi)
         opi = pi_part(group.order, pi)
-        profile = group.cache["d_pi", pi, name] = PiProfile(
-            group_name=name, pi=pi, k_pi=k, order_pi=opi, d_pi=Fraction(k, opi))
+        profile = group.cache["d_pi", pi] = PiProfile(
+            pi=pi, k_pi=k, order_pi=opi, d_pi=Fraction(k, opi))
     return profile
 
 

@@ -318,11 +318,10 @@ def conjugate_set(pair, key: frozenset) -> frozenset:
     return frozenset([times_ginv(itemgetter(*t)(gtable)) for t in key])
 
 
-def _walk(xim: Images, pairs, seen: dict, label, limit: int | None = None) -> list[Images]:
+def _walk(xim: Images, pairs, seen: dict, label) -> list[Images]:
     """The conjugation orbit of xim, breadth first with the pairs in list
     order; each conjugate found is recorded as ``seen[y] = label``, and a
-    conjugate already in ``seen`` is not walked again.  With a ``limit``,
-    the walk stops as soon as it holds ``limit + 1`` conjugates."""
+    conjugate already in ``seen`` is not walked again."""
     seen[xim] = label
     orbit = [xim]
     if type(xim) is bytes:
@@ -334,8 +333,6 @@ def _walk(xim: Images, pairs, seen: dict, label, limit: int | None = None) -> li
                 if y not in seen:
                     seen[y] = label
                     orbit.append(y)
-                    if limit is not None and len(orbit) > limit:
-                        return orbit
         return orbit
     steps = [(gim, itemgetter(*ginv)) for gim, ginv in pairs]
     for cur in orbit:
@@ -345,20 +342,17 @@ def _walk(xim: Images, pairs, seen: dict, label, limit: int | None = None) -> li
             if y not in seen:
                 seen[y] = label
                 orbit.append(y)
-                if limit is not None and len(orbit) > limit:
-                    return orbit
     return orbit
 
 
-def conjugation_orbit(xim: Images, pairs, limit: int | None = None) -> list[Images]:
+def conjugation_orbit(xim: Images, pairs) -> list[Images]:
     """The conjugates of xim under the group the pairs come from.
 
     Breadth-first, pairs in list order, so the order of the list is fixed by
-    the input.  With a ``limit``, the walk stops as soon as it holds
-    ``limit + 1`` conjugates and returns those.  On bytes each conjugate
-    cur gets its table once, and each step is two translates.
+    the input.  On bytes each conjugate cur gets its table once, and each
+    step is two translates.
     """
-    return _walk(xim, pairs, {}, None, limit)
+    return _walk(xim, pairs, {}, None)
 
 
 def conjugation_orbits(elements, pairs) -> tuple[list[list[Images]], dict[Images, int]]:

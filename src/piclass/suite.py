@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .catalog import parse_group_file, serialize_group_file
-from .classes import all_d_p_one, conjugacy_classes, pi_count
+from .classes import all_d_p_one, conjugacy_classes, k_pi, pi_count
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import InvalidInputError
 from .group import PermGroup
@@ -276,16 +276,15 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     |N|_pi * |G:N|_pi = |G|_pi, so the bound holds exactly when
     k_pi(G) <= k_pi(N) * k_pi(G/N), and that integer test is what runs; the
     fractions are built only for a counterexample.  Each N is an entry of
-    the lattice (``normal_lattice``), a class bitset of G, and no N, G/N or
-    class table of either is built.  The classes of G/N are counted per
+    the lattice (``normal_lattice``), a class bitset of G, and no G/N or
+    class table of it is built.  The classes of G/N are counted per
     prime support by the class fusion (``ClassTable.quotient_histogram``).
     Each G-class inside N is a union of N-classes, so the G-classes inside
     N (``ClassTable.histogram(mask)``) count at most k_pi(N); when that
     count already satisfies the bound for every pi, N is decided.  Only an
-    N it leaves open (AGL(3,2)'s translation subgroup, for one) is made a
-    subgroup (``normal_subgroups``), and its classes are counted exactly
-    from the class splits (``ClassTable.normal_histogram``).  Each k_pi is
-    a sum over the counts per support.
+    N it leaves open (C3 in D18, or AGL(3,2)'s translation subgroup) is
+    made a subgroup (``normal_subgroups``), and k_pi(N) is read from N's
+    own class table.  Each k_pi is a sum over the counts per support.
     Every normal N is checked, whatever its index: no G/N is built, so
     ``max_quotient_degree`` guards no cost here.
     """
@@ -308,9 +307,9 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
                for bits, lhs, kq in zip(pi_bits, k_group, k_quotient)):
             checked += len(subsets)
             continue
-        in_normal = table.normal_histogram(normal_subgroups(group)[rank])
-        for pi, bits, lhs, kq in zip(subsets, pi_bits, k_group, k_quotient):
-            rhs = pi_count(in_normal, bits) * kq
+        n = normal_subgroups(group)[rank]
+        for pi, lhs, kq in zip(subsets, k_group, k_quotient):
+            rhs = k_pi(n, pi) * kq
             checked += 1
             if lhs > rhs:
                 witness["checked"] = checked

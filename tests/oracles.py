@@ -452,18 +452,6 @@ def closure_by_all_pairs(table, mask):
     return mask
 
 
-def class_splits_by_full_walk(table, normal, gens):
-    """Class i of G inside N (class set ``normal``, generated by ``gens``)
-    -> |C_i| / |x^N|, with the whole N-orbit of the representative walked."""
-    from piclass.classes import _bits
-    from piclass.perm import conjugation_orbit, conjugation_pairs
-
-    pairs = conjugation_pairs(gens)
-    classes = table.classes
-    return {i: classes[i].size // len(conjugation_orbit(classes[i].rep.images, pairs))
-            for i in _bits(normal)}
-
-
 def coset_classes_by_rows(table, normal):
     """For the normal subgroup N with class set ``normal``: entry i is the
     bitset of classes met by C_i * N, the union of the supports of C_i * C_j
@@ -488,13 +476,16 @@ def order_counts(table):
     return counts
 
 
-def normal_order_counts(table, normal):
-    """Element order -> number of classes of the normal subgroup ``normal``,
-    from the class splits."""
+def normal_classes_by_support(table, normal):
+    """Prime support in G's numbering (``table.prime_support``) -> number of
+    classes of the normal subgroup ``normal`` of G, read from N's own class
+    table."""
+    from piclass.classes import conjugacy_classes
+
     counts = {}
-    for i, split in table.class_splits(normal).items():
-        order = table.classes[i].order
-        counts[order] = counts.get(order, 0) + split
+    for c in conjugacy_classes(normal).classes:
+        support = table.prime_support(c.order)
+        counts[support] = counts.get(support, 0) + 1
     return counts
 
 

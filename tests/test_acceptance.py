@@ -9,7 +9,12 @@ way a single campaign run would reuse them.
 import time
 from fractions import Fraction
 
-from oracles import brute_conjugacy_partition, commuting_pair_count, naive_closure
+from oracles import (
+    brute_conjugacy_partition,
+    commuting_pair_count,
+    naive_closure,
+    normal_classes_by_support,
+)
 from piclass.catalog import build, parse_name, product
 from piclass.classes import conjugacy_classes, k_pi, pi_count
 from piclass.config import Config
@@ -150,8 +155,9 @@ def test_criterion_08_quotient_submultiplicativity(census_entries):
         table = conjugacy_classes(g)
         for n in normal_subgroups(g):
             q = quotient(g, n)
-            # the quotient suite's fast paths: class counts per prime support
-            in_normal = table.normal_histogram(n)
+            # N's classes per prime support of G, from N's own class table
+            in_normal = normal_classes_by_support(table, n)
+            # the quotient suite's fast path: G/N's classes per prime support
             mask = table.normal_mask(n.element_set())
             in_quotient = table.quotient_histogram(mask)
             # the suite's lower bound: each G-class inside N is a union of N-classes

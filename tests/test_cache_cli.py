@@ -354,16 +354,16 @@ def test_config_admits_only_a_null_cache_dir():
 
 
 def test_hall_records_the_budget_it_searched_with(runner, monkeypatch):
-    import piclass.subgroups
+    import piclass.cli
 
     budgets = []
-    search = piclass.subgroups.hall_search
+    search = piclass.cli.hall_search
 
     def recording_search(*args, **kwargs):
         budgets.append(kwargs["budget"])
         return search(*args, **kwargs)
 
-    monkeypatch.setattr(piclass.subgroups, "hall_search", recording_search)
+    monkeypatch.setattr(piclass.cli, "hall_search", recording_search)
     result = runner.invoke(main, ["hall", "S4", "--pi", "2,3", "--budget", "3",
                                   "--format", "json"])
     assert result.exit_code == 0
@@ -379,3 +379,23 @@ def test_python_dash_m_runs_the_cli():
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"piclass, version {__version__}"
+
+
+def test_analyze_bytes_are_pinned(runner):
+    """The ``analyze`` document of a group by name and of a group file, in
+    each format, byte for byte (sha256)."""
+    import hashlib
+
+    psl27 = str(Path(__file__).parent / "data" / "psl27.grp")
+    digests = {
+        ("D8 x C3", "json"): "eb9ff7dbd91502050143cdf23d2cc6488480f2edb00941995ccb98b6cb299315",
+        ("D8 x C3", "csv"): "b8827d1f88ef15a0e108f51e6279c427c23210098273aec1e9a6fee2d50d5caa",
+        ("D8 x C3", "text"): "5477150a616b3e695ff3970e483168e0c623a6b3bf7084e3fd8305d73d01838e",
+        (psl27, "json"): "4f746a77bf6110740b3bbba031199df5b833a3985ce507c436c7a2b0c2b8af3c",
+        (psl27, "csv"): "104cba0603fe408f0ead0bd82d7ef872bcc0919d2d1bddd242f3b9a57b58310c",
+        (psl27, "text"): "5500eac16c6ad4c7a0b471c0ec1512b595003dfd71befcbbc7461a685122f4b9",
+    }
+    for (source, fmt), digest in digests.items():
+        result = runner.invoke(main, ["analyze", source, "--format", fmt])
+        assert result.exit_code == 0, result.output
+        assert hashlib.sha256(result.output.encode()).hexdigest() == digest, (source, fmt)

@@ -78,7 +78,7 @@ def test_profile_invariants(named):
     for name in ["S3", "S4", "A5", "D8 x C3"]:
         g = named(name)
         for p in group_primes(g):
-            prof = d_pi(g, [p], name=name)
+            prof = d_pi(g, [p])
             assert prof.d_pi == Fraction(prof.k_pi, prof.order_pi)
             assert 0 < prof.d_pi <= 1
             assert g.order % prof.order_pi == 0

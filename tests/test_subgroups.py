@@ -10,7 +10,6 @@ import pytest
 
 from oracles import (
     all_subgroups_naive,
-    class_splits_by_full_walk,
     closure_by_all_pairs,
     conjugates_by_brute_force,
     coset_classes_by_rows,
@@ -19,7 +18,7 @@ from oracles import (
     k_pi_by_class_equation,
     naive_closure,
     normal_core_by_closures,
-    normal_order_counts,
+    normal_classes_by_support,
     normal_pi_complement_by_element_scan,
     normal_subgroups_by_class_unions,
     normal_subgroups_by_joins,
@@ -376,9 +375,10 @@ def test_quotient_k_pi_outside_the_lattice(named):
 
 def test_pi_counts_match_order_sums_on_the_census(census_entries):
     """k_pi(G), k_pi(N) and k_pi(G/N), read from the prime-support
-    histograms, equal the sums over element orders that are pi-numbers, for
-    every normal N of every census group and every nonempty pi inside the
-    primes of |G|, and for pi holding a prime outside |G|."""
+    histograms of G's class table, of N's own and of the class fusion,
+    equal the sums over element orders that are pi-numbers, for every
+    normal N of every census group and every nonempty pi inside the primes
+    of |G|, and for pi holding a prime outside |G|."""
     for name, g in census_entries:
         table = conjugacy_classes(g)
         primes = group_primes(g)
@@ -389,54 +389,55 @@ def test_pi_counts_match_order_sums_on_the_census(census_entries):
             assert k_pi(g, pi) == pi_sum(counts, pi), (name, sorted(pi))
         for n in normal_subgroups(g):
             mask = table.normal_masks[n.element_set()]
-            in_normal = normal_order_counts(table, n)
+            in_normal = order_counts(conjugacy_classes(n))
             in_quotient = quotient_order_counts(table, mask)
-            normal_supports = table.normal_histogram(n)
             quotient_supports = table.quotient_histogram(mask)
             for pi in pis:
                 where = (name, n.order, sorted(pi))
-                bits = table.pi_bits(pi)
-                assert pi_count(normal_supports, bits) == pi_sum(in_normal, pi), where
-                assert pi_count(quotient_supports, bits) == pi_sum(in_quotient, pi), where
+                assert k_pi(n, pi) == pi_sum(in_normal, pi), where
+                assert (pi_count(quotient_supports, table.pi_bits(pi))
+                        == pi_sum(in_quotient, pi)), where
 
 
-def _assert_normal_k_pi_matches_class_table(g, n):
+def _assert_g_classes_bound_the_classes_of_n(g, n):
+    """The quotient suite's lower bound is sound: each G-class inside N is a
+    union of N-classes, so per prime support (in G's prime numbering) the
+    G-classes inside N never outnumber the classes of N's own table, and
+    those per-support counts give k_pi(N) for every pi."""
     table = conjugacy_classes(g)
-    in_normal = table.normal_histogram(n)
+    in_normal = normal_classes_by_support(table, n)
+    for support, count in table.histogram(table.normal_mask(n.element_set())).items():
+        assert count <= in_normal.get(support, 0), (n.order, support)
     for pi in _nonempty_subsets(group_primes(g) | {2}):
         assert pi_count(in_normal, table.pi_bits(pi)) == k_pi(n, pi), (n.order, sorted(pi))
-    assert sum(table.class_splits(n).values()) == conjugacy_classes(n).k
 
 
 @pytest.mark.parametrize("name", LATTICE_SLICE)
 def test_normal_k_pi_matches_class_table_of_n(name, named):
     g = named(name)
     for n in normal_subgroups(g):
-        _assert_normal_k_pi_matches_class_table(g, n)
+        _assert_g_classes_bound_the_classes_of_n(g, n)
 
 
 def test_normal_k_pi_outside_the_lattice(named):
-    """As for k_pi(G/N), on the shared S4 and on a fresh one: k_pi(N) is read
-    from the class splits of the class set ``normal_mask`` gives, a subgroup
-    that is not normal raises ``PreconditionError``, and one with elements
-    outside G raises ``NotInGroupError``."""
+    """On the shared S4 and on a fresh one: the G-classes inside a normal N
+    bound N's classes from below, whether or not the lattice was built;
+    ``normal_mask`` answers None for a subgroup that is not normal, and
+    raises ``NotInGroupError`` for one with elements outside G."""
     fresh = build(parse_name("S4"))
     for s4 in (named("S4"), fresh):
         table = conjugacy_classes(s4)
         v4 = _v4(s4)
         for n in (v4, trivial_subgroup(s4), s4):
-            _assert_normal_k_pi_matches_class_table(s4, n)
-        assert pi_count(table.normal_histogram(v4), table.pi_bits([2])) == 4  # V4 is abelian
-        assert pi_count(table.normal_histogram(s4), table.pi_bits([2, 3])) == 5
-        with pytest.raises(PreconditionError):
-            table.normal_histogram(subgroup(s4, [parse_cycle_text("(0 1)", 4)]))
+            _assert_g_classes_bound_the_classes_of_n(s4, n)
+        assert k_pi(v4, [2]) == 4  # V4 is abelian
+        assert k_pi(s4, [2, 3]) == 5
+        assert table.normal_mask(subgroup(s4, [parse_cycle_text("(0 1)", 4)]).element_set()) is None
     assert "normal_subgroups" not in fresh.cache
     s3 = PermGroup([parse_cycle_text("(0 1)", 4), parse_cycle_text("(0 1 2)", 4)])
     outside = subgroup(fresh, [parse_cycle_text("(2 3)", 4)])  # elements outside s3
     with pytest.raises(NotInGroupError):
         conjugacy_classes(s3).normal_mask(outside.element_set())
-    with pytest.raises(NotInGroupError):
-        conjugacy_classes(s3).normal_histogram(outside)
 
 
 def _classes_met(table, images) -> int:
@@ -446,10 +447,9 @@ def _classes_met(table, images) -> int:
 
 def test_class_closures_and_splits_match_their_oracles(census_entries):
     """On every census group: the generating-class closure of each lattice
-    entry's generators and of each class equals the all-pairs closure, and
-    each lattice entry's early-stopping splits equal those of full orbit
-    walks.  The single classes come last, so their cached closures are read
-    after closures of other class sets were cached."""
+    entry's generators and of each class equals the all-pairs closure.  The
+    single classes come last, so their cached closures are read after
+    closures of other class sets were cached."""
     for name, g in census_entries:
         table = conjugacy_classes(g)
         for n in normal_subgroups(g):
@@ -457,8 +457,6 @@ def test_class_closures_and_splits_match_their_oracles(census_entries):
             gens_mask = _classes_met(table, [x.images for x in n.generators])
             assert (table.closure(gens_mask) == closure_by_all_pairs(table, gens_mask)
                     == mask), (name, n.order)
-            splits = class_splits_by_full_walk(table, mask, n.generators)
-            assert table.class_splits(n) == splits, (name, n.order)
         for i in range(table.k):
             assert table.closure(1 << i) == closure_by_all_pairs(table, 1 << i), (name, i)
 
@@ -654,10 +652,11 @@ def test_normal_closure_with_known_elements_keeps_its_generators(name, named):
 def test_quotient_suite_builds_no_table_of_n(monkeypatch):
     """Every N of D8 x D8 is decided by the G-classes inside it, so the
     suite reads the lattice's bitsets alone: no subgroup, normal closure or
-    class split."""
+    class table besides G's."""
     import piclass.subgroups
 
     g = build(parse_name("D8 x D8"))  # fresh: no caches shared with other tests
+    conjugacy_classes(g)
     calls = []
 
     def counted(owner, name):
@@ -666,7 +665,7 @@ def test_quotient_suite_builds_no_table_of_n(monkeypatch):
                             lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs))
 
     counted(piclass.subgroups, "normal_closure")
-    counted(ClassTable, "class_splits")
+    counted(ClassTable, "__init__")
     counted(PermGroup, "__init__")
     assert check_quotient_bound(g)[0] == "pass"
     assert calls == []
@@ -693,12 +692,12 @@ def _relabelled_reordered(g, seed):
 
 def _normal_profiles(g):
     table = conjugacy_classes(g)
-    bits = [table.pi_bits(pi) for pi in _nonempty_subsets(group_primes(g))]
+    subsets = _nonempty_subsets(group_primes(g))
+    bits = [table.pi_bits(pi) for pi in subsets]
     profiles = []
     for n in normal_subgroups(g):
-        in_normal = table.normal_histogram(n)
         in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
-        profiles.append((n.order, [pi_count(in_normal, b) for b in bits],
+        profiles.append((n.order, [k_pi(n, pi) for pi in subsets],
                          [pi_count(in_quotient, b) for b in bits]))
     return sorted(profiles)
 

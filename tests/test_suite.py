@@ -222,7 +222,38 @@ def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
     assert witness["checked"] == 2
 
 
-def test_quotient_bound_of_agl32_splits_classes_of_its_translations(monkeypatch):
+def _open_entries(g):
+    """(order of N, pi) -> (k_pi(G), the G-classes inside N, k_pi(G/N)) for
+    every lattice entry N and prime set pi that the quotient suite's lower
+    bound leaves open: k_pi(G) > (G-classes inside N) * k_pi(G/N)."""
+    from piclass.classes import conjugacy_classes, pi_count
+    from piclass.invariants import group_primes
+    from piclass.subgroups import normal_lattice
+
+    table = conjugacy_classes(g)
+    opened = {}
+    for entry in normal_lattice(g):
+        in_classes = table.histogram(entry.mask)
+        in_quotient = table.quotient_histogram(entry.mask)
+        for pi in suite._nonempty_subsets(sorted(group_primes(g))):
+            bits = table.pi_bits(pi)
+            lhs = pi_count(table.histogram(), bits)
+            lower, k_quotient = pi_count(in_classes, bits), pi_count(in_quotient, bits)
+            if lhs > lower * k_quotient:
+                opened[entry.order, tuple(sorted(pi))] = (lhs, lower, k_quotient)
+    return opened
+
+
+def _exactly_counted(g):
+    """The quotient suite's verdict on a freshly built g, and the orders of
+    the N it counted exactly: those that got a class table of their own."""
+    from piclass.subgroups import normal_subgroups
+
+    verdict = check_quotient_bound(g)
+    return verdict, [n.order for n in normal_subgroups(g) if "class_table" in n.cache]
+
+
+def test_quotient_bound_of_agl32_splits_classes_of_its_translations():
     """AGL(3,2) (``tests/data/agl32.grp``) has the normal subgroups 1, its
     translations T = C2^3 and G.  The 7 nonzero translations form one
     G-class, so the G-classes inside T count 2 of T's 8 classes, and with
@@ -231,48 +262,54 @@ def test_quotient_bound_of_agl32_splits_classes_of_its_translations(monkeypatch)
     from pathlib import Path
 
     from piclass.catalog import parse_group_file
-    from piclass.classes import ClassTable, conjugacy_classes, pi_count
+    from piclass.classes import conjugacy_classes
     from piclass.subgroups import normal_lattice
 
     g = parse_group_file((Path(__file__).parent / "data" / "agl32.grp").read_text())
-    table = conjugacy_classes(g)
     lattice = normal_lattice(g)
-    assert (g.order, table.k, [e.order for e in lattice]) == (1344, 11, [1, 8, 1344])
-    open_pairs = {}
-    for entry in lattice:
-        in_classes = table.histogram(entry.mask)
-        in_quotient = table.quotient_histogram(entry.mask)
-        for pi in ([2], [3], [7], [2, 3], [2, 7], [3, 7], [2, 3, 7]):
-            bits = table.pi_bits(pi)
-            lower, k_quotient = pi_count(in_classes, bits), pi_count(in_quotient, bits)
-            lhs = pi_count(table.histogram(), bits)
-            if lhs > lower * k_quotient:
-                open_pairs[entry.order, tuple(pi)] = (lhs, lower, k_quotient)
-    assert open_pairs == {(8, (2,)): (7, 2, 3), (8, (2, 3)): (9, 2, 4)}
+    assert ((g.order, conjugacy_classes(g).k, [e.order for e in lattice])
+            == (1344, 11, [1, 8, 1344]))
+    assert _open_entries(g) == {(8, (2,)): (7, 2, 3), (8, (2, 3)): (9, 2, 4)}
+    assert _exactly_counted(g) == ((PASS, {"checked": 21, "normal_subgroups": 3}), [8])
 
-    exact = []
-    normal_histogram = ClassTable.normal_histogram
-    monkeypatch.setattr(ClassTable, "normal_histogram",
-                        lambda self, sub: exact.append(sub.order) or normal_histogram(self, sub))
-    assert check_quotient_bound(g) == (PASS, {"checked": 21, "normal_subgroups": 3})
-    assert exact == [8]
+
+@pytest.mark.parametrize("name, opened, exact, witness", [
+    ("D18", {(3, (3,)): (5, 2, 2)}, [3], {"checked": 12, "normal_subgroups": 4}),
+    ("D54", {(3, (3,)): (14, 2, 5), (3, (2, 3)): (15, 2, 6), (9, (3,)): (14, 5, 2)}, [3, 9],
+     {"checked": 15, "normal_subgroups": 5}),
+])
+def test_quotient_bound_of_dihedral_groups_counts_the_open_entries_exactly(
+        name, opened, exact, witness):
+    """The smallest groups built by name whose quotient check leaves an N open
+    (the census stops at dihedral order 16).  In D18, N = C3 is open at pi
+    {3}: k_3(G) = 5 > 2 * 2, and its 3 classes give 3 * 2 = 6.  In D54 the
+    entries of orders 3 and 9 are open.  Exactly those N get a class table,
+    and every bound passes."""
+    g = build(parse_name(name))  # fresh: no caches shared with other tests
+    assert _open_entries(g) == opened
+    assert _exactly_counted(g) == ((PASS, witness), exact)
 
 
 def test_quotient_bound_without_the_class_count_shortcut(census_entries, monkeypatch):
     """With the G-classes inside N counted as none, the lower bound decides
-    no N and every N is counted from its class splits: the verdicts and
+    no N and every N is counted on its own class table: the verdicts and
     witnesses of the census stay the same."""
-    from piclass.classes import ClassTable
+    from piclass.classes import conjugacy_classes
 
     shortcut = [(name, check_quotient_bound(g)) for name, g in census_entries]
-    histogram, normal_histogram = ClassTable.histogram, ClassTable.normal_histogram
-    exact = []
-    monkeypatch.setattr(ClassTable, "histogram",
-                        lambda self, mask=None: histogram(self) if mask is None else {})
-    monkeypatch.setattr(ClassTable, "normal_histogram",
-                        lambda self, sub: exact.append(sub) or normal_histogram(self, sub))
+    for _, g in census_entries:  # G's table alone: N's tables count their classes as ever
+        table = conjugacy_classes(g)
+        monkeypatch.setattr(table, "histogram",
+                            lambda mask=None, full=table.histogram(): full if mask is None else {})
+    k_pi, tables = suite.k_pi, {}
+
+    def counted_k_pi(n, pi):
+        tables[id(n)] = n
+        return k_pi(n, pi)
+
+    monkeypatch.setattr(suite, "k_pi", counted_k_pi)
     assert [(name, check_quotient_bound(g)) for name, g in census_entries] == shortcut
-    assert len(exact) == sum(witness["normal_subgroups"] for _, (_, witness) in shortcut)
+    assert len(tables) == sum(witness["normal_subgroups"] for _, (_, witness) in shortcut)
 
 
 def test_sylow3_structure_cases(named):
