@@ -3,9 +3,14 @@
 Every subgroup is a ``PermGroup`` built with its element set, so its order
 is the set's size, each membership test is a set lookup and it lists in
 sorted image order; no subgroup needs a Schreier-Sims chain, and where the
-answer is G itself, G is returned.  Subgroups made from generators (the
-closures of ``subgroup``, subgroup-class enumeration, normal closures, Sylow
-growth, greedy generating sets, stabilizers) get their sets by coset closure
+answer is G itself, G is returned.  The one exception is the last entry of
+``normal_subgroups``, a fresh ``PermGroup`` equal to G on the generators of
+its seed or join: the structure suite prints them as ``A_generators`` (the
+``case2_witness`` of S5, A5, S5 x C3, A5 x C3, S5 x C9 and A5 x C9), so
+returning G would change the census report.  Subgroups made from
+generators (the closures of ``subgroup``, subgroup-class enumeration,
+normal closures, Sylow growth, greedy generating sets, stabilizers) get
+their sets by coset closure
 (``_extend_closure``); normal closures and Sylow growth carry the element
 set and the generator images while they grow, and make one ``PermGroup``
 when they return.  Elements are handled as images: membership is a set

@@ -20,13 +20,13 @@ lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
 class-table routines the library ran before it closed over generating
-classes only and cut its orbit walks short: the all-pairs class closure and
-the class splits by full orbit walks, and the eager coset rows it built
+classes only: the all-pairs class closure, and the eager coset rows it built
 before it read one fusion block per class of G/N.  Then the per-pi class
 counts the library summed before it counted classes per prime support:
 element order -> classes of G, of N and of G/N, filtered by
 ``is_pi_number`` for each pi, with the order of x * N found by walking the
-powers of x into N's element set.  Last, the element listing as
+powers of x into N's element set, and the class power maps and rational
+classes by ``Permutation`` powers.  Last, the element listing as
 ``Permutation.__mul__`` products of transversal elements, and the
 Schreier-Sims chain as the library built it before it kept the table of
 each u^-1: every Schreier generator and sift step a ``Permutation``
@@ -42,6 +42,7 @@ before it tested each element of G against the generators of P.
 """
 
 import itertools
+import math
 from functools import reduce
 from operator import mul
 
@@ -73,10 +74,6 @@ def naive_closure(gens):
                     nxt.append(y)
         frontier = nxt
     return {_images(t) for t in seen}
-
-
-def naive_membership(gens, p):
-    return p.images in naive_closure(gens)
 
 
 def _element_matrix(elements):
@@ -131,7 +128,8 @@ def is_normal(group, sub):
 
 
 def normal_subgroups_by_class_unions(group):
-    """Normal subgroups as the class-unions closed under multiplication.
+    """Normal subgroups as the class-unions closed under multiplication;
+    a union whose size does not divide |G| is passed over (Lagrange).
 
     Exponential in the class count; only for small class tables.
     """
@@ -148,6 +146,8 @@ def normal_subgroups_by_class_unions(group):
     out = []
     for mask in range(1 << len(rest)):
         chosen = {identity_cls} | {rest[i] for i in range(len(rest)) if mask >> i & 1}
+        if group.order % sum(len(members[c]) for c in chosen):
+            continue
         subset = {e.images for c in chosen for e in members[c]}
         closed = all(
             _images([a[b[p]] for p in range(group.degree)]) in subset
@@ -515,6 +515,27 @@ def pi_sum(counts, pi):
 
     pi = frozenset(pi)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
+
+
+def _powers(rep):
+    """rep ** e for 0 <= e < |rep|, each a ``Permutation`` product."""
+    powers = [Permutation.identity(rep.degree)]
+    for _ in range(rep.order() - 1):
+        powers.append(powers[-1] * rep)
+    return powers
+
+
+def power_classes(table, i):
+    """Entry e is the class of rep_i ** e, for 0 <= e < |rep_i|."""
+    return [table.class_of(x) for x in _powers(table.classes[i].rep)]
+
+
+def rational_class_by_powers(table, i):
+    """Bitset of the classes of the powers of rep_i that have rep_i's
+    order n, the generators of <rep_i>: rep_i ** e has order n / gcd(e, n)."""
+    powers = _powers(table.classes[i].rep)
+    return sum({1 << table.class_of(x) for e, x in enumerate(powers)
+                if math.gcd(e, len(powers)) == 1})
 
 
 def elements_by_transversal_products(group):

@@ -4,13 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_centralizer, brute_conjugacy_partition, pi_part_of_element
+from oracles import pi_part_of_element
 from piclass.catalog import parse_group_file
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import NotInGroupError
 from piclass.numtheory import is_pi_number
 from piclass.perm import Permutation, conjugate, parse_cycle_text
 from piclass.subgroups import centralizer_of_element
+from test_fast_paths import walk
+
+
+# The comparisons of fast paths with their oracles are rows of
+# test_fast_paths.FAST_PATHS; these names walk them under the ids they had.
+test_class_equation_and_partition_oracle = walk("test_class_equation_and_partition_oracle")
+test_centralizer_schreier_vs_brute = walk("test_centralizer_schreier_vs_brute")
+test_power_maps_match_powers_on_the_census = walk("test_power_maps_match_powers_on_the_census")
 
 
 def test_s3_classes(named):
@@ -27,25 +35,6 @@ def test_abelian_singletons(named):
     table = conjugacy_classes(named("C6"))
     assert table.k == 6
     assert table.sizes() == [1] * 6
-
-
-@pytest.mark.parametrize("name", ["S3", "S4", "D8", "Q8", "A4", "A5", "D8 x C3"])
-def test_class_equation_and_partition_oracle(name, named):
-    g = named(name)
-    table = conjugacy_classes(g)
-    assert sum(table.sizes()) == g.order
-    for cls in table.classes:
-        assert g.order % cls.size == 0
-        cent = centralizer_of_element(g, cls.rep)
-        assert cls.size * cent.order == g.order
-    # whole partition against the brute-force oracle
-    elements = g.element_list()
-    index = {e.images: i for i, e in enumerate(elements)}
-    ours = {}
-    for e in elements:
-        ours.setdefault(table.class_of(e), set()).add(index[e.images])
-    assert sorted(map(frozenset, ours.values()), key=sorted) == sorted(
-        brute_conjugacy_partition(elements), key=sorted)
 
 
 @pytest.mark.parametrize("name", ["S4", "Q8", "D8 x C3"])
@@ -81,15 +70,6 @@ def test_centralizer_examples(named):
 def test_centralizer_not_in_group(named):
     with pytest.raises(NotInGroupError):
         centralizer_of_element(named("A4"), parse_cycle_text("(0 1)", 4))
-
-
-@pytest.mark.parametrize("name", ["S4", "D8", "Q8", "A5"])
-def test_centralizer_schreier_vs_brute(name, named):
-    g = named(name)
-    elements = g.element_list()
-    for x in elements[:: max(1, len(elements) // 12)]:
-        fast = centralizer_of_element(g, x)
-        assert {c.images for c in brute_centralizer(elements, x)} == fast.element_set()
 
 
 def test_is_pi_element():
@@ -164,19 +144,6 @@ def test_conjugation_consistency(named):
             moved = conjugate(h, cls.rep)
             assert table.class_of(moved) == table.class_of(cls.rep)
             assert moved.order() == cls.order
-
-
-def test_power_maps_match_powers_on_the_census(census_entries):
-    """Entry e of each class's power map is the class of rep ** e, and its
-    rational class holds the classes of the powers of rep that have rep's
-    order, that is the generators of <rep>, on every census class table."""
-    for name, g in census_entries:
-        table = conjugacy_classes(g)
-        for i, cls in enumerate(table.classes):
-            powers = [cls.rep ** e for e in range(cls.order)]
-            assert table.power_map(i) == [table.class_of(x) for x in powers], (name, i)
-            generators = {table.class_of(x) for x in powers if x.order() == cls.order}
-            assert table.rational_class(i) == sum(1 << c for c in generators), (name, i)
 
 
 DATA = Path(__file__).parent / "data"
