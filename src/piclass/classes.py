@@ -12,16 +12,21 @@ Members are kept as images (``Permutation.images``: bytes up to degree
 256, int tuples above) and every product goes through ``perm``.  The class
 sweep walks the group's cached images list (``PermGroup._element_images``)
 by conjugation orbits, each conjugate x giving its table once for the steps
-g * (x * g^-1), and makes one ``Permutation`` per class, its
-representative; a class product C_i * C_j fixes the class representative x
-as left factor and reads x * y for every y of the smaller class through x's
-table.  A class's element order is its representative's
-(``Permutation.order``, the lcm of the cycle lengths), and the primes of
-element orders are read from ``ClassTable.primes``.
+g * (x * g^-1).  It conjugates only by the generators that are not central
+(``PermGroup.moving_pairs``): the others fix every element, so the orbits
+and their member order are those of all the generators, and in an abelian
+group each element is its own class with no walk.  It makes one
+``Permutation`` per class, its representative, and keeps each class as a
+light record (``ConjClass``, a named tuple); a class product C_i * C_j
+fixes the class representative x as left factor and reads x * y for every
+y of the smaller class through x's table.  A class's element order is its
+representative's (``Permutation.order``: its powers through its table, or
+the lcm of its cycle lengths), and the primes of element orders are read
+from ``ClassTable.primes``.
 """
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .errors import NotInGroupError
 from .group import PermGroup
@@ -35,8 +40,7 @@ from .perm import (
 )
 
 
-@dataclass(frozen=True)
-class ConjClass:
+class ConjClass(NamedTuple):
     rep: Permutation  # the class member with the least images
     size: int
     order: int  # element order, shared by the whole class
@@ -116,6 +120,13 @@ class ClassTable:
     (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
     ``histogram()`` is the one of G.
 
+    The classes of each prime support are one bitset, built once: the
+    histograms count inside them, and ``normal_core(primes)`` reads the
+    classes allowed in the largest normal ``primes``-subgroup from them
+    (O_pi'(G), for the primes outside pi).  ``order(mask)`` sums the class
+    sizes of a bitset, so the lattice and the suites read the order of a
+    normal subgroup, |O_pi'(G)| among them, with no subgroup built.
+
     A subgroup is normal exactly when it is a union of classes, so
     ``normal_mask(key)`` is the one lookup from an element set to a class
     bitset and the one normality test: it sums the sizes of the classes
@@ -143,6 +154,7 @@ class ClassTable:
         self._fusions: dict[int, list[int]] = {}
         self._power_maps: dict[int, list[int]] = {}
         self._prime_supports: dict[int, int] = {}  # element order -> its support
+        self._support_masks: dict[int, int] | None = None  # support -> its classes
         self._histogram: dict[int, int] | None = None
         self.normal_masks: dict[frozenset[Images], int] = {}
 
@@ -158,6 +170,11 @@ class ClassTable:
 
     def sizes(self) -> list[int]:
         return list(self._sizes)
+
+    def order(self, mask: int) -> int:
+        """The number of elements in the classes of ``mask``: the order of a
+        normal subgroup, given its class set."""
+        return sum(map(self._sizes.__getitem__, _bits(mask)))
 
     def normal_mask(self, key) -> int | None:
         """Bitset of the classes the subgroup with element set ``key`` meets,
@@ -291,22 +308,64 @@ class ClassTable:
         |G| divides no element order, so it has no bit."""
         return sum(1 << t for t, p in enumerate(self.primes) if p in pi)
 
+    def _masks_by_support(self) -> dict[int, int]:
+        """Prime support -> bitset of the classes with that support, in order
+        of the first class of each support.  Built once."""
+        masks = self._support_masks
+        if masks is None:
+            masks = self._support_masks = {}
+            for i, cls in enumerate(self.classes):
+                support = self.prime_support(cls.order)
+                masks[support] = masks.get(support, 0) | 1 << i
+        return masks
+
     def histogram(self, mask: int | None = None) -> dict[int, int]:
         """Prime support -> number of classes of G with that support, among
         the classes in ``mask``; every class by default, and that count is
-        cached.  For the class set of a normal subgroup N each count is at
-        most the number of classes of N with that support (in G's prime
-        numbering), as each G-class inside N is a union of N-classes."""
+        cached.  Each count is read from the support's class bitset.  For
+        the class set of a normal subgroup N each count is at most the
+        number of classes of N with that support (in G's prime numbering),
+        as each G-class inside N is a union of N-classes."""
         if mask is None:
             if self._histogram is None:
                 self._histogram = self.histogram(self.full)
             return self._histogram
-        classes = self.classes
-        counts: dict[int, int] = {}
-        for i in _bits(mask):
-            support = self.prime_support(classes[i].order)
-            counts[support] = counts.get(support, 0) + 1
-        return counts
+        return {support: (classes & mask).bit_count()
+                for support, classes in self._masks_by_support().items() if classes & mask}
+
+    def normal_core(self, primes) -> tuple[int, list[int]]:
+        """The largest normal subgroup whose order has only primes in
+        ``primes``, as its class bitset, and the classes picked to generate
+        it, ascending.
+
+        A group is a ``primes``-group exactly when all its elements are
+        ``primes``-elements, so the core lies in the allowed classes: those
+        whose prime support lies inside the bits of ``primes``, read from
+        the class bitset of each support.  A class is picked when its
+        closure stays inside the allowed classes and no closure picked
+        before covers it; the closures picked cover exactly the classes of
+        the core, which holds every normal ``primes``-subgroup.  A class in
+        the rational class of a class whose closure left the allowed
+        classes has that closure, so it is skipped too.  O_pi'(G) is the
+        core of the primes of |G| outside pi."""
+        bits = self.pi_bits(primes)
+        allowed = 0
+        for support, classes in self._masks_by_support().items():
+            if not support & ~bits:
+                allowed |= classes
+        picked: list[int] = []
+        covered = 0
+        rejected = 0  # the rational classes of the closures not picked
+        for i in _bits(allowed):
+            if (covered | rejected) >> i & 1:
+                continue
+            mask = self.closure(1 << i)
+            if mask & ~allowed == 0:
+                picked.append(i)
+                covered |= mask
+            else:
+                rejected |= self.rational_class(i)
+        return covered, picked
 
     def quotient_histogram(self, normal: int) -> dict[int, int]:
         """Prime support of the element order in G/N -> number of classes of
@@ -369,7 +428,7 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     if cached is not None:
         return cached
 
-    orbits, index_of = conjugation_orbits(group._element_images(), group.conjugation_pairs())
+    orbits, index_of = conjugation_orbits(group._element_images(), group.moving_pairs())
     least = [min(orbit) for orbit in orbits]
     ranked = sorted(range(len(orbits)), key=least.__getitem__)
     rank = [0] * len(orbits)
@@ -377,7 +436,7 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     for r, i in enumerate(ranked):
         rank[i] = r
         rep = Permutation._make(least[i])
-        classes.append(ConjClass(rep=rep, size=len(orbits[i]), order=rep.order()))
+        classes.append(ConjClass(rep, len(orbits[i]), rep.order()))
     table = ClassTable(group, classes, [orbits[i] for i in ranked],
                        {im: rank[i] for im, i in index_of.items()})
     group.cache["class_table"] = table

@@ -274,6 +274,19 @@ class PermGroup:
             pairs = self.cache["conjugation_pairs"] = conjugation_pairs(self.generators)
         return pairs
 
+    def moving_pairs(self) -> list[tuple[Images, Images]]:
+        """The conjugation pairs of the generators that do not commute with
+        every generator, in list order, cached.  The others are central, so
+        conjugating by them fixes every element and every element set: the
+        class sweep and the conjugates of a subgroup walk these alone."""
+        pairs = self.cache.get("moving_pairs")
+        if pairs is None:
+            gens = [g.images for g in self.generators]
+            pairs = self.cache["moving_pairs"] = [
+                pair for a, pair in zip(gens, self.conjugation_pairs())
+                if any(compose_images(a, b) != compose_images(b, a) for b in gens)]
+        return pairs
+
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""
         g = _identity_images(self.degree)

@@ -23,10 +23,12 @@ with g^-1 carried by g's move, so the tree inverts nothing.
 and the stabilizers alike.  A conjugation g x g^-1 is two translates, one
 through x's table and one through g's (``conjugate_images``,
 ``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
-``conjugation_orbits``) build each table once.  ``Permutation.__mul__``
-and the conjugations are built on them; no other module composes images
-by hand.  An element's order is the lcm of its cycle lengths
-(``Permutation.order``).
+``conjugation_orbits``) build each table once; the conjugates of an
+element set walk a plain orbit with no transversal
+(``conjugation_set_orbit``).  ``Permutation.__mul__`` and the conjugations
+are built on them; no other module composes images by hand.  An element's
+order (``Permutation.order``) is read from its powers through its table,
+at most ``degree`` of them, and otherwise is the lcm of its cycle lengths.
 """
 
 import math
@@ -173,8 +175,20 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        """Least m >= 1 with p**m = identity: the lcm of the cycle lengths."""
-        return math.lcm(1, *map(len, _cycles(self.images)))
+        """Least m >= 1 with p**m = identity.  On bytes the powers are read
+        through p's table, at most ``degree`` products; an order past the
+        degree ((0 1)(2 3 4) on 5 points) and an element on tuples take the
+        lcm of the cycle lengths."""
+        images = self.images
+        if type(images) is bytes:
+            ident = _identity_images(len(images))
+            table = images + _TAILS[len(images)]
+            power = images
+            for m in range(1, len(images) + 1):
+                if power == ident:
+                    return m
+                power = power.translate(table)
+        return math.lcm(1, *map(len, _cycles(images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""
@@ -360,13 +374,32 @@ def conjugation_orbits(elements, pairs) -> tuple[list[list[Images]], dict[Images
     the pairs' group permutes), each walked from its first element in list
     order, and the dict from each element to the number of its orbit.  The
     dict is also the walks' record of elements seen, so an element is
-    hashed once per lookup and no orbit keeps a set of its own."""
+    hashed once per lookup and no orbit keeps a set of its own.  With no
+    pairs (every generator central) each element is its own orbit."""
+    if not pairs:
+        return [[xim] for xim in elements], {xim: i for i, xim in enumerate(elements)}
     index: dict[Images, int] = {}
     orbits = []
     for xim in elements:
         if xim not in index:
             orbits.append(_walk(xim, pairs, index, len(orbits)))
     return orbits, index
+
+
+def conjugation_set_orbit(key: frozenset, pairs) -> set[frozenset]:
+    """The conjugates of the element set ``key`` (a subgroup's) under the
+    group the pairs come from: a breadth-first walk, pairs in list order,
+    each step one ``conjugate_set``.  It keeps no transversal, so no orbit
+    point costs an inverse; the stabilizers read ``schreier_tree``."""
+    seen = {key}
+    orbit = [key]
+    for cur in orbit:
+        for pair in pairs:
+            y = conjugate_set(pair, cur)
+            if y not in seen:
+                seen.add(y)
+                orbit.append(y)
+    return seen
 
 
 def parse_cycle_text(text: str, degree: int) -> Permutation:

@@ -11,28 +11,34 @@ returning G would change the census report.  Subgroups made from
 generators (the closures of ``subgroup``, subgroup-class enumeration,
 normal closures, Sylow growth, greedy generating sets, stabilizers) get
 their sets by coset closure
-(``_extend_closure``); normal closures and Sylow growth carry the element
-set and the generator images while they grow, and make one ``PermGroup``
-when they return.  Elements are handled as images: membership is a set
-lookup, the walks read a group's cached images list
+(``_extender``, which builds a subgroup's element list and generator
+tables once for all the elements it is extended by: the enumeration
+builds one per class representative); normal closures and Sylow growth
+carry the element set and the generator images while they grow, and make
+one ``PermGroup`` when they return.  Elements are handled as images:
+membership is a set lookup, the walks read a group's cached images list
 (``PermGroup._element_images``), and a ``Permutation`` is made only for a
 generator a subgroup keeps.  Stabilizer-style computations (element
 centralizers, normalizers, subgroup conjugacy) walk one conjugation orbit
 with the chain's Schreier tree (``perm.schreier_tree``, with the
 conjugation of elements or element sets as the action) and grow the
 stabilizer from its Schreier generators (``perm.schreier_generators``, the
-chain's scan), so they never enumerate the ambient group.  Sylow growth
-builds no normalizer: it tests each element of G against the generators
-of the subgroup so far.  Normal-subgroup queries (the lattice, O_pi', the
-Fitting subgroup, the socle) close class bitsets over the class table of G
-(``classes.ClassTable``), and their element sets are read from those
-bitsets.  A join N * M is the union of the fusion blocks
-of N (the classes of G/N, built in one pass) that meet M; each bitset is
-joined with the seeds only (the normal closures of single classes), and a
-closure stops as soon as it holds more than |G|/p elements (p the least
-prime of |G|).  The lattice (``normal_lattice``) is a ranked list of
-bitsets and builds no subgroup; ``normal_subgroups`` makes one per entry,
-and its seed walks stop at the order their bitset gives.
+chain's scan), so they never enumerate the ambient group.  The conjugates
+of a subgroup need no transversal: they are a plain orbit walk of its
+element set (``perm.conjugation_set_orbit``) under the generators that are
+not central.  Sylow growth builds no normalizer: it tests each element of
+G against the generators of the subgroup so far, and its later walks drop
+the elements that failed for good.  Normal-subgroup queries (the lattice,
+O_pi', the Fitting subgroup, the socle) close class bitsets over the class
+table of G (``classes.ClassTable``), and their element sets are read from
+those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks.  A
+join N * M is the union of the fusion blocks of N (the classes of G/N,
+built in one pass) that meet M; each bitset is joined with the seeds only
+(the normal closures of single classes), and a closure stops as soon as
+it holds more than |G|/p elements (p the least prime of |G|).  The
+lattice (``normal_lattice``) is a ranked list of bitsets and builds no
+subgroup; ``normal_subgroups`` makes one per entry, and its seed walks
+stop at the order their bitset gives.
 ``ClassTable.normal_mask`` is the one normality test on a subgroup:
 ``normal_subgroups`` fills its record, and the conjugates of a subgroup
 and the kernel of ``quotient`` are looked up through it.  Set-level
@@ -68,6 +74,7 @@ from .perm import (
     conjugation_orbit,
     conjugation_pair,
     conjugation_pairs,
+    conjugation_set_orbit,
     left_multiplier,
     left_products,
     schreier_generators,
@@ -105,10 +112,12 @@ def trivial_subgroup(parent: PermGroup) -> PermGroup:
     return _reduced_subgroup(parent, ())
 
 
-def _extend_closure(elements, gens: list[Images], x: Images) -> frozenset[Images]:
-    """Element set of <H, x>, from the element set and generators of H, all
-    as images.  An x of another degree than H raises ``DegreeMismatchError``
-    before the closure starts, which would otherwise never end.
+def _extender(elements, gens: list[Images]) -> Callable[[Images], frozenset[Images]]:
+    """The map x -> element set of <H, x>, for the subgroup H with this
+    element set and these generators, all as images.  H's element list and
+    the tables of its generators are built once, for every x.  An x of
+    another degree than H raises ``DegreeMismatchError`` before the closure
+    starts, which would otherwise never end.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): the set is a union of left cosets r*H.  For each
@@ -120,18 +129,25 @@ def _extend_closure(elements, gens: list[Images], x: Images) -> frozenset[Images
     inverses.
     """
     base = list(elements)
-    if len(x) != len(base[0]):
-        raise DegreeMismatchError(f"element degree {len(x)} != group degree {len(base[0])}")
-    steps = [left_multiplier(s) for s in [*gens, x]]  # r -> s*r
-    closure = set(base)
-    reps = [_identity_images(len(x))]
-    for r in reps:
-        for times_s in steps:
-            y = times_s(r)
-            if y not in closure:
-                closure.update(left_products(y, base))
-                reps.append(y)
-    return frozenset(closure)
+    degree = len(base[0])
+    ident = _identity_images(degree)
+    gen_steps = [left_multiplier(s) for s in gens]  # r -> s*r
+
+    def extend(x: Images) -> frozenset[Images]:
+        if len(x) != degree:
+            raise DegreeMismatchError(f"element degree {len(x)} != group degree {degree}")
+        steps = [*gen_steps, left_multiplier(x)]
+        closure = set(base)
+        reps = [ident]
+        for r in reps:
+            for times_s in steps:
+                y = times_s(r)
+                if y not in closure:
+                    closure.update(left_products(y, base))
+                    reps.append(y)
+        return frozenset(closure)
+
+    return extend
 
 
 def _greedy_generators(degree: int, elements, order: int | None = None):
@@ -145,7 +161,7 @@ def _greedy_generators(degree: int, elements, order: int | None = None):
         if len(closure) == order:
             break
         if x not in closure:
-            closure = _extend_closure(closure, kept, x)
+            closure = _extender(closure, kept)(x)
             kept.append(x)
     return kept, closure
 
@@ -175,10 +191,11 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     """The element sets of the conjugates of the subgroup whose element set
     is ``key``.  A normal subgroup (``ClassTable.normal_mask``) is its own
     one conjugate and walks no orbit; for any other the set is the orbit of
-    ``key`` under conjugation."""
+    ``key`` under conjugation by the generators that are not central
+    (``perm.conjugation_set_orbit``, with no transversal)."""
     if conjugacy_classes(group).normal_mask(key) is not None:
         return {key}
-    return schreier_tree(key, _conjugation_moves(group, conjugate_set), group.degree)[1].keys()
+    return conjugation_set_orbit(key, group.moving_pairs())
 
 
 def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
@@ -230,7 +247,7 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
     lies outside the subgroup so far, read through the conjugation pairs
     of G's generators (``PermGroup.conjugation_pairs``), so no generator
     is inverted per conjugate.  The element set grows by coset closure
-    (``_extend_closure``) from the greedy generating subset of the seeds and
+    (``_extender``) from the greedy generating subset of the seeds and
     the conjugates added, all as images, and the one ``PermGroup`` is made
     at the end.  With ``elements``, the element set of the normal closure
     when the caller already knows it, the walk stops once the subgroup
@@ -251,7 +268,7 @@ def normal_closure(group: PermGroup, seeds, elements=None) -> PermGroup:
                 if target is not None and is_prime(target // len(closure)):
                     closure = elements
                 else:
-                    closure = _extend_closure(closure, kept, c)
+                    closure = _extender(closure, kept)(c)
                 kept.append(c)
                 gens.append(Permutation._make(c))
     return PermGroup(gens or [Permutation.identity(group.degree)], elements=closure)
@@ -319,12 +336,8 @@ def normal_lattice(group: PermGroup) -> tuple[LatticeEntry, ...]:
     if cached is not None:
         return cached
     table = conjugacy_classes(group)
-    sizes = table.sizes()
+    order = table.order
     found: dict[int, LatticeEntry] = {}
-
-    def order(mask: int) -> int:
-        return sum(map(sizes.__getitem__, _bits(mask)))
-
     seeds = []  # the identity's class comes first and gives the trivial group
     closed = 0  # the classes of the rational classes closed so far
     for i in range(table.k):
@@ -431,6 +444,16 @@ def quotient(group: PermGroup, kernel: PermGroup,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
+def _sorted_images(group: PermGroup) -> list[Images]:
+    """G's images in sorted order, sorted once per group and cached: the
+    order a normalizer subgroup lists in, which every prime's Sylow growth
+    walks."""
+    ordered = group.cache.get("sorted_images")
+    if ordered is None:
+        ordered = group.cache["sorted_images"] = sorted(group._element_images())
+    return ordered
+
+
 def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown one p-part at a time inside the normalizer
     of the subgroup so far, with no normalizer subgroup built.
@@ -438,16 +461,24 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     Each step takes the first y of G with y outside the current P, y P y^-1
     = P (tested on P's generators, through y's conjugation pair) and y^e
     outside P, and adds y^e, the p-part of y, by coset closure
-    (``_extend_closure``), on P's element set and generator images; the
+    (``_extender``), on P's element set and generator images; the
     one ``PermGroup`` is made at the end.  "First" is in sorted image
     order, which is the order a normalizer subgroup lists in; at the first
     step, where P is trivial and its normalizer is G, it is the order of
     G's images list.  So a step adds the p-part the walk of N_G(P) would
     pick.  The p-part is one power with an exponent read from |G|; an
     element inside P is passed over first, since its p-part (a power of
-    it) lies inside too.  Deterministic, so it is cached on the group per
-    p: the Hall search for every pi and the Sylow 3-structure check share
-    one Sylow subgroup per prime.
+    it) lies inside too.
+
+    P only grows, so the later walks skip work that cannot change the
+    pick.  An element passed over because y or y^e lies in P fails every
+    later step, and is dropped; the rest keep their order.  An element
+    passed over because some y g y^-1 (g in P) lay outside P keeps that
+    conjugate, and is tested again on all of P's generators only once the
+    conjugate lies in P.  G is sorted once per group (``_sorted_images``),
+    for every prime.  Deterministic, so it is cached on the group per p:
+    the Hall search for every pi and the Sylow 3-structure check share one
+    Sylow subgroup per prime.
     """
     validate_pi([p])
     cache_key = ("sylow_subgroup", p)
@@ -461,25 +492,40 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     e = rest * pow(rest, -1, target)
     members = frozenset([_identity_images(group.degree)])
     pgens: list[Images] = []
-    images = group._element_images()
-    walk = images  # N_G(1) = G, in the order of G's images list
+    walk = group._element_images()  # N_G(1) = G, in the order of G's images list
+    outside: dict[Images, Images] = {}  # y -> a conjugate y g y^-1 found outside P
     while len(members) < target:
-        for y in walk:
+        waiting = []  # passed over only because they do not normalize P
+        for pos, y in enumerate(walk):
             if y in members:
                 continue
             if pgens:
-                pair = conjugation_pair(y)
-                if not all(conjugate_images(pair, g) in members for g in pgens):
+                c = outside.get(y)
+                if c is None or c in members:  # test every generator of P
+                    pair = conjugation_pair(y)
+                    for g in pgens:
+                        c = conjugate_images(pair, g)
+                        if c not in members:
+                            break
+                    else:
+                        c = None
+                if c is not None:
+                    outside[y] = c
+                    waiting.append(y)
                     continue
             yp = _power_images(y, e)
             if yp not in members:
-                members = _extend_closure(members, pgens, yp)
+                members = _extender(members, pgens)(yp)
                 pgens.append(yp)
                 break
         else:
             raise AssertionError("Sylow growth stalled below the target order")
-        if walk is images and len(members) < target:
-            walk = sorted(images)
+        if len(members) == target:
+            break
+        if len(pgens) == 1:  # the later steps walk G in sorted order
+            walk = _sorted_images(group)
+        else:  # drop what failed for good: y or y^e in P
+            walk = waiting + walk[pos + 1:]
     sylow = PermGroup([Permutation._make(g) for g in pgens] or [Permutation.identity(group.degree)],
                       elements=members)
     group.cache[cache_key] = sylow
@@ -601,37 +647,16 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
 
 
 def _normal_core(group: PermGroup, primes) -> PermGroup:
-    """Largest normal subgroup whose order has only primes in ``primes``.
-
-    A group is a ``primes``-group exactly when all its elements are
-    ``primes``-elements: those whose class has its prime support
-    (``ClassTable.prime_support``) inside the bits of ``primes``.  So the
-    core is the normal closure of the classes whose closure bitset stays
-    inside those classes (one representative each, skipping classes inside
-    a closure already picked).  The closures picked cover exactly the
-    classes of the core: the core holds every normal ``primes``-subgroup,
-    and the closure of each of its classes lies inside it.  So
-    ``normal_closure`` is handed the core's element set, which stops its
-    walk early and keeps the same generators.  A class in the rational
-    class of a class whose closure left the allowed classes has that
-    closure, so it is skipped too.
+    """Largest normal subgroup whose order has only primes in ``primes``:
+    the normal closure of the representatives of the classes that
+    ``ClassTable.normal_core`` picks.  ``normal_closure`` is handed the
+    core's element set, read from its class bitset, which stops its walk
+    early and keeps the same generators.
     """
     table = conjugacy_classes(group)
-    bits = table.pi_bits(primes)
-    allowed = sum(1 << i for i, cls in enumerate(table.classes)
-                  if not table.prime_support(cls.order) & ~bits)
-    picked: list[Permutation] = []
-    covered = 0
-    rejected = 0  # the rational classes of the closures not picked
-    for i, cls in enumerate(table.classes):
-        if (allowed & ~(covered | rejected)) >> i & 1:
-            mask = table.closure(1 << i)
-            if mask & ~allowed == 0:
-                picked.append(cls.rep)
-                covered |= mask
-            else:
-                rejected |= table.rational_class(i)
-    core = normal_closure(group, picked, frozenset(table.elements(covered)))
+    covered, picked = table.normal_core(primes)
+    core = normal_closure(group, [table.classes[i].rep for i in picked],
+                          frozenset(table.elements(covered)))
     if not is_pi_number(core.order, primes):
         raise AssertionError("normal core has a disallowed prime")
     return core
@@ -688,23 +713,25 @@ def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
     the group's images list.
 
     The roots of h are the x with x^q = h for some prime q dividing |x|;
-    the dict maps h's images to their positions, ascending.  Orders and
-    their primes are read from the class table, and the powers of x
-    through x's table.  Built once per group and cached, so every pi
+    the dict maps h's images to their positions, ascending.  Orders are
+    read from the list of class orders through the table's index of
+    classes, the primes dividing each order once per order, and the powers
+    of x through x's table.  Built once per group and cached, so every pi
     shares it.
     """
     cached = group.cache.get("prime_roots")
     if cached is None:
         table = conjugacy_classes(group)
-        orders = []
+        elements = group._element_images()
+        class_orders = [cls.order for cls in table.classes]
+        orders = [class_orders[c] for c in map(table._index_of.__getitem__, elements)]
+        primes_of = {n: [q for q in table.primes if n % q == 0] for n in set(orders)}
         roots: dict[Images, list[int]] = {}
-        for i, x in enumerate(group._element_images()):
-            n = table.classes[table._index_of[x]].order
-            orders.append(n)
+        for i, x in enumerate(elements):
             power = x
             times_x = left_multiplier(x)
             k = 1  # power is x^k
-            for q in [q for q in table.primes if n % q == 0]:
+            for q in primes_of[orders[i]]:
                 while k < q:
                     power = times_x(power)
                     k += 1
@@ -719,7 +746,8 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
 
     Layered prime steps (the cyclic extension method; Neubüser 1960): every
     found class representative H is extended by coset closure
-    (``_extend_closure``, on images) by each x outside H with x^q in H for a
+    (``_extender``, on images, with H's element list and generator tables
+    built once per H) by each x outside H with x^q in H for a
     prime q dividing |x|, walked in the order of the group's images list,
     and each new subgroup K = <H, x> is deduplicated against the conjugate
     closure of the classes found so far; a ``PermGroup`` is made only for a
@@ -777,7 +805,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     for base in found:
         base_set = base.element_set()
         gens = [g for g in base.generators if not g.is_identity()]
-        base_gens = [g.images for g in gens]
+        extend = _extender(base_set, [g.images for g in gens])  # once per base
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = None  # built when case (b) first needs them
         covered: set[Images] = set()
@@ -785,7 +813,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
             xim, n = elements[i], orders[i]
             if xim in base_set or xim in covered:
                 continue
-            extended = _extend_closure(base_set, base_gens, xim)
+            extended = extend(xim)
             if len(extended) // len(base_set) in primes:  # H is maximal in <H, x>
                 covered.update(extended)
             else:  # the double cosets H x^k H, k coprime to |x|

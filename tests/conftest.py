@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from piclass.catalog import build, census, parse_group_file, parse_name
+from piclass.group import PermGroup
+from piclass.perm import Permutation
 
 DATA = Path(__file__).parent / "data"
 
@@ -29,20 +31,34 @@ def census_entries():
     return list(census())
 
 
+def _on_top_points(group: PermGroup, degree: int) -> PermGroup:
+    """The group moved onto the last points of ``degree``: past degree 256
+    its images are int tuples."""
+    shift = degree - group.degree
+    return PermGroup([Permutation([*range(shift), *(shift + i for i in g.images)])
+                      for g in group.generators])
+
+
 @pytest.fixture(scope="session")
 def group_of(named, census_entries):
     """The group of a ``test_fast_paths`` group set by name: a ``CENSUS``
     group is the one of ``census_entries``, a ``DATA`` group is its file in
-    ``tests/data`` parsed once, and any other is built by ``named``."""
+    ``tests/data`` parsed once, a ``WIDE`` group ``"S4@262"`` is the named
+    group on the last points of that degree (``_on_top_points``), built
+    once, and any other is built by ``named``."""
     in_census = dict(census_entries)
     files = {}
 
     def get(group_set, name):
         if group_set == "CENSUS":
             return in_census[name]
-        if group_set == "DATA":
+        if group_set in ("DATA", "WIDE"):
             if name not in files:
-                files[name] = parse_group_file((DATA / name).read_text())
+                if group_set == "DATA":
+                    files[name] = parse_group_file((DATA / name).read_text())
+                else:
+                    base, degree = name.split("@")
+                    files[name] = _on_top_points(named(base), int(degree))
             return files[name]
         return named(name)
 

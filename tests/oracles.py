@@ -518,10 +518,13 @@ def pi_sum(counts, pi):
 
 
 def _powers(rep):
-    """rep ** e for 0 <= e < |rep|, each a ``Permutation`` product."""
-    powers = [Permutation.identity(rep.degree)]
-    for _ in range(rep.order() - 1):
-        powers.append(powers[-1] * rep)
+    """rep ** e for 0 <= e < |rep|, each a ``Permutation`` product, up to
+    the first power that is the identity again: so ``len(_powers(rep))`` is
+    the order of rep, read without ``Permutation.order``."""
+    one = Permutation.identity(rep.degree)
+    powers = [one]
+    while (power := powers[-1] * rep) != one:
+        powers.append(power)
     return powers
 
 

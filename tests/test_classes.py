@@ -19,6 +19,8 @@ from test_fast_paths import walk
 test_class_equation_and_partition_oracle = walk("test_class_equation_and_partition_oracle")
 test_centralizer_schreier_vs_brute = walk("test_centralizer_schreier_vs_brute")
 test_power_maps_match_powers_on_the_census = walk("test_power_maps_match_powers_on_the_census")
+test_class_partitions_match_brute_force_on_the_census = walk(
+    "test_class_partitions_match_brute_force_on_the_census")
 
 
 def test_s3_classes(named):

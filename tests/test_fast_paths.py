@@ -7,8 +7,9 @@ oracle answer) for one group; ``where`` names the pi, N or element
 compared.  The sets are ``SMALL`` (named groups small enough for the
 exponential oracles), ``LATTICE_SLICE`` (deep lattices, large quotients, a
 simple factor), ``CENSUS_72`` (the census groups of order at most 72),
-``CENSUS`` and ``DATA`` (the groups of ``tests/data/*.grp``); the
-``group_of`` fixture of ``conftest.py`` builds each group once a session.
+``CENSUS``, ``DATA`` (the groups of ``tests/data/*.grp``) and ``WIDE`` (S4
+on the last points of 262, whose images are int tuples); the ``group_of``
+fixture of ``conftest.py`` builds each group once a session.
 
 ``test_fast_path`` walks the rows one test id per (row, group).  A row that
 an older test walked has that test's name as its ``home``: the test's
@@ -53,6 +54,7 @@ GROUP_SETS = {
     "CENSUS_72": CENSUS_72,
     "CENSUS": [spec.name for spec in census_specs()],
     "DATA": sorted(path.name for path in (Path(__file__).parent / "data").glob("*.grp")),
+    "WIDE": ["S4@262"],
 }
 
 
@@ -127,6 +129,13 @@ def class_equation(g):
     yield "sum", sum(table.sizes()), g.order
     for cls, size in zip(table.classes, table.sizes()):
         yield cls.rep, size * len(oracles.brute_centralizer(elements, cls.rep)), g.order
+
+
+def class_orders(g):
+    """The element order of each class is the number of distinct powers of
+    its representative."""
+    for i, cls in enumerate(conjugacy_classes(g).classes):
+        yield ("class", i), cls.order, len(oracles._powers(cls.rep))
 
 
 def sampled_centralizers(g):
@@ -263,6 +272,17 @@ def cores(g):
     for pi in _subsets(g, {2}):
         yield ("pi", pi), subgroups.o_pi_prime(g, pi).element_set(), (
             oracles.normal_core_by_closures(g, lambda q: q not in pi))
+
+
+def table_cores(g):
+    """The classes of O_pi'(G) hold its elements, and their sizes sum to
+    its order; the closure of the classes picked is the core."""
+    table = conjugacy_classes(g)
+    for pi in _subsets(g, {2}):
+        mask, picked = table.normal_core(group_primes(g) - pi)
+        want = oracles.normal_core_by_closures(g, lambda q: q not in pi)
+        yield ("pi", pi), (frozenset(table.elements(mask)), table.order(mask)), (want, len(want))
+        yield ("pi", pi, "picked"), table.closure(sum(1 << i for i in picked)), mask
 
 
 def complements(g):
@@ -406,8 +426,10 @@ class Row:
 
 
 FAST_PATHS = (
-    Row(conjugacy_classes, oracles.brute_conjugacy_partition, ("SMALL",), partition,
-        home="test_class_equation_and_partition_oracle"),
+    Row(conjugacy_classes, oracles.brute_conjugacy_partition, ("SMALL", "CENSUS"), partition,
+        home="test_class_partitions_match_brute_force_on_the_census"),
+    Row(conjugacy_classes, oracles._powers, ("CENSUS", "DATA", "WIDE"), class_orders,
+        home="test_power_maps_match_powers_on_the_census"),
     Row(ClassTable.sizes, oracles.brute_centralizer, ("SMALL",), class_equation,
         home="test_class_equation_and_partition_oracle"),
     Row(subgroups.centralizer_of_element, oracles.brute_centralizer, ("SMALL",),
@@ -440,6 +462,8 @@ FAST_PATHS = (
         home="test_normal_subgroups_match_pairwise_joins"),
     Row(subgroups.o_pi_prime, oracles.normal_core_by_closures, ("LATTICE_SLICE",), cores,
         home="test_normal_subgroup_queries_match_element_oracles"),
+    Row(ClassTable.normal_core, oracles.normal_core_by_closures, ("LATTICE_SLICE", "CENSUS_72"),
+        table_cores),
     Row(has_normal_pi_complement, oracles.normal_pi_complement_by_element_scan,
         ("LATTICE_SLICE",), complements,
         home="test_normal_subgroup_queries_match_element_oracles"),
@@ -475,6 +499,7 @@ EXEMPT = {
     "classes.pi_count": "a sum over a histogram, read by the k_pi and quotient_histogram rows",
     "classes.all_d_p_one": "compares k_pi, which has rows, with |G|_p",
     "classes.ClassTable.k": "the number of classes",
+    "classes.ClassTable.order": "sums class sizes, read by the normal_core row",
     "classes.ClassTable.class_of": "a dict lookup, read by the conjugacy_classes row",
     "classes.ClassTable.elements": "joins member lists, read by the normal_mask row",
     "classes.ClassTable.prime_support": "bit arithmetic, read by the k_pi rows",
@@ -557,7 +582,8 @@ def test_every_home_binds_its_walk():
 
 def test_group_sets_have_their_sizes():
     assert {name: len(names) for name, names in GROUP_SETS.items()} == {
-        "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 8}
+        "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 8,
+        "WIDE": 1}
 
 
 # -- the guard: every public fast path has a row or a reason -----------------

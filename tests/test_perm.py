@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import _powers
 from piclass.errors import DegreeMismatchError
 from piclass.perm import (
     Permutation,
@@ -86,6 +87,22 @@ def test_element_orders():
     assert Permutation.identity(4).order() == 1
     assert parse_cycle_text("(0 1 2)(3 4)", 5).order() == 6
     assert parse_cycle_text("(0 1 2 3 4)", 5).order() == 5
+
+
+_TWO_THREE = [[0, 1], [2, 3, 4]]
+_TWO_THREE_FIVE_SEVEN = [*_TWO_THREE, range(5, 10), range(10, 17)]
+
+
+@pytest.mark.parametrize("degree, cycles, order", [
+    (5, _TWO_THREE, 6), (17, _TWO_THREE_FIVE_SEVEN, 210),
+    (262, _TWO_THREE, 6), (262, _TWO_THREE_FIVE_SEVEN, 210)])
+def test_orders_past_the_degree(degree, cycles, order):
+    """(0 1)(2 3 4) on 5 points and cycles of lengths 2, 3, 5 and 7 on 17
+    points have orders past their degrees, so ``Permutation.order`` falls
+    back from its ``degree`` products to the lcm of the cycle lengths; on
+    262 points (tuples) it reads that lcm alone.  The powers agree."""
+    x = Permutation.from_cycles(degree, cycles)
+    assert x.order() == order == len(_powers(x))
 
 
 def test_cycle_string_round_trip():

@@ -31,7 +31,7 @@ from piclass.perm import (
 from piclass.suite import _nonempty_subsets, check_hall_dichotomy, check_quotient_bound
 from piclass.subgroups import (
     _conjugation_moves,
-    _extend_closure,
+    _extender,
     are_conjugate_subgroups,
     almost_simple_socle,
     center,
@@ -267,10 +267,9 @@ def test_coset_closure_matches_chain_oracle(name, named):
     for pi in [None] if g.order <= 200 else [[p] for p in sorted(primes)]:
         for h in enumerate_subgroups_up_to_conjugacy(g, pi=pi):
             _assert_matches_chain(h)
+            extend = _extender(h.element_set(), [s.images for s in h.generators])
             for x in g.generators:  # the primitive on <H, x>
-                assert (_extend_closure(h.element_set(), [s.images for s in h.generators],
-                                        x.images)
-                        == _chain_elements(h.generators + (x,)))
+                assert extend(x.images) == _chain_elements(h.generators + (x,))
     for cls in conjugacy_classes(g).classes:
         _assert_matches_chain(normal_closure(g, [cls.rep]))
         _assert_matches_chain(subgroup(g, [cls.rep]))
@@ -824,13 +823,13 @@ def test_conjugates_of_normal_subgroups_walk_no_orbit(monkeypatch):
     import piclass.subgroups
 
     walks = []
-    tree = piclass.subgroups.schreier_tree
+    orbit = piclass.subgroups.conjugation_set_orbit
 
     def counting(*args):
         walks.append(1)
-        return tree(*args)
+        return orbit(*args)
 
-    monkeypatch.setattr(piclass.subgroups, "schreier_tree", counting)
+    monkeypatch.setattr(piclass.subgroups, "conjugation_set_orbit", counting)
     g = build(parse_name("C12 x C6"))  # abelian, fresh: no cached classes
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
     assert walks == []
@@ -875,8 +874,9 @@ def test_stabilizers_make_no_permutation_products(monkeypatch):
 def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypatch):
     """The class sweep and the coset closure read images: on fresh groups,
     on bytes and on tuples, ``conjugacy_classes`` makes exactly one
-    ``Permutation`` per class, its representative, and ``_extend_closure``
-    makes none.  Every ``Permutation._make`` call is counted."""
+    ``Permutation`` per class, its representative, and the coset closures
+    of ``_extender``, one extender per subgroup as the enumeration builds
+    them, make none.  Every ``Permutation._make`` call is counted."""
     names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
     groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
     made = []
@@ -889,15 +889,16 @@ def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypat
     for g in groups:
         fresh = PermGroup(list(g.generators))
         subs = [sylow_subgroup(g, p) for p in prime_factors(g.order)]
-        closures = [(h.element_set(), [s.images for s in h.generators], cls.rep.images)
-                    for h in subs for cls in conjugacy_classes(g).classes]
+        closures = [(h.element_set(), [s.images for s in h.generators],
+                     [cls.rep.images for cls in conjugacy_classes(g).classes]) for h in subs]
         made.clear()
         with monkeypatch.context() as m:
             m.setattr(Permutation, "_make", classmethod(counting))
             table = conjugacy_classes(fresh)
             assert sorted(made) == sorted(cls.rep.images for cls in table.classes), g
             made.clear()
-            grown = [_extend_closure(*args) for args in closures]
+            grown = [extend(x) for elements, gens, xs in closures
+                     for extend in [_extender(elements, gens)] for x in xs]
             assert made == [], g
         assert table.k == conjugacy_classes(g).k
         assert sum(map(len, grown)) > 0
@@ -1023,17 +1024,28 @@ def test_subgroup_enumeration_survives_relabelling(name, named):
     assert _enumeration_profile(_relabelled_reordered(g, 7)) == _enumeration_profile(g)
 
 
-def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
+def _recording_extender(monkeypatch, record):
+    """Wrap ``subgroups._extender`` so that every closure <H, x> it makes
+    calls ``record(element set of H, x)`` first."""
     import piclass.subgroups
 
+    extender = piclass.subgroups._extender
+
+    def recording(elements, gens):
+        extend = extender(elements, gens)
+
+        def extend_recorded(x):
+            record(elements, x)
+            return extend(x)
+
+        return extend_recorded
+
+    monkeypatch.setattr(piclass.subgroups, "_extender", recording)
+
+
+def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
     closures = []
-    closure = piclass.subgroups._extend_closure
-
-    def counting(*args):
-        closures.append(1)
-        return closure(*args)
-
-    monkeypatch.setattr(piclass.subgroups, "_extend_closure", counting)
+    _recording_extender(monkeypatch, lambda elements, x: closures.append(1))
     g = build(parse_name("C12 x C6"))  # fresh: no cached classes
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
     # the H-orbit skip over every element alone makes 2,862 closures here,
@@ -1045,17 +1057,9 @@ def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
 def test_enumeration_extends_by_prime_steps_only(name, monkeypatch):
     """Every extension <H, x> of a fresh enumeration, for every pi, takes a
     prime step: x^q lies in H for a prime q dividing |x|."""
-    import piclass.subgroups
-
     g = build(parse_name(name))
     steps = []
-    closure = piclass.subgroups._extend_closure
-
-    def recording(elements, gens, x):
-        steps.append((elements, Permutation(x)))
-        return closure(elements, gens, x)
-
-    monkeypatch.setattr(piclass.subgroups, "_extend_closure", recording)
+    _recording_extender(monkeypatch, lambda elements, x: steps.append((elements, Permutation(x))))
     for pi in [None, *_nonempty_subsets(group_primes(g))]:
         enumerate_subgroups_up_to_conjugacy(g, pi=pi)
     assert steps
@@ -1108,3 +1112,26 @@ def test_psl27_subgroup_classes():
                             subgroup_classes_by_orbit_skip(g, pi))
     status, witness = check_hall_dichotomy(g, [3])
     assert status == "pass" and witness["d_pi"] == "2/3"
+
+
+def test_psl27_hall_verdicts_where_the_theorem_bites():
+    """PSL(2,7) has two classes of Hall {2,3}-subgroups, so the theorem
+    forces d_pi <= 5/8 there: it is 1/6, and the verdict is vacuous.  No
+    Hall {2,7}-subgroup (order 56) exists, and only the exhaustive tier
+    says so."""
+    g = _psl27()
+    assert [h.order for h in enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])].count(24) == 2
+    assert check_hall_dichotomy(g, [2, 3]) == ("vacuous", {"d_pi": "1/6"})
+    outcome = hall_search(g, [2, 7])
+    assert (outcome.status, outcome.method, outcome.subgroup) == ("none_exists", "exhaustive", None)
+
+
+def test_d8_has_d_pi_five_eighths_and_a_non_abelian_hall_subgroup(named):
+    """D8 at pi {2}: d_pi = 5/8 exactly, and its Hall 2-subgroup, D8
+    itself, is not abelian.  So the theorem's strict bound d_pi > 5/8 is
+    sharp."""
+    g = named("D8")
+    assert check_hall_dichotomy(g, [2]) == ("vacuous", {"d_pi": "5/8"})
+    outcome = hall_search(g, [2])
+    assert outcome.found and outcome.subgroup.order == 8
+    assert not outcome.subgroup.is_abelian()
