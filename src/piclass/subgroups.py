@@ -444,16 +444,6 @@ def quotient(group: PermGroup, kernel: PermGroup,
 # -- Sylow and Hall subgroups ------------------------------------------------
 
 
-def _sorted_images(group: PermGroup) -> list[Images]:
-    """G's images in sorted order, sorted once per group and cached: the
-    order a normalizer subgroup lists in, which every prime's Sylow growth
-    walks."""
-    ordered = group.cache.get("sorted_images")
-    if ordered is None:
-        ordered = group.cache["sorted_images"] = sorted(group._element_images())
-    return ordered
-
-
 def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     """A Sylow p-subgroup, grown one p-part at a time inside the normalizer
     of the subgroup so far, with no normalizer subgroup built.
@@ -475,10 +465,10 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     later step, and is dropped; the rest keep their order.  An element
     passed over because some y g y^-1 (g in P) lay outside P keeps that
     conjugate, and is tested again on all of P's generators only once the
-    conjugate lies in P.  G is sorted once per group (``_sorted_images``),
-    for every prime.  Deterministic, so it is cached on the group per p:
-    the Hall search for every pi and the Sylow 3-structure check share one
-    Sylow subgroup per prime.
+    conjugate lies in P.  G is sorted once per group, for every prime.
+    Deterministic, so it is cached on the group per p: the Hall search for
+    every pi and the Sylow 3-structure check share one Sylow subgroup per
+    prime.
     """
     validate_pi([p])
     cache_key = ("sylow_subgroup", p)
@@ -523,7 +513,9 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
         if len(members) == target:
             break
         if len(pgens) == 1:  # the later steps walk G in sorted order
-            walk = _sorted_images(group)
+            walk = group.cache.get("sorted_images")
+            if walk is None:  # sorted once per group, for every prime
+                walk = group.cache["sorted_images"] = sorted(group._element_images())
         else:  # drop what failed for good: y or y^e in P
             walk = waiting + walk[pos + 1:]
     sylow = PermGroup([Permutation._make(g) for g in pgens] or [Permutation.identity(group.degree)],
