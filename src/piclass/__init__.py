@@ -48,6 +48,7 @@ from .subgroups import (
     normal_subgroups,
     normalizer,
     o_pi_prime,
+    o_pi_prime_order,
     quotient,
     socle,
     subgroup,

@@ -16,7 +16,7 @@ from .errors import PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, pi_part, prime_factors, validate_pi
 from .perm import Permutation
-from .subgroups import centralizer_of_element, o_pi_prime
+from .subgroups import centralizer_of_element, o_pi_prime, o_pi_prime_order
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,11 @@ def has_normal_pi_complement(group: PermGroup, pi) -> tuple[bool, PermGroup | No
     """Normal subgroup of pi'-order and index |G|_pi, if one exists.
 
     A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
-    can only be O_pi'(G), the largest one.
+    can only be O_pi'(G), the largest one: it exists exactly when
+    |O_pi'(G)| |G|_pi = |G|, read from class sizes, and the subgroup is
+    built only then.
     """
     pi = validate_pi(pi)
-    core = o_pi_prime(group, pi)
-    if core.order * pi_part(group.order, pi) == group.order:
-        return True, core
-    return False, None
+    if o_pi_prime_order(group, pi) * pi_part(group.order, pi) != group.order:
+        return False, None
+    return True, o_pi_prime(group, pi)

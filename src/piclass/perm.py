@@ -27,8 +27,7 @@ through x's table and one through g's (``conjugate_images``,
 element set walk a plain orbit with no transversal
 (``conjugation_set_orbit``).  ``Permutation.__mul__`` and the conjugations
 are built on them; no other module composes images by hand.  An element's
-order (``Permutation.order``) is read from its powers through its table,
-at most ``degree`` of them, and otherwise is the lcm of its cycle lengths.
+order is the lcm of its cycle lengths (``Permutation.order``).
 """
 
 import math
@@ -175,20 +174,8 @@ class Permutation:
         return self.images == _identity_images(len(self.images))
 
     def order(self) -> int:
-        """Least m >= 1 with p**m = identity.  On bytes the powers are read
-        through p's table, at most ``degree`` products; an order past the
-        degree ((0 1)(2 3 4) on 5 points) and an element on tuples take the
-        lcm of the cycle lengths."""
-        images = self.images
-        if type(images) is bytes:
-            ident = _identity_images(len(images))
-            table = images + _TAILS[len(images)]
-            power = images
-            for m in range(1, len(images) + 1):
-                if power == ident:
-                    return m
-                power = power.translate(table)
-        return math.lcm(1, *map(len, _cycles(images)))
+        """Least m >= 1 with p**m = identity: the lcm of the cycle lengths."""
+        return math.lcm(1, *map(len, _cycles(self.images)))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted by that point."""

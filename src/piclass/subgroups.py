@@ -460,12 +460,9 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     element inside P is passed over first, since its p-part (a power of
     it) lies inside too.
 
-    P only grows, so the later walks skip work that cannot change the
-    pick.  An element passed over because y or y^e lies in P fails every
-    later step, and is dropped; the rest keep their order.  An element
-    passed over because some y g y^-1 (g in P) lay outside P keeps that
-    conjugate, and is tested again on all of P's generators only once the
-    conjugate lies in P.  G is sorted once per group, for every prime.
+    P only grows, so an element passed over because y or y^e lies in P
+    fails every later step, and the later walks drop it; the rest keep
+    their order.  G is sorted once per group, for every prime.
     Deterministic, so it is cached on the group per p: the Hall search for
     every pi and the Sylow 3-structure check share one Sylow subgroup per
     prime.
@@ -483,24 +480,14 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     members = frozenset([_identity_images(group.degree)])
     pgens: list[Images] = []
     walk = group._element_images()  # N_G(1) = G, in the order of G's images list
-    outside: dict[Images, Images] = {}  # y -> a conjugate y g y^-1 found outside P
     while len(members) < target:
         waiting = []  # passed over only because they do not normalize P
         for pos, y in enumerate(walk):
             if y in members:
                 continue
             if pgens:
-                c = outside.get(y)
-                if c is None or c in members:  # test every generator of P
-                    pair = conjugation_pair(y)
-                    for g in pgens:
-                        c = conjugate_images(pair, g)
-                        if c not in members:
-                            break
-                    else:
-                        c = None
-                if c is not None:
-                    outside[y] = c
+                pair = conjugation_pair(y)
+                if any(conjugate_images(pair, g) not in members for g in pgens):
                     waiting.append(y)
                     continue
             yp = _power_images(y, e)
@@ -658,6 +645,14 @@ def o_pi_prime(group: PermGroup, pi) -> PermGroup:
     """O_{pi'}(G), the largest normal pi'-subgroup."""
     pi = validate_pi(pi)
     return _normal_core(group, frozenset(prime_factors(group.order)) - pi)
+
+
+def o_pi_prime_order(group: PermGroup, pi) -> int:
+    """|O_{pi'}(G)|: the summed sizes of the classes that
+    ``ClassTable.normal_core`` picks, with no subgroup built."""
+    pi = validate_pi(pi)
+    table = conjugacy_classes(group)
+    return table.order(table.normal_core(frozenset(prime_factors(group.order)) - pi)[0])
 
 
 def fitting_subgroup(group: PermGroup) -> PermGroup:

@@ -21,7 +21,12 @@ from .classes import all_d_p_one, conjugacy_classes, k_pi, pi_count
 from .config import DEFAULT_CONFIG, WORKERS_ERROR, Config
 from .errors import InvalidInputError
 from .group import PermGroup
-from .invariants import commuting_degree, d_pi, group_primes
+from .invariants import (
+    commuting_degree,
+    d_pi,
+    group_primes,
+    has_normal_pi_complement,
+)
 from .numtheory import is_pi_number, pi_part, validate_pi
 from .subgroups import (
     almost_simple_socle,
@@ -34,6 +39,7 @@ from .subgroups import (
     normal_lattice,
     normal_subgroups,
     normalizer,
+    o_pi_prime_order,
     subgroup,
     subgroup_intersection,
     sylow_subgroup,
@@ -98,13 +104,6 @@ def _widest_pi(group: PermGroup, pi: frozenset[int]) -> frozenset[int] | None:
             if 8 * pi_count(histogram, table.pi_bits(q)) > 5 * pi_part(group.order, q):
                 return None if size == len(rest) else q
     return pi if rest else None
-
-
-def _o_pi_prime_order(group: PermGroup, pi: frozenset[int]) -> int:
-    """|O_pi'(G)|: the summed sizes of the classes that
-    ``ClassTable.normal_core`` gives it, with no subgroup built."""
-    table = conjugacy_classes(group)
-    return table.order(table.normal_core(group_primes(group) - pi)[0])
 
 
 def _cyclic_pi_subgroup_classes(group: PermGroup, pi: frozenset[int]) -> list[PermGroup]:
@@ -220,17 +219,14 @@ def check_unit_iff_complement(group: PermGroup, pi,
     Hall pi-subgroup both exist; both sides evaluated independently.
 
     Also: if d_p = 1 for every p in pi, a normal pi-complement must exist.
-    A normal pi-complement is a normal pi'-subgroup of index |G|_pi, so it
-    exists exactly when |O_pi'(G)| |G|_pi = |G|.
     """
     pi = validate_pi(pi)
     profile = d_pi(group, pi)
     lhs = profile.d_pi == 1
-    core_order = _o_pi_prime_order(group, pi)
-    exists = core_order * pi_part(group.order, pi) == group.order
+    exists, complement = has_normal_pi_complement(group, pi)
     witness: dict = {"d_pi": _frac(profile.d_pi), "complement_exists": exists}
     if exists:
-        witness["complement_order"] = core_order
+        witness["complement_order"] = complement.order
     abelian_hall = None
     if exists:
         outcome = hall_search(group, pi, budget=config.hall_budget,
@@ -341,7 +337,7 @@ def check_sylow3_structure(group: PermGroup, config: Config = DEFAULT_CONFIG) ->
     witness["d_3"] = _frac(profile.d_pi)
     if profile.d_pi != TWO_THIRDS:
         return VACUOUS, witness
-    witness["o_3_prime_order"] = _o_pi_prime_order(group, frozenset([3]))
+    witness["o_3_prime_order"] = o_pi_prime_order(group, [3])
     if witness["o_3_prime_order"] != 1:
         return VACUOUS, witness
 

@@ -274,6 +274,12 @@ def cores(g):
             oracles.normal_core_by_closures(g, lambda q: q not in pi))
 
 
+def core_orders(g):
+    for pi in _subsets(g, {2}):
+        yield ("pi", pi), subgroups.o_pi_prime_order(g, pi), len(
+            oracles.normal_core_by_closures(g, lambda q: q not in pi))
+
+
 def table_cores(g):
     """The classes of O_pi'(G) hold its elements, and their sizes sum to
     its order; the closure of the classes picked is the core."""
@@ -462,6 +468,8 @@ FAST_PATHS = (
         home="test_normal_subgroups_match_pairwise_joins"),
     Row(subgroups.o_pi_prime, oracles.normal_core_by_closures, ("LATTICE_SLICE",), cores,
         home="test_normal_subgroup_queries_match_element_oracles"),
+    Row(subgroups.o_pi_prime_order, oracles.normal_core_by_closures, ("LATTICE_SLICE",),
+        core_orders),
     Row(ClassTable.normal_core, oracles.normal_core_by_closures, ("LATTICE_SLICE", "CENSUS_72"),
         table_cores),
     Row(has_normal_pi_complement, oracles.normal_pi_complement_by_element_scan,

@@ -98,9 +98,9 @@ _TWO_THREE_FIVE_SEVEN = [*_TWO_THREE, range(5, 10), range(10, 17)]
     (262, _TWO_THREE, 6), (262, _TWO_THREE_FIVE_SEVEN, 210)])
 def test_orders_past_the_degree(degree, cycles, order):
     """(0 1)(2 3 4) on 5 points and cycles of lengths 2, 3, 5 and 7 on 17
-    points have orders past their degrees, so ``Permutation.order`` falls
-    back from its ``degree`` products to the lcm of the cycle lengths; on
-    262 points (tuples) it reads that lcm alone.  The powers agree."""
+    points have orders past their degrees; ``Permutation.order`` reads the
+    lcm of the cycle lengths on bytes and on tuples (262 points) alike, and
+    the powers agree."""
     x = Permutation.from_cycles(degree, cycles)
     assert x.order() == order == len(_powers(x))
 
