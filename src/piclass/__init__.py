@@ -29,6 +29,7 @@ from .invariants import (
     group_primes,
     has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
+    normal_pi_complement_exists,
 )
 from .perm import Permutation, conjugate, parse_cycle_text
 from .subgroups import (

@@ -101,15 +101,21 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int) -> Centraliz
     )
 
 
-def has_normal_pi_complement(group: PermGroup, pi) -> tuple[bool, PermGroup | None]:
-    """Normal subgroup of pi'-order and index |G|_pi, if one exists.
+def normal_pi_complement_exists(group: PermGroup, pi) -> bool:
+    """Whether G has a normal subgroup of pi'-order and index |G|_pi.
 
     A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
     can only be O_pi'(G), the largest one: it exists exactly when
-    |O_pi'(G)| |G|_pi = |G|, read from class sizes, and the subgroup is
-    built only then.
+    |O_pi'(G)| |G|_pi = |G|, with |O_pi'(G)| read from class sizes and no
+    subgroup built.
     """
     pi = validate_pi(pi)
-    if o_pi_prime_order(group, pi) * pi_part(group.order, pi) != group.order:
+    return o_pi_prime_order(group, pi) * pi_part(group.order, pi) == group.order
+
+
+def has_normal_pi_complement(group: PermGroup, pi) -> tuple[bool, PermGroup | None]:
+    """Normal subgroup of pi'-order and index |G|_pi, if one exists: O_pi'(G),
+    built only when ``normal_pi_complement_exists``."""
+    if not normal_pi_complement_exists(group, pi):
         return False, None
     return True, o_pi_prime(group, pi)

@@ -25,7 +25,7 @@ from .invariants import (
     commuting_degree,
     d_pi,
     group_primes,
-    has_normal_pi_complement,
+    normal_pi_complement_exists,
 )
 from .numtheory import is_pi_number, pi_part, validate_pi
 from .subgroups import (
@@ -223,10 +223,10 @@ def check_unit_iff_complement(group: PermGroup, pi,
     pi = validate_pi(pi)
     profile = d_pi(group, pi)
     lhs = profile.d_pi == 1
-    exists, complement = has_normal_pi_complement(group, pi)
+    exists = normal_pi_complement_exists(group, pi)
     witness: dict = {"d_pi": _frac(profile.d_pi), "complement_exists": exists}
     if exists:
-        witness["complement_order"] = complement.order
+        witness["complement_order"] = o_pi_prime_order(group, pi)
     abelian_hall = None
     if exists:
         outcome = hall_search(group, pi, budget=config.hall_budget,

@@ -37,7 +37,7 @@ from piclass import subgroups
 from piclass.catalog import census_specs, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
 from piclass.group import PermGroup
-from piclass.invariants import group_primes, has_normal_pi_complement
+from piclass.invariants import group_primes, has_normal_pi_complement, normal_pi_complement_exists
 from piclass.numtheory import is_pi_number, is_prime, prime_factors
 from piclass.perm import Permutation, conjugate_images, conjugate_set, conjugation_pairs
 from piclass.suite import _nonempty_subsets
@@ -292,10 +292,12 @@ def table_cores(g):
 
 
 def complements(g):
+    """``has_normal_pi_complement`` and the existence test it decides on."""
     for pi in _subsets(g, {2}):
         exists, complement = has_normal_pi_complement(g, pi)
-        yield ("pi", pi), (exists, complement.element_set() if exists else None), (
-            oracles.normal_pi_complement_by_element_scan(g, pi))
+        want = oracles.normal_pi_complement_by_element_scan(g, pi)
+        yield ("pi", pi), (exists, complement.element_set() if exists else None), want
+        yield ("pi", pi, "exists"), normal_pi_complement_exists(g, pi), want[0]
 
 
 def fitting_sets(g):

@@ -19,6 +19,7 @@ from piclass.invariants import (
     group_primes,
     has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
+    normal_pi_complement_exists,
 )
 from piclass.numtheory import MAX_PRIME, is_prime, pi_part, prime_factors, validate_pi
 
@@ -186,6 +187,10 @@ def test_normal_complement_examples(named):
 
     exists, comp = has_normal_pi_complement(named("S3"), [5])
     assert exists and comp.order == 6
+
+    assert [normal_pi_complement_exists(named(name), pi) for name, pi in
+            [("A4", [3]), ("S4", [2]), ("S3", [5]), ("D10 x C3", [2, 3])]] == [
+        True, False, True, True]
 
 
 def test_normal_complement_soundness(named):
