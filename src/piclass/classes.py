@@ -20,8 +20,8 @@ group each element is its own class with no walk.  It makes one
 light record (``ConjClass``, a named tuple); a class product C_i * C_j
 fixes the class representative x as left factor and reads x * y for every
 y of the smaller class through x's table.  A class's element order is its
-representative's (``Permutation.order``: its powers through its table, or
-the lcm of its cycle lengths), and the primes of element orders are read
+representative's (``Permutation.order``, the lcm of its cycle lengths),
+and the primes of element orders are read
 from ``ClassTable.primes``.
 """
 

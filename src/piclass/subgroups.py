@@ -31,7 +31,8 @@ G against the generators of the subgroup so far, and its later walks drop
 the elements that failed for good.  Normal-subgroup queries (the lattice,
 O_pi', the Fitting subgroup, the socle) close class bitsets over the class
 table of G (``classes.ClassTable``), and their element sets are read from
-those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks.  A
+those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks,
+and its order is the sum of their sizes (``o_pi_prime_order``).  A
 join N * M is the union of the fusion blocks of N (the classes of G/N,
 built in one pass) that meet M; each bitset is joined with the seeds only
 (the normal closures of single classes), and a closure stops as soon as
