@@ -17,17 +17,18 @@ answers order and membership from the set and builds no chain.  A
 
 The chain is built on images, and no transversal element is inverted per
 Schreier generator or per sift step.  Each level keeps, beside each
-transversal element u, the table of u^-1 (``perm.schreier_tree`` with the
-point action, the tree the subgroup stabilizers walk too), built once
-each time the level's orbit is rebuilt (Seress, *Permutation Group
-Algorithms*, 2003, §4.1).  Each strong generator's move (its table and
-inverse) is built once, when it is placed.  A Schreier generator
-u_y^-1 * g * u_x is the identity exactly when g * u_x = u_y, so it costs
-one product through g's table; only the others are multiplied by u_y^-1
-(``perm.schreier_generators``) and sifted.  The sift (``_sift``) is one
-product through a level's table of u^-1 per step.  The stored chain keeps
-its strong generators and transversal elements as images, and element
-enumeration and random elements compose them as images.
+transversal element u, the table of u^-1 (``perm.schreier_tree``), built
+once each time the level's orbit is rebuilt (Seress, *Permutation Group
+Algorithms*, 2003, §4.1).  The tree serves the chain alone: the subgroup
+stabilizers of ``subgroups`` are filters over a group's images list.  Each
+strong generator's move (its images, table and inverse) is built once,
+when it is placed.  A Schreier generator u_y^-1 * g * u_x is the identity
+exactly when g * u_x = u_y, so it costs one product through g's table;
+only the others are multiplied by u_y^-1 (``perm.schreier_generators``)
+and sifted.  The sift (``_sift``) is one product through a level's table
+of u^-1 per step.  The stored chain keeps its strong generators and
+transversal elements as images, and element enumeration and random
+elements compose them as images.
 """
 
 import random
@@ -141,7 +142,7 @@ class PermGroup:
         def place(g: Images):
             # g joins every level group it belongs to: levels 0..j where
             # base[j] is the first base point g moves.
-            move_of[g] = (g.__getitem__, left_multiplier(g), _inverse_images(g))
+            move_of[g] = (g, left_multiplier(g), _inverse_images(g))
             for lvl in levels:
                 lvl.gens.append(g)
                 if g[lvl.point] != lvl.point:

@@ -14,13 +14,12 @@ the layout.  A product fixes its left factor: on bytes a * b is
 ``b.translate(table)``, for the 256-byte table of a built once per fixed a
 (``left_multiplier``, ``left_products``), and the inverse is
 ``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.
-``schreier_tree`` is the one orbit-with-transversal walk: the chain runs it
-on points, the stabilizers and subgroup conjugacy on conjugation of
-elements and element sets.  It keeps the table of each u^-1 beside u:
-``bytes.maketrans(u, identity)`` on bytes, and u_x^-1 * g^-1 on tuples,
-with g^-1 carried by g's move, so the tree inverts nothing.
-``schreier_generators`` scans a tree's Schreier generators for the chain
-and the stabilizers alike.  A conjugation g x g^-1 is two translates, one
+``schreier_tree`` is the stabilizer chain's orbit-with-transversal walk,
+on points; no other walk keeps a transversal.  It keeps the table of each
+u^-1 beside u: ``bytes.maketrans(u, identity)`` on bytes, and
+u_x^-1 * g^-1 on tuples, with g^-1 carried by g's move, so the tree
+inverts nothing.  ``schreier_generators`` scans a tree's Schreier
+generators for the chain.  A conjugation g x g^-1 is two translates, one
 through x's table and one through g's (``conjugate_images``,
 ``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
 ``conjugation_orbits``) build each table once; the conjugates of an
@@ -245,16 +244,15 @@ def left_products(a: Images, bs) -> list[Images]:
     return [itemgetter(*b)(table) for b in bs]
 
 
-def schreier_tree(start, moves, n: int):
-    """The orbit of ``start`` under a group of degree n, with a transversal.
+def schreier_tree(start: int, moves, n: int):
+    """The orbit of the point ``start`` under a group of degree n, with a
+    transversal.
 
-    Each move stands for a generator g: its action key -> g.key
-    (``g.__getitem__`` on points, ``partial(conjugate_images, pair)`` on
-    elements, ``partial(conjugate_set, pair)`` on element sets), the map
-    u -> g * u (``left_multiplier(g)``) and the images of g^-1.  Breadth
-    first, moves in list order: u_start is the identity and u_y = g * u_x
-    for the first key x and move g that reach y.  Returns the orbit, the
-    dict y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
+    Each move stands for a generator g: g's images, the map u -> g * u
+    (``left_multiplier(g)``) and the images of g^-1.  Breadth first, moves
+    in list order: u_start is the identity and u_y = g * u_x for the first
+    point x and move g with y = g[x].  Returns the orbit, the dict
+    y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
     ``compose_images(inverses[y], h)``: on bytes ``bytes.maketrans(u_y,
     identity)``, on tuples u_x^-1 * g^-1, so nothing is inverted here."""
     ident = _identity_images(n)
@@ -262,12 +260,12 @@ def schreier_tree(start, moves, n: int):
     transversal = {start: ident}
     inverses = {start: _table(ident)}
     on_bytes = type(ident) is bytes
-    steps = [(act, times_g, None if on_bytes else itemgetter(*ginv))
-             for act, times_g, ginv in moves]
+    steps = [(g, times_g, None if on_bytes else itemgetter(*ginv))
+             for g, times_g, ginv in moves]
     for x in orbit:
         ux = transversal[x]
-        for act, times_g, times_ginv in steps:
-            y = act(x)
+        for g, times_g, times_ginv in steps:
+            y = g[x]
             if y not in transversal:
                 uy = transversal[y] = times_g(ux)
                 inverses[y] = bytes.maketrans(uy, ident) if on_bytes else times_ginv(inverses[x])
@@ -275,17 +273,17 @@ def schreier_tree(start, moves, n: int):
     return orbit, transversal, inverses
 
 
-def schreier_generators(keys, moves, transversal, inverses):
+def schreier_generators(points, moves, transversal, inverses):
     """The nontrivial Schreier generators u_y^-1 * g * u_x (y = g.x) of a
-    ``schreier_tree``, as images, lazily: for each key x in ``keys`` and
-    each move g in list order.  A generator is the identity exactly when
-    g * u_x = u_y, one product through g's table; only the others are
+    ``schreier_tree``, as images, lazily: for each point x in ``points``
+    and each move g in list order.  A generator is the identity exactly
+    when g * u_x = u_y, one product through g's table; only the others are
     multiplied through the table of u_y^-1."""
-    for x in keys:
+    for x in points:
         ux = transversal[x]
-        for act, times_g, _ in moves:
+        for g, times_g, _ in moves:
             gux = times_g(ux)
-            y = act(x)
+            y = g[x]
             if gux != transversal[y]:
                 yield compose_images(inverses[y], gux)
 
@@ -377,7 +375,7 @@ def conjugation_set_orbit(key: frozenset, pairs) -> set[frozenset]:
     """The conjugates of the element set ``key`` (a subgroup's) under the
     group the pairs come from: a breadth-first walk, pairs in list order,
     each step one ``conjugate_set``.  It keeps no transversal, so no orbit
-    point costs an inverse; the stabilizers read ``schreier_tree``."""
+    point costs an inverse."""
     seen = {key}
     orbit = [key]
     for cur in orbit:

@@ -18,15 +18,16 @@ carry the element set and the generator images while they grow, and make
 one ``PermGroup`` when they return.  Elements are handled as images:
 membership is a set lookup, the walks read a group's cached images list
 (``PermGroup._element_images``), and a ``Permutation`` is made only for a
-generator a subgroup keeps.  Stabilizer-style computations (element
-centralizers, normalizers, subgroup conjugacy) walk one conjugation orbit
-with the chain's Schreier tree (``perm.schreier_tree``, with the
-conjugation of elements or element sets as the action) and grow the
-stabilizer from its Schreier generators (``perm.schreier_generators``, the
-chain's scan), so they never enumerate the ambient group.  The conjugates
-of a subgroup need no transversal: they are a plain orbit walk of its
-element set (``perm.conjugation_set_orbit``) under the generators that are
-not central.  Sylow growth builds no normalizer: it tests each element of
+generator a subgroup keeps.  Stabilizer-style computations (centralizers
+of elements and subgroups, centers, normalizers, subgroup conjugacy,
+intersections) are filters over G's cached images list: a normalizer
+keeps the g whose conjugation pair sends each generator of H into H's
+element set, and its generators are the greedy generating subset of
+what it keeps (``_reduced_subgroup``).  No Schreier tree is walked here;
+the tree serves the stabilizer chain alone.  The conjugates of a subgroup
+need no transversal: they are a plain orbit walk of its element set
+(``perm.conjugation_set_orbit``) under the generators that are not
+central.  Sylow growth builds no normalizer: it tests each element of
 G against the generators of the subgroup so far, and its later walks drop
 the elements that failed for good.  Normal-subgroup queries (the lattice,
 O_pi', the Fitting subgroup, the socle) close class bitsets over the class
@@ -42,8 +43,7 @@ subgroup; ``normal_subgroups`` makes one per entry, and its seed walks
 stop at the order their bitset gives.
 ``ClassTable.normal_mask`` is the one normality test on a subgroup:
 ``normal_subgroups`` fills its record, and the conjugates of a subgroup
-and the kernel of ``quotient`` are looked up through it.  Set-level
-filters (subgroup centralizers, centers) enumerate the group.  No element
+and the kernel of ``quotient`` are looked up through it.  No element
 cap is checked here: every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
 Searches that can fail distinguish three outcomes explicitly; in
@@ -55,10 +55,9 @@ subgroup_cap, seed) and subgroup-class enumeration per pi.
 
 import math
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass
-from functools import partial
 
 from .classes import _bits, all_d_p_one, conjugacy_classes
 from .errors import CapExceededError, DegreeMismatchError, NotInGroupError, PreconditionError
@@ -71,15 +70,12 @@ from .perm import (
     _power_images,
     compose_images,
     conjugate_images,
-    conjugate_set,
     conjugation_orbit,
     conjugation_pair,
     conjugation_pairs,
     conjugation_set_orbit,
     left_multiplier,
     left_products,
-    schreier_generators,
-    schreier_tree,
 )
 
 DEFAULT_SUBGROUP_CAP = 2000
@@ -167,25 +163,24 @@ def _greedy_generators(degree: int, elements, order: int | None = None):
     return kept, closure
 
 
-def _reduced_subgroup(parent: PermGroup, elements, order: int | None = None) -> PermGroup:
+def _reduced_subgroup(parent: PermGroup, elements) -> PermGroup:
     """Subgroup generated by ``elements`` (images), on their greedy
     generating subset (``_greedy_generators``); only the kept elements
     become ``Permutation``s."""
-    gens, closure = _greedy_generators(parent.degree, elements, order)
+    gens, closure = _greedy_generators(parent.degree, elements)
     return PermGroup([Permutation._make(g) for g in gens] or [Permutation.identity(parent.degree)],
                      elements=closure)
 
 
-# -- orbit / stabilizer machinery ------------------------------------------
+# -- stabilizers: filters over the images list -------------------------------
 
 
-def _conjugation_moves(group: PermGroup, act) -> list:
-    """The ``perm.schreier_tree`` moves of conjugation by ``group``: ``act``
-    is ``conjugate_images`` on elements or ``conjugate_set`` on element sets,
-    bound to each generator's conjugation pair, whose g^-1 the move carries
-    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 4.1)."""
-    return [(partial(act, pair), left_multiplier(g.images), pair[1])
-            for g, pair in zip(group.generators, group.conjugation_pairs())]
+def _check_degree(group: PermGroup, *subs: PermGroup) -> None:
+    """Raise ``DegreeMismatchError`` for a subgroup of another degree than
+    group."""
+    for sub in subs:
+        if sub.degree != group.degree:
+            raise DegreeMismatchError(f"subgroup degree {sub.degree} != group degree {group.degree}")
 
 
 def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
@@ -199,41 +194,42 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     return conjugation_set_orbit(key, group.moving_pairs())
 
 
-def _schreier_stabilizer(parent: PermGroup, start, act) -> PermGroup:
-    """Stabilizer of ``start`` under ``act`` (as in ``_conjugation_moves``):
-    the reduced subgroup of the tree's Schreier generators
-    (``perm.schreier_generators``), taken lazily in orbit and move order, as
-    the chain takes them; the scan stops once the stabilizer reaches its
-    known order |parent| / |orbit|."""
-    moves = _conjugation_moves(parent, act)
-    orbit, transversal, inverses = schreier_tree(start, moves, parent.degree)
-    target = parent.order // len(orbit)
-    gens = schreier_generators(orbit, moves, transversal, inverses)
-    stabilizer = _reduced_subgroup(parent, gens, target)
-    if stabilizer.order != target:
-        raise AssertionError("Schreier stabilizer does not match orbit index")
-    return stabilizer
+def _centralizer(group: PermGroup, xs: list[Images]) -> PermGroup:
+    """The g of G's images list that commute with every x in ``xs``, on
+    their greedy generating subset (``_reduced_subgroup``)."""
+    return _reduced_subgroup(group, [g for g in group._element_images()
+                                     if all(compose_images(g, x) == compose_images(x, g)
+                                            for x in xs)])
+
+
+def _conjugators(group: PermGroup, xs: list[Images], members) -> Iterator[Images]:
+    """The g of G's images list, in its order, with g x g^-1 in ``members``
+    for every x in ``xs``, each g through its conjugation pair."""
+    for g in group._element_images():
+        pair = conjugation_pair(g)
+        if all(conjugate_images(pair, x) in members for x in xs):
+            yield g
 
 
 def centralizer_of_element(group: PermGroup, x: Permutation) -> PermGroup:
-    """C_G(x) as the stabilizer of x under conjugation."""
+    """C_G(x): the elements of G that commute with x."""
     _check_members(group, [x])
     if group.is_abelian():
         return group
-    return _schreier_stabilizer(group, x.images, conjugate_images)
+    return _centralizer(group, [x.images])
 
 
 def normalizer(group: PermGroup, sub: PermGroup) -> PermGroup:
-    """N_G(H): stabilizer of the element set of H under conjugation."""
-    return _schreier_stabilizer(group, sub.element_set(), conjugate_set)
+    """N_G(H): the elements of G that conjugate each generator of H into H."""
+    _check_degree(group, sub)
+    return _reduced_subgroup(group, list(_conjugators(
+        group, [h.images for h in sub.generators], sub.element_set())))
 
 
 def centralizer_of_subgroup(group: PermGroup, sub: PermGroup) -> PermGroup:
-    """C_G(H) by filtering the images list against H's generators."""
-    hgens = [h.images for h in sub.generators]
-    hits = [g for g in group._element_images()
-            if all(compose_images(g, h) == compose_images(h, g) for h in hgens)]
-    return _reduced_subgroup(group, hits)
+    """C_G(H): the elements of G that commute with each generator of H."""
+    _check_degree(group, sub)
+    return _centralizer(group, [h.images for h in sub.generators])
 
 
 def center(group: PermGroup) -> PermGroup:
@@ -287,6 +283,7 @@ def derived_subgroup(group: PermGroup) -> PermGroup:
 
 
 def subgroup_intersection(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
+    _check_degree(group, a, b)
     small, big = (a, b) if a.order <= b.order else (b, a)
     bigset = big.element_set()
     hits = [x for x in small._element_images() if x in bigset]
@@ -609,17 +606,17 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
 def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
     """(conjugate?, witness g with g a g^-1 = b).
 
-    The witness is the transversal element of b in the conjugation orbit of
-    a, a coset representative of N_G(a).
+    The witness is the first g of G's images list that conjugates each
+    generator of a into b; as a and b have one order, g a g^-1 = b.
     """
+    _check_degree(group, a, b)
     if a.order != b.order:
         return False, None
     akey = a.element_set()
     bkey = b.element_set()
     if akey == bkey:
         return True, Permutation.identity(group.degree)
-    moves = _conjugation_moves(group, conjugate_set)
-    witness = schreier_tree(akey, moves, group.degree)[1].get(bkey)
+    witness = next(_conjugators(group, [x.images for x in a.generators], bkey), None)
     return (False, None) if witness is None else (True, Permutation._make(witness))
 
 

@@ -226,7 +226,7 @@ def schreier_stabilizer_by_products(group, start, act):
     library grew it before it tested Schreier generators on images: every
     u_{g.x}^-1 * (g * u_x), trivial or not, a ``Permutation`` product with
     an inverse, in orbit order and generator order, reduced by the library's
-    greedy ``_reduced_subgroup`` until it reaches |G| / |orbit|."""
+    greedy ``_reduced_subgroup``; its order must be |G| / |orbit|."""
     from piclass.perm import conjugation_pairs
     from piclass.subgroups import _reduced_subgroup
 
@@ -235,7 +235,7 @@ def schreier_stabilizer_by_products(group, start, act):
     steps = list(zip(group.generators, conjugation_pairs(group.generators)))
     schreier = (transversal[act(pair, key)].inverse() * (g * u)
                 for key, u in transversal.items() for g, pair in steps)
-    stabilizer = _reduced_subgroup(group, (s.images for s in schreier), target)
+    stabilizer = _reduced_subgroup(group, (s.images for s in schreier))
     assert stabilizer.order == target
     return stabilizer
 

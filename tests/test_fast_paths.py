@@ -358,30 +358,40 @@ def conjugate_orbits(g):
             oracles.orbit_transversal(g, key, conjugate_set))
 
 
+def _stabilizer_sets(where, got, want):
+    """The element set of ``got`` against the oracle's, and the closure of
+    ``got``'s generators against it too: they lie in it and generate it."""
+    want = want.element_set()
+    yield where, got.element_set(), want
+    yield (where, got.generators), oracles.naive_closure(got.generators), want
+
+
 def normalizers(g):
     for h in _sylows(g) + _reps(g):
-        yield h.generators, _set_of(subgroups.normalizer(g, h)), _set_of(
-            oracles.schreier_stabilizer_by_products(g, h.element_set(), conjugate_set))
+        yield from _stabilizer_sets(h.generators, subgroups.normalizer(g, h),
+                                    oracles.schreier_stabilizer_by_products(
+                                        g, h.element_set(), conjugate_set))
 
 
 def element_centralizers(g):
     for x in (cls.rep for cls in conjugacy_classes(g).classes):
-        yield x, _set_of(subgroups.centralizer_of_element(g, x)), _set_of(
+        yield from _stabilizer_sets(x, subgroups.centralizer_of_element(g, x), (
             g if g.is_abelian() else
-            oracles.schreier_stabilizer_by_products(g, x.images, conjugate_images))
+            oracles.schreier_stabilizer_by_products(g, x.images, conjugate_images)))
 
 
 def conjugacy_witnesses(g):
-    """The witness for each conjugate K of a representative H is K's
-    transversal element in the oracle's orbit walk, which conjugates H onto
-    K; two representatives of one order are not conjugate."""
+    """For each conjugate K of a representative H in the oracle's orbit
+    walk, the witness lies in G and conjugates H onto K; two
+    representatives of one order are not conjugate."""
     reps, one = _reps(g), Permutation.identity(g.degree)
+    elements = g.element_set()
     for h in reps:
         hkey = h.element_set()
-        for key, u in oracles.orbit_transversal(g, hkey, conjugate_set).items():
-            yield (h.generators, key), subgroups.are_conjugate_subgroups(
-                g, h, PermGroup([one], elements=key)), (True, u)
-            yield (h.generators, u), conjugate_set(conjugation_pairs([u])[0], hkey), key
+        for key in oracles.orbit_transversal(g, hkey, conjugate_set):
+            same, w = subgroups.are_conjugate_subgroups(g, h, PermGroup([one], elements=key))
+            yield (h.generators, key), (same, w.images in elements, conjugate_set(
+                conjugation_pairs([w])[0], hkey)), (True, True, key)
         for other in reps:
             if other is not h and other.order == h.order:
                 yield (h.generators, other.generators), subgroups.are_conjugate_subgroups(

@@ -22,6 +22,8 @@ from piclass.invariants import (
     normal_pi_complement_exists,
 )
 from piclass.numtheory import MAX_PRIME, is_prime, pi_part, prime_factors, validate_pi
+from piclass.suite import _nonempty_subsets
+from test_fast_paths import GROUP_SETS
 
 
 def test_pi_part_of_integer_examples():
@@ -218,3 +220,20 @@ def test_normal_pi_complement_multi_prime(named):
     d10c3 = named("D10 x C3")
     exists, comp = has_normal_pi_complement(d10c3, [2, 3])
     assert exists and comp.order == 5
+
+
+def test_d_pi_above_five_eighths_is_two_thirds_or_one(group_of):
+    """The paper's corollary: d_pi > 5/8 forces d_pi to be 2/3 or 1.  Read
+    from ``d_pi`` itself, not from the Hall check, for every nonempty pi
+    inside the primes of |G|, on every group of the CENSUS and DATA sets;
+    both values occur."""
+    seen = set()
+    for group_set in ("CENSUS", "DATA"):
+        for name in GROUP_SETS[group_set]:
+            g = group_of(group_set, name)
+            for pi in _nonempty_subsets(group_primes(g)):
+                value = d_pi(g, pi).d_pi
+                if value > Fraction(5, 8):
+                    assert value in (Fraction(2, 3), 1), (name, sorted(pi), value)
+                    seen.add(value)
+    assert seen == {Fraction(2, 3), 1}

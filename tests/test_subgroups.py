@@ -15,22 +15,29 @@ from oracles import (
 )
 from piclass.catalog import build, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
-from piclass.errors import CapExceededError, NotInGroupError, PreconditionError
+from piclass.errors import (
+    CapExceededError,
+    DegreeMismatchError,
+    NotInGroupError,
+    PreconditionError,
+)
 from piclass.group import PermGroup
 from piclass.invariants import group_primes
 from piclass.numtheory import is_pi_number, pi_part, prime_factors
 from piclass.perm import (
     Permutation,
     conjugate,
-    conjugate_set,
     conjugation_orbit,
     conjugation_pairs,
     parse_cycle_text,
-    schreier_tree,
 )
-from piclass.suite import _nonempty_subsets, check_hall_dichotomy, check_quotient_bound
+from piclass.suite import (
+    _nonempty_subsets,
+    check_hall_dichotomy,
+    check_quotient_bound,
+    check_sylow3_structure,
+)
 from piclass.subgroups import (
-    _conjugation_moves,
     _extender,
     are_conjugate_subgroups,
     almost_simple_socle,
@@ -140,11 +147,14 @@ def test_normalizer_brute_crosscheck(named):
 
 
 def test_normalizer_keeps_the_greedy_generators(named):
+    """N(<(0 1)>) in S5 is <(0 1)> x S3 on {2, 3, 4}, on the greedy
+    generating subset of the elements the filter keeps, in the order of
+    S5's images list."""
     s5 = named("S5")
     h = subgroup(s5, [parse_cycle_text("(0 1)", 5)])
     n = normalizer(s5, h)
     assert n.order == 12
-    assert n.generators == tuple(parse_cycle_text(c, 5) for c in ("(0 1)", "(3 4)", "(2 3)"))
+    assert n.generators == tuple(parse_cycle_text(c, 5) for c in ("(3 4)", "(2 3 4)", "(0 1)"))
 
 
 def test_center_examples(named):
@@ -206,6 +216,18 @@ def test_a_seed_of_another_degree_is_rejected_up_front(call):
                          text=True, timeout=30)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "DegreeMismatchError"
+
+
+def test_a_subgroup_of_another_degree_is_rejected(named):
+    """S3 on 3 points is no subgroup of S4 on 4: each query that takes a
+    subgroup raises ``DegreeMismatchError``, where the normalizer raised a
+    raw ``ValueError`` and the others answered as if it were trivial."""
+    s4, s3 = named("S4"), named("S3")
+    for query in (lambda: normalizer(s4, s3), lambda: centralizer_of_subgroup(s4, s3),
+                  lambda: are_conjugate_subgroups(s4, s3, s3),
+                  lambda: subgroup_intersection(s4, s3, s4)):
+        with pytest.raises(DegreeMismatchError):
+            query()
 
 
 def test_a_seed_outside_the_group_is_rejected(named):
@@ -847,10 +869,10 @@ def _s4_on_262_points() -> PermGroup:
 
 
 def test_stabilizers_make_no_permutation_products(monkeypatch):
-    """Once G's conjugation pairs are cached, normalizers and element
-    centralizers are built on images: no ``Permutation.__mul__`` and no
-    ``Permutation.inverse`` call, on bytes and on tuples.  On fresh groups,
-    so no chain or element list is cached."""
+    """Normalizers and element centralizers, filters over G's images list,
+    are built on images, and so is that list: no ``Permutation.__mul__``
+    and no ``Permutation.inverse`` call, on bytes and on tuples.  On fresh
+    groups, so no chain or element list is cached."""
     names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
     groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
     work = []
@@ -858,7 +880,6 @@ def test_stabilizers_make_no_permutation_products(monkeypatch):
         fresh = PermGroup(list(g.generators))
         subs = [sylow_subgroup(g, p) for p in prime_factors(g.order)]
         subs += [subgroup(g, [cls.rep]) for cls in conjugacy_classes(g).classes]
-        fresh.conjugation_pairs()
         work.append((fresh, subs, [cls.rep for cls in conjugacy_classes(g).classes]))
 
     def forbidden(*args):
@@ -922,14 +943,9 @@ def test_conjugation_orbits_match_brute_force(name, named):
     g = named(name)
     elements = g.element_list()
     for h in (subgroup(g, g.generators[:1]), sylow_subgroup(g, 2)):
-        start = h.element_set()
-        transversal = schreier_tree(start, _conjugation_moves(g, conjugate_set), g.degree)[1]
         brute = {frozenset((x * y * x.inverse()).images for y in h.element_list())
                  for x in elements}
-        assert set(transversal) == brute
-        for key, u in transversal.items():
-            u = Permutation._make(u)
-            assert frozenset((u * y * u.inverse()).images for y in h.element_list()) == key
+        assert set(conjugates(g, h.element_set())) == brute
     pairs = conjugation_pairs(g.generators)
     for cls in conjugacy_classes(g).classes:
         orbit = conjugation_orbit(cls.rep.images, pairs)
@@ -1135,3 +1151,19 @@ def test_d8_has_d_pi_five_eighths_and_a_non_abelian_hall_subgroup(named):
     outcome = hall_search(g, [2])
     assert outcome.found and outcome.subgroup.order == 8
     assert not outcome.subgroup.is_abelian()
+
+
+def test_psl27_sylow3_structure_where_d3_is_two_thirds():
+    """PSL(2,7) at pi {3}: d_3 = 2/3 with trivial O_3', so the structure
+    check reaches the normalizer of a Sylow 3-subgroup P of order 3, with
+    |N_G(P)/C_G(P)| = 2, and passes by case 2 with A = G, almost simple,
+    and B trivial."""
+    g = parse_group_file((Path(__file__).parent / "data" / "psl27.grp").read_text())
+    status, witness = check_sylow3_structure(g)
+    assert status == "pass"
+    assert (witness["d_3"], witness["o_3_prime_order"]) == ("2/3", 1)
+    assert (witness["normalizer_over_centralizer"], witness["commutator_order"],
+            witness["central_part_order"]) == (2, 3, 1)
+    assert witness["case1_self_centralizing_normal"] is False
+    assert witness["case2_almost_simple_times_3group"] is True
+    assert (witness["case2_witness"]["A_order"], witness["case2_witness"]["B_order"]) == (168, 1)
