@@ -19,10 +19,13 @@ group each element is its own class with no walk.  It makes one
 ``Permutation`` per class, its representative, and keeps each class as a
 light record (``ConjClass``, a named tuple); a class product C_i * C_j
 fixes the class representative x as left factor and reads x * y for every
-y of the smaller class through x's table.  A class's element order is its
-representative's (``Permutation.order``, the lcm of its cycle lengths),
-and the primes of element orders are read
-from ``ClassTable.primes``.
+y of the smaller class through x's table.  Element orders come from power
+walks: the classes are walked in order, and each one that no earlier walk
+reached walks the powers of its representative x through x's table until
+they return to the identity.  That gives |x| = m, and x^e has order
+m / gcd(e, m), so the walk also gives the order of every class it reaches.
+The walk is kept as the class's power map (``ClassTable.power_map``).  The
+primes of element orders are read from ``ClassTable.primes``.
 """
 
 from math import gcd
@@ -80,11 +83,12 @@ class ClassTable:
     each row of supports is allocated on first use, so a table that only
     counts classes (k = |G| for an abelian group) holds no k x k matrix.
 
-    Closures, fusions and power maps are built once and cached; the class
-    counts of G/N are not, as the quotient suite reads each N once.  It
-    reads the G-classes inside N (``histogram(mask)``), a lower bound on the
-    classes of N, and the classes of G/N; an N that lower bound leaves open
-    is counted on its own class table:
+    Closures, fusions, power maps, normal cores and the bits of each prime
+    set are built once and cached; the class counts of G/N are not, as the
+    quotient suite reads each N once.  It reads the G-classes inside N
+    (``histogram(mask)``), a lower bound on the classes of N, and the
+    classes of G/N; an N that lower bound leaves open is counted on its own
+    class table:
 
     - ``closure(mask)``: the normal subgroup generated by a union S of
       classes.  Each class reached is multiplied by the classes of S only,
@@ -106,7 +110,9 @@ class ClassTable:
       x's power map.
     - ``power_map(i)``: the class power map of class i, entry e the class
       of rep_i^e for e < |rep_i|, one product per power through rep_i's
-      table, built on first use.  ``rational_class(i)`` reads from it the
+      table.  The walks that gave the class orders (``conjugacy_classes``)
+      are kept as the power maps of their classes; any other is built on
+      first use.  ``rational_class(i)`` reads from it the
       classes of rep_i^e for e coprime to |rep_i| (Holt, Eick and O'Brien,
       *Handbook of Computational Group Theory*): their members generate
       conjugates of <rep_i>, so they all have one closure: the lattice
@@ -123,9 +129,10 @@ class ClassTable:
     The classes of each prime support are one bitset, built once: the
     histograms count inside them, and ``normal_core(primes)`` reads the
     classes allowed in the largest normal ``primes``-subgroup from them
-    (O_pi'(G), for the primes outside pi).  ``order(mask)`` sums the class
-    sizes of a bitset, so the lattice and the suites read the order of a
-    normal subgroup, |O_pi'(G)| among them, with no subgroup built.
+    (O_pi'(G), for the primes outside pi), once per bitmask of primes.
+    ``order(mask)`` sums the class sizes of a bitset, so the lattice and
+    the suites read the order of a normal subgroup, |O_pi'(G)| among them,
+    with no subgroup built.
 
     A subgroup is normal exactly when it is a union of classes, so
     ``normal_mask(key)`` is the one lookup from an element set to a class
@@ -136,7 +143,7 @@ class ClassTable:
     """
 
     def __init__(self, group: PermGroup, classes, members: list[list[Images]],
-                 index_of: dict[Images, int]):
+                 index_of: dict[Images, int], power_maps: dict[int, list[int]]):
         self.group = group
         self.classes: tuple[ConjClass, ...] = tuple(classes)
         self._sizes = tuple(c.size for c in self.classes)
@@ -152,8 +159,10 @@ class ClassTable:
         self._supports: dict[int, list[int | None]] = {}
         self._closures: dict[int, int] = {}
         self._fusions: dict[int, list[int]] = {}
-        self._power_maps: dict[int, list[int]] = {}
+        self._power_maps = power_maps
         self._prime_supports: dict[int, int] = {}  # element order -> its support
+        self._pi_bits: dict[frozenset[int], int] = {}
+        self._cores: dict[int, tuple[int, tuple[int, ...]]] = {}  # pi_bits -> normal_core
         self._support_masks: dict[int, int] | None = None  # support -> its classes
         self._histogram: dict[int, int] | None = None
         self.normal_masks: dict[frozenset[Images], int] = {}
@@ -305,8 +314,14 @@ class ClassTable:
 
     def pi_bits(self, pi) -> int:
         """Bitmask of the primes of |G| that lie in ``pi``; a prime outside
-        |G| divides no element order, so it has no bit."""
-        return sum(1 << t for t, p in enumerate(self.primes) if p in pi)
+        |G| divides no element order, so it has no bit.  Memoised per
+        frozenset."""
+        pi = frozenset(pi)
+        bits = self._pi_bits.get(pi)
+        if bits is None:
+            bits = self._pi_bits[pi] = sum(
+                1 << t for t, p in enumerate(self.primes) if p in pi)
+        return bits
 
     def _masks_by_support(self) -> dict[int, int]:
         """Prime support -> bitset of the classes with that support, in order
@@ -333,10 +348,10 @@ class ClassTable:
         return {support: (classes & mask).bit_count()
                 for support, classes in self._masks_by_support().items() if classes & mask}
 
-    def normal_core(self, primes) -> tuple[int, list[int]]:
+    def normal_core(self, primes) -> tuple[int, tuple[int, ...]]:
         """The largest normal subgroup whose order has only primes in
         ``primes``, as its class bitset, and the classes picked to generate
-        it, ascending.
+        it, ascending.  Cached per bitmask of ``primes`` (``pi_bits``).
 
         A group is a ``primes``-group exactly when all its elements are
         ``primes``-elements, so the core lies in the allowed classes: those
@@ -349,6 +364,9 @@ class ClassTable:
         classes has that closure, so it is skipped too.  O_pi'(G) is the
         core of the primes of |G| outside pi."""
         bits = self.pi_bits(primes)
+        core = self._cores.get(bits)
+        if core is not None:
+            return core
         allowed = 0
         for support, classes in self._masks_by_support().items():
             if not support & ~bits:
@@ -365,7 +383,8 @@ class ClassTable:
                 covered |= mask
             else:
                 rejected |= self.rational_class(i)
-        return covered, picked
+        core = self._cores[bits] = covered, tuple(picked)
+        return core
 
     def quotient_histogram(self, normal: int) -> dict[int, int]:
         """Prime support of the element order in G/N -> number of classes of
@@ -388,16 +407,12 @@ class ClassTable:
         """The class power map of class i: entry e is the class of rep_i ** e,
         for 0 <= e < |rep_i|.  Each power is one product through rep_i's
         table, starting from the identity (class 0: its images are the least
-        of all).  Built on first use."""
+        of all).  Kept from ``conjugacy_classes`` when its order walk made
+        it, else built on first use."""
         powers = self._power_maps.get(i)
         if powers is None:
-            index_of = self._index_of
-            times_rep = left_multiplier(self.classes[i].rep.images)
-            power = self.classes[0].rep.images
-            powers = self._power_maps[i] = []
-            for _ in range(self.classes[i].order):
-                powers.append(index_of[power])
-                power = times_rep(power)
+            powers = self._power_maps[i] = _power_walk(
+                self.classes[i].rep.images, self.classes[0].rep.images, self._index_of)
         return powers
 
     def rational_class(self, i: int) -> int:
@@ -414,6 +429,19 @@ class ClassTable:
         return [im for i in _bits(mask) for im in self.members[i]]
 
 
+def _power_walk(rep: Images, ident: Images, index_of: dict[Images, int]) -> list[int]:
+    """The classes of rep^0, rep^1, ... up to the last power before the
+    identity comes back, each power one product through rep's table: the
+    class power map of rep, whose length is |rep|."""
+    times_rep = left_multiplier(rep)
+    powers = [index_of[ident]]
+    power = times_rep(ident)
+    while power != ident:
+        powers.append(index_of[power])
+        power = times_rep(power)
+    return powers
+
+
 def conjugacy_classes(group: PermGroup) -> ClassTable:
     """The class table of the group, by a conjugation-orbit sweep over the
     group's images list (``perm.conjugation_orbits``).
@@ -422,7 +450,11 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     orbit is explored breadth-first with generators in list order and kept as
     its class's member list, and classes are numbered by their least images.
     The sweep's dict from images to orbit numbers, renumbered, is the
-    table's index of classes.  The result is cached on the group.
+    table's index of classes.  Class orders come from power walks
+    (``_power_walk``), one for each class, in class order, whose order no
+    earlier walk gave: a walk of length m gives the class of its e-th power
+    the order m / gcd(e, m), and it is kept as the walked class's power map.
+    The result is cached on the group.
     """
     cached = group.cache.get("class_table")
     if cached is not None:
@@ -432,13 +464,21 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     least = [min(orbit) for orbit in orbits]
     ranked = sorted(range(len(orbits)), key=least.__getitem__)
     rank = [0] * len(orbits)
-    classes = []
     for r, i in enumerate(ranked):
         rank[i] = r
-        rep = Permutation._make(least[i])
-        classes.append(ConjClass(rep, len(orbits[i]), rep.order()))
-    table = ClassTable(group, classes, [orbits[i] for i in ranked],
-                       {im: rank[i] for im, i in index_of.items()})
+    index_of = {im: rank[i] for im, i in index_of.items()}
+    ident = least[ranked[0]]
+    orders = [0] * len(orbits)
+    power_maps = {}
+    for r, i in enumerate(ranked):
+        if not orders[r]:
+            powers = power_maps[r] = _power_walk(least[i], ident, index_of)
+            m = len(powers)
+            for e, c in enumerate(powers):
+                orders[c] = m // gcd(e, m)
+    classes = [ConjClass(Permutation._make(least[i]), len(orbits[i]), orders[r])
+               for r, i in enumerate(ranked)]
+    table = ClassTable(group, classes, [orbits[i] for i in ranked], index_of, power_maps)
     group.cache["class_table"] = table
     return table
 
@@ -453,5 +493,5 @@ def k_pi(group: PermGroup, pi) -> int:
 def all_d_p_one(group: PermGroup, pi) -> bool:
     """True when k_p(G) = |G|_p, that is d_p(G) = 1, for every p in pi
     dividing |G|."""
-    return all(k_pi(group, [p]) == pi_part(group.order, frozenset([p]))
-               for p in sorted(validate_pi(pi)) if group.order % p == 0)
+    singles = [frozenset([p]) for p in sorted(validate_pi(pi)) if group.order % p == 0]
+    return all(k_pi(group, p) == pi_part(group.order, p) for p in singles)

@@ -66,9 +66,18 @@ def is_pi_number(n: int, pi: frozenset[int]) -> bool:
 MAX_PRIME = 2**31 - 1
 
 
+# the prime sets that passed ``validate_pi``
+_VALID_PI: set[frozenset[int]] = set()
+_INT = frozenset([int])
+
+
 def validate_pi(pi) -> frozenset[int]:
     """Normalize a prime-set argument, rejecting non-primes, primes above
-    ``MAX_PRIME`` and duplicates by construction."""
+    ``MAX_PRIME`` and duplicates by construction.  A frozenset of ints
+    equal to one that passed before is returned unchecked (only ints:
+    {2.0} == {2} as well)."""
+    if type(pi) is frozenset and pi in _VALID_PI and _INT.issuperset(map(type, pi)):
+        return pi
     try:
         out = frozenset(pi)
     except TypeError:  # not iterable, or holds unhashable items
@@ -80,4 +89,5 @@ def validate_pi(pi) -> frozenset[int]:
             raise InvalidInputError(f"prime too large: {p} (the limit is {MAX_PRIME})")
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInputError(f"not a prime: {p!r}")
+    _VALID_PI.add(out)
     return out

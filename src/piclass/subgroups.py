@@ -13,7 +13,8 @@ normal closures, Sylow growth, greedy generating sets, stabilizers) get
 their sets by coset closure
 (``_extender``, which builds a subgroup's element list and generator
 tables once for all the elements it is extended by: the enumeration
-builds one per class representative); normal closures and Sylow growth
+builds one per class representative it closes at, and closes no step
+inside a seen overgroup of prime index); normal closures and Sylow growth
 carry the element set and the generator images while they grow, and make
 one ``PermGroup`` when they return.  Elements are handled as images:
 membership is a set lookup, the walks read a group's cached images list
@@ -409,6 +410,7 @@ def quotient(group: PermGroup, kernel: PermGroup,
     """Coset action of G on G/N; fails rather than seeking a smaller action.
     The kernel's normality is read from the class table of G
     (``ClassTable.normal_mask``)."""
+    _check_degree(group, kernel)
     if conjugacy_classes(group).normal_mask(kernel.element_set()) is None:
         raise PreconditionError("kernel is not normal in the group")
     index = group.order // kernel.order
@@ -642,7 +644,7 @@ def _normal_core(group: PermGroup, primes) -> PermGroup:
 def o_pi_prime(group: PermGroup, pi) -> PermGroup:
     """O_{pi'}(G), the largest normal pi'-subgroup."""
     pi = validate_pi(pi)
-    return _normal_core(group, frozenset(prime_factors(group.order)) - pi)
+    return _normal_core(group, frozenset(conjugacy_classes(group).primes) - pi)
 
 
 def o_pi_prime_order(group: PermGroup, pi) -> int:
@@ -650,7 +652,7 @@ def o_pi_prime_order(group: PermGroup, pi) -> int:
     ``ClassTable.normal_core`` picks, with no subgroup built."""
     pi = validate_pi(pi)
     table = conjugacy_classes(group)
-    return table.order(table.normal_core(frozenset(prime_factors(group.order)) - pi)[0])
+    return table.order(table.normal_core(frozenset(table.primes) - pi)[0])
 
 
 def fitting_subgroup(group: PermGroup) -> PermGroup:
@@ -751,6 +753,16 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     conjugate to a representative R = H^g, then <H, y>^g = <R, y^g> is a
     prime step of R, and induction on the chain reaches K's class.
 
+    A step y lying in a seen K with |K : H| prime and H inside K is never
+    closed.  By Lagrange's theorem the order of a subgroup between H and K
+    is a multiple of |H| dividing q|H|, so it is H or K: H is maximal in
+    K, and <H, y> = K for every y in K outside H, a class already found.
+    Each base first covers the elements of every seen K of prime index
+    that holds H (a test on H's generators), and a new class of prime
+    index over H covers each of its conjugates that holds H, read from the
+    orbit that marks them seen.  A base equal to G has no steps, and a base
+    whose steps are all covered builds no ``_extender``.
+
     After each closure, later steps y with <H, y> = K are skipped:
     (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
     (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
@@ -787,19 +799,35 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     allowed = [not table.prime_support(n) & outside for n in orders]
     found = [trivial_subgroup(group)]
     seen = set(conjugates(group, found[0].element_set()))  # every conjugate of each class found
+    by_order = {1: list(seen)}  # the sets in seen, by order
     for base in found:
         base_set = base.element_set()
+        if len(base_set) == group.order:
+            continue
         gens = [g for g in base.generators if not g.is_identity()]
-        extend = _extender(base_set, [g.images for g in gens])  # once per base
+        gen_images = [g.images for g in gens]
+        covered: set[Images] = set()
+
+        def cover_overgroups(keys):
+            """Cover each K of ``keys`` that holds H: H is maximal in it."""
+            for key in keys:
+                if all(g in key for g in gen_images):
+                    covered.update(key)
+
+        for q in primes:
+            cover_overgroups(by_order.get(q * len(base_set), ()))
+        extend = None  # built when the first closure needs it, once per base
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = None  # built when case (b) first needs them
-        covered: set[Images] = set()
         for i in steps:
             xim, n = elements[i], orders[i]
             if xim in base_set or xim in covered:
                 continue
+            if extend is None:
+                extend = _extender(base_set, gen_images)
             extended = extend(xim)
-            if len(extended) // len(base_set) in primes:  # H is maximal in <H, x>
+            maximal = len(extended) // len(base_set) in primes
+            if maximal:  # H is maximal in <H, x>
                 covered.update(extended)
             else:  # the double cosets H x^k H, k coprime to |x|
                 if base_pairs is None:
@@ -814,6 +842,10 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
                     power = times_x(power)
             if extended not in seen and not table.prime_support(len(extended)) & outside:
                 found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
-                seen.update(conjugates(group, extended))
+                orbit = conjugates(group, extended)
+                seen.update(orbit)
+                by_order.setdefault(len(extended), []).extend(orbit)
+                if maximal:
+                    cover_overgroups(orbit)
     found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set()))))
     return found

@@ -57,6 +57,16 @@ def test_representative_is_lex_least(named):
         assert rep.images <= e.images
 
 
+def test_normal_core_is_cached_per_prime_set(named):
+    """O_2(S4) = V4 is walked once: a second call, with the primes as a
+    list, returns the same tuple."""
+    table = conjugacy_classes(named("S4"))
+    core = table.normal_core(frozenset([2]))
+    assert isinstance(core, tuple) and isinstance(core[1], tuple)
+    assert table.order(core[0]) == 4
+    assert table.normal_core([2]) is core
+
+
 def test_class_of_rejects_outsiders(named):
     with pytest.raises(NotInGroupError):
         conjugacy_classes(named("A4")).class_of(parse_cycle_text("(0 1)", 4))

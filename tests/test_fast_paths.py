@@ -452,7 +452,7 @@ FAST_PATHS = (
         home="test_class_equation_and_partition_oracle"),
     Row(subgroups.centralizer_of_element, oracles.brute_centralizer, ("SMALL",),
         sampled_centralizers, home="test_centralizer_schreier_vs_brute"),
-    Row(ClassTable.power_map, oracles.power_classes, ("CENSUS",), power_maps,
+    Row(ClassTable.power_map, oracles.power_classes, ("CENSUS", "DATA", "WIDE"), power_maps,
         home="test_power_maps_match_powers_on_the_census"),
     Row(ClassTable.rational_class, oracles.rational_class_by_powers, ("CENSUS",),
         rational_classes, home="test_power_maps_match_powers_on_the_census"),

@@ -52,6 +52,16 @@ def test_validate_pi_rejects_junk():
     assert validate_pi([3, 2]) == frozenset([2, 3])
 
 
+def test_validate_pi_memo_admits_only_sets_that_passed():
+    """Once {2} has passed, an equal frozenset of ints is returned unchecked,
+    and nothing else gets through: not {4}, not [2, 4], not {2.0}."""
+    assert validate_pi(frozenset([2])) == frozenset([2])
+    assert validate_pi(frozenset([2])) == frozenset([2])
+    for junk in (frozenset([4]), [2, 4], frozenset([2.0])):
+        with pytest.raises(InvalidInputError, match="not a prime"):
+            validate_pi(junk)
+
+
 def test_validate_pi_refuses_primes_above_the_limit():
     assert validate_pi([MAX_PRIME]) == frozenset([MAX_PRIME])  # 2**31 - 1 is prime
     with pytest.raises(InvalidInputError, match="prime too large"):

@@ -221,11 +221,12 @@ def test_a_seed_of_another_degree_is_rejected_up_front(call):
 def test_a_subgroup_of_another_degree_is_rejected(named):
     """S3 on 3 points is no subgroup of S4 on 4: each query that takes a
     subgroup raises ``DegreeMismatchError``, where the normalizer raised a
-    raw ``ValueError`` and the others answered as if it were trivial."""
+    raw ``ValueError``, the quotient ``NotInGroupError`` and the others
+    answered as if it were trivial."""
     s4, s3 = named("S4"), named("S3")
     for query in (lambda: normalizer(s4, s3), lambda: centralizer_of_subgroup(s4, s3),
                   lambda: are_conjugate_subgroups(s4, s3, s3),
-                  lambda: subgroup_intersection(s4, s3, s4)):
+                  lambda: subgroup_intersection(s4, s3, s4), lambda: quotient(s4, s3)):
         with pytest.raises(DegreeMismatchError):
             query()
 
@@ -1042,7 +1043,7 @@ def test_subgroup_enumeration_survives_relabelling(name, named):
 
 def _recording_extender(monkeypatch, record):
     """Wrap ``subgroups._extender`` so that every closure <H, x> it makes
-    calls ``record(element set of H, x)`` first."""
+    calls ``record(element set of H, x, element set of <H, x>)``."""
     import piclass.subgroups
 
     extender = piclass.subgroups._extender
@@ -1051,8 +1052,9 @@ def _recording_extender(monkeypatch, record):
         extend = extender(elements, gens)
 
         def extend_recorded(x):
-            record(elements, x)
-            return extend(x)
+            closure = extend(x)
+            record(elements, x, closure)
+            return closure
 
         return extend_recorded
 
@@ -1061,12 +1063,28 @@ def _recording_extender(monkeypatch, record):
 
 def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
     closures = []
-    _recording_extender(monkeypatch, lambda elements, x: closures.append(1))
+    _recording_extender(monkeypatch, lambda elements, x, closure: closures.append(1))
     g = build(parse_name("C12 x C6"))  # fresh: no cached classes
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
     # the H-orbit skip over every element alone makes 2,862 closures here,
-    # with the double-coset rules 274, and over prime steps only 130
-    assert 0 < len(closures) <= 200
+    # with the double-coset rules 274, over prime steps only 130, and with
+    # the seen overgroups of prime index covered 47
+    assert 0 < len(closures) <= 60
+
+
+def test_every_closure_of_an_abelian_sweep_finds_a_new_class(monkeypatch):
+    """In C12 x C6 each subgroup is its own class.  Every x in a seen K of
+    prime index over H gives <H, x> = K, and the sweep covers those K, so
+    for every pi each closure it makes is a class not seen before: one
+    closure per class but the trivial one."""
+    g = build(parse_name("C12 x C6"))  # fresh: no cached classes
+    closures = []
+    _recording_extender(monkeypatch, lambda elements, x, closure: closures.append(closure))
+    for pi in [None, *_nonempty_subsets(group_primes(g))]:
+        closures.clear()
+        found = enumerate_subgroups_up_to_conjugacy(g, pi=pi)
+        assert len(closures) == len(found) - 1, pi
+        assert set(closures) == {h.element_set() for h in found[1:]}, pi
 
 
 @pytest.mark.parametrize("name", ["C12 x C6", "S4 x S3"])
@@ -1075,7 +1093,8 @@ def test_enumeration_extends_by_prime_steps_only(name, monkeypatch):
     prime step: x^q lies in H for a prime q dividing |x|."""
     g = build(parse_name(name))
     steps = []
-    _recording_extender(monkeypatch, lambda elements, x: steps.append((elements, Permutation(x))))
+    _recording_extender(monkeypatch,
+                        lambda elements, x, closure: steps.append((elements, Permutation(x))))
     for pi in [None, *_nonempty_subsets(group_primes(g))]:
         enumerate_subgroups_up_to_conjugacy(g, pi=pi)
     assert steps
