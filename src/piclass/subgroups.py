@@ -28,7 +28,7 @@ what it keeps (``_reduced_subgroup``).  No Schreier tree is walked here;
 the tree serves the stabilizer chain alone.  The conjugates of a subgroup
 need no transversal: they are a plain orbit walk of its element set
 (``perm.conjugation_set_orbit``) under the generators that are not
-central.  Sylow growth builds no normalizer: it tests each element of
+central, cached on the group under each set of the orbit.  Sylow growth builds no normalizer: it tests each element of
 G against the generators of the subgroup so far, and its later walks drop
 the elements that failed for good.  Normal-subgroup queries (the lattice,
 O_pi', the Fitting subgroup, the socle) close class bitsets over the class
@@ -189,10 +189,19 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     is ``key``.  A normal subgroup (``ClassTable.normal_mask``) is its own
     one conjugate and walks no orbit; for any other the set is the orbit of
     ``key`` under conjugation by the generators that are not central
-    (``perm.conjugation_set_orbit``, with no transversal)."""
-    if conjugacy_classes(group).normal_mask(key) is not None:
-        return {key}
-    return conjugation_set_orbit(key, group.moving_pairs())
+    (``perm.conjugation_set_orbit``, with no transversal).  Each orbit is
+    cached on the group under every set in it, so a class of subgroups is
+    walked once: the main suite reads the orbit of its Hall subgroup from
+    the subgroup-class sweep."""
+    orbits = group.cache.setdefault("conjugates", {})
+    orbit = orbits.get(key)
+    if orbit is None:
+        if conjugacy_classes(group).normal_mask(key) is not None:
+            orbit = {key}
+        else:
+            orbit = conjugation_set_orbit(key, group.moving_pairs())
+        orbits.update(dict.fromkeys(orbit, orbit))
+    return orbit
 
 
 def _centralizer(group: PermGroup, xs: list[Images]) -> PermGroup:
@@ -806,12 +815,12 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
             continue
         gens = [g for g in base.generators if not g.is_identity()]
         gen_images = [g.images for g in gens]
-        covered: set[Images] = set()
+        covered = set(base_set)  # x with <H, x> known: H, or a closure made or seen
 
         def cover_overgroups(keys):
             """Cover each K of ``keys`` that holds H: H is maximal in it."""
             for key in keys:
-                if all(g in key for g in gen_images):
+                if key.issuperset(gen_images):
                     covered.update(key)
 
         for q in primes:
@@ -821,7 +830,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
         base_pairs = None  # built when case (b) first needs them
         for i in steps:
             xim, n = elements[i], orders[i]
-            if xim in base_set or xim in covered:
+            if xim in covered:
                 continue
             if extend is None:
                 extend = _extender(base_set, gen_images)
