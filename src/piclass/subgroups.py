@@ -28,11 +28,12 @@ what it keeps (``_reduced_subgroup``).  No Schreier tree is walked here;
 the tree serves the stabilizer chain alone.  The conjugates of a subgroup
 need no transversal: they are a plain orbit walk of its element set
 (``perm.conjugation_set_orbit``) under the generators that are not
-central, cached on the group under each set of the orbit.  Sylow growth builds no normalizer: it tests each element of
-G against the generators of the subgroup so far, and its later walks drop
-the elements that failed for good.  Normal-subgroup queries (the lattice,
-O_pi', the Fitting subgroup, the socle) close class bitsets over the class
-table of G (``classes.ClassTable``), and their element sets are read from
+central, cached on the group under each set of the orbit.  Sylow growth
+builds no normalizer: it tests each element of G against the generators
+of the subgroup so far, and its later walks drop the elements that failed
+for good.  Normal-subgroup queries (the lattice, O_pi', the Fitting
+subgroup, the socle) close class bitsets over the class table of G
+(``classes.ClassTable``), and their element sets are read from
 those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks,
 and its order is the sum of their sizes (``o_pi_prime_order``).  A
 join N * M is the union of the fusion blocks of N (the classes of G/N,
