@@ -454,12 +454,11 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
     (``_power_walk``), one for each class, in class order, whose order no
     earlier walk gave: a walk of length m gives the class of its e-th power
     the order m / gcd(e, m), and it is kept as the walked class's power map.
-    The result is cached on the group.
     """
-    cached = group.cache.get("class_table")
-    if cached is not None:
-        return cached
+    return group.cached("class_table", _class_table, group)
 
+
+def _class_table(group: PermGroup) -> ClassTable:
     orbits, index_of = conjugation_orbits(group._element_images(), group.moving_pairs())
     least = [min(orbit) for orbit in orbits]
     ranked = sorted(range(len(orbits)), key=least.__getitem__)
@@ -478,9 +477,7 @@ def conjugacy_classes(group: PermGroup) -> ClassTable:
                 orders[c] = m // gcd(e, m)
     classes = [ConjClass(Permutation._make(least[i]), len(orbits[i]), orders[r])
                for r, i in enumerate(ranked)]
-    table = ClassTable(group, classes, [orbits[i] for i in ranked], index_of, power_maps)
-    group.cache["class_table"] = table
-    return table
+    return ClassTable(group, classes, [orbits[i] for i in ranked], index_of, power_maps)
 
 
 def k_pi(group: PermGroup, pi) -> int:

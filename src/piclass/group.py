@@ -9,7 +9,7 @@ list therefore produce identical chains, identical element enumeration order,
 and identical random-element streams for a fixed seed.  Inside the library
 an element is its images (``Permutation.images``: bytes up to degree 256,
 int tuples above), and every product of them goes through the kernel in
-``perm``.  Each group caches one list of its element images
+``perm``.  Each group keeps one list of its element images
 (``_element_images``): chain order for a group given by generators, sorted
 image order for one built with its element set (every subgroup), which
 answers order and membership from the set and builds no chain.  A
@@ -32,7 +32,7 @@ elements compose them as images.
 """
 
 import random
-from itertools import combinations
+from itertools import compress
 from math import prod
 
 from .errors import DegreeMismatchError
@@ -113,6 +113,23 @@ class PermGroup:
         self._element_set: frozenset[Images] | None = elements
         self._order: int | None = None if elements is None else len(elements)
         self.cache: dict = {}
+
+    def cached(self, key, build, *args):
+        """``build(*args)``, built on the first call for ``key`` and kept in
+        ``self.cache``: the one place the library keeps what it derives from
+        a group.  Pass the builder and its arguments, not a closure, so a
+        hit makes no function object.  Keys by module: ``group``
+        ``"elements"``, ``"conjugation_pairs"``, ``"moving_pairs"``;
+        ``classes`` ``"class_table"``; ``invariants`` ``("d_pi", pi)``;
+        ``subgroups`` ``"conjugates"`` (one dict: each orbit under every set
+        in it), ``"normal_lattice"``, ``"normal_subgroups"``,
+        ``("sylow_subgroup", p)``, ``"sorted_images"``, ``("hall_search", pi,
+        budget, subgroup_cap, seed)``, ``"prime_roots"`` and
+        ``("subgroup_classes", pi)``, pi None for all subgroups.  Every pi in
+        a key is validated."""
+        if key not in self.cache:
+            self.cache[key] = build(*args)
+        return self.cache[key]
 
     # -- stabilizer chain ------------------------------------------------
 
@@ -246,14 +263,12 @@ class PermGroup:
         yield from map(Permutation._make, self._element_images())
 
     def _element_images(self) -> list[Images]:
-        """All elements as images, cached under ``"elements"``: the given
-        element set in sorted image order, otherwise in the chain's order.
-        The library reads elements from this list."""
-        images = self.cache.get("elements")
-        if images is None:
-            images = self.cache["elements"] = (
-                self._chain_images() if self._element_set is None else sorted(self._element_set))
-        return images
+        """All elements as images: the given element set in sorted image
+        order, otherwise in the chain's order (kept when ``element_set``
+        reads it).  The library reads elements from this list."""
+        if self._element_set is None:
+            return self.cached("elements", self._chain_images)
+        return self.cached("elements", sorted, self._element_set)
 
     def element_list(self) -> list[Permutation]:
         """All elements, in the order of ``_element_images``."""
@@ -268,25 +283,22 @@ class PermGroup:
 
     def conjugation_pairs(self) -> list[tuple[Images, Images]]:
         """The conjugation pair of each generator, in list order
-        (``perm.conjugation_pairs``), cached: each generator is inverted
-        once per group."""
-        pairs = self.cache.get("conjugation_pairs")
-        if pairs is None:
-            pairs = self.cache["conjugation_pairs"] = conjugation_pairs(self.generators)
-        return pairs
+        (``perm.conjugation_pairs``): each generator is inverted once per
+        group."""
+        return self.cached("conjugation_pairs", conjugation_pairs, self.generators)
 
     def moving_pairs(self) -> list[tuple[Images, Images]]:
         """The conjugation pairs of the generators that do not commute with
-        every generator, in list order, cached.  The others are central, so
+        every generator, in list order.  The others are central, so
         conjugating by them fixes every element and every element set: the
-        class sweep and the conjugates of a subgroup walk these alone."""
-        pairs = self.cache.get("moving_pairs")
-        if pairs is None:
-            gens = [g.images for g in self.generators]
-            pairs = self.cache["moving_pairs"] = [
-                pair for a, pair in zip(gens, self.conjugation_pairs())
-                if any(compose_images(a, b) != compose_images(b, a) for b in gens)]
-        return pairs
+        class sweep and the conjugates of a subgroup walk these alone.  An
+        abelian group, empty here (``is_abelian``), builds no pairs."""
+        return self.cached("moving_pairs", self._moving_pairs)
+
+    def _moving_pairs(self) -> list[tuple[Images, Images]]:
+        gens = [g.images for g in self.generators]
+        moving = [any(compose_images(a, b) != compose_images(b, a) for b in gens) for a in gens]
+        return list(compress(self.conjugation_pairs(), moving)) if any(moving) else []
 
     def random_element(self, rng: random.Random) -> Permutation:
         """Uniformly random element: independent uniform picks, one per level."""
@@ -297,8 +309,8 @@ class PermGroup:
         return Permutation._make(g)
 
     def is_abelian(self) -> bool:
-        gens = [g.images for g in self.generators]
-        return all(compose_images(a, b) == compose_images(b, a) for a, b in combinations(gens, 2))
+        """Abelian exactly when every generator commutes with every other."""
+        return not self.moving_pairs()
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)})"

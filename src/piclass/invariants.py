@@ -44,17 +44,15 @@ def group_primes(group: PermGroup) -> frozenset[int]:
 
 def d_pi(group: PermGroup, pi) -> PiProfile:
     """The exact profile (k_pi, |G|_pi, their quotient) for one prime set,
-    cached on the group per pi: the suites ask for the same profiles.  A pi
-    given as a frozenset is looked up before it is validated; only
-    validated sets are stored."""
-    profile = group.cache.get(("d_pi", pi)) if isinstance(pi, frozenset) else None
-    if profile is None:
-        pi = validate_pi(pi)
-        k = k_pi(group, pi)
-        opi = pi_part(group.order, pi)
-        profile = group.cache["d_pi", pi] = PiProfile(
-            pi=pi, k_pi=k, order_pi=opi, d_pi=Fraction(k, opi))
-    return profile
+    kept per group and pi: the suites ask for the same profiles."""
+    pi = validate_pi(pi)
+    return group.cached(("d_pi", pi), _profile, group, pi)
+
+
+def _profile(group: PermGroup, pi: frozenset[int]) -> PiProfile:
+    k = k_pi(group, pi)
+    opi = pi_part(group.order, pi)
+    return PiProfile(pi=pi, k_pi=k, order_pi=opi, d_pi=Fraction(k, opi))
 
 
 def commuting_degree(group: PermGroup) -> Fraction:

@@ -50,9 +50,7 @@ cap is checked here: every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
 Searches that can fail distinguish three outcomes explicitly; in
 particular ``hall_search`` only ever reports nonexistence from its
-exhaustive tier.  The deterministic searches are cached on the group they
-search: ``sylow_subgroup`` per prime, ``hall_search`` per (pi, budget,
-subgroup_cap, seed) and subgroup-class enumeration per pi.
+exhaustive tier.
 """
 
 import math
@@ -194,7 +192,7 @@ def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
     cached on the group under every set in it, so a class of subgroups is
     walked once: the main suite reads the orbit of its Hall subgroup from
     the subgroup-class sweep."""
-    orbits = group.cache.setdefault("conjugates", {})
+    orbits = group.cached("conjugates", dict)
     orbit = orbits.get(key)
     if orbit is None:
         if conjugacy_classes(group).normal_mask(key) is not None:
@@ -339,11 +337,12 @@ def normal_lattice(group: PermGroup) -> tuple[LatticeEntry, ...]:
     the union of the classes in mask_A ^ mask_B, and classes are numbered by
     their least images, so min(A ^ B) lies in the lowest-numbered of those
     classes, and that is the class at which the ascending class indices of
-    the two bitsets first differ.  Cached on the group.
+    the two bitsets first differ.
     """
-    cached = group.cache.get("normal_lattice")
-    if cached is not None:
-        return cached
+    return group.cached("normal_lattice", _normal_lattice, group)
+
+
+def _normal_lattice(group: PermGroup) -> tuple[LatticeEntry, ...]:
     table = conjugacy_classes(group)
     order = table.order
     found: dict[int, LatticeEntry] = {}
@@ -366,9 +365,7 @@ def normal_lattice(group: PermGroup) -> tuple[LatticeEntry, ...]:
             if joined not in found:
                 found[joined] = LatticeEntry(joined, order(joined), parts=(current, other))
                 queue.append(joined)
-    lattice = tuple(sorted(found.values(), key=lambda e: (e.order, tuple(_bits(e.mask)))))
-    group.cache["normal_lattice"] = lattice
-    return lattice
+    return tuple(sorted(found.values(), key=lambda e: (e.order, tuple(_bits(e.mask)))))
 
 
 def normal_subgroups(group: PermGroup) -> list[PermGroup]:
@@ -378,11 +375,12 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     class representative, whose walk stops once it reaches that set's size;
     a join's are those of its two parts, which are smaller and so built
     before it.  Each bitset is recorded in the table's ``normal_masks``
-    under its element set.  Cached on the group.
+    under its element set.
     """
-    cached = group.cache.get("normal_subgroups")
-    if cached is not None:
-        return cached
+    return group.cached("normal_subgroups", _normal_subgroups, group)
+
+
+def _normal_subgroups(group: PermGroup) -> list[PermGroup]:
     table = conjugacy_classes(group)
     built: dict[int, PermGroup] = {}
     for entry in normal_lattice(group):
@@ -394,9 +392,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
             sub = PermGroup(built[a].generators + built[b].generators, elements=elements)
         built[entry.mask] = sub
         table.normal_masks[elements] = entry.mask
-    result = list(built.values())
-    group.cache["normal_subgroups"] = result
-    return result
+    return list(built.values())
 
 
 @dataclass
@@ -473,15 +469,14 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     P only grows, so an element passed over because y or y^e lies in P
     fails every later step, and the later walks drop it; the rest keep
     their order.  G is sorted once per group, for every prime.
-    Deterministic, so it is cached on the group per p: the Hall search for
-    every pi and the Sylow 3-structure check share one Sylow subgroup per
-    prime.
+    Deterministic, so it is kept per group and p: the Hall search for every
+    pi and the Sylow 3-structure check share one Sylow subgroup per prime.
     """
     validate_pi([p])
-    cache_key = ("sylow_subgroup", p)
-    cached = group.cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return group.cached(("sylow_subgroup", p), _sylow_subgroup, group, p)
+
+
+def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     target = pi_part(group.order, frozenset([p]))
     # x^e is the p-part of each x in G: e = 1 mod |G|_p, e = 0 mod |G|_p'
     # agrees mod |x| with the exponent read from |x| (tests/oracles.py)
@@ -509,16 +504,12 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
             raise AssertionError("Sylow growth stalled below the target order")
         if len(members) == target:
             break
-        if len(pgens) == 1:  # the later steps walk G in sorted order
-            walk = group.cache.get("sorted_images")
-            if walk is None:  # sorted once per group, for every prime
-                walk = group.cache["sorted_images"] = sorted(group._element_images())
+        if len(pgens) == 1:  # the later steps walk G in sorted order, sorted once per group
+            walk = group.cached("sorted_images", sorted, group._element_images())
         else:  # drop what failed for good: y or y^e in P
             walk = waiting + walk[pos + 1:]
-    sylow = PermGroup([Permutation._make(g) for g in pgens] or [Permutation.identity(group.degree)],
-                      elements=members)
-    group.cache[cache_key] = sylow
-    return sylow
+    return PermGroup([Permutation._make(g) for g in pgens] or [Permutation.identity(group.degree)],
+                     elements=members)
 
 
 @dataclass(frozen=True)
@@ -546,17 +537,13 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     ``budget`` attempts.  Tier 2 enumerates pi-subgroups up to conjugacy and
     is the only tier allowed to conclude nonexistence.
 
-    The search is deterministic, so its outcome is cached on the group
-    under (pi, budget, subgroup_cap, seed): the checks that ask for the same
-    search on the same group run it once.  The Sylow subgroups come from
-    ``sylow_subgroup``'s cache, shared by every pi.
+    The search is deterministic, so its outcome is kept per group and (pi,
+    budget, subgroup_cap, seed): the checks that ask for the same search on
+    the same group run it once, and every pi reads ``sylow_subgroup``'s.
     """
     pi = validate_pi(pi)
-    cache_key = ("hall_search", pi, budget, subgroup_cap, seed)
-    outcome = group.cache.get(cache_key)
-    if outcome is None:
-        outcome = group.cache[cache_key] = _hall_search(group, pi, budget, subgroup_cap, seed)
-    return outcome
+    return group.cached(("hall_search", pi, budget, subgroup_cap, seed),
+                        _hall_search, group, pi, budget, subgroup_cap, seed)
 
 
 def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap: int,
@@ -713,28 +700,24 @@ def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
     the dict maps h's images to their positions, ascending.  Orders are
     read from the list of class orders through the table's index of
     classes, the primes dividing each order once per order, and the powers
-    of x through x's table.  Built once per group and cached, so every pi
-    shares it.
+    of x through x's table.  Built once per group, so every pi shares it.
     """
-    cached = group.cache.get("prime_roots")
-    if cached is None:
-        table = conjugacy_classes(group)
-        elements = group._element_images()
-        class_orders = [cls.order for cls in table.classes]
-        orders = [class_orders[c] for c in map(table._index_of.__getitem__, elements)]
-        primes_of = {n: [q for q in table.primes if n % q == 0] for n in set(orders)}
-        roots: dict[Images, list[int]] = {}
-        for i, x in enumerate(elements):
-            power = x
-            times_x = left_multiplier(x)
-            k = 1  # power is x^k
-            for q in primes_of[orders[i]]:
-                while k < q:
-                    power = times_x(power)
-                    k += 1
-                roots.setdefault(power, []).append(i)
-        cached = group.cache["prime_roots"] = (orders, roots)
-    return cached
+    table = conjugacy_classes(group)
+    elements = group._element_images()
+    class_orders = [cls.order for cls in table.classes]
+    orders = [class_orders[c] for c in map(table._index_of.__getitem__, elements)]
+    primes_of = {n: [q for q in table.primes if n % q == 0] for n in set(orders)}
+    roots: dict[Images, list[int]] = {}
+    for i, x in enumerate(elements):
+        power = x
+        times_x = left_multiplier(x)
+        k = 1  # power is x^k
+        for q in primes_of[orders[i]]:
+            while k < q:
+                power = times_x(power)
+                k += 1
+            roots.setdefault(power, []).append(i)
+    return orders, roots
 
 
 def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
@@ -752,8 +735,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     (``_prime_roots``).  With ``pi`` set, only pi-elements are steps and only
     pi-subgroups are kept (sound: every subgroup of a pi-group is again one,
     so chains never have to leave the pi-world); both tests read prime
-    supports from the class table (``ClassTable.prime_support``).  Results
-    are cached per (group, pi).
+    supports from the class table (``ClassTable.prime_support``).
 
     The sweep is exhaustive.  A subgroup K > H is generated by its elements
     of prime-power order, so one of them, x of order q^a, lies outside H;
@@ -791,11 +773,7 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
     pi = validate_pi(pi) if pi is not None else None
-    cache_key = ("subgroup_classes", pi)
-    cached = group.cache.get(cache_key)
-    if cached is None:
-        cached = group.cache[cache_key] = _enumerate(group, pi)
-    return cached
+    return group.cached(("subgroup_classes", pi), _enumerate, group, pi)
 
 
 def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
@@ -804,7 +782,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     table = conjugacy_classes(group)
     primes = table.primes  # a prime index |K : H| divides |G|
     elements = group._element_images()
-    orders, roots = _prime_roots(group)
+    orders, roots = group.cached("prime_roots", _prime_roots, group)
     outside = 0 if pi is None else ~table.pi_bits(pi)  # the supports' other primes
     allowed = [not table.prime_support(n) & outside for n in orders]
     found = [trivial_subgroup(group)]

@@ -12,6 +12,7 @@ the replay of a bundle all go through it.
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -518,10 +519,7 @@ def run_census_campaign(census_iter, suites, config: Config = DEFAULT_CONFIG,
         raise InvalidInputError(WORKERS_ERROR)
     suites = resolve_suites(suites)
     reports = [r for name, g in census_iter for r in run_group_suite(g, name, suites, config)]
-    summary: dict[str, int] = {}
-    for r in reports:
-        summary[r.status] = summary.get(r.status, 0) + 1
-    return CampaignResult(reports=reports, summary=summary)
+    return CampaignResult(reports=reports, summary=dict(Counter(r.status for r in reports)))
 
 
 # -- counterexample bundles ---------------------------------------------------

@@ -495,10 +495,11 @@ FAST_PATHS = (
     Row(subgroups.normal_closure, oracles.naive_closure, ("SMALL",), normal_closures),
     Row(subgroups.join_subgroups, oracles.naive_closure, ("SMALL",), subgroup_joins),
     Row(subgroups.commutator_subgroup, oracles.naive_closure, ("SMALL",), commutators),
-    # 657 census (group, prime) pairs, and 28 from tests/data: 3 for
-    # PSL(2,7), AGL(1,7), A5 and AGL(3,2), 4 for A7, S7, M11 and S8
+    # 657 census (group, prime) pairs, and 38 from tests/data: 2 for
+    # SL(2,3) and GL(2,3), 3 for PSL(2,7), AGL(1,7), A5, AGL(3,2), AGL(1,11)
+    # and AGL(1,13), 4 for A7, S7, M11 and S8
     Row(subgroups.sylow_subgroup, oracles.sylow_subgroup_by_normalizers, ("CENSUS", "DATA"),
-        sylow_growth, cases=657 + 28, home="test_sylow_growth_matches_the_normalizer_walk"),
+        sylow_growth, cases=657 + 38, home="test_sylow_growth_matches_the_normalizer_walk"),
     Row(subgroups.conjugates, oracles.orbit_transversal, ("CENSUS_72",), conjugate_orbits,
         home="test_conjugates_match_the_orbit_walk"),
     Row(subgroups.normalizer, oracles.schreier_stabilizer_by_products, ("CENSUS_72",),
@@ -602,7 +603,7 @@ def test_every_home_binds_its_walk():
 
 def test_group_sets_have_their_sizes():
     assert {name: len(names) for name, names in GROUP_SETS.items()} == {
-        "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 8,
+        "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 12,
         "WIDE": 1}
 
 

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from piclass import suite
-from piclass.catalog import build, census, census_specs, parse_name
+from piclass.catalog import build, census, census_specs, parse_group_file, parse_name
+from piclass.classes import conjugacy_classes
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
 from piclass.subgroups import enumerate_subgroups_up_to_conjugacy
@@ -183,7 +186,7 @@ def _c4_failing_the_quotient_bound(monkeypatch):
     """C4 and its N = C2, with the quotient histogram of N made to count the
     identity's class alone: k_2(G/N) = 1, and k_2(C4) = 4 > k_2(N) * 1 = 2.
     No census group fails the bound."""
-    from piclass.classes import ClassTable, conjugacy_classes
+    from piclass.classes import ClassTable
     from piclass.subgroups import normal_subgroups
 
     g = build(parse_name("C4"))
@@ -358,6 +361,22 @@ def test_status_taxonomy_total(named):
             assert r.status in STATUSES
             assert r.result_id
             assert isinstance(r.witness, dict)
+
+
+@pytest.mark.parametrize("filename, order, k", [
+    ("sl23.grp", 24, 7),
+    ("gl23.grp", 48, 8),
+    ("agl1_11.grp", 110, 11),
+    ("agl1_13.grp", 156, 13),
+])
+def test_linear_and_affine_group_files(filename, order, k):
+    """SL(2,3) and GL(2,3) on the nonzero vectors of F_3^2, AGL(1,11) and
+    AGL(1,13): their known orders and class counts, and no default suite
+    fails on them."""
+    g = parse_group_file((Path(__file__).parent / "data" / filename).read_text())
+    assert (g.order, conjugacy_classes(g).k) == (order, k)
+    statuses = {r.status for r in run_group_suite(g, filename, DEFAULT_SUITES)}
+    assert statuses <= {PASS, VACUOUS}, statuses
 
 
 def test_campaign_tiny_census_zero_fails():
