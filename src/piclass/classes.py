@@ -136,8 +136,8 @@ class ClassTable:
 
     A subgroup is normal exactly when it is a union of classes, so
     ``normal_mask(key)`` is the one lookup from an element set to a class
-    bitset and the one normality test: it sums the sizes of the classes
-    met.  ``normal_masks`` maps the element set of each normal subgroup met
+    bitset, and a normality test on the element set: it sums the sizes of
+    the classes met.  ``normal_masks`` maps the element set of each normal subgroup met
     so far to its bitset; the lattice fills it first, and ``normal_mask``
     adds every other normal subgroup it answers.
     """
@@ -225,14 +225,17 @@ class ClassTable:
             row[j] = self._row(j)[i] = met
         return met
 
-    def closure(self, mask: int) -> int:
+    def closure(self, mask: int, inside: int | None = None) -> int | None:
         """Smallest union of classes containing ``mask`` and closed under
         products: the normal subgroup the classes generate.  Each class
         reached is multiplied by the classes of ``mask`` only, and the walk
         stops as soon as the classes reached hold more than |G|/p elements,
         p the least prime of |G|: the order of the closure divides |G|, so
         it is then G.  The order reached is carried: each class adds its size
-        as it is pushed onto the walk.  Cached."""
+        as it is pushed onto the walk.  With the class set ``inside``, the
+        answer is None when the closure leaves it, and the walk stops at the
+        first class it reaches outside; only a closure inside is cached."""
+        stray = 0 if inside is None else ~inside
         closed = self._closures.get(mask)
         if closed is None:
             sizes = self._sizes
@@ -250,6 +253,8 @@ class ClassTable:
                         met = self._support(i, j)
                     new = met & ~closed
                     if new:
+                        if new & stray:
+                            return None
                         closed |= new
                         for c in _bits(new):
                             reached += sizes[c]
@@ -258,8 +263,9 @@ class ClassTable:
                             break
             if reached > lagrange:
                 closed = self.full
-            self._closures[mask] = closed
-        return closed
+            if not closed & stray:
+                self._closures[mask] = closed
+        return None if closed & stray else closed
 
     def fusion(self, normal: int) -> list[int]:
         """The classes of G/N, for the normal subgroup N with class set
@@ -357,9 +363,10 @@ class ClassTable:
         ``primes``-elements, so the core lies in the allowed classes: those
         whose prime support lies inside the bits of ``primes``, read from
         the class bitset of each support.  A class is picked when its
-        closure stays inside the allowed classes and no closure picked
-        before covers it; the closures picked cover exactly the classes of
-        the core, which holds every normal ``primes``-subgroup.  A class in
+        closure, walked with the allowed classes as its bound, stays inside
+        them and no closure picked before covers it; the closures picked
+        cover exactly the classes of the core, which holds every normal
+        ``primes``-subgroup.  A class in
         the rational class of a class whose closure left the allowed
         classes has that closure, so it is skipped too.  O_pi'(G) is the
         core of the primes of |G| outside pi."""
@@ -377,8 +384,8 @@ class ClassTable:
         for i in _bits(allowed):
             if (covered | rejected) >> i & 1:
                 continue
-            mask = self.closure(1 << i)
-            if mask & ~allowed == 0:
+            mask = self.closure(1 << i, allowed)
+            if mask is not None:
                 picked.append(i)
                 covered |= mask
             else:

@@ -296,6 +296,8 @@ class PermGroup:
         return self.cached("moving_pairs", self._moving_pairs)
 
     def _moving_pairs(self) -> list[tuple[Images, Images]]:
+        if len(self.generators) == 1:  # one generator commutes with itself
+            return []
         gens = [g.images for g in self.generators]
         moving = [any(compose_images(a, b) != compose_images(b, a) for b in gens) for a in gens]
         return list(compress(self.conjugation_pairs(), moving)) if any(moving) else []

@@ -66,18 +66,20 @@ def is_pi_number(n: int, pi: frozenset[int]) -> bool:
 MAX_PRIME = 2**31 - 1
 
 
-# the prime sets that passed ``validate_pi``
-_VALID_PI: set[frozenset[int]] = set()
+# each prime set that passed ``validate_pi``, mapped to itself
+_VALID_PI: dict[frozenset[int], frozenset[int]] = {}
 _INT = frozenset([int])
 
 
 def validate_pi(pi) -> frozenset[int]:
     """Normalize a prime-set argument, rejecting non-primes, primes above
-    ``MAX_PRIME`` and duplicates by construction.  A frozenset of ints
-    equal to one that passed before is returned unchecked (only ints:
-    {2.0} == {2} as well)."""
-    if type(pi) is frozenset and pi in _VALID_PI and _INT.issuperset(map(type, pi)):
-        return pi
+    ``MAX_PRIME`` and duplicates by construction.  Every set that passes is
+    kept, and the kept set is returned: passing it again returns at once,
+    and any other equal frozenset is returned after a scan of its types
+    (only ints: {2.0} == {2} as well)."""
+    known = _VALID_PI.get(pi) if type(pi) is frozenset else None
+    if known is not None and (known is pi or _INT.issuperset(map(type, pi))):
+        return known
     try:
         out = frozenset(pi)
     except TypeError:  # not iterable, or holds unhashable items
@@ -89,5 +91,4 @@ def validate_pi(pi) -> frozenset[int]:
             raise InvalidInputError(f"prime too large: {p} (the limit is {MAX_PRIME})")
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInputError(f"not a prime: {p!r}")
-    _VALID_PI.add(out)
-    return out
+    return _VALID_PI.setdefault(out, out)

@@ -13,8 +13,9 @@ normal closures, Sylow growth, greedy generating sets, stabilizers) get
 their sets by coset closure
 (``_extender``, which builds a subgroup's element list and generator
 tables once for all the elements it is extended by: the enumeration
-builds one per class representative it closes at, and closes no step
-inside a seen overgroup of prime index); normal closures and Sylow growth
+builds one per class representative it closes at, closes no step
+inside a seen overgroup of prime index, and stops a closure at its first
+element outside pi); normal closures and Sylow growth
 carry the element set and the generator images while they grow, and make
 one ``PermGroup`` when they return.  Elements are handled as images:
 membership is a set lookup, the walks read a group's cached images list
@@ -28,11 +29,13 @@ what it keeps (``_reduced_subgroup``).  No Schreier tree is walked here;
 the tree serves the stabilizer chain alone.  The conjugates of a subgroup
 need no transversal: they are a plain orbit walk of its element set
 (``perm.conjugation_set_orbit``) under the generators that are not
-central, cached on the group under each set of the orbit.  Sylow growth
+central, cached on the group under each set of the orbit; a subgroup
+they normalize (tested on its generators) walks none.  Sylow growth
 builds no normalizer: it tests each element of G against the generators
-of the subgroup so far, and its later walks drop the elements that failed
-for good.  Normal-subgroup queries (the lattice, O_pi', the Fitting
-subgroup, the socle) close class bitsets over the class table of G
+of the subgroup so far, reads element orders from G's class table, and
+its later walks drop the elements that failed for good.  Normal-subgroup
+queries (the lattice, O_pi', the Fitting subgroup, the socle) close
+class bitsets over the class table of G
 (``classes.ClassTable``), and their element sets are read from
 those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks,
 and its order is the sum of their sizes (``o_pi_prime_order``).  A
@@ -43,10 +46,10 @@ it holds more than |G|/p elements (p the least prime of |G|).  The
 lattice (``normal_lattice``) is a ranked list of bitsets and builds no
 subgroup; ``normal_subgroups`` makes one per entry, and its seed walks
 stop at the order their bitset gives.
-``ClassTable.normal_mask`` is the one normality test on a subgroup:
-``normal_subgroups`` fills its record, and the conjugates of a subgroup
-and the kernel of ``quotient`` are looked up through it.  No element
-cap is checked here: every group built is a subgroup of the one a run
+``ClassTable.normal_mask`` is the one lookup from an element set to a
+class bitset: ``normal_subgroups`` fills its record, and the kernel of
+``quotient`` is looked up through it.  No element cap is checked here:
+every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
 Searches that can fail distinguish three outcomes explicitly; in
 particular ``hall_search`` only ever reports nonexistence from its
@@ -109,12 +112,14 @@ def trivial_subgroup(parent: PermGroup) -> PermGroup:
     return _reduced_subgroup(parent, ())
 
 
-def _extender(elements, gens: list[Images]) -> Callable[[Images], frozenset[Images]]:
+def _extender(elements, gens: list[Images], outside=None) -> Callable[[Images], frozenset | None]:
     """The map x -> element set of <H, x>, for the subgroup H with this
     element set and these generators, all as images.  H's element list and
     the tables of its generators are built once, for every x.  An x of
     another degree than H raises ``DegreeMismatchError`` before the closure
-    starts, which would otherwise never end.
+    starts, which would otherwise never end.  With ``outside``, a set of
+    elements, the map gives None as soon as a new coset meets it: the
+    sweep stops a closure at its first element outside pi.
 
     Dimino's coset closure (Butler, Fundamental Algorithms for Permutation
     Groups, LNCS 559, 1991): the set is a union of left cosets r*H.  For each
@@ -140,7 +145,10 @@ def _extender(elements, gens: list[Images]) -> Callable[[Images], frozenset[Imag
             for times_s in steps:
                 y = times_s(r)
                 if y not in closure:
-                    closure.update(left_products(y, base))
+                    coset = left_products(y, base)
+                    if outside is not None and not outside.isdisjoint(coset):
+                        return None
+                    closure.update(coset)
                     reps.append(y)
         return frozenset(closure)
 
@@ -183,22 +191,25 @@ def _check_degree(group: PermGroup, *subs: PermGroup) -> None:
             raise DegreeMismatchError(f"subgroup degree {sub.degree} != group degree {group.degree}")
 
 
-def conjugates(group: PermGroup, key: frozenset) -> AbstractSet[frozenset]:
-    """The element sets of the conjugates of the subgroup whose element set
-    is ``key``.  A normal subgroup (``ClassTable.normal_mask``) is its own
-    one conjugate and walks no orbit; for any other the set is the orbit of
-    ``key`` under conjugation by the generators that are not central
+def conjugates(group: PermGroup, sub: PermGroup) -> AbstractSet[frozenset]:
+    """The element sets of the conjugates of the subgroup ``sub``.  It is
+    normal exactly when each moving pair of G (``PermGroup.moving_pairs``)
+    conjugates each of its generators into its element set; then it is its
+    own one conjugate and walks no orbit.  For any other the set is the
+    orbit of its element set under those pairs
     (``perm.conjugation_set_orbit``, with no transversal).  Each orbit is
     cached on the group under every set in it, so a class of subgroups is
     walked once: the main suite reads the orbit of its Hall subgroup from
     the subgroup-class sweep."""
     orbits = group.cached("conjugates", dict)
+    key = sub.element_set()
     orbit = orbits.get(key)
     if orbit is None:
-        if conjugacy_classes(group).normal_mask(key) is not None:
+        pairs = group.moving_pairs()
+        if all(conjugate_images(pair, g.images) in key for pair in pairs for g in sub.generators):
             orbit = {key}
         else:
-            orbit = conjugation_set_orbit(key, group.moving_pairs())
+            orbit = conjugation_set_orbit(key, pairs)
         orbits.update(dict.fromkeys(orbit, orbit))
     return orbit
 
@@ -462,9 +473,10 @@ def sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     order, which is the order a normalizer subgroup lists in; at the first
     step, where P is trivial and its normalizer is G, it is the order of
     G's images list.  So a step adds the p-part the walk of N_G(P) would
-    pick.  The p-part is one power with an exponent read from |G|; an
-    element inside P is passed over first, since its p-part (a power of
-    it) lies inside too.
+    pick.  The p-part is one power: its exponent is read from |G| and
+    reduced mod |y|, an order read from G's class table.  An element
+    inside P is passed over first, since its p-part (a power of it) lies
+    inside too, and so is one of order prime to p, whose p-part is 1.
 
     P only grows, so an element passed over because y or y^e lies in P
     fails every later step, and the later walks drop it; the rest keep
@@ -482,6 +494,7 @@ def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     # agrees mod |x| with the exponent read from |x| (tests/oracles.py)
     rest = group.order // target
     e = rest * pow(rest, -1, target)
+    table = conjugacy_classes(group)
     members = frozenset([_identity_images(group.degree)])
     pgens: list[Images] = []
     walk = group._element_images()  # N_G(1) = G, in the order of G's images list
@@ -490,12 +503,15 @@ def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
         for pos, y in enumerate(walk):
             if y in members:
                 continue
+            n = table.classes[table._index_of[y]].order
+            if n % p:  # its p-part is the identity: it fails for good
+                continue
             if pgens:
                 pair = conjugation_pair(y)
                 if any(conjugate_images(pair, g) not in members for g in pgens):
                     waiting.append(y)
                     continue
-            yp = _power_images(y, e)
+            yp = _power_images(y, e % n)
             if yp not in members:
                 members = _extender(members, pgens)(yp)
                 pgens.append(yp)
@@ -531,7 +547,9 @@ def hall_search(group: PermGroup, pi, budget: int = DEFAULT_HALL_BUDGET,
     """Tiered search for a Hall pi-subgroup (order exactly |G|_pi).
 
     Tier 1 is constructive: the whole group / trivial group shortcuts, the
-    closure of one Sylow subgroup per prime, and - when d_p(G) = 1 for every
+    closure of one Sylow subgroup per prime (the other Sylow subgroups'
+    generators closed onto the largest one's element set, by coset
+    closure), and - when d_p(G) = 1 for every
     relevant p - Sylow subgroups taken inside iterated centralizers.  A
     randomized pass then conjugates the Sylow tuple by seeded random elements,
     ``budget`` attempts.  Tier 2 enumerates pi-subgroups up to conjugacy and
@@ -563,9 +581,16 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
 
     relevant = [p for p in prime_factors(group.order) if p in pi]
     sylows = [sylow_subgroup(group, p) for p in relevant]
-    cand = subgroup(group, [g for s in sylows for g in s.generators])
-    if cand.order == target:
-        return found(cand, "constructive", "closure of one Sylow subgroup per prime")
+    gens = [g for s in sylows for g in s.generators]
+    largest = max(sylows, key=lambda s: s.order)  # the others close onto its element set
+    kept, closure = [g.images for g in largest.generators], largest.element_set()
+    for g in gens:
+        if g.images not in closure:
+            closure = _extender(closure, kept)(g.images)
+            kept.append(g.images)
+    if len(closure) == target:
+        return found(PermGroup(gens, elements=closure), "constructive",
+                     "closure of one Sylow subgroup per prime")
 
     if all_d_p_one(group, pi):
         # d_p = 1 gives a normal p-complement K_p, so N = the meet of the K_p
@@ -735,7 +760,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     (``_prime_roots``).  With ``pi`` set, only pi-elements are steps and only
     pi-subgroups are kept (sound: every subgroup of a pi-group is again one,
     so chains never have to leave the pi-world); both tests read prime
-    supports from the class table (``ClassTable.prime_support``).
+    supports from the class table (``ClassTable.prime_support``).  A
+    closure stops at its first coset that meets an element outside pi: by
+    Cauchy's theorem a subgroup holding one is no pi-group.
 
     The sweep is exhaustive.  A subgroup K > H is generated by its elements
     of prime-power order, so one of them, x of order q^a, lies outside H;
@@ -757,18 +784,18 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
 
     After each closure, later steps y with <H, y> = K are skipped:
     (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
-    (b) otherwise every y in a double coset H x^k H with k coprime to |x|,
-    since y = a x^k b (a, b in H) gives <H, y> = <H, x^k> = <H, x>.  These
-    are built as the H-conjugation orbits of the coset x^k H, read through
-    the table of x^k (a x^k b is the conjugate of x^k b a by a).  A prime
-    step x never normalizes H in case (b): if it did, |K : H| would be
+    (b) otherwise, or when the closure stopped, every y in a double coset
+    H x^k H with k coprime to |x|, since y = a x^k b (a, b in H) gives
+    <H, y> = <H, x^k> = <H, x>.  These are built as the H-conjugation
+    orbits of the coset x^k H, read through the table of x^k (a x^k b is
+    the conjugate of x^k b a by a).  A prime step x of a complete closure
+    never normalizes H in case (b): if it did, |K : H| would be
     |<x> : <x> meet H| = q, and (a) would apply.  A skipped y would only
     rebuild a K that has already been seen (or that the pi filter dropped),
     so no class is lost.
 
     Every conjugate of a new class is marked as seen (``conjugates``): a
-    normal subgroup, a union of classes of G, is its own one conjugate and
-    walks no orbit.
+    normal subgroup is its own one conjugate and walks no orbit.
     """
     if group.order > cap:
         raise CapExceededError("subgroup enumeration", group.order, cap)
@@ -783,10 +810,11 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     primes = table.primes  # a prime index |K : H| divides |G|
     elements = group._element_images()
     orders, roots = group.cached("prime_roots", _prime_roots, group)
-    outside = 0 if pi is None else ~table.pi_bits(pi)  # the supports' other primes
-    allowed = [not table.prime_support(n) & outside for n in orders]
+    other = 0 if pi is None else ~table.pi_bits(pi)  # the supports' other primes
+    allowed = [not table.prime_support(n) & other for n in orders]
+    non_pi = frozenset(x for x, ok in zip(elements, allowed) if not ok) or None
     found = [trivial_subgroup(group)]
-    seen = set(conjugates(group, found[0].element_set()))  # every conjugate of each class found
+    seen = set(conjugates(group, found[0]))  # every conjugate of each class found
     by_order = {1: list(seen)}  # the sets in seen, by order
     for base in found:
         base_set = base.element_set()
@@ -812,9 +840,9 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
             if xim in covered:
                 continue
             if extend is None:
-                extend = _extender(base_set, gen_images)
-            extended = extend(xim)
-            maximal = len(extended) // len(base_set) in primes
+                extend = _extender(base_set, gen_images, non_pi)
+            extended = extend(xim)  # None: stopped, not a pi-group
+            maximal = extended is not None and len(extended) // len(base_set) in primes
             if maximal:  # H is maximal in <H, x>
                 covered.update(extended)
             else:  # the double cosets H x^k H, k coprime to |x|
@@ -828,9 +856,9 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
                             if y not in covered:
                                 covered.update(conjugation_orbit(y, base_pairs))
                     power = times_x(power)
-            if extended not in seen and not table.prime_support(len(extended)) & outside:
+            if extended is not None and extended not in seen:
                 found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
-                orbit = conjugates(group, extended)
+                orbit = conjugates(group, found[-1])
                 seen.update(orbit)
                 by_order.setdefault(len(extended), []).extend(orbit)
                 if maximal:

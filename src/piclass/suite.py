@@ -179,7 +179,7 @@ def check_hall_dichotomy(group: PermGroup, pi,
         if len(halls) != 1:
             witness["conjugacy"] = f"{len(halls)} conjugacy classes of Hall order"
             return FAIL, witness
-    hall_conjugates = conjugates(group, hall.element_set())
+    hall_conjugates = conjugates(group, hall)
     for other in halls:
         if other.element_set() not in hall_conjugates:
             witness["conjugacy"] = "found Hall subgroup not conjugate to an enumerated one"

@@ -301,7 +301,7 @@ def cyclic_pi_subgroup_classes_by_conjugates(group, pi):
         cyc = subgroup(group, [cls.rep])
         key = cyc.element_set()
         if key not in seen:
-            seen.update(conjugates(group, key))
+            seen.update(conjugates(group, cyc))
             classes.append(cyc)
     return classes
 

@@ -8,9 +8,12 @@ alternating and dihedral groups.
 
 import time
 
+from collections import Counter
+
 from piclass.catalog import alternating, build, census_specs, symmetric
-from piclass.classes import conjugacy_classes
+from piclass.classes import conjugacy_classes, k_pi
 from piclass.invariants import d_pi, group_primes
+from piclass.suite import _nonempty_subsets
 
 PARTITIONS = {3: 3, 4: 5, 5: 7, 6: 11}  # p(n): the classes of S_n
 ALTERNATING_CLASSES = {4: 4, 5: 5, 6: 7}
@@ -45,3 +48,21 @@ def test_product_rule_and_closed_forms(census_entries):
     elapsed = time.perf_counter() - t0
     assert elapsed < 15.0, f"runtime {elapsed:.2f}s exceeds 15s"
     print(f"product rule on {len(products)} census products, closed forms; {elapsed:.2f}s")
+
+
+def test_product_class_sizes_and_k_pi(census_entries):
+    """A class of A x B is a pair of classes, one of A and one of B: its
+    size is the product of theirs, and it is a pi-class exactly when both
+    are.  So the class sizes of A x B are the products of the factors'
+    class sizes, with multiplicity, and k_pi(A x B) = k_pi(A) k_pi(B) for
+    every pi, on every census product."""
+    by_name = dict(census_entries)
+    products = [s for s in census_specs() if s.kind == "product"]
+    for spec in products:
+        g = by_name[spec.name]
+        a, b = (by_name[f.name] for f in spec.factors)
+        sizes_a, sizes_b = (conjugacy_classes(f).sizes() for f in (a, b))
+        assert Counter(conjugacy_classes(g).sizes()) == Counter(
+            x * y for x in sizes_a for y in sizes_b), spec.name
+        for pi in _nonempty_subsets(group_primes(g)):
+            assert k_pi(g, pi) == k_pi(a, pi) * k_pi(b, pi), (spec.name, pi)

@@ -214,6 +214,25 @@ def closures(g):
         yield ("class", i), table.closure(1 << i), oracles.closure_by_all_pairs(table, 1 << i)
 
 
+def bounded_closures(g):
+    """On a fresh copy of G, for every prime set and each class of
+    pi-elements, the closure bounded by the classes of pi-elements is the
+    all-pairs closure when it stays inside them and None when it leaves
+    them, and a None walk adds no cache entry."""
+    table = conjugacy_classes(PermGroup(list(g.generators)))
+    for pi in _subsets(g):
+        allowed = sum(1 << i for i, cls in enumerate(table.classes)
+                      if is_pi_number(cls.order, pi))
+        for i in range(table.k):
+            if allowed >> i & 1:
+                want = oracles.closure_by_all_pairs(table, 1 << i)
+                was_cached = 1 << i in table._closures
+                got = table.closure(1 << i, allowed)
+                yield ("pi", pi, "class", i), got, None if want & ~allowed else want
+                yield ("pi", pi, "class", i, "cached"), 1 << i in table._closures, (
+                    was_cached or got is not None)
+
+
 def fusions(g):
     """The block holding class i is the coset row of class i, and the blocks
     are the rows of the classes no earlier row covers."""
@@ -353,9 +372,8 @@ def sylow_growth(g):
 def conjugate_orbits(g):
     """The normal-subgroup shortcut gives the orbit the walk gives."""
     for h in _reps(g):
-        key = h.element_set()
-        yield h.generators, set(subgroups.conjugates(g, key)), set(
-            oracles.orbit_transversal(g, key, conjugate_set))
+        yield h.generators, set(subgroups.conjugates(g, h)), set(
+            oracles.orbit_transversal(g, h.element_set(), conjugate_set))
 
 
 def _stabilizer_sets(where, got, want):
@@ -468,6 +486,7 @@ FAST_PATHS = (
         normal_class_supports, home="test_normal_k_pi_matches_class_table_of_n"),
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS",), closures,
         home="test_class_closures_and_splits_match_their_oracles"),
+    Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS_72",), bounded_closures),
     Row(ClassTable.fusion, oracles.coset_classes_by_rows, ("CENSUS",), fusions,
         home="test_fusion_blocks_match_coset_rows"),
     Row(ClassTable.join, oracles.coset_classes_by_rows, ("CENSUS",), joins,

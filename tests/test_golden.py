@@ -15,6 +15,12 @@ element sets and Schreier-Sims closures.  The ``all`` slice is the report of
 recorded while some subgroup handles still fell back to Schreier-Sims chains
 for their orders and memberships.
 
+The fifth digest pins the reports of four group files past the census,
+SL(2,3), GL(2,3), AGL(1,11) and AGL(1,13) in ``tests/data``: each as
+``piclass verify <file> --suite all --format json`` prints it, joined in
+that order.  It was recorded with the code that added the files, before
+the sweep stopped its closures at the first element outside pi.
+
 Each slice's campaign runs once per module (the ``campaigns`` fixture); its
 document is also rendered by ``json.dumps``, which ``render_json`` must
 match byte for byte.  The ``all`` campaign is read against the ledger
@@ -32,13 +38,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from piclass.catalog import census
+from piclass.cli import main
 from piclass.config import Config
 from piclass.reporting import document, render_json
 from piclass.suite import DEFAULT_SUITES, SUITES, run_census_campaign
 
 LEDGER = Path(__file__).parent / "data" / "census_ledger.tsv"
+GROUP_FILES = (["sl23.grp", "gl23.grp", "agl1_11.grp", "agl1_13.grp"],
+               "5ec1d46765e150feb8abe66531ea9d8f9b1882813c5866f480279f38ca51e725")
 
 SLICES = {
     "quotient-structure": (
@@ -113,6 +123,18 @@ def test_report_digest(slice_name, campaigns):
 def test_render_json_matches_json_dumps(slice_name, campaigns):
     doc = campaigns(slice_name)[1]
     assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_group_file_report_digest():
+    files, digest = GROUP_FILES
+    reports = []
+    for name in files:
+        path = LEDGER.parent / name
+        result = CliRunner().invoke(main, ["verify", str(path), "--suite", "all",
+                                           "--format", "json"])
+        assert result.exit_code == 0, (name, result.output)
+        reports.append(result.stdout)
+    assert hashlib.sha256("".join(reports).encode()).hexdigest() == digest
 
 
 def _suite_rows(reports) -> dict[str, dict[str, list[str]]]:

@@ -66,6 +66,7 @@ from piclass.subgroups import (
 )
 from test_fast_paths import (
     CENSUS_72,
+    GROUP_SETS,
     LATTICE_SLICE,
     bound_by_g_classes,
     same_classes,
@@ -857,9 +858,9 @@ def test_conjugates_of_normal_subgroups_walk_no_orbit(monkeypatch):
     assert len(enumerate_subgroups_up_to_conjugacy(g, pi=[2, 3])) == 48
     assert walks == []
     s4 = build(parse_name("S4"))
-    key = sylow_subgroup(s4, 2).element_set()
+    sub = sylow_subgroup(s4, 2)
     walks.clear()
-    assert len(conjugates(s4, key)) == 3
+    assert len(conjugates(s4, sub)) == 3
     assert len(walks) == 1
 
 
@@ -946,7 +947,7 @@ def test_conjugation_orbits_match_brute_force(name, named):
     for h in (subgroup(g, g.generators[:1]), sylow_subgroup(g, 2)):
         brute = {frozenset((x * y * x.inverse()).images for y in h.element_list())
                  for x in elements}
-        assert set(conjugates(g, h.element_set())) == brute
+        assert set(conjugates(g, h)) == brute
     pairs = conjugation_pairs(g.generators)
     for cls in conjugacy_classes(g).classes:
         orbit = conjugation_orbit(cls.rep.images, pairs)
@@ -1048,8 +1049,8 @@ def _recording_extender(monkeypatch, record):
 
     extender = piclass.subgroups._extender
 
-    def recording(elements, gens):
-        extend = extender(elements, gens)
+    def recording(elements, gens, *rest):
+        extend = extender(elements, gens, *rest)
 
         def extend_recorded(x):
             closure = extend(x)
@@ -1059,6 +1060,35 @@ def _recording_extender(monkeypatch, record):
         return extend_recorded
 
     monkeypatch.setattr(piclass.subgroups, "_extender", recording)
+
+
+@pytest.mark.parametrize("group_set, name", [(group_set, name) for group_set in ("SMALL", "DATA")
+                                             for name in GROUP_SETS[group_set]])
+def test_extender_stops_exactly_when_the_closure_leaves_pi(group_set, name, group_of):
+    """For every prime set pi, with ``outside`` the non-pi elements of G,
+    the bounded map gives None exactly when the full closure <H, x> meets
+    ``outside``, and that closure otherwise: for H the trivial group and
+    each Sylow p-subgroup with p in pi (pi-groups, as the sweep's bases
+    are), and x each class representative."""
+    g = group_of(group_set, name)
+    table = conjugacy_classes(g)
+    reps = [cls.rep.images for cls in table.classes]
+    sylows = {p: sylow_subgroup(g, p) for p in table.primes}
+    full = {}  # (H's prime or None, x) -> the closure <H, x>
+    for pi in _nonempty_subsets(group_primes(g)):
+        non_pi = sum(1 << i for i, cls in enumerate(table.classes)
+                     if not is_pi_number(cls.order, pi))
+        outside = frozenset(table.elements(non_pi))
+        for p in [None, *sorted(pi)]:
+            h = trivial_subgroup(g) if p is None else sylows[p]
+            gens = [s.images for s in h.generators]
+            bounded = _extender(h.element_set(), gens, outside)
+            for x in reps:
+                if (p, x) not in full:
+                    full[p, x] = _extender(h.element_set(), gens)(x)
+                closure = full[p, x]
+                want = None if not closure.isdisjoint(outside) else closure
+                assert bounded(x) == want, (pi, p, x)
 
 
 def test_enumeration_skips_extensions_it_already_knows(monkeypatch):
