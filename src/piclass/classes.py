@@ -136,10 +136,8 @@ class ClassTable:
 
     A subgroup is normal exactly when it is a union of classes, so
     ``normal_mask(key)`` is the one lookup from an element set to a class
-    bitset, and a normality test on the element set: it sums the sizes of
-    the classes met.  ``normal_masks`` maps the element set of each normal subgroup met
-    so far to its bitset; the lattice fills it first, and ``normal_mask``
-    adds every other normal subgroup it answers.
+    bitset, and a normality test on the element set.  It keeps nothing per
+    element set: the lattice holds the bitsets of the normal subgroups.
     """
 
     def __init__(self, group: PermGroup, classes, members: list[list[Images]],
@@ -165,7 +163,6 @@ class ClassTable:
         self._cores: dict[int, tuple[int, tuple[int, ...]]] = {}  # pi_bits -> normal_core
         self._support_masks: dict[int, int] | None = None  # support -> its classes
         self._histogram: dict[int, int] | None = None
-        self.normal_masks: dict[frozenset[Images], int] = {}
 
     @property
     def k(self) -> int:
@@ -189,18 +186,15 @@ class ClassTable:
         """Bitset of the classes the subgroup with element set ``key`` meets,
         when they hold exactly its elements (it is normal); None otherwise.
         The order of those classes is summed over the classes met, with no
-        walk of the bitset.  A normal answer is kept in ``normal_masks``;
-        an element outside G raises ``NotInGroupError``."""
-        mask = self.normal_masks.get(key)
-        if mask is None:
-            met = set(map(self._index_of.get, key))
-            if None in met:
-                outsider = next(im for im in key if im not in self._index_of)
-                raise NotInGroupError(f"element not in group: {Permutation._make(outsider)!r}")
-            if sum(map(self._sizes.__getitem__, met)) != len(key):
-                return None
-            mask = self.normal_masks[key] = sum(1 << i for i in met)
-        return mask
+        walk of the bitset.  An element outside G raises
+        ``NotInGroupError``."""
+        met = set(map(self._index_of.get, key))
+        if None in met:
+            outsider = next(im for im in key if im not in self._index_of)
+            raise NotInGroupError(f"element not in group: {Permutation._make(outsider)!r}")
+        if sum(map(self._sizes.__getitem__, met)) != len(key):
+            return None
+        return sum(1 << i for i in met)
 
     def _row(self, i: int) -> list[int | None]:
         """Row i of the supports matrix, allocated on first use."""

@@ -45,10 +45,7 @@ built in one pass) that meet M; each bitset is joined with the seeds only
 it holds more than |G|/p elements (p the least prime of |G|).  The
 lattice (``normal_lattice``) is a ranked list of bitsets and builds no
 subgroup; ``normal_subgroups`` makes one per entry, and its seed walks
-stop at the order their bitset gives.
-``ClassTable.normal_mask`` is the one lookup from an element set to a
-class bitset: ``normal_subgroups`` fills its record, and the kernel of
-``quotient`` is looked up through it.  No element cap is checked here:
+stop at the order their bitset gives.  No element cap is checked here:
 every group built is a subgroup of the one a run
 starts from, whose order the run checks (``Config.check_element_cap``).
 Searches that can fail distinguish three outcomes explicitly; in
@@ -385,8 +382,7 @@ def normal_subgroups(group: PermGroup) -> list[PermGroup]:
     bitset.  A seed's generators are those of the normal closure of its
     class representative, whose walk stops once it reaches that set's size;
     a join's are those of its two parts, which are smaller and so built
-    before it.  Each bitset is recorded in the table's ``normal_masks``
-    under its element set.
+    before it.
     """
     return group.cached("normal_subgroups", _normal_subgroups, group)
 
@@ -402,7 +398,6 @@ def _normal_subgroups(group: PermGroup) -> list[PermGroup]:
             a, b = entry.parts
             sub = PermGroup(built[a].generators + built[b].generators, elements=elements)
         built[entry.mask] = sub
-        table.normal_masks[elements] = entry.mask
     return list(built.values())
 
 
@@ -776,14 +771,15 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     closed.  By Lagrange's theorem the order of a subgroup between H and K
     is a multiple of |H| dividing q|H|, so it is H or K: H is maximal in
     K, and <H, y> = K for every y in K outside H, a class already found.
-    Each base first covers the elements of every seen K of prime index
-    that holds H (a test on H's generators), and a new class of prime
-    index over H covers each of its conjugates that holds H, read from the
-    orbit that marks them seen.  A base equal to G has no steps, and a base
-    whose steps are all covered builds no ``_extender``.
+    Such a K is covered, its elements marked as steps not to close, when
+    the base starts (it was seen before: a test on H's generators) or when
+    its class is found (a test on each conjugate in the orbit that marks
+    them seen).  A base equal to G has no steps, and a base whose steps
+    are all covered builds no ``_extender``.
 
     After each closure, later steps y with <H, y> = K are skipped:
-    (a) when |K : H| is prime, H is maximal in K, so every y in K outside H;
+    (a) when |K : H| is prime, every y in K: such a K is always a new
+    class (a seen one is covered), and finding its class covers it;
     (b) otherwise, or when the closure stopped, every y in a double coset
     H x^k H with k coprime to |x|, since y = a x^k b (a, b in H) gives
     <H, y> = <H, x^k> = <H, x>.  These are built as the H-conjugation
@@ -814,8 +810,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     allowed = [not table.prime_support(n) & other for n in orders]
     non_pi = frozenset(x for x, ok in zip(elements, allowed) if not ok) or None
     found = [trivial_subgroup(group)]
-    seen = set(conjugates(group, found[0]))  # every conjugate of each class found
-    by_order = {1: list(seen)}  # the sets in seen, by order
+    seen = {1: set(conjugates(group, found[0]))}  # order -> the conjugates of the classes found
     for base in found:
         base_set = base.element_set()
         if len(base_set) == group.order:
@@ -831,7 +826,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
                     covered.update(key)
 
         for q in primes:
-            cover_overgroups(by_order.get(q * len(base_set), ()))
+            cover_overgroups(seen.get(q * len(base_set), ()))
         extend = None  # built when the first closure needs it, once per base
         steps = sorted({i for h in base_set for i in roots.get(h, ()) if allowed[i]})
         base_pairs = None  # built when case (b) first needs them
@@ -843,9 +838,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
                 extend = _extender(base_set, gen_images, non_pi)
             extended = extend(xim)  # None: stopped, not a pi-group
             maximal = extended is not None and len(extended) // len(base_set) in primes
-            if maximal:  # H is maximal in <H, x>
-                covered.update(extended)
-            else:  # the double cosets H x^k H, k coprime to |x|
+            if not maximal:  # the double cosets H x^k H, k coprime to |x|
                 if base_pairs is None:
                     base_pairs = base.conjugation_pairs()
                 times_x = left_multiplier(xim)
@@ -856,12 +849,11 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
                             if y not in covered:
                                 covered.update(conjugation_orbit(y, base_pairs))
                     power = times_x(power)
-            if extended is not None and extended not in seen:
+            if extended is not None and extended not in seen.get(len(extended), ()):
                 found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
                 orbit = conjugates(group, found[-1])
-                seen.update(orbit)
-                by_order.setdefault(len(extended), []).extend(orbit)
-                if maximal:
+                seen.setdefault(len(extended), set()).update(orbit)
+                if maximal:  # H is maximal in <H, x>
                     cover_overgroups(orbit)
     found.sort(key=lambda h: (h.order, tuple(sorted(h.element_set()))))
     return found

@@ -426,12 +426,9 @@ def check_selftest(group: PermGroup, config: Config = DEFAULT_CONFIG) -> tuple[s
 
 
 def _nonempty_subsets(primes) -> list[frozenset[int]]:
+    """The nonempty subsets of ``primes``, by size and then lexicographic."""
     primes = sorted(primes)
-    out = []
-    for mask in range(1, 1 << len(primes)):
-        out.append(frozenset(p for i, p in enumerate(primes) if mask >> i & 1))
-    out.sort(key=lambda s: (len(s), sorted(s)))
-    return out
+    return [frozenset(c) for r in range(1, len(primes) + 1) for c in combinations(primes, r)]
 
 
 # -- campaign ---------------------------------------------------------------

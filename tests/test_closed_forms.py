@@ -9,6 +9,7 @@ alternating and dihedral groups.
 import time
 
 from collections import Counter
+from math import lcm
 
 from piclass.catalog import alternating, build, census_specs, symmetric
 from piclass.classes import conjugacy_classes, k_pi
@@ -52,17 +53,19 @@ def test_product_rule_and_closed_forms(census_entries):
 
 def test_product_class_sizes_and_k_pi(census_entries):
     """A class of A x B is a pair of classes, one of A and one of B: its
-    size is the product of theirs, and it is a pi-class exactly when both
-    are.  So the class sizes of A x B are the products of the factors'
-    class sizes, with multiplicity, and k_pi(A x B) = k_pi(A) k_pi(B) for
-    every pi, on every census product."""
+    size is the product of theirs, its element order is the lcm of theirs,
+    and it is a pi-class exactly when both are.  So the (class size,
+    element order) pairs of A x B are the (s_a s_b, lcm(o_a, o_b)) over the
+    factors' class pairs, with multiplicity, and k_pi(A x B) = k_pi(A)
+    k_pi(B) for every pi, on every census product."""
     by_name = dict(census_entries)
     products = [s for s in census_specs() if s.kind == "product"]
     for spec in products:
         g = by_name[spec.name]
         a, b = (by_name[f.name] for f in spec.factors)
-        sizes_a, sizes_b = (conjugacy_classes(f).sizes() for f in (a, b))
-        assert Counter(conjugacy_classes(g).sizes()) == Counter(
-            x * y for x in sizes_a for y in sizes_b), spec.name
+        classes_a, classes_b = (conjugacy_classes(f).classes for f in (a, b))
+        assert Counter((c.size, c.order) for c in conjugacy_classes(g).classes) == Counter(
+            (x.size * y.size, lcm(x.order, y.order)) for x in classes_a for y in classes_b
+        ), spec.name
         for pi in _nonempty_subsets(group_primes(g)):
             assert k_pi(g, pi) == k_pi(a, pi) * k_pi(b, pi), (spec.name, pi)

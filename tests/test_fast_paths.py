@@ -73,7 +73,7 @@ def _pis(g):
 def _lattice(g):
     """(N, class set of N) for each normal subgroup N."""
     table = conjugacy_classes(g)
-    return [(n, table.normal_masks[n.element_set()]) for n in subgroups.normal_subgroups(g)]
+    return [(n, table.normal_mask(n.element_set())) for n in subgroups.normal_subgroups(g)]
 
 
 def _sylows(g):

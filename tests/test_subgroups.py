@@ -23,19 +23,23 @@ from piclass.errors import (
 )
 from piclass.group import PermGroup
 from piclass.invariants import group_primes
-from piclass.numtheory import is_pi_number, pi_part, prime_factors
+from piclass.numtheory import is_pi_number, is_prime, pi_part, prime_factors
 from piclass.perm import (
     Permutation,
     conjugate,
     conjugation_orbit,
     conjugation_pairs,
+    conjugation_set_orbit,
     parse_cycle_text,
 )
 from piclass.suite import (
+    DEFAULT_SUITES,
+    FAIL,
     _nonempty_subsets,
     check_hall_dichotomy,
     check_quotient_bound,
     check_sylow3_structure,
+    run_group_suite,
 )
 from piclass.subgroups import (
     _extender,
@@ -323,18 +327,17 @@ def _v4(s4):
 
 
 def test_quotient_k_pi_outside_the_lattice(named):
-    """The shared S4 may have its lattice built; a fresh one has none, so
-    ``ClassTable.normal_mask`` answers V4 itself: the identity's class and
-    the class of (0 1)(2 3), kept in ``normal_masks``.  It answers None for
-    a subgroup that is not normal, which ``quotient`` rejects.  k_pi(S4/N)
-    is read from the fusion of the class set it gives."""
+    """On the shared S4, whose lattice may be built, and on a fresh one,
+    which has none, ``ClassTable.normal_mask`` reads V4 from the classes it
+    meets: the identity's class and the class of (0 1)(2 3).  It answers
+    None for a subgroup that is not normal, which ``quotient`` rejects.
+    k_pi(S4/N) is read from the fusion of the class set it gives."""
     fresh = build(parse_name("S4"))
     for s4 in (named("S4"), fresh):
         table = conjugacy_classes(s4)
         v4 = _v4(s4)
         mask = table.normal_mask(v4.element_set())
         assert mask == 1 | 1 << table.class_of(parse_cycle_text("(0 1)(2 3)", 4))
-        assert table.normal_masks[v4.element_set()] == mask
 
         def k_quotient(n, pi):
             in_quotient = table.quotient_histogram(table.normal_mask(n.element_set()))
@@ -346,7 +349,6 @@ def test_quotient_k_pi_outside_the_lattice(named):
         assert k_quotient(trivial_subgroup(s4), [3]) == k_pi(s4, [3])
         transposition = subgroup(s4, [parse_cycle_text("(0 1)", 4)])
         assert table.normal_mask(transposition.element_set()) is None
-        assert transposition.element_set() not in table.normal_masks
         with pytest.raises(PreconditionError):
             quotient(s4, transposition)
     assert "normal_subgroups" not in fresh.cache
@@ -390,7 +392,7 @@ def test_fusion_blocks_are_built_once_per_class_of_the_quotient(name, named):
     block, over the classes of N, and no join of N builds another
     support."""
     g = named(name)
-    masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normal_subgroups(g)]
+    masks = [conjugacy_classes(g).normal_mask(n.element_set()) for n in normal_subgroups(g)]
     for mask in masks:
         table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
         blocks = table.fusion(mask)
@@ -408,7 +410,7 @@ def test_join_before_fusion_builds_the_fusion(name, named):
     fusion of N: ``fusion(N)`` afterwards builds no support."""
     g = named(name)
     shared = conjugacy_classes(g)
-    masks = [shared.normal_masks[n.element_set()] for n in normal_subgroups(g)]
+    masks = [shared.normal_mask(n.element_set()) for n in normal_subgroups(g)]
     for mask, other in zip(masks, reversed(masks)):
         table = conjugacy_classes(PermGroup(g.generators, degree=g.degree))
         assert table.join(mask, other) == shared.join(mask, other), (name, mask, other)
@@ -429,7 +431,7 @@ def test_lattice_entries_are_the_normal_subgroups(name, named):
     assert len(lattice) == len(normal_subgroups(g))
     orders = {entry.mask: entry.order for entry in lattice}
     for entry, n in zip(lattice, normal_subgroups(g)):
-        assert (table.normal_masks[n.element_set()], n.order) == (entry.mask, entry.order)
+        assert (table.normal_mask(n.element_set()), n.order) == (entry.mask, entry.order)
         if entry.parts is None:
             assert table.closure(1 << entry.seed) == entry.mask
         else:
@@ -502,7 +504,7 @@ def test_carried_orders_are_the_sums_of_class_sizes(name, named):
         return sum(size for i, size in enumerate(sizes) if mask >> i & 1)
 
     normals = normal_subgroups(g)
-    masks = [conjugacy_classes(g).normal_masks[n.element_set()] for n in normals]
+    masks = [conjugacy_classes(g).normal_mask(n.element_set()) for n in normals]
     sets = [1 << i for i in range(table.k)]
     sets += [_classes_met(table, [x.images for x in n.generators]) for n in normals]
     lagrange = table._lagrange
@@ -1117,6 +1119,40 @@ def test_every_closure_of_an_abelian_sweep_finds_a_new_class(monkeypatch):
         assert set(closures) == {h.element_set() for h in found[1:]}, pi
 
 
+SWEPT_DATA = [name for name in GROUP_SETS["DATA"]
+              if parse_group_file((DATA / name).read_text()).order <= 2000]
+
+
+@pytest.mark.parametrize("group_set, name", [("SMALL", name) for name in GROUP_SETS["SMALL"]]
+                         + [("DATA", name) for name in SWEPT_DATA])
+def test_prime_index_closure_is_the_first_of_its_class(group_set, name, group_of, monkeypatch):
+    """Every seen K of prime index over a base H that holds H is covered,
+    when H starts or when K's class is found.  So, at every pi and at None,
+    each closure of prime index over its base is the first closure of the
+    sweep to land in its conjugacy class, and no base closes one such K
+    twice."""
+    g = group_of(group_set, name)
+    closures = []
+    _recording_extender(monkeypatch,
+                        lambda elements, x, closure: closures.append((elements, closure)))
+    for pi in [None, *_nonempty_subsets(group_primes(g))]:
+        fresh = PermGroup(g.generators, degree=g.degree)  # no cached sweep
+        pairs = conjugation_pairs(fresh.generators)
+        closures.clear()
+        enumerate_subgroups_up_to_conjugacy(fresh, pi=pi)
+        landed = set()  # every conjugate of each closure so far
+        prime_index = set()
+        for base, closure in closures:
+            if closure is None:
+                continue
+            if is_prime(len(closure) // len(base)):
+                assert closure not in landed, (pi, len(base), len(closure))
+                assert (base, closure) not in prime_index, (pi, len(base), len(closure))
+                prime_index.add((base, closure))
+            if closure not in landed:
+                landed |= conjugation_set_orbit(closure, pairs)
+
+
 @pytest.mark.parametrize("name", ["C12 x C6", "S4 x S3"])
 def test_enumeration_extends_by_prime_steps_only(name, monkeypatch):
     """Every extension <H, x> of a fresh enumeration, for every pi, takes a
@@ -1159,6 +1195,41 @@ def _psl27():
     """PSL(2,7), order 168, on the 7 points of the Fano plane."""
     gens = [parse_cycle_text("(0 1 2 3 4 5 6)", 7), parse_cycle_text("(1 2)(3 6)", 7)]
     return PermGroup(gens)
+
+
+# ambient group -> (its number of subgroup classes, the ranks in the sorted
+# class list whose fresh quotient check falls back to N's own class table)
+COMPLETE_SWEEPS = {
+    "S6": (56, [35]),  # OEIS A000638
+    "A6": (22, [15]),  # rank 15 is conjugate in S6 to S6#35, of order 18
+    "psl27.grp": (15, []),
+    "a7.grp": (40, [22, 34]),
+    "agl32.grp": (95, [80, 85, 87, 88, 94]),  # the count as this sweep records it
+}
+
+
+@pytest.mark.parametrize("name", COMPLETE_SWEEPS)
+def test_complete_sweep_of_an_ambient_group(name):
+    """Every subgroup class of S6, A6, PSL(2,7), A7 and AGL(3,2): the known
+    class counts of the first four, and each class representative, rebuilt
+    as a fresh group from its generators, gets no ``fail`` from a default
+    suite.  The ranks whose quotient check, run alone, counts an N on its
+    own class table are pinned, so a change that stops reaching that
+    fallback shows."""
+    g = (parse_group_file((DATA / name).read_text()) if name.endswith(".grp")
+         else build(parse_name(name)))
+    count, fallback = COMPLETE_SWEEPS[name]
+    classes = enumerate_subgroups_up_to_conjugacy(g, cap=g.order)
+    assert len(classes) == count
+    reached = []
+    for rank, h in enumerate(classes):
+        fresh = PermGroup(h.generators, degree=g.degree)
+        check_quotient_bound(fresh)
+        if "normal_subgroups" in fresh.cache:
+            reached.append(rank)
+        statuses = {r.status for r in run_group_suite(fresh, f"{name}#{rank}", DEFAULT_SUITES)}
+        assert FAIL not in statuses, (rank, statuses)
+    assert reached == fallback
 
 
 def test_psl27_subgroup_classes():

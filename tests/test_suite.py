@@ -191,7 +191,7 @@ def _c4_failing_the_quotient_bound(monkeypatch):
 
     g = build(parse_name("C4"))
     _, n, _ = normal_subgroups(g)
-    patched = conjugacy_classes(g).normal_masks[n.element_set()]
+    patched = conjugacy_classes(g).normal_mask(n.element_set())
     real = ClassTable.quotient_histogram
     monkeypatch.setattr(ClassTable, "quotient_histogram",
                         lambda self, normal: {0: 1} if normal == patched else real(self, normal))
