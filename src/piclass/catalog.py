@@ -18,8 +18,8 @@ by it), so parse -> serialize -> parse is the identity on the parsed group.
 """
 
 import re
-from dataclasses import dataclass
 from math import factorial, prod
+from typing import NamedTuple
 
 from .config import DEFAULT_CONFIG, DEFAULT_MAX_DEGREE, Config
 from .errors import CapExceededError, GroupFileError
@@ -27,8 +27,7 @@ from .group import PermGroup
 from .perm import Permutation, parse_cycle_text
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """A buildable description of a catalog group."""
 
     kind: str  # cyclic | dihedral | quaternion | symmetric | alternating | product

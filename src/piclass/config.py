@@ -11,18 +11,16 @@ it, so the field stays; it admits only that default.
 """
 
 import json
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
 from .errors import CapExceededError, InvalidInputError
 from .group import PermGroup
-from .subgroups import (
-    DEFAULT_HALL_BUDGET,
-    DEFAULT_MAX_QUOTIENT_DEGREE,
-    DEFAULT_SUBGROUP_CAP,
-)
 
 DEFAULT_MAX_ELEMENTS = 100_000
 DEFAULT_MAX_DEGREE = 128
+DEFAULT_SUBGROUP_CAP = 2000
+DEFAULT_MAX_QUOTIENT_DEGREE = 2048
+DEFAULT_HALL_BUDGET = 20
 
 # Every report prints "workers": 1, so the field stays; it admits one value.
 WORKERS_ERROR = "workers must be 1: the campaign runs on one thread"
@@ -34,8 +32,9 @@ MAX_QUOTIENT_DEGREE_ERROR = (f"max_quotient_degree must be {DEFAULT_MAX_QUOTIENT
                              "no check builds G/N, so nothing reads it")
 
 
-@dataclass(frozen=True)
-class Config:
+class _ConfigFields(NamedTuple):
+    """The fields of ``Config``, in report order, with their defaults."""
+
     max_elements: int = DEFAULT_MAX_ELEMENTS
     max_degree: int = DEFAULT_MAX_DEGREE
     max_quotient_degree: int = DEFAULT_MAX_QUOTIENT_DEGREE
@@ -52,18 +51,26 @@ class Config:
     cache_dir: str | None = None
     output_format: str = "json"
 
-    def __post_init__(self):
+
+class Config(_ConfigFields):
+    """A run's configuration: an immutable record whose fields are checked
+    when it is made, by keyword, by position or by ``_replace``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.cache_dir is not None:
             raise InvalidInputError(CACHE_DIR_ERROR)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int:
+        for name, kind in _ConfigFields.__annotations__.items():
+            value = getattr(self, name)
+            if kind is int:
                 ok = isinstance(value, int) and not isinstance(value, bool)
             else:
-                ok = isinstance(value, f.type)
+                ok = isinstance(value, kind)
             if not ok:
-                expected = f.type.__name__ if isinstance(f.type, type) else f.type
-                raise InvalidInputError(f"{f.name} must be {expected}, not {value!r}")
+                expected = kind.__name__ if isinstance(kind, type) else kind
+                raise InvalidInputError(f"{name} must be {expected}, not {value!r}")
         for name in ("max_elements", "max_degree", "subgroup_cap", "max_order"):
             if getattr(self, name) < 1:
                 raise InvalidInputError(f"{name} must be positive")
@@ -75,6 +82,12 @@ class Config:
             raise InvalidInputError("hall_budget must be >= 0")
         if self.output_format not in ("json", "csv", "text"):
             raise InvalidInputError(f"unknown output format: {self.output_format!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "Config":
+        # the base's _make (and so _replace) would skip the checks above
+        return cls(*iterable)
 
     def check_element_cap(self, group: PermGroup) -> None:
         """Raise CapExceededError when |G| passes ``max_elements``; the
@@ -88,14 +101,13 @@ class Config:
         return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
         if not isinstance(data, dict):
             raise InvalidInputError(f"a config must be a JSON object, not {data!r}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - set(cls._fields)
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         return cls(**data)

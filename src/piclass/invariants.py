@@ -8,8 +8,8 @@ from this module.  The central quantity is the ratio
 whose properties the verification suite machine-checks over the census.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .classes import conjugacy_classes, k_pi
 from .errors import PreconditionError
@@ -19,8 +19,7 @@ from .perm import Permutation
 from .subgroups import centralizer_of_element, o_pi_prime, o_pi_prime_order
 
 
-@dataclass(frozen=True)
-class PiProfile:
+class PiProfile(NamedTuple):
     """Exact pi-profile of one group: class count, pi-part, and their ratio."""
 
     pi: frozenset[int]
@@ -60,8 +59,7 @@ def commuting_degree(group: PermGroup) -> Fraction:
     return Fraction(conjugacy_classes(group).k, group.order)
 
 
-@dataclass(frozen=True)
-class CentralizerDecomposition:
+class CentralizerDecomposition(NamedTuple):
     """k_pi(G) rebuilt as a sum of k_p over centralizers of mu-class reps."""
 
     total: int

@@ -35,7 +35,10 @@ def render_json(doc: dict) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
     built without the encoder that ``indent`` selects: on CPython that is
     the pure-Python one, a generator per container.  Here each container is
-    one join, and strings go through the C ``encode_basestring_ascii``."""
+    one join, and strings go through the C ``encode_basestring_ascii``.
+    A tuple subclass, such as a ``NamedTuple`` record, raises ``TypeError``
+    where ``json.dumps`` would write it as an array: a record enters a
+    document through its ``as_dict``."""
     return _json(doc, "\n") + "\n"
 
 
@@ -56,10 +59,12 @@ def _json(value, newline: str) -> str:
     if isinstance(value, float):
         return json.dumps(value)
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list) or type(value) is tuple:
         if not value:
             return "[]"
         return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
+    if isinstance(value, tuple):  # a record: json.dumps would write it as an array
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -57,9 +57,10 @@ import math
 import random
 from collections.abc import Callable, Iterator
 from collections.abc import Set as AbstractSet
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .classes import _bits, all_d_p_one, conjugacy_classes
+from .config import DEFAULT_HALL_BUDGET, DEFAULT_MAX_QUOTIENT_DEGREE, DEFAULT_SUBGROUP_CAP
 from .errors import CapExceededError, DegreeMismatchError, NotInGroupError, PreconditionError
 from .group import PermGroup
 from .numtheory import is_pi_number, is_prime, pi_part, prime_factors, validate_pi
@@ -77,10 +78,6 @@ from .perm import (
     left_multiplier,
     left_products,
 )
-
-DEFAULT_SUBGROUP_CAP = 2000
-DEFAULT_MAX_QUOTIENT_DEGREE = 2048
-DEFAULT_HALL_BUDGET = 20
 
 
 def _check_members(parent: PermGroup, elements) -> None:
@@ -314,8 +311,7 @@ def join_subgroups(group: PermGroup, a: PermGroup, b: PermGroup) -> PermGroup:
 # -- normal subgroup lattice ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LatticeEntry:
+class LatticeEntry(NamedTuple):
     """A normal subgroup as the bitset of the classes it holds, with its
     order and how the lattice found it: the normal closure of class
     ``seed``, or the join of the two bitsets ``parts`` found before it."""
@@ -401,8 +397,7 @@ def _normal_subgroups(group: PermGroup) -> list[PermGroup]:
     return list(built.values())
 
 
-@dataclass
-class QuotientGroup:
+class QuotientGroup(NamedTuple):
     """G/N realized as the action of G on the left cosets of N."""
 
     group: PermGroup
@@ -523,8 +518,7 @@ def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
                      elements=members)
 
 
-@dataclass(frozen=True)
-class HallSearchOutcome:
+class HallSearchOutcome(NamedTuple):
     """Outcome of a Hall subgroup search; ``none_exists`` only from the exhaustive tier."""
 
     status: str  # "found" | "none_exists" | "unresolved"

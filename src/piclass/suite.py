@@ -13,9 +13,9 @@ the replay of a bundle all go through it.
 import json
 import os
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .catalog import parse_group_file, serialize_group_file
 from .classes import all_d_p_one, conjugacy_classes, k_pi, pi_count
@@ -60,13 +60,12 @@ TWO_THIRDS = Fraction(2, 3)
 Limits = Config  # perfbench/workloads.py:85 calls suite.Limits(); the caps live in Config
 
 
-@dataclass
-class VerdictReport:
+class VerdictReport(NamedTuple):
     result_id: str
     group: str
     pi: tuple[int, ...] | None
     status: str
-    witness: dict = field(default_factory=dict)
+    witness: dict
 
     def as_dict(self) -> dict:
         return {
@@ -464,8 +463,7 @@ def resolve_suites(selection) -> list[str]:
     return [s for s in out if not (s in seen or seen.add(s))]
 
 
-@dataclass
-class CampaignResult:
+class CampaignResult(NamedTuple):
     reports: list[VerdictReport]
     summary: dict[str, int]
 

@@ -2,8 +2,9 @@
 
 A direct product multiplies class counts and pi-parts factor by factor, so
 ``k(A x B) = k(A) k(B)`` and ``d_pi(A x B) = d_pi(A) d_pi(B)`` for every
-prime set.  The closed forms are the class counts of the symmetric,
-alternating and dihedral groups.
+prime set, and a product of normal subgroups N_A x N_B is normal with
+quotient (A/N_A) x (B/N_B).  The closed forms are the class counts of the
+symmetric, alternating and dihedral groups.
 """
 
 import time
@@ -12,8 +13,9 @@ from collections import Counter
 from math import lcm
 
 from piclass.catalog import alternating, build, census_specs, symmetric
-from piclass.classes import conjugacy_classes, k_pi
+from piclass.classes import conjugacy_classes, k_pi, pi_count
 from piclass.invariants import d_pi, group_primes
+from piclass.subgroups import normal_lattice
 from piclass.suite import _nonempty_subsets
 
 PARTITIONS = {3: 3, 4: 5, 5: 7, 6: 11}  # p(n): the classes of S_n
@@ -69,3 +71,33 @@ def test_product_class_sizes_and_k_pi(census_entries):
         ), spec.name
         for pi in _nonempty_subsets(group_primes(g)):
             assert k_pi(g, pi) == k_pi(a, pi) * k_pi(b, pi), (spec.name, pi)
+
+
+def test_normal_products_and_their_quotients(census_entries):
+    """For normal subgroups N_A of A and N_B of B, N_A x N_B is an entry of
+    ``normal_lattice(A x B)``, and k_pi((A x B)/(N_A x N_B)) =
+    k_pi(A/N_A) k_pi(B/N_B) for every pi, on the census products of order
+    <= 72.  The product's element set puts A on the first points and B
+    after them, as ``catalog.build`` lays out a product; every census
+    degree is below 256, so images are bytes."""
+    by_name = dict(census_entries)
+    products = [s for s in census_specs() if s.kind == "product" and s.order <= 72]
+    assert len(products) > 50
+    for spec in products:
+        g = by_name[spec.name]
+        a, b = (by_name[f.name] for f in spec.factors)
+        table, table_a, table_b = (conjugacy_classes(x) for x in (g, a, b))
+        lattice = {entry.mask for entry in normal_lattice(g)}
+        pis = _nonempty_subsets(group_primes(g))
+        for n_a in normal_lattice(a):
+            for n_b in normal_lattice(b):
+                key = {bytes([*x, *(a.degree + j for j in y)])
+                       for x in table_a.elements(n_a.mask) for y in table_b.elements(n_b.mask)}
+                mask = table.normal_mask(key)
+                assert mask in lattice, (spec.name, n_a.order, n_b.order)
+                counts = (table.quotient_histogram(mask), table_a.quotient_histogram(n_a.mask),
+                          table_b.quotient_histogram(n_b.mask))
+                for pi in pis:
+                    k, k_a, k_b = (pi_count(h, t.pi_bits(pi))
+                                   for h, t in zip(counts, (table, table_a, table_b)))
+                    assert k == k_a * k_b, (spec.name, n_a.order, n_b.order, sorted(pi))

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from piclass.reporting import render_json
+from piclass.suite import VerdictReport
 
 scalars = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True),
@@ -48,3 +49,15 @@ def test_render_json_refuses_what_json_dumps_refuses(doc):
         json.dumps(doc, indent=2, sort_keys=True)
     with pytest.raises(TypeError):
         render_json(doc)
+
+
+def test_render_json_refuses_a_record():
+    """A record is a tuple, which ``json.dumps`` writes as an array; the
+    renderer names its type instead, and writes its ``as_dict``."""
+    report = VerdictReport("selftest-fixed-value", "S3", (2,), "fail", {"d_pi": "1/2"})
+    with pytest.raises(TypeError, match="VerdictReport"):
+        render_json({"r": report})
+    with pytest.raises(TypeError, match="VerdictReport"):
+        render_json([(report,)])
+    doc = {"r": report.as_dict()}
+    assert render_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -3,11 +3,17 @@ from pathlib import Path
 import pytest
 
 from piclass import suite
-from piclass.catalog import build, census, census_specs, parse_group_file, parse_name
+from piclass.catalog import GroupSpec, build, census, census_specs, parse_group_file, parse_name
 from piclass.classes import conjugacy_classes
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
-from piclass.subgroups import enumerate_subgroups_up_to_conjugacy
+from piclass.invariants import CentralizerDecomposition, PiProfile
+from piclass.subgroups import (
+    HallSearchOutcome,
+    LatticeEntry,
+    QuotientGroup,
+    enumerate_subgroups_up_to_conjugacy,
+)
 from piclass.suite import (
     DEFAULT_SUITES,
     FAIL,
@@ -24,6 +30,8 @@ from piclass.suite import (
     check_unit_iff_complement,
     replay_counterexample,
     resolve_suites,
+    CampaignResult,
+    VerdictReport,
     run_census_campaign,
     run_group_suite,
     write_counterexample_bundle,
@@ -468,3 +476,68 @@ def test_bundle_replays_under_its_recorded_caps(tmp_path, named):
 def test_verdict_serialization_excludes_timing(named):
     v = run_group_suite(named("S3"), "S3", ["commuting"])[0]
     assert "seconds" not in v.as_dict()
+
+
+# -- records ------------------------------------------------------------------
+
+RECORDS = [Config, GroupSpec, PiProfile, CentralizerDecomposition, LatticeEntry, QuotientGroup,
+           HallSearchOutcome, VerdictReport, CampaignResult]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: r.__name__)
+def test_records_are_immutable_tuples(record):
+    """Each record is a NamedTuple: assigning a field raises AttributeError,
+    and no field is named after a tuple method it would shadow."""
+    instance = Config() if record is Config else record._make([None] * len(record._fields))
+    assert isinstance(instance, tuple)
+    with pytest.raises(AttributeError):
+        setattr(instance, record._fields[0], 1)
+    assert not {"count", "index"} & set(record._fields)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"max_order": "x"}, "max_order must be int, not 'x'"),
+    ({"max_order": True}, "max_order must be int, not True"),
+    ({"max_order": 10.0}, "max_order must be int, not 10.0"),
+    ({"include_quaternion": "no"}, "include_quaternion must be bool, not 'no'"),
+    ({"output_format": 1}, "output_format must be str, not 1"),
+    ({"cache_dir": "x"}, "cache_dir must be null: piclass keeps no on-disk cache"),
+    ({"workers": 2}, "workers must be 1: the campaign runs on one thread"),
+    ({"max_quotient_degree": 2},
+     "max_quotient_degree must be 2048: no check builds G/N, so nothing reads it"),
+    ({"subgroup_cap": 0}, "subgroup_cap must be positive"),
+    ({"hall_budget": -1}, "hall_budget must be >= 0"),
+    ({"output_format": "xml"}, "unknown output format: 'xml'"),
+])
+def test_config_refuses_a_bad_field_however_it_is_made(change, message):
+    """By keyword, from a dict, and by ``_replace`` alike."""
+    for make in (lambda: Config(**change), lambda: Config.from_dict(change),
+                 lambda: Config()._replace(**change)):
+        with pytest.raises(InvalidInputError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_config_from_dict_refuses_unknown_keys_and_non_objects():
+    with pytest.raises(InvalidInputError) as info:
+        Config.from_dict({"max_ordr": 10, "b": 1, "seed": 2})
+    assert str(info.value) == "unknown config keys: ['b', 'max_ordr']"
+    with pytest.raises(InvalidInputError) as info:
+        Config.from_dict([])
+    assert str(info.value) == "a config must be a JSON object, not []"
+
+
+def test_config_to_dict_keeps_the_report_key_order():
+    assert list(Config().to_dict().items()) == [
+        ("max_elements", 100_000), ("max_degree", 128), ("max_quotient_degree", 2048),
+        ("subgroup_cap", 2000), ("hall_budget", 20), ("workers", 1), ("seed", 0),
+        ("max_order", 2000), ("cyclic_max", 12), ("dihedral_max_order", 16),
+        ("symmetric_max", 5), ("alternating_max", 5), ("include_quaternion", True),
+        ("cache_dir", None), ("output_format", "json")]
+    config = Config(seed=3, max_order=72)
+    assert Config.from_dict(config.to_dict()) == config
+
+
+def test_verdict_report_needs_its_witness():
+    with pytest.raises(TypeError):
+        VerdictReport("selftest-fixed-value", "S3", (2,), "fail")
