@@ -1,5 +1,7 @@
 """``python -m piclass``: the ``piclass`` command line."""
 
+import sys
+
 from .cli import main
 
-main(prog_name="piclass")
+sys.exit(main())

@@ -1,11 +1,9 @@
 """Command-line surface: analyze, verify, hall, census."""
 
-import functools
+import argparse
 import os
 import sys
 from collections import Counter
-
-import click
 
 from . import __version__
 from .catalog import build, census, parse_group_file, parse_name
@@ -58,64 +56,22 @@ def _parse_pi(values) -> list[frozenset[int]]:
     return sets
 
 
-# command-line option -> the Config field it overrides
-_OVERRIDES = {"seed": "seed", "max_order": "max_order", "fmt": "output_format",
-              "budget": "hall_budget"}
+def _config_from(args: argparse.Namespace) -> Config:
+    """The ``--config`` file's config, or the default, with every flag given
+    in place of its field: a flag's ``dest`` is the name of the field it
+    overrides, and ``Config`` checks the values."""
+    config = Config.from_file(args.config) if args.config else Config()
+    return config._replace(**{name: value for name, value in vars(args).items()
+                              if name in Config._fields and value is not None})
 
 
-def _config_from(ctx_params) -> Config:
-    base = Config.from_file(ctx_params["config"]) if ctx_params.get("config") else Config()
-    overrides = {key: ctx_params[opt] for opt, key in _OVERRIDES.items()
-                 if ctx_params.get(opt) is not None}
-    if overrides:
-        base = Config.from_dict({**base.to_dict(), **overrides})
-    return base
-
-
-_common = [
-    click.option("--config", type=click.Path(exists=True), default=None,
-                 help="JSON config file; flags override it."),
-    click.option("--format", "fmt", type=click.Choice(["json", "csv", "text"]),
-                 default=None, help="Output format (default json)."),
-    click.option("--seed", type=int, default=None, help="Deterministic seed."),
-]
-
-
-def _with_common(fn):
-    """Add the common options, and turn library errors (bad input, caps) into
-    a one-line ``Error:`` message with exit status 1."""
-    @functools.wraps(fn)
-    def command(**params):
-        try:
-            return fn(**params)
-        except PiclassError as exc:
-            raise click.ClickException(str(exc)) from None
-
-    for option in reversed(_common):
-        command = option(command)
-    return command
-
-
-@click.group()
-@click.version_option(version=__version__, prog_name="piclass")
-def main():
-    """Exact class-counting invariants of finite permutation groups."""
-
-
-@main.command()
-@click.argument("group_source")
-@click.option("--pi", "pi_values", multiple=True,
-              help="Prime set like '2' or '2,3'; repeatable. Default: each "
-                   "prime of |G| plus the full prime set.")
-@_with_common
-def analyze(group_source, pi_values, **params):
+def analyze(args: argparse.Namespace, config: Config) -> int:
     """Class table summary and exact profiles for GROUP_SOURCE."""
-    config = _config_from(params)
-    name, group = _load_group(group_source, config)
+    name, group = _load_group(args.group_source, config)
     config.check_element_cap(group)
-    pi_sets = _parse_pi(pi_values) if pi_values else None
-    body = _analysis_body(name, group, pi_sets, config)
-    click.echo(render("analysis", config, body), nl=False)
+    pi_sets = _parse_pi(args.pi) if args.pi else None
+    sys.stdout.write(render("analysis", config, _analysis_body(name, group, pi_sets, config)))
+    return 0
 
 
 def _analysis_body(name, group, pi_sets, config: Config) -> dict:
@@ -145,43 +101,29 @@ def _analysis_body(name, group, pi_sets, config: Config) -> dict:
     }
 
 
-@main.command()
-@click.argument("group_source", required=False)
-@click.option("--census", "use_census", is_flag=True, help="Run over the default census.")
-@click.option("--suite", "suites", multiple=True, default=("all",),
-              help=f"Suite selector; repeatable. One of {'/'.join([*SUITES, 'all'])}.")
-@click.option("--pi", "pi_values", multiple=True,
-              help="Restrict per-pi suites to these prime sets; single GROUP_SOURCE only.")
-@click.option("--max-order", type=int, default=None,
-              help="Census order cap; the census only, not a GROUP_SOURCE or --replay.")
-@click.option("--bundle-dir", type=click.Path(), default="counterexamples",
-              help="Where failure replay bundles are written.")
-@click.option("--replay", type=click.Path(exists=True), default=None,
-              help="Replay a counterexample bundle directory instead.")
-@_with_common
-def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **params):
+def verify(args: argparse.Namespace, config: Config) -> int:
     """Run theorem checkers; exit 0 iff no check fails."""
-    config = _config_from(params)
+    source, replay = args.group_source, args.replay
     by_name: dict[str, PermGroup] = {}
-    suites = resolve_suites(list(suites))
-    if bool(group_source) + use_census + bool(replay) > 1:
+    suites = resolve_suites(args.suite or ["all"])
+    if bool(source) + args.census + bool(replay) > 1:
         raise InvalidInputError("give only one of GROUP_SOURCE, --census and --replay")
-    if pi_values and not group_source:
+    if args.pi and not source:
         raise InvalidInputError("--pi needs a single GROUP_SOURCE, not the census or a replay")
-    if params["max_order"] is not None and (group_source or replay):
+    if args.max_order is not None and (source or replay):
         raise InvalidInputError("--max-order caps the census, not a GROUP_SOURCE or a replay")
     if replay:  # the document shows the bundle's config, in the requested format
         report, replayed = replay_counterexample(replay)
         reports = [report]
-        config = Config.from_dict({**replayed.to_dict(), "output_format": config.output_format})
-    elif use_census or not group_source:
+        config = replayed._replace(output_format=config.output_format)
+    elif args.census or not source:
         entries = list(census(config))
         by_name = dict(entries)
         reports = run_census_campaign(entries, suites, config).reports
     else:
-        name, group = _load_group(group_source, config)
+        name, group = _load_group(source, config)
         by_name = {name: group}
-        pi_sets = _parse_pi(pi_values) if pi_values else None
+        pi_sets = _parse_pi(args.pi) if args.pi else None
         reports = run_group_suite(group, name, suites, config, pi_sets)
     summary = dict(Counter(r.status for r in reports))
 
@@ -190,58 +132,111 @@ def verify(group_source, use_census, suites, pi_values, bundle_dir, replay, **pa
         grp = by_name.get(failure.group)
         if grp is None:
             continue
-        path = os.path.join(bundle_dir, f"{failure.result_id}-{i}")
+        path = os.path.join(args.bundle_dir, f"{failure.result_id}-{i}")
         write_counterexample_bundle(path, grp, failure, config.to_dict())
-        click.echo(f"counterexample bundle: {path}", err=True)
+        print(f"counterexample bundle: {path}", file=sys.stderr)
 
     body = {"results": [r.as_dict() for r in reports], "summary": summary}
-    click.echo(render("verify", config, body), nl=False)
-    sys.exit(1 if failures else 0)
+    sys.stdout.write(render("verify", config, body))
+    return 1 if failures else 0
 
 
-@main.command()
-@click.argument("group_source")
-@click.option("--pi", "pi_values", multiple=True, required=True,
-              help="Prime set, e.g. --pi 3,5.")
-@click.option("--budget", type=click.IntRange(min=0), default=None,
-              help="Randomized-tier attempts.")
-@_with_common
-def hall(group_source, pi_values, **params):
+def hall(args: argparse.Namespace, config: Config) -> int:
     """Search for a Hall subgroup for the given prime set."""
-    config = _config_from(params)
-    name, group = _load_group(group_source, config)
+    name, group = _load_group(args.group_source, config)
     config.check_element_cap(group)
     outcomes = []
-    for pi in _parse_pi(pi_values):
+    for pi in _parse_pi(args.pi):
         out = hall_search(group, pi, budget=config.hall_budget,
                           subgroup_cap=config.subgroup_cap, seed=config.seed)
-        entry = {
-            "pi": sorted(pi),
-            "status": out.status,
-            "method": out.method,
-            "route": out.route,
-        }
+        entry = {"pi": sorted(pi), "status": out.status, "method": out.method,
+                 "route": out.route}
         if out.found:
             entry["order"] = out.subgroup.order
             entry["abelian"] = out.subgroup.is_abelian()
             entry["generators"] = [g.cycle_string() for g in out.subgroup.generators]
         outcomes.append(entry)
-    body = {"group": name, "outcomes": outcomes}
-    click.echo(render("hall", config, body), nl=False)
+    sys.stdout.write(render("hall", config, {"group": name, "outcomes": outcomes}))
+    return 0
 
 
-@main.command(name="census")
-@click.option("--max-order", type=int, default=None, help="Census order cap.")
-@_with_common
-def census_cmd(**params):
+def census_cmd(args: argparse.Namespace, config: Config) -> int:
     """List the configured census (names, orders, degrees), in census order."""
-    config = _config_from(params)
-    rows = [
-        {"name": name, "order": group.order, "degree": group.degree}
-        for name, group in census(config)
-    ]
-    click.echo(render("census", config, {"groups": rows}), nl=False)
+    rows = [{"name": name, "order": group.order, "degree": group.degree}
+            for name, group in census(config)]
+    sys.stdout.write(render("census", config, {"groups": rows}))
+    return 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Ends a usage error with one ``Error:`` line and exit status 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"Error: {message}\n")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``piclass`` parser: one subcommand per command function, each
+    with the common ``--config``, ``--format`` and ``--seed``.  A flag
+    that overrides a config field has that field's name as its ``dest``."""
+    parser = _Parser(prog="piclass", allow_abbrev=False,
+                     description="Exact class-counting invariants of finite permutation groups.")
+    parser.add_argument("--version", action="version", version=f"piclass, version {__version__}")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, name):
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(run=run)
+        sub.add_argument("--config", help="JSON config file; flags override it.")
+        sub.add_argument("--format", dest="output_format", metavar="FORMAT",
+                         help="Output format: json (default), csv or text.")
+        sub.add_argument("--seed", type=int, help="Deterministic seed.")
+        return sub
+
+    sub = command(analyze, "analyze")
+    sub.add_argument("group_source", metavar="GROUP_SOURCE")
+    sub.add_argument("--pi", action="append",
+                     help="Prime set like '2' or '2,3'; repeatable. Default: each "
+                          "prime of |G| plus the full prime set.")
+
+    sub = command(verify, "verify")
+    sub.add_argument("group_source", metavar="GROUP_SOURCE", nargs="?")
+    sub.add_argument("--census", action="store_true", help="Run over the default census.")
+    sub.add_argument("--suite", action="append",
+                     help=f"Suite selector; repeatable. One of {'/'.join([*SUITES, 'all'])} "
+                          "(default all).")
+    sub.add_argument("--pi", action="append",
+                     help="Restrict per-pi suites to these prime sets; single GROUP_SOURCE only.")
+    sub.add_argument("--max-order", type=int,
+                     help="Census order cap; the census only, not a GROUP_SOURCE or --replay.")
+    sub.add_argument("--bundle-dir", default="counterexamples",
+                     help="Where failure replay bundles are written (default counterexamples).")
+    sub.add_argument("--replay", help="Replay a counterexample bundle directory instead.")
+
+    sub = command(hall, "hall")
+    sub.add_argument("group_source", metavar="GROUP_SOURCE")
+    sub.add_argument("--pi", action="append", required=True, help="Prime set, e.g. --pi 3,5.")
+    sub.add_argument("--budget", dest="hall_budget", metavar="BUDGET", type=int,
+                     help="Randomized-tier attempts.")
+
+    sub = command(census_cmd, "census")
+    sub.add_argument("--max-order", type=int, help="Census order cap.")
+    return parser
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit status: 0 on success, 1 when a
+    verdict fails or the library refuses the input, with one ``Error:``
+    line.  A usage error exits 2 from the parser."""
+    args = build_parser().parse_args(argv)
+    try:
+        return args.run(args, _config_from(args))
+    except PiclassError as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

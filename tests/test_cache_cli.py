@@ -6,23 +6,17 @@ import time
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from piclass import __version__
 from piclass.catalog import build, parse_name, serialize_group_file
-from piclass.cli import main
 from piclass.config import Config
 from piclass.errors import InvalidInputError
 from piclass.suite import run_group_suite, write_counterexample_bundle
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
-
-
-def test_analyze_known_tight_value(runner):
-    result = runner.invoke(main, ["analyze", "D8 x C3", "--pi", "2"])
+def test_analyze_known_tight_value():
+    result = invoke(["analyze", "D8 x C3", "--pi", "2"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["profiles"] == [
@@ -30,20 +24,20 @@ def test_analyze_known_tight_value(runner):
     assert doc["schema_version"] == 1
 
 
-def test_analyze_a5(runner):
-    result = runner.invoke(main, ["analyze", "A5", "--pi", "3"])
+def test_analyze_a5():
+    result = invoke(["analyze", "A5", "--pi", "3"])
     doc = json.loads(result.output)
     assert doc["profiles"][0]["d_pi"] == "2/3"
 
 
-def test_analyze_trivial_group(runner):
-    result = runner.invoke(main, ["analyze", "C1", "--pi", "2"])
+def test_analyze_trivial_group():
+    result = invoke(["analyze", "C1", "--pi", "2"])
     doc = json.loads(result.output)
     assert doc["profiles"][0]["d_pi"] == "1/1"
 
 
-def test_analyze_rationals_never_decimal(runner):
-    result = runner.invoke(main, ["analyze", "S4"])
+def test_analyze_rationals_never_decimal():
+    result = invoke(["analyze", "S4"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     for profile in doc["profiles"]:
@@ -51,24 +45,24 @@ def test_analyze_rationals_never_decimal(runner):
         float(profile["d_pi"].split("/")[0])  # numerator is an integer string
 
 
-def test_analyze_from_file(runner, tmp_path, named):
+def test_analyze_from_file(tmp_path, named):
     path = tmp_path / "my_group.grp"
     path.write_text(serialize_group_file(named("D8")))
-    result = runner.invoke(main, ["analyze", str(path), "--pi", "2"])
+    result = invoke(["analyze", str(path), "--pi", "2"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["group"]["name"] == "my_group"
     assert doc["profiles"][0]["d_pi"] == "5/8"
 
 
-def test_analyze_above_degree_256(runner, tmp_path):
+def test_analyze_above_degree_256(tmp_path):
     """A group of degree 300 keeps int-tuple images: the 300-cycle, under a
     config that admits its degree, has 300 classes and d_pi 1 for every pi."""
     path = tmp_path / "c300.grp"
     path.write_text("degree 300\n(" + " ".join(map(str, range(300))) + ")\n")
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"max_degree": 300}))
-    result = runner.invoke(main, ["analyze", str(path), "--config", str(config)])
+    result = invoke(["analyze", str(path), "--config", str(config)])
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["group"]["order"] == 300 and doc["class_summary"]["k"] == 300
@@ -76,7 +70,7 @@ def test_analyze_above_degree_256(runner, tmp_path):
     assert all(p["d_pi"] == "1/1" for p in doc["profiles"])
 
 
-def test_analyze_of_an_abelian_group_builds_no_supports(runner, tmp_path, monkeypatch):
+def test_analyze_of_an_abelian_group_builds_no_supports(tmp_path, monkeypatch):
     """k = |G| for an abelian group, so a k x k supports matrix would not
     fit for C2^12; analyze reads only the classes and their sizes."""
     import piclass.cli
@@ -91,7 +85,7 @@ def test_analyze_of_an_abelian_group_builds_no_supports(runner, tmp_path, monkey
     monkeypatch.setattr(piclass.cli, "conjugacy_classes", recording)
     path = tmp_path / "c2_12.grp"
     path.write_text("degree 24\n" + "\n".join(f"({2 * i},{2 * i + 1})" for i in range(12)) + "\n")
-    result = runner.invoke(main, ["analyze", str(path)])
+    result = invoke(["analyze", str(path)])
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert doc["group"]["order"] == 4096
@@ -99,29 +93,29 @@ def test_analyze_of_an_abelian_group_builds_no_supports(runner, tmp_path, monkey
     assert tables and all(table._supports == {} for table in tables)
 
 
-def test_analyze_parse_error_has_line(runner, tmp_path):
+def test_analyze_parse_error_has_line(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_text("degree 4\n(0 9)\n")
-    result = runner.invoke(main, ["analyze", str(path)])
+    result = invoke(["analyze", str(path)])
     assert result.exit_code != 0
     assert "line 2" in result.output
 
 
-def test_analyze_formats(runner):
-    csv_out = runner.invoke(main, ["analyze", "S3", "--pi", "3", "--format", "csv"])
+def test_analyze_formats():
+    csv_out = invoke(["analyze", "S3", "--pi", "3", "--format", "csv"])
     assert csv_out.output.splitlines()[0] == "group,pi,k_pi,order_pi,d_pi"
-    text_out = runner.invoke(main, ["analyze", "S3", "--pi", "3", "--format", "text"])
+    text_out = invoke(["analyze", "S3", "--pi", "3", "--format", "text"])
     assert "d_pi = 2/3" in text_out.output
 
 
-def test_analyze_deterministic_bytes(runner):
-    a = runner.invoke(main, ["analyze", "S4", "--pi", "2,3", "--seed", "0"])
-    b = runner.invoke(main, ["analyze", "S4", "--pi", "2,3", "--seed", "0"])
+def test_analyze_deterministic_bytes():
+    a = invoke(["analyze", "S4", "--pi", "2,3", "--seed", "0"])
+    b = invoke(["analyze", "S4", "--pi", "2,3", "--seed", "0"])
     assert a.output == b.output
 
 
-def test_verify_single_group_pass(runner):
-    result = runner.invoke(main, ["verify", "S3", "--suite", "main", "--pi", "3"])
+def test_verify_single_group_pass():
+    result = invoke(["verify", "S3", "--suite", "main", "--pi", "3"])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert doc["summary"] == {"pass": 1}
@@ -138,18 +132,18 @@ def test_verify_single_group_pass(runner):
     pytest.param("s8.grp", {"pass": 31, "vacuous": 17}, id="s8"),
     pytest.param("agl32.grp", {"pass": 16, "vacuous": 8}, id="agl32"),
 ])
-def test_verify_group_files_beyond_the_census(runner, filename, summary):
+def test_verify_group_files_beyond_the_census(filename, summary):
     path = Path(__file__).parent / "data" / filename
-    result = runner.invoke(main, ["verify", str(path), "--suite", "all"])
+    result = invoke(["verify", str(path), "--suite", "all"])
     assert result.exit_code == 0, result.output
     doc = json.loads(result.output)
     assert not {"fail", "partial"} & set(doc["summary"])
     assert doc["summary"] == summary
 
 
-def test_verify_selftest_fails_with_bundle(runner, tmp_path):
+def test_verify_selftest_fails_with_bundle(tmp_path):
     bundle_dir = str(tmp_path / "cx")
-    result = runner.invoke(main, [
+    result = invoke([
         "verify", "D8", "--suite", "selftest", "--bundle-dir", bundle_dir])
     assert result.exit_code == 1
     bundles = os.listdir(bundle_dir)
@@ -157,63 +151,63 @@ def test_verify_selftest_fails_with_bundle(runner, tmp_path):
     bundle = os.path.join(bundle_dir, bundles[0])
     assert sorted(os.listdir(bundle)) == ["group.grp", "meta.json"]
 
-    replay = runner.invoke(main, ["verify", "--replay", bundle, "--format", "text"])
+    replay = invoke(["verify", "--replay", bundle, "--format", "text"])
     assert replay.exit_code == 1
     assert "FAIL" in replay.output
 
 
-def test_verify_replay_prints_the_bundle_config(runner, tmp_path):
+def test_verify_replay_prints_the_bundle_config(tmp_path):
     c12 = build(parse_name("C12"))
     config = Config(subgroup_cap=10)
     verdict = run_group_suite(c12, "C12", ["main"], config, pi_sets=[[2, 3]])[0]
     bundle = write_counterexample_bundle(str(tmp_path / "capped"), c12, verdict,
                                          config.to_dict())
-    result = runner.invoke(main, ["verify", "--replay", bundle])
+    result = invoke(["verify", "--replay", bundle])
     assert result.exit_code == 0
     doc = json.loads(result.output)
     assert [r["status"] for r in doc["results"]] == ["partial"]
     assert doc["config"] == config.to_dict()
 
 
-def test_verify_census_subset(runner):
-    result = runner.invoke(main, [
+def test_verify_census_subset():
+    result = invoke([
         "verify", "--census", "--suite", "commuting", "--max-order", "30",
         "--format", "text"])
     assert result.exit_code == 0
     assert "fail" not in result.output.split("summary:")[1]
 
 
-def test_hall_cli(runner):
-    result = runner.invoke(main, ["hall", "A5", "--pi", "3,5", "--format", "text"])
+def test_hall_cli():
+    result = invoke(["hall", "A5", "--pi", "3,5", "--format", "text"])
     assert result.exit_code == 0
     assert "none_exists" in result.output
-    result = runner.invoke(main, ["hall", "S4", "--pi", "2", "--format", "text"])
+    result = invoke(["hall", "S4", "--pi", "2", "--format", "text"])
     assert "found order=8" in result.output
 
 
-def test_hall_csv(runner):
-    result = runner.invoke(main, ["hall", "A4", "--pi", "2", "--pi", "2,3", "--format", "csv"])
+def test_hall_csv():
+    result = invoke(["hall", "A4", "--pi", "2", "--pi", "2,3", "--format", "csv"])
     assert result.exit_code == 0
     assert result.output == (
         "pi,status,method,route,order,abelian\n"
         "2,found,constructive,closure of one Sylow subgroup per prime,4,True\n"
         '"2,3",found,constructive,whole group is a pi-group,12,False\n')
-    result = runner.invoke(main, ["hall", "A5", "--pi", "3,5", "--format", "csv"])
+    result = invoke(["hall", "A5", "--pi", "3,5", "--format", "csv"])
     assert result.output.splitlines()[1] == (
         '"3,5",none_exists,exhaustive,no pi-subgroup of Hall order exists,,')
 
 
-def test_census_cli(runner):
-    result = runner.invoke(main, ["census", "--format", "csv"])
+def test_census_cli():
+    result = invoke(["census", "--format", "csv"])
     lines = result.output.splitlines()
     assert lines[0] == "name,order,degree"
     assert any(line.startswith("D8 x C3,24,7") for line in lines)
-    again = runner.invoke(main, ["census", "--format", "csv"])
+    again = invoke(["census", "--format", "csv"])
     assert result.output == again.output
 
 
-def test_unknown_group_message(runner):
-    result = runner.invoke(main, ["analyze", "E8"])
+def test_unknown_group_message():
+    result = invoke(["analyze", "E8"])
     assert result.exit_code != 0
     assert "neither a readable file nor a known group name" in result.output
 
@@ -295,7 +289,7 @@ def _write_replay_dirs(root):
     ["verify", "C3", "--config", "quotient-degree.json"],
     ["verify", "--replay", "quotient-degree"],
 ])
-def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
+def test_bad_input_is_a_one_line_error(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "unknown-key.json").write_text('{"max_ordr": 10}')
     (tmp_path / "not-json.json").write_text("max_order = 10")
@@ -312,7 +306,7 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     (tmp_path / "not-utf8.grp").write_bytes(b"\xff\xfe")
     (tmp_path / "plain-file").write_text("")
     _write_replay_dirs(tmp_path)
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code != 0
     assert "Error:" in result.output
     assert "Traceback" not in result.output
@@ -326,7 +320,7 @@ def test_bad_input_is_a_one_line_error(runner, args, tmp_path, monkeypatch):
     ["hall", "S5", "--pi", "7", "--config", "cap50.json"],  # needs no element list
     ["verify", "--replay", "capped"],
 ])
-def test_group_over_max_elements_stops_where_the_run_starts(runner, args, tmp_path,
+def test_group_over_max_elements_stops_where_the_run_starts(args, tmp_path,
                                                             monkeypatch, named):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "cap50.json").write_text('{"max_elements": 50}')
@@ -334,14 +328,14 @@ def test_group_over_max_elements_stops_where_the_run_starts(runner, args, tmp_pa
     write_counterexample_bundle(tmp_path / "capped", s5,
                                 run_group_suite(s5, "S5", ["commuting"])[0],
                                 Config(max_elements=50).to_dict())
-    result = runner.invoke(main, args)
+    result = invoke(args)
     assert result.exit_code == 1
     assert result.output == "Error: element enumeration: needs 120, cap is 50\n"
 
 
-def test_huge_pi_is_a_quick_one_line_error(runner):
+def test_huge_pi_is_a_quick_one_line_error():
     start = time.perf_counter()
-    result = runner.invoke(main, ["hall", "S3", "--pi", "1000000000000000003"])
+    result = invoke(["hall", "S3", "--pi", "1000000000000000003"])
     assert time.perf_counter() - start < 10.0
     assert result.exit_code == 1
     assert result.output.startswith("Error:") and result.output.count("\n") == 1
@@ -353,7 +347,7 @@ def test_config_admits_only_a_null_cache_dir():
         Config(cache_dir="x")
 
 
-def test_hall_records_the_budget_it_searched_with(runner, monkeypatch):
+def test_hall_records_the_budget_it_searched_with(monkeypatch):
     import piclass.cli
 
     budgets = []
@@ -364,24 +358,38 @@ def test_hall_records_the_budget_it_searched_with(runner, monkeypatch):
         return search(*args, **kwargs)
 
     monkeypatch.setattr(piclass.cli, "hall_search", recording_search)
-    result = runner.invoke(main, ["hall", "S4", "--pi", "2,3", "--budget", "3",
-                                  "--format", "json"])
+    result = invoke(["hall", "S4", "--pi", "2,3", "--budget", "3", "--format", "json"])
     assert result.exit_code == 0
     assert json.loads(result.output)["config"]["hall_budget"] == 3
     assert budgets == [3]
 
 
-def test_python_dash_m_runs_the_cli():
-    """``python -m piclass`` from a checkout, with ``src`` on the path."""
+def _python_dash_m(module, *args):
+    """``python -m MODULE ARGS`` from a checkout, with ``src`` on the path."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "piclass", "--version"], env=env,
-                         capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-m", module, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _python_dash_m("piclass", "--version")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == f"piclass, version {__version__}"
 
 
-def test_analyze_bytes_are_pinned(runner):
+def test_python_dash_m_piclass_cli_prints_the_same_bytes():
+    """``python -m piclass.cli``, the entry point perfbench records its
+    expected reports through, prints what ``python -m piclass`` prints."""
+    args = ["census", "--max-order", "6"]
+    via_cli, via_package = _python_dash_m("piclass.cli", *args), _python_dash_m("piclass", *args)
+    assert via_cli.returncode == via_package.returncode == 0, (via_cli.stderr, via_package.stderr)
+    assert via_cli.stdout == via_package.stdout
+    assert json.loads(via_cli.stdout)["groups"][-1] == {"name": "C3 x C2", "order": 6, "degree": 5}
+    assert via_cli.stderr == ""
+
+
+def test_analyze_bytes_are_pinned():
     """The ``analyze`` document of a group by name and of a group file, in
     each format, byte for byte (sha256)."""
     import hashlib
@@ -396,6 +404,6 @@ def test_analyze_bytes_are_pinned(runner):
         (psl27, "text"): "5500eac16c6ad4c7a0b471c0ec1512b595003dfd71befcbbc7461a685122f4b9",
     }
     for (source, fmt), digest in digests.items():
-        result = runner.invoke(main, ["analyze", source, "--format", fmt])
+        result = invoke(["analyze", source, "--format", fmt])
         assert result.exit_code == 0, result.output
         assert hashlib.sha256(result.output.encode()).hexdigest() == digest, (source, fmt)

@@ -3,8 +3,10 @@
 A direct product multiplies class counts and pi-parts factor by factor, so
 ``k(A x B) = k(A) k(B)`` and ``d_pi(A x B) = d_pi(A) d_pi(B)`` for every
 prime set, and a product of normal subgroups N_A x N_B is normal with
-quotient (A/N_A) x (B/N_B).  The closed forms are the class counts of the
-symmetric, alternating and dihedral groups.
+quotient (A/N_A) x (B/N_B).  A Hall pi-subgroup of A x B is the product
+of one of A and one of B, so its conjugacy classes are the pairs of
+theirs.  The closed forms are the class counts of the symmetric,
+alternating and dihedral groups.
 """
 
 import time
@@ -15,7 +17,8 @@ from math import lcm
 from piclass.catalog import alternating, build, census_specs, symmetric
 from piclass.classes import conjugacy_classes, k_pi, pi_count
 from piclass.invariants import d_pi, group_primes
-from piclass.subgroups import normal_lattice
+from piclass.numtheory import pi_part
+from piclass.subgroups import enumerate_subgroups_up_to_conjugacy, normal_lattice
 from piclass.suite import _nonempty_subsets
 
 PARTITIONS = {3: 3, 4: 5, 5: 7, 6: 11}  # p(n): the classes of S_n
@@ -101,3 +104,31 @@ def test_normal_products_and_their_quotients(census_entries):
                     k, k_a, k_b = (pi_count(h, t.pi_bits(pi))
                                    for h, t in zip(counts, (table, table_a, table_b)))
                     assert k == k_a * k_b, (spec.name, n_a.order, n_b.order, sorted(pi))
+
+
+def _hall_classes(group, pi) -> int:
+    """The subgroup classes of Hall pi-order that the pi-sweep finds."""
+    target = pi_part(group.order, pi)
+    return sum(1 for h in enumerate_subgroups_up_to_conjugacy(group, pi=pi) if h.order == target)
+
+
+def test_hall_classes_of_a_product_are_pairs(census_entries):
+    """A Hall pi-subgroup H of A x B lies in the pi-group p_A(H) x p_B(H)
+    of its projections, so it equals it, and each factor is a Hall
+    pi-subgroup; (a, b) conjugates H_A x H_B factor by factor.  So the
+    classes of Hall pi-order in ``enumerate_subgroups_up_to_conjugacy(A x
+    B, pi=pi)`` number the product of the factors' counts, for every
+    nonempty pi on every census product of order <= 72.  These products
+    are solvable, so by Hall's theorem every count is 1."""
+    by_name = dict(census_entries)
+    products = [s for s in census_specs() if s.kind == "product" and s.order <= 72]
+    assert len(products) > 50
+    counts = Counter()
+    for spec in products:
+        g = by_name[spec.name]
+        a, b = (by_name[f.name] for f in spec.factors)
+        for pi in _nonempty_subsets(group_primes(g)):
+            count = _hall_classes(g, pi)
+            assert count == _hall_classes(a, pi) * _hall_classes(b, pi), (spec.name, sorted(pi))
+            counts[count] += 1
+    assert set(counts) == {1}, counts

@@ -5,13 +5,14 @@ raise only ``PiclassError``, and every CLI call ends with exit status 0, 1
 or 2 and raises nothing but ``SystemExit``.
 """
 
+import os
+
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_runner import invoke
 from piclass.catalog import census_specs, parse_group_file
-from piclass.cli import main
 from piclass.config import Config
 from piclass.errors import PiclassError
 
@@ -69,6 +70,13 @@ def _cli_args(draw):
             args += ["--pi", draw(st.sampled_from(_PI_VALUES))]
     if draw(st.booleans()):
         args += ["--format", draw(st.sampled_from(["json", "csv", "text", "xml"]))]
+    # The checks of these values live in Config and the library, not the parser.
+    if command == "hall" and draw(st.booleans()):
+        args += ["--budget", draw(st.sampled_from(["3", "0", "-1", "x"]))]
+    args += draw(st.sampled_from([[], [], ["--seed", "-1"], ["--seed", "x"]]))
+    missing = os.path.join("no-such-dir", "no-such-file")
+    args += draw(st.sampled_from([[], [], ["--config", missing]]
+                                 + ([["--replay", missing]] if command == "verify" else [])))
     return args
 
 
@@ -77,12 +85,12 @@ def bundle_dir(tmp_path_factory):
     return str(tmp_path_factory.mktemp("bundles"))
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(_cli_args())
 def test_cli_exits_cleanly_on_any_input(bundle_dir, args):
     if args[0] == "verify":  # the selftest suite writes failure bundles
         args += ["--bundle-dir", bundle_dir]
-    result = CliRunner().invoke(main, args)
+    result = invoke(args)
     assert result.exit_code in (0, 1, 2), (args, result.output)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         args, result.exception)

@@ -38,10 +38,9 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
+from cli_runner import invoke
 from piclass.catalog import census
-from piclass.cli import main
 from piclass.config import Config
 from piclass.reporting import document, render_json
 from piclass.suite import DEFAULT_SUITES, SUITES, run_census_campaign
@@ -130,8 +129,7 @@ def test_group_file_report_digest():
     reports = []
     for name in files:
         path = LEDGER.parent / name
-        result = CliRunner().invoke(main, ["verify", str(path), "--suite", "all",
-                                           "--format", "json"])
+        result = invoke(["verify", str(path), "--suite", "all", "--format", "json"])
         assert result.exit_code == 0, (name, result.output)
         reports.append(result.stdout)
     assert hashlib.sha256("".join(reports).encode()).hexdigest() == digest

@@ -1,7 +1,13 @@
+import csv
+import io
+import json
+import os
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from cli_runner import invoke
 from piclass import suite
 from piclass.catalog import GroupSpec, build, census, census_specs, parse_group_file, parse_name
 from piclass.classes import conjugacy_classes
@@ -231,6 +237,81 @@ def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
     assert status == FAIL
     assert witness["normal_subgroups"] == 3
     assert witness["checked"] == 2
+
+
+# One fact patched on a small named group forces a fail branch that no
+# census group reaches: name -> (suite, group, pi, the suite-module name
+# patched, its stand-in, result id, the witness of the forced fail).
+FORCED_FAILS = {
+    "cap-above-two-thirds": (
+        "cap", "S4", "2", "d_pi", lambda group, pi: PiProfile(frozenset([2]), 6, 8, Fraction(3, 4)),
+        "two-thirds-cap", {"d_pi": "3/4", "violated": "d_pi > 2/3"}),
+    "cap-odd-order-above-five-eighths": (
+        "cap", "C3", "3", "d_pi", lambda group, pi: PiProfile(frozenset([3]), 2, 3, Fraction(2, 3)),
+        "two-thirds-cap", {"d_pi": "2/3", "violated": "d_pi > 5/8 with 3 outside pi or odd order"}),
+    "commuting-non-abelian-above-five-eighths": (
+        "commuting", "S3", None, "commuting_degree", lambda group: Fraction(1),
+        "commuting-threshold", {"d": "1/1", "abelian": False}),
+    "commuting-abelian-at-most-five-eighths": (
+        "commuting", "C3", None, "commuting_degree", lambda group: Fraction(1, 2),
+        "commuting-threshold", {"d": "1/2", "abelian": True}),
+}
+
+
+@pytest.mark.parametrize("case", list(FORCED_FAILS))
+def test_forced_fail_through_the_cli_writes_a_bundle_that_replays(case, monkeypatch, tmp_path):
+    """``verify`` exits 1 on the forced fail in every format, prints the
+    exact witness, writes a replay bundle, and the replay of that bundle,
+    under the same patch, gives the same verdict."""
+    suite_name, group, pi, fact, stand_in, rid, witness = FORCED_FAILS[case]
+    monkeypatch.setattr(suite, fact, stand_in)
+    pi_args = ["--pi", pi] if pi else []
+    printed = {}
+    for fmt in ("json", "csv", "text"):
+        bundle = tmp_path / fmt / f"{rid}-0"
+        result = invoke(["verify", group, "--suite", suite_name, *pi_args, "--format", fmt,
+                         "--bundle-dir", str(tmp_path / fmt)])
+        assert result.exit_code == 1, result.output
+        assert f"counterexample bundle: {bundle}\n" in result.output
+        assert sorted(os.listdir(bundle)) == ["group.grp", "meta.json"]
+        printed[fmt] = result.stdout
+
+    row = {"result_id": rid, "group": group, "pi": [int(pi)] if pi else None, "status": FAIL,
+           "witness": witness}
+    doc = json.loads(printed["json"])
+    assert (doc["results"], doc["summary"]) == ([row], {"fail": 1})
+    assert list(csv.reader(io.StringIO(printed["csv"]))) == [
+        ["result_id", "group", "pi", "status", "witness"],
+        [rid, group, pi or "", FAIL, json.dumps(witness, sort_keys=True)]]
+    assert printed["text"] == (f"{'FAIL':12} {rid:24} {group:16} pi={{{pi}}}\n" if pi else
+                               f"{'FAIL':12} {rid:24} {group:16} pi=-\n") + "\nsummary: fail=1\n"
+
+    replay = invoke(["verify", "--replay", str(tmp_path / "json" / f"{rid}-0")])
+    assert replay.exit_code == 1, replay.output
+    assert json.loads(replay.stdout)["results"] == [row]
+
+
+@pytest.mark.parametrize("suite_name, pi, rid, witness", [
+    pytest.param("main", "3", "hall-dichotomy", {"d_pi": "2/3", "hall": "unresolved"},
+                 id="hall-dichotomy"),
+    pytest.param("complement", "2", "unit-iff-complement",
+                 {"d_pi": "1/1", "complement_exists": True, "complement_order": 3},
+                 id="unit-iff-complement"),
+])
+def test_unresolved_hall_search_through_the_cli(suite_name, pi, rid, witness, monkeypatch,
+                                                tmp_path):
+    """A Hall search that ends unresolved makes the verdict on S3
+    ``unresolved``, with exit status 0 and no bundle."""
+    monkeypatch.setattr(suite, "hall_search",
+                        lambda *args, **kwargs: HallSearchOutcome("unresolved", None, None, None))
+    result = invoke(["verify", "S3", "--suite", suite_name, "--pi", pi,
+                     "--bundle-dir", str(tmp_path / "bundles")])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(result.stdout)
+    assert doc["results"] == [{"result_id": rid, "group": "S3", "pi": [int(pi)],
+                               "status": "unresolved", "witness": witness}]
+    assert doc["summary"] == {"unresolved": 1}
+    assert not (tmp_path / "bundles").exists()
 
 
 def _open_entries(g):
