@@ -127,9 +127,10 @@ class ClassTable:
     ``histogram()`` is the one of G.
 
     The classes of each prime support are one bitset, built once: the
-    histograms count inside them, and ``normal_core(primes)`` reads the
-    classes allowed in the largest normal ``primes``-subgroup from them
-    (O_pi'(G), for the primes outside pi), once per bitmask of primes.
+    histograms count inside them, and ``normal_core(primes)`` reads from
+    them the classes allowed in the largest normal ``primes``-subgroup
+    (O_pi'(G), for the primes outside pi) and returns that subgroup's
+    class bitset, once per bitmask of primes.
     ``order(mask)`` sums the class sizes of a bitset, so the lattice and
     the suites read the order of a normal subgroup, |O_pi'(G)| among them,
     with no subgroup built.
@@ -160,7 +161,7 @@ class ClassTable:
         self._power_maps = power_maps
         self._prime_supports: dict[int, int] = {}  # element order -> its support
         self._pi_bits: dict[frozenset[int], int] = {}
-        self._cores: dict[int, tuple[int, tuple[int, ...]]] = {}  # pi_bits -> normal_core
+        self._cores: dict[int, int] = {}  # pi_bits -> normal_core
         self._support_masks: dict[int, int] | None = None  # support -> its classes
         self._histogram: dict[int, int] | None = None
 
@@ -348,22 +349,21 @@ class ClassTable:
         return {support: (classes & mask).bit_count()
                 for support, classes in self._masks_by_support().items() if classes & mask}
 
-    def normal_core(self, primes) -> tuple[int, tuple[int, ...]]:
-        """The largest normal subgroup whose order has only primes in
-        ``primes``, as its class bitset, and the classes picked to generate
-        it, ascending.  Cached per bitmask of ``primes`` (``pi_bits``).
+    def normal_core(self, primes) -> int:
+        """The class bitset of the largest normal subgroup whose order has
+        only primes in ``primes``.  Cached per bitmask of ``primes``
+        (``pi_bits``).
 
         A group is a ``primes``-group exactly when all its elements are
         ``primes``-elements, so the core lies in the allowed classes: those
         whose prime support lies inside the bits of ``primes``, read from
-        the class bitset of each support.  A class is picked when its
-        closure, walked with the allowed classes as its bound, stays inside
-        them and no closure picked before covers it; the closures picked
-        cover exactly the classes of the core, which holds every normal
-        ``primes``-subgroup.  A class in
-        the rational class of a class whose closure left the allowed
-        classes has that closure, so it is skipped too.  O_pi'(G) is the
-        core of the primes of |G| outside pi."""
+        the class bitset of each support.  The core is the union of the
+        closures, walked with the allowed classes as their bound, that stay
+        inside them: each is a normal ``primes``-subgroup, and each class of
+        the core has its closure inside the core.  A class that an earlier
+        closure covers is not closed, nor is one in the rational class of a
+        class whose closure left the allowed classes, as it has that
+        closure.  O_pi'(G) is the core of the primes of |G| outside pi."""
         bits = self.pi_bits(primes)
         core = self._cores.get(bits)
         if core is not None:
@@ -372,19 +372,17 @@ class ClassTable:
         for support, classes in self._masks_by_support().items():
             if not support & ~bits:
                 allowed |= classes
-        picked: list[int] = []
-        covered = 0
-        rejected = 0  # the rational classes of the closures not picked
+        core = 0
+        rejected = 0  # the rational classes of the closures that left
         for i in _bits(allowed):
-            if (covered | rejected) >> i & 1:
+            if (core | rejected) >> i & 1:
                 continue
             mask = self.closure(1 << i, allowed)
-            if mask is not None:
-                picked.append(i)
-                covered |= mask
-            else:
+            if mask is None:
                 rejected |= self.rational_class(i)
-        core = self._cores[bits] = covered, tuple(picked)
+            else:
+                core |= mask
+        self._cores[bits] = core
         return core
 
     def quotient_histogram(self, normal: int) -> dict[int, int]:

@@ -106,17 +106,18 @@ def verify(args: argparse.Namespace, config: Config) -> int:
     source, replay = args.group_source, args.replay
     by_name: dict[str, PermGroup] = {}
     suites = resolve_suites(args.suite or ["all"])
-    if bool(source) + args.census + bool(replay) > 1:
+    # an empty GROUP_SOURCE or --replay counts as given, and the library refuses it
+    if (source is not None) + args.census + (replay is not None) > 1:
         raise InvalidInputError("give only one of GROUP_SOURCE, --census and --replay")
-    if args.pi and not source:
+    if args.pi and source is None:
         raise InvalidInputError("--pi needs a single GROUP_SOURCE, not the census or a replay")
-    if args.max_order is not None and (source or replay):
+    if args.max_order is not None and (source is not None or replay is not None):
         raise InvalidInputError("--max-order caps the census, not a GROUP_SOURCE or a replay")
-    if replay:  # the document shows the bundle's config, in the requested format
+    if replay is not None:  # the document shows the bundle's config, in the requested format
         report, replayed = replay_counterexample(replay)
         reports = [report]
         config = replayed._replace(output_format=config.output_format)
-    elif args.census or not source:
+    elif source is None:
         entries = list(census(config))
         by_name = dict(entries)
         reports = run_census_campaign(entries, suites, config).reports

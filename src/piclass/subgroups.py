@@ -37,8 +37,9 @@ its later walks drop the elements that failed for good.  Normal-subgroup
 queries (the lattice, O_pi', the Fitting subgroup, the socle) close
 class bitsets over the class table of G
 (``classes.ClassTable``), and their element sets are read from
-those bitsets; O_pi' is the class set ``ClassTable.normal_core`` picks,
-and its order is the sum of their sizes (``o_pi_prime_order``).  A
+those bitsets.  O_pi', the Fitting subgroup and the socle each work out
+one bitset and return the entry of ``normal_subgroups`` that has it; the
+order of O_pi' is the sum of its class sizes (``o_pi_prime_order``).  A
 join N * M is the union of the fusion blocks of N (the classes of G/N,
 built in one pass) that meet M; each bitset is joined with the seeds only
 (the normal closures of single classes), and a closure stops as soon as
@@ -636,41 +637,42 @@ def are_conjugate_subgroups(group: PermGroup, a: PermGroup, b: PermGroup):
 # -- characteristic-style subgroups ------------------------------------------
 
 
-def _normal_core(group: PermGroup, primes) -> PermGroup:
-    """Largest normal subgroup whose order has only primes in ``primes``:
-    the normal closure of the representatives of the classes that
-    ``ClassTable.normal_core`` picks.  ``normal_closure`` is handed the
-    core's element set, read from its class bitset, which stops its walk
-    early and keeps the same generators.
-    """
+def _lattice_entry(group: PermGroup, mask: int) -> PermGroup:
+    """The entry of ``normal_subgroups`` whose class bitset is ``mask``."""
+    masks = [entry.mask for entry in normal_lattice(group)]
+    return normal_subgroups(group)[masks.index(mask)]
+
+
+def o_pi_prime(group: PermGroup, pi) -> PermGroup:
+    """O_{pi'}(G), the largest normal pi'-subgroup: the lattice entry whose
+    class bitset is ``ClassTable.normal_core`` of the primes of |G| outside
+    pi."""
+    pi = validate_pi(pi)
     table = conjugacy_classes(group)
-    covered, picked = table.normal_core(primes)
-    core = normal_closure(group, [table.classes[i].rep for i in picked],
-                          frozenset(table.elements(covered)))
+    primes = frozenset(table.primes) - pi
+    core = _lattice_entry(group, table.normal_core(primes))
     if not is_pi_number(core.order, primes):
         raise AssertionError("normal core has a disallowed prime")
     return core
 
 
-def o_pi_prime(group: PermGroup, pi) -> PermGroup:
-    """O_{pi'}(G), the largest normal pi'-subgroup."""
-    pi = validate_pi(pi)
-    return _normal_core(group, frozenset(conjugacy_classes(group).primes) - pi)
-
-
 def o_pi_prime_order(group: PermGroup, pi) -> int:
-    """|O_{pi'}(G)|: the summed sizes of the classes that
-    ``ClassTable.normal_core`` picks, with no subgroup built."""
+    """|O_{pi'}(G)|: the summed sizes of the classes of
+    ``ClassTable.normal_core``, with no subgroup built."""
     pi = validate_pi(pi)
     table = conjugacy_classes(group)
-    return table.order(table.normal_core(frozenset(table.primes) - pi)[0])
+    return table.order(table.normal_core(frozenset(table.primes) - pi))
 
 
 def fitting_subgroup(group: PermGroup) -> PermGroup:
-    """F(G): the join of the largest normal p-subgroups over p | |G|."""
-    gens = [g.images for p in prime_factors(group.order)
-            for g in _normal_core(group, frozenset([p])).generators]
-    return _reduced_subgroup(group, gens)
+    """F(G), the join of the largest normal p-subgroups over p | |G|: the
+    lattice entry whose class bitset is the closure of the union of their
+    bitsets (``ClassTable.normal_core``)."""
+    table = conjugacy_classes(group)
+    union = 1  # the identity's class, for a group with no prime
+    for p in table.primes:
+        union |= table.normal_core([p])
+    return _lattice_entry(group, table.closure(union))
 
 
 def socle(group: PermGroup) -> PermGroup:
@@ -682,8 +684,7 @@ def socle(group: PermGroup) -> PermGroup:
     for m in masks[1:]:
         if not any(o != m and o & m == o for o in masks[1:]):
             joined |= m
-    joined = conjugacy_classes(group).closure(joined)
-    return normal_subgroups(group)[masks.index(joined)]
+    return _lattice_entry(group, conjugacy_classes(group).closure(joined))
 
 
 def is_simple(group: PermGroup) -> bool:

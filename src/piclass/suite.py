@@ -367,8 +367,7 @@ def check_sylow3_structure(group: PermGroup, config: Config = DEFAULT_CONFIG) ->
         return FAIL, witness
 
     normals = list(zip(normal_subgroups(group), normal_lattice(group)))
-    table = conjugacy_classes(group)
-    case1 = table.normal_mask(p_syl.element_set()) is not None and cent.order == p_syl.order
+    case1 = norm.order == group.order and cent.order == p_syl.order  # P normal: N_G(P) = G
     witness["case1_self_centralizing_normal"] = case1
     case2 = False
     case2_witness = None

@@ -15,8 +15,8 @@ from piclass.group import PermGroup
 from piclass.invariants import (
     d_pi,
     group_primes,
-    has_normal_pi_complement,
     k_pi_by_centralizer_decomposition,
+    normal_pi_complement_exists,
 )
 from piclass.numtheory import pi_part, validate_pi
 from piclass.perm import Permutation
@@ -56,8 +56,7 @@ def d_pi_hall_average(group: PermGroup, pi, p: int,
     mu = pi - {p}
     if not mu:
         raise PreconditionError("pi must contain at least one prime besides p")
-    exists, _ = has_normal_pi_complement(group, mu)
-    if not exists:
+    if not normal_pi_complement_exists(group, mu):
         raise PreconditionError("no normal mu-complement; the average formula does not apply")
     outcome = hall_search(group, mu, budget=budget, subgroup_cap=subgroup_cap)
     if not outcome.found:

@@ -288,6 +288,8 @@ def _write_replay_dirs(root):
     ["verify", "D8", "--suite", "selftest", "--bundle-dir", "plain-file"],
     ["verify", "C3", "--config", "quotient-degree.json"],
     ["verify", "--replay", "quotient-degree"],
+    ["verify", ""],
+    ["verify", "--replay", ""],
 ])
 def test_bad_input_is_a_one_line_error(args, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -308,7 +310,7 @@ def test_bad_input_is_a_one_line_error(args, tmp_path, monkeypatch):
     _write_replay_dirs(tmp_path)
     result = invoke(args)
     assert result.exit_code != 0
-    assert "Error:" in result.output
+    assert result.output.count("Error:") == 1 and result.stdout == ""
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import pi_part_of_element
-from piclass.catalog import parse_group_file
+from piclass.catalog import build, parse_group_file, parse_name
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import NotInGroupError
 from piclass.numtheory import is_pi_number
@@ -57,14 +57,19 @@ def test_representative_is_lex_least(named):
         assert rep.images <= e.images
 
 
-def test_normal_core_is_cached_per_prime_set(named):
+def test_normal_core_is_cached_per_prime_set():
     """O_2(S4) = V4 is walked once: a second call, with the primes as a
-    list, returns the same tuple."""
-    table = conjugacy_classes(named("S4"))
+    list, closes no class and returns the same bitset."""
+    table = conjugacy_classes(build(parse_name("S4")))  # fresh: nothing cached yet
+    closures = []
+    closure = table.closure
+    table.closure = lambda *args: closures.append(args) or closure(*args)
     core = table.normal_core(frozenset([2]))
-    assert isinstance(core, tuple) and isinstance(core[1], tuple)
-    assert table.order(core[0]) == 4
-    assert table.normal_core([2]) is core
+    assert isinstance(core, int) and table.order(core) == 4
+    assert closures
+    closures.clear()
+    assert table.normal_core([2]) == core
+    assert not closures
 
 
 def test_class_of_rejects_outsiders(named):

@@ -287,10 +287,21 @@ def pairwise_joins(g):
     yield "element sets", [h.element_set() for h in ours], [h.element_set() for h in oracle]
 
 
+def _lattice_position(g, sub, oracle_set):
+    """Where ``sub`` itself stands among ``normal_subgroups(g)``, and where
+    the entry with the oracle's element set stands: the same place when
+    ``sub`` is that entry, not a copy of it."""
+    normals = subgroups.normal_subgroups(g)
+    return (next((i for i, n in enumerate(normals) if n is sub), None),
+            [n.element_set() for n in normals].index(oracle_set))
+
+
 def cores(g):
     for pi in _subsets(g, {2}):
-        yield ("pi", pi), subgroups.o_pi_prime(g, pi).element_set(), (
-            oracles.normal_core_by_closures(g, lambda q: q not in pi))
+        core = subgroups.o_pi_prime(g, pi)
+        want = oracles.normal_core_by_closures(g, lambda q: q not in pi)
+        yield ("pi", pi), core.element_set(), want
+        yield ("pi", pi, "lattice entry"), *_lattice_position(g, core, want)
 
 
 def core_orders(g):
@@ -301,13 +312,12 @@ def core_orders(g):
 
 def table_cores(g):
     """The classes of O_pi'(G) hold its elements, and their sizes sum to
-    its order; the closure of the classes picked is the core."""
+    its order."""
     table = conjugacy_classes(g)
     for pi in _subsets(g, {2}):
-        mask, picked = table.normal_core(group_primes(g) - pi)
+        mask = table.normal_core(group_primes(g) - pi)
         want = oracles.normal_core_by_closures(g, lambda q: q not in pi)
         yield ("pi", pi), (frozenset(table.elements(mask)), table.order(mask)), (want, len(want))
-        yield ("pi", pi, "picked"), table.closure(sum(1 << i for i in picked)), mask
 
 
 def complements(g):
@@ -320,12 +330,15 @@ def complements(g):
 
 
 def fitting_sets(g):
-    yield "F(G)", subgroups.fitting_subgroup(g).element_set(), (
-        oracles.fitting_subgroup_by_closures(g))
+    fitting, want = subgroups.fitting_subgroup(g), oracles.fitting_subgroup_by_closures(g)
+    yield "F(G)", fitting.element_set(), want
+    yield "F(G) lattice entry", *_lattice_position(g, fitting, want)
 
 
 def socle_sets(g):
-    yield "socle", subgroups.socle(g).element_set(), oracles.socle_by_element_sets(g)
+    soc, want = subgroups.socle(g), oracles.socle_by_element_sets(g)
+    yield "socle", soc.element_set(), want
+    yield "socle lattice entry", *_lattice_position(g, soc, want)
 
 
 def closures_of_generators(g):

@@ -976,27 +976,21 @@ def test_o_pi_prime_maximality(named):
 
 
 @pytest.mark.parametrize("name", CENSUS_72)
-def test_o_pi_prime_keeps_the_generators_of_its_plain_closure(name, named, monkeypatch):
-    """O_pi' hands its element set to ``normal_closure``; the generators are
-    those the closure of the same seeds gives without it."""
-    import piclass.subgroups
-
-    calls = []
-    closure = piclass.subgroups.normal_closure
-
-    def recording(group, seeds, elements=None):
-        calls.append((list(seeds), elements))
-        return closure(group, seeds, elements)
-
-    monkeypatch.setattr(piclass.subgroups, "normal_closure", recording)
+def test_o_pi_prime_keeps_the_generators_of_its_plain_closure(name, named):
+    """O_pi' is the entry of ``normal_subgroups`` whose class bitset is
+    ``ClassTable.normal_core``'s, and each seed entry has the generators
+    and elements of the plain normal closure of its class representative:
+    handing the walk its element set changes neither."""
     g = named(name)
+    table = conjugacy_classes(g)
+    entries = dict(zip([e.mask for e in normal_lattice(g)], normal_subgroups(g)))
     for pi in _nonempty_subsets(group_primes(g)):
-        calls.clear()
-        core = o_pi_prime(g, pi)
-        [(seeds, elements)] = calls
-        plain = closure(g, seeds)
-        assert core.generators == plain.generators, sorted(pi)
-        assert core.element_set() == plain.element_set() == elements, sorted(pi)
+        assert o_pi_prime(g, pi) is entries[table.normal_core(group_primes(g) - pi)], sorted(pi)
+    for entry, sub in zip(normal_lattice(g), normal_subgroups(g)):
+        if entry.seed is not None:
+            plain = normal_closure(g, [table.classes[entry.seed].rep])
+            assert sub.generators == plain.generators, entry.seed
+            assert sub.element_set() == plain.element_set(), entry.seed
 
 
 def test_fitting_socle_simple(named):

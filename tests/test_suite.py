@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -27,6 +28,7 @@ from piclass.suite import (
     PARTIAL,
     VACUOUS,
     SUITES,
+    UNRESOLVED,
     check_commuting_threshold,
     check_hall_dichotomy,
     check_quotient_bound,
@@ -240,8 +242,12 @@ def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
 
 
 # One fact patched on a small named group forces a fail branch that no
-# census group reaches: name -> (suite, group, pi, the suite-module name
-# patched, its stand-in, result id, the witness of the forced fail).
+# census group reaches: name -> (suite, group, the --pi given, the
+# suite-module name patched, its stand-in, result id, the witness of the
+# forced fail).  S3 and S5 have d_3 = 2/3 and O_3'(G) = 1, so the
+# structure check reaches its fails on them, each witness starting with
+# ``_STRUCTURE_START``.
+_STRUCTURE_START = {"d_3": "2/3", "o_3_prime_order": 1, "sylow3_order": 3, "abelian_P": True}
 FORCED_FAILS = {
     "cap-above-two-thirds": (
         "cap", "S4", "2", "d_pi", lambda group, pi: PiProfile(frozenset([2]), 6, 8, Fraction(3, 4)),
@@ -255,6 +261,36 @@ FORCED_FAILS = {
     "commuting-abelian-at-most-five-eighths": (
         "commuting", "C3", None, "commuting_degree", lambda group: Fraction(1, 2),
         "commuting-threshold", {"d": "1/2", "abelian": True}),
+    "structure-sylow-not-abelian": (
+        "structure", "S3", None, "sylow_subgroup", lambda group, p: group,
+        "sylow3-structure", {**_STRUCTURE_START, "sylow3_order": 6, "abelian_P": False}),
+    "structure-normalizer-over-centralizer-not-two": (
+        "structure", "S3", None, "centralizer_of_subgroup", lambda group, sub: group,
+        "sylow3-structure", {**_STRUCTURE_START, "normalizer_over_centralizer": 1}),
+    "structure-commutator-order-not-three": (
+        "structure", "S3", None, "commutator_subgroup", lambda group, a, b: group,
+        "sylow3-structure",
+        {**_STRUCTURE_START, "normalizer_over_centralizer": 2, "commutator_order": 6}),
+    "structure-not-a-direct-product": (
+        "structure", "S3", None, "subgroup_intersection", lambda group, a, b: a,
+        "sylow3-structure",
+        {**_STRUCTURE_START, "normalizer_over_centralizer": 2, "commutator_order": 3,
+         "central_part_order": 3, "internal_direct_product": False}),
+    "structure-neither-case": (
+        "structure", "S5", None, "almost_simple_socle", lambda group: None,
+        "sylow3-structure",
+        {**_STRUCTURE_START, "normalizer_over_centralizer": 2, "commutator_order": 3,
+         "central_part_order": 1, "internal_direct_product": True,
+         "case1_self_centralizing_normal": False, "case2_almost_simple_times_3group": False}),
+    "complement-iff": (
+        "complement", "C3", "3", "normal_pi_complement_exists", lambda group, pi: False,
+        "unit-iff-complement",
+        {"d_pi": "1/1", "complement_exists": False, "iff": {"lhs": True, "rhs": False}}),
+    "complement-part1": (
+        "complement", "S4", "2", "all_d_p_one", lambda group, pi: True,
+        "unit-iff-complement",
+        {"d_pi": "1/2", "complement_exists": False, "iff": {"lhs": False, "rhs": False},
+         "all_d_p_one": True, "part1": "d_p = 1 for all p but no normal pi-complement"}),
 }
 
 
@@ -262,11 +298,15 @@ FORCED_FAILS = {
 def test_forced_fail_through_the_cli_writes_a_bundle_that_replays(case, monkeypatch, tmp_path):
     """``verify`` exits 1 on the forced fail in every format, prints the
     exact witness, writes a replay bundle, and the replay of that bundle,
-    under the same patch, gives the same verdict."""
+    under the same patch, gives the same verdict.  A per-pi claim prints
+    the pi given; any other prints its fixed pi (``SUITES``), or none."""
     suite_name, group, pi, fact, stand_in, rid, witness = FORCED_FAILS[case]
+    fixed = SUITES[suite_name][0]
+    printed = [int(pi)] if fixed == "per-pi" else None if fixed is None else list(fixed)
+    shown = ",".join(map(str, printed or []))
     monkeypatch.setattr(suite, fact, stand_in)
     pi_args = ["--pi", pi] if pi else []
-    printed = {}
+    output = {}
     for fmt in ("json", "csv", "text"):
         bundle = tmp_path / fmt / f"{rid}-0"
         result = invoke(["verify", group, "--suite", suite_name, *pi_args, "--format", fmt,
@@ -274,17 +314,16 @@ def test_forced_fail_through_the_cli_writes_a_bundle_that_replays(case, monkeypa
         assert result.exit_code == 1, result.output
         assert f"counterexample bundle: {bundle}\n" in result.output
         assert sorted(os.listdir(bundle)) == ["group.grp", "meta.json"]
-        printed[fmt] = result.stdout
+        output[fmt] = result.stdout
 
-    row = {"result_id": rid, "group": group, "pi": [int(pi)] if pi else None, "status": FAIL,
-           "witness": witness}
-    doc = json.loads(printed["json"])
+    row = {"result_id": rid, "group": group, "pi": printed, "status": FAIL, "witness": witness}
+    doc = json.loads(output["json"])
     assert (doc["results"], doc["summary"]) == ([row], {"fail": 1})
-    assert list(csv.reader(io.StringIO(printed["csv"]))) == [
+    assert list(csv.reader(io.StringIO(output["csv"]))) == [
         ["result_id", "group", "pi", "status", "witness"],
-        [rid, group, pi or "", FAIL, json.dumps(witness, sort_keys=True)]]
-    assert printed["text"] == (f"{'FAIL':12} {rid:24} {group:16} pi={{{pi}}}\n" if pi else
-                               f"{'FAIL':12} {rid:24} {group:16} pi=-\n") + "\nsummary: fail=1\n"
+        [rid, group, shown, FAIL, json.dumps(witness, sort_keys=True)]]
+    assert output["text"] == (f"{'FAIL':12} {rid:24} {group:16} pi={{{shown}}}\n" if printed else
+                              f"{'FAIL':12} {rid:24} {group:16} pi=-\n") + "\nsummary: fail=1\n"
 
     replay = invoke(["verify", "--replay", str(tmp_path / "json" / f"{rid}-0")])
     assert replay.exit_code == 1, replay.output
@@ -312,6 +351,89 @@ def test_unresolved_hall_search_through_the_cli(suite_name, pi, rid, witness, mo
                                "status": "unresolved", "witness": witness}]
     assert doc["summary"] == {"unresolved": 1}
     assert not (tmp_path / "bundles").exists()
+
+
+# checker -> what forces each of its ``return FAIL`` and ``return
+# UNRESOLVED`` branches, in source order: a key of ``FORCED_FAILS``, or a
+# test of this module (with its parameter id), or None for a branch that
+# no test forces yet.
+BRANCHES = {
+    "check_hall_dichotomy": [
+        ("unresolved", "test_unresolved_hall_search_through_the_cli[hall-dichotomy]"),
+        ("fail", None),  # Hall reported nonexistent
+        ("fail", None),  # Hall not abelian
+        ("fail", None),  # Hall class count not 1
+        ("fail", None),  # a Hall class not conjugate
+        ("fail", None),  # a pi-subgroup in no Hall conjugate
+        ("fail", None),  # a value outside {2/3, 1}
+        ("fail", None),  # the 2/3 consistency check
+    ],
+    "check_unit_iff_complement": [
+        ("unresolved", "test_unresolved_hall_search_through_the_cli[unit-iff-complement]"),
+        ("fail", "complement-iff"),
+        ("fail", "complement-part1"),
+    ],
+    "check_two_thirds_cap": [
+        ("fail", "cap-above-two-thirds"),
+        ("fail", "cap-odd-order-above-five-eighths"),
+    ],
+    "check_quotient_bound": [("fail", "test_quotient_bound_failure_witness_is_exact")],
+    "check_sylow3_structure": [
+        ("fail", "structure-sylow-not-abelian"),
+        ("fail", "structure-normalizer-over-centralizer-not-two"),
+        ("fail", "structure-commutator-order-not-three"),
+        ("fail", "structure-not-a-direct-product"),
+        ("fail", "structure-neither-case"),
+    ],
+    "check_commuting_threshold": [
+        ("fail", "commuting-non-abelian-above-five-eighths"),
+        ("fail", "commuting-abelian-at-most-five-eighths"),
+    ],
+    "check_selftest": [("fail", "test_selftest_fails_by_design")],
+}
+
+
+def fail_branches(source: str) -> dict[str, list[str]]:
+    """Checker -> the statuses of its returns that can be ``FAIL`` or
+    ``UNRESOLVED``, in source order, read with ``ast``: a return whose
+    value names one, in a conditional expression too."""
+    names = {"FAIL": FAIL, "UNRESOLVED": UNRESOLVED}
+    branches = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_"):
+            returns = sorted((r for r in ast.walk(node) if isinstance(r, ast.Return)),
+                             key=lambda r: (r.lineno, r.col_offset))
+            branches[node.name] = [names[n.id] for r in returns if r.value is not None
+                                   for n in ast.walk(r.value)
+                                   if isinstance(n, ast.Name) and n.id in names]
+    return branches
+
+
+def test_the_branch_guard_sees_a_new_fail():
+    source = ("def check_x(group):\n"
+              "    if group:\n"
+              "        return FAIL, {}\n"
+              "    return (PASS if group else UNRESOLVED), {}\n"
+              "def helper():\n"
+              "    return FAIL\n")
+    assert fail_branches(source) == {"check_x": [FAIL, UNRESOLVED]}
+
+
+def test_every_fail_and_unresolved_branch_has_a_row():
+    """Each ``FAIL`` or ``UNRESOLVED`` return of every checker of
+    ``suite.py`` has a row in ``BRANCHES``, in source order; each row names
+    a forced-fail case or a test of this module, or None while no test
+    forces it.  A new branch with no row fails here."""
+    source = Path(suite.__file__).read_text()
+    assert fail_branches(source) == {
+        checker: [status for status, _ in rows] for checker, rows in BRANCHES.items()}
+    cases = [case for rows in BRANCHES.values() for _, case in rows if case is not None]
+    for case in cases:
+        assert case in FORCED_FAILS or case.split("[")[0] in globals(), case
+    assert len(set(cases)) == len(cases)
+    assert set(FORCED_FAILS) <= set(cases)
+    # the checkers of every claim, selftest included
+    assert set(BRANCHES) == {check.__name__ for _, check, _ in SUITES.values()}
 
 
 def _open_entries(g):
