@@ -9,7 +9,8 @@ prime support, the set of primes dividing the element order, so k_pi for
 any pi is a sum over those counts.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
-256, int tuples above) and every product goes through ``perm``.  The class
+256, int tuples above).  Every product goes through ``perm`` but those of
+the class-product supports, which read ``perm``'s tables.  The class
 sweep walks the group's cached images list (``PermGroup._element_images``)
 by conjugation orbits, each conjugate x giving its table once for the steps
 g * (x * g^-1).  It conjugates only by the generators that are not central
@@ -17,9 +18,7 @@ g * (x * g^-1).  It conjugates only by the generators that are not central
 and their member order are those of all the generators, and in an abelian
 group each element is its own class with no walk.  It makes one
 ``Permutation`` per class, its representative, and keeps each class as a
-light record (``ConjClass``, a named tuple); a class product C_i * C_j
-fixes the class representative x as left factor and reads x * y for every
-y of the smaller class through x's table.  Element orders come from power
+light record (``ConjClass``, a named tuple).  Element orders come from power
 walks: the classes are walked in order, and each one that no earlier walk
 reached walks the powers of its representative x through x's table until
 they return to the identity.  That gives |x| = m, and x^e has order
@@ -28,19 +27,15 @@ The walk is kept as the class's power map (``ClassTable.power_map``).  The
 primes of element orders are read from ``ClassTable.primes``.
 """
 
+from collections import defaultdict
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NotInGroupError
 from .group import PermGroup
 from .numtheory import pi_part, prime_factors, validate_pi
-from .perm import (
-    Images,
-    Permutation,
-    conjugation_orbits,
-    left_multiplier,
-    left_products,
-)
+from .perm import Images, Permutation, _table, conjugation_orbits, left_multiplier
 
 
 class ConjClass(NamedTuple):
@@ -77,11 +72,15 @@ class ClassTable:
     subgroups", ISSAC 1998), so it is kept as a bitset: bit i stands for
     class i.  Everything is read from the supports of class products: the
     bitset of classes that C_i * C_j meets.  C_i * C_j = C_j * C_i is a union
-    of classes, so its support is the set of classes met by x * C_i for one
-    x in C_j (the left products of x's table, ``perm.left_products``); each
-    support is built on first use from the smaller class, and
-    each row of supports is allocated on first use, so a table that only
-    counts classes (k = |G| for an abelian group) holds no k x k matrix.
+    of classes, so its support is the set of classes met by x * C_i for the
+    representative x of C_j.  Each support is built on first use, by one set
+    comprehension over the smaller class: each y goes through the table of
+    the larger class's representative (``perm._table``: y.translate(table)
+    on bytes, an itemgetter on tuples) to its class bit.  The tables of all
+    the representatives are built together, on the first support, and each
+    row of supports is allocated on first use, so a table that only counts
+    classes (k = |G| for an abelian group) holds neither k tables nor a
+    k x k matrix.
 
     Closures, fusions, power maps, normal cores and the bits of each prime
     set are built once and cached; the class counts of G/N are not, as the
@@ -154,8 +153,10 @@ class ClassTable:
         # a union of classes holding more than |G|/p elements generates G
         self._lagrange = group.order // self.primes[0] if self.primes else 0
         # rows of the symmetric matrix of supports, each allocated on first
-        # use: k_pi and the class sizes never need one
-        self._supports: dict[int, list[int | None]] = {}
+        # use, and the representatives' tables, built on the first support:
+        # k_pi and the class sizes never need either
+        self._supports: dict[int, list[int | None]] = defaultdict(lambda: [None] * k)
+        self._tables: list[Images] | None = None
         self._closures: dict[int, int] = {}
         self._fusions: dict[int, list[int]] = {}
         self._power_maps = power_maps
@@ -181,7 +182,12 @@ class ClassTable:
     def order(self, mask: int) -> int:
         """The number of elements in the classes of ``mask``: the order of a
         normal subgroup, given its class set."""
-        return sum(map(self._sizes.__getitem__, _bits(mask)))
+        sizes, total = self._sizes, 0
+        while mask:
+            low = mask & -mask
+            total += sizes[low.bit_length() - 1]
+            mask ^= low
+        return total
 
     def normal_mask(self, key) -> int | None:
         """Bitset of the classes the subgroup with element set ``key`` meets,
@@ -197,27 +203,24 @@ class ClassTable:
             return None
         return sum(1 << i for i in met)
 
-    def _row(self, i: int) -> list[int | None]:
-        """Row i of the supports matrix, allocated on first use."""
-        row = self._supports.get(i)
-        if row is None:
-            row = self._supports[i] = [None] * self.k
-        return row
-
     def _support(self, i: int, j: int) -> int:
         """Bitset of the classes met by C_i * C_j: the classes of the products
         x * y, y in the smaller class and x the other's representative, read
         through x's table (y * x is conjugate to x * y, and each class of
-        C_i * C_j holds such a y * x)."""
-        row = self._row(i)
-        met = row[j]
+        C_i * C_j holds such a y * x).  Every representative's table is built
+        once, on the first support; each support is one pass over y."""
+        rows = self._supports
+        met = rows[i][j]
         if met is None:
-            small, big = (i, j) if len(self.members[i]) <= len(self.members[j]) else (j, i)
-            products = left_products(self.classes[big].rep.images, self.members[small])
-            met = 0
-            for c in set(map(self._index_of.__getitem__, products)):
-                met |= 1 << c
-            row[j] = self._row(j)[i] = met
+            if self._tables is None:
+                self._tables = [_table(cls.rep.images) for cls in self.classes]
+            small, big = (i, j) if self._sizes[i] <= self._sizes[j] else (j, i)
+            table, index_of = self._tables[big], self._index_of
+            if type(table) is bytes:
+                met = sum({1 << index_of[y.translate(table)] for y in self.members[small]})
+            else:
+                met = sum({1 << index_of[itemgetter(*y)(table)] for y in self.members[small]})
+            rows[i][j] = rows[j][i] = met
         return met
 
     def closure(self, mask: int, inside: int | None = None) -> int | None:
@@ -241,7 +244,7 @@ class ClassTable:
             reached = sum(map(sizes.__getitem__, gens))
             while todo and reached <= lagrange:
                 i = todo.pop()
-                row = self._row(i)
+                row = self._supports[i]
                 for j in gens:
                     met = row[j]
                     if met is None:
@@ -273,20 +276,19 @@ class ClassTable:
         the blocks partition G into unions of cosets of N.  Cached per N."""
         blocks = self._fusions.get(normal)
         if blocks is None:
-            sizes = self._sizes
             in_normal = list(_bits(normal))
             blocks, orders = [], []
             covered = 0
             for i in range(self.k):
                 if covered >> i & 1:
                     continue
-                row = self._row(i)
+                row = self._supports[i]
                 met = 0
                 for j in in_normal:
                     support = row[j]
                     met |= self._support(i, j) if support is None else support
                 blocks.append(met)
-                orders.append(sum(map(sizes.__getitem__, _bits(met))))
+                orders.append(self.order(met))
                 covered |= met
             n = orders[0]
             if (covered != self.full or blocks[0] != normal

@@ -9,24 +9,24 @@ one degree share a layout, and bytes compare bytewise, so images compare and
 sort exactly as the int tuples would; bytes also cache their hash, so a set
 or dict lookup of an element hashes it once.
 
-This module owns the permutation kernel and is the only module that looks at
-the layout.  A product fixes its left factor: on bytes a * b is
-``b.translate(table)``, for the 256-byte table of a built once per fixed a
-(``left_multiplier``, ``left_products``), and the inverse is
-``bytes.maketrans``; on tuples a * b is ``itemgetter(*b)(a)``.
-``schreier_tree`` is the stabilizer chain's orbit-with-transversal walk,
-on points; no other walk keeps a transversal.  It keeps the table of each
-u^-1 beside u: ``bytes.maketrans(u, identity)`` on bytes, and
-u_x^-1 * g^-1 on tuples, with g^-1 carried by g's move, so the tree
-inverts nothing.  ``schreier_generators`` scans a tree's Schreier
+This module owns the permutation kernel and builds every table; only the
+class-product supports of ``classes`` read one (``_table``) outside it.  A
+product fixes its left factor: on bytes a * b is ``b.translate(table)``,
+for the 256-byte table of a built once per fixed a (``left_multiplier``,
+``left_products``), and the inverse is ``bytes.maketrans``; on tuples a * b
+is ``itemgetter(*b)(a)``.  ``schreier_tree`` is the stabilizer chain's
+orbit-with-transversal walk, on points; no other walk keeps a transversal.
+It keeps the table of each u^-1 beside u: ``bytes.maketrans(u, identity)``
+on bytes, and u_x^-1 * g^-1 on tuples, with g^-1 carried by g's move, so
+the tree inverts nothing.  ``schreier_generators`` scans a tree's Schreier
 generators for the chain.  A conjugation g x g^-1 is two translates, one
 through x's table and one through g's (``conjugate_images``,
 ``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
-``conjugation_orbits``) build each table once; the conjugates of an
-element set walk a plain orbit with no transversal
-(``conjugation_set_orbit``).  ``Permutation.__mul__`` and the conjugations
-are built on them; no other module composes images by hand.  An element's
-order is the lcm of its cycle lengths (``Permutation.order``).
+``conjugation_orbits``) build each table once; the conjugates of an element
+set walk a plain orbit with no transversal (``conjugation_set_orbit``).
+``Permutation.__mul__`` and the conjugations are built on them; no other
+module composes images by hand but ``classes``.  An element's order is the
+lcm of its cycle lengths (``Permutation.order``).
 """
 
 import math

@@ -551,8 +551,11 @@ def replay_counterexample(directory) -> tuple[VerdictReport, Config]:
     ``--config`` file; missing keys take their defaults), not the replaying
     command's config.  A directory without a readable ``meta.json`` or
     ``group.grp``, an unknown result id, a group name that is not a string
-    or a bad config or pi value raises ``InvalidInputError``.
+    or a bad config or pi value raises ``InvalidInputError``, as does an
+    empty path, which ``os.path.join`` would read as the current directory.
     """
+    if not directory:
+        raise InvalidInputError("not a replay bundle (): the path is empty")
     try:
         with open(os.path.join(directory, "meta.json")) as fh:
             meta = json.load(fh)

@@ -20,7 +20,8 @@ lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
 (from the library's lattice) and normal pi-complements.  Last come the
 class-table routines the library ran before it closed over generating
-classes only: the all-pairs class closure, and the eager coset rows it built
+classes only: the support of a class product from every pair of members,
+the all-pairs class closure, and the eager coset rows it built
 before it read one fusion block per class of G/N.  Then the per-pi class
 counts the library summed before it counted classes per prime support:
 element order -> classes of G, of N and of G/N, filtered by
@@ -431,6 +432,15 @@ def normal_pi_complement_by_element_scan(group, pi):
     if len(closed) == len(elements):
         return True, closed
     return False, None
+
+
+def class_product_support_by_pairs(table, i, j):
+    """Bitset of the classes met by C_i * C_j: the class (``class_of``) of
+    x * y for every member x of class i and every member y of class j, each
+    a ``Permutation`` product.  Uncached."""
+    left = [Permutation._make(im) for im in table.members[i]]
+    right = [Permutation._make(im) for im in table.members[j]]
+    return sum({1 << table.class_of(x * y) for x in left for y in right})
 
 
 def closure_by_all_pairs(table, mask):

@@ -72,7 +72,8 @@ def test_analyze_above_degree_256(tmp_path):
 
 def test_analyze_of_an_abelian_group_builds_no_supports(tmp_path, monkeypatch):
     """k = |G| for an abelian group, so a k x k supports matrix would not
-    fit for C2^12; analyze reads only the classes and their sizes."""
+    fit for C2^12, nor would its 4,096 representative tables of 256 bytes
+    be cheap; analyze reads only the classes and their sizes."""
     import piclass.cli
 
     tables = []
@@ -91,6 +92,7 @@ def test_analyze_of_an_abelian_group_builds_no_supports(tmp_path, monkeypatch):
     assert doc["group"]["order"] == 4096
     assert doc["profiles"][0]["d_pi"] == "1/1"
     assert tables and all(table._supports == {} for table in tables)
+    assert all(table._tables is None for table in tables)
 
 
 def test_analyze_parse_error_has_line(tmp_path):
@@ -313,6 +315,19 @@ def test_bad_input_is_a_one_line_error(args, tmp_path, monkeypatch):
     assert result.output.count("Error:") == 1 and result.stdout == ""
     assert "Traceback" not in result.output
     assert isinstance(result.exception, SystemExit)
+
+
+def test_empty_replay_path_inside_a_bundle_is_refused(tmp_path, monkeypatch, named):
+    """``--replay ""`` is refused in a bundle's own directory too, where a
+    path joined onto "" would read that bundle."""
+    d8 = named("D8")
+    bundle = write_counterexample_bundle(tmp_path / "bundle", d8,
+                                         run_group_suite(d8, "D8", ["selftest"])[0], {})
+    monkeypatch.chdir(bundle)
+    result = invoke(["verify", "--replay", ""])
+    assert result.exit_code == 1
+    assert result.output == "Error: not a replay bundle (): the path is empty\n"
+    assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args", [

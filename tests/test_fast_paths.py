@@ -34,7 +34,7 @@ import pytest
 
 import oracles
 from piclass import subgroups
-from piclass.catalog import census_specs, parse_name
+from piclass.catalog import census_specs, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
 from piclass.group import PermGroup
 from piclass.invariants import group_primes, has_normal_pi_complement, normal_pi_complement_exists
@@ -48,14 +48,23 @@ SMALL = ["S3", "S4", "A4", "A5", "D8", "Q8", "C6", "D12", "C12", "S3 x C3", "D8 
 LATTICE_SLICE = ["C1", "S3", "C12", "D8", "Q8", "A4", "S4", "A5", "C6 x C6", "D8 x D8",
                  "Q8 x D8", "S4 x S4", "A5 x C3", "S5 x C2", "S5 x S3"]
 CENSUS_72 = [spec.name for spec in census_specs() if spec.order <= 72]
+DATA_DIR = Path(__file__).parent / "data"
 GROUP_SETS = {
     "SMALL": SMALL,
     "LATTICE_SLICE": LATTICE_SLICE,
     "CENSUS_72": CENSUS_72,
     "CENSUS": [spec.name for spec in census_specs()],
-    "DATA": sorted(path.name for path in (Path(__file__).parent / "data").glob("*.grp")),
+    "DATA": sorted(path.name for path in DATA_DIR.glob("*.grp")),
     "WIDE": ["S4@262"],
 }
+
+
+def group_order(group_set: str, name: str) -> int:
+    """The order of a group of ``GROUP_SETS``, for a row's ``max_order``:
+    a ``DATA`` file is parsed, and ``WIDE`` has the order of its base."""
+    if group_set == "DATA":
+        return parse_group_file((DATA_DIR / name).read_text()).order
+    return parse_name(name.split("@")[0]).order
 
 
 def _subsets(g, extra=frozenset()):
@@ -198,6 +207,16 @@ def coset_actions(g):
 def normal_class_supports(g):
     for n in subgroups.normal_subgroups(g):
         yield from bound_by_g_classes(g, n)
+
+
+def supports(g):
+    """Every class-product support, built on a fresh copy of G in row
+    order, so each (i, j) with i < j builds the support and (j, i) reads
+    its mirror cell."""
+    table = conjugacy_classes(PermGroup(list(g.generators), degree=g.degree))
+    for i, j in itertools.product(range(table.k), repeat=2):
+        yield ("classes", i, j), table._support(i, j), oracles.class_product_support_by_pairs(
+            table, i, j)
 
 
 def closures(g):
@@ -468,7 +487,7 @@ class Row:
         for group_set in self.groups:
             for name in GROUP_SETS[group_set]:
                 if name not in seen and (self.max_order is None
-                                         or parse_name(name).order <= self.max_order):
+                                         or group_order(group_set, name) <= self.max_order):
                     seen.add(name)
                     out.append((group_set, name))
         return out
@@ -497,6 +516,8 @@ FAST_PATHS = (
         home="test_quotient_k_pi_fusion_matches_coset_action"),
     Row(ClassTable.histogram, oracles.normal_classes_by_support, ("LATTICE_SLICE",),
         normal_class_supports, home="test_normal_k_pi_matches_class_table_of_n"),
+    Row(ClassTable._support, oracles.class_product_support_by_pairs,
+        ("CENSUS_72", "WIDE", "DATA"), supports, max_order=200),
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS",), closures,
         home="test_class_closures_and_splits_match_their_oracles"),
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS_72",), bounded_closures),

@@ -15,11 +15,13 @@ from piclass.classes import conjugacy_classes
 from piclass.config import Config
 from piclass.errors import CapExceededError, InvalidInputError
 from piclass.invariants import CentralizerDecomposition, PiProfile
+from piclass.perm import Permutation
 from piclass.subgroups import (
     HallSearchOutcome,
     LatticeEntry,
     QuotientGroup,
     enumerate_subgroups_up_to_conjugacy,
+    subgroup,
 )
 from piclass.suite import (
     DEFAULT_SUITES,
@@ -248,6 +250,14 @@ def test_quotient_bound_failure_witness_counts_the_pairs_checked(monkeypatch):
 # structure check reaches its fails on them, each witness starting with
 # ``_STRUCTURE_START``.
 _STRUCTURE_START = {"d_3": "2/3", "o_3_prime_order": 1, "sylow3_order": 3, "abelian_P": True}
+# Each Hall-dichotomy fail is one lie about d_pi, the Hall search, the
+# subgroup classes or a conjugate orbit, on S3, S4, D12, C4 or C2; a witness
+# past the search names the method and route that found the Hall subgroup.
+_SYLOW_CLOSURE = {"hall_method": "constructive",
+                  "hall_route": "closure of one Sylow subgroup per prime"}
+_WHOLE_GROUP = {"hall_method": "constructive", "hall_route": "whole group is a pi-group"}
+_S3_HALL_START = {"d_pi": "2/3", "hall_order": 3, "hall_generators": ["(0 1 2)"],
+                  **_SYLOW_CLOSURE, "abelian": True}
 FORCED_FAILS = {
     "cap-above-two-thirds": (
         "cap", "S4", "2", "d_pi", lambda group, pi: PiProfile(frozenset([2]), 6, 8, Fraction(3, 4)),
@@ -282,6 +292,50 @@ FORCED_FAILS = {
         {**_STRUCTURE_START, "normalizer_over_centralizer": 2, "commutator_order": 3,
          "central_part_order": 1, "internal_direct_product": True,
          "case1_self_centralizing_normal": False, "case2_almost_simple_times_3group": False}),
+    "hall-reported-nonexistent": (
+        "main", "S3", "3", "hall_search",
+        lambda group, pi, **options: HallSearchOutcome("none_exists", None, "exhaustive", None),
+        "hall-dichotomy", {"d_pi": "2/3", "hall": "reported nonexistent"}),
+    "hall-not-abelian": (
+        "main", "S4", "2", "d_pi", lambda group, pi: PiProfile(frozenset([2]), 8, 8, Fraction(1)),
+        "hall-dichotomy",
+        {"d_pi": "1/1", **_SYLOW_CLOSURE, "hall_order": 8,
+         "hall_generators": ["(2 3)", "(0 1)", "(0 2)(1 3)"], "abelian": False}),
+    "hall-class-count-not-one": (
+        "main", "S3", "3", "enumerate_subgroups_up_to_conjugacy",
+        lambda group, pi, cap: 2 * enumerate_subgroups_up_to_conjugacy(group, pi=pi, cap=cap),
+        "hall-dichotomy",
+        {**_S3_HALL_START, "hall_class_count": 2, "conjugacy": "2 conjugacy classes of Hall order"}),
+    "hall-class-not-conjugate": (
+        "main", "S3", "3", "hall_search",
+        lambda group, pi, **options: HallSearchOutcome(
+            "found", subgroup(group, [Permutation.from_cycles(3, [(0, 1)])]), "constructive",
+            _SYLOW_CLOSURE["hall_route"]),
+        "hall-dichotomy",
+        {**_S3_HALL_START, "hall_order": 2, "hall_generators": ["(0 1)"], "hall_class_count": 1,
+         "conjugacy": "found Hall subgroup not conjugate to an enumerated one"}),
+    "hall-pi-subgroup-in-no-conjugate": (
+        "main", "D12", "2", "conjugates", lambda group, sub: {sub.element_set()},
+        "hall-dichotomy",
+        {"d_pi": "1/1", **_SYLOW_CLOSURE, "hall_order": 4,
+         "hall_generators": ["(1 5)(2 4)", "(0 3)(1 2)(4 5)"], "abelian": True,
+         "hall_class_count": 1, "conjugacy": "ok",
+         "containment": "pi-subgroup of order 2 in no Hall conjugate",
+         "offender_generators": ["(0 1)(2 5)(3 4)"]}),
+    "hall-value-outside-two-thirds-and-one": (
+        "main", "C4", "2", "d_pi", lambda group, pi: PiProfile(frozenset([2]), 3, 4, Fraction(3, 4)),
+        "hall-dichotomy",
+        {"d_pi": "3/4", **_WHOLE_GROUP, "hall_order": 4, "hall_generators": ["(0 1 2 3)"],
+         "abelian": True, "hall_class_count": 1, "conjugacy": "ok", "containment": "ok",
+         "pi_subgroup_classes": 3, "dichotomy": "value outside {2/3, 1}"}),
+    "hall-two-thirds-inconsistent": (
+        "main", "C2", "2", "d_pi", lambda group, pi: PiProfile(frozenset(pi), 2, 3, Fraction(2, 3)),
+        "hall-dichotomy",
+        {"d_pi": "2/3", **_WHOLE_GROUP, "hall_order": 2, "hall_generators": ["(0 1)"],
+         "abelian": True, "hall_class_count": 1, "conjugacy": "ok", "containment": "ok",
+         "pi_subgroup_classes": 2,
+         "two_thirds_consistency": {"three_in_pi": False, "two_in_pi": True, "d_3": None,
+                                    "d_mu": "2/3"}}),
     "complement-iff": (
         "complement", "C3", "3", "normal_pi_complement_exists", lambda group, pi: False,
         "unit-iff-complement",
@@ -360,13 +414,13 @@ def test_unresolved_hall_search_through_the_cli(suite_name, pi, rid, witness, mo
 BRANCHES = {
     "check_hall_dichotomy": [
         ("unresolved", "test_unresolved_hall_search_through_the_cli[hall-dichotomy]"),
-        ("fail", None),  # Hall reported nonexistent
-        ("fail", None),  # Hall not abelian
-        ("fail", None),  # Hall class count not 1
-        ("fail", None),  # a Hall class not conjugate
-        ("fail", None),  # a pi-subgroup in no Hall conjugate
-        ("fail", None),  # a value outside {2/3, 1}
-        ("fail", None),  # the 2/3 consistency check
+        ("fail", "hall-reported-nonexistent"),
+        ("fail", "hall-not-abelian"),
+        ("fail", "hall-class-count-not-one"),
+        ("fail", "hall-class-not-conjugate"),
+        ("fail", "hall-pi-subgroup-in-no-conjugate"),
+        ("fail", "hall-value-outside-two-thirds-and-one"),
+        ("fail", "hall-two-thirds-inconsistent"),
     ],
     "check_unit_iff_complement": [
         ("unresolved", "test_unresolved_hall_search_through_the_cli[unit-iff-complement]"),
