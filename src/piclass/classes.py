@@ -6,7 +6,9 @@ of classes: their closures and joins, a lower bound on k_pi(N) by the
 G-classes inside N, and k_pi(G/N) by class fusion.  An N is counted exactly
 on its own class table.  The classes of G and of each G/N are counted per
 prime support, the set of primes dividing the element order, so k_pi for
-any pi is a sum over those counts.
+any pi is a sum over those counts; k_pi(G) and the lower bound on k_pi(N)
+are popcounts of one bitset of pi-element classes per pi.  The fusions of
+G/1 = G and of G/G are written down, not built.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
 256, int tuples above).  Every product goes through ``perm`` but those of
@@ -82,12 +84,12 @@ class ClassTable:
     classes (k = |G| for an abelian group) holds neither k tables nor a
     k x k matrix.
 
-    Closures, fusions, power maps, normal cores and the bits of each prime
-    set are built once and cached; the class counts of G/N are not, as the
-    quotient suite reads each N once.  It reads the G-classes inside N
-    (``histogram(mask)``), a lower bound on the classes of N, and the
-    classes of G/N; an N that lower bound leaves open is counted on its own
-    class table:
+    Closures, fusions, power maps, normal cores and the bits and classes of
+    each prime set are built once and cached; the class counts of G/N are
+    not, as the quotient suite reads each N once.  It reads the G-classes
+    of pi-elements inside N (``k_pi_lower_bound``), a lower bound on
+    k_pi(N), and the classes of G/N; an N that lower bound leaves open is
+    counted on its own class table:
 
     - ``closure(mask)``: the normal subgroup generated by a union S of
       classes.  Each class reached is multiplied by the classes of S only,
@@ -100,13 +102,14 @@ class ClassTable:
       class adding its size as the walk reaches it.
     - ``fusion(mask)``: the classes of G/N, each lifted to G as its block,
       the support of C_i * N for one class i of it.  All blocks are built in
-      one pass, each from the row of supports of its first class, with
-      their orders summed in the same pass for the check that they
-      partition G into unions of cosets of N.  ``join(N, M)``, the class set
-      of N * M, is the union of the blocks of N that meet M.
+      one pass, each from the row of supports of its first class, but those
+      of N = 1 (the single classes) and N = G (G) are written down.  The
+      block orders of every fusion check that the blocks partition G into
+      unions of cosets of N.  ``join(N, M)``, the class set of N * M, is
+      the union of the blocks of N that meet M.
     - ``quotient_histogram(mask)``: prime support -> number of classes of
       G/N.  The order of x * N is the least e with x^e in N, read from
-      x's power map.
+      x's power map.  G/1 is G, so N = 1 reads ``histogram()``.
     - ``power_map(i)``: the class power map of class i, entry e the class
       of rep_i^e for e < |rep_i|, one product per power through rep_i's
       table.  The walks that gave the class orders (``conjugacy_classes``)
@@ -126,10 +129,12 @@ class ClassTable:
     ``histogram()`` is the one of G.
 
     The classes of each prime support are one bitset, built once: the
-    histograms count inside them, and ``normal_core(primes)`` reads from
-    them the classes allowed in the largest normal ``primes``-subgroup
-    (O_pi'(G), for the primes outside pi) and returns that subgroup's
-    class bitset, once per bitmask of primes.
+    histograms count inside them, ``pi_classes(bits)`` joins those inside
+    the bits of pi, whose popcounts the quotient suite reads, and
+    ``normal_core(primes)`` closes inside that join the classes allowed in
+    the largest normal ``primes``-subgroup (O_pi'(G), for the primes
+    outside pi) and returns that subgroup's class bitset, once per bitmask
+    of primes.
     ``order(mask)`` sums the class sizes of a bitset, so the lattice and
     the suites read the order of a normal subgroup, |O_pi'(G)| among them,
     with no subgroup built.
@@ -162,6 +167,7 @@ class ClassTable:
         self._power_maps = power_maps
         self._prime_supports: dict[int, int] = {}  # element order -> its support
         self._pi_bits: dict[frozenset[int], int] = {}
+        self._pi_classes: dict[int, int] = {}  # pi_bits -> classes of pi-elements
         self._cores: dict[int, int] = {}  # pi_bits -> normal_core
         self._support_masks: dict[int, int] | None = None  # support -> its classes
         self._histogram: dict[int, int] | None = None
@@ -271,30 +277,44 @@ class ClassTable:
         The block of class i, the class of x * N (x in class i) lifted to G,
         is the support of C_i * N: the union of row i of the supports over
         the classes of N.  One pass builds the block of each class that no
-        earlier block covers and sums its order; the first block is N
-        itself, the block of the identity's class.  The orders check that
-        the blocks partition G into unions of cosets of N.  Cached per N."""
+        earlier block covers; the first block is N itself, the block of the
+        identity's class.  G/1 (one block per class) and G/G (the block G)
+        need no support.  The block orders check that the blocks partition G
+        into unions of cosets of N.  Cached per N."""
         blocks = self._fusions.get(normal)
         if blocks is None:
-            in_normal = list(_bits(normal))
-            blocks, orders = [], []
+            if normal == 1:  # the identity's class alone
+                blocks = [1 << i for i in range(self.k)]
+            elif normal == self.full:
+                blocks = [normal]
+            else:
+                blocks = self._blocks(normal)
+            orders = list(map(self.order, blocks))
             covered = 0
-            for i in range(self.k):
-                if covered >> i & 1:
-                    continue
-                row = self._supports[i]
-                met = 0
-                for j in in_normal:
-                    support = row[j]
-                    met |= self._support(i, j) if support is None else support
-                blocks.append(met)
-                orders.append(self.order(met))
-                covered |= met
+            for block in blocks:
+                covered |= block
             n = orders[0]
             if (covered != self.full or blocks[0] != normal
                     or sum(orders) != self.group.order or any(o % n for o in orders)):
                 raise AssertionError("class fusion does not partition the group into cosets")
             self._fusions[normal] = blocks
+        return blocks
+
+    def _blocks(self, normal: int) -> list[int]:
+        """The fusion blocks of N, built from the rows of supports."""
+        in_normal = list(_bits(normal))
+        blocks = []
+        covered = 0
+        for i in range(self.k):
+            if covered >> i & 1:
+                continue
+            row = self._supports[i]
+            met = 0
+            for j in in_normal:
+                support = row[j]
+                met |= self._support(i, j) if support is None else support
+            blocks.append(met)
+            covered |= met
         return blocks
 
     def join(self, normal: int, other: int) -> int:
@@ -351,6 +371,25 @@ class ClassTable:
         return {support: (classes & mask).bit_count()
                 for support, classes in self._masks_by_support().items() if classes & mask}
 
+    def pi_classes(self, bits: int) -> int:
+        """Bitset of the classes of pi-elements, for ``bits`` the primes of
+        pi (``pi_bits``): those whose prime support lies inside ``bits``.
+        Memoised per bitmask."""
+        mask = self._pi_classes.get(bits)
+        if mask is None:
+            mask = 0
+            for support, classes in self._masks_by_support().items():
+                if not support & ~bits:
+                    mask |= classes
+            self._pi_classes[bits] = mask
+        return mask
+
+    def k_pi_lower_bound(self, normal: int, bits: int) -> int:
+        """The number of G-classes of pi-elements inside the class set
+        ``normal`` of N, for ``bits`` the primes of pi.  Each is a union of
+        N-classes, so this is at most k_pi(N)."""
+        return (self.pi_classes(bits) & normal).bit_count()
+
     def normal_core(self, primes) -> int:
         """The class bitset of the largest normal subgroup whose order has
         only primes in ``primes``.  Cached per bitmask of ``primes``
@@ -358,8 +397,8 @@ class ClassTable:
 
         A group is a ``primes``-group exactly when all its elements are
         ``primes``-elements, so the core lies in the allowed classes: those
-        whose prime support lies inside the bits of ``primes``, read from
-        the class bitset of each support.  The core is the union of the
+        whose prime support lies inside the bits of ``primes``
+        (``pi_classes``).  The core is the union of the
         closures, walked with the allowed classes as their bound, that stay
         inside them: each is a normal ``primes``-subgroup, and each class of
         the core has its closure inside the core.  A class that an earlier
@@ -370,10 +409,7 @@ class ClassTable:
         core = self._cores.get(bits)
         if core is not None:
             return core
-        allowed = 0
-        for support, classes in self._masks_by_support().items():
-            if not support & ~bits:
-                allowed |= classes
+        allowed = self.pi_classes(bits)
         core = 0
         rejected = 0  # the rational classes of the closures that left
         for i in _bits(allowed):
@@ -392,7 +428,10 @@ class ClassTable:
         G/N, for the normal subgroup N with class set ``normal``.  The order
         of x * N, x the representative of a fusion block's first class, is
         the least e with x^e in N: starting from |x|, each prime is divided
-        out while the power stays in N, read from x's power map."""
+        out while the power stays in N, read from x's power map.  G/1 is G,
+        so N = 1 reads ``histogram()`` and walks no powers."""
+        if normal == 1:
+            return self.histogram()
         counts: dict[int, int] = {}
         for block in self.fusion(normal):
             powers = self.power_map((block & -block).bit_length() - 1)

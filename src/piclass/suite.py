@@ -278,15 +278,17 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     fractions are built only for a counterexample.  Each N is an entry of
     the lattice (``normal_lattice``), a class bitset of G, and no G/N or
     class table of it is built.  The classes of G/N are counted per
-    prime support by the class fusion (``ClassTable.quotient_histogram``).
-    Each G-class inside N is a union of N-classes, so the G-classes inside
-    N (``ClassTable.histogram(mask)``) count at most k_pi(N); when that
+    prime support by the class fusion (``ClassTable.quotient_histogram``),
+    and k_pi(G/N) is a sum over those counts.  k_pi(G) is the popcount of
+    the class bitset of pi-elements (``ClassTable.pi_classes``).  Each
+    G-class inside N is a union of N-classes, so the G-classes of
+    pi-elements inside N (``ClassTable.k_pi_lower_bound``, a popcount)
+    count at most k_pi(N); when that
     count already satisfies the bound for every pi, N is decided.  Only an
     N it leaves open (C3 in D18, or AGL(3,2)'s translation subgroup) is
     made a subgroup (``normal_subgroups``), and k_pi(N) is read from N's
-    own class table.  Each k_pi is a sum over the counts per support.
-    Every normal N is checked, whatever its index: no G/N is built, so
-    ``max_quotient_degree`` guards no cost here.
+    own class table.  Every normal N is checked, whatever its index: no G/N
+    is built, so ``max_quotient_degree`` guards no cost here.
     """
     primes = sorted(group_primes(group))
     witness: dict = {"normal_subgroups": 0, "checked": 0}
@@ -297,13 +299,13 @@ def check_quotient_bound(group: PermGroup, config: Config = DEFAULT_CONFIG) -> t
     table = conjugacy_classes(group)
     subsets = _nonempty_subsets(primes)
     pi_bits = [table.pi_bits(pi) for pi in subsets]
-    k_group = [pi_count(table.histogram(), bits) for bits in pi_bits]
+    k_group = [table.pi_classes(bits).bit_count() for bits in pi_bits]
+    lower = table.k_pi_lower_bound
     checked = 0
     for rank, entry in enumerate(lattice):
         in_quotient = table.quotient_histogram(entry.mask)
         k_quotient = [pi_count(in_quotient, bits) for bits in pi_bits]
-        in_classes = table.histogram(entry.mask)
-        if all(lhs <= pi_count(in_classes, bits) * kq
+        if all(lhs <= lower(entry.mask, bits) * kq
                for bits, lhs, kq in zip(pi_bits, k_group, k_quotient)):
             checked += len(subsets)
             continue

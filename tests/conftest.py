@@ -1,4 +1,5 @@
 import sys
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -8,8 +9,20 @@ sys.path.insert(0, str(Path(__file__).parent))
 from piclass.catalog import build, census, parse_group_file, parse_name
 from piclass.group import PermGroup
 from piclass.perm import Permutation
+from piclass.subgroups import enumerate_subgroups_up_to_conjugacy
 
 DATA = Path(__file__).parent / "data"
+
+
+@cache
+def complete_sweep(ambient: str):
+    """The ambient group, built by name or parsed from its file in
+    ``tests/data``, and every class of its subgroups, one representative
+    each in the sweep's sorted order (``cap`` = |G| lets nothing stop it).
+    Swept once a session."""
+    g = (parse_group_file((DATA / ambient).read_text()) if ambient.endswith(".grp")
+         else build(parse_name(ambient)))
+    return g, enumerate_subgroups_up_to_conjugacy(g, cap=g.order)
 
 
 @pytest.fixture(scope="session")
@@ -44,21 +57,28 @@ def group_of(named, census_entries):
     """The group of a ``test_fast_paths`` group set by name: a ``CENSUS``
     group is the one of ``census_entries``, a ``DATA`` group is its file in
     ``tests/data`` parsed once, a ``WIDE`` group ``"S4@262"`` is the named
-    group on the last points of that degree (``_on_top_points``), built
-    once, and any other is built by ``named``."""
+    group on the last points of that degree (``_on_top_points``), a
+    ``SUBGROUPS`` group ``"S6#35"`` is the representative of rank 35 in the
+    complete sweep of S6 (``complete_sweep``), rebuilt from its generators
+    as a fresh group, each built once, and any other is built by
+    ``named``."""
     in_census = dict(census_entries)
     files = {}
 
     def get(group_set, name):
         if group_set == "CENSUS":
             return in_census[name]
-        if group_set in ("DATA", "WIDE"):
+        if group_set in ("DATA", "WIDE", "SUBGROUPS"):
             if name not in files:
                 if group_set == "DATA":
                     files[name] = parse_group_file((DATA / name).read_text())
-                else:
+                elif group_set == "WIDE":
                     base, degree = name.split("@")
                     files[name] = _on_top_points(named(base), int(degree))
+                else:
+                    ambient, rank = name.split("#")
+                    g, classes = complete_sweep(ambient)
+                    files[name] = PermGroup(classes[int(rank)].generators, degree=g.degree)
             return files[name]
         return named(name)
 

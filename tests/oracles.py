@@ -26,7 +26,8 @@ before it read one fusion block per class of G/N.  Then the per-pi class
 counts the library summed before it counted classes per prime support:
 element order -> classes of G, of N and of G/N, filtered by
 ``is_pi_number`` for each pi, with the order of x * N found by walking the
-powers of x into N's element set, and the class power maps and rational
+powers of x into N's element set, the classes of pi-elements tested one
+class at a time, and the class power maps and rational
 classes by ``Permutation`` powers.  Last, the element listing as
 ``Permutation.__mul__`` products of transversal elements, and the
 Schreier-Sims chain as the library built it before it kept the table of
@@ -525,6 +526,15 @@ def pi_sum(counts, pi):
 
     pi = frozenset(pi)
     return sum(count for order, count in counts.items() if is_pi_number(order, pi))
+
+
+def pi_classes_by_orders(table, pi):
+    """Bitset of the classes of G whose element order is a pi-number, each
+    class tested on its own with ``is_pi_number``."""
+    from piclass.numtheory import is_pi_number
+
+    pi = frozenset(pi)
+    return sum(1 << i for i, cls in enumerate(table.classes) if is_pi_number(cls.order, pi))
 
 
 def _powers(rep):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import pi_part_of_element
+from oracles import coset_classes_by_rows, pi_part_of_element
 from piclass.catalog import build, parse_group_file, parse_name
 from piclass.classes import conjugacy_classes, k_pi
 from piclass.errors import NotInGroupError
@@ -178,3 +178,25 @@ def test_group_files_have_their_known_orders_and_class_counts(filename, order, k
     g = parse_group_file((DATA / filename).read_text())
     assert g.order == order
     assert conjugacy_classes(g).k == k
+
+
+def test_fusions_of_1_and_g_are_closed_forms():
+    """G/1 is G and G/G is one class: on a fresh table of S4 x S3,
+    ``fusion(1)``, ``fusion(full)`` and the class counts of G/1 and G/G
+    build no class-product support and walk no powers, yet the fusions are
+    the blocks the coset rows give and G/1 counts the classes of G."""
+    table = conjugacy_classes(build(parse_name("S4 x S3")))  # fresh: nothing cached yet
+    walked = dict(table._power_maps)
+    blocks = table.fusion(1), table.fusion(table.full)
+    histograms = table.quotient_histogram(1), table.quotient_histogram(table.full)
+    assert table._supports == {} and table._tables is None
+    assert table._power_maps == walked
+    assert histograms == (table.histogram(), {0: 1})
+    for mask, got in zip((1, table.full), blocks):  # the rows no earlier row covers
+        rows, covered, want = coset_classes_by_rows(table, mask), 0, []
+        for i, row in enumerate(rows):
+            if not covered >> i & 1:
+                want.append(row)
+                covered |= row
+        assert got == want, mask
+    assert blocks == ([1 << i for i in range(table.k)], [table.full])

@@ -7,8 +7,10 @@ oracle answer) for one group; ``where`` names the pi, N or element
 compared.  The sets are ``SMALL`` (named groups small enough for the
 exponential oracles), ``LATTICE_SLICE`` (deep lattices, large quotients, a
 simple factor), ``CENSUS_72`` (the census groups of order at most 72),
-``CENSUS``, ``DATA`` (the groups of ``tests/data/*.grp``) and ``WIDE`` (S4
-on the last points of 262, whose images are int tuples); the ``group_of``
+``CENSUS``, ``DATA`` (the groups of ``tests/data/*.grp``), ``WIDE`` (S4
+on the last points of 262, whose images are int tuples) and ``SUBGROUPS``
+(every subgroup class of S6, A6, PSL(2,7), A7 and AGL(3,2), ``"S6#35"``
+the class of rank 35 in the complete sweep of S6); the ``group_of``
 fixture of ``conftest.py`` builds each group once a session.
 
 ``test_fast_path`` walks the rows one test id per (row, group).  A row that
@@ -33,6 +35,7 @@ from unittest import mock
 import pytest
 
 import oracles
+from conftest import complete_sweep
 from piclass import subgroups
 from piclass.catalog import census_specs, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
@@ -49,6 +52,9 @@ LATTICE_SLICE = ["C1", "S3", "C12", "D8", "Q8", "A4", "S4", "A5", "C6 x C6", "D8
                  "Q8 x D8", "S4 x S4", "A5 x C3", "S5 x C2", "S5 x S3"]
 CENSUS_72 = [spec.name for spec in census_specs() if spec.order <= 72]
 DATA_DIR = Path(__file__).parent / "data"
+# the ambient groups of the complete sweeps: their 228 classes, the groups
+# themselves included, take under a second on the rows that read them
+SWEPT = ("S6", "A6", "psl27.grp", "a7.grp", "agl32.grp")
 GROUP_SETS = {
     "SMALL": SMALL,
     "LATTICE_SLICE": LATTICE_SLICE,
@@ -56,6 +62,8 @@ GROUP_SETS = {
     "CENSUS": [spec.name for spec in census_specs()],
     "DATA": sorted(path.name for path in DATA_DIR.glob("*.grp")),
     "WIDE": ["S4@262"],
+    "SUBGROUPS": [f"{ambient}#{rank}" for ambient in SWEPT
+                  for rank in range(len(complete_sweep(ambient)[1]))],
 }
 
 
@@ -209,6 +217,25 @@ def normal_class_supports(g):
         yield from bound_by_g_classes(g, n)
 
 
+def pi_class_sets(g):
+    table = conjugacy_classes(g)
+    for pi in _pis(g):
+        yield ("pi", pi), table.pi_classes(table.pi_bits(pi)), oracles.pi_classes_by_orders(
+            table, pi)
+
+
+def lower_bounds(g):
+    """The quotient suite's lower bound on k_pi(N) counts the G-classes of
+    pi-elements inside N, and it is sound: at most k_pi(N), read from N's
+    own class table."""
+    table = conjugacy_classes(g)
+    for n, mask in _lattice(g):
+        for pi in _subsets(g):
+            bound = table.k_pi_lower_bound(mask, table.pi_bits(pi))
+            inside = (oracles.pi_classes_by_orders(table, pi) & mask).bit_count()
+            yield ("N", n.order, "pi", pi), (bound, bound <= k_pi(n, pi)), (inside, True)
+
+
 def supports(g):
     """Every class-product support, built on a fresh copy of G in row
     order, so each (i, j) with i < j builds the support and (j, i) reads
@@ -240,8 +267,7 @@ def bounded_closures(g):
     them, and a None walk adds no cache entry."""
     table = conjugacy_classes(PermGroup(list(g.generators)))
     for pi in _subsets(g):
-        allowed = sum(1 << i for i, cls in enumerate(table.classes)
-                      if is_pi_number(cls.order, pi))
+        allowed = oracles.pi_classes_by_orders(table, pi)
         for i in range(table.k):
             if allowed >> i & 1:
                 want = oracles.closure_by_all_pairs(table, 1 << i)
@@ -508,8 +534,13 @@ FAST_PATHS = (
         rational_classes, home="test_power_maps_match_powers_on_the_census"),
     Row(k_pi, oracles.order_counts, ("CENSUS",), order_sums,
         home="test_pi_counts_match_order_sums_on_the_census"),
-    Row(ClassTable.quotient_histogram, oracles.quotient_order_counts, ("CENSUS", "LATTICE_SLICE"),
-        quotient_order_sums, home="test_pi_counts_match_order_sums_on_the_census"),
+    Row(ClassTable.quotient_histogram, oracles.quotient_order_counts,
+        ("CENSUS", "LATTICE_SLICE", "SUBGROUPS"), quotient_order_sums,
+        home="test_pi_counts_match_order_sums_on_the_census"),
+    Row(ClassTable.pi_classes, oracles.pi_classes_by_orders, ("CENSUS", "DATA", "SUBGROUPS"),
+        pi_class_sets),
+    Row(ClassTable.k_pi_lower_bound, oracles.pi_classes_by_orders,
+        ("LATTICE_SLICE", "SUBGROUPS"), lower_bounds),
     Row(k_pi, oracles.k_pi_by_class_equation, ("LATTICE_SLICE",), class_equation_sums,
         max_order=200, home="test_k_pi_matches_class_equation"),
     Row(subgroups.quotient, oracles.quotient_order_counts, ("LATTICE_SLICE",), coset_actions,
@@ -521,7 +552,7 @@ FAST_PATHS = (
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS",), closures,
         home="test_class_closures_and_splits_match_their_oracles"),
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS_72",), bounded_closures),
-    Row(ClassTable.fusion, oracles.coset_classes_by_rows, ("CENSUS",), fusions,
+    Row(ClassTable.fusion, oracles.coset_classes_by_rows, ("CENSUS", "SUBGROUPS"), fusions,
         home="test_fusion_blocks_match_coset_rows"),
     Row(ClassTable.join, oracles.coset_classes_by_rows, ("CENSUS",), joins,
         home="test_fusion_blocks_match_coset_rows"),
@@ -570,7 +601,8 @@ FAST_PATHS = (
 )
 
 EXEMPT = {
-    "classes.pi_count": "a sum over a histogram, read by the k_pi and quotient_histogram rows",
+    "classes.pi_count": "a sum over a histogram: k_pi, _widest_pi and the quotient suite's "
+                        "k_pi(G/N) read it, and the k_pi and quotient_histogram rows check it",
     "classes.all_d_p_one": "compares k_pi, which has rows, with |G|_p",
     "classes.ClassTable.k": "the number of classes",
     "classes.ClassTable.order": "sums class sizes, read by the normal_core row",
@@ -657,7 +689,7 @@ def test_every_home_binds_its_walk():
 def test_group_sets_have_their_sizes():
     assert {name: len(names) for name, names in GROUP_SETS.items()} == {
         "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 12,
-        "WIDE": 1}
+        "WIDE": 1, "SUBGROUPS": 228}
 
 
 # -- the guard: every public fast path has a row or a reason -----------------

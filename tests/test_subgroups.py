@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import complete_sweep
 from oracles import (
     closure_by_all_pairs,
     is_normal,
@@ -1210,10 +1211,8 @@ def test_complete_sweep_of_an_ambient_group(name):
     suite.  The ranks whose quotient check, run alone, counts an N on its
     own class table are pinned, so a change that stops reaching that
     fallback shows."""
-    g = (parse_group_file((DATA / name).read_text()) if name.endswith(".grp")
-         else build(parse_name(name)))
+    g, classes = complete_sweep(name)
     count, fallback = COMPLETE_SWEEPS[name]
-    classes = enumerate_subgroups_up_to_conjugacy(g, cap=g.order)
     assert len(classes) == count
     reached = []
     for rank, h in enumerate(classes):
