@@ -18,18 +18,22 @@ by conjugation orbits, each conjugate x giving its table once for the steps
 g * (x * g^-1).  It conjugates only by the generators that are not central
 (``PermGroup.moving_pairs``): the others fix every element, so the orbits
 and their member order are those of all the generators, and in an abelian
-group each element is its own class with no walk.  It makes one
-``Permutation`` per class, its representative, and keeps each class as a
-light record (``ConjClass``, a named tuple).  Element orders come from power
-walks: the classes are walked in order, and each one that no earlier walk
-reached walks the powers of its representative x through x's table until
-they return to the identity.  That gives |x| = m, and x^e has order
+group each element is its own class with no walk.  The classes are kept as
+parallel tuples: the images of each representative (its least member), the
+sizes and the element orders; their records (``ConjClass``, a named tuple
+with a ``Permutation`` for the representative) are made only when
+``ClassTable.classes`` is first read, and the library reads the tuples.
+Element orders come from power walks: the classes are walked in order, and
+each one that no earlier walk reached lists the powers of its
+representative x through x's table (``perm.powers``) until they return to
+the identity.  That gives |x| = m, and x^e has order
 m / gcd(e, m), so the walk also gives the order of every class it reaches.
 The walk is kept as the class's power map (``ClassTable.power_map``).  The
 primes of element orders are read from ``ClassTable.primes``.
 """
 
 from collections import defaultdict
+from functools import cached_property
 from math import gcd
 from operator import itemgetter
 from typing import NamedTuple
@@ -37,7 +41,7 @@ from typing import NamedTuple
 from .errors import NotInGroupError
 from .group import PermGroup
 from .numtheory import pi_part, prime_factors, validate_pi
-from .perm import Images, Permutation, _table, conjugation_orbits, left_multiplier
+from .perm import Images, Permutation, _table, conjugation_orbits, powers
 
 
 class ConjClass(NamedTuple):
@@ -65,10 +69,12 @@ class ClassTable:
     """The conjugacy classes of a group, their members and the unions of
     classes that normal subgroups are.
 
-    Class i is ``classes[i]``; ``members[i]`` lists its members' images in
-    the order the sweep's orbit found them, and ``class_of`` resolves an
-    element to its class through the sweep's dict from images to class
-    numbers.
+    Class i has the representative images ``rep_images[i]``, the size
+    ``sizes()[i]`` and the element order ``class_orders[i]``, and the record
+    ``classes[i]``, made on first read; ``members[i]`` lists its members'
+    images in the order the sweep's orbit found them, and ``class_of``
+    resolves an element to its class through the sweep's dict from images
+    to class numbers.
 
     A normal subgroup is a union of classes (Hulpke, "Computing normal
     subgroups", ISSAC 1998), so it is kept as a bitset: bit i stands for
@@ -128,8 +134,8 @@ class ClassTable:
     (``pi_count``), a sum over at most 2^r supports for r primes of |G|;
     ``histogram()`` is the one of G.
 
-    The classes of each prime support are one bitset, built once: the
-    histograms count inside them, ``pi_classes(bits)`` joins those inside
+    The classes of each prime support are one bitset, built once:
+    ``histogram()`` counts them, ``pi_classes(bits)`` joins those inside
     the bits of pi, whose popcounts the quotient suite reads, and
     ``normal_core(primes)`` closes inside that join the classes allowed in
     the largest normal ``primes``-subgroup (O_pi'(G), for the primes
@@ -145,14 +151,16 @@ class ClassTable:
     element set: the lattice holds the bitsets of the normal subgroups.
     """
 
-    def __init__(self, group: PermGroup, classes, members: list[list[Images]],
+    def __init__(self, group: PermGroup, reps: tuple[Images, ...], sizes: tuple[int, ...],
+                 orders: tuple[int, ...], members: list[list[Images]],
                  index_of: dict[Images, int], power_maps: dict[int, list[int]]):
         self.group = group
-        self.classes: tuple[ConjClass, ...] = tuple(classes)
-        self._sizes = tuple(c.size for c in self.classes)
+        self.rep_images = reps  # class i: its least member's images,
+        self._sizes = sizes  # its size
+        self.class_orders = orders  # and the order of its elements
         self.members = members
         self._index_of = index_of
-        k = len(self.classes)
+        k = len(sizes)
         self.full = (1 << k) - 1
         self.primes = tuple(prime_factors(group.order))
         # a union of classes holding more than |G|/p elements generates G
@@ -174,7 +182,16 @@ class ClassTable:
 
     @property
     def k(self) -> int:
-        return len(self.classes)
+        return len(self._sizes)
+
+    @cached_property
+    def classes(self) -> tuple[ConjClass, ...]:
+        """The classes as records, each with one ``Permutation``, its
+        representative, made on first read from the class tuples
+        (``rep_images``, the sizes and ``class_orders``), which is what the
+        library reads."""
+        return tuple(map(ConjClass, map(Permutation._make, self.rep_images), self._sizes,
+                         self.class_orders))
 
     def class_of(self, p: Permutation) -> int:
         idx = self._index_of.get(p.images)
@@ -219,7 +236,7 @@ class ClassTable:
         met = rows[i][j]
         if met is None:
             if self._tables is None:
-                self._tables = [_table(cls.rep.images) for cls in self.classes]
+                self._tables = list(map(_table, self.rep_images))
             small, big = (i, j) if self._sizes[i] <= self._sizes[j] else (j, i)
             table, index_of = self._tables[big], self._index_of
             if type(table) is bytes:
@@ -352,24 +369,18 @@ class ClassTable:
         masks = self._support_masks
         if masks is None:
             masks = self._support_masks = {}
-            for i, cls in enumerate(self.classes):
-                support = self.prime_support(cls.order)
+            for i, order in enumerate(self.class_orders):
+                support = self.prime_support(order)
                 masks[support] = masks.get(support, 0) | 1 << i
         return masks
 
-    def histogram(self, mask: int | None = None) -> dict[int, int]:
-        """Prime support -> number of classes of G with that support, among
-        the classes in ``mask``; every class by default, and that count is
-        cached.  Each count is read from the support's class bitset.  For
-        the class set of a normal subgroup N each count is at most the
-        number of classes of N with that support (in G's prime numbering),
-        as each G-class inside N is a union of N-classes."""
-        if mask is None:
-            if self._histogram is None:
-                self._histogram = self.histogram(self.full)
-            return self._histogram
-        return {support: (classes & mask).bit_count()
-                for support, classes in self._masks_by_support().items() if classes & mask}
+    def histogram(self) -> dict[int, int]:
+        """Prime support -> number of classes of G with that support, each
+        read from the support's class bitset.  Built once."""
+        if self._histogram is None:
+            self._histogram = {support: classes.bit_count()
+                               for support, classes in self._masks_by_support().items()}
+        return self._histogram
 
     def pi_classes(self, bits: int) -> int:
         """Bitset of the classes of pi-elements, for ``bits`` the primes of
@@ -434,10 +445,10 @@ class ClassTable:
             return self.histogram()
         counts: dict[int, int] = {}
         for block in self.fusion(normal):
-            powers = self.power_map((block & -block).bit_length() - 1)
-            order = len(powers)
+            walk = self.power_map((block & -block).bit_length() - 1)
+            order = len(walk)
             for p in self.primes:
-                while order % p == 0 and normal >> powers[order // p] & 1:
+                while order % p == 0 and normal >> walk[order // p] & 1:
                     order //= p
             support = self.prime_support(order)
             counts[support] = counts.get(support, 0) + 1
@@ -449,37 +460,30 @@ class ClassTable:
         table, starting from the identity (class 0: its images are the least
         of all).  Kept from ``conjugacy_classes`` when its order walk made
         it, else built on first use."""
-        powers = self._power_maps.get(i)
-        if powers is None:
-            powers = self._power_maps[i] = _power_walk(
-                self.classes[i].rep.images, self.classes[0].rep.images, self._index_of)
-        return powers
+        walk = self._power_maps.get(i)
+        if walk is None:
+            walk = self._power_maps[i] = _power_walk(self.rep_images[i], self._index_of)
+        return walk
 
     def rational_class(self, i: int) -> int:
         """Bitset of the classes of rep_i ** e for e coprime to |rep_i|: the
         rational class of class i, the classes whose members generate a
         conjugate of <rep_i>.  They all have the normal closure of class i,
         so one closure per rational class reads every seed of the lattice."""
-        powers = self.power_map(i)
-        n = len(powers)
-        return sum({1 << c for e, c in enumerate(powers) if gcd(e, n) == 1})
+        walk = self.power_map(i)
+        n = len(walk)
+        return sum({1 << c for e, c in enumerate(walk) if gcd(e, n) == 1})
 
     def elements(self, mask: int) -> list[Images]:
         """Images of the members of the classes in ``mask``."""
         return [im for i in _bits(mask) for im in self.members[i]]
 
 
-def _power_walk(rep: Images, ident: Images, index_of: dict[Images, int]) -> list[int]:
-    """The classes of rep^0, rep^1, ... up to the last power before the
-    identity comes back, each power one product through rep's table: the
-    class power map of rep, whose length is |rep|."""
-    times_rep = left_multiplier(rep)
-    powers = [index_of[ident]]
-    power = times_rep(ident)
-    while power != ident:
-        powers.append(index_of[power])
-        power = times_rep(power)
-    return powers
+def _power_walk(rep: Images, index_of: dict[Images, int]) -> list[int]:
+    """The classes of rep^0 (class 0, the identity's), rep^1, ... up to the
+    last power before the identity comes back (``perm.powers``): the class
+    power map of rep, whose length is |rep|."""
+    return [0, *map(index_of.__getitem__, powers(rep))]
 
 
 def conjugacy_classes(group: PermGroup) -> ClassTable:
@@ -506,18 +510,17 @@ def _class_table(group: PermGroup) -> ClassTable:
     for r, i in enumerate(ranked):
         rank[i] = r
     index_of = {im: rank[i] for im, i in index_of.items()}
-    ident = least[ranked[0]]
+    reps = tuple(map(least.__getitem__, ranked))
     orders = [0] * len(orbits)
     power_maps = {}
-    for r, i in enumerate(ranked):
+    for r, rep in enumerate(reps):
         if not orders[r]:
-            powers = power_maps[r] = _power_walk(least[i], ident, index_of)
-            m = len(powers)
-            for e, c in enumerate(powers):
+            walk = power_maps[r] = _power_walk(rep, index_of)
+            m = len(walk)
+            for e, c in enumerate(walk):
                 orders[c] = m // gcd(e, m)
-    classes = [ConjClass(Permutation._make(least[i]), len(orbits[i]), orders[r])
-               for r, i in enumerate(ranked)]
-    return ClassTable(group, classes, [orbits[i] for i in ranked], index_of, power_maps)
+    return ClassTable(group, reps, tuple(len(orbits[i]) for i in ranked), tuple(orders),
+                      [orbits[i] for i in ranked], index_of, power_maps)
 
 
 def k_pi(group: PermGroup, pi) -> int:

@@ -100,13 +100,21 @@ def k_pi_by_centralizer_decomposition(group: PermGroup, pi, p: int) -> Centraliz
 def normal_pi_complement_exists(group: PermGroup, pi) -> bool:
     """Whether G has a normal subgroup of pi'-order and index |G|_pi.
 
-    A normal pi-complement is a normal pi'-subgroup of order |G|_pi', so it
-    can only be O_pi'(G), the largest one: it exists exactly when
-    |O_pi'(G)| |G|_pi = |G|, with |O_pi'(G)| read from class sizes and no
-    subgroup built.
+    A normal pi-complement N is exactly the set of pi'-elements of G: G/N
+    is a pi-group, so each pi'-element lies in N.  So the answer is no, with
+    no core closed, when the classes of pi'-elements
+    (``ClassTable.pi_classes``) do not hold exactly |G|_pi' elements.
+    Otherwise N can only be O_pi'(G), the largest normal pi'-subgroup: it
+    exists exactly when |O_pi'(G)| = |G|_pi', with |O_pi'(G)| read from
+    class sizes and no subgroup built.
     """
     pi = validate_pi(pi)
-    return o_pi_prime_order(group, pi) * pi_part(group.order, pi) == group.order
+    table = conjugacy_classes(group)
+    order = group.order // pi_part(group.order, pi)  # |G|_pi'
+    others = table.pi_bits(frozenset(table.primes) - pi)
+    if table.order(table.pi_classes(others)) != order:
+        return False
+    return o_pi_prime_order(group, pi) == order
 
 
 def has_normal_pi_complement(group: PermGroup, pi) -> tuple[bool, PermGroup | None]:

@@ -14,8 +14,13 @@ class-product supports of ``classes`` read one (``_table``) outside it.  A
 product fixes its left factor: on bytes a * b is ``b.translate(table)``,
 for the 256-byte table of a built once per fixed a (``left_multiplier``,
 ``left_products``), and the inverse is ``bytes.maketrans``; on tuples a * b
-is ``itemgetter(*b)(a)``.  ``schreier_tree`` is the stabilizer chain's
-orbit-with-transversal walk, on points; no other walk keeps a transversal.
+is ``itemgetter(*b)(a)``.  ``powers`` lists x, x^2, ... in one call, each
+power one product through x's table, built once (on tuples
+``itemgetter(*x)``: powers of x commute, so x^(k+1) = x^k * x); the class
+power walks, the prime roots and the double cosets of subgroup-class
+enumeration read their powers from it.  ``schreier_tree`` is the
+stabilizer chain's orbit-with-transversal walk, on points; no other walk
+keeps a transversal.
 It keeps the table of each u^-1 beside u: ``bytes.maketrans(u, identity)``
 on bytes, and u_x^-1 * g^-1 on tuples, with g^-1 carried by g's move, so
 the tree inverts nothing.  ``schreier_generators`` scans a tree's Schreier
@@ -234,6 +239,37 @@ def left_multiplier(a: Images) -> Callable[[Images], Images]:
     if type(a) is bytes:
         return lambda b: b.translate(table)
     return lambda b: itemgetter(*b)(table)
+
+
+def powers(x: Images, last: int | None = None) -> list[Images]:
+    """[x, x^2, ..., x^last], each power one product through x's table,
+    built once; with no ``last``, through x^(|x| - 1), the power before the
+    identity comes back (none for the identity).  Powers of x commute, so
+    on tuples x^(k+1) = x^k * x is read through ``itemgetter(*x)``."""
+    ident = _identity_images(len(x))
+    out = []
+    power = x
+    if type(x) is bytes:
+        table = x + _TAILS[len(x)]
+        if last is None:
+            while power != ident:
+                out.append(power)
+                power = power.translate(table)
+        else:
+            for _ in range(last):
+                out.append(power)
+                power = power.translate(table)
+        return out
+    times_x = itemgetter(*x)
+    if last is None:
+        while power != ident:
+            out.append(power)
+            power = times_x(power)
+    else:
+        for _ in range(last):
+            out.append(power)
+            power = times_x(power)
+    return out
 
 
 def left_products(a: Images, bs) -> list[Images]:

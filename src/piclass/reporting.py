@@ -6,8 +6,8 @@ and no timestamps or timings enter machine-readable documents.  ``render``
 is the one place that picks the format: each command hands it the body of
 its JSON document, and the csv and text renderers read the same body.
 ``render_json`` writes the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` by one join per container, since ``indent`` sends
-``json.dumps`` to its pure-Python encoder.
+sort_keys=True)`` through one flat writer and one join, since ``indent``
+sends ``json.dumps`` to its pure-Python encoder.
 """
 
 import csv
@@ -34,18 +34,60 @@ def document(kind: str, config: Config, body: dict) -> dict:
 def render_json(doc: dict) -> str:
     """The text of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``,
     built without the encoder that ``indent`` selects: on CPython that is
-    the pure-Python one, a generator per container.  Here each container is
-    one join, and strings go through the C ``encode_basestring_ascii``.
-    A tuple subclass, such as a ``NamedTuple`` record, raises ``TypeError``
-    where ``json.dumps`` would write it as an array: a record enters a
-    document through its ``as_dict``."""
-    return _json(doc, "\n") + "\n"
+    the pure-Python one, a generator per container.  Here one flat writer
+    appends to one list, with a container's str, int and bool entries
+    written inline, and strings go through the C
+    ``encode_basestring_ascii``.  A tuple subclass, such as a ``NamedTuple``
+    record, raises ``TypeError`` where ``json.dumps`` would write it as an
+    array: a record enters a document through its ``as_dict``."""
+    out: list[str] = []
+    _write(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
-def _json(value, newline: str) -> str:
-    """One JSON value as ``json.dumps`` writes it with indent 2, ``newline``
-    being the line break and indent of the value's own line.  The type
-    tests go in ``json``'s order, so bool before int."""
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append one JSON value to ``out`` as ``json.dumps`` writes it with
+    indent 2, ``newline`` being the line break and indent of the value's
+    own line.  Dict and list subclasses are written as ``json`` writes
+    them; only a nested container or a scalar other than a str, an int or
+    a bool costs a call."""
+    append = out.append
+    if isinstance(value, dict):
+        items, keyed, brackets = sorted(value.items()), True, "{}"
+    elif isinstance(value, list) or type(value) is tuple:
+        items, keyed, brackets = enumerate(value), False, "[]"
+    else:
+        append(_scalar(value))
+        return
+    if not value:
+        append(brackets)
+        return
+    inner = newline + "  "
+    sep, comma = brackets[0] + inner, "," + inner
+    for k, v in items:
+        append(sep)
+        if keyed:
+            append((_quote(k) if type(k) is str else _key(k)) + ": ")
+        t = type(v)
+        if t is str:
+            append(_quote(v))
+        elif t is int:
+            append(int.__repr__(v))
+        elif t is bool:
+            append("true" if v else "false")
+        elif isinstance(v, (dict, list)) or t is tuple:
+            _write(v, inner, out)
+        else:
+            append(_scalar(v))
+        sep = comma
+    append(newline + brackets[1])
+
+
+def _scalar(value) -> str:
+    """A value that is no dict, list or plain tuple, as ``json`` writes it;
+    a record raises.  The type tests go in ``json``'s order, so bool before
+    int."""
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -58,18 +100,8 @@ def _json(value, newline: str) -> str:
         return int.__repr__(value)
     if isinstance(value, float):
         return json.dumps(value)
-    inner = newline + "  "
-    if isinstance(value, list) or type(value) is tuple:
-        if not value:
-            return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in value]) + newline + "]"
     if isinstance(value, tuple):  # a record: json.dumps would write it as an array
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        return "{" + inner + ("," + inner).join([
-            _key(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]) + newline + "}"
     return json.dumps(value)  # raises the encoder's TypeError
 
 

@@ -78,6 +78,7 @@ from .perm import (
     conjugation_set_orbit,
     left_multiplier,
     left_products,
+    powers,
 )
 
 
@@ -390,7 +391,8 @@ def _normal_subgroups(group: PermGroup) -> list[PermGroup]:
     for entry in normal_lattice(group):
         elements = frozenset(table.elements(entry.mask))
         if entry.parts is None:
-            sub = normal_closure(group, [table.classes[entry.seed].rep], elements)
+            sub = normal_closure(group, [Permutation._make(table.rep_images[entry.seed])],
+                                 elements)
         else:
             a, b = entry.parts
             sub = PermGroup(built[a].generators + built[b].generators, elements=elements)
@@ -486,6 +488,7 @@ def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
     rest = group.order // target
     e = rest * pow(rest, -1, target)
     table = conjugacy_classes(group)
+    class_orders, index_of = table.class_orders, table._index_of
     members = frozenset([_identity_images(group.degree)])
     pgens: list[Images] = []
     walk = group._element_images()  # N_G(1) = G, in the order of G's images list
@@ -494,7 +497,7 @@ def _sylow_subgroup(group: PermGroup, p: int) -> PermGroup:
         for pos, y in enumerate(walk):
             if y in members:
                 continue
-            n = table.classes[table._index_of[y]].order
+            n = class_orders[index_of[y]]
             if n % p:  # its p-part is the identity: it fails for good
                 continue
             if pgens:
@@ -713,25 +716,22 @@ def _prime_roots(group: PermGroup) -> tuple[list[int], dict]:
 
     The roots of h are the x with x^q = h for some prime q dividing |x|;
     the dict maps h's images to their positions, ascending.  Orders are
-    read from the list of class orders through the table's index of
-    classes, the primes dividing each order once per order, and the powers
-    of x through x's table.  Built once per group, so every pi shares it.
+    read from the table's class orders through its index of classes, the
+    primes dividing each order once per order, and the powers of x up to
+    its largest prime in one ``perm.powers`` call.  Built once per group,
+    so every pi shares it.
     """
     table = conjugacy_classes(group)
     elements = group._element_images()
-    class_orders = [cls.order for cls in table.classes]
-    orders = [class_orders[c] for c in map(table._index_of.__getitem__, elements)]
+    orders = list(map(table.class_orders.__getitem__, map(table._index_of.__getitem__, elements)))
     primes_of = {n: [q for q in table.primes if n % q == 0] for n in set(orders)}
     roots: dict[Images, list[int]] = {}
     for i, x in enumerate(elements):
-        power = x
-        times_x = left_multiplier(x)
-        k = 1  # power is x^k
-        for q in primes_of[orders[i]]:
-            while k < q:
-                power = times_x(power)
-                k += 1
-            roots.setdefault(power, []).append(i)
+        qs = primes_of[orders[i]]
+        if qs:
+            xs = powers(x, qs[-1])  # xs[q - 1] is x^q
+            for q in qs:
+                roots.setdefault(xs[q - 1], []).append(i)
     return orders, roots
 
 
@@ -779,7 +779,9 @@ def enumerate_subgroups_up_to_conjugacy(group: PermGroup, pi=None,
     H x^k H with k coprime to |x|, since y = a x^k b (a, b in H) gives
     <H, y> = <H, x^k> = <H, x>.  These are built as the H-conjugation
     orbits of the coset x^k H, read through the table of x^k (a x^k b is
-    the conjugate of x^k b a by a).  A prime step x of a complete closure
+    the conjugate of x^k b a by a), under the generators of H that are not
+    central in G: the others fix every element, so the orbits are the same,
+    and in an abelian G each y is its own orbit.  A prime step x of a complete closure
     never normalizes H in case (b): if it did, |K : H| would be
     |<x> : <x> meet H| = q, and (a) would apply.  A skipped y would only
     rebuild a K that has already been seen (or that the pi filter dropped),
@@ -801,6 +803,7 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
     primes = table.primes  # a prime index |K : H| divides |G|
     elements = group._element_images()
     orders, roots = group.cached("prime_roots", _prime_roots, group)
+    moving = group.moving_pairs()
     other = 0 if pi is None else ~table.pi_bits(pi)  # the supports' other primes
     allowed = [not table.prime_support(n) & other for n in orders]
     non_pi = frozenset(x for x, ok in zip(elements, allowed) if not ok) or None
@@ -834,16 +837,14 @@ def _enumerate(group: PermGroup, pi: frozenset[int] | None) -> list[PermGroup]:
             extended = extend(xim)  # None: stopped, not a pi-group
             maximal = extended is not None and len(extended) // len(base_set) in primes
             if not maximal:  # the double cosets H x^k H, k coprime to |x|
-                if base_pairs is None:
-                    base_pairs = base.conjugation_pairs()
-                times_x = left_multiplier(xim)
-                power = xim
-                for k in range(1, n):
+                if base_pairs is None:  # H's generators that are not central in G
+                    base_pairs = [conjugation_pair(h) for h in gen_images
+                                  if any(conjugate_images(pair, h) != h for pair in moving)]
+                for k, power in enumerate(powers(xim), 1):
                     if power not in covered and math.gcd(k, n) == 1:
                         for y in left_products(power, base_set):  # x^k H
                             if y not in covered:
                                 covered.update(conjugation_orbit(y, base_pairs))
-                    power = times_x(power)
             if extended is not None and extended not in seen.get(len(extended), ()):
                 found.append(PermGroup(gens + [Permutation._make(xim)], elements=extended))
                 orbit = conjugates(group, found[-1])

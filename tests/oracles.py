@@ -18,7 +18,8 @@ conjugacy by the conjugates of each one, as the Hall check past the
 subgroup cap found them before it read rational classes.  The routines after the
 lattice redo, on element sets, the normal-subgroup queries the library
 reads from class bitsets: normal cores, the Fitting subgroup, the socle
-(from the library's lattice) and normal pi-complements.  Last come the
+(from the library's lattice) and normal pi-complements, by an element
+scan and among the lattice's entries.  Last come the
 class-table routines the library ran before it closed over generating
 classes only: the support of a class product from every pair of members,
 the all-pairs class closure, and the eager coset rows it built
@@ -435,6 +436,17 @@ def normal_pi_complement_by_element_scan(group, pi):
     return False, None
 
 
+def normal_pi_complement_by_lattice(group, pi):
+    """Whether some entry of ``normal_subgroups`` of order |G|_pi' is a
+    pi'-group: no prime of pi divides its order."""
+    from piclass.numtheory import pi_part, prime_factors
+    from piclass.subgroups import normal_subgroups
+
+    order = group.order // pi_part(group.order, frozenset(pi))
+    return any(n.order == order and not set(prime_factors(n.order)) & set(pi)
+               for n in normal_subgroups(group))
+
+
 def class_product_support_by_pairs(table, i, j):
     """Bitset of the classes met by C_i * C_j: the class (``class_of``) of
     x * y for every member x of class i and every member y of class j, each
@@ -484,6 +496,21 @@ def order_counts(table):
     counts = {}
     for c in table.classes:
         counts[c.order] = counts.get(c.order, 0) + 1
+    return counts
+
+
+def classes_by_support(table, mask):
+    """Prime support in G's numbering (``table.prime_support``) -> number of
+    the classes of G in ``mask`` with that support, each class read on its
+    own from its order.  For the class set of a normal subgroup N each count
+    is at most the number of classes of N with that support, as each G-class
+    inside N is a union of N-classes."""
+    from piclass.classes import _bits
+
+    counts = {}
+    for i in _bits(mask):
+        support = table.prime_support(table.classes[i].order)
+        counts[support] = counts.get(support, 0) + 1
     return counts
 
 

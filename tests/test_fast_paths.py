@@ -123,7 +123,8 @@ def bound_by_g_classes(g, n):
     counts give k_pi(N) for every pi."""
     table = conjugacy_classes(g)
     in_normal = oracles.normal_classes_by_support(table, n)
-    for support, count in table.histogram(table.normal_mask(n.element_set())).items():
+    in_g = oracles.classes_by_support(table, table.normal_mask(n.element_set()))
+    for support, count in in_g.items():
         yield ("N", n.order, "support", support), count <= in_normal.get(support, 0), True
     for pi in _subsets(g, {2}):
         yield ("N", n.order, "pi", pi), pi_count(in_normal, table.pi_bits(pi)), k_pi(n, pi)
@@ -213,6 +214,8 @@ def coset_actions(g):
 
 
 def normal_class_supports(g):
+    table = conjugacy_classes(g)
+    yield "G", table.histogram(), oracles.classes_by_support(table, table.full)
     for n in subgroups.normal_subgroups(g):
         yield from bound_by_g_classes(g, n)
 
@@ -372,6 +375,13 @@ def complements(g):
         want = oracles.normal_pi_complement_by_element_scan(g, pi)
         yield ("pi", pi), (exists, complement.element_set() if exists else None), want
         yield ("pi", pi, "exists"), normal_pi_complement_exists(g, pi), want[0]
+
+
+def complement_answers(g):
+    """``normal_pi_complement_exists``, shortcut included, at every pi."""
+    for pi in _subsets(g):
+        want = oracles.normal_pi_complement_by_lattice(g, pi)
+        yield ("pi", pi), normal_pi_complement_exists(g, pi), want
 
 
 def fitting_sets(g):
@@ -571,6 +581,8 @@ FAST_PATHS = (
     Row(has_normal_pi_complement, oracles.normal_pi_complement_by_element_scan,
         ("LATTICE_SLICE",), complements,
         home="test_normal_subgroup_queries_match_element_oracles"),
+    Row(normal_pi_complement_exists, oracles.normal_pi_complement_by_lattice,
+        ("CENSUS", "DATA", "SUBGROUPS"), complement_answers),
     Row(subgroups.fitting_subgroup, oracles.fitting_subgroup_by_closures, ("LATTICE_SLICE",),
         fitting_sets, home="test_normal_subgroup_queries_match_element_oracles"),
     Row(subgroups.socle, oracles.socle_by_element_sets, ("LATTICE_SLICE",), socle_sets,
@@ -605,6 +617,8 @@ EXEMPT = {
                         "k_pi(G/N) read it, and the k_pi and quotient_histogram rows check it",
     "classes.all_d_p_one": "compares k_pi, which has rows, with |G|_p",
     "classes.ClassTable.k": "the number of classes",
+    "classes.ClassTable.classes": "records of the class tuples, made on first read; the "
+                                  "conjugacy_classes rows check their orders and sizes",
     "classes.ClassTable.order": "sums class sizes, read by the normal_core row",
     "classes.ClassTable.class_of": "a dict lookup, read by the conjugacy_classes row",
     "classes.ClassTable.elements": "joins member lists, read by the normal_mask row",

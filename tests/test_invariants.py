@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -11,7 +12,7 @@ from lemmas import (
     product_lower_bound_check,
 )
 from oracles import commuting_pair_count, is_normal
-from piclass.classes import conjugacy_classes, k_pi
+from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import InvalidInputError, PreconditionError
 from piclass.invariants import (
     commuting_degree,
@@ -203,6 +204,17 @@ def test_normal_complement_examples(named):
     assert [normal_pi_complement_exists(named(name), pi) for name, pi in
             [("A4", [3]), ("S4", [2]), ("S3", [5]), ("D10 x C3", [2, 3])]] == [
         True, False, True, True]
+
+
+def test_a_complement_of_the_wrong_size_closes_no_core(named):
+    """S3 has four {2}-elements, not |S3|_{2} = 2, so it has no normal
+    {3}-complement, and the answer closes no normal core."""
+    table = conjugacy_classes(named("S3"))
+    with mock.patch.object(ClassTable, "normal_core",
+                           side_effect=AssertionError("normal_core called")) as core:
+        assert normal_pi_complement_exists(named("S3"), [3]) is False
+    core.assert_not_called()
+    assert table.order(table.pi_classes(table.pi_bits([2]))) == 4
 
 
 def test_normal_complement_soundness(named):

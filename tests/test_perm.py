@@ -17,6 +17,7 @@ from piclass.perm import (
     left_multiplier,
     left_products,
     parse_cycle_text,
+    powers,
     schreier_generators,
     schreier_tree,
 )
@@ -258,6 +259,31 @@ def test_cyclic_conjugation_orbit_matches_naive(ims, k):
     gens = [g, (Permutation(g) ** k).images]
     orbit = conjugation_orbit(x, conjugation_pairs(map(Permutation, gens)))
     assert as_tuples(orbit) == naive_orbit(x, gens)
+
+
+@pytest.mark.parametrize("group_set, name", [("SMALL", "S4"), ("WIDE", "S4@262")])
+def test_powers_match_pow_on_both_layouts(group_set, name, group_of):
+    """``powers`` against ``Permutation.__pow__`` on every element of S4, on
+    bytes and on tuples: through x^(|x| - 1) by default, through x^last
+    with ``last``, in x's layout."""
+    for x in group_of(group_set, name).elements():
+        n = x.order()
+        got = powers(x.images)
+        assert got == [(x ** k).images for k in range(1, n)], x
+        assert powers(x.images, 2 * n + 1) == [(x ** k).images for k in range(1, 2 * n + 2)]
+        assert {type(p) for p in got + [x.images]} == {type(x.images)}
+
+
+@given(small_order_and_any(), st.integers(min_value=0, max_value=9))
+@example([b"", b"\x00"], 0)
+@example([CYCLE_257, SWAP_257], 3)
+def test_powers_match_pow(ims, last):
+    """The same on random elements of degrees 1..20 and 250..262; only the
+    first, of order at most 420, is walked to the identity."""
+    g, x = map(Permutation._make, ims)
+    assert powers(g.images) == [(g ** k).images for k in range(1, g.order())]
+    for p in (g, x):
+        assert powers(p.images, last) == [(p ** k).images for k in range(1, last + 1)]
 
 
 def naive_schreier_tree(start, gens):

@@ -899,10 +899,13 @@ def test_stabilizers_make_no_permutation_products(monkeypatch):
 
 def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypatch):
     """The class sweep and the coset closure read images: on fresh groups,
-    on bytes and on tuples, ``conjugacy_classes`` makes exactly one
-    ``Permutation`` per class, its representative, and the coset closures
-    of ``_extender``, one extender per subgroup as the enumeration builds
-    them, make none.  Every ``Permutation._make`` call is counted."""
+    on bytes and on tuples, ``conjugacy_classes`` makes no ``Permutation``;
+    the first read of ``ClassTable.classes`` makes exactly one per class,
+    its representative, and a second read none; and the coset closures of
+    ``_extender``, one extender per subgroup as the enumeration builds
+    them, make none.  Every ``Permutation._make`` call is counted.  A
+    default-suite ``run_group_suite`` on a fresh copy of each group never
+    reads ``classes``: the library reads the class tuples."""
     names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
     groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
     made = []
@@ -912,22 +915,37 @@ def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypat
         made.append(images)
         return make(cls, images)
 
+    records = vars(ClassTable)["classes"]
+    read = []
+
+    def reading(table):
+        read.append(table)
+        return records.__get__(table, ClassTable)
+
     for g in groups:
         fresh = PermGroup(list(g.generators))
         subs = [sylow_subgroup(g, p) for p in prime_factors(g.order)]
         closures = [(h.element_set(), [s.images for s in h.generators],
-                     [cls.rep.images for cls in conjugacy_classes(g).classes]) for h in subs]
+                     list(conjugacy_classes(g).rep_images)) for h in subs]
         made.clear()
         with monkeypatch.context() as m:
             m.setattr(Permutation, "_make", classmethod(counting))
             table = conjugacy_classes(fresh)
-            assert sorted(made) == sorted(cls.rep.images for cls in table.classes), g
+            assert made == [], g
+            classes = table.classes
+            assert sorted(made) == sorted(cls.rep.images for cls in classes), g
+            assert len(made) == table.k
             made.clear()
+            assert table.classes is classes and made == []
             grown = [extend(x) for elements, gens, xs in closures
                      for extend in [_extender(elements, gens)] for x in xs]
             assert made == [], g
         assert table.k == conjugacy_classes(g).k
         assert sum(map(len, grown)) > 0
+        with monkeypatch.context() as m:
+            m.setattr(ClassTable, "classes", property(reading))
+            reports = run_group_suite(PermGroup(list(g.generators)), "G", DEFAULT_SUITES)
+        assert reports and read == [], g
 
 
 def test_are_conjugate_examples(named):

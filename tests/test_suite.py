@@ -494,6 +494,7 @@ def _open_entries(g):
     """(order of N, pi) -> (k_pi(G), the G-classes inside N, k_pi(G/N)) for
     every lattice entry N and prime set pi that the quotient suite's lower
     bound leaves open: k_pi(G) > (G-classes inside N) * k_pi(G/N)."""
+    from oracles import classes_by_support
     from piclass.classes import conjugacy_classes, pi_count
     from piclass.invariants import group_primes
     from piclass.subgroups import normal_lattice
@@ -501,7 +502,7 @@ def _open_entries(g):
     table = conjugacy_classes(g)
     opened = {}
     for entry in normal_lattice(g):
-        in_classes = table.histogram(entry.mask)
+        in_classes = classes_by_support(table, entry.mask)
         in_quotient = table.quotient_histogram(entry.mask)
         for pi in suite._nonempty_subsets(sorted(group_primes(g))):
             bits = table.pi_bits(pi)
