@@ -11,8 +11,9 @@ are popcounts of one bitset of pi-element classes per pi.  The fusions of
 G/1 = G and of G/G are written down, not built.
 
 Members are kept as images (``Permutation.images``: bytes up to degree
-256, int tuples above).  Every product goes through ``perm`` but those of
-the class-product supports, which read ``perm``'s tables.  The class
+256, the wide tuple type ``perm._Wide`` above, both composed by
+``.translate``).  Every product goes through ``perm`` but those of the
+class-product supports, which read ``perm``'s tables.  The class
 sweep walks the group's cached images list (``PermGroup._element_images``)
 by conjugation orbits, each conjugate x giving its table once for the steps
 g * (x * g^-1).  It conjugates only by the generators that are not central
@@ -35,7 +36,6 @@ primes of element orders are read from ``ClassTable.primes``.
 from collections import defaultdict
 from functools import cached_property
 from math import gcd
-from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import NotInGroupError
@@ -84,9 +84,9 @@ class ClassTable:
     representative x of C_j.  Each support is built on first use, by one set
     comprehension over the smaller class: each y goes through the table of
     the larger class's representative (``perm._table``: y.translate(table)
-    on bytes, an itemgetter on tuples) to its class bit.  The tables of all
-    the representatives are built together, on the first support, and each
-    row of supports is allocated on first use, so a table that only counts
+    on either layout) to its class bit.  The tables of all the
+    representatives are built together, on the first support, and each row
+    of supports is allocated on first use, so a table that only counts
     classes (k = |G| for an abelian group) holds neither k tables nor a
     k x k matrix.
 
@@ -239,10 +239,7 @@ class ClassTable:
                 self._tables = list(map(_table, self.rep_images))
             small, big = (i, j) if self._sizes[i] <= self._sizes[j] else (j, i)
             table, index_of = self._tables[big], self._index_of
-            if type(table) is bytes:
-                met = sum({1 << index_of[y.translate(table)] for y in self.members[small]})
-            else:
-                met = sum({1 << index_of[itemgetter(*y)(table)] for y in self.members[small]})
+            met = sum({1 << index_of[y.translate(table)] for y in self.members[small]})
             rows[i][j] = rows[j][i] = met
         return met
 

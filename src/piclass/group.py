@@ -8,11 +8,14 @@ no randomization is used anywhere.  Two constructions from the same generator
 list therefore produce identical chains, identical element enumeration order,
 and identical random-element streams for a fixed seed.  Inside the library
 an element is its images (``Permutation.images``: bytes up to degree 256,
-int tuples above), and every product of them goes through the kernel in
-``perm``.  Each group keeps one list of its element images
-(``_element_images``): chain order for a group given by generators, sorted
-image order for one built with its element set (every subgroup), which
-answers order and membership from the set and builds no chain.  A
+the wide tuple type ``perm._Wide`` above, both composed by ``.translate``),
+and every product of them goes through the kernel in ``perm``.  Each group
+keeps one list of its element images (``_element_images``): chain order for
+a group given by generators, sorted image order for one built with its
+element set (every subgroup), which answers order and membership from the
+set and builds no chain.  The chain's listing order reaches the report:
+the first step of Sylow growth (``subgroups._sylow_subgroup``) walks G's
+list, so it picks the Sylow generators that ``hall_generators`` prints.  A
 ``Permutation`` is made only where a public method returns one.
 
 The chain is built on images, and no transversal element is inverted per

@@ -4,38 +4,41 @@ Composition convention, fixed globally: (a * b)(x) = a(b(x)), i.e. apply b
 first, then a.  Every other module relies on this choice.
 
 Layout: ``Permutation.images`` is ``bytes`` when the degree is at most 256,
-so every point is one byte, and a tuple of ints above that.  Permutations of
-one degree share a layout, and bytes compare bytewise, so images compare and
-sort exactly as the int tuples would; bytes also cache their hash, so a set
-or dict lookup of an element hashes it once.
+so every point is one byte, and the wide type ``_Wide``, a tuple of ints,
+above that; both compose by ``.translate``, so no kernel function asks
+which layout it holds, and the layout is decided only in ``_pack``,
+``_inverse_images`` and ``_Wide``.  Permutations of one degree share a
+layout, and bytes compare bytewise, so images compare and sort exactly as
+the int tuples would; bytes also cache their hash, so a set or dict lookup
+of an element hashes it once.
 
 This module owns the permutation kernel and builds every table; only the
 class-product supports of ``classes`` read one (``_table``) outside it.  A
-product fixes its left factor: on bytes a * b is ``b.translate(table)``,
-for the 256-byte table of a built once per fixed a (``left_multiplier``,
-``left_products``), and the inverse is ``bytes.maketrans``; on tuples a * b
-is ``itemgetter(*b)(a)``.  ``powers`` lists x, x^2, ... in one call, each
-power one product through x's table, built once (on tuples
-``itemgetter(*x)``: powers of x commute, so x^(k+1) = x^k * x); the class
-power walks, the prime roots and the double cosets of subgroup-class
-enumeration read their powers from it.  ``schreier_tree`` is the
-stabilizer chain's orbit-with-transversal walk, on points; no other walk
-keeps a transversal.
-It keeps the table of each u^-1 beside u: ``bytes.maketrans(u, identity)``
-on bytes, and u_x^-1 * g^-1 on tuples, with g^-1 carried by g's move, so
-the tree inverts nothing.  ``schreier_generators`` scans a tree's Schreier
-generators for the chain.  A conjugation g x g^-1 is two translates, one
-through x's table and one through g's (``conjugate_images``,
-``conjugate_set``), and the conjugation walks (``conjugation_orbit``,
-``conjugation_orbits``) build each table once; the conjugates of an element
-set walk a plain orbit with no transversal (``conjugation_set_orbit``).
-``Permutation.__mul__`` and the conjugations are built on them; no other
-module composes images by hand but ``classes``.  An element's order is the
-lcm of its cycle lengths (``Permutation.order``).
+product fixes its left factor: a * b is ``b.translate(table)`` for the
+table of a, built once per fixed a (``left_multiplier``,
+``left_products``): on bytes the 256-byte padding of a, on ``_Wide`` a
+itself.  The inverse is ``bytes.maketrans`` on bytes.  ``powers`` lists
+x, x^2, ... in one call, each power one product through x's table, built
+once; the class power walks, the prime roots and the double cosets of
+subgroup-class enumeration read their powers from it.
+``schreier_tree`` is the stabilizer chain's orbit-with-transversal walk,
+on points; no other walk keeps a transversal.  It keeps the table of each
+u^-1 beside u: u_y^-1 = u_x^-1 * g^-1 is g^-1 read through the table of
+u_x^-1, with g^-1 carried by g's move, so the tree inverts nothing.
+``schreier_generators`` scans a tree's Schreier generators for the chain.
+A conjugation g x g^-1 is two translates, one through x's table and one
+through g's (``conjugate_images``, ``conjugate_set``), and the conjugation
+walks (``conjugation_orbit``, ``conjugation_orbits``) build each table
+once; the conjugates of an element set walk a plain orbit with no
+transversal (``conjugation_set_orbit``).  ``Permutation.__mul__`` and the
+conjugations are built on them; no other module composes images by hand
+but ``classes``.  An element's order is the lcm of its cycle lengths
+(``Permutation.order``).
 """
 
 import math
 import re
+from collections import defaultdict
 from collections.abc import Callable
 from operator import index, itemgetter
 
@@ -43,19 +46,39 @@ from .errors import DegreeMismatchError
 
 _CYCLE_GAP = re.compile(r"\)\s*\(")
 
-_BYTES_MAX_DEGREE = 256  # images are bytes up to this degree, tuples above it
+_BYTES_MAX_DEGREE = 256  # images are bytes up to this degree, _Wide above it
+
+
+class _Wide(tuple):
+    """The images of a permutation of degree above 256: a tuple of ints that
+    composes like bytes, so a * b is ``b.translate(table of a)`` on both
+    layouts.  Its table is itself: ``_TAILS`` pads it with (), which
+    ``__add__`` answers with the same object, so every table of wide
+    images is wide and none is copied."""
+
+    __slots__ = ()
+
+    def translate(self, table) -> "_Wide":
+        """table[self[q]] for each point q, as ``bytes.translate`` reads it."""
+        return _Wide(itemgetter(*self)(table))
+
+    def __add__(self, tail) -> "_Wide":
+        return _Wide(tuple.__add__(self, tail)) if tail else self
+
 
 Images = bytes | tuple[int, ...]
 
-# _TAILS[n]: the points n..255, which pad n images to a 256-byte table
-_TAILS = [bytes(range(n, _BYTES_MAX_DEGREE)) for n in range(_BYTES_MAX_DEGREE + 1)]
+# _TAILS[n]: the points n..255, which pad n images to a 256-byte table; ()
+# above 256
+_TAILS = defaultdict(tuple, enumerate(bytes(range(n, _BYTES_MAX_DEGREE))
+                                      for n in range(_BYTES_MAX_DEGREE + 1)))
 
 _IDENTITY_IMAGES: dict[int, Images] = {}
 
 
 def _pack(images) -> Images:
     """The images of a sequence of points, in the layout of its degree."""
-    return bytes(images) if len(images) <= _BYTES_MAX_DEGREE else tuple(images)
+    return bytes(images) if len(images) <= _BYTES_MAX_DEGREE else _Wide(images)
 
 
 def _inverse_images(images: Images) -> Images:
@@ -65,7 +88,7 @@ def _inverse_images(images: Images) -> Images:
     inv = [0] * len(images)
     for i, j in enumerate(images):
         inv[j] = i
-    return tuple(inv)
+    return _Wide(inv)
 
 
 def _power_images(images: Images, k: int) -> Images:
@@ -105,7 +128,7 @@ def _identity_images(n: int) -> Images:
 
 class Permutation:
     """A bijection on {0..n-1}, stored as its images: bytes up to degree 256,
-    a tuple of ints above it."""
+    a ``_Wide`` tuple of ints above it."""
 
     __slots__ = ("images",)
 
@@ -212,72 +235,52 @@ def conjugate(g: Permutation, x: Permutation) -> Permutation:
 
 # -- the kernel: composition and conjugation on images ------------------------
 #
-# The table of a is the sequence that a * b reads a's images from: for bytes,
-# a padded with the fixed points n..255 to the 256 bytes that bytes.translate
-# takes, so a * b = b.translate(table); for tuples, a itself, and a * b =
-# itemgetter(*b)(a).  Every walk fixes the left factor and builds its table
-# once.  A conjugation pair (table of g, images of g^-1) is all that
-# x -> g x g^-1 needs: g x g^-1 = g * (x * g^-1), that is g^-1 read through
-# x's table, then through g's; on tuples the walks keep reading (g * x) * g^-1
-# with g^-1's itemgetter built once per call.
+# The table of a is the sequence that a * b reads a's images from: a padded
+# with the fixed points n..255 (``_TAILS[n]``, empty above 256), so that
+# a * b = b.translate(table) on either layout.  Every walk fixes the left
+# factor and builds its table once.  A conjugation pair (table of g, images
+# of g^-1) is all that x -> g x g^-1 needs: g x g^-1 = g * (x * g^-1), that
+# is g^-1 read through x's table, then through g's.
 
 
 def _table(a: Images) -> Images:
-    return a + _TAILS[len(a)] if type(a) is bytes else a
+    return a + _TAILS[len(a)]
 
 
 def compose_images(a: Images, b: Images) -> Images:
     """Images of a * b: a[b[q]] for each point q."""
-    if type(b) is bytes:
-        return b.translate(a + _TAILS[len(a)])
-    return itemgetter(*b)(a)
+    return b.translate(a + _TAILS[len(a)])
 
 
 def left_multiplier(a: Images) -> Callable[[Images], Images]:
     """The map b -> a * b, with a's table built once for many b."""
     table = _table(a)
-    if type(a) is bytes:
-        return lambda b: b.translate(table)
-    return lambda b: itemgetter(*b)(table)
+    return lambda b: b.translate(table)
 
 
 def powers(x: Images, last: int | None = None) -> list[Images]:
     """[x, x^2, ..., x^last], each power one product through x's table,
     built once; with no ``last``, through x^(|x| - 1), the power before the
-    identity comes back (none for the identity).  Powers of x commute, so
-    on tuples x^(k+1) = x^k * x is read through ``itemgetter(*x)``."""
+    identity comes back (none for the identity)."""
     ident = _identity_images(len(x))
+    table = x + _TAILS[len(x)]
     out = []
     power = x
-    if type(x) is bytes:
-        table = x + _TAILS[len(x)]
-        if last is None:
-            while power != ident:
-                out.append(power)
-                power = power.translate(table)
-        else:
-            for _ in range(last):
-                out.append(power)
-                power = power.translate(table)
-        return out
-    times_x = itemgetter(*x)
     if last is None:
         while power != ident:
             out.append(power)
-            power = times_x(power)
+            power = power.translate(table)
     else:
         for _ in range(last):
             out.append(power)
-            power = times_x(power)
+            power = power.translate(table)
     return out
 
 
 def left_products(a: Images, bs) -> list[Images]:
     """[a * b for b in bs], in the order of ``bs``, with a's table built once."""
     table = _table(a)
-    if type(a) is bytes:
-        return [b.translate(table) for b in bs]
-    return [itemgetter(*b)(table) for b in bs]
+    return [b.translate(table) for b in bs]
 
 
 def schreier_tree(start: int, moves, n: int):
@@ -289,22 +292,20 @@ def schreier_tree(start: int, moves, n: int):
     in list order: u_start is the identity and u_y = g * u_x for the first
     point x and move g with y = g[x].  Returns the orbit, the dict
     y -> u_y and the dict y -> table of u_y^-1, so that u_y^-1 * h is
-    ``compose_images(inverses[y], h)``: on bytes ``bytes.maketrans(u_y,
-    identity)``, on tuples u_x^-1 * g^-1, so nothing is inverted here."""
+    ``compose_images(inverses[y], h)``.  The table of u_y^-1 = u_x^-1 * g^-1
+    is g^-1 read through the table of u_x^-1, so nothing is inverted here."""
     ident = _identity_images(n)
+    tail = _TAILS[n]
     orbit = [start]
     transversal = {start: ident}
-    inverses = {start: _table(ident)}
-    on_bytes = type(ident) is bytes
-    steps = [(g, times_g, None if on_bytes else itemgetter(*ginv))
-             for g, times_g, ginv in moves]
+    inverses = {start: ident + tail}
     for x in orbit:
         ux = transversal[x]
-        for g, times_g, times_ginv in steps:
+        for g, times_g, ginv in moves:
             y = g[x]
             if y not in transversal:
-                uy = transversal[y] = times_g(ux)
-                inverses[y] = bytes.maketrans(uy, ident) if on_bytes else times_ginv(inverses[x])
+                transversal[y] = times_g(ux)
+                inverses[y] = ginv.translate(inverses[x]) + tail
                 orbit.append(y)
     return orbit, transversal, inverses
 
@@ -338,19 +339,14 @@ def conjugation_pairs(generators) -> list[tuple[Images, Images]]:
 def conjugate_images(pair, xim: Images) -> Images:
     """Images of g x g^-1, for the conjugation pair of g and x given by xim."""
     gtable, ginv = pair
-    if type(ginv) is bytes:
-        return ginv.translate(xim + _TAILS[len(xim)]).translate(gtable)
-    return itemgetter(*ginv)(itemgetter(*xim)(gtable))
+    return ginv.translate(xim + _TAILS[len(xim)]).translate(gtable)
 
 
 def conjugate_set(pair, key: frozenset) -> frozenset:
     """g K g^-1 for a set K of images (a subgroup's element set)."""
     gtable, ginv = pair
-    if type(ginv) is bytes:
-        tail = _TAILS[len(ginv)]
-        return frozenset([ginv.translate(t + tail).translate(gtable) for t in key])
-    times_ginv = itemgetter(*ginv)
-    return frozenset([times_ginv(itemgetter(*t)(gtable)) for t in key])
+    tail = _TAILS[len(ginv)]
+    return frozenset([ginv.translate(t + tail).translate(gtable) for t in key])
 
 
 def _walk(xim: Images, pairs, seen: dict, label) -> list[Images]:
@@ -359,21 +355,11 @@ def _walk(xim: Images, pairs, seen: dict, label) -> list[Images]:
     conjugate already in ``seen`` is not walked again."""
     seen[xim] = label
     orbit = [xim]
-    if type(xim) is bytes:
-        tail = _TAILS[len(xim)]
-        for cur in orbit:
-            table = cur + tail
-            for gtable, ginv in pairs:
-                y = ginv.translate(table).translate(gtable)
-                if y not in seen:
-                    seen[y] = label
-                    orbit.append(y)
-        return orbit
-    steps = [(gim, itemgetter(*ginv)) for gim, ginv in pairs]
+    tail = _TAILS[len(xim)]
     for cur in orbit:
-        times_cur = itemgetter(*cur)
-        for gim, times_ginv in steps:
-            y = times_ginv(times_cur(gim))
+        table = cur + tail
+        for gtable, ginv in pairs:
+            y = ginv.translate(table).translate(gtable)
             if y not in seen:
                 seen[y] = label
                 orbit.append(y)
@@ -384,8 +370,8 @@ def conjugation_orbit(xim: Images, pairs) -> list[Images]:
     """The conjugates of xim under the group the pairs come from.
 
     Breadth-first, pairs in list order, so the order of the list is fixed by
-    the input.  On bytes each conjugate cur gets its table once, and each
-    step is two translates.
+    the input.  Each conjugate cur gets its table once, and each step is
+    two translates.
     """
     return _walk(xim, pairs, {}, None)
 

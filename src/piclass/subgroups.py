@@ -151,13 +151,16 @@ def _extender(elements, gens: list[Images], outside=None) -> Callable[[Images], 
     return extend
 
 
-def _greedy_generators(degree: int, elements, order: int | None = None):
+def _greedy_generators(degree: int, elements, order: int | None = None, kept=(),
+                       closure: frozenset | None = None):
     """The greedy generating subset of ``elements`` (images) and the element
     set it generates: an element is kept when it lies outside the closure
     of those kept before.  With ``order`` given, the scan stops once the
-    closure reaches it."""
-    kept: list[Images] = []
-    closure = frozenset([_identity_images(degree)])
+    closure reaches it.  With ``kept`` and its element set ``closure``, the
+    scan starts from them, and the subset returned begins with ``kept``."""
+    kept = list(kept)
+    if closure is None:
+        closure = frozenset([_identity_images(degree)])
     for x in elements:
         if len(closure) == order:
             break
@@ -576,11 +579,9 @@ def _hall_search(group: PermGroup, pi: frozenset[int], budget: int, subgroup_cap
     sylows = [sylow_subgroup(group, p) for p in relevant]
     gens = [g for s in sylows for g in s.generators]
     largest = max(sylows, key=lambda s: s.order)  # the others close onto its element set
-    kept, closure = [g.images for g in largest.generators], largest.element_set()
-    for g in gens:
-        if g.images not in closure:
-            closure = _extender(closure, kept)(g.images)
-            kept.append(g.images)
+    closure = _greedy_generators(group.degree, [g.images for g in gens],
+                                 kept=[g.images for g in largest.generators],
+                                 closure=largest.element_set())[1]
     if len(closure) == target:
         return found(PermGroup(gens, elements=closure), "constructive",
                      "closure of one Sylow subgroup per prime")

@@ -29,6 +29,7 @@ from .invariants import (
     normal_pi_complement_exists,
 )
 from .numtheory import is_pi_number, pi_part, validate_pi
+from .perm import Permutation
 from .subgroups import (
     almost_simple_socle,
     center,
@@ -113,9 +114,9 @@ def _cyclic_pi_subgroup_classes(group: PermGroup, pi: frozenset[int]) -> list[Pe
     table = conjugacy_classes(group)
     classes = []
     covered = 0  # the rational classes already represented
-    for i, cls in enumerate(table.classes):
-        if not covered >> i & 1 and is_pi_number(cls.order, pi):
-            classes.append(subgroup(group, [cls.rep]))
+    for i, (rep, order) in enumerate(zip(table.rep_images, table.class_orders)):
+        if not covered >> i & 1 and is_pi_number(order, pi):
+            classes.append(subgroup(group, [Permutation._make(rep)]))
             covered |= table.rational_class(i)
     return classes
 

@@ -23,7 +23,7 @@ import pytest
 from piclass.catalog import build, census, census_specs, product
 from piclass.config import Config
 from piclass.group import PermGroup
-from piclass.perm import Permutation, conjugate
+from piclass.perm import Permutation, _Wide, conjugate
 from piclass.suite import DEFAULT_SUITES, run_census_campaign
 
 SEED = 7
@@ -121,7 +121,7 @@ def test_census_slice_rows_survive_padding_to_degree_300():
                if g.order <= PADDED_SLICE_MAX_ORDER or name == "D8 x D8"]
     padded = [(name, _padded(g)) for name, g in entries]
     assert "D8 x D8" in dict(entries)
-    assert all(type(g.generators[0].images) is tuple for _, g in padded)
+    assert all(type(g.generators[0].images) is _Wide for _, g in padded)
     own = [r.as_dict() for r in run_census_campaign(entries, DEFAULT_SUITES, Config()).reports]
     rows = [r.as_dict() for r in run_census_campaign(padded, DEFAULT_SUITES, Config()).reports]
     assert rows == own

@@ -9,6 +9,7 @@ from test_census_metamorphic import _disguised
 from piclass.group import PermGroup
 from piclass.perm import (
     Permutation,
+    _Wide,
     compose_images,
     conjugation_pairs,
     parse_cycle_text,
@@ -134,7 +135,7 @@ def test_chain_matches_the_permutation_product_oracle(census_entries, named):
     for g in groups:
         assert _levels(g._ensure_chain()) == _product_levels(chain_by_permutation_products(g)), g
     assert big.order == 257 * 256 * 120
-    assert type(big.generators[0].images) is tuple
+    assert type(big.generators[0].images) is _Wide
 
 
 def test_inverse_tables_invert_their_transversal_elements(census_entries):

@@ -8,11 +8,13 @@ from oracles import _powers
 from piclass.errors import DegreeMismatchError
 from piclass.perm import (
     Permutation,
+    _inverse_images,
     compose_images,
     conjugate,
     conjugate_images,
     conjugate_set,
     conjugation_orbit,
+    conjugation_orbits,
     conjugation_pairs,
     left_multiplier,
     left_products,
@@ -156,7 +158,7 @@ def test_order_annihilates(p):
 
 # -- the composition kernel against its naive definitions ----------------------
 #
-# Degrees 1..20 and 250..262 straddle the switch from bytes to tuples at 256.
+# Degrees 1..20 and 250..262 straddle the switch from bytes to wide tuples at 256.
 # Images are made by ``Permutation`` and compared as tuples.
 
 KERNEL_DEGREES = st.one_of(st.integers(min_value=1, max_value=20),
@@ -184,8 +186,8 @@ def small_order_and_any(draw):
     return [Permutation(g).images, Permutation(draw(st.permutations(list(range(n))))).images]
 
 
-# A 257-cycle and the transposition (255 256), in the tuple layout: explicit
-# examples run first and are not shrunk, so a broken tuple branch fails fast.
+# A 257-cycle and the transposition (255 256), in the wide layout: explicit
+# examples run first and are not shrunk, so a broken wide type fails fast.
 CYCLE_257 = Permutation([*range(1, 257), 0]).images
 SWAP_257 = Permutation([*range(255), 256, 255]).images
 
@@ -220,7 +222,7 @@ def as_tuples(images_list):
 
 @given(image_tuples(2))
 @example([b"\x00", b"\x00"])
-@example([tuple(range(257))] * 2)
+@example([Permutation(range(257)).images] * 2)
 @example([CYCLE_257, SWAP_257])
 def test_composition_and_conjugation_match_naive(ims):
     a, b = ims
@@ -232,7 +234,15 @@ def test_composition_and_conjugation_match_naive(ims):
     pair = conjugation_pairs([Permutation(a)])[0]
     assert tuple(conjugate_images(pair, b)) == naive_conjugate(a, b)
     assert tuple(conjugate(Permutation(a), Permutation(b)).images) == naive_conjugate(a, b)
-    assert [type(im) for im in (compose_images(a, b), conjugate_images(pair, b))] == [type(a)] * 2
+    n = len(a)
+    swap = conjugation_pairs([Permutation.from_cycles(n, [sorted({0, n - 1})])])
+    _, transversal, inverses = schreier_tree(0, [(a, left_multiplier(a), _inverse_images(a))], n)
+    orbits, orbit_of = conjugation_orbits([a, b], swap)
+    outputs = [compose_images(a, b), conjugate_images(pair, b), left_multiplier(a)(b),
+               *left_products(a, [b, a]), *powers(a, 2), *conjugate_set(pair, frozenset([a, b])),
+               *conjugation_orbit(b, swap), *(y for orbit in orbits for y in orbit), *orbit_of,
+               _inverse_images(a), *transversal.values(), *inverses.values()]
+    assert {type(im) for im in outputs} == {type(a)}
 
 
 @given(image_tuples(7))

@@ -16,6 +16,7 @@ from oracles import (
 )
 from piclass.catalog import build, parse_group_file, parse_name
 from piclass.classes import ClassTable, conjugacy_classes, k_pi, pi_count
+from piclass.config import Config
 from piclass.errors import (
     CapExceededError,
     DegreeMismatchError,
@@ -905,7 +906,9 @@ def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypat
     ``_extender``, one extender per subgroup as the enumeration builds
     them, make none.  Every ``Permutation._make`` call is counted.  A
     default-suite ``run_group_suite`` on a fresh copy of each group never
-    reads ``classes``: the library reads the class tuples."""
+    reads ``classes``, nor does one with ``subgroup_cap`` 1, whose Hall
+    checks fall back to cyclic pi-subgroups: the library reads the class
+    tuples."""
     names = ["S4", "D8 x C3", "A5", "S3 x S3", "Q8 x C3"]
     groups = [build(parse_name(name)) for name in names] + [_s4_on_262_points()]
     made = []
@@ -945,7 +948,10 @@ def test_class_sweep_and_coset_closure_wrap_only_class_representatives(monkeypat
         with monkeypatch.context() as m:
             m.setattr(ClassTable, "classes", property(reading))
             reports = run_group_suite(PermGroup(list(g.generators)), "G", DEFAULT_SUITES)
+            capped = run_group_suite(PermGroup(list(g.generators)), "G", DEFAULT_SUITES,
+                                     Config(subgroup_cap=1))
         assert reports and read == [], g
+        assert any(r.witness.get("degraded") for r in capped), g
 
 
 def test_are_conjugate_examples(named):
