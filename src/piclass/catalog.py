@@ -18,6 +18,7 @@ by it), so parse -> serialize -> parse is the identity on the parsed group.
 """
 
 import re
+from itertools import takewhile
 from math import factorial, prod
 from typing import NamedTuple
 
@@ -248,15 +249,19 @@ def census_specs(config: Config = DEFAULT_CONFIG) -> list[GroupSpec]:
 
     The base families run up to the config's ranges.  Products pair every
     base spec (trivial group excluded) with itself and with every later one;
-    base specs and products alike stay within ``config.max_order``.
+    base specs and products alike stay within ``config.max_order``.  A
+    family's order grows with its parameter, so each family stops at its
+    first spec above that cap, however far its range runs.
     """
-    base = [cyclic(n) for n in range(1, config.cyclic_max + 1)]
-    base += [dihedral(m) for m in range(6, config.dihedral_max_order + 1, 2)]
-    if config.include_quaternion:
-        base.append(quaternion())
-    base += [symmetric(n) for n in range(3, config.symmetric_max + 1)]
-    base += [alternating(n) for n in range(4, config.alternating_max + 1)]
-    base = [s for s in base if s.order <= config.max_order]
+
+    def fits(spec: GroupSpec) -> bool:
+        return spec.order <= config.max_order
+
+    base = [*takewhile(fits, map(cyclic, range(1, config.cyclic_max + 1))),
+            *takewhile(fits, map(dihedral, range(6, config.dihedral_max_order + 1, 2))),
+            *filter(fits, [quaternion()] if config.include_quaternion else []),
+            *takewhile(fits, map(symmetric, range(3, config.symmetric_max + 1))),
+            *takewhile(fits, map(alternating, range(4, config.alternating_max + 1)))]
     out = list(base)
     factors = [s for s in base if s.order > 1]
     for i, a in enumerate(factors):

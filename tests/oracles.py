@@ -183,22 +183,16 @@ def all_subgroups_naive(group):
 
 def k_pi_by_class_equation(group, pi):
     """k_pi(G) = (1/|G|) * sum of |C_G(x)| over the pi-elements x: each class
-    x^G has |G : C_G(x)| members, so it contributes |G| to the sum."""
+    x^G has |G : C_G(x)| members, so it contributes |G| to the sum.  Each
+    |C_G(x)| is counted directly, as in ``commuting_pair_count``."""
     from piclass.numtheory import is_pi_number
 
     elements = group.element_list()
-    total = sum(len(brute_centralizer(elements, x))
-                for x in elements if is_pi_number(x.order(), frozenset(pi)))
+    mat = _element_matrix(elements)
+    total = sum(int(np.all(a[mat] == mat[:, a], axis=1).sum())
+                for a, x in zip(mat, elements) if is_pi_number(x.order(), frozenset(pi)))
     assert total % group.order == 0
     return total // group.order
-
-
-def conjugates_by_brute_force(group, key):
-    """{g H g^-1 : g in G} for the subgroup H whose element set is ``key``:
-    one conjugate per element of G, none found by walking an orbit."""
-    from piclass.perm import conjugate_set, conjugation_pairs
-
-    return {conjugate_set(pair, key) for pair in conjugation_pairs(group.element_list())}
 
 
 def orbit_transversal(group, start, act):
@@ -251,13 +245,14 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
     Each class representative H is extended by every candidate (every
     pi-element with ``pi`` set) outside H, not only by the x with x^q in H,
     skipping only the H-conjugates of candidates already tried; a new
-    subgroup is kept unless a conjugate of it was found before.  So it
+    subgroup is kept unless a conjugate of it, from the orbit walk of
+    ``orbit_transversal``, was found before.  So it
     finds the library's classes, but may pick other representatives, on
     other generators.  Sorted by order and then element set, like the
     library.  Uncached.
     """
     from piclass.numtheory import is_pi_number
-    from piclass.perm import conjugation_orbit, conjugation_pairs
+    from piclass.perm import conjugate_set, conjugation_orbit, conjugation_pairs
     from piclass.subgroups import subgroup, trivial_subgroup
 
     pi = None if pi is None else frozenset(pi)
@@ -270,7 +265,7 @@ def subgroup_classes_by_orbit_skip(group, pi=None):
         key = handle.element_set()
         if key not in seen:
             found.append(handle)
-            seen.update(conjugates_by_brute_force(group, key))
+            seen.update(orbit_transversal(group, key, conjugate_set))
 
     register(trivial_subgroup(group))
     for base in found:

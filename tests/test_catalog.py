@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from piclass.catalog import (
@@ -118,6 +120,14 @@ def test_census_order_cap():
     names = [s.name for s in census_specs(Config(max_order=100))]
     assert "A5 x C3" not in names
     assert "A5" in names
+    # a family range past the cap gives the census of the range clamped to
+    # it, without walking the rest: S_n's order is n!
+    t0 = time.perf_counter()
+    for wide, clamped in [(Config(symmetric_max=10**4), Config(symmetric_max=6)),
+                          (Config(max_order=30, cyclic_max=10**6),
+                           Config(max_order=30, cyclic_max=30))]:
+        assert census_specs(wide) == census_specs(clamped)
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_census_is_deterministic():

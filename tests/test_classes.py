@@ -11,16 +11,6 @@ from piclass.errors import NotInGroupError
 from piclass.numtheory import is_pi_number
 from piclass.perm import Permutation, conjugate, parse_cycle_text
 from piclass.subgroups import centralizer_of_element
-from test_fast_paths import walk
-
-
-# The comparisons of fast paths with their oracles are rows of
-# test_fast_paths.FAST_PATHS; these names walk them under the ids they had.
-test_class_equation_and_partition_oracle = walk("test_class_equation_and_partition_oracle")
-test_centralizer_schreier_vs_brute = walk("test_centralizer_schreier_vs_brute")
-test_power_maps_match_powers_on_the_census = walk("test_power_maps_match_powers_on_the_census")
-test_class_partitions_match_brute_force_on_the_census = walk(
-    "test_class_partitions_match_brute_force_on_the_census")
 
 
 def test_s3_classes(named):

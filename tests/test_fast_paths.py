@@ -13,11 +13,13 @@ on the last points of 262, whose images are int tuples) and ``SUBGROUPS``
 the class of rank 35 in the complete sweep of S6); the ``group_of``
 fixture of ``conftest.py`` builds each group once a session.
 
-``test_fast_path`` walks the rows one test id per (row, group).  A row that
-an older test walked has that test's name as its ``home``: the test's
-module binds ``walk(home)`` to that name, which keeps the ids it had, one
-per group, or one for a walk of the census.  A failure names the row, the
-group and the where.
+``test_fast_path`` runs every row, one test id per (row, group),
+``test_fast_path[<row id>-<group>]``, where a row id is ``<fast
+function>~<oracle>~<check>``.  The ``CENSUS`` groups of a row run as one
+walk, ``test_fast_path[<row id>-CENSUS]``; a row that counts its
+comparisons in ``cases`` runs as one walk of all its groups,
+``test_fast_path[<row id>]``, after which the count is checked.  A failure
+names the row, the group and the where.
 
 ``test_every_public_fast_path_has_a_row`` reads the public functions of
 ``classes.py`` and ``subgroups.py`` and the public ``ClassTable`` methods
@@ -69,9 +71,13 @@ GROUP_SETS = {
 
 def group_order(group_set: str, name: str) -> int:
     """The order of a group of ``GROUP_SETS``, for a row's ``max_order``:
-    a ``DATA`` file is parsed, and ``WIDE`` has the order of its base."""
+    a ``DATA`` file is parsed, a ``SUBGROUPS`` class is read from its
+    sweep, and ``WIDE`` has the order of its base."""
     if group_set == "DATA":
         return parse_group_file((DATA_DIR / name).read_text()).order
+    if group_set == "SUBGROUPS":
+        ambient, rank = name.split("#")
+        return complete_sweep(ambient)[1][int(rank)].order
     return parse_name(name.split("@")[0]).order
 
 
@@ -107,27 +113,12 @@ def _set_of(h):
 
 def same_classes(g, classes, oracle) -> bool:
     """``classes`` holds one subgroup of each class ``oracle`` does: each
-    class keyed by the element sets of all its conjugates."""
-
-    def keys(subs):
-        return [frozenset(oracles.conjugates_by_brute_force(g, h.element_set())) for h in subs]
-
-    mine, theirs = keys(classes), keys(oracle)
-    return len(mine) == len(theirs) and set(mine) == set(theirs)
-
-
-def bound_by_g_classes(g, n):
-    """The quotient suite's lower bound is sound: per prime support (in G's
-    numbering), the G-classes inside N never outnumber the classes of N's
-    own table, as each is a union of N-classes; and those per-support
-    counts give k_pi(N) for every pi."""
-    table = conjugacy_classes(g)
-    in_normal = oracles.normal_classes_by_support(table, n)
-    in_g = oracles.classes_by_support(table, table.normal_mask(n.element_set()))
-    for support, count in in_g.items():
-        yield ("N", n.order, "support", support), count <= in_normal.get(support, 0), True
-    for pi in _subsets(g, {2}):
-        yield ("N", n.order, "pi", pi), pi_count(in_normal, table.pi_bits(pi)), k_pi(n, pi)
+    of ``oracle``'s subgroups is a conjugate of one of ``classes``, found
+    by the oracle's orbit walk, all of them are hit, and none twice."""
+    class_of = {key: i for i, h in enumerate(classes)
+                for key in oracles.orbit_transversal(g, h.element_set(), conjugate_set)}
+    hits = {class_of.get(h.element_set()) for h in oracle}
+    return len(classes) == len(oracle) == len(hits) and hits == set(range(len(classes)))
 
 
 # -- the checks: each yields (where, fast answer, oracle answer) on G -------
@@ -202,22 +193,9 @@ def quotient_order_sums(g):
                    oracles.pi_sum(counts, pi))
 
 
-def coset_actions(g):
-    """k_pi of the coset action on G/N is that sum too, so it equals the
-    count the quotient suite reads from the class fusion."""
-    table = conjugacy_classes(g)
-    for n, mask in _lattice(g):
-        if g.order // n.order <= 2048:
-            q, counts = subgroups.quotient(g, n).group, oracles.quotient_order_counts(table, mask)
-            for pi in _subsets(g):
-                yield ("N", n.order, "pi", pi), k_pi(q, pi), oracles.pi_sum(counts, pi)
-
-
-def normal_class_supports(g):
+def histograms(g):
     table = conjugacy_classes(g)
     yield "G", table.histogram(), oracles.classes_by_support(table, table.full)
-    for n in subgroups.normal_subgroups(g):
-        yield from bound_by_g_classes(g, n)
 
 
 def pi_class_sets(g):
@@ -511,11 +489,10 @@ class Row:
     check: Callable  # group -> (where, fast answer, oracle answer), ...
     max_order: int | None = None
     cases: int | None = None  # comparisons over the whole walk
-    home: str | None = None  # the name of the older test that walks the row
 
     @property
     def id(self) -> str:
-        return f"{self.fast.__qualname__}~{self.oracle.__name__}"
+        return f"{self.fast.__qualname__}~{self.oracle.__name__}~{self.check.__name__}"
 
     def names(self) -> list[tuple[str, str]]:
         """(group set, group name) for each group, each name once."""
@@ -530,86 +507,69 @@ class Row:
 
 
 FAST_PATHS = (
-    Row(conjugacy_classes, oracles.brute_conjugacy_partition, ("SMALL", "CENSUS"), partition,
-        home="test_class_partitions_match_brute_force_on_the_census"),
-    Row(conjugacy_classes, oracles._powers, ("CENSUS", "DATA", "WIDE"), class_orders,
-        home="test_power_maps_match_powers_on_the_census"),
-    Row(ClassTable.sizes, oracles.brute_centralizer, ("SMALL",), class_equation,
-        home="test_class_equation_and_partition_oracle"),
+    Row(conjugacy_classes, oracles.brute_conjugacy_partition, ("SMALL", "CENSUS", "SUBGROUPS"),
+        partition),
+    Row(conjugacy_classes, oracles._powers, ("CENSUS", "DATA", "WIDE"), class_orders),
+    Row(ClassTable.sizes, oracles.brute_centralizer, ("SMALL",), class_equation),
     Row(subgroups.centralizer_of_element, oracles.brute_centralizer, ("SMALL",),
-        sampled_centralizers, home="test_centralizer_schreier_vs_brute"),
-    Row(ClassTable.power_map, oracles.power_classes, ("CENSUS", "DATA", "WIDE"), power_maps,
-        home="test_power_maps_match_powers_on_the_census"),
+        sampled_centralizers),
+    Row(ClassTable.power_map, oracles.power_classes, ("CENSUS", "DATA", "WIDE"), power_maps),
     Row(ClassTable.rational_class, oracles.rational_class_by_powers, ("CENSUS",),
-        rational_classes, home="test_power_maps_match_powers_on_the_census"),
-    Row(k_pi, oracles.order_counts, ("CENSUS",), order_sums,
-        home="test_pi_counts_match_order_sums_on_the_census"),
+        rational_classes),
+    Row(k_pi, oracles.order_counts, ("CENSUS",), order_sums),
     Row(ClassTable.quotient_histogram, oracles.quotient_order_counts,
-        ("CENSUS", "LATTICE_SLICE", "SUBGROUPS"), quotient_order_sums,
-        home="test_pi_counts_match_order_sums_on_the_census"),
+        ("CENSUS", "LATTICE_SLICE", "SUBGROUPS"), quotient_order_sums),
     Row(ClassTable.pi_classes, oracles.pi_classes_by_orders, ("CENSUS", "DATA", "SUBGROUPS"),
         pi_class_sets),
     Row(ClassTable.k_pi_lower_bound, oracles.pi_classes_by_orders,
         ("LATTICE_SLICE", "SUBGROUPS"), lower_bounds),
-    Row(k_pi, oracles.k_pi_by_class_equation, ("LATTICE_SLICE",), class_equation_sums,
-        max_order=200, home="test_k_pi_matches_class_equation"),
-    Row(subgroups.quotient, oracles.quotient_order_counts, ("LATTICE_SLICE",), coset_actions,
-        home="test_quotient_k_pi_fusion_matches_coset_action"),
-    Row(ClassTable.histogram, oracles.normal_classes_by_support, ("LATTICE_SLICE",),
-        normal_class_supports, home="test_normal_k_pi_matches_class_table_of_n"),
+    Row(k_pi, oracles.k_pi_by_class_equation, ("LATTICE_SLICE", "SUBGROUPS"),
+        class_equation_sums, max_order=200),
+    Row(ClassTable.histogram, oracles.classes_by_support, ("CENSUS",), histograms),
     Row(ClassTable._support, oracles.class_product_support_by_pairs,
         ("CENSUS_72", "WIDE", "DATA"), supports, max_order=200),
-    Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS",), closures,
-        home="test_class_closures_and_splits_match_their_oracles"),
+    Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS",), closures),
     Row(ClassTable.closure, oracles.closure_by_all_pairs, ("CENSUS_72",), bounded_closures),
-    Row(ClassTable.fusion, oracles.coset_classes_by_rows, ("CENSUS", "SUBGROUPS"), fusions,
-        home="test_fusion_blocks_match_coset_rows"),
-    Row(ClassTable.join, oracles.coset_classes_by_rows, ("CENSUS",), joins,
-        home="test_fusion_blocks_match_coset_rows"),
+    Row(ClassTable.fusion, oracles.coset_classes_by_rows, ("CENSUS", "SUBGROUPS"), fusions),
+    Row(ClassTable.join, oracles.coset_classes_by_rows, ("CENSUS",), joins),
     Row(ClassTable.normal_mask, oracles.is_normal, ("SMALL",), normality),
     Row(subgroups.normal_subgroups, oracles.normal_subgroups_by_class_unions, ("SMALL",),
-        class_unions, home="test_normal_subgroups_class_union_oracle"),
+        class_unions),
     Row(subgroups.normal_subgroups, oracles.normal_subgroups_by_joins,
-        ("LATTICE_SLICE", "CENSUS_72"), pairwise_joins,
-        home="test_normal_subgroups_match_pairwise_joins"),
-    Row(subgroups.o_pi_prime, oracles.normal_core_by_closures, ("LATTICE_SLICE",), cores,
-        home="test_normal_subgroup_queries_match_element_oracles"),
+        ("LATTICE_SLICE", "CENSUS_72", "SUBGROUPS"), pairwise_joins),
+    Row(subgroups.o_pi_prime, oracles.normal_core_by_closures, ("LATTICE_SLICE",), cores),
     Row(subgroups.o_pi_prime_order, oracles.normal_core_by_closures, ("LATTICE_SLICE",),
         core_orders),
     Row(ClassTable.normal_core, oracles.normal_core_by_closures, ("LATTICE_SLICE", "CENSUS_72"),
         table_cores),
     Row(has_normal_pi_complement, oracles.normal_pi_complement_by_element_scan,
-        ("LATTICE_SLICE",), complements,
-        home="test_normal_subgroup_queries_match_element_oracles"),
+        ("LATTICE_SLICE",), complements),
     Row(normal_pi_complement_exists, oracles.normal_pi_complement_by_lattice,
         ("CENSUS", "DATA", "SUBGROUPS"), complement_answers),
     Row(subgroups.fitting_subgroup, oracles.fitting_subgroup_by_closures, ("LATTICE_SLICE",),
-        fitting_sets, home="test_normal_subgroup_queries_match_element_oracles"),
-    Row(subgroups.socle, oracles.socle_by_element_sets, ("LATTICE_SLICE",), socle_sets,
-        home="test_normal_subgroup_queries_match_element_oracles"),
+        fitting_sets),
+    Row(subgroups.socle, oracles.socle_by_element_sets, ("LATTICE_SLICE",), socle_sets),
     Row(subgroups.subgroup, oracles.naive_closure, ("SMALL",), closures_of_generators),
     Row(subgroups.normal_closure, oracles.naive_closure, ("SMALL",), normal_closures),
     Row(subgroups.join_subgroups, oracles.naive_closure, ("SMALL",), subgroup_joins),
     Row(subgroups.commutator_subgroup, oracles.naive_closure, ("SMALL",), commutators),
-    # 657 census (group, prime) pairs, and 38 from tests/data: 2 for
-    # SL(2,3) and GL(2,3), 3 for PSL(2,7), AGL(1,7), A5, AGL(3,2), AGL(1,11)
-    # and AGL(1,13), 4 for A7, S7, M11 and S8
-    Row(subgroups.sylow_subgroup, oracles.sylow_subgroup_by_normalizers, ("CENSUS", "DATA"),
-        sylow_growth, cases=657 + 38, home="test_sylow_growth_matches_the_normalizer_walk"),
-    Row(subgroups.conjugates, oracles.orbit_transversal, ("CENSUS_72",), conjugate_orbits,
-        home="test_conjugates_match_the_orbit_walk"),
+    # 657 census (group, prime) pairs; 38 from tests/data: 2 for SL(2,3)
+    # and GL(2,3), 3 for PSL(2,7), AGL(1,7), A5, AGL(3,2), AGL(1,11) and
+    # AGL(1,13), 4 for A7, S7, M11 and S8; and 363 from SUBGROUPS: 94 in
+    # S6, 36 in A6, 22 in PSL(2,7), 76 in A7 and 135 in AGL(3,2)
+    Row(subgroups.sylow_subgroup, oracles.sylow_subgroup_by_normalizers,
+        ("CENSUS", "DATA", "SUBGROUPS"), sylow_growth, cases=657 + 38 + 363),
+    Row(subgroups.conjugates, oracles.orbit_transversal, ("CENSUS_72",), conjugate_orbits),
     Row(subgroups.normalizer, oracles.schreier_stabilizer_by_products, ("CENSUS_72",),
-        normalizers, home="test_stabilizers_match_the_permutation_product_oracle"),
+        normalizers),
     Row(subgroups.centralizer_of_element, oracles.schreier_stabilizer_by_products,
-        ("CENSUS_72",), element_centralizers,
-        home="test_stabilizers_match_the_permutation_product_oracle"),
+        ("CENSUS_72",), element_centralizers),
     Row(subgroups.are_conjugate_subgroups, oracles.orbit_transversal, ("CENSUS_72",),
-        conjugacy_witnesses, home="test_stabilizers_match_the_permutation_product_oracle"),
+        conjugacy_witnesses),
     Row(subgroups.enumerate_subgroups_up_to_conjugacy, oracles.all_subgroups_naive, ("SMALL",),
-        all_subgroups, max_order=24, home="test_subgroup_enumeration_against_naive"),
+        all_subgroups, max_order=24),
     Row(subgroups.enumerate_subgroups_up_to_conjugacy, oracles.subgroup_classes_by_orbit_skip,
-        ("CENSUS_72",), orbit_skip_sweep,
-        home="test_subgroup_enumeration_matches_orbit_skip_sweep"),
+        ("CENSUS_72", "SUBGROUPS"), orbit_skip_sweep, max_order=200),
 )
 
 EXEMPT = {
@@ -625,6 +585,8 @@ EXEMPT = {
     "classes.ClassTable.prime_support": "bit arithmetic, read by the k_pi rows",
     "classes.ClassTable.pi_bits": "bit arithmetic, read by the quotient_histogram rows",
     "subgroups.trivial_subgroup": "the identity alone",
+    "subgroups.quotient": "the coset action on G/N: criterion 8 (test_acceptance.py) compares "
+                          "its k_pi with the class fusion's on every census (G, N)",
     "subgroups.centralizer_of_subgroup": "filters G's elements: it is the brute force",
     "subgroups.center": "centralizer_of_subgroup(G, G)",
     "subgroups.derived_subgroup": "commutator_subgroup(G, G, G), a pair its row checks",
@@ -654,56 +616,30 @@ def _compare(row, group_set, name, group_of) -> int:
     return made
 
 
-def walk(home: str):
-    """The test that walks the rows whose home is ``home``: one id per
-    group, or one for the whole walk where a row runs on the census, which
-    also checks each row's ``cases``."""
-    rows = [row for row in FAST_PATHS if row.home == home]
-    assert rows, home
-    names = list(dict.fromkeys(pair for row in rows for pair in row.names()))
-
-    def run(group_of, selected):
-        for row in rows:
-            made = sum(_compare(row, *pair, group_of) for pair in row.names() if pair in selected)
-            assert row.cases in (None, made), row.id
-
-    if any("CENSUS" in row.groups for row in rows):
-        def test(group_of):
-            run(group_of, set(names))
-    else:
-        @pytest.mark.parametrize("group_set, name", names, ids=[name for _, name in names])
-        def test(group_set, name, group_of):
-            run(group_of, {(group_set, name)})
-    return test
+def _runs(row):
+    """The test ids of ``row``: one walk of all its groups where it counts
+    its ``cases``, else one walk of its ``CENSUS`` groups and one id per
+    other group."""
+    pairs = row.names()
+    if row.cases is not None:
+        return [pytest.param(row, pairs, id=row.id)]
+    census = [pair for pair in pairs if pair[0] == "CENSUS"]
+    runs = [pytest.param(row, census, id=f"{row.id}-CENSUS")] if census else []
+    return runs + [pytest.param(row, [pair], id=f"{row.id}-{pair[1]}")
+                   for pair in pairs if pair[0] != "CENSUS"]
 
 
-_HERE = [(row, *pair) for row in FAST_PATHS if row.home is None for pair in row.names()]
-
-
-@pytest.mark.parametrize("row, group_set, name", _HERE,
-                         ids=[f"{row.id}-{name}" for row, _, name in _HERE])
-def test_fast_path(row, group_set, name, group_of):
-    assert row.cases is None  # a count needs the whole walk: give the row a home
-    _compare(row, group_set, name, group_of)
-
-
-def test_every_home_binds_its_walk():
-    """Each home is bound once, as ``home = walk("home")`` in a test module."""
-    bound = []
-    for path in Path(__file__).parent.glob("test_*.py"):
-        for node in ast.parse(path.read_text()).body:
-            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
-                    and getattr(node.value.func, "id", None) == "walk"):
-                [target], [home] = node.targets, node.value.args
-                assert target.id == home.value, path.name
-                bound.append(home.value)
-    assert sorted(bound) == sorted({row.home for row in FAST_PATHS} - {None})
+@pytest.mark.parametrize("row, pairs", [run for row in FAST_PATHS for run in _runs(row)])
+def test_fast_path(row, pairs, group_of):
+    made = sum(_compare(row, *pair, group_of) for pair in pairs)
+    assert row.cases in (None, made), row.id
 
 
 def test_group_sets_have_their_sizes():
     assert {name: len(names) for name, names in GROUP_SETS.items()} == {
         "SMALL": 11, "LATTICE_SLICE": 15, "CENSUS_72": 153, "CENSUS": 296, "DATA": 12,
         "WIDE": 1, "SUBGROUPS": 228}
+    assert len({row.id for row in FAST_PATHS}) == len(FAST_PATHS)
 
 
 # -- the guard: every public fast path has a row or a reason -----------------

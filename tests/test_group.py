@@ -24,12 +24,6 @@ def test_dihedral_order(named):
     assert named("D8").order == 8
 
 
-def test_a5_order_against_naive_closure(named):
-    a5 = named("A5")
-    assert a5.order == 60
-    assert a5.order == len(naive_closure(list(a5.generators)))
-
-
 def test_membership_examples(named):
     a4 = named("A4")
     assert Permutation.identity(4) in a4

@@ -11,7 +11,7 @@ from lemmas import (
     d_pi_hall_average,
     product_lower_bound_check,
 )
-from oracles import commuting_pair_count, is_normal
+from oracles import is_normal
 from piclass.classes import ClassTable, conjugacy_classes, k_pi
 from piclass.errors import InvalidInputError, PreconditionError
 from piclass.invariants import (
@@ -98,13 +98,6 @@ def test_profile_invariants(named):
             assert g.order % prof.order_pi == 0
             rest = g.order // prof.order_pi
             assert all(q != p for q in prime_factors(rest))
-
-
-def test_commuting_degree_identity(named):
-    for name in ["S3", "S4", "D8", "Q8", "A5", "C6"]:
-        g = named(name)
-        assert commuting_degree(g) == Fraction(
-            commuting_pair_count(g.element_list()), g.order ** 2)
 
 
 def test_chain_inequality_spot(named):

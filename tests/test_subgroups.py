@@ -9,9 +9,11 @@ import pytest
 
 from conftest import complete_sweep
 from oracles import (
+    classes_by_support,
     closure_by_all_pairs,
     is_normal,
     naive_closure,
+    normal_classes_by_support,
     subgroup_classes_by_orbit_skip,
 )
 from piclass.catalog import build, parse_group_file, parse_name
@@ -74,35 +76,8 @@ from test_fast_paths import (
     CENSUS_72,
     GROUP_SETS,
     LATTICE_SLICE,
-    bound_by_g_classes,
     same_classes,
-    walk,
 )
-
-
-# The comparisons of fast paths with their oracles are rows of
-# test_fast_paths.FAST_PATHS; these names walk them under the ids they had.
-test_normal_subgroups_class_union_oracle = walk("test_normal_subgroups_class_union_oracle")
-test_normal_subgroups_match_pairwise_joins = walk("test_normal_subgroups_match_pairwise_joins")
-test_quotient_k_pi_fusion_matches_coset_action = walk(
-    "test_quotient_k_pi_fusion_matches_coset_action")
-test_normal_subgroup_queries_match_element_oracles = walk(
-    "test_normal_subgroup_queries_match_element_oracles")
-test_pi_counts_match_order_sums_on_the_census = walk(
-    "test_pi_counts_match_order_sums_on_the_census")
-test_normal_k_pi_matches_class_table_of_n = walk("test_normal_k_pi_matches_class_table_of_n")
-test_class_closures_and_splits_match_their_oracles = walk(
-    "test_class_closures_and_splits_match_their_oracles")
-test_fusion_blocks_match_coset_rows = walk("test_fusion_blocks_match_coset_rows")
-test_sylow_growth_matches_the_normalizer_walk = walk(
-    "test_sylow_growth_matches_the_normalizer_walk")
-test_conjugates_match_the_orbit_walk = walk("test_conjugates_match_the_orbit_walk")
-test_stabilizers_match_the_permutation_product_oracle = walk(
-    "test_stabilizers_match_the_permutation_product_oracle")
-test_subgroup_enumeration_against_naive = walk("test_subgroup_enumeration_against_naive")
-test_subgroup_enumeration_matches_orbit_skip_sweep = walk(
-    "test_subgroup_enumeration_matches_orbit_skip_sweep")
-test_k_pi_matches_class_equation = walk("test_k_pi_matches_class_equation")
 
 
 def test_closure_examples(named):
@@ -356,6 +331,20 @@ def test_quotient_k_pi_outside_the_lattice(named):
     assert "normal_subgroups" not in fresh.cache
 
 
+def _bound_by_g_classes(g, n):
+    """The quotient suite's lower bound is sound: per prime support (in G's
+    numbering), the G-classes inside N never outnumber the classes of N's
+    own table, as each is a union of N-classes; and those per-support
+    counts give k_pi(N) for every pi."""
+    table = conjugacy_classes(g)
+    in_normal = normal_classes_by_support(table, n)
+    in_g = classes_by_support(table, table.normal_mask(n.element_set()))
+    for support, count in in_g.items():
+        yield ("N", n.order, "support", support), count <= in_normal.get(support, 0), True
+    for pi in _nonempty_subsets(group_primes(g)):
+        yield ("N", n.order, "pi", pi), pi_count(in_normal, table.pi_bits(pi)), k_pi(n, pi)
+
+
 def test_normal_k_pi_outside_the_lattice(named):
     """On the shared S4 and on a fresh one: the G-classes inside a normal N
     bound N's classes from below, whether or not the lattice was built;
@@ -366,7 +355,7 @@ def test_normal_k_pi_outside_the_lattice(named):
         table = conjugacy_classes(s4)
         v4 = _v4(s4)
         for n in (v4, trivial_subgroup(s4), s4):
-            for where, got, want in bound_by_g_classes(s4, n):
+            for where, got, want in _bound_by_g_classes(s4, n):
                 assert got == want, where
         assert k_pi(v4, [2]) == 4  # V4 is abelian
         assert k_pi(s4, [2, 3]) == 5
